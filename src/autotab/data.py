@@ -1,13 +1,20 @@
 """CSV ingestion, column parsing, roles, and the typed dataset container.
 
-Parsing is a trial cascade per column: integer, float, datetime (fixed format
-list), then category. Constant columns are dropped. Datetime columns are
-expanded into calendar parts and excluded from modeling themselves.
+Each text column is typed as a whole: integer, float, datetime (fixed format
+list), then category. Numbers are converted in one pass over the column. A
+datetime format is given up as soon as more cells fail than the 99% threshold
+allows, so a text column costs a few dozen trial parses per format, not one
+per cell. Cells written in a format's zero-padded ASCII layout are parsed
+together with numpy; every other cell falls back to `strptime`, so each cell
+gets the value a per-cell `strptime` would give. Category codes come from one
+sorted dictionary per column. Constant columns are dropped. Datetime columns
+are expanded into calendar parts and excluded from modeling themselves.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -150,7 +157,8 @@ class Dataset:
                 continue
             new_cols[name] = numeric_to_category(col)
             new_roles[name] = "category"
-            if name in new_schema:
+            # a datetime part keeps its recipe: it is rebuilt from its source
+            if name in new_schema and "source" not in new_schema[name]:
                 new_schema[name]["kind"] = "category_numeric"
         ds = Dataset(new_cols, new_roles, self.target, self.target_name,
                      self.task, self.meta, new_schema)
@@ -212,64 +220,181 @@ def read_csv(path: str, target_name: str | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Column parsing cascade
+# Column parsing
 
 
-def _try_int(cells) -> tuple[np.ndarray, bool] | None:
-    out = np.full(len(cells), np.nan)
-    for i, c in enumerate(cells):
-        if c is None:
-            continue
-        s = c.strip()
-        try:
-            out[i] = int(s)
-        except ValueError:
-            return None
-    return out, False
+@dataclass(frozen=True)
+class _Text:
+    """The non-missing cells of one column, stripped, and where they sit."""
+
+    present: np.ndarray  # bool per row
+    cells: list[str]
+
+    @classmethod
+    def of(cls, cells) -> "_Text":
+        present = np.fromiter((c is not None for c in cells), dtype=bool, count=len(cells))
+        return cls(present, [c.strip() for c in cells if c is not None])
+
+    def floats(self, convert) -> np.ndarray:
+        """float64 of `convert(cell)` for each non-missing cell; raises what
+        `convert` raises."""
+        return np.fromiter(map(convert, self.cells), dtype=np.float64, count=len(self.cells))
+
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """Values of the non-missing cells spread over all rows, NaN elsewhere."""
+        out = np.full(self.present.shape[0], np.nan)
+        out[self.present] = values
+        return out
 
 
-def _try_float(cells) -> tuple[np.ndarray, bool] | None:
-    out = np.full(len(cells), np.nan)
-    has_fraction = False
-    for i, c in enumerate(cells):
-        if c is None:
-            continue
-        try:
-            v = float(c.strip())
-        except ValueError:
-            return None
-        if not math.isfinite(v):
-            return None
-        out[i] = v
-        if v != math.floor(v):
-            has_fraction = True
-    return out, has_fraction
-
-
-def _parse_datetime_format(cells, fmt: str) -> tuple[np.ndarray, int]:
-    """Parse under one format; failures become NaN. Returns (epochs, n_parsed)."""
-    out = np.full(len(cells), np.nan)
-    n_parsed = 0
-    for i, c in enumerate(cells):
-        if c is None:
-            continue
-        try:
-            dt = datetime.strptime(c.strip(), fmt).replace(tzinfo=timezone.utc)
-        except ValueError:
-            continue
-        out[i] = dt.timestamp()
-        n_parsed += 1
-    return out, n_parsed
-
-
-def _try_datetime(cells) -> tuple[np.ndarray, str] | None:
-    n_nonmissing = sum(1 for c in cells if c is not None)
-    if n_nonmissing == 0:
+def _try_int(text: _Text) -> tuple[np.ndarray, bool] | None:
+    try:
+        values = text.floats(int)
+    except ValueError:
         return None
+    return text.scatter(values), False
+
+
+def _try_float(text: _Text) -> tuple[np.ndarray, bool] | None:
+    try:
+        values = text.floats(float)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return text.scatter(values), bool(np.any(values != np.floor(values)))
+
+
+def _float_or_nan(s: str) -> float:
+    try:
+        return float(s)
+    except ValueError:
+        return math.nan
+
+
+def _floats_or_nan(text: _Text) -> np.ndarray:
+    """Float values; cells that do not parse become NaN."""
+    try:
+        values = text.floats(float)
+    except ValueError:
+        values = text.floats(_float_or_nan)
+    return text.scatter(values)
+
+
+_FIELD_WIDTHS = {"Y": 4, "m": 2, "d": 2, "H": 2, "M": 2, "S": 2}
+
+
+def _layout(fmt: str) -> tuple[int, dict[str, slice], list[tuple[int, int]]]:
+    """Width, field positions and literal characters of `fmt` written with
+    zero-padded fields."""
+    fields: dict[str, slice] = {}
+    literals: list[tuple[int, int]] = []
+    pos = i = 0
+    while i < len(fmt):
+        if fmt[i] == "%":
+            width = _FIELD_WIDTHS[fmt[i + 1]]
+            fields[fmt[i + 1]] = slice(pos, pos + width)
+            pos += width
+            i += 2
+        else:
+            literals.append((pos, ord(fmt[i])))
+            pos += 1
+            i += 1
+    return pos, fields, literals
+
+
+_LAYOUTS = {fmt: _layout(fmt) for fmt in DATETIME_FORMATS}
+
+
+def _bulk_epochs(cells: list[str], fmt: str) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of the cells written exactly in `fmt`'s zero-padded ASCII
+    layout that name a valid time, NaN elsewhere; and the mask of those cells.
+
+    Only cells of the layout's width are copied, as code points, into a
+    (cells x width) array, so a long cell costs nothing. A valid time has a
+    year from 1, a real calendar day, hour < 24, minute < 60 and second < 60;
+    every other cell is left to `strptime`.
+    """
+    width, fields, literals = _LAYOUTS[fmt]
+    epochs = np.full(len(cells), np.nan)
+    done = np.zeros(len(cells), dtype=bool)
+    fits = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells)) == width
+    rows = np.flatnonzero(fits)
+    if rows.size == 0:
+        return epochs, done
+    joined = "".join(itertools.compress(cells, fits)).encode("utf-32-le", "surrogatepass")
+    chars = np.frombuffer(joined, dtype=np.uint32).reshape(rows.size, width)
+    digits = chars - np.uint32(ord("0"))  # characters below "0" wrap round to large values
+    ok = np.ones(rows.size, dtype=bool)
+    for pos, code in literals:
+        ok &= chars[:, pos] == code
+    part = {}
+    for name, cols in fields.items():
+        value = np.zeros(rows.size, dtype=np.int64)
+        for pos in range(cols.start, cols.stop):
+            ok &= digits[:, pos] < 10
+            value = value * 10 + digits[:, pos]
+        part[name] = value
+    rows, part = rows[ok], {name: value[ok] for name, value in part.items()}
+    year, month, day = part["Y"], part["m"], part["d"]
+    hour, minute, second = (part.get(k, 0) for k in "HMS")
+    first = ((year - 1970) * 12 + np.clip(month, 1, 12) - 1).astype("datetime64[M]")
+    month_start = first.astype("datetime64[D]")
+    month_days = ((first + 1).astype("datetime64[D]") - month_start).astype(np.int64)
+    valid = ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+             & (hour < 24) & (minute < 60) & (second < 60))
+    days = month_start.astype(np.int64) + day - 1
+    seconds = days * 86400 + hour * 3600 + minute * 60 + second
+    epochs[rows[valid]] = seconds[valid]
+    done[rows[valid]] = True
+    return epochs, done
+
+
+def _parse_datetime_format(text: _Text, fmt: str,
+                           max_failures: int | None = None) -> tuple[np.ndarray, int] | None:
+    """Parse under one format; failures become NaN. Returns (epochs, n_parsed),
+    or None as soon as more than `max_failures` non-missing cells fail.
+
+    Cells in the format's fixed layout are parsed in bulk; the rest go through
+    `strptime` one at a time, which accepts unpadded fields and runs of
+    whitespace and has the final word on every cell the bulk pass leaves.
+    """
+    epochs, done = _bulk_epochs(text.cells, fmt)
+    failures = 0
+    for i in np.flatnonzero(~done):
+        try:
+            dt = datetime.strptime(text.cells[i], fmt).replace(tzinfo=timezone.utc)
+        except ValueError:
+            failures += 1
+            if max_failures is not None and failures > max_failures:
+                return None
+            continue
+        epochs[i] = dt.timestamp()
+    return text.scatter(epochs), len(text.cells) - failures
+
+
+def _failure_budget(n_nonmissing: int) -> int:
+    """Most failed cells a format may have and still reach the threshold:
+    the largest k with (n - k) / n >= DATETIME_PARSE_THRESHOLD."""
+    n = n_nonmissing
+    k = int(n * (1.0 - DATETIME_PARSE_THRESHOLD))
+    while k < n and (n - k - 1) / n >= DATETIME_PARSE_THRESHOLD:
+        k += 1
+    while k > 0 and (n - k) / n < DATETIME_PARSE_THRESHOLD:
+        k -= 1
+    return k
+
+
+def _try_datetime(text: _Text) -> tuple[np.ndarray, str] | None:
+    """The first format under which enough cells parse. A format is given up
+    once its failures exceed the threshold's budget."""
+    if not text.cells:
+        return None
+    budget = _failure_budget(len(text.cells))
     for fmt in DATETIME_FORMATS:
-        epochs, n_parsed = _parse_datetime_format(cells, fmt)
-        if n_parsed / n_nonmissing >= DATETIME_PARSE_THRESHOLD:
-            return epochs, fmt
+        parsed = _parse_datetime_format(text, fmt, budget)
+        if parsed is not None:
+            return parsed[0], fmt
     return None
 
 
@@ -288,21 +413,21 @@ def _epoch_int_to_datetime(values: np.ndarray) -> np.ndarray | None:
 
 
 def _category_column(name: str, cells) -> Column:
-    seen = sorted({c for c in cells if c is not None})
-    dictionary = np.array(seen, dtype=str)
+    seen = sorted(set(cells) - {None})
     lookup = {v: i for i, v in enumerate(seen)}
-    codes = np.array([lookup.get(c, -1) if c is not None else -1 for c in cells],
-                     dtype=np.int32)
-    return Column(name, "category", codes, dictionary=dictionary)
+    lookup[None] = -1
+    codes = np.fromiter(map(lookup.__getitem__, cells), dtype=np.int32, count=len(cells))
+    return Column(name, "category", codes, dictionary=np.array(seen, dtype=str))
 
 
 def parse_column(name: str, cells) -> tuple[Column, dict]:
-    """Run the trial cascade on one text column.
+    """Type one text column: integer, float, datetime, then category.
 
     Returns the typed column plus a schema entry describing how to re-parse
     the same source column at inference time.
     """
-    parsed_int = _try_int(cells)
+    text = _Text.of(cells)
+    parsed_int = _try_int(text)
     if parsed_int is not None:
         values, _ = parsed_int
         as_epoch = _epoch_int_to_datetime(values)
@@ -310,12 +435,12 @@ def parse_column(name: str, cells) -> tuple[Column, dict]:
             col = Column(name, "datetime", as_epoch, datetime_format=EPOCH_FORMAT)
             return col, {"kind": "datetime", "format": EPOCH_FORMAT}
         return Column(name, "numeric", values), {"kind": "numeric"}
-    parsed_float = _try_float(cells)
+    parsed_float = _try_float(text)
     if parsed_float is not None:
         values, has_fraction = parsed_float
         col = Column(name, "numeric", values, from_float_literals=has_fraction)
         return col, {"kind": "numeric", "float_literals": has_fraction}
-    parsed_dt = _try_datetime(cells)
+    parsed_dt = _try_datetime(text)
     if parsed_dt is not None:
         epochs, fmt = parsed_dt
         col = Column(name, "datetime", epochs, datetime_format=fmt)
@@ -326,37 +451,19 @@ def parse_column(name: str, cells) -> tuple[Column, dict]:
 def parse_with_schema(name: str, cells, entry: dict) -> Column:
     """Re-parse a raw column at inference using the stored training recipe."""
     kind = entry["kind"]
-    if kind == "numeric":
-        out = np.full(len(cells), np.nan)
-        for i, c in enumerate(cells):
-            if c is None:
-                continue
-            try:
-                out[i] = float(c.strip())
-            except ValueError:
-                pass
-        return Column(name, "numeric", out)
+    if kind in ("numeric", "category_numeric"):
+        return Column(name, "numeric", _floats_or_nan(_Text.of(cells)))
     if kind == "datetime":
         fmt = entry["format"]
+        text = _Text.of(cells)
         if fmt == EPOCH_FORMAT:
-            parsed = _try_int(cells) or _try_float(cells)
+            parsed = _try_int(text) or _try_float(text)
             values = parsed[0] if parsed is not None else np.full(len(cells), np.nan)
             lo, hi = EPOCH_RANGE
-            values = values.copy()
             values[(values < lo) | (values > hi)] = np.nan
             return Column(name, "datetime", values, datetime_format=fmt)
-        epochs, _ = _parse_datetime_format(cells, fmt)
+        epochs, _ = _parse_datetime_format(text, fmt)
         return Column(name, "datetime", epochs, datetime_format=fmt)
-    if kind == "category_numeric":
-        out = np.full(len(cells), np.nan)
-        for i, c in enumerate(cells):
-            if c is None:
-                continue
-            try:
-                out[i] = float(c.strip())
-            except ValueError:
-                pass
-        return Column(name, "numeric", out)
     # plain text category: codes resolved against the stored dictionary later
     return _category_column(name, cells)
 
@@ -397,19 +504,20 @@ def expand_datetime(col: Column) -> list[Column]:
 # Target handling
 
 
-def _encode_target(cells, task_kind: str, n_rows: int) -> tuple[np.ndarray, tuple[str, ...]]:
-    for i, c in enumerate(cells):
-        if c is None:
-            raise DataError(f"target has a missing value at row {i + 1}")
+def _encode_target(cells, task_kind: str) -> tuple[np.ndarray, tuple[str, ...]]:
+    if None in cells:
+        raise DataError(f"target has a missing value at row {cells.index(None) + 1}")
     if task_kind == "regression":
-        out = np.empty(n_rows)
-        for i, c in enumerate(cells):
+        out = _floats_or_nan(_Text.of(cells))
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            i = int(bad[0])
             try:
-                out[i] = float(c.strip())
+                float(cells[i].strip())
             except ValueError:
-                raise DataError(f"target value {c!r} at row {i + 1} is not numeric") from None
-            if not math.isfinite(out[i]):
-                raise DataError(f"target value at row {i + 1} is not finite")
+                raise DataError(
+                    f"target value {cells[i]!r} at row {i + 1} is not numeric") from None
+            raise DataError(f"target value at row {i + 1} is not finite")
         return out, ()
     labels = sorted({c.strip() for c in cells})
     if task_kind == "binary" and len(labels) != 2:
@@ -462,7 +570,7 @@ def build_dataset(raw: RawTable, target_name: str, task_kind: str,
         if role not in ROLE_KINDS:
             raise DataError(f"role hint for {key!r} has unknown role {role!r}")
 
-    target, labels = _encode_target(raw.column(target_name), task_kind, raw.n_rows)
+    target, labels = _encode_target(raw.column(target_name), task_kind)
     task = Task(task_kind, n_classes=len(labels) if task_kind != "regression" else 0,
                 metric=metric, labels=labels)
 
@@ -482,13 +590,14 @@ def build_dataset(raw: RawTable, target_name: str, task_kind: str,
         if hint == "category":
             col, entry = _category_column(name, cells), {"kind": "category"}
         elif hint == "numeric":
-            parsed = _try_int(cells) or _try_float(cells)
+            text = _Text.of(cells)
+            parsed = _try_int(text) or _try_float(text)
             if parsed is None:
                 raise DataError(f"column {name!r} hinted numeric but does not parse")
             col, entry = Column(name, "numeric", parsed[0],
                                 from_float_literals=parsed[1]), {"kind": "numeric"}
         elif hint == "datetime":
-            parsed_dt = _try_datetime(cells)
+            parsed_dt = _try_datetime(_Text.of(cells))
             if parsed_dt is None:
                 raise DataError(f"column {name!r} hinted datetime but does not parse")
             col = Column(name, "datetime", parsed_dt[0], datetime_format=parsed_dt[1])
@@ -585,8 +694,7 @@ def dataset_from_raw_with_schema(raw: RawTable, reference: Dataset,
         if entry is None:
             raise DataError(f"no parse recipe stored for column {name!r}")
         source = entry.get("source", name)
-        source_entry = reference.schema[source] if entry["kind"] == "datetime_part" else entry
-        needed_sources[source] = source_entry
+        needed_sources[source] = reference.schema[source]
     missing = [s for s in needed_sources if s not in raw.column_names]
     if missing:
         raise DataError(f"input table is missing columns {sorted(missing)}")
@@ -606,17 +714,13 @@ def dataset_from_raw_with_schema(raw: RawTable, reference: Dataset,
         if name not in wanted:
             continue
         ref_col = reference.columns[name]
-        entry = reference.schema[name]
-        if entry["kind"] == "datetime_part":
-            col = expanded[name]
-        else:
-            col = parsed_sources[name]
+        col = expanded[name] if "source" in reference.schema[name] else parsed_sources[name]
         if ref_col.kind == "category":
             columns[name] = _recode_category(col, ref_col)
         else:
             columns[name] = Column(name, "numeric", col.values.astype(np.float64))
     roles = {n: c.kind for n, c in columns.items()}
-    meta = _build_meta(columns, raw.n_rows, [])
+    meta = DatasetMeta(n_rows=raw.n_rows, n_features=len(columns))
     return Dataset(columns, roles, np.zeros(raw.n_rows), reference.target_name,
                    reference.task, meta, reference.schema)
 

@@ -8,6 +8,8 @@ kept both as bin indices (training walks binned data) and as raw edge values
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 MAX_BINS = 255
@@ -53,4 +55,8 @@ class BinMapper:
         return codes
 
     def raw_threshold(self, j: int, bin_t: int) -> float:
-        return float(self.edges[j][bin_t])
+        """Raw value whose `x <= value` test sends the same rows left as
+        `code <= bin_t`. A threshold at or past the last value bin sends every
+        finite value left and only missing values right, hence +inf."""
+        edges = self.edges[j]
+        return float(edges[bin_t]) if bin_t < len(edges) else math.inf

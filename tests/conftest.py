@@ -3,8 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run, and never more than
+# `max_examples`, so the suite stays deterministic and its runtime bounded.
+settings.register_profile("autotab", derandomize=True, deadline=None, max_examples=150,
+                          database=None)
+settings.load_profile("autotab")
 
 from autotab.data import dataset_from_arrays
 from autotab.gbm.losses import sigmoid, softmax

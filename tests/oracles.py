@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
+from datetime import datetime, timezone
 
 import numpy as np
+
+from autotab.data import (DATETIME_FORMATS, DATETIME_PARSE_THRESHOLD, EPOCH_FORMAT,
+                          EPOCH_RANGE, Column, _epoch_int_to_datetime)
 
 
 def gini_pairwise(y, x, task_kind=None) -> float:
@@ -93,3 +98,126 @@ def simplex_grid_best(preds, y, metric_fn, step=0.01):
             best_score = score
             best_w = w
     return best_w, best_score
+
+
+# ---------------------------------------------------------------------------
+# Per-cell parse cascade: the reference for the column-wise parse in data.py.
+
+
+def cascade_try_int(cells):
+    out = np.full(len(cells), np.nan)
+    for i, c in enumerate(cells):
+        if c is None:
+            continue
+        s = c.strip()
+        try:
+            out[i] = int(s)
+        except ValueError:
+            return None
+    return out, False
+
+
+def cascade_try_float(cells):
+    out = np.full(len(cells), np.nan)
+    has_fraction = False
+    for i, c in enumerate(cells):
+        if c is None:
+            continue
+        try:
+            v = float(c.strip())
+        except ValueError:
+            return None
+        if not math.isfinite(v):
+            return None
+        out[i] = v
+        if v != math.floor(v):
+            has_fraction = True
+    return out, has_fraction
+
+
+def cascade_parse_datetime_format(cells, fmt):
+    out = np.full(len(cells), np.nan)
+    n_parsed = 0
+    for i, c in enumerate(cells):
+        if c is None:
+            continue
+        try:
+            dt = datetime.strptime(c.strip(), fmt).replace(tzinfo=timezone.utc)
+        except ValueError:
+            continue
+        out[i] = dt.timestamp()
+        n_parsed += 1
+    return out, n_parsed
+
+
+def cascade_try_datetime(cells):
+    """Every format on every cell; the first format reaching the threshold wins."""
+    n_nonmissing = sum(1 for c in cells if c is not None)
+    if n_nonmissing == 0:
+        return None
+    for fmt in DATETIME_FORMATS:
+        epochs, n_parsed = cascade_parse_datetime_format(cells, fmt)
+        if n_parsed / n_nonmissing >= DATETIME_PARSE_THRESHOLD:
+            return epochs, fmt
+    return None
+
+
+def cascade_category_column(name, cells):
+    seen = sorted({c for c in cells if c is not None})
+    dictionary = np.array(seen, dtype=str)
+    lookup = {v: i for i, v in enumerate(seen)}
+    codes = np.array([lookup.get(c, -1) if c is not None else -1 for c in cells],
+                     dtype=np.int32)
+    return Column(name, "category", codes, dictionary=dictionary)
+
+
+def cascade_parse_column(name, cells):
+    parsed_int = cascade_try_int(cells)
+    if parsed_int is not None:
+        values, _ = parsed_int
+        as_epoch = _epoch_int_to_datetime(values)
+        if as_epoch is not None:
+            col = Column(name, "datetime", as_epoch, datetime_format=EPOCH_FORMAT)
+            return col, {"kind": "datetime", "format": EPOCH_FORMAT}
+        return Column(name, "numeric", values), {"kind": "numeric"}
+    parsed_float = cascade_try_float(cells)
+    if parsed_float is not None:
+        values, has_fraction = parsed_float
+        col = Column(name, "numeric", values, from_float_literals=has_fraction)
+        return col, {"kind": "numeric", "float_literals": has_fraction}
+    parsed_dt = cascade_try_datetime(cells)
+    if parsed_dt is not None:
+        epochs, fmt = parsed_dt
+        col = Column(name, "datetime", epochs, datetime_format=fmt)
+        return col, {"kind": "datetime", "format": fmt}
+    return cascade_category_column(name, cells), {"kind": "category"}
+
+
+def _cascade_floats_or_nan(cells):
+    out = np.full(len(cells), np.nan)
+    for i, c in enumerate(cells):
+        if c is None:
+            continue
+        try:
+            out[i] = float(c.strip())
+        except ValueError:
+            pass
+    return out
+
+
+def cascade_parse_with_schema(name, cells, entry):
+    kind = entry["kind"]
+    if kind in ("numeric", "category_numeric"):
+        return Column(name, "numeric", _cascade_floats_or_nan(cells))
+    if kind == "datetime":
+        fmt = entry["format"]
+        if fmt == EPOCH_FORMAT:
+            parsed = cascade_try_int(cells) or cascade_try_float(cells)
+            values = parsed[0] if parsed is not None else np.full(len(cells), np.nan)
+            lo, hi = EPOCH_RANGE
+            values = values.copy()
+            values[(values < lo) | (values > hi)] = np.nan
+            return Column(name, "datetime", values, datetime_format=fmt)
+        epochs, _ = cascade_parse_datetime_format(cells, fmt)
+        return Column(name, "datetime", epochs, datetime_format=fmt)
+    return cascade_category_column(name, cells)

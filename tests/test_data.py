@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from autotab.data import (build_dataset, dataset_from_arrays,
+from autotab import PresetConfig, fit_preset, predict_automl
+from autotab.data import (RawTable, build_dataset, dataset_from_arrays,
                           dataset_from_raw_with_schema, expand_datetime,
                           parse_column, read_csv)
 from autotab.errors import DataError
@@ -196,3 +197,30 @@ class TestCategoryRecode:
         assert ds.columns["f0"].from_float_literals
         ds2 = dataset_from_arrays(np.array([[1.0], [2.0]]), np.array([0, 1]), "binary")
         assert not ds2.columns["f0"].from_float_literals
+
+
+class TestDatetimePartAsCategory:
+    def test_predict_from_csv_rebuilds_category_typed_part(self):
+        # Auto-typing turns `when__month` into a category; predicting from raw
+        # cells must still expand `when` and recode the month against the
+        # stored float dictionary.
+        rng = np.random.default_rng(0)
+        n = 3000
+        days = np.datetime64("2019-01-01") + rng.integers(0, 1460, n).astype("timedelta64[D]")
+        month = days.astype("datetime64[M]").astype(np.int64) % 12 + 1
+        x = rng.normal(size=n)
+        y = np.isin(month, (1, 4, 7, 10)) + 0.3 * x + 0.5 * rng.normal(size=n) > 0.5
+        cols = (tuple(np.datetime_as_string(days, unit="D")), tuple(f"{v:.4f}" for v in x),
+                tuple("yes" if v else "no" for v in y))
+        raw = RawTable(("when", "x", "label"), cols, n)
+        ds = build_dataset(raw, "label", "binary")
+        model = fit_preset(ds, PresetConfig(selection_strategy="none", use_gbm_leaf=False,
+                                            use_gbm_sym=False, budget_seconds=600))
+        assert "when__month" in model.typing_report.category_columns()
+        assert model.reference.schema["when__month"]["source"] == "when"
+        pred = predict_automl(model, RawTable(raw.column_names[:2], cols[:2], n))
+        assert pred.shape[0] == n and np.isfinite(pred).all()
+        rebuilt = dataset_from_raw_with_schema(raw, model.reference, model.selected)
+        ref = model.reference.columns["when__month"]
+        assert rebuilt.columns["when__month"].kind == "category"
+        assert np.array_equal(ref.dictionary[rebuilt.columns["when__month"].values], month)

@@ -154,6 +154,22 @@ class TestBoosting:
         acc = ((res.estimator.predict(X) > 0.5) == y).mean()
         assert acc > 0.95
 
+    @pytest.mark.parametrize("flavor", ["leaf_wise", "symmetric_depth_wise"])
+    def test_split_isolating_missing_values(self, flavor):
+        # With 5% NaN the best split is often "all values left, missing right",
+        # a threshold at the last value bin; raw and binned routing must agree.
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(5000, 10))
+        X[rng.random(X.shape) < 0.05] = np.nan
+        y = (np.nan_to_num(X[:, 0]) + rng.normal(size=5000) > 0).astype(np.int64)
+        res = fit_booster(X, y, GBMParams(n_estimators_cap=100, flavor=flavor), "binary")
+        mapper = BinMapper().fit(X)
+        codes = mapper.transform(X)
+        assert any(np.isinf(t.raw_threshold if flavor == "leaf_wise" else t.raw_thresholds).any()
+                   for t in res.estimator.trees)
+        for tree in res.estimator.trees:
+            assert np.array_equal(tree.predict_raw(X), tree.predict_codes(codes))
+
     def test_no_features_rejected(self):
         with pytest.raises(DataError):
             fit_booster(np.empty((10, 0)), np.zeros(10), GBMParams(), "regression")
