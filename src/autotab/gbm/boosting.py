@@ -141,7 +141,11 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
             truncated = True
             break
         g, h = loss.grad_hess(y_fit, raw)
-        rows = np.sort(rng.permutation(n)[:n_sub]) if params.subsample < 1.0 else np.arange(n)
+        if params.subsample < 1.0:
+            perm = rng.permutation(n)
+            rows, rest = np.sort(perm[:n_sub]), np.sort(perm[n_sub:])
+        else:
+            rows, rest = np.arange(n), None
         feats = (np.sort(rng.choice(f, size=n_feats, replace=False))
                  if params.colsample < 1.0 else np.arange(f))
 
@@ -151,8 +155,7 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
                 tree, row_vals, tree_rows = _grow(
                     params.flavor, codes, g[:, c], h[:, c], rows, feats, mapper, params)
                 raw[tree_rows, c] += row_vals
-                if rows.shape[0] < n:
-                    rest = np.setdiff1d(np.arange(n), tree_rows, assume_unique=False)
+                if rest is not None:
                     raw[rest, c] += tree.predict_codes(codes[rest])
                 if codes_val is not None:
                     raw_val[:, c] += tree.predict_codes(codes_val)
@@ -163,8 +166,7 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
             tree, row_vals, tree_rows = _grow(
                 params.flavor, codes, g, h, rows, feats, mapper, params)
             raw[tree_rows] += row_vals
-            if rows.shape[0] < n:
-                rest = np.setdiff1d(np.arange(n), tree_rows, assume_unique=False)
+            if rest is not None:
                 raw[rest] += tree.predict_codes(codes[rest])
             if codes_val is not None:
                 raw_val += tree.predict_codes(codes_val)

@@ -86,7 +86,8 @@ class GBMView:
     cat_kinds: dict[str, str] = field(default_factory=dict)
     freq_maps: dict[str, FrequencyMap] = field(default_factory=dict)
     target_maps: dict[str, TargetMeanMap] = field(default_factory=dict)
-    alpha: float = 2.0
+    alpha: float = 2.0  # smoothing of a category column that has no spec
+    alphas: dict[str, float] = field(default_factory=dict)  # per target-encoded column
     n_te_cols: int = 0
 
     def fit(self, dataset: Dataset, enc_specs: dict[str, EncoderSpec] | None = None,
@@ -112,6 +113,7 @@ class GBMView:
                 self.groups[name] = [col_idx]
                 col_idx += 1
             else:
+                self.alphas[name] = spec.alpha
                 self.target_maps[name] = fit_target_map(
                     col.values, y, alpha=spec.alpha, n_classes=self.n_te_cols)
                 width = max(1, self.n_te_cols)
@@ -135,7 +137,8 @@ class GBMView:
             elif self.cat_kinds[name] == "frequency":
                 out[:, idx[0]] = self.freq_maps[name].apply(col.values)
             else:
-                enc = _oof_encoded(col.values, y, folds, self.alpha, self.n_te_cols)
+                enc = _oof_encoded(col.values, y, folds, self.alphas[name],
+                                   self.n_te_cols)
                 out[:, idx] = enc if enc.ndim == 2 else enc[:, None]
         return out
 
@@ -343,10 +346,10 @@ def fit_linear(dataset: Dataset, folds: FoldAssignment,
                budget: TimeBudget | None = None,
                selected: list[str] | None = None,
                tag: str = "linear") -> TrainedModel:
-    """Train the L2 linear model per fold along the warm-started path.
+    """Train the L2 linear model per fold along the regularization path.
 
     The budget must admit the first fold's path; later folds degrade to a
-    single warm-started solve at the best strength found so far.
+    single solve at the best strength found so far.
     """
     budget = budget or unlimited()
     params = params or LinearParams()

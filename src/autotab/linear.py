@@ -1,9 +1,13 @@
-"""L2-penalized linear models with a warm-started regularization path.
+"""L2-penalized linear models along a regularization path.
 
 Each fold walks the strength grid from the most to the least regularized
-point, warm-starting every solve from the previous solution and stopping the
-walk after two consecutive grid points fail to improve the validation metric
-(the path has a single optimum in practice).
+point and stops the walk after two consecutive grid points fail to improve
+the validation metric (the path has a single optimum in practice).
+
+Regression minimises a squared loss, so one SVD of the centered training
+matrix gives the exact ridge solution at every strength (`RidgePath`). The
+binary and multiclass losses have no closed form: each grid point is an
+L-BFGS solve warm-started from the previous one.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ def default_lambda_grid() -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearParams:
+    """`max_iterations` and `tolerance` apply to the L-BFGS losses (binary
+    and multiclass) only; the regression path is solved exactly."""
+
     lam_grid: tuple = field(default_factory=lambda: tuple(default_lambda_grid()))
     max_iterations: int = 500
     tolerance: float = 1e-8
@@ -71,16 +78,6 @@ def _binary_objective(x, X, y, lam):
     return loss, np.concatenate([grad_w, [grad_b]])
 
 
-def _regression_objective(x, X, y, lam):
-    w, b = x[:-1], x[-1]
-    r = X @ w + b - y
-    n = X.shape[0]
-    loss = 0.5 * float(np.mean(r ** 2)) + 0.5 * lam * float(w @ w)
-    grad_w = X.T @ r / n + lam * w
-    grad_b = float(np.mean(r))
-    return loss, np.concatenate([grad_w, [grad_b]])
-
-
 def _multiclass_objective(x, X, y, lam, n_classes):
     d = X.shape[1]
     W = x[: d * n_classes].reshape(d, n_classes)
@@ -99,23 +96,53 @@ def _multiclass_objective(x, X, y, lam, n_classes):
     return loss, np.concatenate([grad_W.ravel(), grad_b])
 
 
+class RidgePath:
+    """Exact minimisers of 0.5*mean((X w + b - y)^2) + 0.5*lam*|w|^2.
+
+    Centering X and y leaves the intercept unpenalised: b = mean(y) -
+    mean(X) @ w. With the thin SVD Xc = U diag(s) V^T, every strength costs
+    O(d^2): w = V diag(s / (s^2 + n*lam)) U^T yc. Singular values at or below
+    a cutoff are dropped, so a rank-deficient matrix (collinear or
+    constant columns, fewer rows than columns) gives the finite minimum-norm
+    solution, also at lam = 0.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray) -> None:
+        n, d = X.shape
+        self.n = n
+        self.x_mean = X.mean(axis=0)
+        self.y_mean = float(y.mean())
+        U, s, Vt = np.linalg.svd(X - self.x_mean, full_matrices=False)
+        # lstsq's relative cutoff, taken against the uncentered X: centering
+        # a constant column leaves rounding noise of that size
+        keep = s > max(n, d) * np.finfo(np.float64).eps * np.linalg.norm(X)
+        self.s, self.Vt = s[keep], Vt[keep]
+        self.uty = U[:, keep].T @ (y - self.y_mean)
+
+    def solve(self, lam: float) -> np.ndarray:
+        """Packed solution (w, b) at strength `lam`."""
+        w = self.Vt.T @ (self.s / (self.s ** 2 + self.n * lam) * self.uty)
+        return np.append(w, self.y_mean - float(self.x_mean @ w))
+
+
 def solve(X: np.ndarray, y: np.ndarray, lam: float, task_kind: str,
           n_classes: int = 0, x0: np.ndarray | None = None,
           max_iterations: int = 500, tolerance: float = 1e-8,
           trace: list | None = None) -> np.ndarray:
-    """One L-BFGS solve at fixed regularization. Returns the packed solution.
+    """One solve at fixed regularization. Returns the packed solution.
 
-    Pass `trace` to record the objective after every optimizer iteration.
+    Regression is solved exactly by `RidgePath`; the other losses use L-BFGS,
+    started from `x0` and stopped by `max_iterations` and `tolerance`. Pass
+    `trace` to record the objective after every L-BFGS iteration.
     """
+    if task_kind == "regression":
+        return RidgePath(X, y).solve(lam)
     d = X.shape[1]
     if task_kind == "multiclass":
         fun = lambda x: _multiclass_objective(x, X, y, lam, n_classes)
         size = d * n_classes + n_classes
-    elif task_kind == "binary":
-        fun = lambda x: _binary_objective(x, X, y, lam)
-        size = d + 1
     else:
-        fun = lambda x: _regression_objective(x, X, y, lam)
+        fun = lambda x: _binary_objective(x, X, y, lam)
         size = d + 1
     if x0 is None:
         x0 = np.zeros(size)
@@ -140,16 +167,18 @@ def unpack(x: np.ndarray, d: int, task_kind: str, n_classes: int,
 def fit_lambda_path(X: np.ndarray, y: np.ndarray, X_val: np.ndarray,
                     y_val: np.ndarray, task_kind: str, n_classes: int,
                     metric: MetricSpec, params: LinearParams,
-                    budget: TimeBudget | None = None,
-                    warm_start: bool = True) -> tuple[LinearEstimator, float, list[float]]:
-    """Walk the strength grid with warm starts and early stopping.
+                    budget: TimeBudget | None = None
+                    ) -> tuple[LinearEstimator, float, list[float]]:
+    """Walk the strength grid with early stopping.
 
+    Regression factors X once and solves every grid point exactly; the other
+    losses warm-start each L-BFGS solve from the previous grid point.
     Returns the best estimator, its validation score, and the score history.
     Guarantees at least one grid point is solved even on an expired budget.
     """
     budget = budget or unlimited()
     d = X.shape[1]
-    x_prev: np.ndarray | None = None
+    ridge = RidgePath(X, y) if task_kind == "regression" else None
     history: list[float] = []
     solutions: list[np.ndarray] = []
     lams: list[float] = []
@@ -157,10 +186,12 @@ def fit_lambda_path(X: np.ndarray, y: np.ndarray, X_val: np.ndarray,
     for i, lam in enumerate(params.lam_grid):
         if i > 0 and budget.expired():
             break
-        x = solve(X, y, float(lam), task_kind, n_classes,
-                  x0=x_prev if warm_start else None,
-                  max_iterations=params.max_iterations, tolerance=params.tolerance)
-        x_prev = x
+        if ridge is not None:
+            x = ridge.solve(float(lam))
+        else:
+            x = solve(X, y, float(lam), task_kind, n_classes,
+                      x0=solutions[-1] if solutions else None,
+                      max_iterations=params.max_iterations, tolerance=params.tolerance)
         est = unpack(x, d, task_kind, n_classes, float(lam))
         history.append(evaluate(metric, y_val, est.predict(X_val)))
         solutions.append(x)

@@ -338,7 +338,8 @@ def fit_preset(dataset: Dataset, config: PresetConfig) -> AutoMLModel:
     if stack_active and len(roster) >= 1:
         start = time.monotonic()
         alloc = allocate_time(budget, plan, observed, "stack") or 1.0
-        level2 = _fit_stack(dataset, roster, folds, task, budget.sub(alloc), config)
+        level2 = _fit_stack(dataset, roster, folds, task, budget.sub(alloc), config,
+                            report["warnings"])
         if level2:
             stack = StackTopology((tuple(m.learner_tag for m in roster),
                                    tuple(m.learner_tag for m in level2)))
@@ -417,7 +418,10 @@ def _stack_active(config: PresetConfig, task: Task, folds: FoldAssignment) -> bo
 
 
 def _fit_stack(dataset: Dataset, roster: list[TrainedModel], folds: FoldAssignment,
-               task: Task, budget: TimeBudget, config: PresetConfig) -> list[TrainedModel]:
+               task: Task, budget: TimeBudget, config: PresetConfig,
+               warnings: list[str]) -> list[TrainedModel]:
+    """Fit the level-2 learners; one that fails is left out and the reason
+    appended to `warnings`."""
     X2, names, mask = build_stack_features(roster, task)
     if not mask.all():
         return []
@@ -428,12 +432,12 @@ def _fit_stack(dataset: Dataset, roster: list[TrainedModel], folds: FoldAssignme
     try:
         models.append(fit_gbm(ds2, folds, params, budget=budget,
                               seed=config.seed, tag="stack_gbm"))
-    except DataError:
-        pass
+    except DataError as exc:
+        warnings.append(f"stack_gbm: {exc}")
     try:
         models.append(fit_linear(ds2, folds, budget=budget, tag="stack_linear"))
-    except (DataError, BudgetError):
-        pass
+    except (DataError, BudgetError) as exc:
+        warnings.append(f"stack_linear: {exc}")
     return models
 
 

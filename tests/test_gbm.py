@@ -3,7 +3,7 @@ import pytest
 
 from autotab.budget import TimeBudget
 from autotab.errors import ConfigError, DataError
-from autotab.gbm import GBMParams, fit_booster
+from autotab.gbm import GBMParams, boosting, fit_booster
 from autotab.gbm.binning import MISSING_BIN, BinMapper
 from autotab.metrics import MetricSpec
 from autotab.stopping import early_stop
@@ -169,6 +169,47 @@ class TestBoosting:
                    for t in res.estimator.trees)
         for tree in res.estimator.trees:
             assert np.array_equal(tree.predict_raw(X), tree.predict_codes(codes))
+
+    @pytest.mark.parametrize("flavor", ["leaf_wise", "symmetric_depth_wise"])
+    @pytest.mark.parametrize("task_kind", ["binary", "multiclass"])
+    def test_subsampled_train_scores_sum_all_trees(self, monkeypatch, flavor, task_kind):
+        # Rows left out of a tree's subsample still receive its prediction:
+        # the raw scores each iteration starts from equal the base score plus
+        # every earlier tree's prediction on all rows.
+        seen = []
+        make_loss = boosting.make_loss
+
+        class Recording:
+            def __init__(self, loss):
+                self.loss = loss
+
+            def __getattr__(self, name):
+                return getattr(self.loss, name)
+
+            def grad_hess(self, y, raw):
+                seen.append(raw.copy())
+                return self.loss.grad_hess(y, raw)
+
+        monkeypatch.setattr(boosting, "make_loss", lambda *a: Recording(make_loss(*a)))
+        X, y = make_binary(400, 5, 3, seed=21)
+        n_classes = 0
+        if task_kind == "multiclass":
+            y = y + (X[:, 3] > 0.5)
+            n_classes = 3
+        params = GBMParams(subsample=0.7, max_leaves=6, max_depth=3,
+                           n_estimators_cap=6, flavor=flavor)
+        est = fit_booster(X, y, params, task_kind, n_classes, seed=4).estimator
+        codes = BinMapper().fit(X).transform(X)
+        raw = (np.tile(est.base_score, (400, 1)) if n_classes
+               else np.full(400, float(est.base_score)))
+        for it, trees in enumerate(est.trees):
+            assert np.array_equal(seen[it], raw)
+            for c, tree in enumerate(trees if n_classes else [trees]):
+                if n_classes:
+                    raw[:, c] += tree.predict_codes(codes)
+                else:
+                    raw += tree.predict_codes(codes)
+        assert len(seen) == len(est.trees) == 6
 
     def test_no_features_rejected(self):
         with pytest.raises(DataError):

@@ -3,7 +3,7 @@ import pytest
 
 from autotab.budget import TimeBudget
 from autotab.data import dataset_from_arrays
-from autotab.encoders import EncoderSpec
+from autotab.encoders import EncoderSpec, fit_target_map
 from autotab.gbm import GBMParams
 from autotab.learners import GBMView, LinearView, fit_gbm, fit_linear, predict
 from autotab.validation import CVScheme, make_folds
@@ -55,6 +55,21 @@ class TestGBMView:
         assert view.groups["c"] == [0, 1, 2]
         X = view.train_matrix(ds, folds)
         assert X.shape == (600, 4)
+
+    @pytest.mark.parametrize("alpha", [2.0, 50.0])
+    def test_training_encoding_uses_spec_alpha(self, alpha):
+        # A training row is encoded by the inference map fitted on the other
+        # folds' rows, so both paths must smooth with the spec's alpha.
+        ds = _cat_dataset()
+        folds = make_folds(CVScheme("kfold", k=4, seed=0), ds)
+        view = GBMView().fit(ds, {"c": EncoderSpec("oof_target", alpha=alpha)})
+        X = view.train_matrix(ds, folds)
+        codes, y = ds.columns["c"].values, ds.target.astype(float)
+        assert np.array_equal(view.target_maps["c"].means,
+                              fit_target_map(codes, y, alpha=alpha).means)
+        for _, tr, va in folds.iter_splits():
+            expect = fit_target_map(codes[tr], y[tr], alpha=alpha).apply(codes[va])
+            np.testing.assert_allclose(X[va, 0], expect, rtol=1e-12)
 
     def test_transform_handles_unseen_codes(self):
         ds = _cat_dataset()

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from autotab.budget import TimeBudget
 from autotab.data import dataset_from_arrays
 from autotab.errors import BudgetError, ConfigError
 from autotab.learners import fit_linear
-from autotab.linear import (LinearParams, default_lambda_grid, fit_lambda_path,
-                            solve, unpack)
+from autotab.linear import (LinearParams, RidgePath, default_lambda_grid,
+                            fit_lambda_path, solve, unpack)
 from autotab.metrics import MetricSpec
 from autotab.validation import CVScheme, make_folds
 
@@ -69,7 +71,7 @@ class TestSolver:
         reg[3, 3] = 0.0
         w_star = np.linalg.solve(Xc.T @ Xc + reg, Xc.T @ y)
         x = solve(X, y, lam, "regression")
-        assert np.abs(x - w_star).max() < 1e-6
+        assert np.abs(x - w_star).max() < 1e-9
 
     def test_multiclass_gradient_is_consistent(self):
         from autotab.linear import _multiclass_objective
@@ -84,6 +86,52 @@ class TestSolver:
             xp[i] += eps
             fp, _ = _multiclass_objective(xp, X, y, 0.1, 3)
             assert (fp - f0) / eps == pytest.approx(g0[i], abs=1e-4)
+
+
+def _rank_deficient(n, d, seed, duplicate=True, constant=True):
+    """Gaussian columns, optionally with a copy of column 0 and a constant
+    column appended."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    if duplicate:
+        X = np.hstack([X, X[:, :1]])
+    if constant:
+        X = np.hstack([X, np.full((n, 1), 3.7)])
+    return X, rng.normal(size=n) + 2.0
+
+
+class TestRidgePath:
+    @given(n=st.integers(1, 40), d=st.integers(1, 12), seed=st.integers(0, 2**16),
+           duplicate=st.booleans(), constant=st.booleans(),
+           lam=st.sampled_from([0.0, 1e-5, 1e-2, 1.0, 1e3]))
+    def test_gradient_vanishes_at_solution(self, n, d, seed, duplicate, constant, lam):
+        X, y = _rank_deficient(n, d, seed, duplicate, constant)
+        x = RidgePath(X, y).solve(lam)
+        assert np.all(np.isfinite(x))
+        w, b = x[:-1], x[-1]
+        r = X @ w + b - y
+        grad_w = X.T @ r / n + lam * w
+        grad_b = r.mean()
+        # the size of the terms the gradient sums, entry by entry
+        size = np.abs(X @ w) + abs(b) + np.abs(y)
+        assert np.all(np.abs(grad_w) <= 1e-9 * (np.abs(X).T @ size / n + lam * np.abs(w)))
+        assert abs(grad_b) <= 1e-9 * size.mean()
+
+    @pytest.mark.parametrize("n,d", [(50, 6), (5, 10)])
+    def test_unregularized_rank_deficient_is_min_norm_lstsq(self, n, d):
+        X, y = _rank_deficient(n, d, seed=n + d)
+        x = RidgePath(X, y).solve(0.0)
+        Xc, yc = X - X.mean(axis=0), y - y.mean()
+        w_ls = np.linalg.lstsq(Xc, yc, rcond=None)[0]
+        assert np.abs(x[:-1] - w_ls).max() <= 1e-9 * np.abs(w_ls).max()
+        assert x[-1] == pytest.approx(y.mean() - X.mean(axis=0) @ w_ls, rel=1e-9)
+
+    def test_all_constant_columns_fit_the_mean(self):
+        X = np.full((7, 3), 0.1)
+        y = np.arange(7.0)
+        x = RidgePath(X, y).solve(0.0)
+        assert np.array_equal(x[:-1], np.zeros(3))
+        assert x[-1] == pytest.approx(3.0)
 
 
 class TestLambdaPath:
@@ -104,6 +152,15 @@ class TestLambdaPath:
             X[:300], y[:300].astype(float), X[300:], y[300:], "binary", 0,
             MetricSpec("roc_auc"), LinearParams())
         assert score == max(history)
+
+    def test_regression_path_returns_exact_best_solution(self):
+        X, y = make_regression(400, 6, 3, seed=14, noise=2.0)
+        est, score, history = fit_lambda_path(
+            X[:300], y[:300], X[300:], y[300:], "regression", 0,
+            MetricSpec("neg_rmse"), LinearParams())
+        assert score == max(history)
+        x = RidgePath(X[:300], y[:300]).solve(est.lam)
+        assert np.array_equal(est.weights, x[:-1]) and est.intercept == x[-1]
 
 
 class TestFitLinear:

@@ -3,7 +3,8 @@ import pytest
 
 from autotab.budget import TimeBudget
 from autotab.data import dataset_from_arrays
-from autotab.errors import ConfigError
+from autotab import pipeline
+from autotab.errors import BudgetError, ConfigError
 from autotab.pipeline import (AutoMLModel, PhasePlan, PresetConfig, allocate_time,
                               fit_preset, utilized_fit)
 
@@ -134,6 +135,20 @@ class TestFitPresetMulticlass:
         model = fit_preset(ds, _fast_config(stack_policy="always",
                                             use_gbm_sym=False))
         assert model.stack is not None
+
+    def test_failed_stack_learner_is_reported(self, monkeypatch):
+        fit_linear = pipeline.fit_linear
+
+        def failing_stack_linear(*args, tag="linear", **kwargs):
+            if tag == "stack_linear":
+                raise BudgetError("no time left")
+            return fit_linear(*args, tag=tag, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_linear", failing_stack_linear)
+        ds = _binary_ds(n=500, seed=3)
+        model = fit_preset(ds, _fast_config(stack_policy="always", use_gbm_sym=False))
+        assert [m.learner_tag for m in model.level2] == ["stack_gbm"]
+        assert "stack_linear: no time left" in model.report["warnings"]
 
     def test_predictions_have_class_columns(self):
         X, y = make_multiclass(700, 5, 4, 3, seed=3)
