@@ -2,8 +2,16 @@
 
 The object graph is encoded by dataclass reflection against an explicit type
 registry; numpy arrays are stored as separate zip entries byte-for-byte, so a
-save/load round trip predicts bit-identically. The manifest carries a format
-version that is checked on load.
+save/load round trip predicts bit-identically.
+
+A booster's forest is one `PackedTrees`: one array per tree field for all of
+its trees plus a table of per-tree offsets, so the number of entries grows
+with the number of estimators, not of trees. Loaded trees are views into
+those arrays.
+
+The manifest carries a format version that is checked on load. Version 2
+stores packed forests; version 1 stored every tree as its own object and is
+rejected.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from .data import Column, Dataset, DatasetMeta, Task
 from .encoders import EncoderSpec, FrequencyMap, TargetMeanMap
 from .ensemble import BlendWeights, StackTopology
 from .errors import ConfigError, DataError
-from .gbm import GBMEstimator, GBMParams, ObliviousTree, Tree
+from .gbm import GBMEstimator, GBMParams, PackedTrees
 from .learners import GBMView, LinearView, TrainedModel
 from .linear import LinearEstimator, LinearParams
 from .metrics import MetricSpec
@@ -30,7 +38,7 @@ from .tuning import TrialHistory
 _REGISTRY = {cls.__name__: cls for cls in (
     ColumnTyping, TypingReport, Column, Dataset, DatasetMeta, Task,
     EncoderSpec, FrequencyMap, TargetMeanMap, BlendWeights, StackTopology,
-    GBMEstimator, GBMParams, ObliviousTree, Tree, GBMView, LinearView,
+    GBMEstimator, GBMParams, PackedTrees, GBMView, LinearView,
     TrainedModel, LinearEstimator, LinearParams, MetricSpec, AutoMLModel,
     UtilizedModel, TrialHistory,
 )}

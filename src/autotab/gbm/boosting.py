@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,9 +13,10 @@ from ..metrics import MetricSpec, evaluate
 from ..stopping import best_iteration
 from .binning import BinMapper
 from .losses import make_loss
-from .trees import grow_leafwise, grow_oblivious
+from .trees import ObliviousTree, Tree, grow_leafwise, grow_oblivious
 
 FLAVORS = ("leaf_wise", "symmetric_depth_wise")
+_TREE_TYPES = {"Tree": Tree, "ObliviousTree": ObliviousTree}
 
 
 @dataclass(frozen=True)
@@ -45,27 +47,71 @@ class GBMParams:
 
 
 @dataclass
+class PackedTrees:
+    """Trees of one type packed into one array per tree field.
+
+    Field k of tree i is `fields[k][offsets[i, k]:offsets[i + 1, k]]`; indexing
+    returns a tree whose arrays are views into `fields`. A booster so stores
+    a few arrays however many trees it has.
+    """
+
+    kind: str  # tree type name, a key of _TREE_TYPES
+    fields: list  # one array per dataclass field of the tree type, in field order
+    offsets: np.ndarray  # (n_trees + 1, n_fields) start of each tree's slice
+
+    @classmethod
+    def pack(cls, tree_type: type, trees: list) -> "PackedTrees":
+        names = [f.name for f in dataclasses.fields(tree_type)]
+        sizes = np.array([[len(getattr(t, name)) for name in names] for t in trees],
+                         dtype=np.int64).reshape(len(trees), len(names))
+        offsets = np.zeros((len(trees) + 1, len(names)), dtype=np.int64)
+        np.cumsum(sizes, axis=0, out=offsets[1:])
+        fields = [np.concatenate([getattr(t, name) for t in trees]) if trees else np.empty(0)
+                  for name in names]
+        return cls(tree_type.__name__, fields, offsets)
+
+    def __len__(self) -> int:
+        return self.offsets.shape[0] - 1
+
+    def __getitem__(self, i: int):
+        lo, hi = self.offsets[i].tolist(), self.offsets[i + 1].tolist()
+        return _TREE_TYPES[self.kind](*(a[s:e] for a, s, e in zip(self.fields, lo, hi)))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+@dataclass
 class GBMEstimator:
-    """Fitted booster: base score plus per-iteration trees (per class for
-    multiclass)."""
+    """Fitted booster: base score plus its trees, packed in boosting order
+    (for multiclass, each iteration's trees in class order)."""
 
     task_kind: str
     n_classes: int
     base_score: np.ndarray  # shape () for single output, (C,) for multiclass
-    trees: list  # list of Tree/ObliviousTree, or list of lists per class
+    forest: PackedTrees
     params: GBMParams
     feature_gain_: np.ndarray = field(default=None)
 
+    @property
+    def trees(self) -> list:
+        """Tree views per iteration: one tree, or a list with one per class."""
+        trees = list(self.forest)
+        if self.task_kind != "multiclass":
+            return trees
+        k = self.n_classes
+        return [trees[i:i + k] for i in range(0, len(trees), k)]
+
     def predict_raw_scores(self, X: np.ndarray) -> np.ndarray:
         n = X.shape[0]
+        X = np.asfortranarray(X)  # each tree reads one column at a time
         if self.task_kind == "multiclass":
             raw = np.tile(self.base_score, (n, 1))
-            for per_class in self.trees:
-                for c, tree in enumerate(per_class):
-                    raw[:, c] += tree.predict_raw(X)
+            for i, tree in enumerate(self.forest):
+                raw[:, i % self.n_classes] += tree.predict_raw(X)
             return raw
         raw = np.full(n, float(self.base_score))
-        for tree in self.trees:
+        for tree in self.forest:
             raw += tree.predict_raw(X)
         return raw
 
@@ -75,7 +121,7 @@ class GBMEstimator:
 
     @property
     def n_iterations(self) -> int:
-        return len(self.trees)
+        return len(self.forest) // (self.n_classes if self.task_kind == "multiclass" else 1)
 
 
 @dataclass
@@ -130,10 +176,9 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
     rng = np.random.default_rng(seed)
     n_sub = max(1, int(round(params.subsample * n)))
     n_feats = max(1, int(np.ceil(params.colsample * f)))
-    trees: list = []
+    trees: list = []  # in boosting order, each iteration's classes in order
     eval_history: list[float] = []
     train_loss_history: list[float] = []
-    feature_gain = np.zeros(f)
     truncated = False
 
     for it in range(params.n_estimators_cap):
@@ -150,7 +195,6 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
                  if params.colsample < 1.0 else np.arange(f))
 
         if task_kind == "multiclass":
-            per_class = []
             for c in range(n_classes):
                 tree, row_vals, tree_rows = _grow(
                     params.flavor, codes, g[:, c], h[:, c], rows, feats, mapper, params)
@@ -159,9 +203,7 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
                     raw[rest, c] += tree.predict_codes(codes[rest])
                 if codes_val is not None:
                     raw_val[:, c] += tree.predict_codes(codes_val)
-                feature_gain += tree.feature_gain
-                per_class.append(tree)
-            trees.append(per_class)
+                trees.append(tree)
         else:
             tree, row_vals, tree_rows = _grow(
                 params.flavor, codes, g, h, rows, feats, mapper, params)
@@ -170,7 +212,6 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
                 raw[rest] += tree.predict_codes(codes[rest])
             if codes_val is not None:
                 raw_val += tree.predict_codes(codes_val)
-            feature_gain += tree.feature_gain
             trees.append(tree)
 
         if track_train_loss:
@@ -182,13 +223,18 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
             if (len(eval_history) - 1) - best >= patience:
                 break
 
+    per_iteration = n_classes if task_kind == "multiclass" else 1
     if eval_history:
         best = best_iteration(eval_history)
-        trees = trees[: best + 1]
+        trees = trees[: (best + 1) * per_iteration]
         eval_history = eval_history[: best + 1]
     else:
-        best = len(trees) - 1
+        best = len(trees) // per_iteration - 1
+    feature_gain = np.zeros(f)  # over the kept trees only
+    for tree in trees:
+        feature_gain += tree.feature_gain
 
-    est = GBMEstimator(task_kind, n_classes, np.asarray(base), trees, params,
-                       feature_gain_=feature_gain)
+    tree_type = Tree if params.flavor == "leaf_wise" else ObliviousTree
+    est = GBMEstimator(task_kind, n_classes, np.asarray(base),
+                       PackedTrees.pack(tree_type, trees), params, feature_gain_=feature_gain)
     return FitResult(est, eval_history, train_loss_history, best, truncated)

@@ -80,42 +80,36 @@ class Tree:
     feature_gain: np.ndarray  # total split gain per (full) feature index
 
     def predict_codes(self, codes: np.ndarray) -> np.ndarray:
-        n = codes.shape[0]
-        idx = np.zeros(n, dtype=np.int32)
-        while True:
-            feat = self.feature[idx]
-            internal = feat >= 0
-            if not internal.any():
-                break
-            sub = np.flatnonzero(internal)
-            c = codes[sub, feat[sub]]
-            go_left = c <= self.bin_threshold[idx[sub]]
-            idx[sub] = np.where(go_left, self.left[idx[sub]], self.right[idx[sub]])
-        return self.value[idx]
+        return route(self.feature, self.bin_threshold, self.left, self.right, self.value, codes)
 
     def predict_raw(self, X: np.ndarray) -> np.ndarray:
-        n = X.shape[0]
-        idx = np.zeros(n, dtype=np.int32)
-        while True:
-            feat = self.feature[idx]
-            internal = feat >= 0
-            if not internal.any():
-                break
-            sub = np.flatnonzero(internal)
-            x = X[sub, feat[sub]]
-            go_left = x <= self.raw_threshold[idx[sub]]  # NaN -> right
-            idx[sub] = np.where(go_left, self.left[idx[sub]], self.right[idx[sub]])
-        return self.value[idx]
+        return route(self.feature, self.raw_threshold, self.left, self.right, self.value, X)
 
-    def to_state(self) -> dict:
-        return {"feature": self.feature, "bin_threshold": self.bin_threshold,
-                "raw_threshold": self.raw_threshold, "left": self.left,
-                "right": self.right, "value": self.value,
-                "feature_gain": self.feature_gain}
 
-    @classmethod
-    def from_state(cls, state: dict) -> "Tree":
-        return cls(**state)
+def route(feature: np.ndarray, threshold: np.ndarray, left: np.ndarray, right: np.ndarray,
+          value: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Leaf value of every row of X, found by sending row subsets node by node.
+
+    An internal node gathers its feature for the rows that reached it and
+    sends those with x <= threshold left, the rest right (NaN compares false,
+    so it goes right); a leaf writes its value to its rows. X holds bin codes
+    or raw values, whichever `threshold` is in; the gathers read one column
+    at a time, so a Fortran-ordered X is fastest.
+    """
+    feature, threshold, left, right = (a.tolist() for a in (feature, threshold, left, right))
+    columns = X.T
+    out = np.empty(X.shape[0])
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        f = feature[node]
+        if f < 0:
+            out[rows] = value[node]
+        elif rows.size:
+            go_left = columns[f].take(rows) <= threshold[node]
+            stack.append((right[node], rows.compress(~go_left)))
+            stack.append((left[node], rows.compress(go_left)))
+    return out
 
 
 @dataclass
@@ -260,15 +254,6 @@ class ObliviousTree:
             bit = ~(x <= self.raw_thresholds[lvl])  # NaN -> right
             idx = idx * 2 + bit
         return self.leaf_values[idx]
-
-    def to_state(self) -> dict:
-        return {"features": self.features, "bin_thresholds": self.bin_thresholds,
-                "raw_thresholds": self.raw_thresholds, "leaf_values": self.leaf_values,
-                "feature_gain": self.feature_gain}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ObliviousTree":
-        return cls(**state)
 
 
 def grow_oblivious(codes: np.ndarray, g: np.ndarray, h: np.ndarray,

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigError
 
@@ -45,8 +44,10 @@ def default_metric(task_kind: str) -> MetricSpec:
 def roc_auc(y: np.ndarray, scores: np.ndarray) -> float:
     """Rank-based AUC with 0.5 credit for tied scores.
 
-    Degenerate single-class targets score 0.5 (uninformative) instead of
-    raising, so that unlucky CV folds never abort a run.
+    Tied scores share their average rank. Ranks are half-integers, so the
+    positive-rank sum is exact. Degenerate single-class targets score 0.5
+    (uninformative) instead of raising, so that unlucky CV folds never abort
+    a run; any NaN score gives NaN.
     """
     y = np.asarray(y)
     scores = np.asarray(scores, dtype=np.float64)
@@ -57,8 +58,14 @@ def roc_auc(y: np.ndarray, scores: np.ndarray) -> float:
     n0 = y.shape[0] - n1
     if n1 == 0 or n0 == 0:
         return 0.5
-    ranks = rankdata(scores)
-    r1 = float(ranks[pos].sum())
+    if np.isnan(scores).any():
+        return float("nan")
+    order = np.argsort(scores, kind="stable")
+    ranked = scores[order]
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    counts = np.diff(np.append(starts, ranked.shape[0]))
+    mean_rank = starts + (counts + 1) / 2.0  # 1-based ranks start+1 .. start+count
+    r1 = float(np.repeat(mean_rank, counts)[pos[order]].sum())
     return (r1 - n1 * (n1 + 1) / 2.0) / (n1 * n0)
 
 

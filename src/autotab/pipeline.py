@@ -29,7 +29,7 @@ from .selection import cutoff_select, forward_select, permutation_importance
 from .tuning import expert_params, tune_gbm
 from .validation import CVScheme, FoldAssignment, make_folds, kfold_vector
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 SELECTION_STRATEGIES = ("none", "cutoff", "forward")
 STACK_POLICIES = ("auto", "always", "never")

@@ -221,3 +221,19 @@ def cascade_parse_with_schema(name, cells, entry):
         epochs, _ = cascade_parse_datetime_format(cells, fmt)
         return Column(name, "datetime", epochs, datetime_format=fmt)
     return cascade_category_column(name, cells)
+
+
+def level_walk(feature, threshold, left, right, value, X) -> np.ndarray:
+    """Leaf value of every row of X, walking all rows one depth level at a
+    time (the tree evaluation the node-by-node router replaced)."""
+    idx = np.zeros(X.shape[0], dtype=np.int32)
+    while True:
+        feat = feature[idx]
+        internal = feat >= 0
+        if not internal.any():
+            break
+        sub = np.flatnonzero(internal)
+        x = X[sub, feat[sub]]
+        go_left = x <= threshold[idx[sub]]  # NaN -> right
+        idx[sub] = np.where(go_left, left[idx[sub]], right[idx[sub]])
+    return value[idx]

@@ -7,8 +7,11 @@ import pytest
 from autotab.artifact import load_model, save_model
 from autotab.data import RawTable, dataset_from_arrays
 from autotab.errors import ConfigError
+from autotab.gbm import GBMParams, fit_booster
+from autotab.learners import fit_gbm
 from autotab.pipeline import PresetConfig, UtilizedModel, fit_preset, utilized_fit
 from autotab.budget import TimeBudget
+from autotab.validation import CVScheme, make_folds
 
 from conftest import make_binary, make_multiclass
 
@@ -73,6 +76,37 @@ class TestRoundTrip:
         loaded = load_model(path)
         assert loaded.report["metric_oof_blend"] == model.report["metric_oof_blend"]
         assert loaded.selected == model.selected
+
+
+class TestPackedForest:
+    @pytest.mark.parametrize("flavor", ["leaf_wise", "symmetric_depth_wise"])
+    def test_entries_do_not_grow_with_trees(self, tmp_path, flavor):
+        X, y = make_binary(300, 4, 2, seed=6)
+        entries = []
+        for cap in (2, 40):
+            est = fit_booster(X, y, GBMParams(n_estimators_cap=cap, flavor=flavor),
+                              "binary").estimator
+            assert est.n_iterations == cap
+            path = str(tmp_path / f"{cap}.lama")
+            save_model(est, path)
+            with zipfile.ZipFile(path) as z:
+                entries.append(sum(1 for n in z.namelist() if n.startswith("arrays/")))
+        assert entries[0] == entries[1]
+
+    @pytest.mark.parametrize("flavor", ["leaf_wise", "symmetric_depth_wise"])
+    def test_multiclass_round_trip_keeps_class_order(self, tmp_path, flavor):
+        X, y = make_multiclass(400, 4, 3, 3, seed=7)
+        ds = dataset_from_arrays(X, y, "multiclass")
+        folds = make_folds(CVScheme("kfold", k=2, seed=0), ds)
+        model = fit_gbm(ds, folds, GBMParams(max_leaves=8, n_estimators_cap=15, flavor=flavor))
+        path = str(tmp_path / "mc.lama")
+        save_model(model, path)
+        loaded = load_model(path)
+        assert np.array_equal(model.predict_matrix(X), loaded.predict_matrix(X))
+        for est, back in zip(model.estimators, loaded.estimators):
+            for per_class, back_per_class in zip(est.trees, back.trees, strict=True):
+                for tree, back_tree in zip(per_class, back_per_class, strict=True):
+                    assert np.array_equal(tree.predict_raw(X), back_tree.predict_raw(X))
 
 
 class TestVersionGate:

@@ -128,6 +128,25 @@ class TestBoosting:
         assert res.estimator.n_iterations < 500
         assert res.estimator.n_iterations == res.best_iteration + 1
 
+    @pytest.mark.parametrize("flavor", ["leaf_wise", "symmetric_depth_wise"])
+    @pytest.mark.parametrize("task_kind", ["binary", "multiclass"])
+    def test_feature_gain_counts_kept_trees_only(self, flavor, task_kind):
+        X, y = make_binary(600, 4, 2, seed=5)
+        n_classes, metric = 0, MetricSpec("roc_auc")
+        if task_kind == "multiclass":
+            y, n_classes, metric = y + (X[:, 3] > 0.5), 3, MetricSpec("neg_logloss")
+        params = GBMParams(learning_rate=0.3, max_leaves=32, n_estimators_cap=500,
+                           flavor=flavor)
+        res = fit_booster(X[:400], y[:400], params, task_kind, n_classes,
+                          X_val=X[400:], y_val=y[400:], metric=metric, patience=5)
+        # stopped by patience: the last 5 iterations were grown, then dropped
+        assert res.estimator.n_iterations < 500
+        trees = res.estimator.trees
+        kept = np.zeros(4)
+        for tree in ([t for per_class in trees for t in per_class] if n_classes else trees):
+            kept += tree.feature_gain
+        assert np.array_equal(res.estimator.feature_gain_, kept)
+
     def test_budget_truncation_flags_model(self):
         X, y = make_binary(3000, 8, 4, seed=6)
         params = GBMParams(n_estimators_cap=2000, max_leaves=64)

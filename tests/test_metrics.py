@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from autotab.errors import ConfigError
 from autotab.metrics import (MetricSpec, default_metric, evaluate, neg_logloss,
@@ -53,6 +54,26 @@ def test_auc_matches_pair_counting(rng):
                 elif s[i] == s[j]:
                     wins += 0.5
         assert roc_auc(y, s) == pytest.approx(wins / pairs, abs=1e-12)
+
+
+def test_auc_equals_scipy_average_ranks_bit_for_bit(rng):
+    for i in range(40):
+        n = int(rng.integers(2, 400))
+        y = rng.integers(0, 2, size=n)
+        y[:2] = [0, 1]
+        s = rng.normal(size=n).round(i % 3)  # 0-2 decimals: many ties to few
+        s[rng.random(n) < 0.05] = -0.0  # ties with 0.0
+        s[rng.random(n) < 0.05] = np.inf
+        r1 = rankdata(s)[y == 1].sum()
+        n1 = int(y.sum())
+        expected = (r1 - n1 * (n1 + 1) / 2.0) / (n1 * (n - n1))
+        assert roc_auc(y, s) == expected
+
+
+def test_auc_nan_score_gives_nan_and_single_class_half():
+    y = np.array([0, 1, 1, 0])
+    assert np.isnan(roc_auc(y, np.array([0.1, np.nan, 0.3, 0.2])))
+    assert roc_auc(np.ones(3), np.array([0.1, np.nan, 0.3])) == 0.5
 
 
 def test_neg_logloss_binary_hand_value():
