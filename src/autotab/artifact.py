@@ -9,9 +9,12 @@ its trees plus a table of per-tree offsets, so the number of entries grows
 with the number of estimators, not of trees. Loaded trees are views into
 those arrays.
 
-The manifest carries a format version that is checked on load. Version 2
-stores packed forests; version 1 stored every tree as its own object and is
-rejected.
+The manifest carries a format version that is checked on load, before any
+object is decoded. Version 3 dropped the model's `stack` topology object
+(a model is stacked when its `level2` list is non-empty) and the encoder
+spec's unused `q`, `one_hot_cap` and `one_hot_eligible` fields. Version 2
+(the first with packed forests) and version 1 (every tree its own object)
+are rejected.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from .autotype import ColumnTyping, TypingReport
 from .data import Column, Dataset, DatasetMeta, Task
 from .encoders import EncoderSpec, FrequencyMap, TargetMeanMap
-from .ensemble import BlendWeights, StackTopology
+from .ensemble import BlendWeights
 from .errors import ConfigError, DataError
 from .gbm import GBMEstimator, GBMParams, PackedTrees
 from .learners import GBMView, LinearView, TrainedModel
@@ -37,10 +40,9 @@ from .tuning import TrialHistory
 
 _REGISTRY = {cls.__name__: cls for cls in (
     ColumnTyping, TypingReport, Column, Dataset, DatasetMeta, Task,
-    EncoderSpec, FrequencyMap, TargetMeanMap, BlendWeights, StackTopology,
-    GBMEstimator, GBMParams, PackedTrees, GBMView, LinearView,
-    TrainedModel, LinearEstimator, LinearParams, MetricSpec, AutoMLModel,
-    UtilizedModel, TrialHistory,
+    EncoderSpec, FrequencyMap, TargetMeanMap, BlendWeights, GBMEstimator,
+    GBMParams, PackedTrees, GBMView, LinearView, TrainedModel, LinearEstimator,
+    LinearParams, MetricSpec, AutoMLModel, UtilizedModel, TrialHistory,
 )}
 
 

@@ -14,12 +14,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .encoders import (EncoderSpec, freq_encode, norm_gini, oof_target_encode,
-                       quantile_discretize)
+from .encoders import (SMOOTHING_ALPHA, EncoderSpec, freq_encode, norm_gini,
+                       oof_target_encode, quantile_discretize)
 from .validation import FoldAssignment
 
-TYPING_ALPHA = 2.0
-TYPING_Q = 10
+TYPING_Q = 10  # quantile bins of the binned encoding scored during typing
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ def _ng_of_oof(values: np.ndarray, y: np.ndarray, fold: np.ndarray,
 
 
 def infer_feature_kind(dataset: Dataset, folds: FoldAssignment,
-                       alpha: float = TYPING_ALPHA, q: int = TYPING_Q) -> TypingReport:
+                       alpha: float = SMOOTHING_ALPHA, q: int = TYPING_Q) -> TypingReport:
     """Score every integer/float feature and apply the typing rules.
 
     Columns that are more than 99% missing skip scoring entirely and stay
@@ -146,28 +145,23 @@ def apply_typing(dataset: Dataset, report: TypingReport) -> Dataset:
 
 def select_category_encoding(col_values: np.ndarray, y: np.ndarray,
                              folds, task_kind: str, n_classes: int = 0,
-                             cardinality: int | None = None,
-                             alpha: float = TYPING_ALPHA) -> EncoderSpec:
+                             alpha: float = SMOOTHING_ALPHA) -> EncoderSpec:
     """Choose frequency vs OOF-target encoding for one category column.
 
     The better Normalized Gini wins; exact ties go to the target encoder.
-    Columns with cardinality <= 10 are flagged eligible for one-hot in the
-    linear pipeline.
     """
     col_values = np.asarray(col_values)
     ok = col_values >= 0 if col_values.dtype.kind in "iu" else ~np.isnan(col_values)
     x = col_values[ok]
     y_nn = np.asarray(y)[ok]
     fold = np.asarray(getattr(folds, "fold_of_row", folds))[ok]
-    card = cardinality if cardinality is not None else int(np.unique(x).size)
-    eligible = card <= 10
 
     if x.size < 2 or np.unique(y_nn).size < 2:
-        return EncoderSpec("oof_target", alpha=alpha, one_hot_eligible=eligible)
+        return EncoderSpec("oof_target", alpha=alpha)
 
     kind = task_kind if task_kind == "multiclass" else None
     _, freq = freq_encode(x)
     ng_fe = norm_gini(y_nn, freq, kind)
     ng_oof = _ng_of_oof(x, y_nn, fold, task_kind, n_classes, alpha)
     chosen = "frequency" if ng_fe > ng_oof else "oof_target"
-    return EncoderSpec(chosen, alpha=alpha, one_hot_eligible=eligible)
+    return EncoderSpec(chosen, alpha=alpha)

@@ -101,22 +101,23 @@ def _build_preset_config(cfg: dict, budget: float | None, seed_flag: int | None)
                       time_column=c.get("time_column"),
                       seed=int(c.get("seed", 0)),
                       fold_of_row=tuple(fold) if fold is not None else None)
+    d = PresetConfig  # the defaults of keys the config leaves out
     try:
         return PresetConfig(
             cv=cv,
-            selection_strategy=cfg.get("selection_strategy", "cutoff"),
-            stack_policy=cfg.get("stack_policy", "auto"),
-            tuning_enabled=bool(cfg.get("tuning_enabled", True)),
+            selection_strategy=cfg.get("selection_strategy", d.selection_strategy),
+            stack_policy=cfg.get("stack_policy", d.stack_policy),
+            tuning_enabled=bool(cfg.get("tuning_enabled", d.tuning_enabled)),
             budget_seconds=float(budget if budget is not None
-                                 else cfg.get("budget_seconds", 600.0)),
-            seed=int(seed_flag if seed_flag is not None else cfg.get("seed", 42)),
-            use_linear=bool(cfg.get("use_linear", True)),
-            use_gbm_leaf=bool(cfg.get("use_gbm_leaf", True)),
-            use_gbm_sym=bool(cfg.get("use_gbm_sym", True)),
-            metric=cfg.get("metric"),
-            typing_alpha=float(cfg.get("typing_alpha", 2.0)),
-            typing_q=int(cfg.get("typing_q", 10)),
-            forward_block_size=cfg.get("forward_block_size"))
+                                 else cfg.get("budget_seconds", d.budget_seconds)),
+            seed=int(seed_flag if seed_flag is not None else cfg.get("seed", d.seed)),
+            use_linear=bool(cfg.get("use_linear", d.use_linear)),
+            use_gbm_leaf=bool(cfg.get("use_gbm_leaf", d.use_gbm_leaf)),
+            use_gbm_sym=bool(cfg.get("use_gbm_sym", d.use_gbm_sym)),
+            metric=cfg.get("metric", d.metric),
+            typing_alpha=float(cfg.get("typing_alpha", d.typing_alpha)),
+            typing_q=int(cfg.get("typing_q", d.typing_q)),
+            forward_block_size=cfg.get("forward_block_size", d.forward_block_size))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
 
@@ -158,8 +159,7 @@ def cmd_fit(args) -> int:
     task_kind = cfg.get("task", "auto")
     if task_kind == "auto":
         task_kind = _infer_task_kind(raw.column(target))
-    metric_spec = None
-    dataset = build_dataset(raw, target, task_kind, metric=metric_spec)
+    dataset = build_dataset(raw, target, task_kind)
     model = fit_preset(dataset, config)
 
     model_path = os.path.join(out_dir, "model.lama")
@@ -196,7 +196,7 @@ def cmd_predict(args) -> int:
 def cmd_infer_types(args) -> int:
     from .autotype import infer_feature_kind
     from .data import build_dataset, read_csv
-    from .pipeline import _typing_folds, default_cv_scheme
+    from .pipeline import PresetConfig, _typing_folds, default_cv_scheme
     from .validation import make_folds
 
     cfg = _load_config(args.config)
@@ -205,12 +205,12 @@ def cmd_infer_types(args) -> int:
     if task_kind == "auto":
         task_kind = _infer_task_kind(raw.column(args.target))
     dataset = build_dataset(raw, args.target, task_kind)
-    scheme = default_cv_scheme(dataset.task, int(cfg.get("seed", 42)))
+    scheme = default_cv_scheme(dataset.task, int(cfg.get("seed", PresetConfig.seed)))
     folds = make_folds(scheme, dataset)
     folds = _typing_folds(folds, dataset.n_rows, scheme.seed)
     report = infer_feature_kind(dataset, folds,
-                                alpha=float(cfg.get("typing_alpha", 2.0)),
-                                q=int(cfg.get("typing_q", 10)))
+                                alpha=float(cfg.get("typing_alpha", PresetConfig.typing_alpha)),
+                                q=int(cfg.get("typing_q", PresetConfig.typing_q)))
     json.dump(_sanitize(report.to_json()), sys.stdout, indent=2)
     print()
     return EXIT_OK

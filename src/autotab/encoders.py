@@ -12,28 +12,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kendalltau, rankdata
+from scipy.stats import kendalltau
 
 from .errors import DataError
+from .metrics import positive_rank_sum
 
-ENCODER_KINDS = ("raw", "frequency", "oof_target", "quantile_bins", "one_hot")
+ENCODER_KINDS = ("frequency", "oof_target")
+SMOOTHING_ALPHA = 2.0  # prior weight of every smoothed target mean
 
 
 @dataclass(frozen=True)
 class EncoderSpec:
     kind: str
-    alpha: float = 2.0   # smoothing for oof_target
-    q: int = 10          # bin count for quantile_bins
-    one_hot_cap: int = 10
-    one_hot_eligible: bool = False
+    alpha: float = SMOOTHING_ALPHA  # smoothing for oof_target
 
     def __post_init__(self) -> None:
         if self.kind not in ENCODER_KINDS:
             raise DataError(f"unknown encoder kind {self.kind!r}")
         if self.alpha < 0:
             raise DataError("alpha must be nonnegative")
-        if self.q < 2:
-            raise DataError("q must be at least 2")
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +49,7 @@ def _binary_concordance(y01: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     p = float(n1) * float(n0)
     if p == 0:
         return 0.0, 0.0
-    r1 = float(rankdata(x)[y01 == 1].sum())
+    r1 = positive_rank_sum(y01 == 1, x)
     c_minus_d = 2.0 * (r1 - n1 * (n1 + 1) / 2.0) - p
     return c_minus_d, p
 
@@ -189,7 +186,7 @@ def _oof_encode_single(inverse: np.ndarray, n_groups: int, y: np.ndarray,
     return enc
 
 
-def oof_target_encode(col: np.ndarray, y: np.ndarray, folds, alpha: float = 2.0,
+def oof_target_encode(col: np.ndarray, y: np.ndarray, folds, alpha: float = SMOOTHING_ALPHA,
                       n_classes: int = 0) -> np.ndarray:
     """Smoothed out-of-fold target mean per value.
 
@@ -248,7 +245,7 @@ class TargetMeanMap:
         return out
 
 
-def fit_target_map(col: np.ndarray, y: np.ndarray, alpha: float = 2.0,
+def fit_target_map(col: np.ndarray, y: np.ndarray, alpha: float = SMOOTHING_ALPHA,
                    n_classes: int = 0) -> TargetMeanMap:
     """Fit full-train statistics with the same smoothing as the OOF encoder."""
     col = np.asarray(col)

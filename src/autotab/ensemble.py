@@ -1,4 +1,4 @@
-"""Model combination: coordinate-descent weighted blending and stacking.
+"""Model combination: coordinate-descent weighted blending and stack features.
 
 Blending starts at the vertex of the best single model and sweeps the
 coordinates in fixed order, line-searching each weight on a 33-point grid
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Task
 from .errors import DataError
 from .learners import TrainedModel
 from .metrics import MetricSpec, evaluate
@@ -37,22 +36,6 @@ class BlendWeights:
         return {"weights": [float(w) for w in self.weights],
                 "dropped": list(self.dropped),
                 "metric": float(self.metric_value)}
-
-
-@dataclass(frozen=True)
-class StackTopology:
-    """Level descriptors by learner tag; level-2 features are the OOF
-    predictions of level 1 (no raw-feature passthrough)."""
-
-    levels: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.levels) > 3:
-            raise DataError("stacks deeper than 3 levels are not supported")
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
 
 
 def _blended(preds: list[np.ndarray], w: np.ndarray, multiclass: bool) -> np.ndarray:
@@ -167,28 +150,24 @@ def apply_blend(predictions: list[np.ndarray], blend: BlendWeights) -> np.ndarra
     return _blended(preds, blend.weights, preds[0].ndim == 2)
 
 
-def build_stack_features(level1_models: list[TrainedModel],
-                         task: Task) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """Column-concatenated OOF predictions as the level-2 feature table.
+def build_stack_features(models: list[TrainedModel],
+                         preds: list[np.ndarray]) -> tuple[np.ndarray, list[str]]:
+    """Column-concatenated level-1 predictions as the level-2 feature table.
 
-    Binary and regression models contribute one column each, multiclass
-    models one column per class. Returns (features, names, defined-row mask).
+    `preds[i]` is model i's prediction (its OOF at fit time). Binary and
+    regression models contribute one column each, multiclass models one
+    column per class. Returns (features, names).
     """
-    if not level1_models:
+    if not models:
         raise DataError("stacking needs at least one level-1 model")
-    n = level1_models[0].oof.shape[0]
     cols = []
     names = []
-    mask = np.ones(n, dtype=bool)
-    for model in level1_models:
-        if model.oof.shape[0] != n:
-            raise DataError("OOF matrices cover different row counts")
-        mask &= model.oof_mask
-        if model.oof.ndim == 2:
-            for c in range(model.oof.shape[1]):
-                cols.append(model.oof[:, c])
+    for model, p in zip(models, preds, strict=True):
+        if p.ndim == 2:
+            for c in range(p.shape[1]):
+                cols.append(p[:, c])
                 names.append(f"{model.learner_tag}__c{c}")
         else:
-            cols.append(model.oof)
+            cols.append(p)
             names.append(f"{model.learner_tag}__c0")
-    return np.column_stack(cols), names, mask
+    return np.column_stack(cols), names

@@ -128,7 +128,6 @@ class GBMEstimator:
 class FitResult:
     estimator: GBMEstimator
     eval_history: list[float]
-    train_loss_history: list[float]
     best_iteration: int
     truncated: bool
 
@@ -147,7 +146,7 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
                 n_classes: int = 0, X_val: np.ndarray | None = None,
                 y_val: np.ndarray | None = None, metric: MetricSpec | None = None,
                 budget: TimeBudget | None = None, seed: int = 0,
-                patience: int = 100, track_train_loss: bool = False) -> FitResult:
+                patience: int = 100) -> FitResult:
     """Train one booster with optional early stopping on a validation set.
 
     The budget is checked between iterations; on expiry the model truncates at
@@ -178,7 +177,6 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
     n_feats = max(1, int(np.ceil(params.colsample * f)))
     trees: list = []  # in boosting order, each iteration's classes in order
     eval_history: list[float] = []
-    train_loss_history: list[float] = []
     truncated = False
 
     for it in range(params.n_estimators_cap):
@@ -214,8 +212,6 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
                 raw_val += tree.predict_codes(codes_val)
             trees.append(tree)
 
-        if track_train_loss:
-            train_loss_history.append(loss.loss_value(y_fit, raw))
         if codes_val is not None and metric is not None:
             score = evaluate(metric, y_val, loss.transform(raw_val))
             eval_history.append(score)
@@ -237,4 +233,4 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
     tree_type = Tree if params.flavor == "leaf_wise" else ObliviousTree
     est = GBMEstimator(task_kind, n_classes, np.asarray(base),
                        PackedTrees.pack(tree_type, trees), params, feature_gain_=feature_gain)
-    return FitResult(est, eval_history, train_loss_history, best, truncated)
+    return FitResult(est, eval_history, best, truncated)

@@ -36,10 +36,6 @@ class BinaryLogloss:
     def transform(self, raw: np.ndarray) -> np.ndarray:
         return sigmoid(raw)
 
-    def loss_value(self, y: np.ndarray, raw: np.ndarray) -> float:
-        # mean logloss in a numerically stable form
-        return float(np.mean(np.logaddexp(0.0, raw) - y * raw))
-
 
 class MulticlassSoftmax:
     def __init__(self, n_classes: int) -> None:
@@ -58,11 +54,6 @@ class MulticlassSoftmax:
     def transform(self, raw: np.ndarray) -> np.ndarray:
         return softmax(raw)
 
-    def loss_value(self, y: np.ndarray, raw: np.ndarray) -> float:
-        p = softmax(raw)
-        return float(-np.mean(np.log(np.clip(
-            p[np.arange(y.shape[0]), y.astype(np.int64)], _CLIP, None))))
-
 
 class SquaredError:
     n_outputs = 1
@@ -75,9 +66,6 @@ class SquaredError:
 
     def transform(self, raw: np.ndarray) -> np.ndarray:
         return raw
-
-    def loss_value(self, y: np.ndarray, raw: np.ndarray) -> float:
-        return float(0.5 * np.mean((raw - y) ** 2))
 
 
 def make_loss(task_kind: str, n_classes: int = 0):

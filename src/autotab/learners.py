@@ -21,17 +21,16 @@ import numpy as np
 
 from .budget import TimeBudget, unlimited
 from .data import Dataset, Task
-from .encoders import (EncoderSpec, FrequencyMap, TargetMeanMap, fit_target_map,
-                       freq_encode, oof_target_encode)
+from .encoders import (SMOOTHING_ALPHA, EncoderSpec, FrequencyMap, TargetMeanMap,
+                       fit_target_map, freq_encode, oof_target_encode)
 from .errors import BudgetError, DataError
 from .gbm import GBMParams, fit_booster
 from .linear import LinearParams, fit_lambda_path, solve, unpack
 from .metrics import evaluate
-from .stopping import early_stop
 from .validation import FoldAssignment, oof_assemble, kfold_vector
 
 __all__ = ["TrainedModel", "GBMView", "LinearView", "fit_gbm", "fit_linear",
-           "early_stop", "predict", "LinearParams", "GBMParams"]
+           "LinearParams", "GBMParams"]
 
 ONE_HOT_MAX_CARDINALITY = 100
 GBM_PATIENCE = 100
@@ -86,7 +85,7 @@ class GBMView:
     cat_kinds: dict[str, str] = field(default_factory=dict)
     freq_maps: dict[str, FrequencyMap] = field(default_factory=dict)
     target_maps: dict[str, TargetMeanMap] = field(default_factory=dict)
-    alpha: float = 2.0  # smoothing of a category column that has no spec
+    alpha: float = SMOOTHING_ALPHA  # smoothing of a category column that has no spec
     alphas: dict[str, float] = field(default_factory=dict)  # per target-encoded column
     n_te_cols: int = 0
 
@@ -167,7 +166,7 @@ class LinearView:
     stds: np.ndarray | None = None
     onehot: dict[str, int] = field(default_factory=dict)  # name -> cardinality
     target_maps: dict[str, TargetMeanMap] = field(default_factory=dict)
-    alpha: float = 2.0
+    alpha: float = SMOOTHING_ALPHA
     n_te_cols: int = 0
     source_order: list[str] = field(default_factory=list)
     _std_cols: list[int] = field(default_factory=list)
@@ -281,12 +280,8 @@ class TrainedModel:
         return np.mean(preds, axis=0)
 
     def predict(self, dataset: Dataset) -> np.ndarray:
+        """Fold-averaged prediction in probability space for classifiers."""
         return self.predict_matrix(self.view.transform(dataset))
-
-
-def predict(model: TrainedModel, dataset: Dataset) -> np.ndarray:
-    """Fold-averaged prediction in probability space for classifiers."""
-    return model.predict(dataset)
 
 
 def _fold_budget(budget: TimeBudget, folds_left: int) -> TimeBudget:
@@ -297,14 +292,13 @@ def fit_gbm(dataset: Dataset, folds: FoldAssignment, params: GBMParams,
             budget: TimeBudget | None = None,
             enc_specs: dict[str, EncoderSpec] | None = None,
             selected: list[str] | None = None, seed: int = 0,
-            patience: int = GBM_PATIENCE, tag: str | None = None,
-            track_train_loss: bool = False) -> TrainedModel:
+            patience: int = GBM_PATIENCE, tag: str | None = None) -> TrainedModel:
     """Train one GBM per fold with early stopping on the fold's validation
     rows; the budget is split evenly across the remaining folds."""
     budget = budget or unlimited()
     start = time.monotonic()
     task = dataset.task
-    view = GBMView(alpha=2.0).fit(dataset, enc_specs, selected)
+    view = GBMView().fit(dataset, enc_specs, selected)
     if not view.feature_names:
         raise DataError("no usable features for the GBM")
     X = view.train_matrix(dataset, folds)
@@ -315,30 +309,23 @@ def fit_gbm(dataset: Dataset, folds: FoldAssignment, params: GBMParams,
     fold_preds = []
     truncated = False
     histories = []
-    train_losses = []
     for f, tr, va in folds.iter_splits():
         sub = _fold_budget(budget, folds.k - f)
         res = fit_booster(X[tr], y[tr], params, task.kind, task.n_classes,
                           X_val=X[va], y_val=y[va], metric=metric, budget=sub,
-                          seed=seed + f, patience=patience,
-                          track_train_loss=track_train_loss)
+                          seed=seed + f, patience=patience)
         estimators.append(res.estimator)
         fold_preds.append(res.estimator.predict(X[va]))
         truncated = truncated or res.truncated
         histories.append(res.eval_history)
-        if track_train_loss:
-            train_losses.append(res.train_loss_history)
 
     oof = oof_assemble(fold_preds, folds)
     mask = folds.oof_mask()
     metric_oof = evaluate(metric, y[mask], oof[mask])
-    model = TrainedModel(
+    return TrainedModel(
         tag or f"gbm_{params.flavor}", task, view, estimators, oof, mask,
         metric_oof, time.monotonic() - start, view.feature_names,
-        truncated=truncated,
-        extra={"eval_histories": histories, "params": params,
-               "train_loss_histories": train_losses})
-    return model
+        truncated=truncated, extra={"eval_histories": histories, "params": params})
 
 
 def fit_linear(dataset: Dataset, folds: FoldAssignment,
@@ -355,7 +342,7 @@ def fit_linear(dataset: Dataset, folds: FoldAssignment,
     params = params or LinearParams()
     start = time.monotonic()
     task = dataset.task
-    view = LinearView(alpha=2.0).fit(dataset, selected)
+    view = LinearView().fit(dataset, selected)
     if not view.feature_names:
         raise DataError("no usable features for the linear model")
     X = view.train_matrix(dataset, folds)

@@ -44,10 +44,10 @@ def default_metric(task_kind: str) -> MetricSpec:
 def roc_auc(y: np.ndarray, scores: np.ndarray) -> float:
     """Rank-based AUC with 0.5 credit for tied scores.
 
-    Tied scores share their average rank. Ranks are half-integers, so the
-    positive-rank sum is exact. Degenerate single-class targets score 0.5
-    (uninformative) instead of raising, so that unlucky CV folds never abort
-    a run; any NaN score gives NaN.
+    Tied scores share their average rank (see `positive_rank_sum`).
+    Degenerate single-class targets score 0.5 (uninformative) instead of
+    raising, so that unlucky CV folds never abort a run; any NaN score gives
+    NaN.
     """
     y = np.asarray(y)
     scores = np.asarray(scores, dtype=np.float64)
@@ -60,13 +60,22 @@ def roc_auc(y: np.ndarray, scores: np.ndarray) -> float:
         return 0.5
     if np.isnan(scores).any():
         return float("nan")
+    r1 = positive_rank_sum(pos, scores)
+    return (r1 - n1 * (n1 + 1) / 2.0) / (n1 * n0)
+
+
+def positive_rank_sum(pos: np.ndarray, scores: np.ndarray) -> float:
+    """Sum of the 1-based average ranks of `scores` over the rows in `pos`.
+
+    Tied scores share their average rank. Ranks are half-integers, so the
+    sum is exact.
+    """
     order = np.argsort(scores, kind="stable")
     ranked = scores[order]
     starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
     counts = np.diff(np.append(starts, ranked.shape[0]))
     mean_rank = starts + (counts + 1) / 2.0  # 1-based ranks start+1 .. start+count
-    r1 = float(np.repeat(mean_rank, counts)[pos[order]].sum())
-    return (r1 - n1 * (n1 + 1) / 2.0) / (n1 * n0)
+    return float(np.repeat(mean_rank, counts)[pos[order]].sum())
 
 
 def neg_logloss(y: np.ndarray, probs: np.ndarray) -> float:

@@ -15,12 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autotype import TypingReport, apply_typing, infer_feature_kind, select_category_encoding
+from .autotype import (TYPING_Q, TypingReport, apply_typing, infer_feature_kind,
+                       select_category_encoding)
 from .budget import TimeBudget
 from .data import Column, Dataset, DatasetMeta, RawTable, Task, dataset_from_raw_with_schema
-from .encoders import EncoderSpec
-from .ensemble import (BlendWeights, StackTopology, apply_blend, blend_weights,
-                       build_stack_features)
+from .encoders import SMOOTHING_ALPHA, EncoderSpec
+from .ensemble import BlendWeights, apply_blend, blend_weights, build_stack_features
 from .errors import BudgetError, ConfigError, DataError
 from .gbm import GBMParams, fit_booster
 from .learners import GBMView, TrainedModel, fit_gbm, fit_linear
@@ -29,7 +29,7 @@ from .selection import cutoff_select, forward_select, permutation_importance
 from .tuning import expert_params, tune_gbm
 from .validation import CVScheme, FoldAssignment, make_folds, kfold_vector
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 SELECTION_STRATEGIES = ("none", "cutoff", "forward")
 STACK_POLICIES = ("auto", "always", "never")
@@ -60,8 +60,8 @@ class PresetConfig:
     use_gbm_leaf: bool = True
     use_gbm_sym: bool = True
     metric: str | None = None
-    typing_alpha: float = 2.0
-    typing_q: int = 10
+    typing_alpha: float = SMOOTHING_ALPHA
+    typing_q: int = TYPING_Q
     forward_block_size: int | None = None
 
     def __post_init__(self) -> None:
@@ -145,16 +145,12 @@ class AutoMLModel:
     enc_specs: dict[str, EncoderSpec]
     selected: list[str]
     level1: list[TrainedModel]
-    level2: list[TrainedModel]
-    stack: StackTopology | None
+    level2: list[TrainedModel]  # empty unless the level-1 models are stacked
     blend: BlendWeights
     oof: np.ndarray
     oof_mask: np.ndarray
     metric_oof: float
     report: dict
-
-    def final_models(self) -> list[TrainedModel]:
-        return self.level2 if self.stack is not None else self.level1
 
     def predict_raw_table(self, raw: RawTable) -> np.ndarray:
         ds = dataset_from_raw_with_schema(raw, self.reference, self.selected)
@@ -162,9 +158,9 @@ class AutoMLModel:
 
     def predict_dataset(self, ds: Dataset) -> np.ndarray:
         level1_preds = [m.predict(ds) for m in self.level1]
-        if self.stack is None:
+        if not self.level2:
             return apply_blend(level1_preds, self.blend)
-        X2, names, _ = _stack_matrix_from_preds(self.level1, level1_preds)
+        X2, names = build_stack_features(self.level1, level1_preds)
         ds2 = _features_only_dataset(stack_feature_transform(X2, self.task),
                                      names, self.task)
         level2_preds = [m.predict(ds2) for m in self.level2]
@@ -190,21 +186,6 @@ def _features_only_dataset(X: np.ndarray, names: list[str], task: Task) -> Datas
     roles = {n: "numeric" for n in names}
     schema = {n: {"kind": "numeric"} for n in names}
     return Dataset(columns, roles, np.zeros(X.shape[0]), "__target__", task, meta, schema)
-
-
-def _stack_matrix_from_preds(models: list[TrainedModel],
-                             preds: list[np.ndarray]) -> tuple[np.ndarray, list[str], None]:
-    cols = []
-    names = []
-    for model, p in zip(models, preds):
-        if p.ndim == 2:
-            for c in range(p.shape[1]):
-                cols.append(p[:, c])
-                names.append(f"{model.learner_tag}__c{c}")
-        else:
-            cols.append(p)
-            names.append(f"{model.learner_tag}__c0")
-    return np.column_stack(cols), names, None
 
 
 def strip_dataset(dataset: Dataset) -> Dataset:
@@ -266,7 +247,7 @@ def fit_preset(dataset: Dataset, config: PresetConfig) -> AutoMLModel:
         col = dataset.columns[name]
         enc_specs[name] = select_category_encoding(
             col.values, y, typing_folds, task.kind, task.n_classes,
-            cardinality=int(col.dictionary.shape[0]), alpha=config.typing_alpha)
+            alpha=config.typing_alpha)
     report["typing"] = typing_report.to_json()
     report["encoders"] = {k: v.kind for k, v in enc_specs.items()}
     report["phases"].append({"name": "typing", "elapsed": time.monotonic() - t0})
@@ -334,21 +315,18 @@ def fit_preset(dataset: Dataset, config: PresetConfig) -> AutoMLModel:
         raise DataError("no model could be trained under the budget")
 
     level2: list[TrainedModel] = []
-    stack: StackTopology | None = None
-    if stack_active and len(roster) >= 1:
+    if stack_active:
         start = time.monotonic()
         alloc = allocate_time(budget, plan, observed, "stack") or 1.0
         level2 = _fit_stack(dataset, roster, folds, task, budget.sub(alloc), config,
                             report["warnings"])
         if level2:
-            stack = StackTopology((tuple(m.learner_tag for m in roster),
-                                   tuple(m.learner_tag for m in level2)))
             observed["stack"] = time.monotonic() - start
             report["phases"].append({"name": "stack",
                                      "elapsed": observed["stack"],
                                      "models": [m.learner_tag for m in level2]})
 
-    final = level2 if stack is not None else roster
+    final = level2 or roster
     mask = np.ones(dataset.n_rows, dtype=bool)
     for m in final:
         mask &= m.oof_mask
@@ -371,18 +349,16 @@ def fit_preset(dataset: Dataset, config: PresetConfig) -> AutoMLModel:
     report["metric_oof_blend"] = metric_oof
     report["wallclock_seconds"] = budget.elapsed()
 
-    if stack is not None:
-        level1_keep = roster
-        level2_keep = kept_models
+    if level2:
+        level1_keep, level2_keep = roster, kept_models
     else:
-        level1_keep = kept_models
-        level2_keep = []
+        level1_keep, level2_keep = kept_models, []
 
     return AutoMLModel(
         version=FORMAT_VERSION, task=task, config=_config_snapshot(config),
         reference=strip_dataset(dataset), typing_report=typing_report,
         enc_specs=enc_specs, selected=selected, level1=level1_keep,
-        level2=level2_keep, stack=stack, blend=kept_blend, oof=oof_full,
+        level2=level2_keep, blend=kept_blend, oof=oof_full,
         oof_mask=mask, metric_oof=metric_oof, report=report)
 
 
@@ -422,9 +398,7 @@ def _fit_stack(dataset: Dataset, roster: list[TrainedModel], folds: FoldAssignme
                warnings: list[str]) -> list[TrainedModel]:
     """Fit the level-2 learners; one that fails is left out and the reason
     appended to `warnings`."""
-    X2, names, mask = build_stack_features(roster, task)
-    if not mask.all():
-        return []
+    X2, names = build_stack_features(roster, [m.oof for m in roster])
     ds2 = _features_only_dataset(stack_feature_transform(X2, task), names, task)
     ds2 = replace(ds2, target=dataset.target)
     models = []
@@ -457,7 +431,7 @@ def _run_selection(dataset: Dataset, folds: FoldAssignment,
     start = time.monotonic()
     sub_budget = budget.sub(alloc)
     task = dataset.task
-    view = GBMView(alpha=2.0).fit(dataset, enc_specs)
+    view = GBMView().fit(dataset, enc_specs)
     X = view.train_matrix(dataset, folds)
     y = dataset.target
     _, tr, va = next(iter(folds.iter_splits()))
@@ -520,10 +494,6 @@ class UtilizedModel:
     def predict_raw_table(self, raw: RawTable) -> np.ndarray:
         preds = [run.predict_raw_table(raw) for run in self.runs]
         return self._combine(preds)
-
-    def predict_dataset(self, ds: Dataset) -> np.ndarray:
-        # each run re-applies its own typing, so go through raw tables only
-        raise ConfigError("utilized models predict from raw tables")
 
     def _combine(self, preds: list[np.ndarray]) -> np.ndarray:
         groups = sorted(set(self.group_of_run))

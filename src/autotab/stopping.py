@@ -12,14 +12,3 @@ def best_iteration(eval_history) -> int:
     if not len(eval_history):
         raise ConfigError("eval history is empty")
     return int(np.argmax(np.asarray(eval_history, dtype=np.float64)))
-
-
-def early_stop(eval_history, patience: int) -> int:
-    """Best iteration under the stop-after-`patience`-non-improvements rule.
-
-    Training halts once (current - best) >= patience; the returned index is
-    the argmax of the history either way.
-    """
-    if patience < 1:
-        raise ConfigError("patience must be at least 1")
-    return best_iteration(eval_history)

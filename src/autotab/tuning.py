@@ -219,7 +219,7 @@ def tune_gbm(dataset: Dataset, folds: FoldAssignment, flavor: str,
         history_empty = TrialHistory(seed=seed)
         return expert, history_empty
 
-    view = GBMView(alpha=2.0).fit(dataset, enc_specs, selected)
+    view = GBMView().fit(dataset, enc_specs, selected)
     X = view.train_matrix(dataset, folds)
     y = dataset.target
     f0, tr, va = next(iter(folds.iter_splits()))

@@ -45,14 +45,17 @@ class TestRoundTrip:
         X, y = make_multiclass(700, 5, 3, 3, seed=2)
         ds = dataset_from_arrays(X, y, "multiclass")
         model = fit_preset(ds, _fast_config(use_gbm_leaf=False))
-        assert model.stack is not None
+        assert model.level2
         path = str(tmp_path / "model.lama")
         save_model(model, path)
         loaded = load_model(path)
         raw = _raw_table_from_dataset(X, ds.feature_names())
         assert np.array_equal(model.predict_raw_table(raw),
                               loaded.predict_raw_table(raw))
-        assert loaded.stack.levels == model.stack.levels
+        assert ([m.learner_tag for m in loaded.level1]
+                == [m.learner_tag for m in model.level1])
+        assert ([m.learner_tag for m in loaded.level2]
+                == [m.learner_tag for m in model.level2])
 
     def test_utilized_round_trip(self, tmp_path):
         X, y = make_binary(400, 4, 3, seed=3)
@@ -127,6 +130,29 @@ class TestVersionGate:
                 z.writestr(name, payload)
         with pytest.raises(ConfigError, match="version"):
             load_model(stale)
+
+    def test_version_2_rejected_before_decoding(self, tmp_path):
+        # a version-2 model still carried a `stack` topology object, whose
+        # type no longer exists; the version check must fire first
+        X, y = make_binary(300, 4, 2, seed=5)
+        ds = dataset_from_arrays(X, y, "binary")
+        model = fit_preset(ds, _fast_config(use_gbm_leaf=False))
+        path = str(tmp_path / "m.lama")
+        save_model(model, path)
+        with zipfile.ZipFile(path) as z:
+            manifest = json.loads(z.read("manifest.json"))
+            arrays = {n: z.read(n) for n in z.namelist() if n != "manifest.json"}
+        manifest["format_version"] = 2
+        manifest["root"]["state"]["stack"] = {
+            "__dc__": "StackTopology",
+            "state": {"levels": {"__tuple__": [{"__tuple__": ["linear"]}]}}}
+        old = str(tmp_path / "v2.lama")
+        with zipfile.ZipFile(old, "w") as z:
+            z.writestr("manifest.json", json.dumps(manifest))
+            for name, payload in arrays.items():
+                z.writestr(name, payload)
+        with pytest.raises(ConfigError, match="format version 2"):
+            load_model(old)
 
     def test_garbage_file_rejected(self, tmp_path):
         from autotab.errors import DataError

@@ -133,7 +133,6 @@ class TestSelectCategoryEncoding:
         # injective ids: both encodings are pure noise; exact ties break to
         # the target encoder
         assert spec.kind in ("frequency", "oof_target")
-        assert not spec.one_hot_eligible
 
     def test_target_separated_category_prefers_target_encoding(self):
         rng = np.random.default_rng(7)
@@ -148,12 +147,3 @@ class TestSelectCategoryEncoding:
                                         folds, "binary")
         assert spec.kind == "oof_target"
 
-    def test_binary_category_one_hot_eligible(self):
-        rng = np.random.default_rng(8)
-        codes = rng.integers(0, 2, size=200)
-        y = rng.integers(0, 2, size=200)
-        ds = dataset_from_arrays(codes[:, None].astype(float), y, "binary",
-                                 category_columns=["f0"])
-        spec = select_category_encoding(ds.columns["f0"].values, ds.target,
-                                        _folds_for(ds), "binary")
-        assert spec.one_hot_eligible

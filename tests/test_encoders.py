@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from autotab.encoders import (EncoderSpec, fit_target_map, freq_encode,
                               norm_gini, oof_target_encode, quantile_discretize)
@@ -49,6 +50,19 @@ class TestNormGini:
             kind = "multiclass" if target_kind == "multiclass" else None
             assert norm_gini(y, x, kind) == pytest.approx(
                 gini_pairwise(y, x, kind), abs=1e-9)
+
+    def test_binary_equals_rankdata_formula_on_ties(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(2, 60))
+            y = rng.integers(0, 2, size=n).astype(float)
+            x = rng.choice([-0.0, 0.0, 1.5, -2.0, rng.normal()], size=n)
+            n1 = int(y.sum())
+            p = float(n1) * float(n - n1)
+            if p == 0:
+                continue
+            r1 = float(rankdata(x)[y == 1].sum())
+            expected = min(1.0, abs(2.0 * (r1 - n1 * (n1 + 1) / 2.0) - p) / p)
+            assert norm_gini(y, x) == expected
 
     def test_scale_shift_and_negation_invariance(self, rng):
         y = rng.integers(0, 2, size=50).astype(float)
@@ -186,5 +200,3 @@ def test_encoder_spec_validation():
         EncoderSpec("nope")
     with pytest.raises(DataError):
         EncoderSpec("oof_target", alpha=-1)
-    with pytest.raises(DataError):
-        EncoderSpec("quantile_bins", q=1)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from autotab.data import Task, dataset_from_arrays
-from autotab.ensemble import (BlendWeights, StackTopology, apply_blend,
-                              blend_weights, build_stack_features)
+from autotab.data import dataset_from_arrays
+from autotab.ensemble import BlendWeights, apply_blend, blend_weights, build_stack_features
 from autotab.errors import DataError
 from autotab.gbm import GBMParams
 from autotab.learners import fit_gbm, fit_linear
@@ -133,26 +132,18 @@ class TestApplyBlend:
 class TestStack:
     def test_binary_models_one_column_each(self):
         y, preds = _noisy_models(7)
-        models = []
-        for i, p in enumerate(preds):
-            models.append(_fake_model(f"m{i}", p))
-        X, names, mask = build_stack_features(models, Task("binary", 2, labels=("0", "1")))
+        models = [_fake_model(f"m{i}") for i in range(len(preds))]
+        X, names = build_stack_features(models, preds)
         assert X.shape == (len(y), 3)
         assert names == ["m0__c0", "m1__c0", "m2__c0"]
-        assert mask.all()
 
     def test_multiclass_models_class_columns(self):
         rng = np.random.default_rng(2)
         oof = rng.dirichlet(np.ones(4), size=30)
-        models = [_fake_model("a", oof), _fake_model("b", oof)]
-        X, names, _ = build_stack_features(models, Task("multiclass", 4,
-                                                        labels=tuple("wxyz")))
+        models = [_fake_model("a"), _fake_model("b")]
+        X, names = build_stack_features(models, [oof, oof])
         assert X.shape == (30, 8)
         assert names[:4] == ["a__c0", "a__c1", "a__c2", "a__c3"]
-
-    def test_depth_cap(self):
-        with pytest.raises(DataError):
-            StackTopology((("a",), ("b",), ("c",), ("d",)))
 
     def test_level2_learner_tracks_level1_quality(self):
         X, y = make_multiclass(2500, 6, 3, 4, seed=3)
@@ -166,8 +157,7 @@ class TestStack:
         ]
         from autotab.pipeline import stack_feature_transform
 
-        X2, names, mask = build_stack_features(level1, ds.task)
-        assert mask.all()
+        X2, names = build_stack_features(level1, [m.oof for m in level1])
         ds2 = dataset_from_arrays(stack_feature_transform(X2, ds.task), y,
                                   "multiclass", feature_names=names)
         level2 = [
@@ -180,10 +170,7 @@ class TestStack:
         assert blend.metric_value >= best_l1 - 0.01
 
 
-def _fake_model(tag, oof):
+def _fake_model(tag):
     class _M:
         learner_tag = tag
-    m = _M()
-    m.oof = np.asarray(oof, dtype=np.float64)
-    m.oof_mask = np.ones(m.oof.shape[0], dtype=bool)
-    return m
+    return _M()

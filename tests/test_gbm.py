@@ -6,7 +6,7 @@ from autotab.errors import ConfigError, DataError
 from autotab.gbm import GBMParams, boosting, fit_booster
 from autotab.gbm.binning import MISSING_BIN, BinMapper
 from autotab.metrics import MetricSpec
-from autotab.stopping import early_stop
+from autotab.stopping import best_iteration
 
 from conftest import make_binary
 
@@ -50,22 +50,31 @@ class TestBinning:
 
 
 class TestEarlyStop:
-    def test_patience_rule(self):
-        history = [0.5, 0.7, 0.6, 0.6]
-        assert early_stop(history, patience=2) == 1
+    """`best_iteration` picks the iteration early stopping keeps."""
+
+    def test_patience_rule(self, monkeypatch):
+        # training halts once (current - best) >= patience and keeps the argmax
+        history = [0.5, 0.7, 0.6, 0.6, 0.9, 0.9]
+        assert best_iteration(history[:4]) == 1
+        scores = iter(history)
+        monkeypatch.setattr(boosting, "evaluate", lambda *args: next(scores))
+        X, y = make_binary(200, 3, 2, seed=0)
+        res = fit_booster(X[:150], y[:150], GBMParams(n_estimators_cap=50), "binary",
+                          X_val=X[150:], y_val=y[150:], metric=MetricSpec("roc_auc"),
+                          patience=2)
+        assert res.eval_history == [0.5, 0.7]
+        assert res.best_iteration == 1
+        assert res.estimator.n_iterations == 2
 
     def test_strictly_improving_returns_last(self):
-        history = [0.1, 0.2, 0.3, 0.4]
-        assert early_stop(history, patience=2) == 3
+        assert best_iteration([0.1, 0.2, 0.3, 0.4]) == 3
 
     def test_plateau_earliest_best(self):
-        assert early_stop([0.7, 0.7, 0.7], patience=1) == 0
+        assert best_iteration([0.7, 0.7, 0.7]) == 0
 
     def test_empty_history_rejected(self):
         with pytest.raises(ConfigError):
-            early_stop([], patience=1)
-        with pytest.raises(ConfigError):
-            early_stop([0.5], patience=0)
+            best_iteration([])
 
 
 class TestBoosting:
@@ -90,8 +99,13 @@ class TestBoosting:
         X, y = make_binary(500, 5, 3, seed=2)
         params = GBMParams(learning_rate=0.1, max_leaves=16, subsample=1.0,
                            colsample=1.0, n_estimators_cap=200)
-        res = fit_booster(X, y, params, "binary", track_train_loss=True)
-        losses = np.asarray(res.train_loss_history)
+        est = fit_booster(X, y, params, "binary").estimator
+        # mean log-loss after each iteration, rebuilt from the fitted trees
+        raw = np.full(len(y), float(est.base_score))
+        losses = []
+        for tree in est.forest:
+            raw += tree.predict_raw(X)
+            losses.append(np.mean(np.logaddexp(0.0, raw) - y * raw))
         assert len(losses) == 200
         assert np.all(np.diff(losses) <= 1e-12)
 

@@ -5,7 +5,7 @@ from autotab.budget import TimeBudget
 from autotab.data import dataset_from_arrays
 from autotab.encoders import EncoderSpec, fit_target_map
 from autotab.gbm import GBMParams
-from autotab.learners import GBMView, LinearView, fit_gbm, fit_linear, predict
+from autotab.learners import GBMView, LinearView, fit_gbm, fit_linear
 from autotab.validation import CVScheme, make_folds
 
 from conftest import make_binary, make_multiclass
@@ -128,7 +128,7 @@ class TestFitGBMModel:
         model = fit_gbm(ds, folds, GBMParams(n_estimators_cap=20))
         X = model.view.transform(ds)
         per_fold = np.array([est.predict(X) for est in model.estimators])
-        assert predict(model, ds) == pytest.approx(per_fold.mean(axis=0))
+        assert model.predict(ds) == pytest.approx(per_fold.mean(axis=0))
 
     def test_single_fold_predict_equals_estimator(self):
         ds = _cat_dataset()
@@ -136,7 +136,7 @@ class TestFitGBMModel:
         model = fit_gbm(ds, folds, GBMParams(n_estimators_cap=20))
         assert len(model.estimators) == 1
         X = model.view.transform(ds)
-        assert predict(model, ds) == pytest.approx(model.estimators[0].predict(X))
+        assert model.predict(ds) == pytest.approx(model.estimators[0].predict(X))
 
     def test_two_fold_outputs_average_in_probability_space(self):
         ds = _cat_dataset()
@@ -145,27 +145,27 @@ class TestFitGBMModel:
         X = model.view.transform(ds)
         p0 = model.estimators[0].predict(X)
         p1 = model.estimators[1].predict(X)
-        assert predict(model, ds) == pytest.approx((p0 + p1) / 2.0)
+        assert model.predict(ds) == pytest.approx((p0 + p1) / 2.0)
 
     def test_multiclass_rows_sum_to_one(self):
         X, y = make_multiclass(400, 5, 3, 3, seed=2)
         ds = dataset_from_arrays(X, y, "multiclass")
         folds = make_folds(CVScheme("stratified_kfold", k=3, seed=0), ds)
         model = fit_gbm(ds, folds, GBMParams(n_estimators_cap=15))
-        preds = predict(model, ds)
+        preds = model.predict(ds)
         assert np.abs(preds.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_row_order_invariance(self):
         ds = _cat_dataset()
         folds = make_folds(CVScheme("kfold", k=3, seed=0), ds)
         model = fit_gbm(ds, folds, GBMParams(n_estimators_cap=15))
-        preds = predict(model, ds)
+        preds = model.predict(ds)
         perm = np.random.default_rng(3).permutation(ds.n_rows)
         X = np.column_stack([ds.columns["c"].values.astype(float),
                              ds.columns["x"].values])
         ds2 = dataset_from_arrays(X[perm], ds.target[perm], "binary",
                                   feature_names=["c", "x"], category_columns=["c"])
-        assert predict(model, ds2) == pytest.approx(preds[perm])
+        assert model.predict(ds2) == pytest.approx(preds[perm])
 
     def test_budget_split_across_folds(self):
         X, y = make_binary(4000, 10, 5, seed=4)

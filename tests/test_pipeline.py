@@ -4,9 +4,10 @@ import pytest
 from autotab.budget import TimeBudget
 from autotab.data import dataset_from_arrays
 from autotab import pipeline
+from autotab.ensemble import apply_blend
 from autotab.errors import BudgetError, ConfigError
 from autotab.pipeline import (AutoMLModel, PhasePlan, PresetConfig, allocate_time,
-                              fit_preset, utilized_fit)
+                              fit_preset, stack_feature_transform, utilized_fit)
 
 from conftest import make_binary, make_multiclass, make_regression
 
@@ -69,7 +70,6 @@ class TestFitPresetBinary:
         model = fit_preset(ds, _fast_config(budget_seconds=60.0))
         tags = [m.learner_tag for m in model.level1]
         assert "linear" in tags or len(tags) >= 1
-        assert model.stack is None
         assert model.level2 == []
         assert model.blend.weights.sum() == pytest.approx(1.0)
         assert model.oof_mask.all()
@@ -77,7 +77,7 @@ class TestFitPresetBinary:
     def test_blend_never_below_best_single(self):
         ds = _binary_ds(seed=3)
         model = fit_preset(ds, _fast_config(budget_seconds=60.0))
-        best = max(m.metric_oof for m in model.final_models())
+        best = max(m.metric_oof for m in model.level2 or model.level1)
         assert model.metric_oof >= best - 1e-12
 
     def test_report_structure(self):
@@ -118,23 +118,25 @@ class TestFitPresetMulticlass:
         X, y = make_multiclass(900, 5, 3, 3, seed=1)
         ds = dataset_from_arrays(X, y, "multiclass")
         model = fit_preset(ds, _fast_config(use_gbm_sym=False, budget_seconds=60.0))
-        assert model.stack is not None
-        assert model.stack.depth == 2
         assert model.level2
         assert {m.learner_tag for m in model.level2} <= {"stack_gbm", "stack_linear"}
+        # two levels: the level-2 learners read only level-1 predictions
+        level1_tags = {m.learner_tag for m in model.level1}
+        for m in model.level2:
+            assert {name.rsplit("__c", 1)[0] for name in m.feature_names} <= level1_tags
 
     def test_stack_never_policy(self):
         X, y = make_multiclass(600, 4, 3, 3, seed=2)
         ds = dataset_from_arrays(X, y, "multiclass")
         model = fit_preset(ds, _fast_config(stack_policy="never",
                                             use_gbm_sym=False, use_gbm_leaf=False))
-        assert model.stack is None
+        assert model.level2 == []
 
     def test_always_policy_stacks_binary(self):
         ds = _binary_ds(n=600, seed=8)
         model = fit_preset(ds, _fast_config(stack_policy="always",
                                             use_gbm_sym=False))
-        assert model.stack is not None
+        assert model.level2
 
     def test_failed_stack_learner_is_reported(self, monkeypatch):
         fit_linear = pipeline.fit_linear
@@ -157,6 +159,25 @@ class TestFitPresetMulticlass:
         preds = model.predict_dataset(ds)
         assert preds.shape == (700, 4)
         assert np.abs(preds.sum(axis=1) - 1.0).max() < 1e-9
+
+
+class TestStackedPredict:
+    @pytest.mark.parametrize("kind", ["binary", "multiclass"])
+    def test_predict_dataset_recomputed_by_hand(self, kind):
+        if kind == "binary":
+            ds = _binary_ds(n=500, seed=14)
+        else:
+            X, y = make_multiclass(600, 5, 3, 3, seed=14)
+            ds = dataset_from_arrays(X, y, "multiclass")
+        model = fit_preset(ds, _fast_config(stack_policy="always", use_gbm_sym=False))
+        assert model.level2
+        preds = [m.predict(ds) for m in model.level1]
+        names = [f"{m.learner_tag}__c{c}" for m, p in zip(model.level1, preds)
+                 for c in range(p.shape[1] if p.ndim == 2 else 1)]
+        X2 = stack_feature_transform(np.column_stack(preds), ds.task)
+        ds2 = dataset_from_arrays(X2, ds.target, kind, feature_names=names)
+        expected = apply_blend([m.predict(ds2) for m in model.level2], model.blend)
+        assert np.array_equal(model.predict_dataset(ds), expected)
 
 
 class TestBudgetDegradation:
