@@ -150,9 +150,11 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
     """Train one booster with optional early stopping on a validation set.
 
     The budget is checked between iterations; on expiry the model truncates at
-    the last completed iteration and is flagged. Histogram accumulation is
-    single-pass per feature in a fixed order, so results do not depend on
-    worker count.
+    the last completed iteration and is flagged. Trees grow in the compiled
+    kernel of trees.py, so the first call in a process builds it with the
+    system C compiler `cc` (see native.py). The kernel runs on one thread and
+    adds in the fixed float order that trees.py states, so results do not
+    depend on worker count.
     """
     if X.shape[1] == 0:
         raise DataError("no usable features")
@@ -193,9 +195,10 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
                  if params.colsample < 1.0 else np.arange(f))
 
         if task_kind == "multiclass":
+            g, h = g.T.copy(), h.T.copy()  # each class's row is contiguous for the kernel
             for c in range(n_classes):
                 tree, row_vals, tree_rows = _grow(
-                    params.flavor, codes, g[:, c], h[:, c], rows, feats, mapper, params)
+                    params.flavor, codes, g[c], h[c], rows, feats, mapper, params)
                 raw[tree_rows, c] += row_vals
                 if rest is not None:
                     raw[rest, c] += tree.predict_codes(codes[rest])

@@ -1,0 +1,80 @@
+"""Build and load the compiled tree kernel, `_kernel.c`, with the system `cc`.
+
+The library is built on first use, never at import, into `__pycache__/`
+next to the source. Its name carries a hash of the source, the flags and
+the compiler version, so an edit or a new compiler builds a new one. Only
+training needs it: routing and prediction run in numpy.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import subprocess
+import tempfile
+from pathlib import Path
+
+from ..errors import AutotabError
+
+SOURCE = Path(__file__).with_name("_kernel.c")
+CACHE_DIR = SOURCE.parent / "__pycache__"
+COMPILER = ("cc",)
+# No -ffast-math and no -march=native: the kernel must round like numpy.
+FLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
+
+_P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+SIGNATURES = {  # name -> (restype, argtypes), as declared in _kernel.c
+    "leaf_hist": (None, [_P, _I, _P, _P, _P, _I, _I, _P, _I, _P, _P, _P]),
+    "leaf_split": (_I, [_P, _I, _P, _P, _P, _I, _I, _I, _I, _P, _I, _P, _P, _P, _P, _P]),
+    "leaf_scan": (None, [_P, _P, _I, _D, _D, _P]),
+    "obl_hist": (None, [_P, _I, _P, _I, _P, _P, _P, _P, _I, _I, _P]),
+    "obl_scan": (None, [_P, _P, _I, _I, _D, _D, _P]),
+    "obl_route": (None, [_P, _I, _P, _I, _I, _I, _P]),
+}
+
+
+class KernelCompileError(AutotabError):
+    """The C compiler could not build the tree kernel."""
+
+
+def _run(cmd: list[str]) -> str:
+    try:
+        out = subprocess.run(cmd, capture_output=True, text=True)
+    except OSError as exc:
+        raise KernelCompileError(f"{' '.join(cmd)} could not run: {exc}") from exc
+    if out.returncode != 0:
+        raise KernelCompileError(f"{' '.join(cmd)} failed ({out.returncode}):\n{out.stderr}")
+    return out.stdout
+
+
+def build(cache_dir: Path = CACHE_DIR, compiler: tuple[str, ...] = COMPILER) -> Path:
+    """Path of the kernel library, compiled first unless cached."""
+    version = _run([*compiler, "--version"])
+    key = hashlib.sha256("\0".join([SOURCE.read_text(), *FLAGS, version]).encode())
+    lib = Path(cache_dir) / f"_kernel-{key.hexdigest()[:16]}.so"
+    if not lib.exists():
+        try:
+            lib.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
+        except OSError as exc:
+            raise KernelCompileError(f"cannot write the kernel to {lib.parent}: {exc}") from exc
+        os.close(fd)
+        try:
+            _run([*compiler, *FLAGS, "-o", tmp, str(SOURCE), "-lm"])
+            os.replace(tmp, lib)  # atomic: a concurrent build never sees half a file
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return lib
+
+
+@functools.cache
+def kernel() -> ctypes.CDLL:
+    """The loaded kernel, built on the first call in a process."""
+    lib = ctypes.CDLL(str(build()))
+    for name, (restype, argtypes) in SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.restype, fn.argtypes = restype, argtypes
+    return lib

@@ -5,66 +5,34 @@ Split gain is the Newton gain with an L2 leaf regularizer:
 min_data_in_leaf is enforced on both children (on the rows the tree actually
 sees, i.e. after subsampling). Missing values occupy the last histogram bin
 and always route right; a split at the top non-missing bin can isolate them.
+
+The growers run their inner loops in a compiled kernel, `_kernel.c`, which
+native.py builds with the system C compiler `cc` on first use; routing and
+prediction are numpy and need no compiler. The kernel adds in the order of
+the numpy kernel it replaced (kept in tests/oracles.py as its reference), so
+trees are bit-identical to that kernel's:
+  - bin sums are added in row order, as np.bincount does;
+  - prefix sums run one bin after another over bins 0..254, as np.cumsum;
+  - gain = 0.5 * ((GL^2/(HL+reg) + GR^2/(HR+reg)) - GT^2/(HT+reg)); a cell
+    with fewer than min_data rows on a side is -inf, and the best split is
+    the first maximum, a NaN counting as the maximum, as np.argmax;
+  - oblivious totals add where(isfinite(gain), max(gain, 0), 0) over the
+    level's nodes in node order.
+The bin totals GT/HT/count of each histogram row and a leaf's gradient and
+hessian sums are numpy pairwise sums, taken between kernel calls.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .binning import BinMapper
 
-N_HIST = 256
-_VALUE_BINS = 255  # bins 0..254 hold values, 255 is the missing bin
-
-
-def _histograms(codes: np.ndarray, rows: np.ndarray, g: np.ndarray, h: np.ndarray,
-                feats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sum g/h/count per (feature, bin) over the given rows."""
-    nf = len(feats)
-    G = np.empty((nf, N_HIST))
-    H = np.empty((nf, N_HIST))
-    C = np.empty((nf, N_HIST))
-    gr = g[rows]
-    hr = h[rows]
-    for i, f in enumerate(feats):
-        c = codes[rows, f]
-        G[i] = np.bincount(c, weights=gr, minlength=N_HIST)
-        H[i] = np.bincount(c, weights=hr, minlength=N_HIST)
-        C[i] = np.bincount(c, minlength=N_HIST)
-    return G, H, C
-
-
-def _leaf_value(g_sum: float, h_sum: float, reg: float, lr: float) -> float:
-    return -lr * g_sum / (h_sum + reg)
-
-
-def _gain_matrix(G: np.ndarray, H: np.ndarray, C: np.ndarray, reg: float,
-                 min_data: int) -> tuple[np.ndarray, np.ndarray]:
-    """Newton gains for every (feature, bin threshold); invalid cells -inf."""
-    gt = G.sum(axis=1, keepdims=True)
-    ht = H.sum(axis=1, keepdims=True)
-    ct = C.sum(axis=1, keepdims=True)
-    gl = np.cumsum(G[:, :_VALUE_BINS], axis=1)
-    hl = np.cumsum(H[:, :_VALUE_BINS], axis=1)
-    cl = np.cumsum(C[:, :_VALUE_BINS], axis=1)
-    gr = gt - gl
-    hr = ht - hl
-    cr = ct - cl
-    parent = gt ** 2 / (ht + reg)
-    gains = 0.5 * (gl ** 2 / (hl + reg) + gr ** 2 / (hr + reg) - parent)
-    invalid = (cl < min_data) | (cr < min_data)
-    gains[invalid] = -np.inf
-    return gains, cl
-
-
-def _best_split(gains: np.ndarray) -> tuple[float, int, int]:
-    """(gain, feature position, bin threshold); ties resolve to the first."""
-    flat = int(np.argmax(gains))
-    fpos, t = divmod(flat, gains.shape[1])
-    return float(gains[fpos, t]), fpos, t
+N_HIST = 256  # bins 0..254 hold values, 255 is the missing bin
 
 
 @dataclass
@@ -112,13 +80,25 @@ def route(feature: np.ndarray, threshold: np.ndarray, left: np.ndarray, right: n
     return out
 
 
-@dataclass
-class _Node:
-    rows: np.ndarray
-    hists: tuple[np.ndarray, np.ndarray, np.ndarray]
-    g_sum: float
-    h_sum: float
-    best: tuple[float, int, int] | None = None
+def _kernel_inputs(codes: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
+                   feats: np.ndarray):
+    """The compiled kernel and the arrays it reads, in the layouts it expects:
+    Fortran-ordered uint8 codes, contiguous float64 g/h (one per row of
+    codes), int64 row and feature indices. Arrays already in those layouts
+    are not copied. The kernel reads through the indices unchecked, so they
+    are bounds-checked here."""
+    from .native import kernel
+
+    codes = np.asfortranarray(codes, dtype=np.uint8)
+    g, h = (np.ascontiguousarray(a, dtype=np.float64) for a in (g, h))
+    rows, feats = (np.ascontiguousarray(a, dtype=np.int64) for a in (rows, feats))
+    n, n_features = codes.shape
+    if g.shape != (n,) or h.shape != (n,):
+        raise ValueError(f"g and h must have shape ({n},), got {g.shape} and {h.shape}")
+    for name, index, size in (("rows", rows, n), ("feats", feats, n_features)):
+        if index.ndim != 1 or (index.size and (index.min() < 0 or index.max() >= size)):
+            raise ValueError(f"{name} must be a 1-d index into {size} entries")
+    return kernel(), codes, g, h, rows, feats
 
 
 def grow_leafwise(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
@@ -128,84 +108,74 @@ def grow_leafwise(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
     """Grow by repeatedly splitting the leaf with the largest gain.
 
     Returns the tree plus (row_leaf_values, rows) so callers can update train
-    scores without re-walking the tree. Sibling histograms are derived by
-    subtraction from the parent.
+    scores without re-walking the tree: the rows are the given ones regrouped
+    leaf by leaf. Each node's rows are one slice of that order. A split builds
+    the smaller child's histograms and derives the larger one's by
+    subtraction in the parent's slot, so there is one slot per leaf.
     """
-    n_features_total = codes.shape[1]
-    nodes: dict[int, _Node] = {}
+    kern, codes, g, h, rows, feats = _kernel_inputs(codes, g, h, rows, feats)
+    n, nf = codes.shape[0], feats.shape[0]
+    order = rows.copy()
+    m = order.shape[0]
+    hists = np.empty((max(max_leaves, 1), 3, nf, N_HIST))  # (G, H, count) per leaf slot
+    totals = np.empty((3, nf))  # bin totals of the slot being scanned
+    gbuf, hbuf, best = np.empty(m), np.empty(m), np.empty(3)
+    tmp = np.empty(m, dtype=np.int64)
+    c, gp, hp, op, fp, gb, hb, tp, bp, hist0, tot0 = (a.ctypes.data for a in (
+        codes, g, h, order, feats, gbuf, hbuf, tmp, best, hists, totals))
+    slot_bytes = hists[0].nbytes
+    feat_ids = feats.tolist()
+
+    span = [(0, m)]  # node id -> its slice of order
+    slot = [0]  # node id -> histogram slot, while the node is a leaf
     children: dict[int, tuple[int, int, int, int]] = {}  # id -> (feat, t, left, right)
-    next_id = 0
-
-    def make_node(node_rows: np.ndarray, hists=None) -> int:
-        nonlocal next_id
-        nid = next_id
-        next_id += 1
-        if hists is None:
-            hists = _histograms(codes, node_rows, g, h, feats)
-        G, H, _ = hists
-        nodes[nid] = _Node(node_rows, hists, float(G.sum()), float(H.sum()))
-        return nid
-
-    root_rows = rows
-    root = make_node(root_rows)
-    heap: list[tuple[float, int]] = []
+    heap: list[tuple[float, int, int, int]] = []  # (-gain, id, feature position, bin)
+    kern.leaf_hist(c, n, gp, hp, op, 0, m, fp, nf, gb, hb, hist0)
 
     def push(nid: int) -> None:
-        node = nodes[nid]
-        if node.rows.shape[0] < 2 * min_data:
+        begin, end = span[nid]
+        if end - begin < 2 * min_data:
             return
-        gains, _ = _gain_matrix(*node.hists, reg, min_data)
-        gain, fpos, t = _best_split(gains)
-        if gain <= 0 or not np.isfinite(gain):
+        s = slot[nid]
+        hists[s].sum(axis=2, out=totals)
+        kern.leaf_scan(hist0 + s * slot_bytes, tot0, nf, reg, min_data, bp)
+        gain, fpos, t = best.tolist()
+        if gain <= 0 or not math.isfinite(gain):
             return
-        node.best = (gain, fpos, t)
-        heapq.heappush(heap, (-gain, nid))
+        heapq.heappush(heap, (-gain, nid, int(fpos), int(t)))
 
-    push(root)
+    push(0)
     n_leaves = 1
-    feature_gain = np.zeros(n_features_total)
+    feature_gain = np.zeros(codes.shape[1])
 
     while heap and n_leaves < max_leaves:
-        neg_gain, nid = heapq.heappop(heap)
-        node = nodes[nid]
-        if node.best is None:
-            continue
-        gain, fpos, t = node.best
-        f = int(feats[fpos])
-        go_left = codes[node.rows, f] <= t
-        left_rows = node.rows[go_left]
-        right_rows = node.rows[~go_left]
-        # build the smaller child's histograms, subtract for the larger
-        G, H, C = node.hists
-        if left_rows.shape[0] <= right_rows.shape[0]:
-            small_hists = _histograms(codes, left_rows, g, h, feats)
-            big_hists = (G - small_hists[0], H - small_hists[1], C - small_hists[2])
-            left_id = make_node(left_rows, small_hists)
-            right_id = make_node(right_rows, big_hists)
-        else:
-            small_hists = _histograms(codes, right_rows, g, h, feats)
-            big_hists = (G - small_hists[0], H - small_hists[1], C - small_hists[2])
-            left_id = make_node(left_rows, big_hists)
-            right_id = make_node(right_rows, small_hists)
+        neg_gain, nid, fpos, t = heapq.heappop(heap)
+        f = feat_ids[fpos]
+        begin, end = span[nid]
+        parent = slot[nid]
+        n_left = kern.leaf_split(c, n, gp, hp, op, begin, end, f, t, fp, nf, gb, hb, tp,
+                                 hist0 + parent * slot_bytes, hist0 + n_leaves * slot_bytes)
+        left_id, right_id = len(span), len(span) + 1
+        span += [(begin, begin + n_left), (begin + n_left, end)]
+        # the smaller child (left on a tie) got the new slot
+        slot += [n_leaves, parent] if n_left <= end - begin - n_left else [parent, n_leaves]
         children[nid] = (f, t, left_id, right_id)
-        feature_gain[f] += gain
-        node.hists = None  # free
-        node.rows = np.empty(0, dtype=node.rows.dtype)
+        feature_gain[f] += -neg_gain
         n_leaves += 1
-        push(left_id)
-        push(right_id)
+        if n_leaves < max_leaves:  # else growth ends: no split is taken from them
+            push(left_id)
+            push(right_id)
 
     # flatten into arrays
-    n_nodes = next_id
+    n_nodes = len(span)
     feature = np.full(n_nodes, -1, dtype=np.int32)
     bin_thr = np.zeros(n_nodes, dtype=np.int32)
     raw_thr = np.zeros(n_nodes)
     left = np.full(n_nodes, -1, dtype=np.int32)
     right = np.full(n_nodes, -1, dtype=np.int32)
     value = np.zeros(n_nodes)
-    row_values = np.zeros(rows.shape[0])
-    pos_of_row = np.empty(codes.shape[0], dtype=np.int64)
-    pos_of_row[rows] = np.arange(rows.shape[0])
+    leaf_sums = hists[:n_leaves, :2].sum(axis=(2, 3)).tolist()  # (G.sum(), H.sum()) per slot
+    row_values = np.empty(m)
     for nid in range(n_nodes):
         if nid in children:
             f, t, lid, rid = children[nid]
@@ -215,12 +185,12 @@ def grow_leafwise(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
             left[nid] = lid
             right[nid] = rid
         else:
-            node = nodes[nid]
-            value[nid] = _leaf_value(node.g_sum, node.h_sum, reg, lr)
-            if node.rows.shape[0]:
-                row_values[pos_of_row[node.rows]] = value[nid]
+            g_sum, h_sum = leaf_sums[slot[nid]]
+            value[nid] = -lr * g_sum / (h_sum + reg)
+            begin, end = span[nid]
+            row_values[begin:end] = value[nid]
     tree = Tree(feature, bin_thr, raw_thr, left, right, value, feature_gain)
-    return tree, row_values, rows
+    return tree, row_values, order
 
 
 @dataclass
@@ -266,41 +236,35 @@ def grow_oblivious(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
     Nodes where a candidate split would violate min_data contribute zero to
     its total. Growth stops when no candidate has positive total gain.
     """
-    n_features_total = codes.shape[1]
-    node_of_row = np.zeros(rows.shape[0], dtype=np.int64)
+    kern, codes, g, h, rows, feats = _kernel_inputs(codes, g, h, rows, feats)
+    n, nf, m = codes.shape[0], feats.shape[0], rows.shape[0]
+    node_of_row = np.zeros(m, dtype=np.int64)
     gr = g[rows]
     hr = h[rows]
+    # (feature, G/H/count, node, bin) histograms of the deepest level
+    hists = np.empty(nf * 3 * (1 << max(max_depth - 1, 0)) * N_HIST)
+    best = np.empty(3)
+    c, rp, grp, hrp, nodep, fp, hist0, bp = (a.ctypes.data for a in (
+        codes, rows, gr, hr, node_of_row, feats, hists, best))
+    feat_ids = feats.tolist()
     level_feats: list[int] = []
     level_bins: list[int] = []
-    feature_gain = np.zeros(n_features_total)
+    feature_gain = np.zeros(codes.shape[1])
 
     for depth in range(max_depth):
         n_nodes = 1 << depth
-        best_total = 0.0
-        best_fpos = -1
-        best_t = -1
-        for i, f in enumerate(feats):
-            c = codes[rows, f].astype(np.int64)
-            pair = node_of_row * N_HIST + c
-            G = np.bincount(pair, weights=gr, minlength=n_nodes * N_HIST).reshape(n_nodes, N_HIST)
-            H = np.bincount(pair, weights=hr, minlength=n_nodes * N_HIST).reshape(n_nodes, N_HIST)
-            C = np.bincount(pair, minlength=n_nodes * N_HIST).reshape(n_nodes, N_HIST)
-            gains, _ = _gain_matrix(G, H, C, reg, min_data)
-            gains = np.where(np.isfinite(gains), np.maximum(gains, 0.0), 0.0)
-            totals = gains.sum(axis=0)  # per candidate bin for this feature
-            t = int(np.argmax(totals))
-            if totals[t] > best_total:
-                best_total = float(totals[t])
-                best_fpos = i
-                best_t = t
-        if best_fpos < 0 or best_total <= 0:
+        kern.obl_hist(c, n, rp, m, grp, hrp, nodep, fp, nf, n_nodes, hist0)
+        level = hists[:nf * 3 * n_nodes * N_HIST].reshape(nf, 3, n_nodes, N_HIST)
+        totals = level.sum(axis=3)
+        kern.obl_scan(hist0, totals.ctypes.data, nf, n_nodes, reg, min_data, bp)
+        best_total, fpos, t = best.tolist()
+        if fpos < 0 or best_total <= 0:
             break
-        f = int(feats[best_fpos])
+        f, t = feat_ids[int(fpos)], int(t)
         level_feats.append(f)
-        level_bins.append(best_t)
+        level_bins.append(t)
         feature_gain[f] += best_total
-        bit = codes[rows, f] > best_t
-        node_of_row = node_of_row * 2 + bit
+        kern.obl_route(c, n, rp, m, f, t, nodep)
 
     depth = len(level_feats)
     n_leaves = 1 << depth
