@@ -40,8 +40,8 @@ class GBMParams:
             raise ConfigError("size caps must be at least 1")
         if self.min_data_in_leaf < 1:
             raise ConfigError("min_data_in_leaf must be at least 1")
-        if self.l2_leaf_reg < 0:
-            raise ConfigError("l2_leaf_reg must be nonnegative")
+        if not self.l2_leaf_reg > 0:  # a leaf with zero hessian sum would divide by 0
+            raise ConfigError("l2_leaf_reg must be positive")
         if self.flavor not in FLAVORS:
             raise ConfigError(f"unknown flavor {self.flavor!r}")
 
@@ -132,14 +132,14 @@ class FitResult:
     truncated: bool
 
 
-def _grow(flavor: str, codes, g, h, rows, feats, mapper, params: GBMParams):
+def _grow(flavor: str, codes, g, h, rows, passengers, feats, mapper, params: GBMParams):
     if flavor == "leaf_wise":
         return grow_leafwise(codes, g, h, rows, feats, mapper,
                              params.max_leaves, params.min_data_in_leaf,
-                             params.l2_leaf_reg, params.learning_rate)
+                             params.l2_leaf_reg, params.learning_rate, passengers=passengers)
     return grow_oblivious(codes, g, h, rows, feats, mapper,
                           params.max_depth, params.min_data_in_leaf,
-                          params.l2_leaf_reg, params.learning_rate)
+                          params.l2_leaf_reg, params.learning_rate, passengers=passengers)
 
 
 def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
@@ -150,11 +150,16 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
     """Train one booster with optional early stopping on a validation set.
 
     The budget is checked between iterations; on expiry the model truncates at
-    the last completed iteration and is flagged. Trees grow in the compiled
-    kernel of trees.py, so the first call in a process builds it with the
-    system C compiler `cc` (see native.py). The kernel runs on one thread and
-    adds in the fixed float order that trees.py states, so results do not
-    depend on worker count.
+    the last completed iteration and is flagged. Each tree grows in one call
+    into the compiled kernel of trees.py, so the first call in a process
+    builds it with the system C compiler `cc` (see native.py). The kernel
+    runs on one thread and adds in the fixed float order that trees.py
+    states, so results do not depend on worker count.
+
+    The validation codes are stacked under the training codes, and the raw
+    scores of both live in one array. Each tree carries the rows left out of
+    its subsample and all validation rows as passengers, so every row's score
+    takes the new tree's leaf value straight from the grower.
     """
     if X.shape[1] == 0:
         raise DataError("no usable features")
@@ -163,16 +168,15 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
     n, f = X.shape
     mapper = BinMapper().fit(X)
     codes = mapper.transform(X)
-    codes_val = mapper.transform(X_val) if X_val is not None else None
+    if X_val is not None:
+        codes = np.asfortranarray(np.concatenate([codes, mapper.transform(X_val)]))
+    n_all = codes.shape[0]
+    val_rows = np.arange(n, n_all)
 
     y_fit = y.astype(np.float64) if task_kind != "multiclass" else y
     base = loss.init_score(y_fit)
-    if task_kind == "multiclass":
-        raw = np.tile(base, (n, 1))
-        raw_val = np.tile(base, (X_val.shape[0], 1)) if X_val is not None else None
-    else:
-        raw = np.full(n, base)
-        raw_val = np.full(X_val.shape[0], base) if X_val is not None else None
+    raw_all = np.tile(base, (n_all, 1)) if task_kind == "multiclass" else np.full(n_all, base)
+    raw, raw_val = raw_all[:n], raw_all[n:]
 
     rng = np.random.default_rng(seed)
     n_sub = max(1, int(round(params.subsample * n)))
@@ -188,34 +192,27 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
         g, h = loss.grad_hess(y_fit, raw)
         if params.subsample < 1.0:
             perm = rng.permutation(n)
-            rows, rest = np.sort(perm[:n_sub]), np.sort(perm[n_sub:])
+            rows = np.sort(perm[:n_sub])
+            passengers = np.concatenate([np.sort(perm[n_sub:]), val_rows])
         else:
-            rows, rest = np.arange(n), None
+            rows, passengers = np.arange(n), val_rows
         feats = (np.sort(rng.choice(f, size=n_feats, replace=False))
                  if params.colsample < 1.0 else np.arange(f))
 
         if task_kind == "multiclass":
             g, h = g.T.copy(), h.T.copy()  # each class's row is contiguous for the kernel
             for c in range(n_classes):
-                tree, row_vals, tree_rows = _grow(
-                    params.flavor, codes, g[c], h[c], rows, feats, mapper, params)
-                raw[tree_rows, c] += row_vals
-                if rest is not None:
-                    raw[rest, c] += tree.predict_codes(codes[rest])
-                if codes_val is not None:
-                    raw_val[:, c] += tree.predict_codes(codes_val)
+                tree, values, order = _grow(
+                    params.flavor, codes, g[c], h[c], rows, passengers, feats, mapper, params)
+                raw_all[order, c] += values
                 trees.append(tree)
         else:
-            tree, row_vals, tree_rows = _grow(
-                params.flavor, codes, g, h, rows, feats, mapper, params)
-            raw[tree_rows] += row_vals
-            if rest is not None:
-                raw[rest] += tree.predict_codes(codes[rest])
-            if codes_val is not None:
-                raw_val += tree.predict_codes(codes_val)
+            tree, values, order = _grow(
+                params.flavor, codes, g, h, rows, passengers, feats, mapper, params)
+            raw_all[order] += values
             trees.append(tree)
 
-        if codes_val is not None and metric is not None:
+        if X_val is not None and metric is not None:
             score = evaluate(metric, y_val, loss.transform(raw_val))
             eval_history.append(score)
             best = best_iteration(eval_history)

@@ -6,7 +6,7 @@ min_data_in_leaf is enforced on both children (on the rows the tree actually
 sees, i.e. after subsampling). Missing values occupy the last histogram bin
 and always route right; a split at the top non-missing bin can isolate them.
 
-The growers run their inner loops in a compiled kernel, `_kernel.c`, which
+Each tree grows in one call into a compiled kernel, `_kernel.c`, which
 native.py builds with the system C compiler `cc` on first use; routing and
 prediction are numpy and need no compiler. The kernel adds in the order of
 the numpy kernel it replaced (kept in tests/oracles.py as its reference), so
@@ -17,22 +17,22 @@ trees are bit-identical to that kernel's:
     with fewer than min_data rows on a side is -inf, and the best split is
     the first maximum, a NaN counting as the maximum, as np.argmax;
   - oblivious totals add where(isfinite(gain), max(gain, 0), 0) over the
-    level's nodes in node order.
-The bin totals GT/HT/count of each histogram row and a leaf's gradient and
-hessian sums are numpy pairwise sums, taken between kernel calls.
+    level's nodes in node order;
+  - the bin totals GT/HT/count of each histogram row and a leaf-wise leaf's
+    gradient and hessian sums are numpy's pairwise sums, computed in the
+    kernel (`pairwise_sum`).
+A grower also takes passenger rows, which it routes through every split
+without adding them to any histogram: boosting gets the new tree's value for
+its left-out and validation rows without walking the tree again.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .binning import BinMapper
-
-N_HIST = 256  # bins 0..254 hold values, 255 is the missing bin
 
 
 @dataclass
@@ -46,9 +46,6 @@ class Tree:
     right: np.ndarray
     value: np.ndarray
     feature_gain: np.ndarray  # total split gain per (full) feature index
-
-    def predict_codes(self, codes: np.ndarray) -> np.ndarray:
-        return route(self.feature, self.bin_threshold, self.left, self.right, self.value, codes)
 
     def predict_raw(self, X: np.ndarray) -> np.ndarray:
         return route(self.feature, self.raw_threshold, self.left, self.right, self.value, X)
@@ -81,116 +78,74 @@ def route(feature: np.ndarray, threshold: np.ndarray, left: np.ndarray, right: n
 
 
 def _kernel_inputs(codes: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
-                   feats: np.ndarray):
+                   feats: np.ndarray, passengers: np.ndarray | None):
     """The compiled kernel and the arrays it reads, in the layouts it expects:
-    Fortran-ordered uint8 codes, contiguous float64 g/h (one per row of
-    codes), int64 row and feature indices. Arrays already in those layouts
-    are not copied. The kernel reads through the indices unchecked, so they
-    are bounds-checked here."""
+    a Fortran-ordered uint8 code matrix, contiguous float64 g/h (one per
+    training row, which come first in codes), and int64 indices: `idx` holds
+    the rows, then the passengers. The kernel reads through the indices
+    unchecked, so they and the code matrix are checked here."""
     from .native import kernel
 
-    codes = np.asfortranarray(codes, dtype=np.uint8)
+    if not (isinstance(codes, np.ndarray) and codes.dtype == np.uint8 and codes.ndim == 2
+            and codes.flags.f_contiguous):
+        raise ValueError("codes must be a Fortran-ordered 2-d uint8 array")
     g, h = (np.ascontiguousarray(a, dtype=np.float64) for a in (g, h))
-    rows, feats = (np.ascontiguousarray(a, dtype=np.int64) for a in (rows, feats))
-    n, n_features = codes.shape
-    if g.shape != (n,) or h.shape != (n,):
-        raise ValueError(f"g and h must have shape ({n},), got {g.shape} and {h.shape}")
-    for name, index, size in (("rows", rows, n), ("feats", feats, n_features)):
+    feats = np.ascontiguousarray(feats, dtype=np.int64)
+    rows = np.asarray(rows)
+    passengers = np.empty(0, dtype=np.int64) if passengers is None else np.asarray(passengers)
+    n_codes, n_features = codes.shape
+    n = g.shape[0]
+    if g.shape != (n,) or h.shape != (n,) or n > n_codes:
+        raise ValueError(f"g and h must have one shape (n,) with n <= {n_codes}, "
+                         f"got {g.shape} and {h.shape}")
+    for name, index, size in (("rows", rows, n), ("passengers", passengers, n_codes),
+                              ("feats", feats, n_features)):
         if index.ndim != 1 or (index.size and (index.min() < 0 or index.max() >= size)):
             raise ValueError(f"{name} must be a 1-d index into {size} entries")
-    return kernel(), codes, g, h, rows, feats
+    idx = np.concatenate([rows, passengers], dtype=np.int64)
+    return kernel(), codes, g, h, idx, len(rows), feats
 
 
 def grow_leafwise(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
                   rows: np.ndarray, feats: np.ndarray, mapper: BinMapper,
-                  max_leaves: int, min_data: int, reg: float,
-                  lr: float) -> tuple[Tree, np.ndarray, np.ndarray]:
+                  max_leaves: int, min_data: int, reg: float, lr: float,
+                  passengers: np.ndarray | None = None) -> tuple[Tree, np.ndarray, np.ndarray]:
     """Grow by repeatedly splitting the leaf with the largest gain.
 
-    Returns the tree plus (row_leaf_values, rows) so callers can update train
-    scores without re-walking the tree: the rows are the given ones regrouped
-    leaf by leaf. Each node's rows are one slice of that order. A split builds
-    the smaller child's histograms and derives the larger one's by
-    subtraction in the parent's slot, so there is one slot per leaf.
+    Returns the tree plus (values, order) so callers can update scores
+    without re-walking the tree: `order` holds the given rows, then the
+    passengers, each regrouped leaf by leaf, and values[i] is the leaf value
+    of order[i]. Raises ZeroDivisionError if a leaf's hessian sum plus reg
+    is 0.
     """
-    kern, codes, g, h, rows, feats = _kernel_inputs(codes, g, h, rows, feats)
-    n, nf = codes.shape[0], feats.shape[0]
-    order = rows.copy()
-    m = order.shape[0]
-    hists = np.empty((max(max_leaves, 1), 3, nf, N_HIST))  # (G, H, count) per leaf slot
-    totals = np.empty((3, nf))  # bin totals of the slot being scanned
-    gbuf, hbuf, best = np.empty(m), np.empty(m), np.empty(3)
-    tmp = np.empty(m, dtype=np.int64)
-    c, gp, hp, op, fp, gb, hb, tp, bp, hist0, tot0 = (a.ctypes.data for a in (
-        codes, g, h, order, feats, gbuf, hbuf, tmp, best, hists, totals))
-    slot_bytes = hists[0].nbytes
-    feat_ids = feats.tolist()
-
-    span = [(0, m)]  # node id -> its slice of order
-    slot = [0]  # node id -> histogram slot, while the node is a leaf
-    children: dict[int, tuple[int, int, int, int]] = {}  # id -> (feat, t, left, right)
-    heap: list[tuple[float, int, int, int]] = []  # (-gain, id, feature position, bin)
-    kern.leaf_hist(c, n, gp, hp, op, 0, m, fp, nf, gb, hb, hist0)
-
-    def push(nid: int) -> None:
-        begin, end = span[nid]
-        if end - begin < 2 * min_data:
-            return
-        s = slot[nid]
-        hists[s].sum(axis=2, out=totals)
-        kern.leaf_scan(hist0 + s * slot_bytes, tot0, nf, reg, min_data, bp)
-        gain, fpos, t = best.tolist()
-        if gain <= 0 or not math.isfinite(gain):
-            return
-        heapq.heappush(heap, (-gain, nid, int(fpos), int(t)))
-
-    push(0)
-    n_leaves = 1
+    kern, codes, g, h, order, m, feats = _kernel_inputs(codes, g, h, rows, feats, passengers)
+    max_leaves = max(max_leaves, 1)
+    max_nodes = 2 * max_leaves - 1
+    feature, bin_thr, left, right = (np.empty(max_nodes, dtype=np.int32) for _ in range(4))
+    value = np.empty(max_nodes)
     feature_gain = np.zeros(codes.shape[1])
-
-    while heap and n_leaves < max_leaves:
-        neg_gain, nid, fpos, t = heapq.heappop(heap)
-        f = feat_ids[fpos]
-        begin, end = span[nid]
-        parent = slot[nid]
-        n_left = kern.leaf_split(c, n, gp, hp, op, begin, end, f, t, fp, nf, gb, hb, tp,
-                                 hist0 + parent * slot_bytes, hist0 + n_leaves * slot_bytes)
-        left_id, right_id = len(span), len(span) + 1
-        span += [(begin, begin + n_left), (begin + n_left, end)]
-        # the smaller child (left on a tie) got the new slot
-        slot += [n_leaves, parent] if n_left <= end - begin - n_left else [parent, n_leaves]
-        children[nid] = (f, t, left_id, right_id)
-        feature_gain[f] += -neg_gain
-        n_leaves += 1
-        if n_leaves < max_leaves:  # else growth ends: no split is taken from them
-            push(left_id)
-            push(right_id)
-
-    # flatten into arrays
-    n_nodes = len(span)
-    feature = np.full(n_nodes, -1, dtype=np.int32)
-    bin_thr = np.zeros(n_nodes, dtype=np.int32)
+    values = np.empty(order.shape[0])
+    n_nodes = kern.leaf_grow(
+        codes.ctypes.data, codes.shape[0], g.ctypes.data, h.ctypes.data, order.ctypes.data,
+        m, order.shape[0] - m, feats.ctypes.data, feats.shape[0], max_leaves, min_data,
+        reg, lr, feature.ctypes.data, bin_thr.ctypes.data, left.ctypes.data,
+        right.ctypes.data, value.ctypes.data, feature_gain.ctypes.data, values.ctypes.data)
+    _check_status(n_nodes)
+    feature, bin_thr, left, right, value = (
+        a[:n_nodes] for a in (feature, bin_thr, left, right, value))
+    internal = np.flatnonzero(feature >= 0)
     raw_thr = np.zeros(n_nodes)
-    left = np.full(n_nodes, -1, dtype=np.int32)
-    right = np.full(n_nodes, -1, dtype=np.int32)
-    value = np.zeros(n_nodes)
-    leaf_sums = hists[:n_leaves, :2].sum(axis=(2, 3)).tolist()  # (G.sum(), H.sum()) per slot
-    row_values = np.empty(m)
-    for nid in range(n_nodes):
-        if nid in children:
-            f, t, lid, rid = children[nid]
-            feature[nid] = f
-            bin_thr[nid] = t
-            raw_thr[nid] = mapper.raw_threshold(f, t)
-            left[nid] = lid
-            right[nid] = rid
-        else:
-            g_sum, h_sum = leaf_sums[slot[nid]]
-            value[nid] = -lr * g_sum / (h_sum + reg)
-            begin, end = span[nid]
-            row_values[begin:end] = value[nid]
-    tree = Tree(feature, bin_thr, raw_thr, left, right, value, feature_gain)
-    return tree, row_values, order
+    raw_thr[internal] = [mapper.raw_threshold(f, t) for f, t in
+                         zip(feature[internal].tolist(), bin_thr[internal].tolist())]
+    return Tree(feature, bin_thr, raw_thr, left, right, value, feature_gain), values, order
+
+
+def _check_status(status: int) -> None:
+    """Raise for the negative statuses of _kernel.c's growers."""
+    if status == -1:  # ZERO_DENOMINATOR
+        raise ZeroDivisionError("a leaf's hessian sum plus l2_leaf_reg is 0")
+    if status == -2:  # NO_MEMORY
+        raise MemoryError("the tree kernel could not allocate its buffers")
 
 
 @dataclass
@@ -207,16 +162,6 @@ class ObliviousTree:
     def depth(self) -> int:
         return len(self.features)
 
-    def _leaf_index_codes(self, codes: np.ndarray) -> np.ndarray:
-        idx = np.zeros(codes.shape[0], dtype=np.int64)
-        for lvl in range(self.depth):
-            bit = codes[:, self.features[lvl]] > self.bin_thresholds[lvl]
-            idx = idx * 2 + bit
-        return idx
-
-    def predict_codes(self, codes: np.ndarray) -> np.ndarray:
-        return self.leaf_values[self._leaf_index_codes(codes)]
-
     def predict_raw(self, X: np.ndarray) -> np.ndarray:
         idx = np.zeros(X.shape[0], dtype=np.int64)
         for lvl in range(self.depth):
@@ -228,55 +173,36 @@ class ObliviousTree:
 
 def grow_oblivious(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
                    rows: np.ndarray, feats: np.ndarray, mapper: BinMapper,
-                   max_depth: int, min_data: int, reg: float,
-                   lr: float) -> tuple[ObliviousTree, np.ndarray, np.ndarray]:
+                   max_depth: int, min_data: int, reg: float, lr: float,
+                   passengers: np.ndarray | None = None
+                   ) -> tuple[ObliviousTree, np.ndarray, np.ndarray]:
     """Grow an oblivious tree: each level picks the single (feature, bin)
     whose gain summed over the level's nodes is largest.
 
     Nodes where a candidate split would violate min_data contribute zero to
     its total. Growth stops when no candidate has positive total gain.
+    Returns the tree plus (values, order) as grow_leafwise does; here
+    `order` is the rows, then the passengers, as given.
     """
-    kern, codes, g, h, rows, feats = _kernel_inputs(codes, g, h, rows, feats)
-    n, nf, m = codes.shape[0], feats.shape[0], rows.shape[0]
-    node_of_row = np.zeros(m, dtype=np.int64)
-    gr = g[rows]
-    hr = h[rows]
-    # (feature, G/H/count, node, bin) histograms of the deepest level
-    hists = np.empty(nf * 3 * (1 << max(max_depth - 1, 0)) * N_HIST)
-    best = np.empty(3)
-    c, rp, grp, hrp, nodep, fp, hist0, bp = (a.ctypes.data for a in (
-        codes, rows, gr, hr, node_of_row, feats, hists, best))
-    feat_ids = feats.tolist()
-    level_feats: list[int] = []
-    level_bins: list[int] = []
+    kern, codes, g, h, idx, m, feats = _kernel_inputs(codes, g, h, rows, feats, passengers)
+    max_depth = max(max_depth, 0)
+    level_feats, level_bins = (np.empty(max_depth, dtype=np.int32) for _ in range(2))
+    leaf_values = np.empty(1 << max_depth)
     feature_gain = np.zeros(codes.shape[1])
-
-    for depth in range(max_depth):
-        n_nodes = 1 << depth
-        kern.obl_hist(c, n, rp, m, grp, hrp, nodep, fp, nf, n_nodes, hist0)
-        level = hists[:nf * 3 * n_nodes * N_HIST].reshape(nf, 3, n_nodes, N_HIST)
-        totals = level.sum(axis=3)
-        kern.obl_scan(hist0, totals.ctypes.data, nf, n_nodes, reg, min_data, bp)
-        best_total, fpos, t = best.tolist()
-        if fpos < 0 or best_total <= 0:
-            break
-        f, t = feat_ids[int(fpos)], int(t)
-        level_feats.append(f)
-        level_bins.append(t)
-        feature_gain[f] += best_total
-        kern.obl_route(c, n, rp, m, f, t, nodep)
-
-    depth = len(level_feats)
-    n_leaves = 1 << depth
-    g_leaf = np.bincount(node_of_row, weights=gr, minlength=n_leaves)
-    h_leaf = np.bincount(node_of_row, weights=hr, minlength=n_leaves)
-    values = -lr * g_leaf / (h_leaf + reg)
-    values[np.bincount(node_of_row, minlength=n_leaves) == 0] = 0.0
+    values = np.empty(idx.shape[0])
+    depth = kern.obl_grow(
+        codes.ctypes.data, codes.shape[0], g.ctypes.data, h.ctypes.data, idx.ctypes.data,
+        m, idx.shape[0] - m, feats.ctypes.data, feats.shape[0], max_depth, min_data, reg, lr,
+        level_feats.ctypes.data, level_bins.ctypes.data, leaf_values.ctypes.data,
+        feature_gain.ctypes.data, values.ctypes.data)
+    _check_status(depth)
+    level_feats, level_bins = level_feats[:depth], level_bins[:depth]
     tree = ObliviousTree(
-        np.array(level_feats, dtype=np.int32),
-        np.array(level_bins, dtype=np.int32),
-        np.array([mapper.raw_threshold(f, t) for f, t in zip(level_feats, level_bins)]),
-        values,
+        level_feats,
+        level_bins,
+        np.array([mapper.raw_threshold(f, t)
+                  for f, t in zip(level_feats.tolist(), level_bins.tolist())]),
+        leaf_values[:1 << depth],
         feature_gain,
     )
-    return tree, values[node_of_row], rows
+    return tree, values, idx

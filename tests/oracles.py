@@ -13,7 +13,7 @@ import numpy as np
 from autotab.data import (DATETIME_FORMATS, DATETIME_PARSE_THRESHOLD, EPOCH_FORMAT,
                           EPOCH_RANGE, Column, _epoch_int_to_datetime)
 from autotab.gbm.binning import BinMapper
-from autotab.gbm.trees import ObliviousTree, Tree
+from autotab.gbm.trees import ObliviousTree, Tree, route
 
 
 def gini_pairwise(y, x, task_kind=None) -> float:
@@ -241,6 +241,19 @@ def level_walk(feature, threshold, left, right, value, X) -> np.ndarray:
         go_left = x <= threshold[idx[sub]]  # NaN -> right
         idx[sub] = np.where(go_left, left[idx[sub]], right[idx[sub]])
     return value[idx]
+
+
+def predict_codes(tree, codes: np.ndarray) -> np.ndarray:
+    """Leaf value of every row of bin codes, the way boosting walked each new
+    tree for its left-out and validation rows before the growers carried them
+    as passengers: `route` over a leaf-wise tree's bin thresholds, the level
+    bits of an oblivious tree."""
+    if isinstance(tree, ObliviousTree):
+        idx = np.zeros(codes.shape[0], dtype=np.int64)
+        for lvl in range(tree.depth):
+            idx = idx * 2 + (codes[:, tree.features[lvl]] > tree.bin_thresholds[lvl])
+        return tree.leaf_values[idx]
+    return route(tree.feature, tree.bin_threshold, tree.left, tree.right, tree.value, codes)
 
 
 # The numpy tree kernel, as the growers in autotab.gbm.trees ran before the

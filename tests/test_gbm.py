@@ -9,6 +9,7 @@ from autotab.metrics import MetricSpec
 from autotab.stopping import best_iteration
 
 from conftest import make_binary
+from oracles import predict_codes
 
 
 def make_xor(n=400, seed=0):
@@ -201,7 +202,7 @@ class TestBoosting:
         assert any(np.isinf(t.raw_threshold if flavor == "leaf_wise" else t.raw_thresholds).any()
                    for t in res.estimator.trees)
         for tree in res.estimator.trees:
-            assert np.array_equal(tree.predict_raw(X), tree.predict_codes(codes))
+            assert np.array_equal(tree.predict_raw(X), predict_codes(tree, codes))
 
     @pytest.mark.parametrize("flavor", ["leaf_wise", "symmetric_depth_wise"])
     @pytest.mark.parametrize("task_kind", ["binary", "multiclass"])
@@ -239,9 +240,9 @@ class TestBoosting:
             assert np.array_equal(seen[it], raw)
             for c, tree in enumerate(trees if n_classes else [trees]):
                 if n_classes:
-                    raw[:, c] += tree.predict_codes(codes)
+                    raw[:, c] += predict_codes(tree, codes)
                 else:
-                    raw += tree.predict_codes(codes)
+                    raw += predict_codes(tree, codes)
         assert len(seen) == len(est.trees) == 6
 
     def test_no_features_rejected(self):
@@ -255,6 +256,9 @@ class TestBoosting:
             GBMParams(subsample=1.5)
         with pytest.raises(ConfigError):
             GBMParams(flavor="exact")
+        for reg in (0.0, -1.0, float("nan")):
+            with pytest.raises(ConfigError):
+                GBMParams(l2_leaf_reg=reg)
 
     def test_oblivious_tree_shares_level_splits(self):
         X, y = make_xor(300, seed=9)

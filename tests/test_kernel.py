@@ -5,12 +5,15 @@ NaN gradients, zero hessians with reg=0 (0/0 gains), node sizes of 1-800
 rows and 1-50 features, histograms derived by subtraction (so empty bins
 carry float residuals), and min_data above the node size. Each property
 compares histograms, best splits, oblivious level totals or whole trees.
+Passenger rows, which a grower routes without adding them to histograms,
+must land on the leaf that routing the finished tree gives them.
 """
 
 import dataclasses
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +21,7 @@ from autotab.gbm import GBMParams, boosting, fit_booster
 from autotab.gbm import trees as kernel_trees
 from autotab.gbm.binning import BinMapper
 from autotab.gbm.native import kernel
+from autotab.metrics import default_metric
 
 import oracles
 
@@ -174,6 +178,13 @@ def test_oblivious_level_equals_oracle(case, depth):
     assert (int(best[1]), int(best[2])) == (best_fpos, best_t)
 
 
+def _grow_or_none(grow, *args, **kwargs):
+    try:
+        return grow(*args, **kwargs)
+    except ZeroDivisionError:  # a leaf with zero hessian sum and reg=0
+        return None
+
+
 def _same_tree(a, b) -> bool:
     return all(_same_bits(getattr(a, f.name), getattr(b, f.name))
                for f in dataclasses.fields(a))
@@ -185,13 +196,8 @@ def test_grown_trees_equal_oracle(case, max_leaves, max_depth):
     args = (case.codes, case.g, case.h, case.rows, case.feats, case.mapper)
     tail = (case.min_data, case.reg, 0.1)
     for grow, size in (("grow_leafwise", max_leaves), ("grow_oblivious", max_depth)):
-        outcomes = []
-        for module in (kernel_trees, oracles):
-            try:
-                outcomes.append(getattr(module, grow)(*args, size, *tail))
-            except ZeroDivisionError:  # a leaf with zero hessian sum and reg=0
-                outcomes.append(None)
-        got, want = outcomes
+        got, want = (_grow_or_none(getattr(module, grow), *args, size, *tail)
+                     for module in (kernel_trees, oracles))
         assert (got is None) == (want is None)
         if got is None:
             continue
@@ -203,36 +209,140 @@ def test_grown_trees_equal_oracle(case, max_leaves, max_depth):
         assert _same_bits(by_row[want[2]], want[1])
 
 
+@settings(max_examples=60)
+@given(cases(), st.integers(1, 40), st.integers(1, 6), st.sampled_from(
+    ["none", "empty", "out_of_bag", "validation", "both"]), st.integers(0, 2**16))
+def test_passengers_land_where_routing_sends_them(case, max_leaves, max_depth, kind, seed):
+    """Passengers leave the tree and the training rows' values unchanged and
+    get the leaf value that routing their codes through the tree gives."""
+    rng = np.random.default_rng(seed)
+    n = case.codes.shape[0]
+    out_of_bag = np.setdiff1d(np.arange(n), case.rows)
+    extra = case.codes[rng.integers(0, n, size=int(rng.integers(1, 60)))]
+    codes = np.asfortranarray(np.concatenate([case.codes, extra]))  # validation rows below
+    validation = rng.permutation(np.arange(n, codes.shape[0]))
+    passengers = {"none": None, "empty": np.empty(0, dtype=np.int64), "out_of_bag": out_of_bag,
+                  "validation": validation,
+                  "both": np.concatenate([out_of_bag, validation])}[kind]
+    given = np.empty(0, dtype=np.int64) if passengers is None else passengers
+    for grow, size in zip((kernel_trees.grow_leafwise, kernel_trees.grow_oblivious),
+                          (max_leaves, max_depth)):
+        args = (case.g, case.h, case.rows, case.feats, case.mapper, size, case.min_data,
+                case.reg, 0.1)
+        alone = _grow_or_none(grow, case.codes, *args)
+        got = _grow_or_none(grow, codes, *args, passengers=passengers)
+        assert (got is None) == (alone is None)
+        if got is None:
+            continue
+        tree, values, order = got
+        m = len(case.rows)
+        assert _same_tree(tree, alone[0])
+        assert _same_bits(values[:m], alone[1]) and _same_bits(order[:m], alone[2])
+        riders = order[m:]
+        assert _same_bits(np.sort(riders), np.sort(given))
+        assert _same_bits(values[m:], oracles.predict_codes(tree, codes[riders]))
+
+
+def test_out_of_range_indices_raise_before_the_kernel_runs():
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(50, 3))
+    mapper = BinMapper().fit(X)
+    codes = mapper.transform(X)
+    g, h = rng.normal(size=50), np.ones(50)
+    rows, feats = np.arange(40), np.arange(3)
+    for grow in (kernel_trees.grow_leafwise, kernel_trees.grow_oblivious):
+        tail = (mapper, 4, 1, 1.0, 0.1)
+        for passengers in ([50], [-1], [3, 2**40]):
+            with pytest.raises(ValueError, match="passengers"):
+                grow(codes, g, h, rows, feats, *tail, passengers=np.array(passengers))
+        with pytest.raises(ValueError, match="rows"):  # g and h cover rows 0..39 only
+            grow(codes, g[:40], h[:40], np.arange(41), feats, *tail)
+        for bad in (np.ascontiguousarray(codes[:, :2]), codes.astype(np.int64)):
+            with pytest.raises(ValueError, match="codes"):
+                grow(bad, g, h, rows, feats[:2], *tail)
+
+
+def test_pairwise_sum_equals_numpy():
+    """The kernel's bin totals and leaf sums are np.add.reduce bit for bit:
+    0.0 plus numpy's pairwise sum, on every length up to 13,000.
+
+    NaNs and infinities go into separate arrays. When both operands of an add
+    are NaN the CPU returns the first one, and which operand comes first in a
+    commutative add is the compiler's choice; so an array holding NaNs of
+    both signs (inf - inf makes a negative one) would test two compilers'
+    register allocation, not the order of the sums."""
+    rng = np.random.default_rng(3)
+    size = 13_000 + 8
+    finite = rng.normal(size=size) * 10.0 ** rng.integers(-8, 9, size=size)
+    finite[rng.random(size) < 0.05] = -0.0
+    with_nan, with_inf = finite.copy(), finite.copy()
+    with_nan[rng.integers(0, size, size=6)] = np.nan
+    with_inf[rng.integers(0, size, size=6)] = np.inf
+    with_inf[rng.integers(0, size, size=6)] = -np.inf
+    arrays = [finite, with_nan, with_inf, np.full(size, -0.0), np.full(size, 1e308)]
+    kern = kernel()
+    with np.errstate(all="ignore"):
+        for n in range(1, 13_001):
+            start = n % 8  # unaligned starts too
+            for a in arrays:
+                got = kern.pairwise_sum(a[start:].ctypes.data, n)
+                assert _same_bits(np.float64(got), np.add.reduce(a[start:start + n])), (n, start)
+
+
+def _with_oracle_passengers(grow):
+    """An oracle grower that routes passengers through the tree it grew."""
+    def grower(codes, g, h, rows, feats, mapper, size, min_data, reg, lr, passengers=None):
+        tree, values, order = grow(codes, g, h, rows, feats, mapper, size, min_data, reg, lr)
+        if passengers is None:
+            return tree, values, order
+        return (tree, np.concatenate([values, oracles.predict_codes(tree, codes[passengers])]),
+                np.concatenate([order, passengers]))
+    return grower
+
+
 @settings(max_examples=30)
 @given(st.sampled_from(["binary", "regression", "multiclass"]),
        st.sampled_from(["leaf_wise", "symmetric_depth_wise"]),
-       st.floats(0.3, 1.0), st.floats(0.3, 1.0), st.integers(0, 2**16))
-def test_fit_booster_equals_oracle_growers(task_kind, flavor, subsample, colsample, seed):
+       st.floats(0.3, 1.0), st.floats(0.3, 1.0), st.booleans(), st.integers(0, 2**16))
+def test_fit_booster_equals_oracle_growers(task_kind, flavor, subsample, colsample, validate,
+                                           seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(20, 300))
-    X = rng.normal(size=(n, int(rng.integers(1, 8))))
+    n_val = int(rng.integers(5, 100)) if validate else 0
+    X = rng.normal(size=(n + n_val, int(rng.integers(1, 8))))
     X[rng.random(X.shape) < 0.1] = np.nan
-    signal = np.nan_to_num(X[:, 0]) + rng.normal(size=n)
+    signal = np.nan_to_num(X[:, 0]) + rng.normal(size=n + n_val)
     n_classes = 3 if task_kind == "multiclass" else 0
     y = {"binary": (signal > 0).astype(np.int64),
          "regression": signal,
          "multiclass": np.digitize(signal, [-0.5, 0.5])}[task_kind]
     if task_kind == "multiclass":
         y[:3] = [0, 1, 2]
+        y[n:n + 3] = [0, 1, 2][:n_val]
     elif task_kind == "binary":
         y[:2] = [0, 1]
-    params = GBMParams(n_estimators_cap=4, max_leaves=int(rng.integers(2, 12)),
+        y[n:n + 2] = [0, 1][:n_val]
+    params = GBMParams(n_estimators_cap=int(rng.integers(4, 12)),
+                       max_leaves=int(rng.integers(2, 12)),
                        max_depth=int(rng.integers(1, 5)), subsample=subsample,
                        colsample=colsample, min_data_in_leaf=int(rng.integers(1, 6)),
                        flavor=flavor)
+    val = (dict(X_val=X[n:], y_val=y[n:], metric=default_metric(task_kind), patience=2)
+           if validate else {})
 
     def fit():
-        return fit_booster(X, y, params, task_kind, n_classes, seed=seed).estimator
+        return fit_booster(X[:n], y[:n], params, task_kind, n_classes, seed=seed, **val)
 
     got = fit()
-    with mock.patch.object(boosting, "grow_leafwise", oracles.grow_leafwise), \
-            mock.patch.object(boosting, "grow_oblivious", oracles.grow_oblivious):
+    with mock.patch.object(boosting, "grow_leafwise",
+                           _with_oracle_passengers(oracles.grow_leafwise)), \
+            mock.patch.object(boosting, "grow_oblivious",
+                              _with_oracle_passengers(oracles.grow_oblivious)):
         want = fit()
-    assert all(_same_bits(a, b) for a, b in zip(got.forest.fields, want.forest.fields))
-    assert _same_bits(got.forest.offsets, want.forest.offsets)
-    assert _same_bits(got.feature_gain_, want.feature_gain_)
+    assert all(_same_bits(a, b) for a, b in zip(got.estimator.forest.fields,
+                                                want.estimator.forest.fields))
+    assert _same_bits(got.estimator.forest.offsets, want.estimator.forest.offsets)
+    assert _same_bits(got.estimator.feature_gain_, want.estimator.feature_gain_)
+    assert _same_bits(got.eval_history, want.eval_history)
+    assert got.best_iteration == want.best_iteration
+    assert len(got.eval_history) == (got.best_iteration + 1 if validate else 0)

