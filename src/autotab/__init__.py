@@ -2,9 +2,27 @@
 
 Library entry points: build a Dataset from a CSV or arrays, then fit_preset
 (or utilized_fit for big budgets) and predict through the returned artifact.
+
+The LAMA_THREADS environment variable caps the BLAS and OpenMP worker pools.
+A pool's size is read when numpy loads, so the cap is applied here, before
+anything imports numpy; it has no effect if numpy was loaded first.
 """
 
-from .budget import TimeBudget
+import os
+
+
+def _apply_thread_cap() -> None:
+    cap = os.environ.get("LAMA_THREADS")
+    if not cap:
+        return
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(var, cap)
+
+
+_apply_thread_cap()
+
+from .budget import TimeBudget  # noqa: E402  (after the thread cap)
 from .data import (Dataset, RawTable, Task, build_dataset, dataset_from_arrays,
                    read_csv)
 from .encoders import EncoderSpec, norm_gini

@@ -2,8 +2,8 @@
 
 Exit codes are the machine contract: 0 success, 2 data error, 3 config
 error. Messages on stderr are free-form. The LAMA_THREADS environment
-variable caps the numeric worker pools and must be applied before numpy
-loads, so heavy imports happen inside main().
+variable caps the numeric worker pools: importing this module runs
+`autotab/__init__.py`, which applies the cap before numpy loads.
 """
 
 from __future__ import annotations
@@ -27,15 +27,6 @@ _CONFIG_KEYS = {
 _CV_KEYS = {"kind", "k", "seed", "holdout_fraction", "group_column",
             "time_column", "fold_of_row"}
 _TASK_KINDS = ("binary", "multiclass", "regression", "auto")
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("LAMA_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _load_config(path: str | None) -> dict:
@@ -246,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     from .errors import BudgetError, ConfigError, DataError

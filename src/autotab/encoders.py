@@ -3,8 +3,10 @@
 Normalized Gini is |C - D| / P over row pairs, where C and D count strictly
 concordant and discordant pairs of (feature, target) and P counts pairs whose
 targets differ. It is the sorting-quality proxy behind auto-typing and
-encoder selection. The implementation is O(n log n): a rank identity for
-two-valued targets and an exact Kendall-statistic reconstruction otherwise.
+encoder selection. Both counts are exact integers in O(n log n): a rank
+identity for two-valued targets, and otherwise a sort by (x, y) followed by
+a merge-sort count of discordant pairs in the compiled kernel
+(`gbm/native.py`, so scoring a many-valued target needs the C compiler `cc`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from .errors import DataError
 from .metrics import positive_rank_sum
@@ -54,22 +55,45 @@ def _binary_concordance(y01: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     return c_minus_d, p
 
 
+def _run_ties(new_run: np.ndarray) -> int:
+    """Tied pairs within the runs of a sorted sequence; `new_run` marks each
+    run's first element."""
+    counts = np.diff(np.append(np.flatnonzero(new_run), new_run.shape[0]))
+    return int((counts * (counts - 1) // 2).sum())
+
+
 def _general_concordance(y: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """Exact (C - D, P) for arbitrary targets via the Kendall tau-b statistic."""
+    """Exact (C - D, P) for arbitrary targets.
+
+    With the rows sorted by (x, y), a pair i < j tied in neither x nor y is
+    discordant exactly when y_i > y_j, and pairs tied in x are never out of
+    order in y. So C - D = n0 - nx - ny + nxy - 2 * dis, where n0 counts all
+    pairs, nx, ny and nxy the pairs tied in x, in y and in both, and dis the
+    pairs out of order in y.
+    """
+    from .gbm.native import kernel  # fitting only: prediction never scores
+
     n = y.shape[0]
     n0 = n * (n - 1) // 2
     ny = _pair_ties(y)
-    nx = _pair_ties(x)
     p = float(n0 - ny)
-    if p == 0 or n0 == nx:
+    if p == 0:
         return 0.0, p
-    tau = kendalltau(x, y).statistic
-    if not np.isfinite(tau):
+    order = np.lexsort((y, x))
+    xs = x[order]
+    ys = np.ascontiguousarray(y[order], dtype=np.float64)
+    new_x = np.empty(n, dtype=bool)
+    new_x[0] = True
+    np.not_equal(xs[1:], xs[:-1], out=new_x[1:])
+    nx = _run_ties(new_x)
+    if nx == n0:
         return 0.0, p
-    # tau-b = (C - D) / sqrt((n0 - nx)(n0 - ny)); C - D is an integer, so
-    # rounding the product recovers it exactly
-    c_minus_d = float(np.rint(tau * np.sqrt(float(n0 - nx) * float(n0 - ny))))
-    return c_minus_d, p
+    new_xy = new_x.copy()
+    new_xy[1:] |= ys[1:] != ys[:-1]
+    nxy = _run_ties(new_xy)
+    tmp = np.empty(n)
+    dis = kernel().discordant_pairs(ys.ctypes.data, n, tmp.ctypes.data)
+    return float(n0 - nx - ny + nxy - 2 * dis), p
 
 
 def norm_gini(y: np.ndarray, x: np.ndarray, task_kind: str | None = None) -> float:

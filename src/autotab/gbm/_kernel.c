@@ -1,5 +1,6 @@
 /* The tree kernel of trees.py: each tree grows in one call, leaf_grow
  * (best-first leaf-wise) or obl_grow (oblivious, one split per level).
+ * discordant_pairs, at the end, is the Kendall pair count of encoders.py.
  *
  * Every loop repeats the float order of the numpy kernel it replaced (kept in
  * tests/oracles.py), so trees are bit-identical to it:
@@ -446,4 +447,38 @@ done:
     free(h_leaf);
     free(count);
     return depth;
+}
+
+/* The pairs i < j of y[0:n] with y[i] > y[j] strictly (Kendall's discordant
+ * pairs once the rows are sorted by (x, y); Knight, JASA 1966). A bottom-up
+ * merge sort counts, at each merge, the left-run values still waiting when a
+ * strictly smaller right-run value moves first. It overwrites y and tmp,
+ * which holds n doubles. */
+int64_t discordant_pairs(double *y, int64_t n, double *tmp)
+{
+    int64_t count = 0;
+    double *src = y, *dst = tmp;
+    for (int64_t width = 1; width < n; width *= 2) {
+        for (int64_t lo = 0; lo < n; lo += 2 * width) {
+            int64_t mid = lo + width < n ? lo + width : n;
+            int64_t hi = mid + width < n ? mid + width : n;
+            int64_t i = lo, j = mid, k = lo;
+            while (i < mid && j < hi) {
+                if (src[j] < src[i]) {
+                    count += mid - i;
+                    dst[k++] = src[j++];
+                } else {
+                    dst[k++] = src[i++];
+                }
+            }
+            while (i < mid)
+                dst[k++] = src[i++];
+            while (j < hi)
+                dst[k++] = src[j++];
+        }
+        double *swap = src;
+        src = dst;
+        dst = swap;
+    }
+    return count;
 }

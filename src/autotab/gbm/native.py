@@ -1,9 +1,11 @@
-"""Build and load the compiled tree kernel, `_kernel.c`, with the system `cc`.
+"""Build and load the compiled kernel, `_kernel.c`, with the system `cc`.
 
 The library is built on first use, never at import, into `__pycache__/`
 next to the source. Its name carries a hash of the source, the flags and
 the compiler version, so an edit or a new compiler builds a new one. Only
-training needs it: routing and prediction run in numpy.
+fitting needs it: GBM training grows its trees there, and auto-typing a
+regression target counts Kendall's discordant pairs there
+(`encoders.norm_gini`). Routing and prediction run in numpy.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ SIGNATURES = {  # name -> (restype, argtypes), as declared in _kernel.c
     "obl_scan": (None, [_P, _P, _I, _I, _D, _D, _P]),
     "obl_grow": (_I, [_P, _I, _P, _P, _P, _I, _I, _P, _I, _I, _I, _D, _D,
                       _P, _P, _P, _P, _P]),
+    "discordant_pairs": (_I, [_P, _I, _P]),
 }
 
 

@@ -359,7 +359,8 @@ def fit_linear(dataset: Dataset, folds: FoldAssignment,
         if f == 0 and budget.expired():
             raise BudgetError("time budget exhausted before the first linear fold")
         if f > 0 and budget.expired() and best_lam is not None:
-            x = solve(X[tr], y_fit[tr], best_lam, task.kind, task.n_classes)
+            x = solve(X[tr], y_fit[tr], best_lam, task.kind, task.n_classes,
+                      max_iterations=params.max_iterations, tolerance=params.tolerance)
             est = unpack(x, X.shape[1], task.kind, task.n_classes, best_lam)
             score = evaluate(metric, y[va], est.predict(X[va]))
             history = [score]

@@ -6,8 +6,14 @@ the validation metric (the path has a single optimum in practice).
 
 Regression minimises a squared loss, so one SVD of the centered training
 matrix gives the exact ridge solution at every strength (`RidgePath`). The
-binary and multiclass losses have no closed form: each grid point is an
-L-BFGS solve warm-started from the previous one.
+binary and multiclass losses have no closed form: each grid point is a
+truncated Newton solve warm-started from the previous one, as in LIBLINEAR
+(Lin, Weng & Keerthi, JMLR 2008). Each Newton step runs conjugate
+gradients on H d = -g, scaled by the diagonal of H, with Hessian-vector
+products (H is never formed), then halves the step along d until the
+objective decreases enough (Armijo). The line search computes the change of
+the objective directly, not as a difference of two values, so it still
+sees the tiny gains of the last steps.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .budget import TimeBudget, unlimited
 from .errors import ConfigError
@@ -24,6 +29,10 @@ from .metrics import MetricSpec, evaluate
 from .stopping import best_iteration
 
 PATH_PATIENCE = 2
+RELATIVE_DECREASE = 1e-15  # a Newton step that gains less ends the solve
+ARMIJO = 1e-4  # a step must gain this share of its first-order prediction
+MAX_HALVINGS = 50  # of a Newton step in the line search
+CG_STEPS_PER_UNKNOWN = 10  # caps the conjugate gradients of one Newton step
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -32,8 +41,9 @@ def default_lambda_grid() -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearParams:
-    """`max_iterations` and `tolerance` apply to the L-BFGS losses (binary
-    and multiclass) only; the regression path is solved exactly."""
+    """`max_iterations` (Newton steps) and `tolerance` (on the largest
+    gradient entry) apply to the binary and multiclass losses only; the
+    regression path is solved exactly."""
 
     lam_grid: tuple = field(default_factory=lambda: tuple(default_lambda_grid()))
     max_iterations: int = 500
@@ -67,33 +77,189 @@ class LinearEstimator:
         return raw
 
 
-def _binary_objective(x, X, y, lam):
-    w, b = x[:-1], x[-1]
-    z = X @ w + b
-    p = sigmoid(z)
-    n = X.shape[0]
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * lam * float(w @ w)
-    grad_w = X.T @ (p - y) / n + lam * w
-    grad_b = float(np.mean(p - y))
-    return loss, np.concatenate([grad_w, [grad_b]])
+class _Loss:
+    """mean(row loss of z) + 0.5*lam*|W|^2 of the packed x = (W.ravel(), b),
+    where z = X W + b: W is (d,) and b is (1,) for the binary loss, W is
+    (d, C) and b is (C,) for the multiclass loss.
+
+    `gradient(x, z)` also fixes the point at which `hessp`, `diagonal` and
+    `change` work. A subclass gives the row loss, its derivative in z, its
+    curvature (Hessian products in z) and its accurate small changes.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, lam: float, shape: tuple) -> None:
+        self.X, self.y, self.lam, self.shape = X, y, lam, shape
+        self.X2 = X * X
+        self.cut = int(np.prod(shape))
+        self.size = self.cut + (shape[1] if len(shape) == 2 else 1)
+
+    def _unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return x[:self.cut].reshape(self.shape), x[self.cut:]
+
+    def scores(self, x: np.ndarray) -> np.ndarray:
+        W, b = self._unpack(x)
+        return self.X @ W + b
+
+    def value(self, x: np.ndarray, z: np.ndarray) -> float:
+        W, _ = self._unpack(x)
+        return float(np.mean(self._row_losses(z))) + 0.5 * self.lam * float((W * W).sum())
+
+    def gradient(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        W, _ = self._unpack(x)
+        self.z = z
+        G = self._row_gradients(z)
+        return np.append((self.X.T @ G / z.shape[0] + self.lam * W).ravel(), G.mean(axis=0))
+
+    def hessp(self, v: np.ndarray) -> np.ndarray:
+        V, _ = self._unpack(v)
+        zv = self.scores(v)
+        R = self._row_hessp(zv) / zv.shape[0]
+        return np.append((self.X.T @ R + self.lam * V).ravel(), R.sum(axis=0))
+
+    def diagonal(self) -> np.ndarray:
+        """The Hessian's diagonal, floored where it is 0 (a zero column at
+        lam = 0, saturated scores): it scales the conjugate gradients."""
+        c = self.p * (1.0 - self.p) / self.z.shape[0]
+        diag = np.append((self.X2.T @ c + self.lam).ravel(), c.sum(axis=0))
+        return np.where(diag > 0.0, diag, 1.0)
+
+    def precondition(self, r: np.ndarray, diag: np.ndarray) -> np.ndarray:
+        return r / diag
+
+    def change(self, x: np.ndarray, d: np.ndarray, dz: np.ndarray) -> float:
+        """f(x + d) - f(x), where dz are the scores of d. Below a unit change
+        of every score it is accurate relative to itself, not to f, so a
+        line search sees gains far below the rounding of f."""
+        W, _ = self._unpack(x)
+        D, _ = self._unpack(d)
+        if np.max(np.abs(dz)) <= 1.0:
+            rows = self._small_change(dz)
+        else:
+            rows = self._row_losses(self.z + dz) - self._row_losses(self.z)
+        return (float(np.mean(rows))
+                + self.lam * (float((W * D).sum()) + 0.5 * float((D * D).sum())))
 
 
-def _multiclass_objective(x, X, y, lam, n_classes):
-    d = X.shape[1]
-    W = x[: d * n_classes].reshape(d, n_classes)
-    b = x[d * n_classes:]
-    z = X @ W + b
-    p = softmax(z)
-    n = X.shape[0]
-    idx = np.arange(n)
-    zmax = z.max(axis=1)
-    logsum = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
-    loss = float(np.mean(logsum - z[idx, y])) + 0.5 * lam * float((W * W).sum())
-    G = p.copy()
-    G[idx, y] -= 1.0
-    grad_W = X.T @ G / n + lam * W
-    grad_b = G.mean(axis=0)
-    return loss, np.concatenate([grad_W.ravel(), grad_b])
+class _Logistic(_Loss):
+    """Binary rows log(1 + e^z) - y z, with y in {0, 1}."""
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, lam: float) -> None:
+        super().__init__(X, y, lam, (X.shape[1],))
+
+    def _row_losses(self, z):
+        return np.logaddexp(0.0, z) - self.y * z
+
+    def _row_gradients(self, z):
+        self.p = sigmoid(z)
+        return self.p - self.y
+
+    def _row_hessp(self, zv):
+        return self.p * (1.0 - self.p) * zv
+
+    def _small_change(self, dz):
+        # log(1 + e^(z + dz)) - log(1 + e^z) = log1p(expm1(dz) * sigmoid(z))
+        return np.log1p(np.expm1(dz) * self.p) - self.y * dz
+
+
+class _Softmax(_Loss):
+    """Multiclass rows logsumexp(z) - z[y], with y in 0..C-1.
+
+    Adding one constant to every intercept changes nothing, so the Hessian
+    is singular along that direction. Gradients and Hessian products have
+    intercept parts that sum to 0, and `precondition` keeps that, so no
+    step moves along it.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, lam: float, n_classes: int) -> None:
+        super().__init__(X, y, lam, (X.shape[1], n_classes))
+        self.rows = np.arange(X.shape[0])
+
+    def _row_losses(self, z):
+        zmax = z.max(axis=1)
+        return zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1)) - z[self.rows, self.y]
+
+    def _row_gradients(self, z):
+        self.p = softmax(z)
+        G = self.p.copy()
+        G[self.rows, self.y] -= 1.0
+        return G
+
+    def _row_hessp(self, zv):
+        return self.p * (zv - (self.p * zv).sum(axis=1, keepdims=True))
+
+    def _small_change(self, dz):
+        # logsumexp(z + dz) - logsumexp(z) = log1p(sum(softmax(z) * expm1(dz)))
+        return np.log1p((self.p * np.expm1(dz)).sum(axis=1)) - dz[self.rows, self.y]
+
+    def precondition(self, r: np.ndarray, diag: np.ndarray) -> np.ndarray:
+        s = r / diag
+        s[self.cut:] -= s[self.cut:].mean()
+        return s
+
+
+def _conjugate_gradient(loss: _Loss, g: np.ndarray) -> np.ndarray:
+    """An approximate solution d of H d = -g by conjugate gradients, scaled
+    by the Hessian's diagonal.
+
+    Stops once the residual is below min(0.5, |g|) * |g|, which keeps
+    Newton's convergence quadratic, or at a direction of no curvature.
+    Ill-conditioned systems (a weak penalty, nearly separable classes) need
+    more than one iteration per unknown in floating point.
+    """
+    g_norm = float(np.sqrt(g @ g))
+    stop = (min(0.5, g_norm) * g_norm) ** 2
+    diag = loss.diagonal()
+    d = np.zeros_like(g)
+    r = -g
+    s = loss.precondition(r, diag)
+    p = s
+    rs = float(r @ s)
+    for _ in range(CG_STEPS_PER_UNKNOWN * g.shape[0]):
+        hp = loss.hessp(p)
+        curvature = float(p @ hp)
+        if curvature <= 0.0:
+            break
+        alpha = rs / curvature
+        d += alpha * p
+        r = r - alpha * hp
+        if float(r @ r) <= stop:
+            break
+        s = loss.precondition(r, diag)
+        rs_next = float(r @ s)
+        p = s + (rs_next / rs) * p
+        rs = rs_next
+    return d if d.any() else loss.precondition(-g, diag)
+
+
+def _newton(loss: _Loss, x: np.ndarray, max_iterations: int, tolerance: float,
+            trace: list | None) -> np.ndarray:
+    z = loss.scores(x)
+    f = loss.value(x, z)
+    g = loss.gradient(x, z)
+    for _ in range(max_iterations):
+        if np.max(np.abs(g)) <= tolerance:
+            break
+        d = _conjugate_gradient(loss, g)
+        slope = float(g @ d)
+        if not slope < 0.0:
+            break
+        zd = loss.scores(d)  # scores are linear in x: no product per trial step
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            change = loss.change(x, t * d, t * zd)
+            if change <= ARMIJO * t * slope:
+                break
+            t *= 0.5
+        else:
+            break  # no step along d decreases the objective
+        x, z = x + t * d, z + t * zd
+        f_prev, f = f, f + change
+        g = loss.gradient(x, z)
+        if trace is not None:
+            trace.append(f)
+        if -change <= RELATIVE_DECREASE * max(abs(f_prev), abs(f), 1.0):
+            break
+    return x
 
 
 class RidgePath:
@@ -131,28 +297,21 @@ def solve(X: np.ndarray, y: np.ndarray, lam: float, task_kind: str,
           trace: list | None = None) -> np.ndarray:
     """One solve at fixed regularization. Returns the packed solution.
 
-    Regression is solved exactly by `RidgePath`; the other losses use L-BFGS,
-    started from `x0` and stopped by `max_iterations` and `tolerance`. Pass
-    `trace` to record the objective after every L-BFGS iteration.
+    Regression is solved exactly by `RidgePath`. The other losses take
+    Newton steps from `x0` (zeros by default) until the largest gradient
+    entry is at most `tolerance`, a step gains at most a relative 1e-15 of
+    the objective, no step along the Newton direction decreases it, or
+    `max_iterations` steps are done. Pass `trace` to record the objective
+    after every step: it never increases.
     """
     if task_kind == "regression":
         return RidgePath(X, y).solve(lam)
-    d = X.shape[1]
     if task_kind == "multiclass":
-        fun = lambda x: _multiclass_objective(x, X, y, lam, n_classes)
-        size = d * n_classes + n_classes
+        loss = _Softmax(X, y, lam, n_classes)
     else:
-        fun = lambda x: _binary_objective(x, X, y, lam)
-        size = d + 1
-    if x0 is None:
-        x0 = np.zeros(size)
-    callback = None
-    if trace is not None:
-        callback = lambda xk: trace.append(fun(xk)[0])
-    res = minimize(fun, x0, jac=True, method="L-BFGS-B", callback=callback,
-                   options={"maxiter": max_iterations, "gtol": tolerance,
-                            "ftol": 1e-15})
-    return res.x
+        loss = _Logistic(X, y, lam)
+    x = np.zeros(loss.size) if x0 is None else np.asarray(x0, dtype=np.float64)
+    return _newton(loss, x, max_iterations, tolerance, trace)
 
 
 def unpack(x: np.ndarray, d: int, task_kind: str, n_classes: int,
@@ -172,7 +331,7 @@ def fit_lambda_path(X: np.ndarray, y: np.ndarray, X_val: np.ndarray,
     """Walk the strength grid with early stopping.
 
     Regression factors X once and solves every grid point exactly; the other
-    losses warm-start each L-BFGS solve from the previous grid point.
+    losses warm-start each Newton solve from the previous grid point.
     Returns the best estimator, its validation score, and the score history.
     Guarantees at least one grid point is solved even on an expired budget.
     """

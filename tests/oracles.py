@@ -16,6 +16,35 @@ from autotab.gbm.binning import BinMapper
 from autotab.gbm.trees import ObliviousTree, Tree, route
 
 
+def concordance_pairwise(y, x) -> int:
+    """C - D by visiting every pair: ties in x or y count for neither."""
+    y = np.asarray(y, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    return int(sum(np.sign(x[i] - x[i + 1:]) @ np.sign(y[i] - y[i + 1:])
+                   for i in range(len(y))))
+
+
+def concordance_kendalltau(y, x) -> tuple[float, float]:
+    """(C - D, P) reconstructed from scipy's Kendall tau-b, as encoders did
+    before it counted the pairs itself."""
+    from scipy.stats import kendalltau
+
+    from autotab.encoders import _pair_ties
+
+    n = y.shape[0]
+    n0 = n * (n - 1) // 2
+    ny = _pair_ties(y)
+    nx = _pair_ties(x)
+    p = float(n0 - ny)
+    if p == 0 or n0 == nx:
+        return 0.0, p
+    tau = kendalltau(x, y).statistic
+    if not np.isfinite(tau):
+        return 0.0, p
+    # tau-b = (C - D) / sqrt((n0 - nx)(n0 - ny)); C - D is an integer
+    return float(np.rint(tau * np.sqrt(float(n0 - nx) * float(n0 - ny)))), p
+
+
 def gini_pairwise(y, x, task_kind=None) -> float:
     """O(n^2) pair count: |C - D| / P with ties contributing nothing."""
     y = np.asarray(y, dtype=np.float64)
@@ -225,6 +254,50 @@ def cascade_parse_with_schema(name, cells, entry):
         epochs, _ = cascade_parse_datetime_format(cells, fmt)
         return Column(name, "datetime", epochs, datetime_format=fmt)
     return cascade_category_column(name, cells)
+
+
+def sigmoid_masked(z: np.ndarray) -> np.ndarray:
+    """The logistic function as losses.sigmoid computed it before, through
+    boolean masks."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def linear_objective(x, X, y, lam, task_kind, n_classes=0) -> tuple[float, np.ndarray]:
+    """Objective and gradient of linear.solve's binary and multiclass losses,
+    written out on their own."""
+    n, d = X.shape
+    if task_kind == "binary":
+        w, b = x[:-1], x[-1]
+        z = X @ w + b
+        p = np.exp(-np.logaddexp(0.0, -z))
+        loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * lam * float(w @ w)
+        return loss, np.append(X.T @ (p - y) / n + lam * w, np.mean(p - y))
+    W = x[: d * n_classes].reshape(d, n_classes)
+    z = X @ W + x[d * n_classes:]
+    zmax = z.max(axis=1, keepdims=True)
+    ez = np.exp(z - zmax)
+    logsum = zmax[:, 0] + np.log(ez.sum(axis=1))
+    loss = float(np.mean(logsum - z[np.arange(n), y])) + 0.5 * lam * float((W * W).sum())
+    G = ez / ez.sum(axis=1, keepdims=True)
+    G[np.arange(n), y] -= 1.0
+    return loss, np.concatenate([(X.T @ G / n + lam * W).ravel(), G.mean(axis=0)])
+
+
+def lbfgs_solve(X, y, lam, task_kind, n_classes=0, x0=None) -> np.ndarray:
+    """linear.solve's binary and multiclass solve as scipy's L-BFGS-B ran it
+    before the Newton solver replaced it."""
+    from scipy.optimize import minimize
+
+    size = (X.shape[1] + 1) * (n_classes if task_kind == "multiclass" else 1)
+    res = minimize(linear_objective, np.zeros(size) if x0 is None else x0,
+                   args=(X, y, lam, task_kind, n_classes), jac=True, method="L-BFGS-B",
+                   options={"maxiter": 500, "gtol": 1e-8, "ftol": 1e-15})
+    return res.x
 
 
 def level_walk(feature, threshold, left, right, value, X) -> np.ndarray:

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ import pytest
 from autotab.cli import main
 
 from conftest import write_csv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -192,3 +197,23 @@ class TestReportDeterminism:
             reports.append(json.loads(open(os.path.join(out, "report.json")).read()))
         a, b = (self._strip_timing(r) for r in reports)
         assert a == b
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_lama_threads_caps_the_blas_pool():
+    """Importing the CLI applies LAMA_THREADS before numpy loads: a matrix
+    product then runs on the main thread alone."""
+    code = ("import os\n"
+            "import autotab.cli\n"
+            "import numpy as np\n"
+            "a = np.ones((500, 500))\n"
+            "a @ a\n"
+            "print(len(os.listdir('/proc/self/task')))\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "NUMEXPR_NUM_THREADS")}
+    env.update(PYTHONPATH=str(SRC), LAMA_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) == 1

@@ -1,12 +1,49 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from autotab.encoders import (EncoderSpec, fit_target_map, freq_encode,
-                              norm_gini, oof_target_encode, quantile_discretize)
+from autotab.encoders import (EncoderSpec, _general_concordance, fit_target_map,
+                              freq_encode, norm_gini, oof_target_encode,
+                              quantile_discretize)
 from autotab.errors import DataError
 
-from oracles import gini_pairwise, oof_mean_by_hand
+from oracles import (concordance_kendalltau, concordance_pairwise, gini_pairwise,
+                     oof_mean_by_hand)
+
+
+def _column(rng, n, levels):
+    """n floats with `levels` distinct values (ties), or all distinct at 0."""
+    if levels == 0:
+        return rng.normal(size=n)
+    return rng.choice(rng.normal(size=levels) * 10.0, size=n)
+
+
+class TestGeneralConcordance:
+    @given(n=st.integers(2, 60), x_levels=st.integers(0, 6), y_levels=st.integers(0, 6),
+           seed=st.integers(0, 2**16))
+    def test_equals_the_pair_count(self, n, x_levels, y_levels, seed):
+        rng = np.random.default_rng(seed)
+        x, y = _column(rng, n, x_levels), _column(rng, n, y_levels)
+        c_minus_d, p = _general_concordance(y, x)
+        assert c_minus_d == concordance_pairwise(y, x)
+        assert p == n * (n - 1) // 2 - sum(
+            int(np.sum(y[i] == y[i + 1:])) for i in range(n))
+
+    @pytest.mark.parametrize("x_levels,y_levels", [(0, 0), (7, 0), (0, 7), (7, 7),
+                                                   (300, 40), (1, 5), (5, 1)])
+    def test_equals_the_kendalltau_reconstruction(self, x_levels, y_levels):
+        rng = np.random.default_rng(x_levels * 1000 + y_levels)
+        for n in (61, 500, 4000):
+            x, y = _column(rng, n, x_levels), _column(rng, n, y_levels)
+            y = y + 0.05 * x * (n % 2)  # some dependence for odd n
+            assert _general_concordance(y, x) == concordance_kendalltau(y, x)
+
+    def test_signed_zeros_are_ties(self):
+        x = np.array([-0.0, 0.0, 1.0, -0.0])
+        y = np.array([3.0, 1.0, 2.0, 0.0])
+        assert _general_concordance(y, x)[0] == concordance_pairwise(y, x)
 
 
 class TestNormGini:

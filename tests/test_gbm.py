@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from autotab.budget import TimeBudget
 from autotab.errors import ConfigError, DataError
 from autotab.gbm import GBMParams, boosting, fit_booster
 from autotab.gbm.binning import MISSING_BIN, BinMapper
+from autotab.gbm.losses import sigmoid
 from autotab.metrics import MetricSpec
 from autotab.stopping import best_iteration
 
 from conftest import make_binary
-from oracles import predict_codes
+from oracles import predict_codes, sigmoid_masked
 
 
 def make_xor(n=400, seed=0):
@@ -17,6 +20,21 @@ def make_xor(n=400, seed=0):
     X = rng.uniform(-1.0, 1.0, size=(n, 2))
     y = ((X[:, 0] > 0) ^ (X[:, 1] > 0)).astype(np.int64)
     return X, y
+
+
+# any float64 bit pattern (NaN payloads and signs, subnormals, infinities,
+# signed zeros) and the special values themselves
+_ANY_FLOAT = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: np.uint64(bits).view(np.float64)),
+    st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                     745.0, -745.0, 1e-300]),
+    st.floats(-800.0, 800.0))
+
+
+@given(st.lists(_ANY_FLOAT, max_size=40))
+def test_sigmoid_is_bit_identical_to_the_masked_form(values):
+    z = np.array(values, dtype=np.float64)
+    assert sigmoid(z).tobytes() == sigmoid_masked(z).tobytes()
 
 
 class TestBinning:

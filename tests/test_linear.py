@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from autotab import learners, linear
 from autotab.budget import TimeBudget
 from autotab.data import dataset_from_arrays
 from autotab.errors import BudgetError, ConfigError
 from autotab.learners import fit_linear
-from autotab.linear import (LinearParams, RidgePath, default_lambda_grid,
-                            fit_lambda_path, solve, unpack)
+from autotab.linear import (LinearParams, RidgePath, _Logistic, _Softmax,
+                            default_lambda_grid, fit_lambda_path, solve, unpack)
 from autotab.metrics import MetricSpec
 from autotab.validation import CVScheme, make_folds
 
 from conftest import make_binary, make_regression
+from oracles import lbfgs_solve, linear_objective
 
 
 def separable(n=400, seed=0):
@@ -74,18 +76,129 @@ class TestSolver:
         assert np.abs(x - w_star).max() < 1e-9
 
     def test_multiclass_gradient_is_consistent(self):
-        from autotab.linear import _multiclass_objective
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 3))
         y = rng.integers(0, 3, size=40)
         x0 = rng.normal(size=3 * 3 + 3) * 0.1
-        f0, g0 = _multiclass_objective(x0, X, y, 0.1, 3)
+        loss = _Softmax(X, y, 0.1, 3)
+        f0 = loss.value(x0, loss.scores(x0))
+        g0 = loss.gradient(x0, loss.scores(x0))
         eps = 1e-6
         for i in range(len(x0)):
             xp = x0.copy()
             xp[i] += eps
-            fp, _ = _multiclass_objective(xp, X, y, 0.1, 3)
+            fp = loss.value(xp, loss.scores(xp))
             assert (fp - f0) / eps == pytest.approx(g0[i], abs=1e-4)
+
+
+def _classification(kind, n, d, seed, separable=False, duplicate=False, constant=False):
+    """Gaussian columns (plus a copy of column 0 and a constant column when
+    asked) and labels from a random linear model: noisy, or exactly
+    separable."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    n_out = 3 if kind == "multiclass" else 1
+    scores = X @ rng.normal(size=(d, n_out))
+    if not separable:
+        scores = scores + rng.gumbel(size=scores.shape)
+    if kind == "multiclass":
+        y = np.argmax(scores, axis=1)
+    else:
+        y = (scores[:, 0] > 0).astype(np.float64)
+    if duplicate:
+        X = np.hstack([X, X[:, :1]])
+    if constant:
+        X = np.hstack([X, np.full((n, 1), 3.7)])
+    return X, y, n_out if kind == "multiclass" else 0
+
+
+class TestNewton:
+    @pytest.mark.parametrize("kind", ["binary", "multiclass"])
+    def test_hessian_products_are_gradient_differences(self, kind):
+        X, y, k = _classification(kind, 60, 4, seed=1)
+        loss = _Softmax(X, y, 0.3, k) if k else _Logistic(X, y, 0.3)
+        rng = np.random.default_rng(2)
+        x, v = rng.normal(size=(2, loss.size))
+        grad = lambda u: loss.gradient(u, loss.scores(u))
+        eps = 1e-6
+        fd = (grad(x + eps * v) - grad(x - eps * v)) / (2 * eps)
+        grad(x)
+        assert np.abs(loss.hessp(v) - fd).max() <= 1e-7
+        unit = np.eye(loss.size)
+        diag = [loss.hessp(e) @ e for e in unit]
+        assert np.allclose(loss.diagonal(), diag, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["binary", "multiclass"])
+    @pytest.mark.parametrize("scale", [1e-9, 1e-3, 0.5, 30.0])
+    def test_change_is_the_objective_difference(self, kind, scale):
+        """Both branches (all score changes within 1, or not) agree with the
+        difference of two objective values, where that difference is not
+        lost to rounding."""
+        X, y, k = _classification(kind, 80, 3, seed=3)
+        loss = _Softmax(X, y, 0.1, k) if k else _Logistic(X, y, 0.1)
+        rng = np.random.default_rng(4)
+        x, d = rng.normal(size=(2, loss.size))
+        d *= scale
+        loss.gradient(x, loss.scores(x))
+        change = loss.change(x, d, loss.scores(d))
+        f = loss.value(x, loss.scores(x))
+        assert change == pytest.approx(loss.value(x + d, loss.scores(x + d)) - f,
+                                       rel=1e-6, abs=4 * np.finfo(float).eps * f)
+        if scale == 1e-9:  # first order: the slope along d
+            assert change == pytest.approx(loss.gradient(x, loss.scores(x)) @ d, rel=1e-6)
+
+    @settings(max_examples=60)
+    @given(kind=st.sampled_from(["binary", "multiclass"]), n=st.integers(20, 150),
+           d=st.integers(1, 6), seed=st.integers(0, 2**16), separable=st.booleans(),
+           duplicate=st.booleans(), constant=st.booleans(),
+           lam=st.sampled_from([1e3, 1.0, 1e-2, 1e-5]))
+    def test_stationary_and_no_worse_than_lbfgs(self, kind, n, d, seed, separable,
+                                                duplicate, constant, lam):
+        X, y, k = _classification(kind, n, d, seed, separable, duplicate, constant)
+        # a class missing from y has no finite optimum
+        assume(np.unique(y).size == (k or 2))
+        trace = []
+        x = solve(X, y, lam, kind, k, trace=trace)
+        f, g = linear_objective(x, X, y, lam, kind, k)
+        assert len(trace) < 500 and np.abs(g).max() <= 1e-8
+        f_lbfgs, _ = linear_objective(lbfgs_solve(X, y, lam, kind, k), X, y, lam, kind, k)
+        assert f <= f_lbfgs + 1e-12 * max(1.0, abs(f))
+        assert np.all(np.diff(trace) <= 0.0)
+        if trace:  # the objective the solver tracks is the true one
+            assert trace[-1] == pytest.approx(f, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("kind", ["binary", "multiclass"])
+    @pytest.mark.parametrize("separable,duplicate", [(False, False), (True, True)])
+    def test_warm_started_path(self, kind, separable, duplicate):
+        X, y, k = _classification(kind, 120, 4, seed=9, separable=separable,
+                                  duplicate=duplicate, constant=duplicate)
+        x_prev = None
+        for lam in default_lambda_grid():
+            trace = []
+            x = solve(X, y, float(lam), kind, k, x0=x_prev, trace=trace)
+            f, g = linear_objective(x, X, y, lam, kind, k)
+            assert np.abs(g).max() <= 1e-8
+            ref = lbfgs_solve(X, y, float(lam), kind, k, x0=x_prev)
+            assert f <= linear_objective(ref, X, y, lam, kind, k)[0] + 1e-12 * max(1.0, abs(f))
+            assert np.all(np.diff(trace) <= 0.0)
+            x_prev = x
+
+    def test_max_iterations_counts_newton_steps(self):
+        X, y, _ = _classification("binary", 200, 5, seed=10, separable=True)
+        for cap in (1, 3):
+            trace = []
+            x = solve(X, y, 1e-5, "binary", max_iterations=cap, trace=trace)
+            assert len(trace) == cap
+            assert np.abs(linear_objective(x, X, y, 1e-5, "binary")[1]).max() > 1e-8
+
+    def test_multiclass_steps_keep_the_intercept_sum(self):
+        """Moving every intercept by one constant changes nothing: no step
+        goes that way, so a warm start keeps its intercept sum."""
+        X, y, k = _classification("multiclass", 100, 3, seed=11)
+        x0 = np.zeros(4 * k)
+        x0[-k:] = [2.0, -1.0, 0.5]
+        x = solve(X, y, 1e-3, "multiclass", k, x0=x0)
+        assert x[-k:].sum() == pytest.approx(1.5, abs=1e-9)
 
 
 def _rank_deficient(n, d, seed, duplicate=True, constant=True):
@@ -185,6 +298,43 @@ class TestFitLinear:
         model = fit_linear(ds, folds, budget=TimeBudget(0.05))
         assert len(model.estimators) == 5
         assert np.isfinite(model.metric_oof)
+
+    def test_later_folds_that_degrade_keep_the_solver_params(self, monkeypatch):
+        """A fold solved at the best strength alone, on an expired budget,
+        stops where LinearParams says, as the path's solves do."""
+        X, y = make_binary(400, 5, 3, seed=13)
+        ds = dataset_from_arrays(X, y, "binary")
+        folds = make_folds(CVScheme("kfold", k=3, seed=0), ds)
+        params = LinearParams(max_iterations=1, tolerance=1e-3)
+
+        class ExpiresAfterFirstPath:
+            expired_now = False
+
+            def expired(self):
+                return self.expired_now
+
+        budget = ExpiresAfterFirstPath()
+
+        def path_then_expire(*args, **kwargs):
+            out = linear.fit_lambda_path(*args, **kwargs)
+            budget.expired_now = True
+            return out
+
+        solves = []
+
+        def recorded_solve(*args, **kwargs):
+            x = linear.solve(*args, **kwargs)
+            solves.append((args, x))
+            return x
+
+        monkeypatch.setattr(learners, "fit_lambda_path", path_then_expire)
+        monkeypatch.setattr(learners, "solve", recorded_solve)
+        model = fit_linear(ds, folds, params=params, budget=budget)
+        assert model.truncated and len(solves) == 2
+        for args, x in solves:
+            expected = linear.solve(*args, max_iterations=1, tolerance=1e-3)
+            assert np.array_equal(x, expected)
+            assert not np.array_equal(x, linear.solve(*args))
 
     def test_multiclass_predictions_are_simplex(self):
         rng = np.random.default_rng(11)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from autotab.artifact import save_model
@@ -45,6 +46,17 @@ def test_signatures_match_the_c_prototypes():
     assert set(exported) == set(native.SIGNATURES)
     for name, (restype, argtypes) in native.SIGNATURES.items():
         assert exported[name] == (restype, argtypes), name
+
+
+def test_discordant_pairs_counts_strict_inversions():
+    rng = np.random.default_rng(0)
+    for n in (0, 1, 2, 3, 7, 64, 65, 300):
+        for levels in (2, 5, n + 1):
+            y = rng.integers(0, levels, size=n).astype(np.float64)
+            expected = sum(int(np.sum(y[i] > y[i + 1:])) for i in range(n))
+            scratch, tmp = y.copy(), np.empty(n)
+            assert native.kernel().discordant_pairs(
+                scratch.ctypes.data, n, tmp.ctypes.data) == expected
 
 
 def test_second_build_reuses_the_cached_library(tmp_path):

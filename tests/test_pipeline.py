@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +14,9 @@ from autotab.errors import BudgetError, ConfigError
 from autotab.pipeline import (AutoMLModel, PhasePlan, PresetConfig, allocate_time,
                               fit_preset, stack_feature_transform, utilized_fit)
 
-from conftest import make_binary, make_multiclass, make_regression
+from conftest import make_binary, make_multiclass, make_regression, write_csv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _binary_ds(n=800, f=6, seed=0):
@@ -241,3 +248,36 @@ class TestUtilized:
         ds = _binary_ds(n=100, seed=13)
         with pytest.raises(ConfigError):
             utilized_fit(ds, [], [], budget=TimeBudget(5.0))
+
+
+def test_fit_save_load_predict_import_no_scipy(tmp_path):
+    """scipy is a test dependency only: a binary preset, a regression preset
+    (its auto-typing counts Kendall pairs) and a linear-only multiclass
+    preset fit, save, load and predict without importing it."""
+    runs = []
+    for kind, (X, y) in [("binary", make_binary(300, 3, 2, seed=1)),
+                         ("regression", make_regression(300, 3, 2, seed=2)),
+                         ("multiclass", make_multiclass(300, 3, 3, 2, seed=3))]:
+        X[:, 2] = np.round(X[:, 2])  # a few integer levels for auto-typing
+        rows = [[*row, label] for row, label in zip(X.tolist(), y.tolist())]
+        csv = write_csv(tmp_path / f"{kind}.csv", ["a", "b", "c", "target"], rows)
+        runs.append((kind, csv, str(tmp_path / f"{kind}.lama")))
+    code = f"""
+import sys
+from autotab import PresetConfig, build_dataset, fit_preset, predict_automl, read_csv
+from autotab.artifact import load_model, save_model
+for kind, csv, path in {runs!r}:
+    only_linear = kind == "multiclass"
+    config = PresetConfig(budget_seconds=20.0, tuning_enabled=False,
+                          selection_strategy="none", seed=1, use_gbm_leaf=not only_linear,
+                          use_gbm_sym=False)
+    save_model(fit_preset(build_dataset(read_csv(csv), "target", kind), config), path)
+    pred = predict_automl(load_model(path), read_csv(csv))
+    assert pred.shape[0] == 300, pred.shape
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
