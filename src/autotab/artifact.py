@@ -10,11 +10,10 @@ with the number of estimators, not of trees. Loaded trees are views into
 those arrays.
 
 The manifest carries a format version that is checked on load, before any
-object is decoded. Version 3 dropped the model's `stack` topology object
-(a model is stacked when its `level2` list is non-empty) and the encoder
-spec's unused `q`, `one_hot_cap` and `one_hot_eligible` fields. Version 2
-(the first with packed forests) and version 1 (every tree its own object)
-are rejected.
+object is decoded. Version 4 dropped the encoder spec's and the views'
+smoothing fields and the data model's unused metadata, and stores every
+target map as (groups, K) means with a (K,) default. Versions 1-3 are
+rejected.
 """
 
 from __future__ import annotations

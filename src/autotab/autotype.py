@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .encoders import (SMOOTHING_ALPHA, EncoderSpec, freq_encode, norm_gini,
-                       oof_target_encode, quantile_discretize)
+from .encoders import (EncoderSpec, freq_encode, norm_gini, oof_target_encode,
+                       quantile_discretize, target_rows)
 from .validation import FoldAssignment
 
 TYPING_Q = 10  # quantile bins of the binned encoding scored during typing
@@ -72,20 +72,15 @@ def _apply_rules(ng_raw: float, ng_q: float, ng_fe: float, ng_oof: float,
 
 
 def _ng_of_oof(values: np.ndarray, y: np.ndarray, fold: np.ndarray,
-               task_kind: str, n_classes: int, alpha: float) -> float:
-    """Gini of the OOF target encoding; multiclass scores each class column
-    against its own indicator and takes the maximum."""
-    if task_kind == "multiclass":
-        enc = oof_target_encode(values, y, fold, alpha=alpha, n_classes=n_classes)
-        return max(
-            norm_gini((y == c).astype(np.float64), enc[:, c]) for c in range(n_classes)
-        )
-    enc = oof_target_encode(values, y.astype(np.float64), fold, alpha=alpha)
-    return norm_gini(y, enc)
+               n_classes: int) -> float:
+    """Gini of the OOF target encoding: the maximum over its target rows of
+    the row's score against its own encoded column."""
+    enc = oof_target_encode(values, y, fold, n_classes=n_classes)
+    return max(norm_gini(yc, enc[:, c])
+               for c, yc in enumerate(target_rows(y, n_classes)))
 
 
-def infer_feature_kind(dataset: Dataset, folds: FoldAssignment,
-                       alpha: float = SMOOTHING_ALPHA, q: int = TYPING_Q) -> TypingReport:
+def infer_feature_kind(dataset: Dataset, folds: FoldAssignment) -> TypingReport:
     """Score every integer/float feature and apply the typing rules.
 
     Columns that are more than 99% missing skip scoring entirely and stay
@@ -93,8 +88,8 @@ def infer_feature_kind(dataset: Dataset, folds: FoldAssignment,
     """
     report = TypingReport()
     y_all = dataset.target
-    task_kind = dataset.task.kind
-    n_classes = dataset.task.n_classes
+    n_classes = dataset.task.encoding_classes
+    kind = "multiclass" if n_classes else None
     fold_all = folds.fold_of_row
     if not folds.partitions_rows():
         raise ValueError("auto-typing requires a partitioning fold assignment")
@@ -117,14 +112,13 @@ def infer_feature_kind(dataset: Dataset, folds: FoldAssignment,
         x = values[ok]
         y = y_all[ok]
         fold = fold_all[ok]
-        kind = task_kind if task_kind == "multiclass" else None
 
         ng_raw = norm_gini(y, x, kind)
-        bins = quantile_discretize(x, q)
-        ng_q = _ng_of_oof(bins, y, fold, task_kind, n_classes, alpha)
+        bins = quantile_discretize(x, TYPING_Q)
+        ng_q = _ng_of_oof(bins, y, fold, n_classes)
         _, freq = freq_encode(x)
         ng_fe = norm_gini(y, freq, kind)
-        ng_oof = _ng_of_oof(x, y, fold, task_kind, n_classes, alpha)
+        ng_oof = _ng_of_oof(x, y, fold, n_classes)
 
         is_number, rule = _apply_rules(
             ng_raw, ng_q, ng_fe, ng_oof, unique_count, unique_ratio,
@@ -144,11 +138,11 @@ def apply_typing(dataset: Dataset, report: TypingReport) -> Dataset:
 
 
 def select_category_encoding(col_values: np.ndarray, y: np.ndarray,
-                             folds, task_kind: str, n_classes: int = 0,
-                             alpha: float = SMOOTHING_ALPHA) -> EncoderSpec:
+                             folds, n_classes: int = 0) -> EncoderSpec:
     """Choose frequency vs OOF-target encoding for one category column.
 
-    The better Normalized Gini wins; exact ties go to the target encoder.
+    `n_classes` is the task's `encoding_classes`. The better Normalized Gini
+    wins; exact ties go to the target encoder.
     """
     col_values = np.asarray(col_values)
     ok = col_values >= 0 if col_values.dtype.kind in "iu" else ~np.isnan(col_values)
@@ -157,11 +151,9 @@ def select_category_encoding(col_values: np.ndarray, y: np.ndarray,
     fold = np.asarray(getattr(folds, "fold_of_row", folds))[ok]
 
     if x.size < 2 or np.unique(y_nn).size < 2:
-        return EncoderSpec("oof_target", alpha=alpha)
+        return EncoderSpec("oof_target")
 
-    kind = task_kind if task_kind == "multiclass" else None
     _, freq = freq_encode(x)
-    ng_fe = norm_gini(y_nn, freq, kind)
-    ng_oof = _ng_of_oof(x, y_nn, fold, task_kind, n_classes, alpha)
-    chosen = "frequency" if ng_fe > ng_oof else "oof_target"
-    return EncoderSpec(chosen, alpha=alpha)
+    ng_fe = norm_gini(y_nn, freq, "multiclass" if n_classes else None)
+    ng_oof = _ng_of_oof(x, y_nn, fold, n_classes)
+    return EncoderSpec("frequency" if ng_fe > ng_oof else "oof_target")

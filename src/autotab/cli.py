@@ -21,8 +21,7 @@ _CONFIG_KEYS = {
     "train_path", "target", "out_dir", "model_path",
     "task", "metric", "budget_seconds", "seed",
     "selection_strategy", "stack_policy", "tuning_enabled",
-    "use_linear", "use_gbm_leaf", "use_gbm_sym",
-    "typing_alpha", "typing_q", "forward_block_size", "cv",
+    "use_linear", "use_gbm_leaf", "use_gbm_sym", "cv",
 }
 _CV_KEYS = {"kind", "k", "seed", "holdout_fraction", "group_column",
             "time_column", "fold_of_row"}
@@ -105,10 +104,7 @@ def _build_preset_config(cfg: dict, budget: float | None, seed_flag: int | None)
             use_linear=bool(cfg.get("use_linear", d.use_linear)),
             use_gbm_leaf=bool(cfg.get("use_gbm_leaf", d.use_gbm_leaf)),
             use_gbm_sym=bool(cfg.get("use_gbm_sym", d.use_gbm_sym)),
-            metric=cfg.get("metric", d.metric),
-            typing_alpha=float(cfg.get("typing_alpha", d.typing_alpha)),
-            typing_q=int(cfg.get("typing_q", d.typing_q)),
-            forward_block_size=cfg.get("forward_block_size", d.forward_block_size))
+            metric=cfg.get("metric", d.metric))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
 
@@ -199,9 +195,7 @@ def cmd_infer_types(args) -> int:
     scheme = default_cv_scheme(dataset.task, int(cfg.get("seed", PresetConfig.seed)))
     folds = make_folds(scheme, dataset)
     folds = _typing_folds(folds, dataset.n_rows, scheme.seed)
-    report = infer_feature_kind(dataset, folds,
-                                alpha=float(cfg.get("typing_alpha", PresetConfig.typing_alpha)),
-                                q=int(cfg.get("typing_q", PresetConfig.typing_q)))
+    report = infer_feature_kind(dataset, folds)
     json.dump(_sanitize(report.to_json()), sys.stdout, indent=2)
     print()
     return EXIT_OK

@@ -77,6 +77,12 @@ class Task:
         if not self.metric.valid_for(self.kind):
             raise DataError(f"metric {self.metric.name!r} is not valid for {self.kind} tasks")
 
+    @property
+    def encoding_classes(self) -> int:
+        """The `n_classes` of this task's target encodings: one indicator row
+        per class for multiclass, else 0 (the one target row is y itself)."""
+        return self.n_classes if self.kind == "multiclass" else 0
+
 
 @dataclass(frozen=True)
 class Column:
@@ -96,8 +102,6 @@ class Column:
     dictionary: np.ndarray | None = None
     # True when the source cells were float literals with a fractional part.
     from_float_literals: bool = False
-    # Set for parsed datetime columns so inference can reuse the format.
-    datetime_format: str | None = None
 
     def missing_mask(self) -> np.ndarray:
         if self.kind == "category":
@@ -108,9 +112,6 @@ class Column:
 @dataclass
 class DatasetMeta:
     n_rows: int
-    n_features: int
-    unique_counts: dict[str, int] = field(default_factory=dict)
-    missing_rates: dict[str, float] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
 
@@ -160,10 +161,8 @@ class Dataset:
             # a datetime part keeps its recipe: it is rebuilt from its source
             if name in new_schema and "source" not in new_schema[name]:
                 new_schema[name]["kind"] = "category_numeric"
-        ds = Dataset(new_cols, new_roles, self.target, self.target_name,
-                     self.task, self.meta, new_schema)
-        ds.meta = _build_meta(new_cols, self.meta.n_rows, list(self.meta.warnings))
-        return ds
+        return Dataset(new_cols, new_roles, self.target, self.target_name,
+                       self.task, self.meta, new_schema)
 
 
 def numeric_to_category(col: Column) -> Column:
@@ -432,7 +431,7 @@ def parse_column(name: str, cells) -> tuple[Column, dict]:
         values, _ = parsed_int
         as_epoch = _epoch_int_to_datetime(values)
         if as_epoch is not None:
-            col = Column(name, "datetime", as_epoch, datetime_format=EPOCH_FORMAT)
+            col = Column(name, "datetime", as_epoch)
             return col, {"kind": "datetime", "format": EPOCH_FORMAT}
         return Column(name, "numeric", values), {"kind": "numeric"}
     parsed_float = _try_float(text)
@@ -443,8 +442,7 @@ def parse_column(name: str, cells) -> tuple[Column, dict]:
     parsed_dt = _try_datetime(text)
     if parsed_dt is not None:
         epochs, fmt = parsed_dt
-        col = Column(name, "datetime", epochs, datetime_format=fmt)
-        return col, {"kind": "datetime", "format": fmt}
+        return Column(name, "datetime", epochs), {"kind": "datetime", "format": fmt}
     return _category_column(name, cells), {"kind": "category"}
 
 
@@ -461,9 +459,9 @@ def parse_with_schema(name: str, cells, entry: dict) -> Column:
             values = parsed[0] if parsed is not None else np.full(len(cells), np.nan)
             lo, hi = EPOCH_RANGE
             values[(values < lo) | (values > hi)] = np.nan
-            return Column(name, "datetime", values, datetime_format=fmt)
+            return Column(name, "datetime", values)
         epochs, _ = _parse_datetime_format(text, fmt)
-        return Column(name, "datetime", epochs, datetime_format=fmt)
+        return Column(name, "datetime", epochs)
     # plain text category: codes resolved against the stored dictionary later
     return _category_column(name, cells)
 
@@ -537,19 +535,6 @@ def _constant(col: Column) -> bool:
     return vals.size == 0 or np.unique(vals).size <= 1
 
 
-def _build_meta(columns: dict[str, Column], n_rows: int,
-                warnings: list[str]) -> DatasetMeta:
-    meta = DatasetMeta(n_rows=n_rows, n_features=len(columns), warnings=warnings)
-    for name, col in columns.items():
-        mask = col.missing_mask()
-        if col.kind == "category":
-            meta.unique_counts[name] = int(col.dictionary.shape[0])
-        else:
-            meta.unique_counts[name] = int(np.unique(col.values[~mask]).size)
-        meta.missing_rates[name] = float(mask.mean()) if n_rows else 0.0
-    return meta
-
-
 # ---------------------------------------------------------------------------
 # Dataset construction
 
@@ -600,7 +585,7 @@ def build_dataset(raw: RawTable, target_name: str, task_kind: str,
             parsed_dt = _try_datetime(_Text.of(cells))
             if parsed_dt is None:
                 raise DataError(f"column {name!r} hinted datetime but does not parse")
-            col = Column(name, "datetime", parsed_dt[0], datetime_format=parsed_dt[1])
+            col = Column(name, "datetime", parsed_dt[0])
             entry = {"kind": "datetime", "format": parsed_dt[1]}
         else:
             col, entry = parse_column(name, cells)
@@ -632,8 +617,8 @@ def build_dataset(raw: RawTable, target_name: str, task_kind: str,
             warnings.append(
                 f"classes {small} have fewer than {DEFAULT_K} members; stratification degrades")
 
-    meta = _build_meta(columns, raw.n_rows, warnings)
-    return Dataset(columns, roles, target, target_name, task, meta, schema)
+    return Dataset(columns, roles, target, target_name, task,
+                   DatasetMeta(raw.n_rows, warnings), schema)
 
 
 def dataset_from_arrays(X: np.ndarray, y: np.ndarray, task_kind: str,
@@ -675,8 +660,7 @@ def dataset_from_arrays(X: np.ndarray, y: np.ndarray, task_kind: str,
         columns[name] = col
         roles[name] = col.kind
         schema[name] = {"kind": "numeric" if col.kind == "numeric" else "category_numeric"}
-    meta = _build_meta(columns, n, [])
-    return Dataset(columns, roles, target, "__target__", task, meta, schema)
+    return Dataset(columns, roles, target, "__target__", task, DatasetMeta(n), schema)
 
 
 def dataset_from_raw_with_schema(raw: RawTable, reference: Dataset,
@@ -720,38 +704,26 @@ def dataset_from_raw_with_schema(raw: RawTable, reference: Dataset,
         else:
             columns[name] = Column(name, "numeric", col.values.astype(np.float64))
     roles = {n: c.kind for n, c in columns.items()}
-    meta = DatasetMeta(n_rows=raw.n_rows, n_features=len(columns))
     return Dataset(columns, roles, np.zeros(raw.n_rows), reference.target_name,
-                   reference.task, meta, reference.schema)
+                   reference.task, DatasetMeta(raw.n_rows), reference.schema)
 
 
 def _recode_category(col: Column, ref_col: Column) -> Column:
-    dictionary = ref_col.dictionary
+    """Codes of `col` in the training dictionary, -1 where missing or unseen.
+
+    A text category arrives parsed as a category with its own dictionary; a
+    numeric-origin one (a re-typed number or datetime part) as numeric.
+    """
     codes = np.full(col.values.shape[0], -1, dtype=np.int32)
-    if dictionary.dtype.kind in ("U", "S"):
-        # parsed fresh from text: match against stored strings
-        raw_dict = col.dictionary if col.kind == "category" else None
-        if raw_dict is None:
-            str_vals = np.array([str(v) for v in col.values], dtype=str)
-            idx = np.searchsorted(dictionary, str_vals)
-            idx = np.clip(idx, 0, len(dictionary) - 1)
-            hit = dictionary[idx] == str_vals
-            codes[hit] = idx[hit].astype(np.int32)
-        else:
-            remap = np.full(len(raw_dict), -1, dtype=np.int32)
-            idx = np.searchsorted(dictionary, raw_dict)
-            idx = np.clip(idx, 0, len(dictionary) - 1)
-            hit = dictionary[idx] == raw_dict
-            remap[hit] = idx[hit].astype(np.int32)
-            ok = col.values >= 0
-            codes[ok] = remap[col.values[ok]]
+    if col.kind == "category":
+        ok = col.values >= 0
+        codes[ok] = _lookup(ref_col.dictionary, col.dictionary)[col.values[ok]]
     else:
-        vals = col.values if col.kind == "numeric" else col.values.astype(np.float64)
-        ok = ~np.isnan(vals)
-        idx = np.searchsorted(dictionary, vals[ok])
-        idx = np.clip(idx, 0, len(dictionary) - 1)
-        hit = dictionary[idx] == vals[ok]
-        sub = np.full(int(ok.sum()), -1, dtype=np.int32)
-        sub[hit] = idx[hit].astype(np.int32)
-        codes[ok] = sub
-    return Column(col.name, "category", codes, dictionary=dictionary)
+        ok = ~np.isnan(col.values)
+        codes[ok] = _lookup(ref_col.dictionary, col.values[ok])
+    return Column(col.name, "category", codes, dictionary=ref_col.dictionary)
+
+
+def _lookup(dictionary: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    idx = np.clip(np.searchsorted(dictionary, keys), 0, len(dictionary) - 1)
+    return np.where(dictionary[idx] == keys, idx, -1).astype(np.int32)

@@ -1,5 +1,10 @@
 """Category/value encoders and the Normalized Gini concordance score.
 
+Every target encoding is built from K target rows (`target_rows`): K = 1 for
+binary and regression, where the row is y itself, and one class-indicator
+row per class for multiclass. Each row is encoded on its own, so an encoding
+is always (n, K) and its map's means (groups, K).
+
 Normalized Gini is |C - D| / P over row pairs, where C and D count strictly
 concordant and discordant pairs of (feature, target) and P counts pairs whose
 targets differ. It is the sorting-quality proxy behind auto-typing and
@@ -25,13 +30,10 @@ SMOOTHING_ALPHA = 2.0  # prior weight of every smoothed target mean
 @dataclass(frozen=True)
 class EncoderSpec:
     kind: str
-    alpha: float = SMOOTHING_ALPHA  # smoothing for oof_target
 
     def __post_init__(self) -> None:
         if self.kind not in ENCODER_KINDS:
             raise DataError(f"unknown encoder kind {self.kind!r}")
-        if self.alpha < 0:
-            raise DataError("alpha must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +188,17 @@ def _exclude_column_sum(per_fold: np.ndarray) -> np.ndarray:
     return left + right
 
 
-def _oof_encode_single(inverse: np.ndarray, n_groups: int, y: np.ndarray,
-                       fold: np.ndarray, k: int, alpha: float) -> np.ndarray:
+def target_rows(y: np.ndarray, n_classes: int = 0) -> np.ndarray:
+    """The (K, n) target rows of a target encoding, each C-contiguous: y
+    itself when n_classes is 0, else one indicator row per class."""
+    y = np.asarray(y, dtype=np.float64)
+    if n_classes:
+        return (y == np.arange(n_classes)[:, None]).astype(np.float64)
+    return np.ascontiguousarray(y)[None, :]
+
+
+def _oof_encode_row(inverse: np.ndarray, n_groups: int, y: np.ndarray,
+                    fold: np.ndarray, k: int, alpha: float) -> np.ndarray:
     # the smoothing mean is fold-local (mean of y outside the row's fold) so
     # that no component of row i's own target reaches its encoding
     n = y.shape[0]
@@ -212,41 +223,33 @@ def _oof_encode_single(inverse: np.ndarray, n_groups: int, y: np.ndarray,
 
 def oof_target_encode(col: np.ndarray, y: np.ndarray, folds, alpha: float = SMOOTHING_ALPHA,
                       n_classes: int = 0) -> np.ndarray:
-    """Smoothed out-of-fold target mean per value.
+    """Smoothed out-of-fold target mean per value and target row, (n, K).
 
     Row i in fold f is encoded from rows of the same value outside f:
     (sum_y_outside + alpha * mean_y_outside_f) / (count_outside + alpha).
     Values never seen outside the fold encode to that out-of-fold mean, so no
-    component of row i's own target ever reaches its encoding. For multiclass
-    pass n_classes > 0 to get one encoded column per class (indicator
-    targets); the result is then (n, n_classes).
+    component of row i's own target ever reaches its encoding.
     """
     col = np.asarray(col)
-    y = np.asarray(y, dtype=np.float64)
+    rows = target_rows(y, n_classes)
     fold = _fold_vector(folds)
-    if not (col.shape[0] == y.shape[0] == fold.shape[0]):
+    if not (col.shape[0] == rows.shape[1] == fold.shape[0]):
         raise DataError("column, target, and folds must have equal lengths")
     if col.dtype.kind == "f" and np.isnan(col).any():
         raise DataError("encode missing values upstream; NaN groups are ambiguous")
     k = int(fold.max()) + 1
     _, inverse = np.unique(col, return_inverse=True)
     n_groups = int(inverse.max()) + 1
-    if n_classes:
-        cols = [
-            _oof_encode_single(inverse, n_groups, (y == c).astype(np.float64), fold, k, alpha)
-            for c in range(n_classes)
-        ]
-        return np.column_stack(cols)
-    return _oof_encode_single(inverse, n_groups, y, fold, k, alpha)
+    out = np.empty((col.shape[0], rows.shape[0]))
+    for c, yc in enumerate(rows):
+        out[:, c] = _oof_encode_row(inverse, n_groups, yc, fold, k, alpha)
+    return out
 
 
 @dataclass(frozen=True)
 class TargetMeanMap:
-    """Full-train smoothed target means for inference; unseen -> global mean.
-
-    For multiclass, `means` has one column per class and the default row is
-    the vector of class priors.
-    """
+    """Full-train smoothed target means for inference, (groups, K); an
+    unseen value gets `default`, the mean of each target row."""
 
     values: np.ndarray
     means: np.ndarray
@@ -256,12 +259,6 @@ class TargetMeanMap:
         x = np.asarray(x)
         idx = np.searchsorted(self.values, x)
         idx = np.clip(idx, 0, max(len(self.values) - 1, 0))
-        if self.means.ndim == 1:
-            out = np.full(x.shape[0], float(self.default))
-            if len(self.values):
-                hit = self.values[idx] == x
-                out[hit] = self.means[idx[hit]]
-            return out
         out = np.tile(self.default, (x.shape[0], 1))
         if len(self.values):
             hit = self.values[idx] == x
@@ -273,24 +270,17 @@ def fit_target_map(col: np.ndarray, y: np.ndarray, alpha: float = SMOOTHING_ALPH
                    n_classes: int = 0) -> TargetMeanMap:
     """Fit full-train statistics with the same smoothing as the OOF encoder."""
     col = np.asarray(col)
-    y = np.asarray(y, dtype=np.float64)
+    rows = target_rows(y, n_classes)
     values, inverse = np.unique(col, return_inverse=True)
     n_groups = len(values)
     cnt = np.bincount(inverse, minlength=n_groups).astype(np.float64)
-    if n_classes:
-        means = np.empty((n_groups, n_classes))
-        default = np.empty(n_classes)
-        for c in range(n_classes):
-            yc = (y == c).astype(np.float64)
-            gm = float(yc.mean())
-            s = np.bincount(inverse, weights=yc, minlength=n_groups)
-            means[:, c] = (s + alpha * gm) / (cnt + alpha) if alpha > 0 else s / cnt
-            default[c] = gm
-        return TargetMeanMap(values, means, default)
-    gm = float(y.mean())
-    s = np.bincount(inverse, weights=y, minlength=n_groups)
-    means = (s + alpha * gm) / (cnt + alpha) if alpha > 0 else s / np.maximum(cnt, 1.0)
-    return TargetMeanMap(values, means, np.float64(gm))
+    means = np.empty((n_groups, rows.shape[0]))
+    default = np.empty(rows.shape[0])
+    for c, yc in enumerate(rows):
+        default[c] = yc.mean()
+        s = np.bincount(inverse, weights=yc, minlength=n_groups)
+        means[:, c] = (s + alpha * default[c]) / (cnt + alpha)
+    return TargetMeanMap(values, means, default)
 
 
 # ---------------------------------------------------------------------------

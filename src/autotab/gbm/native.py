@@ -2,7 +2,9 @@
 
 The library is built on first use, never at import, into `__pycache__/`
 next to the source. Its name carries a hash of the source, the flags and
-the compiler version, so an edit or a new compiler builds a new one. Only
+the resolved path, size and modification time of the compiler executable,
+so an edit or a new compiler builds a new one, and finding a cached library
+starts no process. Only
 fitting needs it: GBM training grows its trees there, and auto-typing a
 regression target counts Kendall's discordant pairs there
 (`encoders.norm_gini`). Routing and prediction run in numpy.
@@ -14,6 +16,7 @@ import ctypes
 import functools
 import hashlib
 import os
+import shutil
 import subprocess
 import tempfile
 from pathlib import Path
@@ -46,20 +49,28 @@ class KernelCompileError(AutotabError):
     """The C compiler could not build the tree kernel."""
 
 
-def _run(cmd: list[str]) -> str:
+def _run(cmd: list[str]) -> None:
     try:
         out = subprocess.run(cmd, capture_output=True, text=True)
     except OSError as exc:
         raise KernelCompileError(f"{' '.join(cmd)} could not run: {exc}") from exc
     if out.returncode != 0:
         raise KernelCompileError(f"{' '.join(cmd)} failed ({out.returncode}):\n{out.stderr}")
-    return out.stdout
+
+
+def _executable_identity(program: str) -> list[str]:
+    path = shutil.which(program)
+    if path is None:
+        raise KernelCompileError(f"{program} could not run: not found on PATH")
+    real = os.path.realpath(path)
+    st = os.stat(real)
+    return [real, str(st.st_size), str(st.st_mtime_ns)]
 
 
 def build(cache_dir: Path = CACHE_DIR, compiler: tuple[str, ...] = COMPILER) -> Path:
     """Path of the kernel library, compiled first unless cached."""
-    version = _run([*compiler, "--version"])
-    key = hashlib.sha256("\0".join([SOURCE.read_text(), *FLAGS, version]).encode())
+    key = hashlib.sha256("\0".join([SOURCE.read_text(), *FLAGS, *compiler[1:],
+                                    *_executable_identity(compiler[0])]).encode())
     lib = Path(cache_dir) / f"_kernel-{key.hexdigest()[:16]}.so"
     if not lib.exists():
         try:

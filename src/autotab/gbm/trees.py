@@ -8,22 +8,10 @@ and always route right; a split at the top non-missing bin can isolate them.
 
 Each tree grows in one call into a compiled kernel, `_kernel.c`, which
 native.py builds with the system C compiler `cc` on first use; routing and
-prediction are numpy and need no compiler. The kernel adds in the order of
-the numpy kernel it replaced (kept in tests/oracles.py as its reference), so
-trees are bit-identical to that kernel's:
-  - bin sums are added in row order, as np.bincount does;
-  - prefix sums run one bin after another over bins 0..254, as np.cumsum;
-  - gain = 0.5 * ((GL^2/(HL+reg) + GR^2/(HR+reg)) - GT^2/(HT+reg)); a cell
-    with fewer than min_data rows on a side is -inf, and the best split is
-    the first maximum, a NaN counting as the maximum, as np.argmax;
-  - oblivious totals add where(isfinite(gain), max(gain, 0), 0) over the
-    level's nodes in node order;
-  - the bin totals GT/HT/count of each histogram row and a leaf-wise leaf's
-    gradient and hessian sums are numpy's pairwise sums, computed in the
-    kernel (`pairwise_sum`).
-A grower also takes passenger rows, which it routes through every split
-without adding them to any histogram: boosting gets the new tree's value for
-its left-out and validation rows without walking the tree again.
+prediction are numpy and need no compiler. The kernel's header states the
+float order that keeps its trees bit-identical to the numpy kernel in
+tests/oracles.py, and how it routes passenger rows (left-out and validation
+rows that reach a leaf without adding to any histogram).
 """
 
 from __future__ import annotations

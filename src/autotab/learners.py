@@ -10,6 +10,10 @@ family and stores everything needed to repeat the mapping on new data:
 * Linear view: numeric columns are median-imputed with a missing-indicator
   column and standardized; categories are one-hot up to cardinality 100,
   target-encoded above it.
+
+A target-encoded column `c` becomes K columns `c__te0 .. c__te{K-1}`, one
+per target row of the task (`encoders.target_rows`): K = 1 for binary and
+regression, the class count for multiclass.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import numpy as np
 
 from .budget import TimeBudget, unlimited
 from .data import Dataset, Task
-from .encoders import (SMOOTHING_ALPHA, EncoderSpec, FrequencyMap, TargetMeanMap,
-                       fit_target_map, freq_encode, oof_target_encode)
+from .encoders import (EncoderSpec, FrequencyMap, TargetMeanMap, fit_target_map,
+                       freq_encode, oof_target_encode)
 from .errors import BudgetError, DataError
 from .gbm import GBMParams, fit_booster
 from .linear import LinearParams, fit_lambda_path, solve, unpack
@@ -58,23 +62,21 @@ def _encoding_fold_vector(folds: FoldAssignment) -> tuple[np.ndarray, np.ndarray
     return kfold_vector(n, ENCODING_FOLDS, seed).astype(np.int64), np.zeros(n, dtype=bool)
 
 
-def _oof_encoded(values: np.ndarray, y: np.ndarray, folds: FoldAssignment,
-                 alpha: float, n_classes: int) -> np.ndarray:
+def _oof_encoded(values: np.ndarray, dataset: Dataset,
+                 folds: FoldAssignment) -> np.ndarray:
+    """The (n, K) target encoding of the training rows."""
+    y, n_classes = dataset.target, dataset.task.encoding_classes
     enc_fold, map_rows = _encoding_fold_vector(folds)
     if not map_rows.any():
-        return oof_target_encode(values, y, enc_fold, alpha=alpha, n_classes=n_classes)
+        return oof_target_encode(values, y, enc_fold, n_classes=n_classes)
     tr = ~map_rows
-    mapping = fit_target_map(values[tr], y[tr], alpha=alpha, n_classes=n_classes)
-    shape = (values.shape[0], n_classes) if n_classes else (values.shape[0],)
-    out = np.empty(shape)
-    out[tr] = oof_target_encode(values[tr], y[tr], enc_fold[tr], alpha=alpha,
-                                n_classes=n_classes)
-    out[map_rows] = mapping.apply(values[map_rows])
+    out = fit_target_map(values[tr], y[tr], n_classes=n_classes).apply(values)
+    out[tr] = oof_target_encode(values[tr], y[tr], enc_fold[tr], n_classes=n_classes)
     return out
 
 
-def _te_width(task: Task) -> int:
-    return task.n_classes if task.kind == "multiclass" else 0
+def _te_names(name: str, mapping: TargetMeanMap) -> list[str]:
+    return [f"{name}__te{c}" for c in range(mapping.means.shape[1])]
 
 
 @dataclass
@@ -82,78 +84,49 @@ class GBMView:
     feature_names: list[str] = field(default_factory=list)
     groups: dict[str, list[int]] = field(default_factory=dict)
     numeric: list[str] = field(default_factory=list)
-    cat_kinds: dict[str, str] = field(default_factory=dict)
     freq_maps: dict[str, FrequencyMap] = field(default_factory=dict)
     target_maps: dict[str, TargetMeanMap] = field(default_factory=dict)
-    alpha: float = SMOOTHING_ALPHA  # smoothing of a category column that has no spec
-    alphas: dict[str, float] = field(default_factory=dict)  # per target-encoded column
-    n_te_cols: int = 0
 
     def fit(self, dataset: Dataset, enc_specs: dict[str, EncoderSpec] | None = None,
             selected: list[str] | None = None) -> "GBMView":
         enc_specs = enc_specs or {}
-        self.n_te_cols = _te_width(dataset.task)
         names = selected if selected is not None else dataset.feature_names()
-        y = dataset.target.astype(np.float64)
-        col_idx = 0
         for name in names:
             col = dataset.columns[name]
             if col.kind == "numeric":
                 self.numeric.append(name)
-                self.feature_names.append(name)
-                self.groups[name] = [col_idx]
-                col_idx += 1
-                continue
-            spec = enc_specs.get(name, EncoderSpec("oof_target", alpha=self.alpha))
-            self.cat_kinds[name] = spec.kind
-            if spec.kind == "frequency":
+                new_names = [name]
+            elif enc_specs.get(name, EncoderSpec("oof_target")).kind == "frequency":
                 self.freq_maps[name], _ = freq_encode(col.values)
-                self.feature_names.append(f"{name}__freq")
-                self.groups[name] = [col_idx]
-                col_idx += 1
+                new_names = [f"{name}__freq"]
             else:
-                self.alphas[name] = spec.alpha
                 self.target_maps[name] = fit_target_map(
-                    col.values, y, alpha=spec.alpha, n_classes=self.n_te_cols)
-                width = max(1, self.n_te_cols)
-                if self.n_te_cols:
-                    self.feature_names.extend(
-                        f"{name}__te{c}" for c in range(self.n_te_cols))
-                else:
-                    self.feature_names.append(f"{name}__te")
-                self.groups[name] = list(range(col_idx, col_idx + width))
-                col_idx += width
+                    col.values, dataset.target, n_classes=dataset.task.encoding_classes)
+                new_names = _te_names(name, self.target_maps[name])
+            start = len(self.feature_names)
+            self.groups[name] = list(range(start, start + len(new_names)))
+            self.feature_names.extend(new_names)
         return self
 
-    def train_matrix(self, dataset: Dataset, folds: FoldAssignment) -> np.ndarray:
-        n = dataset.n_rows
-        out = np.empty((n, len(self.feature_names)))
-        y = dataset.target.astype(np.float64)
+    def _matrix(self, dataset: Dataset, folds: FoldAssignment | None) -> np.ndarray:
+        out = np.empty((dataset.n_rows, len(self.feature_names)))
         for name, idx in self.groups.items():
-            col = dataset.columns[name]
+            values = dataset.columns[name].values
             if name in self.numeric:
-                out[:, idx[0]] = col.values
-            elif self.cat_kinds[name] == "frequency":
-                out[:, idx[0]] = self.freq_maps[name].apply(col.values)
+                out[:, idx[0]] = values
+            elif name in self.freq_maps:
+                out[:, idx[0]] = self.freq_maps[name].apply(values)
+            elif folds is None:
+                out[:, idx] = self.target_maps[name].apply(values)
             else:
-                enc = _oof_encoded(col.values, y, folds, self.alphas[name],
-                                   self.n_te_cols)
-                out[:, idx] = enc if enc.ndim == 2 else enc[:, None]
+                out[:, idx] = _oof_encoded(values, dataset, folds)
         return out
 
+    def train_matrix(self, dataset: Dataset, folds: FoldAssignment) -> np.ndarray:
+        return self._matrix(dataset, folds)
+
     def transform(self, dataset: Dataset) -> np.ndarray:
-        n = dataset.n_rows
-        out = np.empty((n, len(self.feature_names)))
-        for name, idx in self.groups.items():
-            col = dataset.columns[name]
-            if name in self.numeric:
-                out[:, idx[0]] = col.values
-            elif self.cat_kinds[name] == "frequency":
-                out[:, idx[0]] = self.freq_maps[name].apply(col.values)
-            else:
-                enc = self.target_maps[name].apply(col.values)
-                out[:, idx] = enc if enc.ndim == 2 else enc[:, None]
-        return out
+        return self._matrix(dataset, None)
 
 
 @dataclass
@@ -166,16 +139,12 @@ class LinearView:
     stds: np.ndarray | None = None
     onehot: dict[str, int] = field(default_factory=dict)  # name -> cardinality
     target_maps: dict[str, TargetMeanMap] = field(default_factory=dict)
-    alpha: float = SMOOTHING_ALPHA
-    n_te_cols: int = 0
     source_order: list[str] = field(default_factory=list)
     _std_cols: list[int] = field(default_factory=list)
 
     def fit(self, dataset: Dataset, selected: list[str] | None = None) -> "LinearView":
-        self.n_te_cols = _te_width(dataset.task)
         names = selected if selected is not None else dataset.feature_names()
         self.source_order = list(names)
-        y = dataset.target.astype(np.float64)
         col_idx = 0
         for name in names:
             col = dataset.columns[name]
@@ -198,26 +167,22 @@ class LinearView:
                 col_idx += card
             else:
                 self.target_maps[name] = fit_target_map(
-                    col.values, y, alpha=self.alpha, n_classes=self.n_te_cols)
-                width = max(1, self.n_te_cols)
-                suffixes = ([f"__te{c}" for c in range(self.n_te_cols)]
-                            if self.n_te_cols else ["__te"])
-                self.feature_names.extend(name + s for s in suffixes)
-                self._std_cols.extend(range(col_idx, col_idx + width))
-                col_idx += width
+                    col.values, dataset.target, n_classes=dataset.task.encoding_classes)
+                te_names = _te_names(name, self.target_maps[name])
+                self.feature_names.extend(te_names)
+                self._std_cols.extend(range(col_idx, col_idx + len(te_names)))
+                col_idx += len(te_names)
         # standardization statistics come from the inference-style encoding
-        X = self._raw_matrix(dataset, use_maps=True)
+        X = self._raw_matrix(dataset, None)
         cols = np.asarray(self._std_cols, dtype=np.int64)
         self.means = X[:, cols].mean(axis=0) if cols.size else np.empty(0)
         stds = X[:, cols].std(axis=0) if cols.size else np.empty(0)
         self.stds = np.where(stds < 1e-12, 1.0, stds)
         return self
 
-    def _raw_matrix(self, dataset: Dataset, use_maps: bool,
-                    folds: FoldAssignment | None = None) -> np.ndarray:
+    def _raw_matrix(self, dataset: Dataset, folds: FoldAssignment | None) -> np.ndarray:
         n = dataset.n_rows
         out = np.zeros((n, len(self.feature_names)))
-        y = dataset.target.astype(np.float64) if not use_maps else None
         col_idx = 0
         for name in self.source_order:
             col = dataset.columns[name]
@@ -237,13 +202,12 @@ class LinearView:
                 out[rows, col_idx + codes[rows]] = 1.0
                 col_idx += card
             else:
-                width = max(1, self.n_te_cols)
-                if use_maps:
+                if folds is None:
                     enc = self.target_maps[name].apply(col.values)
                 else:
-                    enc = _oof_encoded(col.values, y, folds, self.alpha, self.n_te_cols)
-                out[:, col_idx: col_idx + width] = enc if enc.ndim == 2 else enc[:, None]
-                col_idx += width
+                    enc = _oof_encoded(col.values, dataset, folds)
+                out[:, col_idx: col_idx + enc.shape[1]] = enc
+                col_idx += enc.shape[1]
         return out
 
     def _standardize(self, X: np.ndarray) -> np.ndarray:
@@ -253,10 +217,10 @@ class LinearView:
         return X
 
     def train_matrix(self, dataset: Dataset, folds: FoldAssignment) -> np.ndarray:
-        return self._standardize(self._raw_matrix(dataset, use_maps=False, folds=folds))
+        return self._standardize(self._raw_matrix(dataset, folds))
 
     def transform(self, dataset: Dataset) -> np.ndarray:
-        return self._standardize(self._raw_matrix(dataset, use_maps=True))
+        return self._standardize(self._raw_matrix(dataset, None))
 
 
 @dataclass

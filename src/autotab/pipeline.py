@@ -11,15 +11,15 @@ final level's models are combined by coordinate-descent blending.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .autotype import (TYPING_Q, TypingReport, apply_typing, infer_feature_kind,
+from .autotype import (TypingReport, apply_typing, infer_feature_kind,
                        select_category_encoding)
 from .budget import TimeBudget
 from .data import Column, Dataset, DatasetMeta, RawTable, Task, dataset_from_raw_with_schema
-from .encoders import SMOOTHING_ALPHA, EncoderSpec
+from .encoders import EncoderSpec
 from .ensemble import BlendWeights, apply_blend, blend_weights, build_stack_features
 from .errors import BudgetError, ConfigError, DataError
 from .gbm import GBMParams, fit_booster
@@ -29,7 +29,7 @@ from .selection import cutoff_select, forward_select, permutation_importance
 from .tuning import expert_params, tune_gbm
 from .validation import CVScheme, FoldAssignment, make_folds, kfold_vector
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 SELECTION_STRATEGIES = ("none", "cutoff", "forward")
 STACK_POLICIES = ("auto", "always", "never")
@@ -60,9 +60,6 @@ class PresetConfig:
     use_gbm_leaf: bool = True
     use_gbm_sym: bool = True
     metric: str | None = None
-    typing_alpha: float = SMOOTHING_ALPHA
-    typing_q: int = TYPING_Q
-    forward_block_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.selection_strategy not in SELECTION_STRATEGIES:
@@ -182,7 +179,7 @@ def stack_feature_transform(X: np.ndarray, task: Task) -> np.ndarray:
 def _features_only_dataset(X: np.ndarray, names: list[str], task: Task) -> Dataset:
     columns = {n: Column(n, "numeric", X[:, j].astype(np.float64))
                for j, n in enumerate(names)}
-    meta = DatasetMeta(n_rows=X.shape[0], n_features=len(names))
+    meta = DatasetMeta(X.shape[0])
     roles = {n: "numeric" for n in names}
     schema = {n: {"kind": "numeric"} for n in names}
     return Dataset(columns, roles, np.zeros(X.shape[0]), "__target__", task, meta, schema)
@@ -190,12 +187,8 @@ def _features_only_dataset(X: np.ndarray, names: list[str], task: Task) -> Datas
 
 def strip_dataset(dataset: Dataset) -> Dataset:
     """Drop row data but keep schema, dictionaries, task, and metadata."""
-    slim_cols = {}
-    for name, col in dataset.columns.items():
-        empty = np.empty(0, dtype=col.values.dtype)
-        slim_cols[name] = Column(name, col.kind, empty, dictionary=col.dictionary,
-                                 from_float_literals=col.from_float_literals,
-                                 datetime_format=col.datetime_format)
+    slim_cols = {name: replace(col, values=np.empty(0, dtype=col.values.dtype))
+                 for name, col in dataset.columns.items()}
     return Dataset(slim_cols, dict(dataset.roles), np.empty(0), dataset.target_name,
                    dataset.task, dataset.meta, dataset.schema)
 
@@ -239,15 +232,12 @@ def fit_preset(dataset: Dataset, config: PresetConfig) -> AutoMLModel:
 
     t0 = time.monotonic()
     typing_folds = _typing_folds(folds, dataset.n_rows, config.seed)
-    typing_report = infer_feature_kind(dataset, typing_folds,
-                                       alpha=config.typing_alpha, q=config.typing_q)
+    typing_report = infer_feature_kind(dataset, typing_folds)
     dataset = apply_typing(dataset, typing_report)
     enc_specs: dict[str, EncoderSpec] = {}
     for name in dataset.category_feature_names():
-        col = dataset.columns[name]
         enc_specs[name] = select_category_encoding(
-            col.values, y, typing_folds, task.kind, task.n_classes,
-            alpha=config.typing_alpha)
+            dataset.columns[name].values, y, typing_folds, task.encoding_classes)
     report["typing"] = typing_report.to_json()
     report["encoders"] = {k: v.kind for k, v in enc_specs.items()}
     report["phases"].append({"name": "typing", "elapsed": time.monotonic() - t0})
@@ -355,32 +345,11 @@ def fit_preset(dataset: Dataset, config: PresetConfig) -> AutoMLModel:
         level1_keep, level2_keep = kept_models, []
 
     return AutoMLModel(
-        version=FORMAT_VERSION, task=task, config=_config_snapshot(config),
+        version=FORMAT_VERSION, task=task, config=asdict(config),
         reference=strip_dataset(dataset), typing_report=typing_report,
         enc_specs=enc_specs, selected=selected, level1=level1_keep,
         level2=level2_keep, blend=kept_blend, oof=oof_full,
         oof_mask=mask, metric_oof=metric_oof, report=report)
-
-
-def _config_snapshot(config: PresetConfig) -> dict:
-    cv = config.cv
-    return {
-        "selection_strategy": config.selection_strategy,
-        "stack_policy": config.stack_policy,
-        "tuning_enabled": config.tuning_enabled,
-        "budget_seconds": config.budget_seconds,
-        "seed": config.seed,
-        "use_linear": config.use_linear,
-        "use_gbm_leaf": config.use_gbm_leaf,
-        "use_gbm_sym": config.use_gbm_sym,
-        "metric": config.metric,
-        "typing_alpha": config.typing_alpha,
-        "typing_q": config.typing_q,
-        "cv": None if cv is None else {
-            "kind": cv.kind, "k": cv.k, "seed": cv.seed,
-            "holdout_fraction": cv.holdout_fraction,
-            "group_column": cv.group_column, "time_column": cv.time_column},
-    }
 
 
 def _stack_active(config: PresetConfig, task: Task, folds: FoldAssignment) -> bool:
@@ -448,7 +417,7 @@ def _run_selection(dataset: Dataset, folds: FoldAssignment,
         kept = cutoff_select(imp)
         info["importances"] = imp.as_dict()
     else:
-        block = config.forward_block_size or max(1, int(np.ceil(len(groups) / 20)))
+        block = max(1, int(np.ceil(len(groups) / 20)))
 
         def fit_fn(Xs, ys):
             return fit_booster(Xs, ys, params, task.kind, task.n_classes,

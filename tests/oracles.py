@@ -210,7 +210,7 @@ def cascade_parse_column(name, cells):
         values, _ = parsed_int
         as_epoch = _epoch_int_to_datetime(values)
         if as_epoch is not None:
-            col = Column(name, "datetime", as_epoch, datetime_format=EPOCH_FORMAT)
+            col = Column(name, "datetime", as_epoch)
             return col, {"kind": "datetime", "format": EPOCH_FORMAT}
         return Column(name, "numeric", values), {"kind": "numeric"}
     parsed_float = cascade_try_float(cells)
@@ -221,7 +221,7 @@ def cascade_parse_column(name, cells):
     parsed_dt = cascade_try_datetime(cells)
     if parsed_dt is not None:
         epochs, fmt = parsed_dt
-        col = Column(name, "datetime", epochs, datetime_format=fmt)
+        col = Column(name, "datetime", epochs)
         return col, {"kind": "datetime", "format": fmt}
     return cascade_category_column(name, cells), {"kind": "category"}
 
@@ -250,9 +250,9 @@ def cascade_parse_with_schema(name, cells, entry):
             lo, hi = EPOCH_RANGE
             values = values.copy()
             values[(values < lo) | (values > hi)] = np.nan
-            return Column(name, "datetime", values, datetime_format=fmt)
+            return Column(name, "datetime", values)
         epochs, _ = cascade_parse_datetime_format(cells, fmt)
-        return Column(name, "datetime", epochs, datetime_format=fmt)
+        return Column(name, "datetime", epochs)
     return cascade_category_column(name, cells)
 
 

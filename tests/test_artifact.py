@@ -4,6 +4,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from autotab import artifact
 from autotab.artifact import load_model, save_model
 from autotab.data import RawTable, dataset_from_arrays
 from autotab.errors import ConfigError
@@ -152,6 +153,32 @@ class TestVersionGate:
             for name, payload in arrays.items():
                 z.writestr(name, payload)
         with pytest.raises(ConfigError, match="format version 2"):
+            load_model(old)
+
+    def test_version_3_rejected_before_decoding(self, tmp_path, monkeypatch):
+        # a version-3 model stored 1-d target maps and smoothing fields on its
+        # encoder specs and views; the version check must fire before any
+        # node is decoded
+        X, y = make_binary(300, 4, 2, seed=5)
+        ds = dataset_from_arrays(X, y, "binary", category_columns=["f0"])
+        model = fit_preset(ds, _fast_config(use_gbm_leaf=False))
+        path = str(tmp_path / "m.lama")
+        save_model(model, path)
+        old = str(tmp_path / "v3.lama")
+        with zipfile.ZipFile(path) as src, zipfile.ZipFile(old, "w") as dst:
+            for name in src.namelist():
+                payload = src.read(name)
+                if name == "manifest.json":
+                    manifest = json.loads(payload)
+                    manifest["format_version"] = 3
+                    payload = json.dumps(manifest)
+                dst.writestr(name, payload)
+
+        def no_decoding(node, arrays):
+            raise AssertionError("a node was decoded")
+
+        monkeypatch.setattr(artifact, "_decode", no_decoding)
+        with pytest.raises(ConfigError, match="format version 3"):
             load_model(old)
 
     def test_garbage_file_rejected(self, tmp_path):

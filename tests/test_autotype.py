@@ -128,8 +128,7 @@ class TestSelectCategoryEncoding:
         ds = dataset_from_arrays(codes[:, None].astype(float), y, "binary",
                                  category_columns=["f0"])
         folds = _folds_for(ds)
-        spec = select_category_encoding(ds.columns["f0"].values, ds.target,
-                                        folds, "binary")
+        spec = select_category_encoding(ds.columns["f0"].values, ds.target, folds)
         # injective ids: both encodings are pure noise; exact ties break to
         # the target encoder
         assert spec.kind in ("frequency", "oof_target")
@@ -143,7 +142,6 @@ class TestSelectCategoryEncoding:
         ds = dataset_from_arrays(codes[:, None].astype(float), y, "binary",
                                  category_columns=["f0"])
         folds = _folds_for(ds)
-        spec = select_category_encoding(ds.columns["f0"].values, ds.target,
-                                        folds, "binary")
+        spec = select_category_encoding(ds.columns["f0"].values, ds.target, folds)
         assert spec.kind == "oof_target"
 

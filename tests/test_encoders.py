@@ -133,18 +133,18 @@ class TestFreqEncode:
 class TestOofTargetEncode:
     def test_single_value_unsmoothed(self):
         enc = oof_target_encode(["u"] * 4, [1, 0, 1, 0], [0, 0, 1, 1], alpha=0.0)
-        assert enc.tolist() == [0.5] * 4
+        assert enc.tolist() == [[0.5]] * 4
 
     def test_two_values_unsmoothed(self):
         enc = oof_target_encode(["u", "v", "u", "v"], [1, 0, 1, 0],
                                 [0, 0, 1, 1], alpha=0.0)
-        assert enc.tolist() == [1.0, 0.0, 1.0, 0.0]
+        assert enc[:, 0].tolist() == [1.0, 0.0, 1.0, 0.0]
 
     def test_smoothed_hand_computed(self):
         # out-fold stats for each value are a single row; global mean 0.5
         enc = oof_target_encode(["u", "v", "u", "v"], [1, 0, 1, 0],
                                 [0, 0, 1, 1], alpha=2.0)
-        assert enc == pytest.approx([2 / 3, 1 / 3, 2 / 3, 1 / 3])
+        assert enc[:, 0] == pytest.approx([2 / 3, 1 / 3, 2 / 3, 1 / 3])
 
     def test_matches_literal_formula(self, rng):
         for _ in range(30):
@@ -154,14 +154,14 @@ class TestOofTargetEncode:
             fold = rng.integers(0, 3, size=n)
             alpha = float(rng.choice([0.0, 1.0, 2.0, 5.0]))
             got = oof_target_encode(col, y, fold, alpha=alpha)
-            assert got == pytest.approx(oof_mean_by_hand(col, y, fold, alpha))
+            assert got.shape == (n, 1)
+            assert got[:, 0] == pytest.approx(oof_mean_by_hand(col, y, fold, alpha))
 
     def test_unseen_outside_fold_gets_global_mean(self):
         # value "w" appears only inside fold 0
         enc = oof_target_encode(["w", "w", "u", "u"], [1, 0, 1, 0],
                                 [0, 0, 1, 1], alpha=0.0)
-        assert enc[0] == pytest.approx(0.5)
-        assert enc[1] == pytest.approx(0.5)
+        assert enc[:2, 0] == pytest.approx([0.5, 0.5])
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
     def test_no_leakage_of_own_target(self, alpha, rng):
@@ -175,7 +175,7 @@ class TestOofTargetEncode:
             y2 = y.copy()
             y2[i] += 3.0
             changed = oof_target_encode(col, y2, fold, alpha=alpha)
-            assert changed[i] == base[i]
+            assert changed[i, 0] == base[i, 0]
 
     def test_rejects_nonpartition(self):
         with pytest.raises(DataError):
@@ -195,15 +195,33 @@ class TestTargetMap:
                                  np.array([1.0, 0.0, 1.0]), alpha=2.0)
         gm = 2.0 / 3.0
         got = mapping.apply(np.array(["a", "b", "zz"]))
-        assert got[0] == pytest.approx((1.0 + 2 * gm) / 4.0)
-        assert got[1] == pytest.approx((1.0 + 2 * gm) / 3.0)
-        assert got[2] == pytest.approx(gm)
+        assert got.shape == (3, 1)
+        assert got[:, 0] == pytest.approx([(1.0 + 2 * gm) / 4.0, (1.0 + 2 * gm) / 3.0, gm])
 
     def test_multiclass_default_is_prior(self):
         mapping = fit_target_map(np.array([0, 0, 1]), np.array([0, 1, 2]),
                                  alpha=1.0, n_classes=3)
         out = mapping.apply(np.array([99]))
         assert out[0] == pytest.approx([1 / 3, 1 / 3, 1 / 3])
+
+
+@given(n=st.integers(2, 60), levels=st.integers(1, 8), n_classes=st.integers(3, 5),
+       k=st.integers(2, 5), seed=st.integers(0, 2**16))
+def test_multiclass_column_is_the_indicator_encoding(n, levels, n_classes, k, seed):
+    """Column c of a multiclass encoding is, bit for bit, the K = 1 encoding
+    of the indicator y == c, both out of fold and through the full map."""
+    rng = np.random.default_rng(seed)
+    col = rng.integers(0, levels, size=n)
+    y = rng.integers(0, n_classes, size=n)
+    fold = rng.integers(0, k, size=n)
+    probe = np.array([levels, 0, levels - 1])  # one unseen value, two seen
+    oof = oof_target_encode(col, y, fold, n_classes=n_classes)
+    mapped = fit_target_map(col, y, n_classes=n_classes).apply(probe)
+    assert oof.shape == (n, n_classes) and mapped.shape == (3, n_classes)
+    for c in range(n_classes):
+        yc = (y == c).astype(np.float64)
+        assert oof[:, c].tobytes() == oof_target_encode(col, yc, fold)[:, 0].tobytes()
+        assert mapped[:, c].tobytes() == fit_target_map(col, yc).apply(probe)[:, 0].tobytes()
 
 
 class TestQuantileDiscretize:
@@ -235,5 +253,4 @@ class TestQuantileDiscretize:
 def test_encoder_spec_validation():
     with pytest.raises(DataError):
         EncoderSpec("nope")
-    with pytest.raises(DataError):
-        EncoderSpec("oof_target", alpha=-1)
+    assert EncoderSpec("frequency").kind == "frequency"

@@ -31,8 +31,8 @@ class TestGBMView:
     def test_numeric_passthrough_and_te_column(self):
         ds = _cat_dataset()
         folds = make_folds(CVScheme("kfold", k=4, seed=0), ds)
-        view = GBMView(alpha=2.0).fit(ds, {"c": EncoderSpec("oof_target")})
-        assert view.feature_names == ["c__te", "x"]
+        view = GBMView().fit(ds, {"c": EncoderSpec("oof_target")})
+        assert view.feature_names == ["c__te0", "x"]
         X = view.train_matrix(ds, folds)
         assert X.shape == (600, 2)
         assert np.isfinite(X[:, 0]).all()
@@ -40,7 +40,7 @@ class TestGBMView:
     def test_frequency_spec_respected(self):
         ds = _cat_dataset()
         folds = make_folds(CVScheme("kfold", k=4, seed=0), ds)
-        view = GBMView(alpha=2.0).fit(ds, {"c": EncoderSpec("frequency")})
+        view = GBMView().fit(ds, {"c": EncoderSpec("frequency")})
         assert view.feature_names == ["c__freq", "x"]
         X = view.train_matrix(ds, folds)
         codes = ds.columns["c"].values
@@ -50,30 +50,32 @@ class TestGBMView:
     def test_multiclass_te_one_column_per_class(self):
         ds = _cat_dataset(n_classes=3)
         folds = make_folds(CVScheme("kfold", k=4, seed=0), ds)
-        view = GBMView(alpha=2.0).fit(ds, {"c": EncoderSpec("oof_target")})
+        view = GBMView().fit(ds, {"c": EncoderSpec("oof_target")})
         assert view.feature_names[:3] == ["c__te0", "c__te1", "c__te2"]
         assert view.groups["c"] == [0, 1, 2]
         X = view.train_matrix(ds, folds)
         assert X.shape == (600, 4)
 
-    @pytest.mark.parametrize("alpha", [2.0, 50.0])
-    def test_training_encoding_uses_spec_alpha(self, alpha):
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_training_encoding_is_the_map_of_the_other_folds(self, n_classes):
         # A training row is encoded by the inference map fitted on the other
-        # folds' rows, so both paths must smooth with the spec's alpha.
-        ds = _cat_dataset()
+        # folds' rows: both paths smooth alike, one column per target row.
+        ds = _cat_dataset(n_classes=n_classes)
+        k = ds.task.encoding_classes
         folds = make_folds(CVScheme("kfold", k=4, seed=0), ds)
-        view = GBMView().fit(ds, {"c": EncoderSpec("oof_target", alpha=alpha)})
+        view = GBMView().fit(ds, {"c": EncoderSpec("oof_target")})
         X = view.train_matrix(ds, folds)
-        codes, y = ds.columns["c"].values, ds.target.astype(float)
+        codes, y = ds.columns["c"].values, ds.target
+        assert view.groups["c"] == list(range(3 if n_classes == 3 else 1))
         assert np.array_equal(view.target_maps["c"].means,
-                              fit_target_map(codes, y, alpha=alpha).means)
+                              fit_target_map(codes, y, n_classes=k).means)
         for _, tr, va in folds.iter_splits():
-            expect = fit_target_map(codes[tr], y[tr], alpha=alpha).apply(codes[va])
-            np.testing.assert_allclose(X[va, 0], expect, rtol=1e-12)
+            expect = fit_target_map(codes[tr], y[tr], n_classes=k).apply(codes[va])
+            np.testing.assert_allclose(X[va][:, view.groups["c"]], expect, rtol=1e-12)
 
     def test_transform_handles_unseen_codes(self):
         ds = _cat_dataset()
-        view = GBMView(alpha=2.0).fit(ds, {"c": EncoderSpec("oof_target")})
+        view = GBMView().fit(ds, {"c": EncoderSpec("oof_target")})
         ds2 = _cat_dataset(seed=99)
         X2 = view.transform(ds2)
         assert np.isfinite(X2[:, 0]).all()
@@ -83,7 +85,7 @@ class TestLinearView:
     def test_onehot_for_low_cardinality(self):
         ds = _cat_dataset()
         folds = make_folds(CVScheme("kfold", k=4, seed=0), ds)
-        view = LinearView(alpha=2.0).fit(ds)
+        view = LinearView().fit(ds)
         assert sum(1 for n in view.feature_names if n.startswith("c__oh")) == 8
         X = view.train_matrix(ds, folds)
         onehot_cols = [i for i, n in enumerate(view.feature_names)
@@ -93,7 +95,7 @@ class TestLinearView:
     def test_standardized_numeric(self):
         ds = _cat_dataset()
         folds = make_folds(CVScheme("kfold", k=4, seed=0), ds)
-        view = LinearView(alpha=2.0).fit(ds)
+        view = LinearView().fit(ds)
         X = view.train_matrix(ds, folds)
         j = view.feature_names.index("x")
         assert abs(X[:, j].mean()) < 1e-9
@@ -105,8 +107,8 @@ class TestLinearView:
         y = rng.integers(0, 2, size=800)
         ds = dataset_from_arrays(cat[:, None], y, "binary",
                                  feature_names=["c"], category_columns=["c"])
-        view = LinearView(alpha=2.0).fit(ds)
-        assert view.feature_names == ["c__te"]
+        view = LinearView().fit(ds)
+        assert view.feature_names == ["c__te0"]
 
 
 class TestFitGBMModel:

@@ -59,27 +59,46 @@ def test_discordant_pairs_counts_strict_inversions():
                 scratch.ctypes.data, n, tmp.ctypes.data) == expected
 
 
-def test_second_build_reuses_the_cached_library(tmp_path):
+def test_second_build_reuses_the_cached_library(tmp_path, monkeypatch):
     log = tmp_path / "calls.log"
     cc = _script(tmp_path / "cc", f'echo "$@" >> {log}\nexec cc "$@"\n')
     cache = tmp_path / "cache"
     first = native.build(cache, cc)
     mtime = first.stat().st_mtime_ns
+
+    def no_process(*args, **kwargs):
+        raise AssertionError(f"a cached build started {args[0]}")
+
+    monkeypatch.setattr(subprocess, "Popen", no_process)
     second = native.build(cache, cc)
     assert first == second and second.stat().st_mtime_ns == mtime
-    compiles = [line for line in log.read_text().splitlines() if line != "--version"]
+    compiles = log.read_text().splitlines()
     assert len(compiles) == 1 and native.FLAGS[0] in compiles[0]
     assert os.listdir(cache) == [first.name]  # no temporary file left behind
 
 
+def test_a_changed_compiler_builds_a_new_library(tmp_path):
+    cc = _script(tmp_path / "cc", 'exec cc "$@"\n')
+    cache = tmp_path / "cache"
+    first = native.build(cache, cc)
+    st = os.stat(cc[0])
+    os.utime(cc[0], ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    second = native.build(cache, cc)
+    assert second != first and sorted(os.listdir(cache)) == sorted([first.name, second.name])
+
+
 def test_failing_compiler_raises_with_its_stderr(tmp_path):
-    cc = _script(tmp_path / "cc", 'if [ "$1" = --version ]; then echo "fake cc 1.0"; exit 0; fi\n'
-                                  'echo "_kernel.c:1: error: no luck" >&2\nexit 1\n')
+    cc = _script(tmp_path / "cc", 'echo "_kernel.c:1: error: no luck" >&2\nexit 1\n')
     with pytest.raises(native.KernelCompileError) as info:
         native.build(tmp_path / "cache", cc)
     message = str(info.value)
     assert "_kernel.c:1: error: no luck" in message and cc[0] in message
     assert os.listdir(tmp_path / "cache") == []
+
+
+def test_missing_compiler_raises(tmp_path):
+    with pytest.raises(native.KernelCompileError, match="not found"):
+        native.build(tmp_path / "cache", (str(tmp_path / "no-such-cc"),))
 
 
 def test_inference_never_imports_the_kernel(tmp_path):

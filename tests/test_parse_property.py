@@ -138,7 +138,6 @@ def assert_same_column(got, want):
         assert got.dictionary.dtype == want.dictionary.dtype
         assert np.array_equal(got.dictionary, want.dictionary)
     assert got.from_float_literals == want.from_float_literals
-    assert got.datetime_format == want.datetime_format
 
 
 def assert_same_datetime(got, want):

@@ -1,5 +1,6 @@
 """The public surface and the names the benchmark's tracer wraps all exist."""
 
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import autotab
+from autotab import cli
+from autotab.pipeline import PresetConfig
 
 MODULES = sorted(
     m.name for m in pkgutil.walk_packages(autotab.__path__, prefix="autotab."))
@@ -50,3 +53,9 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert [owner.__dict__[attr] for owner, attr in targets] == before
+
+
+def test_cli_config_keys_are_the_preset_fields():
+    cli_keys = {"train_path", "target", "out_dir", "model_path", "task"}
+    fields = {f.name for f in dataclasses.fields(PresetConfig)}
+    assert cli._CONFIG_KEYS == fields | cli_keys
