@@ -11,10 +11,32 @@
  *     argmax takes the first maximum, a NaN counting as the maximum;
  *   - oblivious totals add max(gain, 0) (0 where the gain is not finite)
  *     over nodes in node order;
- *   - the bin totals of a histogram row and a leaf's gradient and hessian
- *     sums are numpy's pairwise sums (pairwise_sum below);
+ *   - the G and H totals of a histogram row and a leaf's gradient and
+ *     hessian sums are numpy's pairwise sums (pairwise_sums below);
  *   - a leaf-wise tree takes the split of largest gain next, the lowest node
  *     id on a tie (heapq on (-gain, id)).
+ *
+ * Each histogram row carries a bitmap of N_WORDS words, bit b of word w
+ * marking bin 64*w + b, and every loop over bins visits the set bins only.
+ * A bin that is not set holds +0.0 in G, H and C to the numpy kernel and is
+ * never read here (its memory may hold anything). Skipping it changes no
+ * sum, because no histogram holds -0.0: a bin starts at +0.0, adding to
+ * +0.0 never gives -0.0 and neither does x - x, so x + 0.0 is x for every
+ * partial sum x. Hence an unset bin
+ *   - leaves the prefix sums unchanged: its gain repeats the gain of the bin
+ *     before it, which the first-maximum argmax has already seen (threshold
+ *     0 is always scanned);
+ *   - leaves every accumulator of a pairwise sum unchanged, the one it would
+ *     start included, so the set bins fed in bin order give numpy's total;
+ *   - leaves x - 0.0 = x in a subtraction;
+ * and a row's count total is its node's row count, counts being exact in any
+ * order. A set bin may be empty, and then holds +0.0 or, in a histogram
+ * derived by subtraction, a float residual that it keeps, as in numpy.
+ * A directly built histogram sets the bins its rows reach (read from its
+ * counts from FEW_ROWS rows up); the larger child of a leaf-wise split keeps
+ * its parent's bitmap; below the root, a node of an oblivious level with
+ * FEW_ROWS rows per node or more takes its parent's bitmap, a superset of
+ * its own.
  *
  * Besides its training rows a grower carries passenger rows (left-out and
  * validation rows): they are routed at every split as the training rows are
@@ -22,7 +44,8 @@
  *
  * Codes are uint8, Fortran-ordered: code (row r, feature f) is at f*n + r.
  * A histogram block is (3, k, 256) doubles: gradient sums, hessian sums
- * and row counts over k (feature) or (feature, node) rows of 256 bins.
+ * and row counts over k (feature) or (feature, node) rows of 256 bins, with
+ * k * N_WORDS words of bitmap.
  * Build with -ffp-contract=off and without -ffast-math.
  */
 #include <math.h>
@@ -31,41 +54,83 @@
 #include <string.h>
 
 #define N_HIST 256
+#define N_WORDS (N_HIST / 64)
 #define VALUE_BINS 255 /* bins 0..254 hold values, 255 is the missing bin */
 #define ZERO_DENOMINATOR (-1) /* a leaf's hessian sum + reg is 0 */
 #define NO_MEMORY (-2)
+#define FEW_ROWS (N_HIST / 2) /* rows per histogram row below which bins are marked row by row */
 
-static double pairwise(const double *a, int64_t n)
+static double combine(const double *r)
 {
-    if (n < 8) {
-        double res = -0.0;
-        for (int64_t i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        int64_t i;
-        for (int k = 0; k < 8; k++)
-            r[k] = a[k];
-        for (i = 8; i < n - n % 8; i += 8)
-            for (int k = 0; k < 8; k++)
-                r[k] += a[i + k];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    int64_t n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise(a, n2) + pairwise(a + n2, n - n2);
+    return ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
 }
 
-/* np.add.reduce of a[0:n]: 0.0 plus numpy's pairwise sum (8 accumulators up
- * to 128 values, halves split at a multiple of 8 above). */
-double pairwise_sum(const double *a, int64_t n)
+/* Add the set entries i of a[lo:hi] and b[lo:hi] to ra[i % 8] and rb[i % 8],
+ * in order. */
+static void add_set(const double *a, const double *b, const uint64_t *bits, int64_t lo,
+                    int64_t hi, double *ra, double *rb)
 {
-    return 0.0 + pairwise(a, n);
+    for (int64_t w = lo >> 6; 64 * w < hi; w++) {
+        uint64_t word = bits[w];
+        if (64 * w < lo)
+            word &= ~(uint64_t)0 << (lo & 63);
+        if (64 * w + 64 > hi)
+            word &= ~(uint64_t)0 >> (64 * w + 64 - hi);
+        if (word == ~(uint64_t)0) /* a full word: no bit to find */
+            for (int64_t i = 64 * w; i < 64 * w + 64; i += 8)
+                for (int k = 0; k < 8; k++) {
+                    ra[k] += a[i + k];
+                    rb[k] += b[i + k];
+                }
+        else
+            for (; word; word &= word - 1) {
+                int64_t i = 64 * w + __builtin_ctzll(word);
+                ra[i & 7] += a[i];
+                rb[i & 7] += b[i];
+            }
+    }
+}
+
+/* numpy's pairwise sums of the set entries of a[lo:lo+n] and b[lo:lo+n]
+ * into sums[0] and sums[1]: up to 128 values 8 accumulators (entry i goes to
+ * i % 8, as lo is a multiple of 8) and the n % 8 last in order, below 8
+ * values a sequential sum from -0.0; above 128 values the halves split at a
+ * multiple of 8. */
+static void pairwise(const double *a, const double *b, const uint64_t *bits, int64_t lo,
+                     int64_t n, double *sums)
+{
+    if (n > 128) {
+        double first[2];
+        int64_t n2 = n / 2;
+        n2 -= n2 % 8;
+        pairwise(a, b, bits, lo, n2, first);
+        pairwise(a, b, bits, lo + n2, n - n2, sums);
+        sums[0] = first[0] + sums[0];
+        sums[1] = first[1] + sums[1];
+        return;
+    }
+    int64_t body = lo + (n < 8 ? 0 : n - n % 8);
+    double ra[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+    double rb[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+    add_set(a, b, bits, lo, body, ra, rb);
+    sums[0] = n < 8 ? -0.0 : combine(ra);
+    sums[1] = n < 8 ? -0.0 : combine(rb);
+    for (int64_t i = body; i < lo + n; i++)
+        if (bits[i >> 6] >> (i & 63) & 1) {
+            sums[0] += a[i];
+            sums[1] += b[i];
+        }
+}
+
+/* np.add.reduce of a[0:n] and of b[0:n] into sums[0] and sums[1], where
+ * only the entries set in bits may be nonzero (bit i marks entry i; the rest
+ * count as +0.0 and are not read): 0.0 plus numpy's pairwise sum. */
+void pairwise_sums(const double *a, const double *b, const uint64_t *bits, int64_t n,
+                   double *sums)
+{
+    pairwise(a, b, bits, 0, n, sums);
+    sums[0] = 0.0 + sums[0];
+    sums[1] = 0.0 + sums[1];
 }
 
 static void *alloc(int64_t count, size_t size)
@@ -73,15 +138,33 @@ static void *alloc(int64_t count, size_t size)
     return malloc((size_t)(count > 0 ? count : 1) * size);
 }
 
-/* Histograms of the rows order[begin:end] over nf features into out (3, nf, 256). */
+/* Bitmaps of k histogram rows from their counts C (k, 256). */
+static void bits_from_counts(const double *C, int64_t k, uint64_t *bits)
+{
+    for (int64_t w = 0; w < k * N_WORDS; w++) {
+        const double *c = C + 64 * w;
+        uint32_t low = 0, high = 0; /* two independent chains of shifts */
+        for (int b = 31; b >= 0; b--) {
+            low = low << 1 | (c[b] > 0.0);
+            high = high << 1 | (c[b + 32] > 0.0);
+        }
+        bits[w] = (uint64_t)high << 32 | low;
+    }
+}
+
+/* Histograms of the rows order[begin:end] over nf features into out
+ * (3, nf, 256) and their bitmaps into bits (nf, N_WORDS). Below FEW_ROWS
+ * rows only the bins the rows reach are cleared and marked; from there on
+ * clearing whole rows and reading the bitmaps from the counts is faster. */
 void leaf_hist(const uint8_t *codes, int64_t n, const double *g, const double *h,
                const int64_t *order, int64_t begin, int64_t end,
-               const int64_t *feats, int64_t nf, double *gbuf, double *hbuf, double *out)
+               const int64_t *feats, int64_t nf, double *gbuf, double *hbuf, double *out,
+               uint64_t *bits)
 {
     int64_t m = end - begin;
     const int64_t *rows = order + begin;
     double *G = out, *H = out + nf * N_HIST, *C = out + 2 * nf * N_HIST;
-    memset(out, 0, sizeof(double) * 3 * nf * N_HIST);
+    int few = m < FEW_ROWS;
     for (int64_t i = 0; i < m; i++) {
         gbuf[i] = g[rows[i]];
         hbuf[i] = h[rows[i]];
@@ -89,12 +172,27 @@ void leaf_hist(const uint8_t *codes, int64_t n, const double *g, const double *h
     for (int64_t fi = 0; fi < nf; fi++) {
         const uint8_t *col = codes + feats[fi] * n;
         double *Gf = G + fi * N_HIST, *Hf = H + fi * N_HIST, *Cf = C + fi * N_HIST;
+        uint64_t *bf = bits + fi * N_WORDS;
+        if (few) {
+            memset(bf, 0, sizeof(uint64_t) * N_WORDS);
+            for (int64_t i = 0; i < m; i++) {
+                int c = col[rows[i]];
+                Gf[c] = Hf[c] = Cf[c] = 0.0;
+                bf[c >> 6] |= (uint64_t)1 << (c & 63);
+            }
+        } else {
+            memset(Gf, 0, sizeof(double) * N_HIST);
+            memset(Hf, 0, sizeof(double) * N_HIST);
+            memset(Cf, 0, sizeof(double) * N_HIST);
+        }
         for (int64_t i = 0; i < m; i++) {
             int c = col[rows[i]];
             Gf[c] += gbuf[i];
             Hf[c] += hbuf[i];
             Cf[c] += 1.0;
         }
+        if (!few)
+            bits_from_counts(Cf, 1, bf);
     }
 }
 
@@ -117,64 +215,99 @@ static int64_t partition(const uint8_t *col, int64_t t, int64_t *idx, int64_t m,
 /* Split the node whose rows are order[begin:end] on code(f) <= t.
  *
  * The rows are partitioned stably, left child first. The smaller child's
- * histograms (the left one on a tie) are built into small; the parent's
- * block becomes the larger child's by subtraction. Returns the left size.
+ * histograms (the left one on a tie) are built into small and small_bits;
+ * the parent's block becomes the larger child's by subtracting small over
+ * its set bins, and keeps its bitmap. Returns the left size.
  */
 int64_t leaf_split(const uint8_t *codes, int64_t n, const double *g, const double *h,
                    int64_t *order, int64_t begin, int64_t end, int64_t f, int64_t t,
                    const int64_t *feats, int64_t nf, double *gbuf, double *hbuf,
-                   int64_t *tmp, double *parent, double *small)
+                   int64_t *tmp, double *parent, double *small, uint64_t *small_bits)
 {
     int64_t n_left = partition(codes + f * n, t, order + begin, end - begin, tmp);
     if (n_left <= end - begin - n_left)
-        leaf_hist(codes, n, g, h, order, begin, begin + n_left, feats, nf, gbuf, hbuf, small);
+        leaf_hist(codes, n, g, h, order, begin, begin + n_left, feats, nf, gbuf, hbuf, small,
+                  small_bits);
     else
-        leaf_hist(codes, n, g, h, order, begin + n_left, end, feats, nf, gbuf, hbuf, small);
-    for (int64_t k = 0; k < 3 * nf * N_HIST; k++)
-        parent[k] -= small[k];
+        leaf_hist(codes, n, g, h, order, begin + n_left, end, feats, nf, gbuf, hbuf, small,
+                  small_bits);
+    for (int64_t fi = 0; fi < nf; fi++) {
+        double *P = parent + fi * N_HIST;
+        const double *S = small + fi * N_HIST;
+        for (int w = 0; w < N_WORDS; w++)
+            for (uint64_t word = small_bits[fi * N_WORDS + w]; word; word &= word - 1) {
+                int64_t k = 64 * w + __builtin_ctzll(word);
+                for (int64_t plane = 0; plane < 3 * nf * N_HIST; plane += nf * N_HIST)
+                    P[plane + k] -= S[plane + k];
+            }
+    }
     return n_left;
 }
 
-/* Newton gains of one 256-bin histogram row over thresholds 0..254, given its
- * totals; cells leaving fewer than min_data rows on a side are -inf. */
-static void gain_row(const double *G, const double *H, const double *C,
-                     double gt, double ht, double ct, double reg, double min_data,
-                     double *gains)
+/* The Newton gain of a threshold whose left side has the sums gl, hl, cl,
+ * -inf if it leaves fewer than min_data rows on a side. */
+static double cell_gain(double gl, double hl, double cl, double gt, double ht, double count,
+                        double parent, double reg, double min_data)
 {
-    double parent = gt * gt / (ht + reg);
-    double gl = G[0], hl = H[0], cl = C[0];
-    for (int t = 0; t < VALUE_BINS; t++) {
-        if (t > 0) {
+    double gr = gt - gl, hr = ht - hl, cr = count - cl;
+    if (cl < min_data || cr < min_data)
+        return -INFINITY;
+    return 0.5 * ((gl * gl / (hl + reg) + gr * gr / (hr + reg)) - parent);
+}
+
+/* Newton gains of one histogram row of count rows where they can change:
+ * at threshold 0 and at each set bin of 1..254 (an unset bin repeats the
+ * gain before it). The thresholds go to at[] and their gains to gains[];
+ * returns how many, k, and sets at[k] to VALUE_BINS. */
+static int gain_row(const double *G, const double *H, const double *C, const uint64_t *bits,
+                    double count, double reg, double min_data, int *at, double *gains)
+{
+    double tot[2];
+    pairwise_sums(G, H, bits, N_HIST, tot);
+    double gt = tot[0], ht = tot[1], parent = gt * gt / (ht + reg);
+    double gl = 0.0, hl = 0.0, cl = 0.0; /* +0.0 + G[0] is G[0] */
+    int k = 0;
+    if (!(bits[0] & 1)) {
+        at[k] = 0;
+        gains[k++] = cell_gain(gl, hl, cl, gt, ht, count, parent, reg, min_data);
+    }
+    for (int w = 0; w < N_WORDS; w++) {
+        uint64_t word = bits[w];
+        if (w == N_WORDS - 1)
+            word &= ~((uint64_t)1 << 63); /* the missing bin is no threshold */
+        for (; word; word &= word - 1) {
+            int t = 64 * w + __builtin_ctzll(word);
             gl += G[t];
             hl += H[t];
             cl += C[t];
+            at[k] = t;
+            gains[k++] = cell_gain(gl, hl, cl, gt, ht, count, parent, reg, min_data);
         }
-        double gr = gt - gl, hr = ht - hl, cr = ct - cl;
-        if (cl < min_data || cr < min_data)
-            gains[t] = -INFINITY;
-        else
-            gains[t] = 0.5 * ((gl * gl / (hl + reg) + gr * gr / (hr + reg)) - parent);
     }
+    at[k] = VALUE_BINS;
+    return k;
 }
 
-/* Best (gain, feature position, bin) of one node: its histograms hist
- * (3, nf, 256) and their bin totals tot (3, nf). The argmax runs over
- * (feature, bin) in row-major order, as np.argmax over the flat gains. */
-void leaf_scan(const double *hist, const double *tot, int64_t nf, double reg,
+/* Best (gain, feature position, bin) of one node of count rows: its
+ * histograms hist (3, nf, 256) and their bitmaps bits (nf, N_WORDS). The
+ * argmax runs over (feature, bin) in row-major order, as np.argmax over the
+ * flat gains. */
+void leaf_scan(const double *hist, const uint64_t *bits, int64_t nf, int64_t count, double reg,
                double min_data, double *best)
 {
     const double *G = hist, *H = hist + nf * N_HIST, *C = hist + 2 * nf * N_HIST;
+    int at[VALUE_BINS + 1];
     double gains[VALUE_BINS];
     double top = 0.0;
     int64_t top_f = -1, top_t = 0;
     for (int64_t fi = 0; fi < nf && !(top_f >= 0 && isnan(top)); fi++) {
-        gain_row(G + fi * N_HIST, H + fi * N_HIST, C + fi * N_HIST,
-                 tot[fi], tot[nf + fi], tot[2 * nf + fi], reg, min_data, gains);
-        for (int t = 0; t < VALUE_BINS; t++) {
-            if (top_f < 0 || !(gains[t] <= top)) {
-                top = gains[t];
+        int k = gain_row(G + fi * N_HIST, H + fi * N_HIST, C + fi * N_HIST, bits + fi * N_WORDS,
+                         (double)count, reg, min_data, at, gains);
+        for (int j = 0; j < k; j++) {
+            if (top_f < 0 || !(gains[j] <= top)) {
+                top = gains[j];
                 top_f = fi;
-                top_t = t;
+                top_t = at[j];
                 if (isnan(top))
                     break;
             }
@@ -183,13 +316,6 @@ void leaf_scan(const double *hist, const double *tot, int64_t nf, double reg,
     best[0] = top;
     best[1] = (double)top_f;
     best[2] = (double)top_t;
-}
-
-/* Bin totals of k histogram rows of 256 bins, as hist.sum(axis=-1). */
-static void row_totals(const double *hist, int64_t k, double *tot)
-{
-    for (int64_t r = 0; r < k; r++)
-        tot[r] = pairwise_sum(hist + r * N_HIST, N_HIST);
 }
 
 typedef struct {
@@ -202,16 +328,15 @@ typedef struct {
 } Node;
 
 /* Scan a new leaf: it is open if it has rows for two children and a split
- * of finite positive gain. tot is scratch for the slot's bin totals. */
-static void scan_leaf(Node *nd, const double *hists, int64_t nf, int64_t min_data,
-                      double reg, double *tot)
+ * of finite positive gain. */
+static void scan_leaf(Node *nd, const double *hists, const uint64_t *bits, int64_t nf,
+                      int64_t min_data, double reg)
 {
     double best[3];
-    const double *hist = hists + nd->slot * 3 * nf * N_HIST;
     if (nd->end - nd->begin < 2 * min_data)
         return;
-    row_totals(hist, 3 * nf, tot);
-    leaf_scan(hist, tot, nf, reg, (double)min_data, best);
+    leaf_scan(hists + nd->slot * 3 * nf * N_HIST, bits + nd->slot * nf * N_WORDS, nf,
+              nd->end - nd->begin, reg, (double)min_data, best);
     if (best[0] > 0.0 && isfinite(best[0])) {
         nd->gain = best[0];
         nd->fpos = (int64_t)best[1];
@@ -227,10 +352,10 @@ static void scan_leaf(Node *nd, const double *hists, int64_t nf, int64_t min_dat
  * both are regrouped leaf by leaf in place, and out[i] gets the leaf value
  * of order[i]. A split builds the smaller child's histograms and derives
  * the larger one's by subtraction in the parent's slot, so there is one
- * slot per leaf. Node i's fields go to feature, threshold, left, right
- * (-1 for a leaf) and value (0 for an internal node); each split's gain is
- * added to feature_gain[f] in split order. Returns the node count,
- * ZERO_DENOMINATOR or NO_MEMORY.
+ * slot (and one bitmap) per leaf. Node i's fields go to feature, threshold,
+ * left, right (-1 for a leaf) and value (0 for an internal node); each
+ * split's gain is added to feature_gain[f] in split order. Returns the node
+ * count, ZERO_DENOMINATOR or NO_MEMORY.
  */
 int64_t leaf_grow(const uint8_t *codes, int64_t n, const double *g, const double *h,
                   int64_t *order, int64_t m, int64_t n_pass, const int64_t *feats,
@@ -238,19 +363,20 @@ int64_t leaf_grow(const uint8_t *codes, int64_t n, const double *g, const double
                   int32_t *feature, int32_t *threshold, int32_t *left, int32_t *right,
                   double *value, double *feature_gain, double *out)
 {
-    int64_t slot_size = 3 * nf * N_HIST, n_nodes = 1, n_leaves = 1, status;
+    int64_t slot_size = 3 * nf * N_HIST, slot_words = nf * N_WORDS;
+    int64_t n_nodes = 1, n_leaves = 1, status;
     double *hists = alloc(max_leaves * slot_size, sizeof(double));
-    double *tot = alloc(3 * nf, sizeof(double));
+    uint64_t *bits = alloc(max_leaves * slot_words, sizeof(uint64_t));
     double *gbuf = alloc(m, sizeof(double)), *hbuf = alloc(m, sizeof(double));
     int64_t *tmp = alloc(m > n_pass ? m : n_pass, sizeof(int64_t));
     Node *nodes = alloc(2 * max_leaves - 1, sizeof(Node));
-    if (!hists || !tot || !gbuf || !hbuf || !tmp || !nodes) {
+    if (!hists || !bits || !gbuf || !hbuf || !tmp || !nodes) {
         status = NO_MEMORY;
         goto done;
     }
     nodes[0] = (Node){0, m, m, m + n_pass, 0, 0, 0, 0.0, 0};
-    leaf_hist(codes, n, g, h, order, 0, m, feats, nf, gbuf, hbuf, hists);
-    scan_leaf(&nodes[0], hists, nf, min_data, reg, tot);
+    leaf_hist(codes, n, g, h, order, 0, m, feats, nf, gbuf, hbuf, hists, bits);
+    scan_leaf(&nodes[0], hists, bits, nf, min_data, reg);
 
     while (n_leaves < max_leaves) {
         int64_t pick = -1; /* largest gain, lowest id on a tie */
@@ -263,7 +389,7 @@ int64_t leaf_grow(const uint8_t *codes, int64_t n, const double *g, const double
         int64_t f = feats[p->fpos];
         int64_t n_left = leaf_split(codes, n, g, h, order, p->begin, p->end, f, p->t, feats,
                                     nf, gbuf, hbuf, tmp, hists + p->slot * slot_size,
-                                    hists + n_leaves * slot_size);
+                                    hists + n_leaves * slot_size, bits + n_leaves * slot_words);
         int64_t p_left = partition(codes + f * n, p->t, order + p->pbegin,
                                    p->pend - p->pbegin, tmp);
         int left_small = n_left <= p->end - p->begin - n_left; /* it got the new slot */
@@ -282,8 +408,8 @@ int64_t leaf_grow(const uint8_t *codes, int64_t n, const double *g, const double
         n_nodes += 2;
         n_leaves++;
         if (n_leaves < max_leaves) { /* else growth ends: no split is taken from them */
-            scan_leaf(l, hists, nf, min_data, reg, tot);
-            scan_leaf(r, hists, nf, min_data, reg, tot);
+            scan_leaf(l, hists, bits, nf, min_data, reg);
+            scan_leaf(r, hists, bits, nf, min_data, reg);
         }
     }
 
@@ -292,8 +418,9 @@ int64_t leaf_grow(const uint8_t *codes, int64_t n, const double *g, const double
         if (nd->slot < 0)
             continue;
         const double *hist = hists + nd->slot * slot_size;
-        double g_sum = pairwise_sum(hist, nf * N_HIST);
-        double h_sum = pairwise_sum(hist + nf * N_HIST, nf * N_HIST);
+        double sums[2];
+        pairwise_sums(hist, hist + nf * N_HIST, bits + nd->slot * slot_words, nf * N_HIST, sums);
+        double g_sum = sums[0], h_sum = sums[1];
         if (h_sum + reg == 0.0) {
             status = ZERO_DENOMINATOR;
             goto done;
@@ -311,7 +438,7 @@ int64_t leaf_grow(const uint8_t *codes, int64_t n, const double *g, const double
     status = n_nodes;
 done:
     free(hists);
-    free(tot);
+    free(bits);
     free(gbuf);
     free(hbuf);
     free(tmp);
@@ -320,48 +447,78 @@ done:
 }
 
 /* Per-level histograms of an oblivious tree: out (nf, 3, n_nodes, 256) over
- * the rows rows[0:m], whose gradients, hessians and level nodes are
- * gr, hr and node (aligned with rows). */
+ * the rows rows[0:m], whose gradients, hessians and level nodes are gr, hr
+ * and node (aligned with rows), and their bitmaps bits (nf, n_nodes,
+ * N_WORDS). Below FEW_ROWS rows per node only the bins the rows reach are
+ * cleared and marked. Otherwise every bin is cleared and node k takes the
+ * bitmap of its parent k / 2 from parent_bits (nf, n_nodes / 2, N_WORDS), a
+ * superset as its rows are some of the parent's, or at the root (parent_bits
+ * NULL) the bitmap of its counts. */
 void obl_hist(const uint8_t *codes, int64_t n, const int64_t *rows, int64_t m,
               const double *gr, const double *hr, const int64_t *node,
-              const int64_t *feats, int64_t nf, int64_t n_nodes, double *out)
+              const int64_t *feats, int64_t nf, int64_t n_nodes, double *out, uint64_t *bits,
+              const uint64_t *parent_bits)
 {
     int64_t block = n_nodes * N_HIST;
-    memset(out, 0, sizeof(double) * nf * 3 * block);
+    int few = m < n_nodes * FEW_ROWS;
+    if (!few)
+        memset(out, 0, sizeof(double) * nf * 3 * block);
     for (int64_t fi = 0; fi < nf; fi++) {
         const uint8_t *col = codes + feats[fi] * n;
         double *G = out + fi * 3 * block, *H = G + block, *C = H + block;
+        uint64_t *bf = bits + fi * n_nodes * N_WORDS;
+        if (few) {
+            memset(bf, 0, sizeof(uint64_t) * n_nodes * N_WORDS);
+            for (int64_t i = 0; i < m; i++) {
+                int64_t k = node[i] * N_HIST + col[rows[i]];
+                G[k] = H[k] = C[k] = 0.0;
+                bf[k >> 6] |= (uint64_t)1 << (k & 63);
+            }
+        }
         for (int64_t i = 0; i < m; i++) {
             int64_t k = node[i] * N_HIST + col[rows[i]];
             G[k] += gr[i];
             H[k] += hr[i];
             C[k] += 1.0;
         }
+        if (!few && parent_bits)
+            for (int64_t k = 0; k < n_nodes; k++)
+                memcpy(bf + k * N_WORDS, parent_bits + (fi * (n_nodes / 2) + k / 2) * N_WORDS,
+                       sizeof(uint64_t) * N_WORDS);
+        else if (!few)
+            bits_from_counts(C, n_nodes, bf);
     }
 }
 
-/* Best level split of an oblivious tree from obl_hist's out and its bin
- * totals tot (nf, 3, n_nodes). For each feature the clipped gains are summed
- * over nodes per bin; the first bin with the largest total is that feature's
+/* Best level split of an oblivious tree from obl_hist's out and bits and the
+ * nodes' row counts. For each feature the clipped gains are summed over
+ * nodes per bin; the first bin with the largest total is that feature's
  * candidate, and a later feature wins only with a strictly larger total.
- * best = (total, feature position or -1, bin). */
-void obl_scan(const double *hist, const double *tot, int64_t nf, int64_t n_nodes,
-              double reg, double min_data, double *best)
+ * A clipped gain of 0 (and so every node of fewer than 2 * min_data rows)
+ * adds nothing: no total is -0.0. best = (total, feature position or -1,
+ * bin). */
+void obl_scan(const double *hist, const uint64_t *bits, const int64_t *counts, int64_t nf,
+              int64_t n_nodes, double reg, double min_data, double *best)
 {
     int64_t block = n_nodes * N_HIST;
+    int at[VALUE_BINS + 1];
     double gains[VALUE_BINS], totals[VALUE_BINS];
     double best_total = 0.0;
     int64_t best_f = -1, best_t = -1;
     for (int64_t fi = 0; fi < nf; fi++) {
         const double *G = hist + fi * 3 * block, *H = G + block, *C = H + block;
-        const double *T = tot + fi * 3 * n_nodes;
         for (int t = 0; t < VALUE_BINS; t++)
             totals[t] = 0.0;
         for (int64_t k = 0; k < n_nodes; k++) {
-            gain_row(G + k * N_HIST, H + k * N_HIST, C + k * N_HIST,
-                     T[k], T[n_nodes + k], T[2 * n_nodes + k], reg, min_data, gains);
-            for (int t = 0; t < VALUE_BINS; t++)
-                totals[t] += isfinite(gains[t]) ? (gains[t] >= 0.0 ? gains[t] : 0.0) : 0.0;
+            if ((double)counts[k] < 2.0 * min_data)
+                continue;
+            int n_at = gain_row(G + k * N_HIST, H + k * N_HIST, C + k * N_HIST,
+                                bits + (fi * n_nodes + k) * N_WORDS, (double)counts[k], reg,
+                                min_data, at, gains);
+            for (int j = 0; j < n_at; j++)
+                if (gains[j] > 0.0 && gains[j] < INFINITY) /* else clipped to 0 */
+                    for (int t = at[j]; t < at[j + 1]; t++) /* up to the next set bin */
+                        totals[t] += gains[j];
         }
         int t_max = 0;
         for (int t = 1; t < VALUE_BINS; t++)
@@ -398,10 +555,11 @@ int64_t obl_grow(const uint8_t *codes, int64_t n, const double *g, const double 
     double *gr = alloc(m, sizeof(double)), *hr = alloc(m, sizeof(double));
     int64_t *node = calloc((size_t)(m + n_pass + 1), sizeof(int64_t));
     double *hists = alloc(nf * 3 * max_nodes * N_HIST, sizeof(double));
-    double *tot = alloc(nf * 3 * max_nodes, sizeof(double));
+    uint64_t *bits = alloc(nf * max_nodes * N_WORDS, sizeof(uint64_t));
+    uint64_t *parent_bits = alloc(nf * max_nodes * N_WORDS, sizeof(uint64_t));
     double *h_leaf = alloc(n_leaves, sizeof(double));
-    int64_t *count = calloc((size_t)n_leaves, sizeof(int64_t));
-    if (!gr || !hr || !node || !hists || !tot || !h_leaf || !count) {
+    int64_t *count = alloc(n_leaves, sizeof(int64_t));
+    if (!gr || !hr || !node || !hists || !bits || !parent_bits || !h_leaf || !count) {
         depth = NO_MEMORY;
         goto done;
     }
@@ -412,9 +570,15 @@ int64_t obl_grow(const uint8_t *codes, int64_t n, const double *g, const double 
     for (; depth < max_depth; depth++) {
         int64_t n_nodes = (int64_t)1 << depth;
         double best[3];
-        obl_hist(codes, n, idx, m, gr, hr, node, feats, nf, n_nodes, hists);
-        row_totals(hists, nf * 3 * n_nodes, tot);
-        obl_scan(hists, tot, nf, n_nodes, reg, (double)min_data, best);
+        memset(count, 0, sizeof(int64_t) * n_nodes);
+        for (int64_t i = 0; i < m; i++)
+            count[node[i]]++;
+        uint64_t *swap = parent_bits; /* the last level's bitmaps become the parents' */
+        parent_bits = bits;
+        bits = swap;
+        obl_hist(codes, n, idx, m, gr, hr, node, feats, nf, n_nodes, hists, bits,
+                 depth ? parent_bits : NULL);
+        obl_scan(hists, bits, count, nf, n_nodes, reg, (double)min_data, best);
         if (best[1] < 0 || !(best[0] > 0.0))
             break;
         int64_t f = feats[(int64_t)best[1]], t = (int64_t)best[2];
@@ -427,8 +591,10 @@ int64_t obl_grow(const uint8_t *codes, int64_t n, const double *g, const double 
     }
 
     n_leaves = (int64_t)1 << depth;
-    for (int64_t k = 0; k < n_leaves; k++)
+    for (int64_t k = 0; k < n_leaves; k++) {
         leaf_value[k] = h_leaf[k] = 0.0;
+        count[k] = 0;
+    }
     for (int64_t i = 0; i < m; i++) { /* G (in leaf_value) and H per leaf, as np.bincount */
         leaf_value[node[i]] += gr[i];
         h_leaf[node[i]] += hr[i];
@@ -443,7 +609,8 @@ done:
     free(hr);
     free(node);
     free(hists);
-    free(tot);
+    free(bits);
+    free(parent_bits);
     free(h_leaf);
     free(count);
     return depth;

@@ -31,14 +31,15 @@ FLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
 
 _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 SIGNATURES = {  # name -> (restype, argtypes), as declared in _kernel.c
-    "pairwise_sum": (_D, [_P, _I]),
-    "leaf_hist": (None, [_P, _I, _P, _P, _P, _I, _I, _P, _I, _P, _P, _P]),
-    "leaf_split": (_I, [_P, _I, _P, _P, _P, _I, _I, _I, _I, _P, _I, _P, _P, _P, _P, _P]),
-    "leaf_scan": (None, [_P, _P, _I, _D, _D, _P]),
+    "pairwise_sums": (None, [_P, _P, _P, _I, _P]),
+    "leaf_hist": (None, [_P, _I, _P, _P, _P, _I, _I, _P, _I, _P, _P, _P, _P]),
+    "leaf_split": (_I, [_P, _I, _P, _P, _P, _I, _I, _I, _I, _P, _I, _P, _P, _P, _P, _P,
+                        _P]),
+    "leaf_scan": (None, [_P, _P, _I, _I, _D, _D, _P]),
     "leaf_grow": (_I, [_P, _I, _P, _P, _P, _I, _I, _P, _I, _I, _I, _D, _D,
                        _P, _P, _P, _P, _P, _P, _P]),
-    "obl_hist": (None, [_P, _I, _P, _I, _P, _P, _P, _P, _I, _I, _P]),
-    "obl_scan": (None, [_P, _P, _I, _I, _D, _D, _P]),
+    "obl_hist": (None, [_P, _I, _P, _I, _P, _P, _P, _P, _I, _I, _P, _P, _P]),
+    "obl_scan": (None, [_P, _P, _P, _I, _I, _D, _D, _P]),
     "obl_grow": (_I, [_P, _I, _P, _P, _P, _I, _I, _P, _I, _I, _I, _D, _D,
                       _P, _P, _P, _P, _P]),
     "discordant_pairs": (_I, [_P, _I, _P]),

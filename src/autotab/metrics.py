@@ -65,17 +65,18 @@ def roc_auc(y: np.ndarray, scores: np.ndarray) -> float:
 
 
 def positive_rank_sum(pos: np.ndarray, scores: np.ndarray) -> float:
-    """Sum of the 1-based average ranks of `scores` over the rows in `pos`.
+    """Sum of the 1-based average ranks of `scores` (no NaN) over the rows in
+    `pos`.
 
-    Tied scores share their average rank. Ranks are half-integers, so the
-    sum is exact.
+    A score tied with others at sorted positions left..right-1 has the
+    average rank (left + 1 + right) / 2. Ranks are half-integers, so the sum
+    is exact in any order.
     """
-    order = np.argsort(scores, kind="stable")
-    ranked = scores[order]
-    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-    counts = np.diff(np.append(starts, ranked.shape[0]))
-    mean_rank = starts + (counts + 1) / 2.0  # 1-based ranks start+1 .. start+count
-    return float(np.repeat(mean_rank, counts)[pos[order]].sum())
+    ranked = np.sort(scores)
+    picked = scores[pos]
+    left = np.searchsorted(ranked, picked, side="left")
+    right = np.searchsorted(ranked, picked, side="right")
+    return float(((left + right + 1) / 2.0).sum())
 
 
 def neg_logloss(y: np.ndarray, probs: np.ndarray) -> float:

@@ -88,6 +88,17 @@ def gini_pairwise_np(y, x, task_kind=None) -> float:
     return abs(c - d) / p
 
 
+def positive_rank_sum_argsort(pos: np.ndarray, scores: np.ndarray) -> float:
+    """Sum of the average ranks of `scores` over `pos`, from one stable
+    argsort and its runs of equal scores (the earlier `metrics` formula)."""
+    order = np.argsort(scores, kind="stable")
+    ranked = scores[order]
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    counts = np.diff(np.append(starts, ranked.shape[0]))
+    mean_rank = starts + (counts + 1) / 2.0  # 1-based ranks start+1 .. start+count
+    return float(np.repeat(mean_rank, counts)[pos[order]].sum())
+
+
 def oof_mean_by_hand(col, y, fold, alpha) -> np.ndarray:
     """Literal per-row formula for the OOF target encoding.
 

@@ -1,12 +1,16 @@
 """The compiled tree kernel equals the numpy kernel it replaced, bit for bit.
 
 The numpy kernel lives in oracles.py. Cases are drawn with the missing bin,
-NaN gradients, zero hessians with reg=0 (0/0 gains), node sizes of 1-800
-rows and 1-50 features, histograms derived by subtraction (so empty bins
-carry float residuals), and min_data above the node size. Each property
-compares histograms, best splits, oblivious level totals or whole trees.
-Passenger rows, which a grower routes without adding them to histograms,
-must land on the leaf that routing the finished tree gives them.
+codes piled on the edges of the kernel's 64-bin bitmap words, a feature
+whose rows are all missing, NaN gradients, zero hessians with reg=0 (0/0
+gains), node sizes of 1-800 rows and 1-50 features, histograms derived by
+subtraction (so empty bins carry float residuals), and min_data from 0 to
+above the node size. Each property compares histograms, best splits,
+oblivious level totals or whole trees. The kernel reads a histogram bin only
+where its bitmap is set, so its histograms are compared with the oracle's on
+the set bins, and the oracle must hold +0.0 on every other bin. Passenger
+rows, which a grower routes without adding them to histograms, must land on
+the leaf that routing the finished tree gives them.
 """
 
 import dataclasses
@@ -25,10 +29,29 @@ from autotab.metrics import default_metric
 
 import oracles
 
+WORD_EDGES = (0, 63, 64, 127, 128, 191, 192, 254)  # first and last bins of bitmap words
+N_WORDS = oracles.N_HIST // 64
+
 
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _set_bins(bits: np.ndarray) -> np.ndarray:
+    """The bins marked in (..., N_WORDS) bitmap words, as (..., 256) booleans."""
+    unpacked = np.unpackbits(np.ascontiguousarray(bits).view(np.uint8), bitorder="little")
+    return unpacked.reshape(*bits.shape[:-1], oracles.N_HIST).astype(bool)
+
+
+def _equal_on_set_bins(got, want, bits) -> bool:
+    """got equals want bit for bit on the bins set in bits, and want is +0.0
+    on every other bin (where got's memory may hold anything)."""
+    want = np.asarray(want, dtype=np.float64)
+    mask = np.broadcast_to(_set_bins(bits), want.shape)
+    zero = np.zeros_like(want)
+    return (_same_bits(np.where(mask, got, zero), np.where(mask, want, zero))
+            and _same_bits(np.where(mask, zero, want), zero))
 
 
 @dataclasses.dataclass
@@ -50,10 +73,21 @@ def cases(draw) -> Case:
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_rows = int(rng.integers(*draw(st.sampled_from([(100, 801), (10, 100), (1, 10)]))))
     n_features = int(rng.integers(1, 51))
-    levels = draw(st.sampled_from([300, 40, 3, 1]))  # 300 > 255 bins: quantile edges
-    X = rng.integers(0, levels, size=(n_rows, n_features)).astype(np.float64)
+    levels = draw(st.sampled_from([300, 40, 3, 1, "word_edges"]))  # 300 > 255 bins: quantiles
+    if levels == "word_edges":  # most values on the first or last bin of a bitmap word
+        X = np.where(rng.random((n_rows, n_features)) < 0.8,
+                     rng.choice(WORD_EDGES, size=(n_rows, n_features)),
+                     rng.integers(0, 255, size=(n_rows, n_features))).astype(np.float64)
+    else:
+        X = rng.integers(0, levels, size=(n_rows, n_features)).astype(np.float64)
     X[rng.random(X.shape) < draw(st.sampled_from([0.0, 0.1, 0.6]))] = np.nan
-    mapper = BinMapper().fit(X)
+    if draw(st.booleans()):
+        X[:, rng.integers(n_features)] = np.nan  # a feature whose rows are all missing
+    mapper = BinMapper()
+    if levels == "word_edges":
+        mapper.edges = [np.arange(254) + 0.5] * n_features  # value v gets code v
+    else:
+        mapper.fit(X)
     target = draw(st.sampled_from(["binary", "regression", "zero_hessian", "nan_gradient"]))
     if target == "regression":
         g, h = rng.normal(size=n_rows), np.ones(n_rows)
@@ -69,27 +103,28 @@ def cases(draw) -> Case:
                                replace=False))
     reg = draw(st.sampled_from([1.0, 0.1, 0.0]))
     min_data = (len(rows) + int(rng.integers(1, 6)) if draw(st.integers(0, 3)) == 3
-                else int(rng.integers(1, 11)))  # one case in four above the node size
+                else int(rng.integers(0, 11)))  # one case in four above the node size
     return Case(mapper.transform(X), mapper, g, h, rows, feats, reg, min_data)
 
 
-def _kernel_hist(case: Case, rows: np.ndarray) -> np.ndarray:
+def _kernel_hist(case: Case, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """leaf_hist's histograms, NaN where the kernel wrote nothing, and bitmaps."""
     kern = kernel()
     order = np.array(rows, dtype=np.int64)
     gbuf, hbuf = np.empty(len(order)), np.empty(len(order))
-    out = np.empty((3, len(case.feats), oracles.N_HIST))
+    out = np.full((3, len(case.feats), oracles.N_HIST), np.nan)
+    bits = np.empty((len(case.feats), N_WORDS), dtype=np.uint64)
     kern.leaf_hist(case.codes.ctypes.data, case.codes.shape[0], case.g.ctypes.data,
                    case.h.ctypes.data, order.ctypes.data, 0, len(order),
                    case.feats.ctypes.data, len(case.feats), gbuf.ctypes.data, hbuf.ctypes.data,
-                   out.ctypes.data)
-    return out
+                   out.ctypes.data, bits.ctypes.data)
+    return out, bits
 
 
-def _kernel_best(case: Case, hist: np.ndarray) -> tuple[float, int, int]:
-    hist = np.ascontiguousarray(hist)
-    totals = hist.sum(axis=2)
+def _kernel_best(case: Case, hist: np.ndarray, bits: np.ndarray,
+                 count: int) -> tuple[float, int, int]:
     best = np.empty(3)
-    kernel().leaf_scan(hist.ctypes.data, totals.ctypes.data, hist.shape[1], case.reg,
+    kernel().leaf_scan(hist.ctypes.data, bits.ctypes.data, hist.shape[1], count, case.reg,
                        case.min_data, best.ctypes.data)
     return best[0], int(best[1]), int(best[2])
 
@@ -101,27 +136,31 @@ def _oracle_best(case: Case, hist) -> tuple[float, int, int]:
 
 @given(cases())
 def test_histograms_equal_oracle(case):
-    expected = oracles._histograms(case.codes, case.rows, case.g, case.h, case.feats)
-    assert _same_bits(_kernel_hist(case, case.rows), np.stack(expected))
+    """Directly built histograms mark exactly the bins their rows reach."""
+    expected = np.stack(oracles._histograms(case.codes, case.rows, case.g, case.h, case.feats))
+    got, bits = _kernel_hist(case, case.rows)
+    assert _equal_on_set_bins(got, expected, bits)
+    assert _same_bits(_set_bins(bits), expected[2] > 0)
 
 
 @given(cases(), st.data())
 def test_split_and_best_split_equal_oracle(case, data):
     """One split: stable partition, the smaller child's histograms, the larger
-    one's by subtraction, then the best split of each child."""
+    one's by subtraction over the parent's bitmap, then the best split of
+    each child."""
     kern = kernel()
     f = int(data.draw(st.sampled_from(case.feats.tolist())))
     t = data.draw(st.integers(0, 255))
-    parent = _kernel_hist(case, case.rows)
+    parent, parent_bits = _kernel_hist(case, case.rows)
     order = np.array(case.rows, dtype=np.int64)
     m = len(order)
     gbuf, hbuf, tmp = np.empty(m), np.empty(m), np.empty(m, dtype=np.int64)
-    small = np.empty_like(parent)
+    small, small_bits = np.full_like(parent, np.nan), np.empty_like(parent_bits)
     n_left = kern.leaf_split(case.codes.ctypes.data, case.codes.shape[0], case.g.ctypes.data,
                              case.h.ctypes.data, order.ctypes.data, 0, m, f, t,
                              case.feats.ctypes.data, len(case.feats), gbuf.ctypes.data,
                              hbuf.ctypes.data, tmp.ctypes.data, parent.ctypes.data,
-                             small.ctypes.data)
+                             small.ctypes.data, small_bits.ctypes.data)
 
     go_left = case.codes[case.rows, f] <= t
     left_rows, right_rows = case.rows[go_left], case.rows[~go_left]
@@ -131,12 +170,15 @@ def test_split_and_best_split_equal_oracle(case, data):
     G, H, C = oracles._histograms(case.codes, case.rows, case.g, case.h, case.feats)
     small_hists = oracles._histograms(case.codes, small_rows, case.g, case.h, case.feats)
     big_hists = (G - small_hists[0], H - small_hists[1], C - small_hists[2])
-    assert _same_bits(small, np.stack(small_hists))
-    assert _same_bits(parent, np.stack(big_hists))  # the parent's block became the big child's
+    assert _equal_on_set_bins(small, np.stack(small_hists), small_bits)
+    # the parent's block and bitmap became the big child's
+    assert _equal_on_set_bins(parent, np.stack(big_hists), parent_bits)
 
-    for got, hists in ((small, small_hists), (parent, big_hists), (_kernel_hist(case, case.rows),
-                                                                    (G, H, C))):
-        gain, fpos, t_best = _kernel_best(case, got)
+    whole, whole_bits = _kernel_hist(case, case.rows)
+    for got, bits, count, hists in ((small, small_bits, len(small_rows), small_hists),
+                                    (parent, parent_bits, m - len(small_rows), big_hists),
+                                    (whole, whole_bits, m, (G, H, C))):
+        gain, fpos, t_best = _kernel_best(case, got, bits, count)
         want_gain, want_fpos, want_t = _oracle_best(case, hists)
         assert _same_bits(gain, want_gain) and (fpos, t_best) == (want_fpos, want_t)
 
@@ -144,21 +186,30 @@ def test_split_and_best_split_equal_oracle(case, data):
 @given(cases(), st.integers(0, 4))
 def test_oblivious_level_equals_oracle(case, depth):
     """One level: (feature, node, bin) histograms and the best total, as the
-    numpy grower's per-feature loop computes them."""
+    numpy grower's per-feature loop computes them. Below the root a level
+    with a row per bin takes its nodes' bitmaps from the level above."""
     kern = kernel()
     n_nodes = 1 << depth
     rng = np.random.default_rng(len(case.rows) * 7 + depth)
     node = rng.integers(0, n_nodes, size=len(case.rows))
     gr, hr = case.g[case.rows], case.h[case.rows]
     nf = len(case.feats)
-    hists = np.empty((nf, 3, n_nodes, oracles.N_HIST))
-    kern.obl_hist(case.codes.ctypes.data, case.codes.shape[0], case.rows.ctypes.data,
-                  len(case.rows), gr.ctypes.data, hr.ctypes.data, node.ctypes.data,
-                  case.feats.ctypes.data, nf, n_nodes, hists.ctypes.data)
-    totals = hists.sum(axis=3)
+
+    def level(node, n_nodes, parent_bits):
+        hists = np.full((nf, 3, n_nodes, oracles.N_HIST), np.nan)
+        bits = np.empty((nf, n_nodes, N_WORDS), dtype=np.uint64)
+        kern.obl_hist(case.codes.ctypes.data, case.codes.shape[0], case.rows.ctypes.data,
+                      len(case.rows), gr.ctypes.data, hr.ctypes.data, node.ctypes.data,
+                      case.feats.ctypes.data, nf, n_nodes, hists.ctypes.data, bits.ctypes.data,
+                      None if parent_bits is None else parent_bits.ctypes.data)
+        return hists, bits
+
+    parent_bits = level(node // 2, n_nodes // 2, None)[1] if depth else None
+    hists, bits = level(node, n_nodes, parent_bits)
+    counts = np.bincount(node, minlength=n_nodes)
     best = np.empty(3)
-    kern.obl_scan(hists.ctypes.data, totals.ctypes.data, nf, n_nodes, case.reg,
-                  case.min_data, best.ctypes.data)
+    kern.obl_scan(hists.ctypes.data, bits.ctypes.data, counts.ctypes.data, nf, n_nodes,
+                  case.reg, case.min_data, best.ctypes.data)
 
     best_total, best_fpos, best_t = 0.0, -1, -1
     for i, f in enumerate(case.feats):
@@ -167,7 +218,7 @@ def test_oblivious_level_equals_oracle(case, depth):
         G = np.bincount(pair, weights=gr, minlength=size).reshape(n_nodes, oracles.N_HIST)
         H = np.bincount(pair, weights=hr, minlength=size).reshape(n_nodes, oracles.N_HIST)
         C = np.bincount(pair, minlength=size).reshape(n_nodes, oracles.N_HIST)
-        assert _same_bits(hists[i], np.stack([G, H, C.astype(np.float64)]))
+        assert _equal_on_set_bins(hists[i], np.stack([G, H, C.astype(np.float64)]), bits[i])
         gains, _ = oracles._gain_matrix(G, H, C, case.reg, case.min_data)
         gains = np.where(np.isfinite(gains), np.maximum(gains, 0.0), 0.0)
         level_totals = gains.sum(axis=0)
@@ -264,7 +315,10 @@ def test_out_of_range_indices_raise_before_the_kernel_runs():
 
 def test_pairwise_sum_equals_numpy():
     """The kernel's bin totals and leaf sums are np.add.reduce bit for bit:
-    0.0 plus numpy's pairwise sum, on every length up to 13,000.
+    0.0 plus numpy's pairwise sum, on every length up to 13,000, over the
+    entries a bitmap marks, all of them or a random half or twentieth (the
+    others hold other values, which the sum must not read; numpy sums +0.0
+    there).
 
     NaNs and infinities go into separate arrays. When both operands of an add
     are NaN the CPU returns the first one, and which operand comes first in a
@@ -280,13 +334,61 @@ def test_pairwise_sum_equals_numpy():
     with_inf[rng.integers(0, size, size=6)] = np.inf
     with_inf[rng.integers(0, size, size=6)] = -np.inf
     arrays = [finite, with_nan, with_inf, np.full(size, -0.0), np.full(size, 1e308)]
+    masks = [np.ones(size, dtype=bool), rng.random(size) < 0.5, rng.random(size) < 0.05]
     kern = kernel()
+    sums = np.empty(2)
     with np.errstate(all="ignore"):
         for n in range(1, 13_001):
             start = n % 8  # unaligned starts too
-            for a in arrays:
-                got = kern.pairwise_sum(a[start:].ctypes.data, n)
-                assert _same_bits(np.float64(got), np.add.reduce(a[start:start + n])), (n, start)
+            mask = masks[n % 3][start:start + n]
+            bits = np.packbits(np.append(mask, np.zeros(-n % 64, dtype=bool)),
+                               bitorder="little").view(np.uint64)
+            for a, b in zip(arrays, arrays[1:] + arrays[:1]):
+                kern.pairwise_sums(a[start:].ctypes.data, b[start:].ctypes.data,
+                                   bits.ctypes.data, n, sums.ctypes.data)
+                for got, x in zip(sums, (a, b)):
+                    want = np.add.reduce(np.where(mask, x[start:start + n], 0.0))
+                    assert _same_bits(got, want), (n, start)
+
+
+def test_a_subtraction_residual_decides_a_split():
+    """A bin that a split empties keeps the float residual of the subtraction
+    (count 0, gradient sum not 0), and here one of them is the threshold of
+    node 49: a kernel that skipped count-0 bins would grow another tree."""
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(600, 3))
+    p = rng.random(600)
+    g, h = p - (rng.random(600) < 0.5), p * (1.0 - p)
+    mapper = BinMapper().fit(X)
+    args = (mapper.transform(X), g, h, np.arange(600), np.arange(3), mapper, 32, 2, 1.0, 0.1)
+    got, want = kernel_trees.grow_leafwise(*args)[0], oracles.grow_leafwise(*args)[0]
+    assert _same_tree(got, want)
+
+    def gains_of_populated_bins(G, H, C, reg, min_data):
+        return gain_matrix(np.where(C == 0, 0.0, G), np.where(C == 0, 0.0, H), C, reg, min_data)
+
+    gain_matrix = oracles._gain_matrix
+    with mock.patch.object(oracles, "_gain_matrix", gains_of_populated_bins):
+        populated = oracles.grow_leafwise(*args)[0]
+    differ = np.flatnonzero(populated.bin_threshold != want.bin_threshold)
+    assert differ.tolist() == [49] and populated.feature[49] == want.feature[49]
+
+
+def test_the_missing_bin_is_no_threshold():
+    """With reg=0 and min_data=0 a threshold at the missing bin would leave no
+    rows, no gradient and no hessian on the right: a 0/0 gain, which wins an
+    argmax. Thresholds stop at bin 254."""
+    codes = np.asfortranarray(np.array([[0], [0], [255], [255]], dtype=np.uint8))
+    g, h = np.array([-1.0, 0.5, 0.25, 1.0]), np.full(4, 0.25)
+    rows, feats = np.arange(4), np.arange(1)
+    case = Case(codes, BinMapper().fit(np.array([[0.0], [0.0], [np.nan], [np.nan]])), g, h,
+                rows, feats, 0.0, 0)
+    hist, bits = _kernel_hist(case, rows)
+    want = _oracle_best(case, oracles._histograms(codes, rows, g, h, feats))
+    got = _kernel_best(case, hist, bits, 4)
+    assert want[2] < 255 and _same_bits(got[0], want[0]) and got[1:] == want[1:]
+    args = (codes, g, h, rows, feats, case.mapper, 4, 0, 0.0, 0.1)
+    assert _same_tree(kernel_trees.grow_leafwise(*args)[0], oracles.grow_leafwise(*args)[0])
 
 
 def _with_oracle_passengers(grow):

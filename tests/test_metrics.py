@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from autotab.errors import ConfigError
 from autotab.metrics import (MetricSpec, default_metric, evaluate, neg_logloss,
-                             neg_rmse, r2, roc_auc)
+                             neg_rmse, positive_rank_sum, r2, roc_auc)
+
+import oracles
 
 
 def test_unknown_metric_rejected():
@@ -68,6 +72,18 @@ def test_auc_equals_scipy_average_ranks_bit_for_bit(rng):
         n1 = int(y.sum())
         expected = (r1 - n1 * (n1 + 1) / 2.0) / (n1 * (n - n1))
         assert roc_auc(y, s) == expected
+
+
+@given(st.lists(st.tuples(st.booleans(), st.one_of(
+    st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 0.5, 1.0, np.inf]),
+    st.floats(allow_nan=False))), max_size=300))
+def test_positive_rank_sum_equals_the_argsort_formula(rows):
+    """Ties, signed zeros and infinities: the searchsorted rank sum equals the
+    argsort-and-runs formula bit for bit."""
+    pos = np.array([p for p, _ in rows], dtype=bool)
+    scores = np.array([s for _, s in rows], dtype=np.float64)
+    got, want = positive_rank_sum(pos, scores), oracles.positive_rank_sum_argsort(pos, scores)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_auc_nan_score_gives_nan_and_single_class_half():

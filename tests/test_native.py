@@ -48,6 +48,15 @@ def test_signatures_match_the_c_prototypes():
         assert exported[name] == (restype, argtypes), name
 
 
+def test_kernel_compiles_without_warnings(tmp_path):
+    """The kernel builds with -Wall -Wextra -Werror on top of its own flags,
+    so dead code or a suspicious conversion fails here, not in a review."""
+    out = subprocess.run([*native.COMPILER, *native.FLAGS, "-Wall", "-Wextra", "-Werror",
+                          "-o", str(tmp_path / "kernel.so"), str(native.SOURCE), "-lm"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
 def test_discordant_pairs_counts_strict_inversions():
     rng = np.random.default_rng(0)
     for n in (0, 1, 2, 3, 7, 64, 65, 300):
