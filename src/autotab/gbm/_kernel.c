@@ -76,18 +76,11 @@ static void add_set(const double *a, const double *b, const uint64_t *bits, int6
             word &= ~(uint64_t)0 << (lo & 63);
         if (64 * w + 64 > hi)
             word &= ~(uint64_t)0 >> (64 * w + 64 - hi);
-        if (word == ~(uint64_t)0) /* a full word: no bit to find */
-            for (int64_t i = 64 * w; i < 64 * w + 64; i += 8)
-                for (int k = 0; k < 8; k++) {
-                    ra[k] += a[i + k];
-                    rb[k] += b[i + k];
-                }
-        else
-            for (; word; word &= word - 1) {
-                int64_t i = 64 * w + __builtin_ctzll(word);
-                ra[i & 7] += a[i];
-                rb[i & 7] += b[i];
-            }
+        for (; word; word &= word - 1) {
+            int64_t i = 64 * w + __builtin_ctzll(word);
+            ra[i & 7] += a[i];
+            rb[i & 7] += b[i];
+        }
     }
 }
 
@@ -450,10 +443,11 @@ done:
  * the rows rows[0:m], whose gradients, hessians and level nodes are gr, hr
  * and node (aligned with rows), and their bitmaps bits (nf, n_nodes,
  * N_WORDS). Below FEW_ROWS rows per node only the bins the rows reach are
- * cleared and marked. Otherwise every bin is cleared and node k takes the
- * bitmap of its parent k / 2 from parent_bits (nf, n_nodes / 2, N_WORDS), a
- * superset as its rows are some of the parent's, or at the root (parent_bits
- * NULL) the bitmap of its counts. */
+ * cleared and marked, as clearing the whole block would cost more than the
+ * rows and leave a denser bitmap to scan. Otherwise every bin is cleared and
+ * node k takes the bitmap of its parent k / 2 from parent_bits (nf,
+ * n_nodes / 2, N_WORDS), a superset as its rows are some of the parent's, or
+ * at the root (parent_bits NULL) the bitmap of its counts. */
 void obl_hist(const uint8_t *codes, int64_t n, const int64_t *rows, int64_t m,
               const double *gr, const double *hr, const int64_t *node,
               const int64_t *feats, int64_t nf, int64_t n_nodes, double *out, uint64_t *bits,
