@@ -28,7 +28,7 @@ from .data import (Dataset, RawTable, Task, build_dataset, dataset_from_arrays,
 from .encoders import EncoderSpec, norm_gini
 from .errors import AutotabError, BudgetError, ConfigError, DataError
 from .gbm import GBMParams
-from .learners import LinearParams, TrainedModel, fit_gbm, fit_linear
+from .learners import GBMFolds, LinearParams, TrainedModel, fit_gbm, fit_linear
 from .metrics import MetricSpec, default_metric
 from .pipeline import (AutoMLModel, PresetConfig, UtilizedModel, fit_preset,
                        predict_automl, utilized_fit)
@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AutoMLModel", "AutotabError", "BudgetError", "ConfigError", "CVScheme",
-    "Dataset", "DataError", "EncoderSpec", "FoldAssignment", "GBMParams",
+    "Dataset", "DataError", "EncoderSpec", "FoldAssignment", "GBMFolds", "GBMParams",
     "LinearParams", "MetricSpec", "PresetConfig", "RawTable", "Task",
     "TimeBudget", "TrainedModel", "UtilizedModel", "build_dataset",
     "dataset_from_arrays", "default_metric", "fit_gbm", "fit_linear",

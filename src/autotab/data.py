@@ -103,11 +103,6 @@ class Column:
     # True when the source cells were float literals with a fractional part.
     from_float_literals: bool = False
 
-    def missing_mask(self) -> np.ndarray:
-        if self.kind == "category":
-            return self.values < 0
-        return np.isnan(self.values)
-
 
 @dataclass
 class DatasetMeta:

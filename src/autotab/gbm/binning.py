@@ -39,8 +39,12 @@ class BinMapper:
             self.edges.append(edges)
         return self
 
-    def n_bins(self, j: int) -> int:
-        return len(self.edges[j]) + 1
+    def take(self, cols: np.ndarray | list[int]) -> "BinMapper":
+        """The mapper of columns `cols` alone. A column's edges depend on
+        that column only, so this equals a mapper fitted on `X[:, cols]`."""
+        out = BinMapper()
+        out.edges = [self.edges[j] for j in cols]
+        return out
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         """Map raw floats to uint8 codes; NaN maps to the missing bin."""

@@ -93,15 +93,6 @@ class GBMEstimator:
     params: GBMParams
     feature_gain_: np.ndarray = field(default=None)
 
-    @property
-    def trees(self) -> list:
-        """Tree views per iteration: one tree, or a list with one per class."""
-        trees = list(self.forest)
-        if self.task_kind != "multiclass":
-            return trees
-        k = self.n_classes
-        return [trees[i:i + k] for i in range(0, len(trees), k)]
-
     def predict_raw_scores(self, X: np.ndarray) -> np.ndarray:
         n = X.shape[0]
         X = np.asfortranarray(X)  # each tree reads one column at a time
@@ -146,8 +137,13 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
                 n_classes: int = 0, X_val: np.ndarray | None = None,
                 y_val: np.ndarray | None = None, metric: MetricSpec | None = None,
                 budget: TimeBudget | None = None, seed: int = 0,
-                patience: int = 100) -> FitResult:
+                patience: int = 100, mapper: BinMapper | None = None) -> FitResult:
     """Train one booster with optional early stopping on a validation set.
+
+    With `mapper`, `X` and `X_val` are pre-binned: uint8 codes that `mapper`
+    gave, as `learners.GBMFolds` hands them out after binning each fold once
+    for a whole run. Without it they are raw floats, and binning happens
+    here: a mapper is fitted on `X` and maps both.
 
     The budget is checked between iterations; on expiry the model truncates at
     the last completed iteration and is flagged. Each tree grows in one call
@@ -166,10 +162,10 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
     budget = budget or unlimited()
     loss = make_loss(task_kind, n_classes)
     n, f = X.shape
-    mapper = BinMapper().fit(X)
-    codes = mapper.transform(X)
-    if X_val is not None:
-        codes = np.asfortranarray(np.concatenate([codes, mapper.transform(X_val)]))
+    if mapper is None:
+        mapper = BinMapper().fit(X)
+        X, X_val = mapper.transform(X), X_val if X_val is None else mapper.transform(X_val)
+    codes = np.asfortranarray(X if X_val is None else np.concatenate([X, X_val]))
     n_all = codes.shape[0]
     val_rows = np.arange(n, n_all)
 

@@ -3,11 +3,11 @@
 The library is built on first use, never at import, into `__pycache__/`
 next to the source. Its name carries a hash of the source, the flags and
 the resolved path, size and modification time of the compiler executable,
-so an edit or a new compiler builds a new one, and finding a cached library
-starts no process. Only
-fitting needs it: GBM training grows its trees there, and auto-typing a
-regression target counts Kendall's discordant pairs there
-(`encoders.norm_gini`). Routing and prediction run in numpy.
+so an edit or a new compiler builds a new one, which deletes the libraries
+it supersedes, and finding a cached library starts no process. Only fitting
+needs it: GBM training grows its trees there, and auto-typing a regression
+target counts Kendall's discordant pairs there (`encoders.norm_gini`).
+Routing and prediction run in numpy.
 """
 
 from __future__ import annotations
@@ -86,6 +86,9 @@ def build(cache_dir: Path = CACHE_DIR, compiler: tuple[str, ...] = COMPILER) -> 
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        for old in lib.parent.glob("_kernel-*.so"):  # superseded builds
+            if old != lib:
+                old.unlink(missing_ok=True)
     return lib
 
 

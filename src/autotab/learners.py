@@ -14,10 +14,17 @@ family and stores everything needed to repeat the mapping on new data:
 A target-encoded column `c` becomes K columns `c__te0 .. c__te{K-1}`, one
 per target row of the task (`encoders.target_rows`): K = 1 for binary and
 regression, the class count for multiclass.
+
+Every GBM booster of a run trains through one `GBMFolds`: the GBM view of
+all features, its OOF training matrix and, per fold, the bin mapper fitted
+on the fold's training rows with the codes of every row, each built on
+first use. Selection, the expert and tuned phases and every tuning trial
+take column subsets of it; the stack builds its own over its own features.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -28,12 +35,12 @@ from .data import Dataset, Task
 from .encoders import (EncoderSpec, FrequencyMap, TargetMeanMap, fit_target_map,
                        freq_encode, oof_target_encode)
 from .errors import BudgetError, DataError
-from .gbm import GBMParams, fit_booster
+from .gbm import BinMapper, GBMParams, fit_booster
 from .linear import LinearParams, fit_lambda_path, solve, unpack
 from .metrics import evaluate
 from .validation import FoldAssignment, oof_assemble, kfold_vector
 
-__all__ = ["TrainedModel", "GBMView", "LinearView", "fit_gbm", "fit_linear",
+__all__ = ["TrainedModel", "GBMView", "GBMFolds", "LinearView", "fit_gbm", "fit_linear",
            "LinearParams", "GBMParams"]
 
 ONE_HOT_MAX_CARDINALITY = 100
@@ -127,6 +134,48 @@ class GBMView:
 
     def transform(self, dataset: Dataset) -> np.ndarray:
         return self._matrix(dataset, None)
+
+
+class GBMFolds:
+    """The GBM training data of one dataset and fold assignment, shared by
+    every booster trained on it (see the module docstring). A booster on
+    columns `cols` takes `codes[:, cols]` and `mapper.take(cols)`: a column's
+    encoding and bin edges depend on that column alone, so these equal
+    encoding and binning the subset from scratch."""
+
+    def __init__(self, dataset: Dataset, folds: FoldAssignment,
+                 enc_specs: dict[str, EncoderSpec] | None = None) -> None:
+        self.dataset, self.folds, self.enc_specs = dataset, folds, enc_specs
+        self.splits = [(tr, va) for _, tr, va in folds.iter_splits()]
+        self._binned: dict[int, tuple[BinMapper, np.ndarray]] = {}  # fold -> mapper, codes
+
+    @functools.cached_property
+    def view(self) -> GBMView:
+        return GBMView().fit(self.dataset, self.enc_specs)
+
+    @functools.cached_property
+    def X(self) -> np.ndarray:
+        return self.view.train_matrix(self.dataset, self.folds)
+
+    def columns(self, selected: list[str] | None = None) -> np.ndarray:
+        """The columns of `X` that encode `selected` (every feature when None)."""
+        names = self.view.groups if selected is None else selected
+        return np.array([c for n in names for c in self.view.groups[n]], dtype=np.int64)
+
+    def inputs(self, f: int, cols: np.ndarray | list[int], validate: bool = True) -> dict:
+        """`fit_booster`'s data arguments for fold f on columns `cols`, with or
+        without its validation rows; the fold is binned on first use."""
+        tr, va = self.splits[f]
+        if f not in self._binned:
+            mapper = BinMapper().fit(self.X[tr])
+            self._binned[f] = mapper, mapper.transform(self.X)
+        mapper, codes = self._binned[f]
+        task, y = self.dataset.task, self.dataset.target
+        out = dict(X=codes[np.ix_(tr, cols)], y=y[tr], task_kind=task.kind,
+                   n_classes=task.n_classes, mapper=mapper.take(cols))
+        if validate:
+            out.update(X_val=codes[np.ix_(va, cols)], y_val=y[va], metric=task.metric)
+        return out
 
 
 @dataclass
@@ -248,44 +297,37 @@ class TrainedModel:
         return self.predict_matrix(self.view.transform(dataset))
 
 
-def _fold_budget(budget: TimeBudget, folds_left: int) -> TimeBudget:
-    return TimeBudget(budget.remaining() / max(1, folds_left))
-
-
-def fit_gbm(dataset: Dataset, folds: FoldAssignment, params: GBMParams,
-            budget: TimeBudget | None = None,
-            enc_specs: dict[str, EncoderSpec] | None = None,
+def fit_gbm(data: GBMFolds, params: GBMParams, budget: TimeBudget | None = None,
             selected: list[str] | None = None, seed: int = 0,
             patience: int = GBM_PATIENCE, tag: str | None = None) -> TrainedModel:
-    """Train one GBM per fold with early stopping on the fold's validation
-    rows; the budget is split evenly across the remaining folds."""
+    """Train one GBM per fold on the `selected` features of `data` with
+    early stopping on the fold's validation rows; the budget is split evenly
+    across the remaining folds."""
     budget = budget or unlimited()
     start = time.monotonic()
-    task = dataset.task
-    view = GBMView().fit(dataset, enc_specs, selected)
-    if not view.feature_names:
+    folds, task, y = data.folds, data.dataset.task, data.dataset.target
+    cols = data.columns(selected)
+    if cols.size == 0:
         raise DataError("no usable features for the GBM")
-    X = view.train_matrix(dataset, folds)
-    y = dataset.target
-    metric = task.metric
+    whole = selected is None or list(selected) == list(data.view.groups)
+    view = data.view if whole else GBMView().fit(data.dataset, data.enc_specs, selected)
 
     estimators = []
     fold_preds = []
     truncated = False
     histories = []
-    for f, tr, va in folds.iter_splits():
-        sub = _fold_budget(budget, folds.k - f)
-        res = fit_booster(X[tr], y[tr], params, task.kind, task.n_classes,
-                          X_val=X[va], y_val=y[va], metric=metric, budget=sub,
-                          seed=seed + f, patience=patience)
+    for f, (_, va) in enumerate(data.splits):
+        sub = TimeBudget(budget.remaining() / (folds.k - f))
+        res = fit_booster(params=params, budget=sub, seed=seed + f, patience=patience,
+                          **data.inputs(f, cols))
         estimators.append(res.estimator)
-        fold_preds.append(res.estimator.predict(X[va]))
+        fold_preds.append(res.estimator.predict(data.X[np.ix_(va, cols)]))
         truncated = truncated or res.truncated
         histories.append(res.eval_history)
 
     oof = oof_assemble(fold_preds, folds)
     mask = folds.oof_mask()
-    metric_oof = evaluate(metric, y[mask], oof[mask])
+    metric_oof = evaluate(task.metric, y[mask], oof[mask])
     return TrainedModel(
         tag or f"gbm_{params.flavor}", task, view, estimators, oof, mask,
         metric_oof, time.monotonic() - start, view.feature_names,

@@ -22,8 +22,8 @@ from .data import Column, Dataset, DatasetMeta, RawTable, Task, dataset_from_raw
 from .encoders import EncoderSpec
 from .ensemble import BlendWeights, apply_blend, blend_weights, build_stack_features
 from .errors import BudgetError, ConfigError, DataError
-from .gbm import GBMParams, fit_booster
-from .learners import GBMView, TrainedModel, fit_gbm, fit_linear
+from .gbm import fit_booster
+from .learners import GBMFolds, TrainedModel, fit_gbm, fit_linear
 from .metrics import MetricSpec, evaluate
 from .selection import cutoff_select, forward_select, permutation_importance
 from .tuning import expert_params, tune_gbm
@@ -242,15 +242,14 @@ def fit_preset(dataset: Dataset, config: PresetConfig) -> AutoMLModel:
     report["encoders"] = {k: v.kind for k, v in enc_specs.items()}
     report["phases"].append({"name": "typing", "elapsed": time.monotonic() - t0})
 
-    selected, selection_info = _run_selection(dataset, folds, enc_specs, config,
-                                              budget, report)
+    gbm_data = GBMFolds(dataset, folds, enc_specs)  # built on first use
+    selected, selection_info = _run_selection(gbm_data, config, budget, report)
     report["selection"] = selection_info
 
     stack_active = _stack_active(config, task, folds)
     plan = PhasePlan.for_config(config, stack_active)
     observed: dict[str, float | None] = {}
     roster: list[TrainedModel] = []
-    tuned_params: dict[str, GBMParams] = {}
     histories: dict[str, list] = {}
 
     for phase, _share in plan.phases:
@@ -269,26 +268,22 @@ def fit_preset(dataset: Dataset, config: PresetConfig) -> AutoMLModel:
                                    selected=selected)
             elif phase.endswith("_expert"):
                 flavor = _flavor_of(phase)
-                params = expert_params(task, dataset.n_rows, len(selected), flavor)
-                model = fit_gbm(dataset, folds, params, budget=budget.sub(alloc),
-                                enc_specs=enc_specs, selected=selected,
-                                seed=config.seed, tag=phase)
+                params = expert_params(task, dataset.n_rows, flavor)
+                model = fit_gbm(gbm_data, params, budget=budget.sub(alloc),
+                                selected=selected, seed=config.seed, tag=phase)
             else:
                 flavor = _flavor_of(phase)
                 tune_budget = budget.sub(alloc * 0.5)
-                best_params, history = tune_gbm(
-                    dataset, folds, flavor, tune_budget, seed=config.seed,
-                    enc_specs=enc_specs, selected=selected)
+                best_params, history = tune_gbm(gbm_data, flavor, tune_budget,
+                                                seed=config.seed, selected=selected)
                 histories[phase] = history.to_json()
                 if len(history) == 0:
                     observed[phase] = None
                     report["skipped"].append(phase)
                     continue
-                tuned_params[phase] = best_params
                 refit_budget = budget.sub(max(alloc - (time.monotonic() - start), 1.0))
-                model = fit_gbm(dataset, folds, best_params, budget=refit_budget,
-                                enc_specs=enc_specs, selected=selected,
-                                seed=config.seed, tag=phase)
+                model = fit_gbm(gbm_data, best_params, budget=refit_budget,
+                                selected=selected, seed=config.seed, tag=phase)
         except DataError as exc:
             observed[phase] = None
             report["skipped"].append(phase)
@@ -371,9 +366,9 @@ def _fit_stack(dataset: Dataset, roster: list[TrainedModel], folds: FoldAssignme
     ds2 = _features_only_dataset(stack_feature_transform(X2, task), names, task)
     ds2 = replace(ds2, target=dataset.target)
     models = []
-    params = expert_params(task, ds2.n_rows, len(names), "leaf_wise")
+    params = expert_params(task, ds2.n_rows, "leaf_wise")
     try:
-        models.append(fit_gbm(ds2, folds, params, budget=budget,
+        models.append(fit_gbm(GBMFolds(ds2, folds), params, budget=budget,
                               seed=config.seed, tag="stack_gbm"))
     except DataError as exc:
         warnings.append(f"stack_gbm: {exc}")
@@ -384,10 +379,9 @@ def _fit_stack(dataset: Dataset, roster: list[TrainedModel], folds: FoldAssignme
     return models
 
 
-def _run_selection(dataset: Dataset, folds: FoldAssignment,
-                   enc_specs: dict[str, EncoderSpec], config: PresetConfig,
-                   budget: TimeBudget, report: dict) -> tuple[list[str], dict]:
-    names = dataset.feature_names()
+def _run_selection(data: GBMFolds, config: PresetConfig, budget: TimeBudget,
+                   report: dict) -> tuple[list[str], dict]:
+    names = data.dataset.feature_names()
     info: dict = {"strategy": config.selection_strategy, "kept": names}
     if config.selection_strategy == "none" or len(names) <= 1:
         return names, info
@@ -399,36 +393,27 @@ def _run_selection(dataset: Dataset, folds: FoldAssignment,
 
     start = time.monotonic()
     sub_budget = budget.sub(alloc)
-    task = dataset.task
-    view = GBMView().fit(dataset, enc_specs)
-    X = view.train_matrix(dataset, folds)
-    y = dataset.target
-    _, tr, va = next(iter(folds.iter_splits()))
-    groups = [(name, idx) for name, idx in view.groups.items()]
-    params = replace(expert_params(task, len(tr), len(names), "leaf_wise"),
+    task, y = data.dataset.task, data.dataset.target
+    tr, va = data.splits[0]
+    groups = list(data.view.groups.items())
+    params = replace(expert_params(task, len(tr), "leaf_wise"),
                      n_estimators_cap=SELECTION_TREE_CAP)
 
+    def fit_fn(cols, validate=False):
+        return fit_booster(params=params, budget=sub_budget, seed=config.seed,
+                           **data.inputs(0, cols, validate)).estimator
+
     if config.selection_strategy == "cutoff":
-        res = fit_booster(X[tr], y[tr], params, task.kind, task.n_classes,
-                          X_val=X[va], y_val=y[va], metric=task.metric,
-                          budget=sub_budget, seed=config.seed)
-        imp = permutation_importance(res.estimator, X[va], y[va], task.metric,
-                                     seed=config.seed, groups=groups)
+        imp = permutation_importance(fit_fn(data.columns(), validate=True), data.X[va], y[va],
+                                     task.metric, seed=config.seed, groups=groups)
         kept = cutoff_select(imp)
         info["importances"] = imp.as_dict()
     else:
         block = max(1, int(np.ceil(len(groups) / 20)))
-
-        def fit_fn(Xs, ys):
-            return fit_booster(Xs, ys, params, task.kind, task.n_classes,
-                               budget=sub_budget, seed=config.seed).estimator
-
-        kept, trace = forward_select(X[tr], y[tr], X[va], y[va], fit_fn, block,
-                                     task.metric, groups=groups,
-                                     seed=config.seed)
-        info["ranked"] = trace.ranked
-        info["block_scores"] = trace.block_scores
-        info["accepted"] = trace.accepted
+        kept, trace = forward_select(data.X[va], y[va], fit_fn, block, task.metric,
+                                     groups=groups, seed=config.seed)
+        info.update(ranked=trace.ranked, block_scores=trace.block_scores,
+                    accepted=trace.accepted)
 
     if not kept:
         report["warnings"].append("selection kept no features; falling back to all")
@@ -465,12 +450,13 @@ class UtilizedModel:
         return self._combine(preds)
 
     def _combine(self, preds: list[np.ndarray]) -> np.ndarray:
-        groups = sorted(set(self.group_of_run))
-        averaged = []
-        for g in groups:
-            members = [p for p, gi in zip(preds, self.group_of_run) if gi == g]
-            averaged.append(np.mean(members, axis=0))
-        return apply_blend(averaged, self.blend)
+        return apply_blend(_average_by_config(preds, self.group_of_run), self.blend)
+
+
+def _average_by_config(preds: list[np.ndarray], group_of_run: list[int]) -> list[np.ndarray]:
+    """The plain mean of the runs of each config, in config order."""
+    return [np.mean([p for p, gi in zip(preds, group_of_run) if gi == g], axis=0)
+            for g in sorted(set(group_of_run))]
 
 
 def utilized_fit(dataset: Dataset, configs: list[PresetConfig],
@@ -517,11 +503,7 @@ def utilized_fit(dataset: Dataset, configs: list[PresetConfig],
     mask = np.ones(dataset.n_rows, dtype=bool)
     for run in runs:
         mask &= run.oof_mask
-    groups = sorted(set(group_of_run))
-    averaged = []
-    for g in groups:
-        members = [run.oof for run, gi in zip(runs, group_of_run) if gi == g]
-        averaged.append(np.mean(members, axis=0))
+    averaged = _average_by_config([run.oof for run in runs], group_of_run)
     metric = dataset.task.metric if configs[0].metric is None else MetricSpec(configs[0].metric)
     blend = blend_weights([a[mask] for a in averaged], dataset.target[mask], metric)
     oof = apply_blend([a[mask] for a in averaged], blend)

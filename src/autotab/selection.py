@@ -101,30 +101,30 @@ class ForwardTrace:
     baseline_trace: list[float] = field(default_factory=list)
 
 
-def forward_select(X_train: np.ndarray, y_train: np.ndarray,
-                   X_valid: np.ndarray, y_valid: np.ndarray,
+def forward_select(X_valid: np.ndarray, y_valid: np.ndarray,
                    fit_fn, block_size: int, metric: MetricSpec,
                    names: list[str] | None = None,
                    groups: Groups | None = None,
                    seed: int = 0) -> tuple[list[str], ForwardTrace]:
     """Importance-ranked forward selection.
 
-    Fits once on the full training set, ranks features by permutation
-    importance on the validation set, then walks descending blocks of
-    `block_size`, refitting on the kept set plus each block and accepting the
-    block only on strict validation improvement.
+    `fit_fn(cols)` fits a model on the training set's columns `cols` (a list
+    of column indices, the same columns as in `X_valid`). Fits once on every
+    column, ranks features by permutation importance on the validation set,
+    then walks descending blocks of `block_size`, refitting on the kept set
+    plus each block and accepting the block only on strict validation
+    improvement.
     """
     if block_size < 1:
         raise DataError("block size must be at least 1")
-    X_train = np.asarray(X_train, dtype=np.float64)
     X_valid = np.asarray(X_valid, dtype=np.float64)
-    if X_train.shape[1] == 0:
+    if X_valid.shape[1] == 0:
         raise DataError("empty feature set")
-    names = names or [f"f{i}" for i in range(X_train.shape[1])]
+    names = names or [f"f{i}" for i in range(X_valid.shape[1])]
     groups = groups or _singleton_groups(names)
     col_of = dict(groups)
 
-    full_model = fit_fn(X_train, y_train)
+    full_model = fit_fn(list(range(X_valid.shape[1])))
     imp = permutation_importance(full_model, X_valid, y_valid, metric,
                                  seed=seed, names=names, groups=groups)
     rank = np.argsort(-imp.scores, kind="stable")
@@ -136,7 +136,7 @@ def forward_select(X_train: np.ndarray, y_train: np.ndarray,
     for i in range(0, len(ranked), block_size):
         block = ranked[i: i + block_size]
         cols = [c for name in kept + block for c in col_of[name]]
-        model = fit_fn(X_train[:, cols], y_train)
+        model = fit_fn(cols)
         score = evaluate(metric, y_valid, _predict_of(model)(X_valid[:, cols]))
         accept = score > baseline
         trace.block_names.append(block)

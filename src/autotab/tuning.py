@@ -9,18 +9,16 @@ below the expert one on the tuning split.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .budget import TimeBudget, unlimited
-from .data import Dataset, Task
-from .encoders import EncoderSpec
+from .data import Task
 from .errors import ConfigError
 from .gbm import GBMParams, fit_booster
-from .learners import GBMView
+from .learners import GBMFolds
 from .metrics import evaluate
-from .validation import FoldAssignment
 
 TPE_GAMMA = 0.15
 TPE_N_STARTUP = 10
@@ -101,7 +99,7 @@ class TrialHistory:
                 for p, s, t in zip(self.params, self.scores, self.seconds)]
 
 
-def expert_params(task: Task, n_rows: int, n_features: int, flavor: str) -> GBMParams:
+def expert_params(task: Task, n_rows: int, flavor: str) -> GBMParams:
     """Size-tiered defaults: capacity grows with data, compensated by early
     stopping."""
     if n_rows < 20_000:
@@ -170,40 +168,22 @@ def tpe_suggest(history: TrialHistory, space: SearchSpace,
             for j, d in enumerate(space.dims)}
 
 
-def _params_from_dict(d: dict, flavor: str, base: GBMParams) -> GBMParams:
-    fields = dict(
-        learning_rate=d.get("learning_rate", base.learning_rate),
-        subsample=d.get("subsample", base.subsample),
-        colsample=d.get("colsample", base.colsample),
-        min_data_in_leaf=int(d.get("min_data_in_leaf", base.min_data_in_leaf)),
-        l2_leaf_reg=d.get("l2_leaf_reg", base.l2_leaf_reg),
-        max_leaves=int(d.get("max_leaves", base.max_leaves)),
-        max_depth=int(d.get("max_depth", base.max_depth)),
-        n_estimators_cap=base.n_estimators_cap,
-        flavor=flavor)
-    return GBMParams(**fields)
+def _params_from_dict(d: dict, space: SearchSpace, base: GBMParams) -> GBMParams:
+    return replace(base, **{p.name: int(d[p.name]) if p.integer else d[p.name]
+                            for p in space.dims})
 
 
 def _dict_from_params(p: GBMParams, space: SearchSpace) -> dict:
-    names = [d.name for d in space.dims]
-    full = {"learning_rate": p.learning_rate, "max_leaves": p.max_leaves,
-            "max_depth": p.max_depth, "subsample": p.subsample,
-            "colsample": p.colsample, "min_data_in_leaf": p.min_data_in_leaf,
-            "l2_leaf_reg": p.l2_leaf_reg}
-    out = {k: full[k] for k in names}
     # clip the expert seed trial into the search box so KDEs stay in range
-    for d in space.dims:
-        out[d.name] = float(np.clip(out[d.name], d.low, d.high))
-    return out
+    return {d.name: float(np.clip(getattr(p, d.name), d.low, d.high)) for d in space.dims}
 
 
-def tune_gbm(dataset: Dataset, folds: FoldAssignment, flavor: str,
-             tune_budget: TimeBudget | None = None, seed: int = 0,
-             enc_specs: dict[str, EncoderSpec] | None = None,
-             selected: list[str] | None = None,
+def tune_gbm(data: GBMFolds, flavor: str, tune_budget: TimeBudget | None = None,
+             seed: int = 0, selected: list[str] | None = None,
              max_trials: int = MAX_TRIALS,
              patience: int = 100) -> tuple[GBMParams, TrialHistory]:
-    """TPE loop over a single tuning split (first fold as validation).
+    """TPE loop over a single tuning split (first fold as validation) of the
+    `selected` features of `data`.
 
     Trial 0 evaluates the expert configuration. The loop stops when the
     budget cannot cover another trial (estimated by the last trial's
@@ -211,27 +191,22 @@ def tune_gbm(dataset: Dataset, folds: FoldAssignment, flavor: str,
     score, ties to the earliest trial.
     """
     tune_budget = tune_budget or unlimited()
-    task = dataset.task
+    task, y = data.dataset.task, data.dataset.target
     space = SearchSpace.for_flavor(flavor)
-    expert = expert_params(task, dataset.n_rows, len(dataset.feature_names()), flavor)
+    expert = expert_params(task, data.dataset.n_rows, flavor)
     history = TrialHistory(seed=seed)
     if tune_budget.expired():
-        history_empty = TrialHistory(seed=seed)
-        return expert, history_empty
+        return expert, history
 
-    view = GBMView().fit(dataset, enc_specs, selected)
-    X = view.train_matrix(dataset, folds)
-    y = dataset.target
-    f0, tr, va = next(iter(folds.iter_splits()))
-    metric = task.metric
+    cols = data.columns(selected)
+    _, va = data.splits[0]
 
     def run_trial(params: GBMParams) -> float:
-        res = fit_booster(X[tr], y[tr], params, task.kind, task.n_classes,
-                          X_val=X[va], y_val=y[va], metric=metric,
-                          budget=tune_budget, seed=seed, patience=patience)
+        res = fit_booster(params=params, budget=tune_budget, seed=seed, patience=patience,
+                          **data.inputs(0, cols))
         if res.eval_history:
             return res.eval_history[res.best_iteration]
-        return evaluate(metric, y[va], res.estimator.predict(X[va]))
+        return evaluate(task.metric, y[va], res.estimator.predict(data.X[np.ix_(va, cols)]))
 
     candidates = [_dict_from_params(expert, space)]
     last_duration = 0.0
@@ -242,7 +217,7 @@ def tune_gbm(dataset: Dataset, folds: FoldAssignment, flavor: str,
             cand = candidates.pop(0)
         else:
             cand = tpe_suggest(history, space)
-        params = _params_from_dict(cand, flavor, expert)
+        params = _params_from_dict(cand, space, expert)
         t0 = time.monotonic()
         score = run_trial(params)
         last_duration = time.monotonic() - t0
@@ -253,4 +228,4 @@ def tune_gbm(dataset: Dataset, folds: FoldAssignment, flavor: str,
     if len(history) == 0:
         return expert, history
     best = history.best_index()
-    return _params_from_dict(history.params[best], flavor, expert), history
+    return _params_from_dict(history.params[best], space, expert), history

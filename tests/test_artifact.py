@@ -9,7 +9,7 @@ from autotab.artifact import load_model, save_model
 from autotab.data import RawTable, dataset_from_arrays
 from autotab.errors import ConfigError
 from autotab.gbm import GBMParams, fit_booster
-from autotab.learners import fit_gbm
+from autotab.learners import GBMFolds, fit_gbm
 from autotab.pipeline import PresetConfig, UtilizedModel, fit_preset, utilized_fit
 from autotab.budget import TimeBudget
 from autotab.validation import CVScheme, make_folds
@@ -102,15 +102,15 @@ class TestPackedForest:
         X, y = make_multiclass(400, 4, 3, 3, seed=7)
         ds = dataset_from_arrays(X, y, "multiclass")
         folds = make_folds(CVScheme("kfold", k=2, seed=0), ds)
-        model = fit_gbm(ds, folds, GBMParams(max_leaves=8, n_estimators_cap=15, flavor=flavor))
+        model = fit_gbm(GBMFolds(ds, folds),
+                        GBMParams(max_leaves=8, n_estimators_cap=15, flavor=flavor))
         path = str(tmp_path / "mc.lama")
         save_model(model, path)
         loaded = load_model(path)
         assert np.array_equal(model.predict_matrix(X), loaded.predict_matrix(X))
         for est, back in zip(model.estimators, loaded.estimators):
-            for per_class, back_per_class in zip(est.trees, back.trees, strict=True):
-                for tree, back_tree in zip(per_class, back_per_class, strict=True):
-                    assert np.array_equal(tree.predict_raw(X), back_tree.predict_raw(X))
+            for tree, back_tree in zip(est.forest, back.forest, strict=True):  # class order
+                assert np.array_equal(tree.predict_raw(X), back_tree.predict_raw(X))
 
 
 class TestVersionGate:

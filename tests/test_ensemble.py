@@ -5,7 +5,7 @@ from autotab.data import dataset_from_arrays
 from autotab.ensemble import BlendWeights, apply_blend, blend_weights, build_stack_features
 from autotab.errors import DataError
 from autotab.gbm import GBMParams
-from autotab.learners import fit_gbm, fit_linear
+from autotab.learners import GBMFolds, fit_gbm, fit_linear
 from autotab.metrics import MetricSpec, evaluate, neg_logloss
 from autotab.validation import CVScheme, make_folds
 
@@ -150,7 +150,7 @@ class TestStack:
         ds = dataset_from_arrays(X, y, "multiclass")
         folds = make_folds(CVScheme("stratified_kfold", k=4, seed=0), ds)
         level1 = [
-            fit_gbm(ds, folds,
+            fit_gbm(GBMFolds(ds, folds),
                     GBMParams(n_estimators_cap=120, max_leaves=16,
                               min_data_in_leaf=10), tag="gbm"),
             fit_linear(ds, folds, tag="linear"),
@@ -161,7 +161,7 @@ class TestStack:
         ds2 = dataset_from_arrays(stack_feature_transform(X2, ds.task), y,
                                   "multiclass", feature_names=names)
         level2 = [
-            fit_gbm(ds2, folds, GBMParams(n_estimators_cap=80, max_leaves=8,
+            fit_gbm(GBMFolds(ds2, folds), GBMParams(n_estimators_cap=80, max_leaves=8,
                                           min_data_in_leaf=20), tag="stack_gbm"),
             fit_linear(ds2, folds, tag="stack_linear"),
         ]

@@ -62,7 +62,7 @@ class TestBinning:
         mapper = BinMapper().fit(X)
         codes = mapper.transform(X)
         for t in (3, 17, 40):
-            if t >= mapper.n_bins(0) - 1:
+            if t >= len(mapper.edges[0]):
                 continue
             edge = mapper.raw_threshold(0, t)
             assert np.array_equal(codes[:, 0] <= t, X[:, 0] <= edge)
@@ -174,9 +174,8 @@ class TestBoosting:
                           X_val=X[400:], y_val=y[400:], metric=metric, patience=5)
         # stopped by patience: the last 5 iterations were grown, then dropped
         assert res.estimator.n_iterations < 500
-        trees = res.estimator.trees
         kept = np.zeros(4)
-        for tree in ([t for per_class in trees for t in per_class] if n_classes else trees):
+        for tree in res.estimator.forest:
             kept += tree.feature_gain
         assert np.array_equal(res.estimator.feature_gain_, kept)
 
@@ -218,8 +217,8 @@ class TestBoosting:
         mapper = BinMapper().fit(X)
         codes = mapper.transform(X)
         assert any(np.isinf(t.raw_threshold if flavor == "leaf_wise" else t.raw_thresholds).any()
-                   for t in res.estimator.trees)
-        for tree in res.estimator.trees:
+                   for t in res.estimator.forest)
+        for tree in res.estimator.forest:
             assert np.array_equal(tree.predict_raw(X), predict_codes(tree, codes))
 
     @pytest.mark.parametrize("flavor", ["leaf_wise", "symmetric_depth_wise"])
@@ -254,14 +253,15 @@ class TestBoosting:
         codes = BinMapper().fit(X).transform(X)
         raw = (np.tile(est.base_score, (400, 1)) if n_classes
                else np.full(400, float(est.base_score)))
-        for it, trees in enumerate(est.trees):
-            assert np.array_equal(seen[it], raw)
-            for c, tree in enumerate(trees if n_classes else [trees]):
-                if n_classes:
-                    raw[:, c] += predict_codes(tree, codes)
-                else:
-                    raw += predict_codes(tree, codes)
-        assert len(seen) == len(est.trees) == 6
+        for i, tree in enumerate(est.forest):  # each iteration's trees in class order
+            it, c = divmod(i, max(n_classes, 1))
+            if c == 0:
+                assert np.array_equal(seen[it], raw)
+            if n_classes:
+                raw[:, c] += predict_codes(tree, codes)
+            else:
+                raw += predict_codes(tree, codes)
+        assert len(seen) == est.n_iterations == 6
 
     def test_no_features_rejected(self):
         with pytest.raises(DataError):
@@ -283,6 +283,6 @@ class TestBoosting:
         params = GBMParams(max_depth=3, n_estimators_cap=5,
                            flavor="symmetric_depth_wise", min_data_in_leaf=2)
         res = fit_booster(X, y, params, "binary")
-        tree = res.estimator.trees[0]
+        tree = res.estimator.forest[0]
         assert tree.depth <= 3
         assert len(tree.leaf_values) == 2 ** tree.depth

@@ -5,7 +5,7 @@ from autotab.budget import TimeBudget
 from autotab.data import dataset_from_arrays
 from autotab.encoders import EncoderSpec, fit_target_map
 from autotab.gbm import GBMParams
-from autotab.learners import GBMView, LinearView, fit_gbm, fit_linear
+from autotab.learners import GBMFolds, GBMView, LinearView, fit_gbm, fit_linear
 from autotab.validation import CVScheme, make_folds
 
 from conftest import make_binary, make_multiclass
@@ -115,10 +115,9 @@ class TestFitGBMModel:
     def test_oof_and_metric(self):
         ds = _cat_dataset()
         folds = make_folds(CVScheme("stratified_kfold", k=4, seed=0), ds)
-        model = fit_gbm(ds, folds,
+        model = fit_gbm(GBMFolds(ds, folds, {"c": EncoderSpec("oof_target")}),
                         GBMParams(n_estimators_cap=60, max_leaves=4,
-                                  min_data_in_leaf=20),
-                        enc_specs={"c": EncoderSpec("oof_target")})
+                                  min_data_in_leaf=20))
         assert model.oof.shape == (600,)
         assert model.oof_mask.all()
         # the Bayes-optimal ordering scores about 0.80 on this draw
@@ -127,7 +126,7 @@ class TestFitGBMModel:
     def test_predict_is_fold_average(self):
         ds = _cat_dataset()
         folds = make_folds(CVScheme("kfold", k=3, seed=0), ds)
-        model = fit_gbm(ds, folds, GBMParams(n_estimators_cap=20))
+        model = fit_gbm(GBMFolds(ds, folds), GBMParams(n_estimators_cap=20))
         X = model.view.transform(ds)
         per_fold = np.array([est.predict(X) for est in model.estimators])
         assert model.predict(ds) == pytest.approx(per_fold.mean(axis=0))
@@ -135,7 +134,7 @@ class TestFitGBMModel:
     def test_single_fold_predict_equals_estimator(self):
         ds = _cat_dataset()
         folds = make_folds(CVScheme("holdout", holdout_fraction=0.3, seed=0), ds)
-        model = fit_gbm(ds, folds, GBMParams(n_estimators_cap=20))
+        model = fit_gbm(GBMFolds(ds, folds), GBMParams(n_estimators_cap=20))
         assert len(model.estimators) == 1
         X = model.view.transform(ds)
         assert model.predict(ds) == pytest.approx(model.estimators[0].predict(X))
@@ -143,7 +142,7 @@ class TestFitGBMModel:
     def test_two_fold_outputs_average_in_probability_space(self):
         ds = _cat_dataset()
         folds = make_folds(CVScheme("kfold", k=2, seed=0), ds)
-        model = fit_gbm(ds, folds, GBMParams(n_estimators_cap=10))
+        model = fit_gbm(GBMFolds(ds, folds), GBMParams(n_estimators_cap=10))
         X = model.view.transform(ds)
         p0 = model.estimators[0].predict(X)
         p1 = model.estimators[1].predict(X)
@@ -153,14 +152,14 @@ class TestFitGBMModel:
         X, y = make_multiclass(400, 5, 3, 3, seed=2)
         ds = dataset_from_arrays(X, y, "multiclass")
         folds = make_folds(CVScheme("stratified_kfold", k=3, seed=0), ds)
-        model = fit_gbm(ds, folds, GBMParams(n_estimators_cap=15))
+        model = fit_gbm(GBMFolds(ds, folds), GBMParams(n_estimators_cap=15))
         preds = model.predict(ds)
         assert np.abs(preds.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_row_order_invariance(self):
         ds = _cat_dataset()
         folds = make_folds(CVScheme("kfold", k=3, seed=0), ds)
-        model = fit_gbm(ds, folds, GBMParams(n_estimators_cap=15))
+        model = fit_gbm(GBMFolds(ds, folds), GBMParams(n_estimators_cap=15))
         preds = model.predict(ds)
         perm = np.random.default_rng(3).permutation(ds.n_rows)
         X = np.column_stack([ds.columns["c"].values.astype(float),
@@ -173,7 +172,7 @@ class TestFitGBMModel:
         X, y = make_binary(4000, 10, 5, seed=4)
         ds = dataset_from_arrays(X, y, "binary")
         folds = make_folds(CVScheme("kfold", k=4, seed=0), ds)
-        model = fit_gbm(ds, folds, GBMParams(n_estimators_cap=2000),
+        model = fit_gbm(GBMFolds(ds, folds), GBMParams(n_estimators_cap=2000),
                         budget=TimeBudget(0.5))
         assert model.truncated
         assert len(model.estimators) == 4

@@ -86,6 +86,21 @@ def test_positive_rank_sum_equals_the_argsort_formula(rows):
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+@given(st.lists(st.tuples(st.booleans(), st.integers(-3, 3)), max_size=300),
+       st.sampled_from([0.5, 1.0, 1e300]))
+def test_positive_rank_sum_equals_the_unsorted_searchsorted_sum(rows, scale):
+    """Few distinct scores, so many ties: searching the sorted positive
+    scores gives the same sum as searching them in row order."""
+    pos = np.array([p for p, _ in rows], dtype=bool)
+    scores = np.array([s for _, s in rows], dtype=np.float64) * scale
+    ranked = np.sort(scores)
+    left = np.searchsorted(ranked, scores[pos], side="left")
+    right = np.searchsorted(ranked, scores[pos], side="right")
+    want = float(((left + right + 1) / 2.0).sum())
+    got = positive_rank_sum(pos, scores)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_auc_nan_score_gives_nan_and_single_class_half():
     y = np.array([0, 1, 1, 0])
     assert np.isnan(roc_auc(y, np.array([0.1, np.nan, 0.3, 0.2])))

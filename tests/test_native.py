@@ -93,7 +93,19 @@ def test_a_changed_compiler_builds_a_new_library(tmp_path):
     st = os.stat(cc[0])
     os.utime(cc[0], ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
     second = native.build(cache, cc)
-    assert second != first and sorted(os.listdir(cache)) == sorted([first.name, second.name])
+    assert second != first and os.listdir(cache) == [second.name]  # the first is superseded
+
+
+def test_a_build_deletes_only_superseded_libraries(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    stale = cache / "_kernel-0123456789abcdef.so"
+    others = [cache / "_kernel.so", cache / "kernel-0123456789abcdef.so", cache / "notes.txt"]
+    for path in [stale, *others]:
+        path.write_bytes(b"")
+    lib = native.build(cache)
+    assert not stale.exists()
+    assert sorted(os.listdir(cache)) == sorted([lib.name, *(p.name for p in others)])
 
 
 def test_failing_compiler_raises_with_its_stderr(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from autotab.data import dataset_from_arrays
 from autotab.errors import DataError
 from autotab.gbm import GBMParams, fit_booster
-from autotab.learners import fit_gbm, fit_linear
+from autotab.learners import GBMFolds, fit_gbm, fit_linear
 from autotab.metrics import MetricSpec, evaluate
 from autotab.selection import (ImportanceVector, cutoff_select, forward_select,
                                gain_importance, permutation_importance)
@@ -22,6 +22,12 @@ def _booster_fit(params=None):
         return fit_booster(X, y, params, "binary").estimator
 
     return fit_fn
+
+
+def _subset_fit(X, y, fit_fn=None):
+    """forward_select's fit_fn: fit on the training columns `cols`."""
+    fit_fn = fit_fn or _booster_fit()
+    return lambda cols: fit_fn(X[:, cols], y)
 
 
 def _signal_data(n=800, seed=0):
@@ -52,7 +58,7 @@ class TestGainImportance:
         X, y = _signal_data()
         ds = dataset_from_arrays(X, y, "binary")
         folds = make_folds(CVScheme("kfold", k=3, seed=0), ds)
-        model = fit_gbm(ds, folds, GBMParams(n_estimators_cap=20))
+        model = fit_gbm(GBMFolds(ds, folds), GBMParams(n_estimators_cap=20))
         imp = gain_importance(model)
         assert len(imp.names) == 4
         assert imp.scores.sum() > 0
@@ -122,8 +128,8 @@ class TestCutoffSelect:
 class TestForwardSelect:
     def test_block_covering_everything_is_kept(self):
         X, y = _signal_data(seed=5)
-        kept, trace = forward_select(X[:500], y[:500], X[500:], y[500:],
-                                     _booster_fit(), block_size=10, metric=METRIC)
+        kept, trace = forward_select(X[500:], y[500:], _subset_fit(X[:500], y[:500]),
+                                     block_size=10, metric=METRIC)
         # one block against -inf baseline keeps the whole set
         assert len(kept) == 4
         assert trace.accepted == [True]
@@ -138,9 +144,8 @@ class TestForwardSelect:
             noise = rng.normal(size=(n, 6))
             y = (rng.random(n) < 1 / (1 + np.exp(-3.0 * x0))).astype(np.int64)
             X = np.hstack([x0[:, None], noise])
-            kept, trace = forward_select(X[:400], y[:400], X[400:], y[400:],
-                                         _booster_fit(), block_size=1,
-                                         metric=METRIC, seed=seed)
+            kept, trace = forward_select(X[400:], y[400:], _subset_fit(X[:400], y[:400]),
+                                         block_size=1, metric=METRIC, seed=seed)
             assert "f0" in kept
             accepted_noise += len(kept) - 1
         # over 20 seeds and 120 noise blocks, most are rejected
@@ -152,7 +157,7 @@ class TestForwardSelect:
         est = fit_fn(X[:500], y[:500])
         imp = permutation_importance(est, X[500:], y[500:], METRIC, seed=0)
         expected = [imp.names[i] for i in np.argsort(-imp.scores, kind="stable")]
-        _, trace = forward_select(X[:500], y[:500], X[500:], y[500:], fit_fn,
+        _, trace = forward_select(X[500:], y[500:], _subset_fit(X[:500], y[:500], fit_fn),
                                   block_size=1, metric=METRIC, seed=0)
         assert trace.ranked == expected
         flattened = [n for block in trace.block_names for n in block]
@@ -160,8 +165,8 @@ class TestForwardSelect:
 
     def test_baseline_trace_strictly_increases_on_accepts(self):
         X, y = _signal_data(seed=7)
-        _, trace = forward_select(X[:500], y[:500], X[500:], y[500:],
-                                  _booster_fit(), block_size=1, metric=METRIC)
+        _, trace = forward_select(X[500:], y[500:], _subset_fit(X[:500], y[:500]),
+                                  block_size=1, metric=METRIC)
         baseline = -np.inf
         for score, accepted in zip(trace.block_scores, trace.accepted):
             if accepted:
@@ -171,8 +176,8 @@ class TestForwardSelect:
     def test_kept_set_refit_matches_final_baseline(self):
         X, y = _signal_data(seed=8)
         fit_fn = _booster_fit()
-        kept, trace = forward_select(X[:500], y[:500], X[500:], y[500:],
-                                     fit_fn, block_size=2, metric=METRIC)
+        kept, trace = forward_select(X[500:], y[500:], _subset_fit(X[:500], y[:500], fit_fn),
+                                     block_size=2, metric=METRIC)
         cols = [int(n[1:]) for n in kept]
         refit = fit_fn(X[:500][:, cols], y[:500])
         score = evaluate(METRIC, y[500:], refit.predict(X[500:][:, cols]))
@@ -181,5 +186,5 @@ class TestForwardSelect:
 
     def test_empty_feature_set_rejected(self):
         with pytest.raises(DataError):
-            forward_select(np.empty((10, 0)), np.zeros(10), np.empty((5, 0)),
-                           np.zeros(5), _booster_fit(), 1, METRIC)
+            forward_select(np.empty((5, 0)), np.zeros(5),
+                           _subset_fit(np.empty((10, 0)), np.zeros(10)), 1, METRIC)

@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 
 from autotab.budget import TimeBudget
 from autotab.data import Task, dataset_from_arrays
-from autotab.tuning import (SearchSpace, TrialHistory, expert_params,
-                            tpe_suggest, tune_gbm)
+from autotab.learners import GBMFolds
+from autotab.tuning import (SearchSpace, TrialHistory, _dict_from_params, _params_from_dict,
+                            expert_params, tpe_suggest, tune_gbm)
 from autotab.validation import CVScheme, make_folds
 
 from conftest import make_binary
@@ -13,27 +15,36 @@ BINARY = Task("binary", 2, labels=("0", "1"))
 
 class TestExpertParams:
     def test_small_tier(self):
-        p = expert_params(BINARY, 5_000, 20, "leaf_wise")
+        p = expert_params(BINARY, 5_000, "leaf_wise")
         assert p.learning_rate == 0.1
         assert p.max_leaves == 32
         assert p.subsample == 0.9
         assert p.colsample == 0.9
 
     def test_large_tier(self):
-        p = expert_params(BINARY, 500_000, 20, "leaf_wise")
+        p = expert_params(BINARY, 500_000, "leaf_wise")
         assert p.learning_rate == 0.025
         assert p.max_leaves == 128
         assert p.min_data_in_leaf == 50
 
     def test_symmetric_uses_depth_tiers(self):
-        assert expert_params(BINARY, 5_000, 20, "symmetric_depth_wise").max_depth == 5
-        assert expert_params(BINARY, 50_000, 20, "symmetric_depth_wise").max_depth == 6
-        assert expert_params(BINARY, 500_000, 20, "symmetric_depth_wise").max_depth == 7
+        assert expert_params(BINARY, 5_000, "symmetric_depth_wise").max_depth == 5
+        assert expert_params(BINARY, 50_000, "symmetric_depth_wise").max_depth == 6
+        assert expert_params(BINARY, 500_000, "symmetric_depth_wise").max_depth == 7
 
     def test_deterministic(self):
-        a = expert_params(BINARY, 12_345, 7, "leaf_wise")
-        b = expert_params(BINARY, 12_345, 7, "leaf_wise")
+        a = expert_params(BINARY, 12_345, "leaf_wise")
+        b = expert_params(BINARY, 12_345, "leaf_wise")
         assert a == b
+
+    @pytest.mark.parametrize("flavor", ["leaf_wise", "symmetric_depth_wise"])
+    @pytest.mark.parametrize("n_rows", [5_000, 50_000, 500_000])
+    def test_round_trips_through_the_trial_dict(self, flavor, n_rows):
+        expert = expert_params(BINARY, n_rows, flavor)
+        space = SearchSpace.for_flavor(flavor)
+        trial = _dict_from_params(expert, space)
+        assert set(trial) == {d.name for d in space.dims}
+        assert _params_from_dict(trial, space, expert) == expert
 
 
 class TestTpeSuggest:
@@ -101,16 +112,16 @@ class TestTuneGbm:
     def test_degenerate_budget_returns_expert(self):
         ds = self._dataset()
         folds = make_folds(CVScheme("kfold", k=4, seed=0), ds)
-        params, history = tune_gbm(ds, folds, "leaf_wise", TimeBudget(0.0))
+        params, history = tune_gbm(GBMFolds(ds, folds), "leaf_wise", TimeBudget(0.0))
         assert len(history) == 0
-        assert params == expert_params(ds.task, 900, 6, "leaf_wise")
+        assert params == expert_params(ds.task, 900, "leaf_wise")
 
     def test_trial_zero_is_expert_and_best_is_max(self):
         ds = self._dataset()
         folds = make_folds(CVScheme("kfold", k=4, seed=0), ds)
-        params, history = tune_gbm(ds, folds, "leaf_wise", TimeBudget(20.0),
+        params, history = tune_gbm(GBMFolds(ds, folds), "leaf_wise", TimeBudget(20.0),
                                    seed=3, max_trials=12)
-        expert = expert_params(ds.task, 900, 6, "leaf_wise")
+        expert = expert_params(ds.task, 900, "leaf_wise")
         assert history.params[0]["learning_rate"] == expert.learning_rate
         assert history.params[0]["max_leaves"] == expert.max_leaves
         best = history.best_index()
@@ -121,7 +132,7 @@ class TestTuneGbm:
     def test_trial_count_never_exceeds_cap(self):
         ds = self._dataset(seed=1)
         folds = make_folds(CVScheme("kfold", k=4, seed=0), ds)
-        _, history = tune_gbm(ds, folds, "symmetric_depth_wise",
+        _, history = tune_gbm(GBMFolds(ds, folds), "symmetric_depth_wise",
                               TimeBudget(15.0), max_trials=5)
         assert len(history) <= 5
 
@@ -129,7 +140,7 @@ class TestTuneGbm:
         ds = self._dataset(seed=2)
         folds = make_folds(CVScheme("kfold", k=4, seed=0), ds)
         space = SearchSpace.for_flavor("leaf_wise")
-        _, history = tune_gbm(ds, folds, "leaf_wise", TimeBudget(15.0),
+        _, history = tune_gbm(GBMFolds(ds, folds), "leaf_wise", TimeBudget(15.0),
                               max_trials=14)
         for cand in history.params:
             for dim in space.dims:
