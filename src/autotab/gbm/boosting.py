@@ -10,10 +10,10 @@ import numpy as np
 from ..budget import TimeBudget, unlimited
 from ..errors import ConfigError, DataError
 from ..metrics import MetricSpec, evaluate
-from ..stopping import best_iteration
+from ..stopping import improves
 from .binning import BinMapper
 from .losses import make_loss
-from .trees import ObliviousTree, Tree, grow_leafwise, grow_oblivious
+from .trees import ObliviousTree, Tree, TreeKernel, grow_leafwise, grow_oblivious
 
 FLAVORS = ("leaf_wise", "symmetric_depth_wise")
 _TREE_TYPES = {"Tree": Tree, "ObliviousTree": ObliviousTree}
@@ -107,8 +107,11 @@ class GBMEstimator:
         return raw
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        loss = make_loss(self.task_kind, self.n_classes)
-        return loss.transform(self.predict_raw_scores(X))
+        return self.transform(self.predict_raw_scores(X))
+
+    def transform(self, raw: np.ndarray) -> np.ndarray:
+        """Predictions from raw scores: probabilities for classifiers."""
+        return make_loss(self.task_kind, self.n_classes).transform(raw)
 
     @property
     def n_iterations(self) -> int:
@@ -121,16 +124,17 @@ class FitResult:
     eval_history: list[float]
     best_iteration: int
     truncated: bool
+    # raw scores of the X_val rows under the kept trees (None without X_val):
+    # predict_raw_scores(X_val) bit for bit, from the booster's own sums
+    val_raw: np.ndarray | None = None
 
 
-def _grow(flavor: str, codes, g, h, rows, passengers, feats, mapper, params: GBMParams):
-    if flavor == "leaf_wise":
-        return grow_leafwise(codes, g, h, rows, feats, mapper,
-                             params.max_leaves, params.min_data_in_leaf,
-                             params.l2_leaf_reg, params.learning_rate, passengers=passengers)
-    return grow_oblivious(codes, g, h, rows, feats, mapper,
-                          params.max_depth, params.min_data_in_leaf,
-                          params.l2_leaf_reg, params.learning_rate, passengers=passengers)
+def _grow(kern: TreeKernel, g: np.ndarray, h: np.ndarray, params: GBMParams):
+    if params.flavor == "leaf_wise":
+        return grow_leafwise(kern, g, h, params.max_leaves, params.min_data_in_leaf,
+                             params.l2_leaf_reg, params.learning_rate)
+    return grow_oblivious(kern, g, h, params.max_depth, params.min_data_in_leaf,
+                          params.l2_leaf_reg, params.learning_rate)
 
 
 def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
@@ -153,9 +157,18 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
     states, so results do not depend on worker count.
 
     The validation codes are stacked under the training codes, and the raw
-    scores of both live in one array. Each tree carries the rows left out of
+    scores of both live in one array. Everything a tree would repeat is done
+    once, here: one `TreeKernel` checks the codes and the validation rows
+    and holds the kernel's buffers. Each tree carries the rows left out of
     its subsample and all validation rows as passengers, so every row's score
-    takes the new tree's leaf value straight from the grower.
+    takes the new tree's leaf value straight from the grower. One loss
+    transform per iteration, over all rows, gives this iteration's
+    validation score and the next one's gradients. The best iteration is
+    followed as scores arrive (`stopping.improves`), and the validation raw
+    scores are kept as they stand at it: they are the `val_raw` of the
+    result, which callers take as their out-of-fold predictions in place of
+    routing X_val through the trees again. Raw thresholds are looked up for
+    the kept trees only.
     """
     if X.shape[1] == 0:
         raise DataError("no usable features")
@@ -167,66 +180,69 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
         X, X_val = mapper.transform(X), X_val if X_val is None else mapper.transform(X_val)
     codes = np.asfortranarray(X if X_val is None else np.concatenate([X, X_val]))
     n_all = codes.shape[0]
-    val_rows = np.arange(n, n_all)
+    kern = TreeKernel(codes, n, np.arange(n, n_all))
 
     y_fit = y.astype(np.float64) if task_kind != "multiclass" else y
     base = loss.init_score(y_fit)
     raw_all = np.tile(base, (n_all, 1)) if task_kind == "multiclass" else np.full(n_all, base)
-    raw, raw_val = raw_all[:n], raw_all[n:]
 
     rng = np.random.default_rng(seed)
     n_sub = max(1, int(round(params.subsample * n)))
     n_feats = max(1, int(np.ceil(params.colsample * f)))
+    validating = X_val is not None and metric is not None
     trees: list = []  # in boosting order, each iteration's classes in order
     eval_history: list[float] = []
+    best, best_score, best_raw = -1, -np.inf, None
     truncated = False
 
+    p_all = loss.transform(raw_all)
     for it in range(params.n_estimators_cap):
         if budget.expired():
             truncated = True
             break
-        g, h = loss.grad_hess(y_fit, raw)
+        g, h = loss.gradients(y_fit, p_all[:n])
+        in_bag = used = None
         if params.subsample < 1.0:
-            perm = rng.permutation(n)
-            rows = np.sort(perm[:n_sub])
-            passengers = np.concatenate([np.sort(perm[n_sub:]), val_rows])
-        else:
-            rows, passengers = np.arange(n), val_rows
-        feats = (np.sort(rng.choice(f, size=n_feats, replace=False))
-                 if params.colsample < 1.0 else np.arange(f))
+            in_bag = np.zeros(n, dtype=bool)
+            in_bag[rng.permutation(n)[:n_sub]] = True
+        if params.colsample < 1.0:
+            used = np.zeros(f, dtype=bool)
+            used[rng.choice(f, size=n_feats, replace=False)] = True
+        kern.sample(in_bag, used)
 
         if task_kind == "multiclass":
-            g, h = g.T.copy(), h.T.copy()  # each class's row is contiguous for the kernel
             for c in range(n_classes):
-                tree, values, order = _grow(
-                    params.flavor, codes, g[c], h[c], rows, passengers, feats, mapper, params)
+                tree, values, order = _grow(kern, g[:, c], h[:, c], params)
                 raw_all[order, c] += values
                 trees.append(tree)
         else:
-            tree, values, order = _grow(
-                params.flavor, codes, g, h, rows, passengers, feats, mapper, params)
+            tree, values, order = _grow(kern, g, h, params)
             raw_all[order] += values
             trees.append(tree)
 
-        if X_val is not None and metric is not None:
-            score = evaluate(metric, y_val, loss.transform(raw_val))
+        p_all = loss.transform(raw_all)
+        if validating:
+            score = evaluate(metric, y_val, p_all[n:])
             eval_history.append(score)
-            best = best_iteration(eval_history)
-            if (len(eval_history) - 1) - best >= patience:
+            if it == 0 or improves(score, best_score):
+                best, best_score, best_raw = it, score, raw_all[n:].copy()
+            if it - best >= patience:
                 break
 
     per_iteration = n_classes if task_kind == "multiclass" else 1
     if eval_history:
-        best = best_iteration(eval_history)
         trees = trees[: (best + 1) * per_iteration]
         eval_history = eval_history[: best + 1]
+        val_raw = best_raw
     else:
         best = len(trees) // per_iteration - 1
+        val_raw = None if X_val is None else raw_all[n:]
     feature_gain = np.zeros(f)  # over the kept trees only
     for tree in trees:
+        tree.set_raw_thresholds(mapper)
         feature_gain += tree.feature_gain
 
     tree_type = Tree if params.flavor == "leaf_wise" else ObliviousTree
     est = GBMEstimator(task_kind, n_classes, np.asarray(base),
                        PackedTrees.pack(tree_type, trees), params, feature_gain_=feature_gain)
-    return FitResult(est, eval_history, best, truncated)
+    return FitResult(est, eval_history, best, truncated, val_raw)

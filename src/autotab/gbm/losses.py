@@ -1,4 +1,9 @@
-"""Loss functions for Newton boosting: gradients, hessians, base scores."""
+"""Loss functions for Newton boosting: gradients, hessians, base scores.
+
+Gradients and hessians are taken from the transformed scores `p =
+transform(raw)`, which a booster computes once per iteration for its
+training and validation rows together (see boosting.fit_booster).
+"""
 
 from __future__ import annotations
 
@@ -11,7 +16,8 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) otherwise, so exp never
     overflows. min(z, -z) keeps a NaN's sign bit, where -abs(z) would not."""
     e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -27,8 +33,7 @@ class BinaryLogloss:
         p = float(np.clip(y.mean(), _CLIP, 1 - _CLIP))
         return float(np.log(p / (1.0 - p)))
 
-    def grad_hess(self, y: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p = sigmoid(raw)
+    def gradients(self, y: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return p - y, p * (1.0 - p)
 
     def transform(self, raw: np.ndarray) -> np.ndarray:
@@ -43,8 +48,7 @@ class MulticlassSoftmax:
         prior = np.bincount(y.astype(np.int64), minlength=self.n_outputs) / y.shape[0]
         return np.log(np.clip(prior, _CLIP, None))
 
-    def grad_hess(self, y: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p = softmax(raw)
+    def gradients(self, y: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         g = p.copy()
         g[np.arange(y.shape[0]), y.astype(np.int64)] -= 1.0
         return g, p * (1.0 - p)
@@ -59,8 +63,8 @@ class SquaredError:
     def init_score(self, y: np.ndarray) -> float:
         return float(y.mean())
 
-    def grad_hess(self, y: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return raw - y, np.ones_like(raw)
+    def gradients(self, y: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return p - y, np.ones_like(p)
 
     def transform(self, raw: np.ndarray) -> np.ndarray:
         return raw

@@ -12,6 +12,12 @@ prediction are numpy and need no compiler. The kernel's header states the
 float order that keeps its trees bit-identical to the numpy kernel in
 tests/oracles.py, and how it routes passenger rows (left-out and validation
 rows that reach a leaf without adding to any histogram).
+
+The growers run through a `TreeKernel`, which a booster prepares once: it
+checks the code matrix and the fixed passengers, binds the kernel and
+holds every buffer the kernel touches, so growing a tree repeats none of
+that. A grown tree carries bin thresholds only; `set_raw_thresholds` looks
+up the raw ones, which a booster does for the trees it keeps.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ class Tree:
 
     feature: np.ndarray
     bin_threshold: np.ndarray
-    raw_threshold: np.ndarray
+    raw_threshold: np.ndarray  # None until set_raw_thresholds
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
@@ -37,6 +43,14 @@ class Tree:
 
     def predict_raw(self, X: np.ndarray) -> np.ndarray:
         return route(self.feature, self.raw_threshold, self.left, self.right, self.value, X)
+
+    def set_raw_thresholds(self, mapper: BinMapper) -> None:
+        """The raw value of each split's bin threshold (0 at a leaf)."""
+        self.raw_threshold = np.zeros(self.feature.shape[0])
+        internal = np.flatnonzero(self.feature >= 0)
+        self.raw_threshold[internal] = [
+            mapper.raw_threshold(f, t)
+            for f, t in zip(self.feature[internal].tolist(), self.bin_threshold[internal].tolist())]
 
 
 def route(feature: np.ndarray, threshold: np.ndarray, left: np.ndarray, right: np.ndarray,
@@ -65,67 +79,130 @@ def route(feature: np.ndarray, threshold: np.ndarray, left: np.ndarray, right: n
     return out
 
 
-def _kernel_inputs(codes: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
-                   feats: np.ndarray, passengers: np.ndarray | None):
-    """The compiled kernel and the arrays it reads, in the layouts it expects:
-    a Fortran-ordered uint8 code matrix, contiguous float64 g/h (one per
-    training row, which come first in codes), and int64 indices: `idx` holds
-    the rows, then the passengers. The kernel reads through the indices
-    unchecked, so they and the code matrix are checked here."""
-    from .native import kernel
+class TreeKernel:
+    """The compiled grower bound to one code matrix, for growing many trees.
 
-    if not (isinstance(codes, np.ndarray) and codes.dtype == np.uint8 and codes.ndim == 2
-            and codes.flags.f_contiguous):
-        raise ValueError("codes must be a Fortran-ordered 2-d uint8 array")
-    g, h = (np.ascontiguousarray(a, dtype=np.float64) for a in (g, h))
-    feats = np.ascontiguousarray(feats, dtype=np.int64)
-    rows = np.asarray(rows)
-    passengers = np.empty(0, dtype=np.int64) if passengers is None else np.asarray(passengers)
-    n_codes, n_features = codes.shape
-    n = g.shape[0]
-    if g.shape != (n,) or h.shape != (n,) or n > n_codes:
-        raise ValueError(f"g and h must have one shape (n,) with n <= {n_codes}, "
-                         f"got {g.shape} and {h.shape}")
-    for name, index, size in (("rows", rows, n), ("passengers", passengers, n_codes),
-                              ("feats", feats, n_features)):
-        if index.ndim != 1 or (index.size and (index.min() < 0 or index.max() >= size)):
-            raise ValueError(f"{name} must be a 1-d index into {size} entries")
-    idx = np.concatenate([rows, passengers], dtype=np.int64)
-    return kernel(), codes, g, h, idx, len(rows), feats
+    A booster makes one and grows every tree through it. Construction does
+    what would otherwise repeat for each tree: it checks the code matrix,
+    the training row count and the fixed passengers (the kernel reads
+    through indices unchecked), loads the kernel, and allocates every buffer
+    the kernel reads or writes, taking their data pointers once. `sample`
+    picks the rows and features of the next trees from boolean masks, whose
+    indices are in range by construction, so a tree costs one kernel call
+    plus the copies of its gradients in and its nodes out.
+
+    Rows 0..n_train-1 of `codes` are the training rows, one per entry of
+    the gradients. The passengers (held-out rows, as a rule the rows below
+    the training rows) ride through every tree after the rows left out of
+    its sample.
+    """
+
+    def __init__(self, codes: np.ndarray, n_train: int,
+                 passengers: np.ndarray | None = None) -> None:
+        from .native import kernel
+
+        if not (isinstance(codes, np.ndarray) and codes.dtype == np.uint8 and codes.ndim == 2
+                and codes.flags.f_contiguous):
+            raise ValueError("codes must be a Fortran-ordered 2-d uint8 array")
+        n_codes, n_features = codes.shape
+        if not 0 <= n_train <= n_codes:
+            raise ValueError(f"the {n_train} training rows must be rows of the {n_codes} codes")
+        passengers = np.empty(0, dtype=np.int64) if passengers is None else np.asarray(passengers)
+        if passengers.ndim != 1 or (passengers.size and (passengers.min() < 0
+                                                         or passengers.max() >= n_codes)):
+            raise ValueError(f"passengers must be a 1-d index into {n_codes} entries")
+        self.kernel = kernel()
+        self.codes, self.n_train = codes, n_train
+        # the index list each tree starts from: sampled rows, the rest, passengers
+        self.layout = np.concatenate([np.arange(n_train), passengers], dtype=np.int64)
+        self.m = n_train  # sampled rows, at the head of layout
+        self.idx = np.empty_like(self.layout)  # the kernel regroups it in place
+        self.values = np.empty(self.layout.shape[0])
+        self.feats = np.arange(n_features, dtype=np.int64)
+        self.nf = n_features  # sampled features, at the head of feats
+        self.g, self.h = np.empty(n_train), np.empty(n_train)
+        self.feature_gain = np.empty(n_features)
+        self.ints, self.floats = np.empty(0, dtype=np.int32), np.empty(0)
+        self._grow_outputs(1, 1)
+        self.ptr = {name: getattr(self, name).ctypes.data for name in
+                    ("codes", "idx", "values", "feats", "g", "h", "feature_gain")}
+
+    def sample(self, in_bag: np.ndarray | None = None,
+               features: np.ndarray | None = None) -> None:
+        """Grow the next trees on the training rows that `in_bag` marks and
+        the features that `features` marks: boolean masks over all of them,
+        None for every one. The rows left out ride as passengers."""
+        n, f = self.n_train, self.codes.shape[1]
+        if in_bag is None:
+            self.layout[:n] = np.arange(n)
+            self.m = n
+        else:
+            _check_mask("in_bag", in_bag, n)
+            rows = in_bag.nonzero()[0]
+            self.m = rows.shape[0]
+            self.layout[:self.m] = rows
+            self.layout[self.m:n] = (~in_bag).nonzero()[0]
+        if features is None:
+            self.feats[:] = np.arange(f)
+            self.nf = f
+        else:
+            _check_mask("features", features, f)
+            chosen = features.nonzero()[0]
+            self.nf = chosen.shape[0]
+            self.feats[:self.nf] = chosen
+
+    def _load(self, g: np.ndarray, h: np.ndarray) -> None:
+        """Copy one tree's gradients in and reset what its kernel call writes into."""
+        self.g[:] = g
+        self.h[:] = h
+        self.idx[:] = self.layout
+        self.feature_gain.fill(0.0)
+
+    def _grow_outputs(self, n_ints: int, n_floats: int) -> None:
+        """Make the node output buffers hold at least n_ints int32 and n_floats
+        float64 entries; they are reallocated only for a larger tree."""
+        if self.ints.shape[0] < n_ints:
+            self.ints = np.empty(n_ints, dtype=np.int32)
+            self.ints_ptr = self.ints.ctypes.data
+        if self.floats.shape[0] < n_floats:
+            self.floats = np.empty(n_floats)
+            self.floats_ptr = self.floats.ctypes.data
 
 
-def grow_leafwise(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
-                  rows: np.ndarray, feats: np.ndarray, mapper: BinMapper,
-                  max_leaves: int, min_data: int, reg: float, lr: float,
-                  passengers: np.ndarray | None = None) -> tuple[Tree, np.ndarray, np.ndarray]:
-    """Grow by repeatedly splitting the leaf with the largest gain.
+def _check_mask(name: str, mask: np.ndarray, size: int) -> None:
+    if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (size,)):
+        raise ValueError(f"{name} must be a boolean mask of {size} entries")
+
+
+def grow_leafwise(kern: TreeKernel, g: np.ndarray, h: np.ndarray, max_leaves: int,
+                  min_data: int, reg: float, lr: float) -> tuple[Tree, np.ndarray, np.ndarray]:
+    """Grow by repeatedly splitting the leaf with the largest gain, on the
+    rows and features of `kern`'s sample with gradients g and hessians h
+    (one per training row).
 
     Returns the tree plus (values, order) so callers can update scores
-    without re-walking the tree: `order` holds the given rows, then the
+    without re-walking the tree: `order` holds the sampled rows, then the
     passengers, each regrouped leaf by leaf, and values[i] is the leaf value
-    of order[i]. Raises ZeroDivisionError if a leaf's hessian sum plus reg
-    is 0.
+    of order[i]; both are `kern`'s buffers, valid until its next tree. The
+    tree has bin thresholds only: `set_raw_thresholds` adds the raw ones.
+    Raises ZeroDivisionError if a leaf's hessian sum plus reg is 0.
     """
-    kern, codes, g, h, order, m, feats = _kernel_inputs(codes, g, h, rows, feats, passengers)
+    kern._load(g, h)
     max_leaves = max(max_leaves, 1)
     max_nodes = 2 * max_leaves - 1
-    feature, bin_thr, left, right = (np.empty(max_nodes, dtype=np.int32) for _ in range(4))
-    value = np.empty(max_nodes)
-    feature_gain = np.zeros(codes.shape[1])
-    values = np.empty(order.shape[0])
-    n_nodes = kern.leaf_grow(
-        codes.ctypes.data, codes.shape[0], g.ctypes.data, h.ctypes.data, order.ctypes.data,
-        m, order.shape[0] - m, feats.ctypes.data, feats.shape[0], max_leaves, min_data,
-        reg, lr, feature.ctypes.data, bin_thr.ctypes.data, left.ctypes.data,
-        right.ctypes.data, value.ctypes.data, feature_gain.ctypes.data, values.ctypes.data)
+    kern._grow_outputs(4 * max_nodes, max_nodes)
+    ptr, ints = kern.ptr, kern.ints_ptr
+    n_nodes = kern.kernel.leaf_grow(
+        ptr["codes"], kern.codes.shape[0], ptr["g"], ptr["h"], ptr["idx"], kern.m,
+        kern.idx.shape[0] - kern.m, ptr["feats"], kern.nf, max_leaves, min_data, reg, lr,
+        ints, ints + 4 * max_nodes, ints + 8 * max_nodes, ints + 12 * max_nodes,
+        kern.floats_ptr, ptr["feature_gain"], ptr["values"])
     _check_status(n_nodes)
-    feature, bin_thr, left, right, value = (
-        a[:n_nodes] for a in (feature, bin_thr, left, right, value))
-    internal = np.flatnonzero(feature >= 0)
-    raw_thr = np.zeros(n_nodes)
-    raw_thr[internal] = [mapper.raw_threshold(f, t) for f, t in
-                         zip(feature[internal].tolist(), bin_thr[internal].tolist())]
-    return Tree(feature, bin_thr, raw_thr, left, right, value, feature_gain), values, order
+    feature, bin_thr, left, right = (kern.ints[k * max_nodes:k * max_nodes + n_nodes].copy()
+                                     for k in range(4))
+    tree = Tree(feature, bin_thr, None, left, right, kern.floats[:n_nodes].copy(),
+                kern.feature_gain.copy())
+    return tree, kern.values, kern.idx
 
 
 def _check_status(status: int) -> None:
@@ -142,7 +219,7 @@ class ObliviousTree:
 
     features: np.ndarray
     bin_thresholds: np.ndarray
-    raw_thresholds: np.ndarray
+    raw_thresholds: np.ndarray  # None until set_raw_thresholds
     leaf_values: np.ndarray
     feature_gain: np.ndarray
 
@@ -158,39 +235,33 @@ class ObliviousTree:
             idx = idx * 2 + bit
         return self.leaf_values[idx]
 
+    def set_raw_thresholds(self, mapper: BinMapper) -> None:
+        """The raw value of each level's bin threshold."""
+        self.raw_thresholds = np.array([
+            mapper.raw_threshold(f, t)
+            for f, t in zip(self.features.tolist(), self.bin_thresholds.tolist())])
 
-def grow_oblivious(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
-                   rows: np.ndarray, feats: np.ndarray, mapper: BinMapper,
-                   max_depth: int, min_data: int, reg: float, lr: float,
-                   passengers: np.ndarray | None = None
+
+def grow_oblivious(kern: TreeKernel, g: np.ndarray, h: np.ndarray, max_depth: int,
+                   min_data: int, reg: float, lr: float
                    ) -> tuple[ObliviousTree, np.ndarray, np.ndarray]:
     """Grow an oblivious tree: each level picks the single (feature, bin)
     whose gain summed over the level's nodes is largest.
 
     Nodes where a candidate split would violate min_data contribute zero to
     its total. Growth stops when no candidate has positive total gain.
-    Returns the tree plus (values, order) as grow_leafwise does; here
-    `order` is the rows, then the passengers, as given.
+    Takes and returns what grow_leafwise does; here `order` is the sampled
+    rows, then the passengers, as `kern.sample` laid them out.
     """
-    kern, codes, g, h, idx, m, feats = _kernel_inputs(codes, g, h, rows, feats, passengers)
+    kern._load(g, h)
     max_depth = max(max_depth, 0)
-    level_feats, level_bins = (np.empty(max_depth, dtype=np.int32) for _ in range(2))
-    leaf_values = np.empty(1 << max_depth)
-    feature_gain = np.zeros(codes.shape[1])
-    values = np.empty(idx.shape[0])
-    depth = kern.obl_grow(
-        codes.ctypes.data, codes.shape[0], g.ctypes.data, h.ctypes.data, idx.ctypes.data,
-        m, idx.shape[0] - m, feats.ctypes.data, feats.shape[0], max_depth, min_data, reg, lr,
-        level_feats.ctypes.data, level_bins.ctypes.data, leaf_values.ctypes.data,
-        feature_gain.ctypes.data, values.ctypes.data)
+    kern._grow_outputs(2 * max_depth, 1 << max_depth)
+    ptr, ints = kern.ptr, kern.ints_ptr
+    depth = kern.kernel.obl_grow(
+        ptr["codes"], kern.codes.shape[0], ptr["g"], ptr["h"], ptr["idx"], kern.m,
+        kern.idx.shape[0] - kern.m, ptr["feats"], kern.nf, max_depth, min_data, reg, lr,
+        ints, ints + 4 * max_depth, kern.floats_ptr, ptr["feature_gain"], ptr["values"])
     _check_status(depth)
-    level_feats, level_bins = level_feats[:depth], level_bins[:depth]
-    tree = ObliviousTree(
-        level_feats,
-        level_bins,
-        np.array([mapper.raw_threshold(f, t)
-                  for f, t in zip(level_feats.tolist(), level_bins.tolist())]),
-        leaf_values[:1 << depth],
-        feature_gain,
-    )
-    return tree, values, idx
+    tree = ObliviousTree(kern.ints[:depth].copy(), kern.ints[max_depth:max_depth + depth].copy(),
+                         None, kern.floats[:1 << depth].copy(), kern.feature_gain.copy())
+    return tree, kern.values, kern.idx

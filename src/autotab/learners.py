@@ -19,7 +19,10 @@ Every GBM booster of a run trains through one `GBMFolds`: the GBM view of
 all features, its OOF training matrix and, per fold, the bin mapper fitted
 on the fold's training rows with the codes of every row, each built on
 first use. Selection, the expert and tuned phases and every tuning trial
-take column subsets of it; the stack builds its own over its own features.
+take column subsets of it, and a phase on a feature subset takes its view
+as a subset of the run's (`GBMView.take`); the stack builds its own over its
+own features. A fold's OOF predictions are the validation scores its
+booster summed while it trained (`fit_gbm`).
 """
 
 from __future__ import annotations
@@ -94,11 +97,10 @@ class GBMView:
     freq_maps: dict[str, FrequencyMap] = field(default_factory=dict)
     target_maps: dict[str, TargetMeanMap] = field(default_factory=dict)
 
-    def fit(self, dataset: Dataset, enc_specs: dict[str, EncoderSpec] | None = None,
-            selected: list[str] | None = None) -> "GBMView":
+    def fit(self, dataset: Dataset, enc_specs: dict[str, EncoderSpec] | None = None
+            ) -> "GBMView":
         enc_specs = enc_specs or {}
-        names = selected if selected is not None else dataset.feature_names()
-        for name in names:
+        for name in dataset.feature_names():
             col = dataset.columns[name]
             if col.kind == "numeric":
                 self.numeric.append(name)
@@ -134,6 +136,23 @@ class GBMView:
 
     def transform(self, dataset: Dataset) -> np.ndarray:
         return self._matrix(dataset, None)
+
+    def take(self, names: list[str]) -> "GBMView":
+        """The view of features `names` alone, in that order. A feature's
+        encoding depends on that feature only, so this equals fitting a view
+        on `names`, and its columns are this view's columns of `names`."""
+        out = GBMView()
+        for name in names:
+            if name in self.numeric:
+                out.numeric.append(name)
+            elif name in self.freq_maps:
+                out.freq_maps[name] = self.freq_maps[name]
+            else:
+                out.target_maps[name] = self.target_maps[name]
+            start = len(out.feature_names)
+            out.groups[name] = list(range(start, start + len(self.groups[name])))
+            out.feature_names.extend(self.feature_names[c] for c in self.groups[name])
+        return out
 
 
 class GBMFolds:
@@ -302,7 +321,13 @@ def fit_gbm(data: GBMFolds, params: GBMParams, budget: TimeBudget | None = None,
             patience: int = GBM_PATIENCE, tag: str | None = None) -> TrainedModel:
     """Train one GBM per fold on the `selected` features of `data` with
     early stopping on the fold's validation rows; the budget is split evenly
-    across the remaining folds."""
+    across the remaining folds.
+
+    A fold's OOF predictions are its booster's validation scores at the
+    kept iteration (`FitResult.val_raw`), not a second pass of its rows
+    through the trees: the two are equal bit for bit, since a raw value
+    passes a raw threshold exactly when its bin code passes the bin
+    threshold, and each row adds its leaf values in the same order."""
     budget = budget or unlimited()
     start = time.monotonic()
     folds, task, y = data.folds, data.dataset.task, data.dataset.target
@@ -310,18 +335,18 @@ def fit_gbm(data: GBMFolds, params: GBMParams, budget: TimeBudget | None = None,
     if cols.size == 0:
         raise DataError("no usable features for the GBM")
     whole = selected is None or list(selected) == list(data.view.groups)
-    view = data.view if whole else GBMView().fit(data.dataset, data.enc_specs, selected)
+    view = data.view if whole else data.view.take(selected)
 
     estimators = []
     fold_preds = []
     truncated = False
     histories = []
-    for f, (_, va) in enumerate(data.splits):
+    for f in range(folds.k):
         sub = TimeBudget(budget.remaining() / (folds.k - f))
         res = fit_booster(params=params, budget=sub, seed=seed + f, patience=patience,
                           **data.inputs(f, cols))
         estimators.append(res.estimator)
-        fold_preds.append(res.estimator.predict(data.X[np.ix_(va, cols)]))
+        fold_preds.append(res.estimator.transform(res.val_raw))
         truncated = truncated or res.truncated
         histories.append(res.eval_history)
 

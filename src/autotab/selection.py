@@ -26,7 +26,6 @@ Groups = list[tuple[str, list[int]]]
 class ImportanceVector:
     names: list[str]
     scores: np.ndarray
-    kind: str  # split_gain | permutation
     metric: MetricSpec | None = None
     baseline_score: float = float("nan")
 
@@ -46,21 +45,6 @@ def _predict_of(model):
 
 def _singleton_groups(names: list[str]) -> Groups:
     return [(n, [i]) for i, n in enumerate(names)]
-
-
-def gain_importance(model) -> ImportanceVector:
-    """Total Newton split gain per feature, summed over trees and folds."""
-    estimators = getattr(model, "estimators", [model])
-    names = getattr(model, "feature_names", None)
-    total = None
-    for est in estimators:
-        gain = getattr(est, "feature_gain_", None)
-        if gain is None:
-            raise DataError("gain importance requires GBM estimators")
-        total = gain.copy() if total is None else total + gain
-    if names is None:
-        names = [f"f{i}" for i in range(len(total))]
-    return ImportanceVector(list(names), total, "split_gain")
 
 
 def permutation_importance(model, X: np.ndarray, y: np.ndarray,
@@ -83,8 +67,8 @@ def permutation_importance(model, X: np.ndarray, y: np.ndarray,
         Xp = X.copy()
         Xp[:, cols] = X[np.ix_(perm, np.asarray(cols))]
         scores[gi] = baseline - evaluate(metric, y, predict(Xp))
-    return ImportanceVector([g[0] for g in groups], scores, "permutation",
-                            metric=metric, baseline_score=baseline)
+    return ImportanceVector([g[0] for g in groups], scores, metric=metric,
+                            baseline_score=baseline)
 
 
 def cutoff_select(importances: ImportanceVector) -> list[str]:

@@ -12,3 +12,11 @@ def best_iteration(eval_history) -> int:
     if not len(eval_history):
         raise ConfigError("eval history is empty")
     return int(np.argmax(np.asarray(eval_history, dtype=np.float64)))
+
+
+def improves(score: float, best: float) -> bool:
+    """Whether `score`, appended to a history whose best score is `best`,
+    becomes its best_iteration: a larger score does, an equal one does not,
+    and the first NaN does (argmax takes NaN for the maximum), after which
+    nothing does. A booster so follows its best iteration score by score."""
+    return score > best or (score != score and best == best)

@@ -206,7 +206,7 @@ def tune_gbm(data: GBMFolds, flavor: str, tune_budget: TimeBudget | None = None,
                           **data.inputs(0, cols))
         if res.eval_history:
             return res.eval_history[res.best_iteration]
-        return evaluate(task.metric, y[va], res.estimator.predict(data.X[np.ix_(va, cols)]))
+        return evaluate(task.metric, y[va], res.estimator.transform(res.val_raw))
 
     candidates = [_dict_from_params(expert, space)]
     last_duration = 0.0

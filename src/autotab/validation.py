@@ -83,7 +83,34 @@ class FoldAssignment:
 
 
 def make_folds(scheme: CVScheme, dataset: Dataset) -> FoldAssignment:
-    """Materialize a fold assignment; deterministic given the scheme seed."""
+    """Materialize a fold assignment; deterministic given the scheme seed.
+
+    For a classification task, each fold whose training rows lack a class
+    that the target holds adds a warning: a model fitted on that fold cannot
+    predict the class (the linear model's intercept for it has no finite
+    optimum).
+    """
+    folds = _materialize(scheme, dataset)
+    if dataset.task.kind != "regression":
+        folds.warnings.extend(_missing_class_warnings(folds, dataset))
+    return folds
+
+
+def _missing_class_warnings(folds: FoldAssignment, dataset: Dataset) -> list[str]:
+    y = dataset.target.astype(np.int64)
+    present = np.bincount(y) > 0
+    labels = list(dataset.task.labels) or [str(c) for c in range(present.shape[0])]
+    out = []
+    for f, tr, _ in folds.iter_splits():
+        seen = np.bincount(y[tr], minlength=present.shape[0]) > 0
+        missing = [labels[c] for c in np.flatnonzero(present & ~seen).tolist()]
+        if missing:
+            out.append(f"fold {f}: its training rows hold no row of class "
+                       f"{', '.join(map(repr, missing))}")
+    return out
+
+
+def _materialize(scheme: CVScheme, dataset: Dataset) -> FoldAssignment:
     n = dataset.n_rows
     if scheme.kind == "custom":
         fold = np.asarray(scheme.fold_of_row, dtype=np.int32)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autotab.budget import TimeBudget
@@ -8,8 +8,8 @@ from autotab.errors import ConfigError, DataError
 from autotab.gbm import GBMParams, boosting, fit_booster
 from autotab.gbm.binning import MISSING_BIN, BinMapper
 from autotab.gbm.losses import sigmoid
-from autotab.metrics import MetricSpec
-from autotab.stopping import best_iteration
+from autotab.metrics import MetricSpec, default_metric
+from autotab.stopping import best_iteration, improves
 
 from conftest import make_binary
 from oracles import predict_codes, sigmoid_masked
@@ -94,6 +94,16 @@ class TestEarlyStop:
     def test_empty_history_rejected(self):
         with pytest.raises(ConfigError):
             best_iteration([])
+
+    @given(st.lists(st.one_of(st.sampled_from([0.5, 0.5, 0.7, np.nan, -np.inf, np.inf]),
+                              st.floats(allow_nan=True)), min_size=1, max_size=30))
+    def test_running_best_equals_best_iteration(self, history):
+        # the booster's score-by-score rule, on histories with ties and NaNs
+        best = 0
+        for i, score in enumerate(history):
+            if i and improves(score, history[best]):
+                best = i
+            assert best == best_iteration(history[: i + 1])
 
 
 class TestBoosting:
@@ -237,9 +247,9 @@ class TestBoosting:
             def __getattr__(self, name):
                 return getattr(self.loss, name)
 
-            def grad_hess(self, y, raw):
+            def transform(self, raw):
                 seen.append(raw.copy())
-                return self.loss.grad_hess(y, raw)
+                return self.loss.transform(raw)
 
         monkeypatch.setattr(boosting, "make_loss", lambda *a: Recording(make_loss(*a)))
         X, y = make_binary(400, 5, 3, seed=21)
@@ -261,7 +271,8 @@ class TestBoosting:
                 raw[:, c] += predict_codes(tree, codes)
             else:
                 raw += predict_codes(tree, codes)
-        assert len(seen) == est.n_iterations == 6
+        assert np.array_equal(seen[-1], raw)  # the scores after the last tree
+        assert len(seen) == est.n_iterations + 1 == 7
 
     def test_no_features_rejected(self):
         with pytest.raises(DataError):
@@ -286,3 +297,53 @@ class TestBoosting:
         tree = res.estimator.forest[0]
         assert tree.depth <= 3
         assert len(tree.leaf_values) == 2 ** tree.depth
+
+
+class _ExpiresAfter:
+    """A budget that expires at its (k+1)-th check: k iterations run."""
+
+    def __init__(self, k: int) -> None:
+        self.left = k
+
+    def expired(self) -> bool:
+        self.left -= 1
+        return self.left < 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(task_kind=st.sampled_from(["binary", "multiclass", "regression"]),
+       flavor=st.sampled_from(["leaf_wise", "symmetric_depth_wise"]),
+       subsample=st.sampled_from([1.0, 0.6]), colsample=st.sampled_from([1.0, 0.5]),
+       stopping=st.sampled_from(["patience", "never", "no_metric"]),
+       iterations=st.one_of(st.none(), st.integers(0, 5)), seed=st.integers(0, 2**16))
+def test_validation_scores_equal_predicting_the_kept_trees(task_kind, flavor, subsample,
+                                                           colsample, stopping, iterations,
+                                                           seed):
+    """`val_raw`, the validation raw scores the booster summed while it
+    trained, is predict_raw_scores on the raw X_val bit for bit, whether
+    early stopping dropped trees, never fired or did not run, and whether
+    the budget truncated the fit."""
+    rng = np.random.default_rng(seed)
+    n, n_val = int(rng.integers(30, 200)), int(rng.integers(1, 80))
+    X = rng.normal(size=(n + n_val, int(rng.integers(1, 6))))
+    X[rng.random(X.shape) < 0.1] = np.nan
+    signal = np.nan_to_num(X[:, 0]) + rng.normal(size=n + n_val)
+    n_classes = 3 if task_kind == "multiclass" else 0
+    y = {"binary": (signal > 0).astype(np.int64), "regression": signal,
+         "multiclass": np.digitize(signal, [-0.5, 0.5])}[task_kind]
+    y[:3] = [0, 1, 2] if task_kind == "multiclass" else [0, 1, 0]
+    params = GBMParams(learning_rate=0.5, n_estimators_cap=int(rng.integers(2, 15)),
+                       max_leaves=int(rng.integers(2, 10)), max_depth=int(rng.integers(1, 4)),
+                       subsample=subsample, colsample=colsample,
+                       min_data_in_leaf=int(rng.integers(1, 6)), flavor=flavor)
+    val = {"patience": dict(metric=default_metric(task_kind), patience=2),
+           "never": dict(metric=default_metric(task_kind), patience=100),
+           "no_metric": {}}[stopping]
+    budget = None if iterations is None else _ExpiresAfter(iterations)
+    res = fit_booster(X[:n], y[:n], params, task_kind, n_classes, X_val=X[n:], y_val=y[n:],
+                      budget=budget, seed=seed, **val)
+    want = res.estimator.predict_raw_scores(X[n:])
+    assert res.val_raw.dtype == want.dtype and res.val_raw.shape == want.shape
+    assert res.val_raw.tobytes() == want.tobytes()
+    if stopping != "patience" and iterations is not None:
+        assert res.truncated == (iterations < params.n_estimators_cap)

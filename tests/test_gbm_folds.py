@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from autotab import learners
 from autotab.data import dataset_from_arrays
-from autotab.gbm import BinMapper, GBMParams, fit_booster
+from autotab.gbm import BinMapper, GBMEstimator, GBMParams, fit_booster
+from autotab.gbm import boosting
 from autotab.learners import GBMFolds
 from autotab.metrics import MetricSpec
 from autotab.pipeline import PresetConfig, fit_preset
@@ -95,10 +96,13 @@ def _count_calls(monkeypatch, owner, name):
 def test_fit_preset_bins_each_fold_once_per_feature_set(monkeypatch):
     """Two folds, cutoff selection, both expert phases and the stack, no
     tuning: the run's data is binned once per fold and the stack's once per
-    fold, 4 mapper fits where each booster used to fit its own (7)."""
+    fold, 4 mapper fits where each booster used to fit its own (7). The
+    expert phases on the selected subset take their view from the run's:
+    2 view fits, the run's and the stack's."""
     X, y = make_binary(600, 6, 3, seed=2)
     ds = dataset_from_arrays(X, y, "binary")
     bin_fits = _count_calls(monkeypatch, BinMapper, "fit")
+    views = _count_calls(monkeypatch, learners.GBMView, "fit")
     boosters = _count_calls(monkeypatch, learners, "fit_booster")
     model = fit_preset(ds, PresetConfig(cv=CVScheme("stratified_kfold", k=2, seed=0),
                                         tuning_enabled=False, stack_policy="always",
@@ -108,6 +112,7 @@ def test_fit_preset_bins_each_fold_once_per_feature_set(monkeypatch):
         "linear", "gbm_leaf_expert", "gbm_sym_expert"]
     assert len(boosters) == 6  # two folds for each expert phase and the stack's GBM
     assert len(bin_fits) == 4
+    assert len(model.selected) < X.shape[1] and len(views) == 2
 
 
 def test_fit_preset_without_gbm_work_builds_no_gbm_data(monkeypatch):
@@ -123,8 +128,8 @@ def test_fit_preset_without_gbm_work_builds_no_gbm_data(monkeypatch):
 
 @pytest.mark.parametrize("selected", [None, ["f0", "f1", "f2", "f3", "f4"], ["f3", "f0"]])
 def test_fit_gbm_view_matches_its_columns(selected):
-    """A phase on every feature reuses the run's view; on a subset it fits
-    the subset's own view, whose columns are the ones its boosters saw."""
+    """A phase on every feature reuses the run's view; on a subset it takes
+    the subset's view from it, whose columns are the ones its boosters saw."""
     ds = _dataset("multiclass", 0)
     data = GBMFolds(ds, make_folds(CVScheme("kfold", k=2, seed=0), ds))
     model = learners.fit_gbm(data, GBMParams(n_estimators_cap=5, max_leaves=4),
@@ -134,3 +139,30 @@ def test_fit_gbm_view_matches_its_columns(selected):
     assert model.view.feature_names == [data.view.feature_names[c] for c in cols]
     assert np.array_equal(model.view.transform(ds), data.view.transform(ds)[:, cols],
                           equal_nan=True)
+
+
+@pytest.mark.parametrize("flavor", ["leaf_wise", "symmetric_depth_wise"])
+def test_fit_gbm_routes_no_rows_and_looks_up_kept_thresholds_only(monkeypatch, flavor):
+    """The OOF predictions are the boosters' own validation scores: fit_gbm
+    predicts nothing, and raw thresholds are looked up for the splits of
+    the trees that early stopping kept, not for every grown tree. The OOF
+    predictions equal predicting the validation rows bit for bit."""
+    ds = _dataset("multiclass", 1)
+    data = GBMFolds(ds, make_folds(CVScheme("kfold", k=3, seed=0), ds))
+    selected = ["f3", "f0", "f4"]
+    predicts = _count_calls(monkeypatch, GBMEstimator, "predict")
+    lookups = _count_calls(monkeypatch, BinMapper, "raw_threshold")
+    grown = _count_calls(monkeypatch, boosting,
+                         "grow_leafwise" if flavor == "leaf_wise" else "grow_oblivious")
+    params = GBMParams(learning_rate=0.5, n_estimators_cap=60, max_leaves=8, max_depth=3,
+                       subsample=0.8, colsample=0.7, flavor=flavor)
+    model = learners.fit_gbm(data, params, selected=selected, patience=3)
+    assert predicts == []
+    forests = [est.forest for est in model.estimators]
+    splits = sum(int((t.feature >= 0).sum()) if flavor == "leaf_wise" else t.depth
+                 for forest in forests for t in forest)
+    assert len(lookups) == splits
+    assert len(grown) > sum(len(forest) for forest in forests)  # early stopping dropped some
+    X = data.X[:, data.columns(selected)]
+    for est, (_, va) in zip(model.estimators, data.splits):
+        assert model.oof[va].tobytes() == est.predict(X[va]).tobytes()

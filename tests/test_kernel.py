@@ -241,76 +241,105 @@ def _same_tree(a, b) -> bool:
                for f in dataclasses.fields(a))
 
 
+def _kernel_grow(grow, codes, g, h, rows, feats, mapper, size, min_data, reg, lr,
+                 passengers=None):
+    """One tree through a fresh TreeKernel, called as the oracle growers are:
+    trained on `rows` of g's rows and `feats`, with raw thresholds. The rest
+    of g's rows ride as passengers ahead of `passengers`."""
+    kern = kernel_trees.TreeKernel(codes, g.shape[0], passengers)
+    in_bag, used = np.zeros(g.shape[0], dtype=bool), np.zeros(codes.shape[1], dtype=bool)
+    in_bag[rows], used[feats] = True, True
+    kern.sample(in_bag, used)
+    tree, values, order = grow(kern, g, h, size, min_data, reg, lr)
+    tree.set_raw_thresholds(mapper)
+    return tree, values.copy(), order.copy()
+
+
 @settings(max_examples=60)
 @given(cases(), st.integers(1, 40), st.integers(1, 6))
 def test_grown_trees_equal_oracle(case, max_leaves, max_depth):
     args = (case.codes, case.g, case.h, case.rows, case.feats, case.mapper)
     tail = (case.min_data, case.reg, 0.1)
+    m = len(case.rows)
     for grow, size in (("grow_leafwise", max_leaves), ("grow_oblivious", max_depth)):
-        got, want = (_grow_or_none(getattr(module, grow), *args, size, *tail)
-                     for module in (kernel_trees, oracles))
+        got = _grow_or_none(_kernel_grow, getattr(kernel_trees, grow), *args, size, *tail)
+        want = _grow_or_none(getattr(oracles, grow), *args, size, *tail)
         assert (got is None) == (want is None)
         if got is None:
             continue
         assert _same_tree(got[0], want[0])
-        # row values come back in the grower's own row order
-        assert _same_bits(np.sort(got[2]), want[2])
+        # the training rows come first, in the grower's own row order
+        values, order = got[1][:m], got[2][:m]
+        assert _same_bits(np.sort(order), want[2])
         by_row = np.empty(case.codes.shape[0])
-        by_row[got[2]] = got[1]
+        by_row[order] = values
         assert _same_bits(by_row[want[2]], want[1])
 
 
 @settings(max_examples=60)
-@given(cases(), st.integers(1, 40), st.integers(1, 6), st.sampled_from(
-    ["none", "empty", "out_of_bag", "validation", "both"]), st.integers(0, 2**16))
-def test_passengers_land_where_routing_sends_them(case, max_leaves, max_depth, kind, seed):
-    """Passengers leave the tree and the training rows' values unchanged and
-    get the leaf value that routing their codes through the tree gives."""
+@given(cases(), st.integers(1, 40), st.integers(1, 6),
+       st.sampled_from(["none", "empty", "validation"]), st.booleans(), st.integers(0, 2**16))
+def test_passengers_land_where_routing_sends_them(case, max_leaves, max_depth, kind, subsample,
+                                                  seed):
+    """Passengers (the rows left out of the sample, then the fixed ones)
+    leave the tree and the training rows' values as the oracle, which
+    carries none, gives them, and get the leaf value that routing their
+    codes through the tree gives."""
     rng = np.random.default_rng(seed)
     n = case.codes.shape[0]
-    out_of_bag = np.setdiff1d(np.arange(n), case.rows)
+    rows = case.rows if subsample else np.arange(n)
+    out_of_bag = np.setdiff1d(np.arange(n), rows)
     extra = case.codes[rng.integers(0, n, size=int(rng.integers(1, 60)))]
     codes = np.asfortranarray(np.concatenate([case.codes, extra]))  # validation rows below
     validation = rng.permutation(np.arange(n, codes.shape[0]))
-    passengers = {"none": None, "empty": np.empty(0, dtype=np.int64), "out_of_bag": out_of_bag,
-                  "validation": validation,
-                  "both": np.concatenate([out_of_bag, validation])}[kind]
-    given = np.empty(0, dtype=np.int64) if passengers is None else passengers
-    for grow, size in zip((kernel_trees.grow_leafwise, kernel_trees.grow_oblivious),
-                          (max_leaves, max_depth)):
-        args = (case.g, case.h, case.rows, case.feats, case.mapper, size, case.min_data,
-                case.reg, 0.1)
-        alone = _grow_or_none(grow, case.codes, *args)
-        got = _grow_or_none(grow, codes, *args, passengers=passengers)
-        assert (got is None) == (alone is None)
+    fixed = {"none": None, "empty": np.empty(0, dtype=np.int64), "validation": validation}[kind]
+    riding = np.concatenate([out_of_bag, validation if kind == "validation" else []])
+    m = len(rows)
+    for grow, size in (("grow_leafwise", max_leaves), ("grow_oblivious", max_depth)):
+        args = (case.g, case.h, rows, case.feats, case.mapper, size, case.min_data, case.reg, 0.1)
+        want = _grow_or_none(getattr(oracles, grow), case.codes, *args)
+        got = _grow_or_none(_kernel_grow, getattr(kernel_trees, grow), codes, *args,
+                            passengers=fixed)
+        assert (got is None) == (want is None)
         if got is None:
             continue
         tree, values, order = got
-        m = len(case.rows)
-        assert _same_tree(tree, alone[0])
-        assert _same_bits(values[:m], alone[1]) and _same_bits(order[:m], alone[2])
+        assert _same_tree(tree, want[0])
+        by_row = np.empty(codes.shape[0])
+        by_row[order[:m]] = values[:m]
+        assert _same_bits(np.sort(order[:m]), want[2])
+        assert _same_bits(by_row[want[2]], want[1])
         riders = order[m:]
-        assert _same_bits(np.sort(riders), np.sort(given))
+        assert _same_bits(np.sort(riders), np.sort(riding).astype(np.int64))
         assert _same_bits(values[m:], oracles.predict_codes(tree, codes[riders]))
 
 
 def test_out_of_range_indices_raise_before_the_kernel_runs():
+    """The kernel reads through indices unchecked: a TreeKernel rejects bad
+    codes and passengers when it is made, and samples and gradients that do
+    not fit its rows and features before a tree grows."""
     rng = np.random.default_rng(0)
     X = rng.normal(size=(50, 3))
-    mapper = BinMapper().fit(X)
-    codes = mapper.transform(X)
+    codes = BinMapper().fit(X).transform(X)
+    TreeKernel = kernel_trees.TreeKernel
+    for passengers in ([50], [-1], [3, 2**40]):
+        with pytest.raises(ValueError, match="passengers"):
+            TreeKernel(codes, 50, np.array(passengers))
+    with pytest.raises(ValueError, match="training rows"):
+        TreeKernel(codes, 51)
+    for bad in (np.ascontiguousarray(codes[:, :2]), codes.astype(np.int64)):
+        with pytest.raises(ValueError, match="codes"):
+            TreeKernel(bad, 50)
+    kern = TreeKernel(codes, 40, np.arange(40, 50))  # g and h cover rows 0..39 only
+    for in_bag in (np.ones(41, dtype=bool), np.ones(40, dtype=np.int64), list(range(40))):
+        with pytest.raises(ValueError, match="in_bag"):
+            kern.sample(in_bag)
+    with pytest.raises(ValueError, match="features"):
+        kern.sample(None, np.ones(4, dtype=bool))
     g, h = rng.normal(size=50), np.ones(50)
-    rows, feats = np.arange(40), np.arange(3)
     for grow in (kernel_trees.grow_leafwise, kernel_trees.grow_oblivious):
-        tail = (mapper, 4, 1, 1.0, 0.1)
-        for passengers in ([50], [-1], [3, 2**40]):
-            with pytest.raises(ValueError, match="passengers"):
-                grow(codes, g, h, rows, feats, *tail, passengers=np.array(passengers))
-        with pytest.raises(ValueError, match="rows"):  # g and h cover rows 0..39 only
-            grow(codes, g[:40], h[:40], np.arange(41), feats, *tail)
-        for bad in (np.ascontiguousarray(codes[:, :2]), codes.astype(np.int64)):
-            with pytest.raises(ValueError, match="codes"):
-                grow(bad, g, h, rows, feats[:2], *tail)
+        with pytest.raises(ValueError):
+            grow(kern, g, h, 4, 1, 1.0, 0.1)
 
 
 def test_pairwise_sum_equals_numpy():
@@ -361,7 +390,8 @@ def test_a_subtraction_residual_decides_a_split():
     g, h = p - (rng.random(600) < 0.5), p * (1.0 - p)
     mapper = BinMapper().fit(X)
     args = (mapper.transform(X), g, h, np.arange(600), np.arange(3), mapper, 32, 2, 1.0, 0.1)
-    got, want = kernel_trees.grow_leafwise(*args)[0], oracles.grow_leafwise(*args)[0]
+    got = _kernel_grow(kernel_trees.grow_leafwise, *args)[0]
+    want = oracles.grow_leafwise(*args)[0]
     assert _same_tree(got, want)
 
     def gains_of_populated_bins(G, H, C, reg, min_data):
@@ -388,18 +418,27 @@ def test_the_missing_bin_is_no_threshold():
     got = _kernel_best(case, hist, bits, 4)
     assert want[2] < 255 and _same_bits(got[0], want[0]) and got[1:] == want[1:]
     args = (codes, g, h, rows, feats, case.mapper, 4, 0, 0.0, 0.1)
-    assert _same_tree(kernel_trees.grow_leafwise(*args)[0], oracles.grow_leafwise(*args)[0])
+    assert _same_tree(_kernel_grow(kernel_trees.grow_leafwise, *args)[0],
+                      oracles.grow_leafwise(*args)[0])
 
 
-def _with_oracle_passengers(grow):
-    """An oracle grower that routes passengers through the tree it grew."""
-    def grower(codes, g, h, rows, feats, mapper, size, min_data, reg, lr, passengers=None):
-        tree, values, order = grow(codes, g, h, rows, feats, mapper, size, min_data, reg, lr)
-        if passengers is None:
-            return tree, values, order
-        return (tree, np.concatenate([values, oracles.predict_codes(tree, codes[passengers])]),
+def _oracle_entry(grow):
+    """The per-tree entry of trees.py backed by an oracle grower: it grows on
+    the TreeKernel's sample with the numpy kernel and routes the passengers
+    through the tree it grew. The stub mapper's thresholds are never kept:
+    fit_booster looks the raw ones up for the trees it keeps."""
+    class NoMapper:
+        def raw_threshold(self, f, t):
+            return np.nan
+
+    def entry(kern, g, h, size, min_data, reg, lr):
+        rows, passengers = kern.layout[:kern.m], kern.layout[kern.m:]
+        tree, values, order = grow(kern.codes, np.ascontiguousarray(g), np.ascontiguousarray(h),
+                                   rows, kern.feats[:kern.nf], NoMapper(), size, min_data, reg,
+                                   lr)
+        return (tree, np.concatenate([values, oracles.predict_codes(tree, kern.codes[passengers])]),
                 np.concatenate([order, passengers]))
-    return grower
+    return entry
 
 
 @settings(max_examples=30)
@@ -436,10 +475,8 @@ def test_fit_booster_equals_oracle_growers(task_kind, flavor, subsample, colsamp
         return fit_booster(X[:n], y[:n], params, task_kind, n_classes, seed=seed, **val)
 
     got = fit()
-    with mock.patch.object(boosting, "grow_leafwise",
-                           _with_oracle_passengers(oracles.grow_leafwise)), \
-            mock.patch.object(boosting, "grow_oblivious",
-                              _with_oracle_passengers(oracles.grow_oblivious)):
+    with mock.patch.object(boosting, "grow_leafwise", _oracle_entry(oracles.grow_leafwise)), \
+            mock.patch.object(boosting, "grow_oblivious", _oracle_entry(oracles.grow_oblivious)):
         want = fit()
     assert all(_same_bits(a, b) for a, b in zip(got.estimator.forest.fields,
                                                 want.estimator.forest.fields))
@@ -448,3 +485,4 @@ def test_fit_booster_equals_oracle_growers(task_kind, flavor, subsample, colsamp
     assert _same_bits(got.eval_history, want.eval_history)
     assert got.best_iteration == want.best_iteration
     assert len(got.eval_history) == (got.best_iteration + 1 if validate else 0)
+    assert _same_bits(got.val_raw, want.val_raw) if validate else got.val_raw is None

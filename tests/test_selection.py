@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
-from autotab.data import dataset_from_arrays
 from autotab.errors import DataError
 from autotab.gbm import GBMParams, fit_booster
-from autotab.learners import GBMFolds, fit_gbm, fit_linear
 from autotab.metrics import MetricSpec, evaluate
 from autotab.selection import (ImportanceVector, cutoff_select, forward_select,
-                               gain_importance, permutation_importance)
-from autotab.validation import CVScheme, make_folds
+                               permutation_importance)
 
 
 METRIC = MetricSpec("roc_auc")
@@ -36,40 +33,6 @@ def _signal_data(n=800, seed=0):
     logits = 2.5 * X[:, 0] + 1.5 * X[:, 1]
     y = (rng.random(n) < 1 / (1 + np.exp(-logits))).astype(np.int64)
     return X, y
-
-
-class TestGainImportance:
-    def test_unused_feature_zero_and_all_nonnegative(self):
-        X, y = _signal_data()
-        X = np.hstack([X, np.zeros((X.shape[0], 1))])  # constant, never split
-        est = _booster_fit()(X, y)
-        imp = gain_importance(est)
-        assert imp.scores[-1] == 0.0
-        assert (imp.scores >= 0).all()
-
-    def test_single_feature_holds_all_gain(self):
-        X, y = _signal_data()
-        est = _booster_fit()(X[:, :1], y)
-        imp = gain_importance(est)
-        assert imp.scores[0] == pytest.approx(imp.scores.sum())
-        assert imp.scores[0] > 0
-
-    def test_trained_model_sums_over_folds(self):
-        X, y = _signal_data()
-        ds = dataset_from_arrays(X, y, "binary")
-        folds = make_folds(CVScheme("kfold", k=3, seed=0), ds)
-        model = fit_gbm(GBMFolds(ds, folds), GBMParams(n_estimators_cap=20))
-        imp = gain_importance(model)
-        assert len(imp.names) == 4
-        assert imp.scores.sum() > 0
-
-    def test_linear_model_rejected(self):
-        X, y = _signal_data()
-        ds = dataset_from_arrays(X, y, "binary")
-        folds = make_folds(CVScheme("kfold", k=3, seed=0), ds)
-        model = fit_linear(ds, folds)
-        with pytest.raises(DataError):
-            gain_importance(model)
 
 
 class TestPermutationImportance:
@@ -112,16 +75,15 @@ class TestPermutationImportance:
 
 class TestCutoffSelect:
     def test_paper_rule_drops_nonpositive(self):
-        imp = ImportanceVector(["f1", "f2", "f3"],
-                               np.array([0.3, 0.0, -0.1]), "permutation")
+        imp = ImportanceVector(["f1", "f2", "f3"], np.array([0.3, 0.0, -0.1]))
         assert cutoff_select(imp) == ["f1"]
 
     def test_all_positive_keeps_all(self):
-        imp = ImportanceVector(["a", "b"], np.array([0.2, 0.1]), "permutation")
+        imp = ImportanceVector(["a", "b"], np.array([0.2, 0.1]))
         assert cutoff_select(imp) == ["a", "b"]
 
     def test_all_nonpositive_empty(self):
-        imp = ImportanceVector(["a", "b"], np.array([0.0, -0.2]), "permutation")
+        imp = ImportanceVector(["a", "b"], np.array([0.0, -0.2]))
         assert cutoff_select(imp) == []
 
 

@@ -3,9 +3,10 @@ import pytest
 
 from autotab.data import dataset_from_arrays
 from autotab.errors import DataError
+from autotab.pipeline import PresetConfig, fit_preset
 from autotab.validation import CVScheme, FoldAssignment, make_folds, oof_assemble
 
-from conftest import binary_dataset, make_binary
+from conftest import binary_dataset, make_binary, make_multiclass
 
 
 def _dataset_with_column(values, y, name="g"):
@@ -105,6 +106,36 @@ class TestSchemes:
         ds2 = _dataset_with_column(values[perm], y[perm])
         folds2 = make_folds(CVScheme("group_kfold", k=3, group_column="g"), ds2)
         assert np.array_equal(folds2.fold_of_row, folds.fold_of_row[perm])
+
+
+class TestMissingClass:
+    """A fold whose training rows lack a class is reported, not silent."""
+
+    @staticmethod
+    def _data(n=120):
+        X, y = make_multiclass(n, 4, 3, 2, seed=3)
+        y[y == 2] = 1
+        y[7] = 2  # the only row of class 2: the fold validating it trains without it
+        return X, dataset_from_arrays(X, y, "multiclass")
+
+    def test_plain_kfold_warns_for_the_fold(self):
+        _, ds = self._data()
+        folds = make_folds(CVScheme("kfold", k=3, seed=0), ds)
+        f = int(folds.fold_of_row[7])
+        assert folds.warnings == [f"fold {f}: its training rows hold no row of class '2'"]
+
+    def test_every_class_in_every_fold_warns_nothing(self):
+        X, y = make_multiclass(120, 4, 3, 2, seed=3)
+        ds = dataset_from_arrays(X, y, "multiclass")
+        assert make_folds(CVScheme("kfold", k=3, seed=0), ds).warnings == []
+
+    def test_warning_reaches_the_report(self):
+        _, ds = self._data()
+        model = fit_preset(ds, PresetConfig(cv=CVScheme("kfold", k=3, seed=0),
+                                            tuning_enabled=False, selection_strategy="none",
+                                            use_gbm_sym=False, stack_policy="never",
+                                            budget_seconds=60.0, seed=0))
+        assert any("hold no row of class '2'" in w for w in model.report["warnings"])
 
 
 class TestOofAssemble:
