@@ -3,21 +3,25 @@
 Library entry points: build a Dataset from a CSV or arrays, then fit_preset
 (or utilized_fit for big budgets) and predict through the returned artifact.
 
-The LAMA_THREADS environment variable caps the BLAS and OpenMP worker pools.
-A pool's size is read when numpy loads, so the cap is applied here, before
-anything imports numpy; it has no effect if numpy was loaded first.
+The LAMA_THREADS environment variable caps the BLAS and OpenMP worker pools
+and the threads that train a GBM's folds (`fit_gbm`). A pool's size is read
+when numpy loads, so that cap is applied here, before anything imports
+numpy; it has no effect if numpy was loaded first. A value that is not a
+positive integer raises ConfigError.
 """
 
 import os
 
+from .threads import thread_cap  # standard library only: safe before numpy
+
 
 def _apply_thread_cap() -> None:
-    cap = os.environ.get("LAMA_THREADS")
-    if not cap:
+    cap = thread_cap()
+    if cap is None:
         return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
+        os.environ.setdefault(var, str(cap))
 
 
 _apply_thread_cap()

@@ -2,8 +2,9 @@
 
 Exit codes are the machine contract: 0 success, 2 data error, 3 config
 error. Messages on stderr are free-form. The LAMA_THREADS environment
-variable caps the numeric worker pools: importing this module runs
-`autotab/__init__.py`, which applies the cap before numpy loads.
+variable caps the numeric worker pools and the threads that train a GBM's
+folds: importing this module runs `autotab/__init__.py`, which applies the
+cap to the numeric pools before numpy loads.
 """
 
 from __future__ import annotations

@@ -154,7 +154,12 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
     into the compiled kernel of trees.py, so the first call in a process
     builds it with the system C compiler `cc` (see native.py). The kernel
     runs on one thread and adds in the fixed float order that trees.py
-    states, so results do not depend on worker count.
+    states, so results do not depend on worker count: `learners.fit_gbm`
+    trains folds on concurrent threads, and tests/test_fold_workers.py checks
+    that its models are bit-identical at 1, 2 and 3 workers. The kernel's
+    buffers are per booster and per call, so memory grows with the number
+    of boosters training at once; a leaf-wise tree holds one (3, features,
+    256) histogram slot per leaf.
 
     The validation codes are stacked under the training codes, and the raw
     scores of both live in one array. Everything a tree would repeat is done

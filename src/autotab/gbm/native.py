@@ -7,7 +7,8 @@ so an edit or a new compiler builds a new one, which deletes the libraries
 it supersedes, and finding a cached library starts no process. Only fitting
 needs it: GBM training grows its trees there, and auto-typing a regression
 target counts Kendall's discordant pairs there (`encoders.norm_gini`).
-Routing and prediction run in numpy.
+Routing and prediction run in numpy. One module lock serializes the build
+and the load, so threads that need the kernel at once compile it once.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 
 from ..errors import AutotabError
@@ -44,6 +46,7 @@ SIGNATURES = {  # name -> (restype, argtypes), as declared in _kernel.c
                       _P, _P, _P, _P, _P]),
     "discordant_pairs": (_I, [_P, _I, _P]),
 }
+_LOCK = threading.RLock()  # held by build() and kernel(), which calls build()
 
 
 class KernelCompileError(AutotabError):
@@ -70,9 +73,14 @@ def _executable_identity(program: str) -> list[str]:
 
 def build(cache_dir: Path = CACHE_DIR, compiler: tuple[str, ...] = COMPILER) -> Path:
     """Path of the kernel library, compiled first unless cached."""
+    with _LOCK:
+        return _build(Path(cache_dir), compiler)
+
+
+def _build(cache_dir: Path, compiler: tuple[str, ...]) -> Path:
     key = hashlib.sha256("\0".join([SOURCE.read_text(), *FLAGS, *compiler[1:],
                                     *_executable_identity(compiler[0])]).encode())
-    lib = Path(cache_dir) / f"_kernel-{key.hexdigest()[:16]}.so"
+    lib = cache_dir / f"_kernel-{key.hexdigest()[:16]}.so"
     if not lib.exists():
         try:
             lib.parent.mkdir(parents=True, exist_ok=True)
@@ -92,9 +100,14 @@ def build(cache_dir: Path = CACHE_DIR, compiler: tuple[str, ...] = COMPILER) -> 
     return lib
 
 
-@functools.cache
 def kernel() -> ctypes.CDLL:
     """The loaded kernel, built on the first call in a process."""
+    with _LOCK:
+        return _load()
+
+
+@functools.cache
+def _load() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(build()))
     for name, (restype, argtypes) in SIGNATURES.items():
         fn = getattr(lib, name)

@@ -23,11 +23,22 @@ take column subsets of it, and a phase on a feature subset takes its view
 as a subset of the run's (`GBMView.take`); the stack builds its own over its
 own features. A fold's OOF predictions are the validation scores its
 booster summed while it trained (`fit_gbm`).
+
+`fit_gbm` trains a phase's folds on a pool of threads, one per CPU the
+process may use or LAMA_THREADS (see `threads.py`), at most one per fold.
+A tree grows in one call into the compiled kernel, which releases the GIL
+and keeps no global state, so the folds overlap; each fold has its own
+seed, kernel buffers and codes, so the models are bit-identical at any
+worker count, which tests/test_fold_workers.py checks. The kernel's buffers
+live once per running booster, so their memory scales with the worker
+count: a leaf-wise tree holds one (3, features, 256) float64 histogram
+slot per leaf while it grows.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -41,6 +52,7 @@ from .errors import BudgetError, DataError
 from .gbm import BinMapper, GBMParams, fit_booster
 from .linear import LinearParams, fit_lambda_path, solve, unpack
 from .metrics import evaluate
+from .threads import worker_count
 from .validation import FoldAssignment, oof_assemble, kfold_vector
 
 __all__ = ["TrainedModel", "GBMView", "GBMFolds", "LinearView", "fit_gbm", "fit_linear",
@@ -160,7 +172,10 @@ class GBMFolds:
     every booster trained on it (see the module docstring). A booster on
     columns `cols` takes `codes[:, cols]` and `mapper.take(cols)`: a column's
     encoding and bin edges depend on that column alone, so these equal
-    encoding and binning the subset from scratch."""
+    encoding and binning the subset from scratch.
+
+    Its parts are built on first use and without a lock: `fit_gbm` takes
+    every fold's inputs in the calling thread before its workers start."""
 
     def __init__(self, dataset: Dataset, folds: FoldAssignment,
                  enc_specs: dict[str, EncoderSpec] | None = None) -> None:
@@ -320,8 +335,14 @@ def fit_gbm(data: GBMFolds, params: GBMParams, budget: TimeBudget | None = None,
             selected: list[str] | None = None, seed: int = 0,
             patience: int = GBM_PATIENCE, tag: str | None = None) -> TrainedModel:
     """Train one GBM per fold on the `selected` features of `data` with
-    early stopping on the fold's validation rows; the budget is split evenly
-    across the remaining folds.
+    early stopping on the fold's validation rows.
+
+    The folds train on `w = min(k, threads.worker_count())` threads (see
+    the module docstring). A fold gets the time left divided by the waves
+    of w folds left when it starts, `remaining / ceil((k - f) / w)`, which
+    at w = 1 is an even split across the remaining folds. Results are
+    assembled in fold order, and if folds fail, the lowest failing fold's
+    error is raised; no thread outlives the call.
 
     A fold's OOF predictions are its booster's validation scores at the
     kept iteration (`FitResult.val_raw`), not a second pass of its rows
@@ -337,18 +358,25 @@ def fit_gbm(data: GBMFolds, params: GBMParams, budget: TimeBudget | None = None,
     whole = selected is None or list(selected) == list(data.view.groups)
     view = data.view if whole else data.view.take(selected)
 
-    estimators = []
-    fold_preds = []
-    truncated = False
-    histories = []
-    for f in range(folds.k):
-        sub = TimeBudget(budget.remaining() / (folds.k - f))
-        res = fit_booster(params=params, budget=sub, seed=seed + f, patience=patience,
-                          **data.inputs(f, cols))
-        estimators.append(res.estimator)
-        fold_preds.append(res.estimator.transform(res.val_raw))
-        truncated = truncated or res.truncated
-        histories.append(res.eval_history)
+    # imported here: concurrent.futures loads logging, about 7 ms that
+    # importing autotab to predict need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    k = folds.k
+    workers = min(k, worker_count())
+    inputs = [data.inputs(f, cols) for f in range(k)]  # shared data: built here, once
+
+    def fit_fold(f: int):
+        sub = TimeBudget(budget.remaining() / math.ceil((k - f) / workers))  # waves left
+        return fit_booster(params=params, budget=sub, seed=seed + f, patience=patience,
+                           **inputs[f])
+
+    with ThreadPoolExecutor(workers) as pool:
+        results = list(pool.map(fit_fold, range(k)))
+    estimators = [res.estimator for res in results]
+    fold_preds = [res.estimator.transform(res.val_raw) for res in results]
+    histories = [res.eval_history for res in results]
+    truncated = any(res.truncated for res in results)
 
     oof = oof_assemble(fold_preds, folds)
     mask = folds.oof_mask()

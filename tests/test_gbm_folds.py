@@ -98,21 +98,26 @@ def test_fit_preset_bins_each_fold_once_per_feature_set(monkeypatch):
     tuning: the run's data is binned once per fold and the stack's once per
     fold, 4 mapper fits where each booster used to fit its own (7). The
     expert phases on the selected subset take their view from the run's:
-    2 view fits, the run's and the stack's."""
+    2 view fits, the run's and the stack's. One fold worker or two, none of
+    it is built twice."""
     X, y = make_binary(600, 6, 3, seed=2)
     ds = dataset_from_arrays(X, y, "binary")
     bin_fits = _count_calls(monkeypatch, BinMapper, "fit")
     views = _count_calls(monkeypatch, learners.GBMView, "fit")
     boosters = _count_calls(monkeypatch, learners, "fit_booster")
-    model = fit_preset(ds, PresetConfig(cv=CVScheme("stratified_kfold", k=2, seed=0),
-                                        tuning_enabled=False, stack_policy="always",
-                                        selection_strategy="cutoff",
-                                        budget_seconds=3600.0, seed=3))
-    assert [m.learner_tag for m in model.level1] == [
-        "linear", "gbm_leaf_expert", "gbm_sym_expert"]
-    assert len(boosters) == 6  # two folds for each expert phase and the stack's GBM
-    assert len(bin_fits) == 4
-    assert len(model.selected) < X.shape[1] and len(views) == 2
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LAMA_THREADS", threads)
+        for calls in (bin_fits, views, boosters):
+            calls.clear()
+        model = fit_preset(ds, PresetConfig(cv=CVScheme("stratified_kfold", k=2, seed=0),
+                                            tuning_enabled=False, stack_policy="always",
+                                            selection_strategy="cutoff",
+                                            budget_seconds=3600.0, seed=3))
+        assert [m.learner_tag for m in model.level1] == [
+            "linear", "gbm_leaf_expert", "gbm_sym_expert"]
+        assert len(boosters) == 6  # two folds for each expert phase and the stack's GBM
+        assert len(bin_fits) == 4
+        assert len(model.selected) < X.shape[1] and len(views) == 2
 
 
 def test_fit_preset_without_gbm_work_builds_no_gbm_data(monkeypatch):

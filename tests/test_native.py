@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +86,25 @@ def test_second_build_reuses_the_cached_library(tmp_path, monkeypatch):
     compiles = log.read_text().splitlines()
     assert len(compiles) == 1 and native.FLAGS[0] in compiles[0]
     assert os.listdir(cache) == [first.name]  # no temporary file left behind
+
+
+def test_threads_that_build_at_once_compile_once(tmp_path):
+    """Fold workers may reach a cold cache together: the module lock lets
+    one of them compile while the others wait and then find its library."""
+    log = tmp_path / "calls.log"
+    cc = _script(tmp_path / "cc", f'echo "$@" >> {log}\nsleep 0.3\nexec cc "$@"\n')
+    cache = tmp_path / "cache"
+    start = threading.Barrier(4, timeout=60)
+
+    def build():
+        start.wait()
+        return native.build(cache, cc)
+
+    with ThreadPoolExecutor(4) as pool:
+        libs = [f.result(timeout=60) for f in [pool.submit(build) for _ in range(4)]]
+    assert len(set(libs)) == 1 and libs[0].exists()
+    assert len(log.read_text().splitlines()) == 1
+    assert os.listdir(cache) == [libs[0].name]
 
 
 def test_a_changed_compiler_builds_a_new_library(tmp_path):
