@@ -5,6 +5,14 @@ against the target with Normalized Gini: the raw values, OOF-target-encoded
 quantile bins, frequency encoding, and OOF target encoding. An ordered rule
 list then decides whether the column stays numeric; if no rule fires the
 column is re-typed as a category.
+
+A many-valued (regression) target is ranked once per run, and each column
+scores from the ranks of its rows, which may have gaps. One np.unique per
+column gives the ranks of the raw values, the unique count, the frequency
+encoding and its ranks; the quantile bins and the value ranks serve as the
+OOF encoder's groups, so only the two OOF encodings are ranked afresh.
+Every score is an exact integer ratio and equals `norm_gini` on the same
+encoding, bit for bit.
 """
 
 from __future__ import annotations
@@ -14,8 +22,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .encoders import (EncoderSpec, freq_encode, norm_gini, oof_target_encode,
-                       quantile_discretize, target_rows)
+from .encoders import (EncoderSpec, dense_ranks, norm_gini, oof_encode_groups,
+                       quantile_edges, rank_gini, target_rows)
 from .validation import FoldAssignment
 
 TYPING_Q = 10  # quantile bins of the binned encoding scored during typing
@@ -71,13 +79,45 @@ def _apply_rules(ng_raw: float, ng_q: float, ng_fe: float, ng_oof: float,
     return False, "R10"
 
 
-def _ng_of_oof(values: np.ndarray, y: np.ndarray, fold: np.ndarray,
-               n_classes: int) -> float:
-    """Gini of the OOF target encoding: the maximum over its target rows of
-    the row's score against its own encoded column."""
-    enc = oof_target_encode(values, y, fold, n_classes=n_classes)
-    return max(norm_gini(yc, enc[:, c])
-               for c, yc in enumerate(target_rows(y, n_classes)))
+class _Target:
+    """The target on the rows being scored, with the dense ranks of a
+    many-valued target. Its scores equal `norm_gini` on the same encoding,
+    bit for bit: from ranks, or by `norm_gini` itself for a two-valued target
+    (binary, or one indicator row per class of a multiclass target). A plain
+    class: a dataclass would cost every import of autotab a millisecond."""
+
+    def __init__(self, y: np.ndarray, n_classes: int, rank: np.ndarray | None = None,
+                 levels: int = 0):
+        self.y, self.n_classes = y, n_classes
+        self.rank, self.levels = rank, levels  # ranked once per run; a subset keeps gaps
+
+    @classmethod
+    def of(cls, y: np.ndarray, n_classes: int) -> _Target:
+        if not n_classes:
+            rank, levels = dense_ranks(y)
+            if levels > 2:
+                return cls(y, 0, rank, levels)
+        return cls(y, n_classes)
+
+    def rows(self, ok: np.ndarray) -> _Target:
+        return _Target(self.y[ok], self.n_classes,
+                       None if self.rank is None else self.rank[ok], self.levels)
+
+    def gini(self, x: np.ndarray, ranked: tuple[np.ndarray, int] | None = None) -> float:
+        """`norm_gini` of column x; `ranked` is `dense_ranks(x)` if known."""
+        if self.rank is None:
+            return norm_gini(self.y, x, "multiclass" if self.n_classes else None)
+        return rank_gini(self.rank, self.levels, *(ranked or dense_ranks(x)))
+
+    def gini_oof(self, groups: np.ndarray, fold: np.ndarray) -> float:
+        """Gini of the OOF target encoding of a column's group ids: the
+        maximum over its target rows of the row's score against its own
+        encoded column."""
+        enc = oof_encode_groups(groups, self.y, fold, n_classes=self.n_classes)
+        if self.rank is not None:
+            return self.gini(enc[:, 0])
+        return max(norm_gini(yc, enc[:, c])
+                   for c, yc in enumerate(target_rows(self.y, self.n_classes)))
 
 
 def infer_feature_kind(dataset: Dataset, folds: FoldAssignment) -> TypingReport:
@@ -87,9 +127,7 @@ def infer_feature_kind(dataset: Dataset, folds: FoldAssignment) -> TypingReport:
     numeric with all scores zero.
     """
     report = TypingReport()
-    y_all = dataset.target
-    n_classes = dataset.task.encoding_classes
-    kind = "multiclass" if n_classes else None
+    target = _Target.of(dataset.target, dataset.task.encoding_classes)
     fold_all = folds.fold_of_row
     if not folds.partitions_rows():
         raise ValueError("auto-typing requires a partitioning fold assignment")
@@ -98,9 +136,11 @@ def infer_feature_kind(dataset: Dataset, folds: FoldAssignment) -> TypingReport:
         col = dataset.columns[name]
         values = col.values
         ok = ~np.isnan(values)
-        n_nonmissing = int(ok.sum())
+        x = values[ok]
+        n_nonmissing = x.shape[0]
         missing_rate = 1.0 - n_nonmissing / dataset.n_rows
-        unique_count = int(np.unique(values[ok]).size)
+        distinct, x_rank, counts = np.unique(x, return_inverse=True, return_counts=True)
+        unique_count = distinct.shape[0]
         unique_ratio = unique_count / max(1, n_nonmissing)
 
         if missing_rate > 0.99 or n_nonmissing < 2:
@@ -109,16 +149,16 @@ def infer_feature_kind(dataset: Dataset, folds: FoldAssignment) -> TypingReport:
                 missing_rate, True, "R9"))
             continue
 
-        x = values[ok]
-        y = y_all[ok]
+        on_rows = target.rows(ok)
         fold = fold_all[ok]
-
-        ng_raw = norm_gini(y, x, kind)
-        bins = quantile_discretize(x, TYPING_Q)
-        ng_q = _ng_of_oof(bins, y, fold, n_classes)
-        _, freq = freq_encode(x)
-        ng_fe = norm_gini(y, freq, kind)
-        ng_oof = _ng_of_oof(x, y, fold, n_classes)
+        ng_raw = on_rows.gini(x, (x_rank, unique_count))
+        # quantile_discretize's bins: edges from the sorted column, where np.quantile
+        # is faster, and a search for each distinct value alone
+        edges = quantile_edges(np.repeat(distinct, counts), TYPING_Q)
+        ng_q = on_rows.gini_oof(np.searchsorted(edges, distinct)[x_rank], fold)
+        count_values, count_rank = np.unique(counts, return_inverse=True)
+        ng_fe = on_rows.gini(counts[x_rank], (count_rank[x_rank], count_values.shape[0]))
+        ng_oof = on_rows.gini_oof(x_rank, fold)
 
         is_number, rule = _apply_rules(
             ng_raw, ng_q, ng_fe, ng_oof, unique_count, unique_ratio,
@@ -153,7 +193,8 @@ def select_category_encoding(col_values: np.ndarray, y: np.ndarray,
     if x.size < 2 or np.unique(y_nn).size < 2:
         return EncoderSpec("oof_target")
 
-    _, freq = freq_encode(x)
-    ng_fe = norm_gini(y_nn, freq, "multiclass" if n_classes else None)
-    ng_oof = _ng_of_oof(x, y_nn, fold, n_classes)
+    _, groups, counts = np.unique(x, return_inverse=True, return_counts=True)
+    target = _Target.of(y_nn, n_classes)
+    ng_fe = target.gini(counts[groups])
+    ng_oof = target.gini_oof(groups, fold)
     return EncoderSpec("frequency" if ng_fe > ng_oof else "oof_target")

@@ -72,7 +72,7 @@ def _infer_task_kind(cells) -> str:
     if not all(is_float(v) for v in values):
         return "multiclass"
     floats = [float(v) for v in values]
-    if all(f == int(f) for f in floats) and len(values) <= 20:
+    if all(f.is_integer() for f in floats) and len(values) <= 20:
         return "multiclass"
     return "regression"
 
@@ -184,18 +184,18 @@ def cmd_predict(args) -> int:
 def cmd_infer_types(args) -> int:
     from .autotype import infer_feature_kind
     from .data import build_dataset, read_csv
-    from .pipeline import PresetConfig, _typing_folds, default_cv_scheme
+    from .pipeline import _typing_folds, default_cv_scheme
     from .validation import make_folds
 
     cfg = _load_config(args.config)
+    config = _build_preset_config(cfg, None, None)
     raw = read_csv(args.train, target_name=args.target)
     task_kind = cfg.get("task", "auto")
     if task_kind == "auto":
         task_kind = _infer_task_kind(raw.column(args.target))
     dataset = build_dataset(raw, args.target, task_kind)
-    scheme = default_cv_scheme(dataset.task, int(cfg.get("seed", PresetConfig.seed)))
-    folds = make_folds(scheme, dataset)
-    folds = _typing_folds(folds, dataset.n_rows, scheme.seed)
+    scheme = config.cv or default_cv_scheme(dataset.task, config.seed)
+    folds = _typing_folds(make_folds(scheme, dataset), dataset.n_rows, config.seed)
     report = infer_feature_kind(dataset, folds)
     json.dump(_sanitize(report.to_json()), sys.stdout, indent=2)
     print()

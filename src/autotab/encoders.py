@@ -8,10 +8,13 @@ is always (n, K) and its map's means (groups, K).
 Normalized Gini is |C - D| / P over row pairs, where C and D count strictly
 concordant and discordant pairs of (feature, target) and P counts pairs whose
 targets differ. It is the sorting-quality proxy behind auto-typing and
-encoder selection. Both counts are exact integers in O(n log n): a rank
-identity for two-valued targets, and otherwise a sort by (x, y) followed by
-a merge-sort count of discordant pairs in the compiled kernel
-(`gbm/native.py`, so scoring a many-valued target needs the C compiler `cc`).
+encoder selection. Both counts are exact integers, so every score is the
+same float however it is counted: a rank-sum identity for two-valued
+targets, and otherwise one pass of the compiled kernel over dense int64
+ranks of x and y, a counting sort by target rank and a Fenwick tree over the
+x ranks, in O(n log n) with no comparison sort (`gbm/native.py`, so scoring
+a many-valued target needs the C compiler `cc`). Auto-typing ranks the
+target once per run and scores each column from its ranks (`rank_gini`).
 """
 
 from __future__ import annotations
@@ -40,11 +43,6 @@ class EncoderSpec:
 # Normalized Gini
 
 
-def _pair_ties(values: np.ndarray) -> int:
-    _, counts = np.unique(values, return_counts=True)
-    return int((counts * (counts - 1) // 2).sum())
-
-
 def _binary_concordance(y01: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     """Exact (C - D, P) via average ranks for a 0/1 target."""
     n1 = int(y01.sum())
@@ -57,45 +55,49 @@ def _binary_concordance(y01: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     return c_minus_d, p
 
 
-def _run_ties(new_run: np.ndarray) -> int:
-    """Tied pairs within the runs of a sorted sequence; `new_run` marks each
-    run's first element."""
-    counts = np.diff(np.append(np.flatnonzero(new_run), new_run.shape[0]))
-    return int((counts * (counts - 1) // 2).sum())
+def dense_ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Ranks 0..levels-1 of `values` (no NaN; -0.0 ties 0.0), and levels."""
+    distinct, ranks = np.unique(values, return_inverse=True)
+    return ranks, distinct.shape[0]
+
+
+def _rank_concordance(y_rank: np.ndarray, y_levels: int, x_rank: np.ndarray,
+                      x_levels: int) -> tuple[float, float]:
+    """Exact (C - D, P) from int64 ranks, y's below y_levels and x's below
+    x_levels; either may have gaps. One call of the compiled kernel counts
+    both with a counting sort and a Fenwick tree."""
+    from .gbm.native import kernel  # fitting only: prediction never scores
+
+    y_rank = np.ascontiguousarray(y_rank, dtype=np.int64)
+    x_rank = np.ascontiguousarray(x_rank, dtype=np.int64)
+    n = y_rank.shape[0]
+    if x_rank.shape != (n,):
+        raise DataError("ranks of y and x must have equal lengths")
+    for rank, levels in ((y_rank, y_levels), (x_rank, x_levels)):
+        if n and (rank.min() < 0 or rank.max() >= levels):
+            raise DataError("a rank lies outside 0..levels-1")  # the kernel indexes by it
+    work = np.empty(n + y_levels + 2 * x_levels + 2, dtype=np.int64)
+    pairs = np.empty(1, dtype=np.int64)
+    c_minus_d = kernel().rank_concordance(x_rank.ctypes.data, y_rank.ctypes.data, n,
+                                          x_levels, y_levels, work.ctypes.data,
+                                          pairs.ctypes.data)
+    return float(c_minus_d), float(pairs[0])
 
 
 def _general_concordance(y: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """Exact (C - D, P) for arbitrary targets.
+    """Exact (C - D, P) for arbitrary targets."""
+    return _rank_concordance(*dense_ranks(y), *dense_ranks(x))
 
-    With the rows sorted by (x, y), a pair i < j tied in neither x nor y is
-    discordant exactly when y_i > y_j, and pairs tied in x are never out of
-    order in y. So C - D = n0 - nx - ny + nxy - 2 * dis, where n0 counts all
-    pairs, nx, ny and nxy the pairs tied in x, in y and in both, and dis the
-    pairs out of order in y.
-    """
-    from .gbm.native import kernel  # fitting only: prediction never scores
 
-    n = y.shape[0]
-    n0 = n * (n - 1) // 2
-    ny = _pair_ties(y)
-    p = float(n0 - ny)
-    if p == 0:
-        return 0.0, p
-    order = np.lexsort((y, x))
-    xs = x[order]
-    ys = np.ascontiguousarray(y[order], dtype=np.float64)
-    new_x = np.empty(n, dtype=bool)
-    new_x[0] = True
-    np.not_equal(xs[1:], xs[:-1], out=new_x[1:])
-    nx = _run_ties(new_x)
-    if nx == n0:
-        return 0.0, p
-    new_xy = new_x.copy()
-    new_xy[1:] |= ys[1:] != ys[:-1]
-    nxy = _run_ties(new_xy)
-    tmp = np.empty(n)
-    dis = kernel().discordant_pairs(ys.ctypes.data, n, tmp.ctypes.data)
-    return float(n0 - nx - ny + nxy - 2 * dis), p
+def _ratio(c_minus_d: float, p: float) -> float:
+    return 0.0 if p == 0 else min(1.0, abs(c_minus_d) / p)
+
+
+def rank_gini(y_rank: np.ndarray, y_levels: int, x_rank: np.ndarray,
+              x_levels: int) -> float:
+    """Normalized Gini from ranks (`_rank_concordance`): `norm_gini` of the
+    values they rank, bit for bit, the ratio being of exact integers."""
+    return _ratio(*_rank_concordance(y_rank, y_levels, x_rank, x_levels))
 
 
 def norm_gini(y: np.ndarray, x: np.ndarray, task_kind: str | None = None) -> float:
@@ -123,12 +125,8 @@ def norm_gini(y: np.ndarray, x: np.ndarray, task_kind: str | None = None) -> flo
     if distinct.shape[0] < 2:
         return 0.0
     if distinct.shape[0] == 2:
-        c_minus_d, p = _binary_concordance((y == distinct[1]).astype(np.int8), x)
-    else:
-        c_minus_d, p = _general_concordance(y, x)
-    if p == 0:
-        return 0.0
-    return min(1.0, abs(c_minus_d) / p)
+        return _ratio(*_binary_concordance((y == distinct[1]).astype(np.int8), x))
+    return _ratio(*_general_concordance(y, x))
 
 
 # ---------------------------------------------------------------------------
@@ -174,18 +172,27 @@ def _fold_vector(folds) -> np.ndarray:
     return fold
 
 
-def _exclude_column_sum(per_fold: np.ndarray) -> np.ndarray:
-    """Sum over fold columns excluding each column in turn.
+def _exclude_fold_sum(per_fold: np.ndarray) -> np.ndarray:
+    """Sum over the fold rows (axis 0) excluding each row in turn.
 
-    Built from prefix sums rather than total-minus-column so the result for
+    Built from prefix sums rather than total-minus-row so the result for
     fold f never touches fold f's accumulator: perturbing one row's target
-    then leaves every same-fold row's encoding bit-identical.
+    then leaves every same-fold row's encoding bit-identical. The sums run
+    one fold at a time over whole rows, in np.cumsum's order (which along
+    axis 0 is ten times slower).
     """
-    left = np.zeros_like(per_fold)
-    right = np.zeros_like(per_fold)
-    left[..., 1:] = np.cumsum(per_fold[..., :-1], axis=-1)
-    right[..., :-1] = np.cumsum(per_fold[..., :0:-1], axis=-1)[..., ::-1]
-    return left + right
+    k = per_fold.shape[0]
+    rows = per_fold.reshape(k, -1)
+    left = np.zeros_like(rows)
+    right = np.zeros_like(rows)
+    if k > 1:
+        left[1] = rows[0]
+        right[k - 2] = rows[k - 1]
+    for f in range(2, k):
+        np.add(left[f - 1], rows[f - 1], out=left[f])
+        np.add(right[k - f], rows[k - f], out=right[k - f - 1])
+    left += right
+    return left.reshape(per_fold.shape)
 
 
 def target_rows(y: np.ndarray, n_classes: int = 0) -> np.ndarray:
@@ -197,24 +204,18 @@ def target_rows(y: np.ndarray, n_classes: int = 0) -> np.ndarray:
     return np.ascontiguousarray(y)[None, :]
 
 
-def _oof_encode_row(inverse: np.ndarray, n_groups: int, y: np.ndarray,
-                    fold: np.ndarray, k: int, alpha: float) -> np.ndarray:
+def _oof_encode_row(y: np.ndarray, fold: np.ndarray, cell: np.ndarray, n_cells: int,
+                    out_n: np.ndarray, out_cnt: np.ndarray, alpha: float) -> np.ndarray:
     # the smoothing mean is fold-local (mean of y outside the row's fold) so
     # that no component of row i's own target reaches its encoding
-    n = y.shape[0]
-    fold_y = np.bincount(fold, weights=y, minlength=k)
-    fold_n = np.bincount(fold, minlength=k).astype(np.float64)
-    out_y = _exclude_column_sum(fold_y)
-    out_n = n - fold_n
+    k = out_n.shape[0]
+    out_y = _exclude_fold_sum(np.bincount(fold, weights=y, minlength=k))
     gm_full = float(y.mean())
     gm_fold = np.where(out_n > 0, out_y / np.maximum(out_n, 1.0), gm_full)
     gm_row = gm_fold[fold]
 
-    pair = inverse * k + fold
-    fold_sum = np.bincount(pair, weights=y, minlength=n_groups * k).reshape(n_groups, k)
-    fold_cnt = np.bincount(pair, minlength=n_groups * k).reshape(n_groups, k).astype(np.float64)
-    out_sum = _exclude_column_sum(fold_sum)[inverse, fold] + alpha * gm_row
-    out_cnt = _exclude_column_sum(fold_cnt)[inverse, fold] + alpha
+    cell_sum = np.bincount(cell, weights=y, minlength=n_cells).reshape(k, -1)
+    out_sum = _exclude_fold_sum(cell_sum).ravel()[cell] + alpha * gm_row
     enc = gm_row.copy()
     ok = out_cnt > 0
     enc[ok] = out_sum[ok] / out_cnt[ok]
@@ -231,18 +232,31 @@ def oof_target_encode(col: np.ndarray, y: np.ndarray, folds, alpha: float = SMOO
     component of row i's own target ever reaches its encoding.
     """
     col = np.asarray(col)
-    rows = target_rows(y, n_classes)
-    fold = _fold_vector(folds)
-    if not (col.shape[0] == rows.shape[1] == fold.shape[0]):
-        raise DataError("column, target, and folds must have equal lengths")
     if col.dtype.kind == "f" and np.isnan(col).any():
         raise DataError("encode missing values upstream; NaN groups are ambiguous")
-    k = int(fold.max()) + 1
     _, inverse = np.unique(col, return_inverse=True)
-    n_groups = int(inverse.max()) + 1
-    out = np.empty((col.shape[0], rows.shape[0]))
+    return oof_encode_groups(inverse, y, folds, alpha, n_classes)
+
+
+def oof_encode_groups(groups: np.ndarray, y: np.ndarray, folds,
+                      alpha: float = SMOOTHING_ALPHA, n_classes: int = 0) -> np.ndarray:
+    """`oof_target_encode` of a column given as group ids >= 0, its values'
+    ranks for instance: each row's encoding depends only on which rows share
+    its group, so ids with gaps encode as the dense ones do, bit for bit."""
+    rows = target_rows(y, n_classes)
+    fold = _fold_vector(folds)
+    if not (groups.shape[0] == rows.shape[1] == fold.shape[0]):
+        raise DataError("column, target, and folds must have equal lengths")
+    n = fold.shape[0]
+    k = int(fold.max()) + 1
+    n_cells = k * (int(groups.max()) + 1)
+    cell = fold * (n_cells // k) + groups  # the row's (fold, group) cell
+    out_n = n - np.bincount(fold, minlength=k).astype(np.float64)
+    cell_cnt = np.bincount(cell, minlength=n_cells).reshape(k, -1).astype(np.float64)
+    out_cnt = _exclude_fold_sum(cell_cnt).ravel()[cell] + alpha
+    out = np.empty((n, rows.shape[0]))
     for c, yc in enumerate(rows):
-        out[:, c] = _oof_encode_row(inverse, n_groups, yc, fold, k, alpha)
+        out[:, c] = _oof_encode_row(yc, fold, cell, n_cells, out_n, out_cnt, alpha)
     return out
 
 
@@ -301,6 +315,11 @@ def quantile_discretize(col: np.ndarray, q: int) -> np.ndarray:
     finite = col[ok]
     if finite.size == 0:
         return out
-    edges = np.unique(np.quantile(finite, np.arange(1, q) / q))
-    out[ok] = np.searchsorted(edges, finite, side="left").astype(np.int32)
+    out[ok] = np.searchsorted(quantile_edges(finite, q), finite, side="left").astype(np.int32)
     return out
+
+
+def quantile_edges(finite: np.ndarray, q: int) -> np.ndarray:
+    """The distinct empirical quantiles k/q of a non-empty vector, the same
+    in any row order; a value's bin is its left searchsorted position."""
+    return np.unique(np.quantile(finite, np.arange(1, q) / q))

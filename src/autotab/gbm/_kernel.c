@@ -1,6 +1,7 @@
 /* The tree kernel of trees.py: each tree grows in one call, leaf_grow
  * (best-first leaf-wise) or obl_grow (oblivious, one split per level).
- * discordant_pairs, at the end, is the Kendall pair count of encoders.py.
+ * rank_concordance, at the end, counts the pairs of encoders.py's Normalized
+ * Gini from ranks, in one pass with no comparison sort.
  *
  * Every loop repeats the float order of the numpy kernel it replaced (kept in
  * tests/oracles.py), so trees are bit-identical to it:
@@ -610,36 +611,56 @@ done:
     return depth;
 }
 
-/* The pairs i < j of y[0:n] with y[i] > y[j] strictly (Kendall's discordant
- * pairs once the rows are sorted by (x, y); Knight, JASA 1966). A bottom-up
- * merge sort counts, at each merge, the left-run values still waiting when a
- * strictly smaller right-run value moves first. It overwrites y and tmp,
- * which holds n doubles. */
-int64_t discordant_pairs(double *y, int64_t n, double *tmp)
+/* Kendall's C - D of (x, y) from ranks, with no comparison sort (Knight,
+ * JASA 1966; Fenwick, 1994): over the pairs (i, j) with y_rank[i] <
+ * y_rank[j], +1 where x_rank[i] < x_rank[j] and -1 where x_rank[i] >
+ * x_rank[j]; pairs tied in x or in y count for neither. *pairs gets P, the
+ * number of pairs whose targets differ.
+ *
+ * A counting sort puts the x ranks into buckets by target rank, and the
+ * buckets are visited in rank order. A Fenwick tree over the x ranks holds
+ * the rows of the buckets already visited, with a plain count per x rank
+ * beside it: a row has `below` of them strictly below its x rank (a prefix
+ * sum of the tree), `same[x]` tied with it and the rest strictly above, so
+ * it adds below - above = 2 * below + same[x] - added. A bucket's rows are
+ * all counted before any of them is added, so pairs tied in y count for
+ * nothing. Ranks are int64, x's below x_levels and y's below y_levels;
+ * either may have gaps. work holds n + y_levels + 2 * x_levels + 2 int64. */
+int64_t rank_concordance(const int64_t *x_rank, const int64_t *y_rank, int64_t n,
+                         int64_t x_levels, int64_t y_levels, int64_t *work,
+                         int64_t *pairs)
 {
-    int64_t count = 0;
-    double *src = y, *dst = tmp;
-    for (int64_t width = 1; width < n; width *= 2) {
-        for (int64_t lo = 0; lo < n; lo += 2 * width) {
-            int64_t mid = lo + width < n ? lo + width : n;
-            int64_t hi = mid + width < n ? mid + width : n;
-            int64_t i = lo, j = mid, k = lo;
-            while (i < mid && j < hi) {
-                if (src[j] < src[i]) {
-                    count += mid - i;
-                    dst[k++] = src[j++];
-                } else {
-                    dst[k++] = src[i++];
-                }
-            }
-            while (i < mid)
-                dst[k++] = src[i++];
-            while (j < hi)
-                dst[k++] = src[j++];
+    int64_t *xs = work;                 /* x ranks, bucketed by target rank */
+    int64_t *end = xs + n;              /* y_levels + 1 bucket bounds */
+    int64_t *tree = end + y_levels + 1; /* Fenwick tree, 1-based: rank r at r + 1 */
+    int64_t *same = tree + x_levels + 1;
+    memset(end, 0, (size_t)(y_levels + 2 * x_levels + 2) * sizeof(int64_t));
+    for (int64_t i = 0; i < n; i++)
+        end[y_rank[i] + 1]++;
+    for (int64_t r = 1; r < y_levels; r++)
+        end[r] += end[r - 1];
+    for (int64_t i = 0; i < n; i++) /* then end[r] is the end of bucket r */
+        xs[end[y_rank[i]]++] = x_rank[i];
+
+    int64_t added = 0, total = 0, untied = 0;
+    for (int64_t r = 0, lo = 0; r < y_levels; lo = end[r++]) {
+        int64_t hi = end[r];
+        if (hi == lo)
+            continue;
+        for (int64_t k = lo; k < hi; k++) {
+            int64_t below = 0;
+            for (int64_t t = xs[k]; t > 0; t -= t & -t)
+                below += tree[t];
+            total += 2 * below + same[xs[k]];
         }
-        double *swap = src;
-        src = dst;
-        dst = swap;
+        untied += (hi - lo) * added;
+        for (int64_t k = lo; k < hi; k++) {
+            same[xs[k]]++;
+            for (int64_t t = xs[k] + 1; t <= x_levels; t += t & -t)
+                tree[t]++;
+        }
+        added += hi - lo;
     }
-    return count;
+    *pairs = untied;
+    return total - untied;
 }

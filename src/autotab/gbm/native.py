@@ -5,8 +5,9 @@ next to the source. Its name carries a hash of the source, the flags and
 the resolved path, size and modification time of the compiler executable,
 so an edit or a new compiler builds a new one, which deletes the libraries
 it supersedes, and finding a cached library starts no process. Only fitting
-needs it: GBM training grows its trees there, and auto-typing a regression
-target counts Kendall's discordant pairs there (`encoders.norm_gini`).
+needs it: GBM training grows its trees there, and Normalized Gini against a
+many-valued target (auto-typing and encoder selection for regression) counts
+its pairs there from ranks (`encoders.rank_gini`).
 Routing and prediction run in numpy. One module lock serializes the build
 and the load, so threads that need the kernel at once compile it once.
 """
@@ -44,7 +45,7 @@ SIGNATURES = {  # name -> (restype, argtypes), as declared in _kernel.c
     "obl_scan": (None, [_P, _P, _P, _I, _I, _D, _D, _P]),
     "obl_grow": (_I, [_P, _I, _P, _P, _P, _I, _I, _P, _I, _I, _I, _D, _D,
                       _P, _P, _P, _P, _P]),
-    "discordant_pairs": (_I, [_P, _I, _P]),
+    "rank_concordance": (_I, [_P, _P, _I, _I, _I, _P, _P]),
 }
 _LOCK = threading.RLock()  # held by build() and kernel(), which calls build()
 

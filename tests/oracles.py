@@ -24,17 +24,21 @@ def concordance_pairwise(y, x) -> int:
                    for i in range(len(y))))
 
 
+def _tied_pairs(values) -> int:
+    """Pairs of equal values, from the counts of np.unique."""
+    _, counts = np.unique(values, return_counts=True)
+    return int((counts * (counts - 1) // 2).sum())
+
+
 def concordance_kendalltau(y, x) -> tuple[float, float]:
     """(C - D, P) reconstructed from scipy's Kendall tau-b, as encoders did
     before it counted the pairs itself."""
     from scipy.stats import kendalltau
 
-    from autotab.encoders import _pair_ties
-
     n = y.shape[0]
     n0 = n * (n - 1) // 2
-    ny = _pair_ties(y)
-    nx = _pair_ties(x)
+    ny = _tied_pairs(y)
+    nx = _tied_pairs(x)
     p = float(n0 - ny)
     if p == 0 or n0 == nx:
         return 0.0, p

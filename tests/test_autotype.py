@@ -1,8 +1,13 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from autotab.autotype import (apply_typing, infer_feature_kind,
+from autotab.autotype import (TYPING_Q, apply_typing, infer_feature_kind,
                               select_category_encoding)
 from autotab.data import dataset_from_arrays
+from autotab.encoders import (freq_encode, norm_gini, oof_target_encode,
+                              quantile_discretize, target_rows)
 from autotab.validation import CVScheme, make_folds
 
 
@@ -145,3 +150,54 @@ class TestSelectCategoryEncoding:
         spec = select_category_encoding(ds.columns["f0"].values, ds.target, folds)
         assert spec.kind == "oof_target"
 
+
+
+def _random_table(rng, n, task):
+    """Columns of every typing kind, a share of each missing: integer levels,
+    rounded floats, distinct floats, signed zeros, a constant and a column
+    with a single present value."""
+    X = np.column_stack([
+        rng.integers(0, rng.integers(2, 12), size=n).astype(float),
+        rng.normal(size=n).round(1),
+        rng.normal(size=n),
+        rng.choice([-0.0, 0.0, 1.0], size=n),
+        np.full(n, 3.0),
+        np.where(np.arange(n) == 0, 5.0, np.nan),
+    ])
+    if task == "regression":
+        y = (X[:, 0] * X[:, 1] + rng.normal(size=n)).round(rng.integers(0, 3))
+    else:
+        y = rng.integers(0, 2 if task == "binary" else 4, size=n)
+        y[:4] = np.arange(4) % (2 if task == "binary" else 4)  # every class present
+    X[rng.random(X.shape) < rng.uniform(0.0, 0.4)] = np.nan
+    return X, y
+
+
+@pytest.mark.parametrize("task", ["regression", "binary", "multiclass"])
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 160), k=st.integers(2, 5))
+def test_scores_equal_norm_gini_on_the_same_encoding(task, seed, n, k):
+    """Typing scores from the run's shared target ranks and each column's one
+    np.unique; every score must be the public `norm_gini` of the same
+    encoding, bit for bit."""
+    X, y = _random_table(np.random.default_rng(seed), n, task)
+    ds = dataset_from_arrays(X, y, task)
+    folds = _folds_for(ds, k=k, seed=seed)
+    kind = "multiclass" if task == "multiclass" else None
+    n_classes = ds.task.encoding_classes
+    for col in infer_feature_kind(ds, folds).columns:
+        values = ds.columns[col.name].values
+        ok = ~np.isnan(values)
+        if col.missing_rate > 0.99 or ok.sum() < 2:
+            continue
+        x, yy, fold = values[ok], ds.target[ok], folds.fold_of_row[ok]
+
+        def ng_of_oof(enc_col):
+            enc = oof_target_encode(enc_col, yy, fold, n_classes=n_classes)
+            return max(norm_gini(yc, enc[:, c])
+                       for c, yc in enumerate(target_rows(yy, n_classes)))
+
+        expected = (norm_gini(yy, x, kind), ng_of_oof(quantile_discretize(x, TYPING_Q)),
+                    norm_gini(yy, freq_encode(x)[1], kind), ng_of_oof(x))
+        got = (col.ng_raw, col.ng_quantile_oof, col.ng_frequency, col.ng_target_oof)
+        assert [v.hex() for v in got] == [v.hex() for v in expected], col.name

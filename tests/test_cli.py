@@ -176,6 +176,35 @@ class TestInferTypes:
         assert json.loads(capsys.readouterr().out) == {}
 
 
+    def test_custom_cv_report_equals_the_fit_report(self, tmp_path, capsys):
+        """infer-types types on the folds that fit types on: the config's cv
+        and seed, not the default scheme."""
+        rng = np.random.default_rng(4)
+        c = rng.integers(0, 8, size=400)
+        x = rng.normal(size=400).round(3)
+        y = (np.sin(c) + x + 0.5 * rng.normal(size=400)).round(4)
+        train = write_csv(tmp_path / "t.csv", ["c", "x", "y"],
+                          [[int(a), float(b), float(t)] for a, b, t in zip(c, x, y)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cv": {"kind": "kfold", "k": 3, "seed": 7},
+                                   "tuning_enabled": False, "selection_strategy": "none",
+                                   "use_gbm_leaf": False, "use_gbm_sym": False}))
+        assert main(["infer-types", "--train", train, "--target", "y",
+                     "--config", str(cfg)]) == 0
+        typing = json.loads(capsys.readouterr().out)
+        out = tmp_path / "out"
+        assert main(["fit", "--train", train, "--target", "y", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert typing == json.loads((out / "report.json").read_text())["typing"]
+        assert set(typing) == {"c", "x"}
+
+    def test_infinite_integer_target_exits_2(self, tmp_path, capsys):
+        rows = [[0.5, "1"], [0.7, "inf"], [0.1, "2"], [0.3, "3"], [0.9, "4"]]
+        train = write_csv(tmp_path / "t.csv", ["x", "y"], rows)
+        assert main(["infer-types", "--train", train, "--target", "y"]) == 2
+        assert "target value at row 2 is not finite" in capsys.readouterr().err
+
+
 class TestReportDeterminism:
     def _strip_timing(self, node):
         drop = {"elapsed", "allocated", "seconds", "wallclock_seconds",

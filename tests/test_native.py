@@ -1,5 +1,5 @@
 """The kernel loader: cached builds, compiler errors, the ctypes signatures,
-and inference without the kernel."""
+inference without the kernel, and the pair counts of Normalized Gini."""
 
 import ctypes
 import os
@@ -12,13 +12,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from autotab.artifact import save_model
 from autotab.data import dataset_from_arrays
+from autotab.encoders import _rank_concordance, dense_ranks
+from autotab.errors import DataError
 from autotab.gbm import native
 from autotab.pipeline import PresetConfig, fit_preset
 
 from conftest import make_binary, write_csv
+from oracles import concordance_pairwise
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -59,15 +64,35 @@ def test_kernel_compiles_without_warnings(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
-def test_discordant_pairs_counts_strict_inversions():
-    rng = np.random.default_rng(0)
-    for n in (0, 1, 2, 3, 7, 64, 65, 300):
-        for levels in (2, 5, n + 1):
-            y = rng.integers(0, levels, size=n).astype(np.float64)
-            expected = sum(int(np.sum(y[i] > y[i + 1:])) for i in range(n))
-            scratch, tmp = y.copy(), np.empty(n)
-            assert native.kernel().discordant_pairs(
-                scratch.ctypes.data, n, tmp.ctypes.data) == expected
+_VALUE = st.sampled_from([-0.0, 0.0, 1.0, -1.5, 2.5]) | st.floats(-100.0, 100.0)
+
+
+@example(rows=[(2.0, 1.0)], n=1)
+@example(rows=[(0.0, 1.0), (-0.0, 2.0)], n=2)
+@example(rows=[(1.0, 3.0), (1.0, 0.0), (1.0, 2.0)], n=3)
+@example(rows=[(3.0, 1.0), (0.0, 1.0), (2.0, 1.0)], n=3)
+@example(rows=[(1.0, 5.0), (2.0, 0.0), (0.0, 2.5), (3.0, -1.5), (2.0, 7.0)], n=3)
+@given(rows=st.lists(st.tuples(_VALUE, _VALUE), min_size=1, max_size=60),
+       n=st.integers(1, 60))
+def test_rank_concordance_counts_untied_pairs(rows, n):
+    """One kernel call gives C - D and P exactly, with ties in x and in y,
+    signed zeros and constant columns. The (x, y) rows are ranked as a whole
+    and only the first n are scored, so their ranks have gaps where the
+    other rows' values were."""
+    full_x, full_y = np.array(rows).T
+    n = min(n, len(rows))
+    (x_rank, x_levels), (y_rank, y_levels) = dense_ranks(full_x), dense_ranks(full_y)
+    x, y = full_x[:n], full_y[:n]
+    c_minus_d, p = _rank_concordance(y_rank[:n], y_levels, x_rank[:n], x_levels)
+    assert c_minus_d == concordance_pairwise(y, x)
+    assert p == sum(int(np.sum(y[i] != y[i + 1:])) for i in range(n))
+
+
+@pytest.mark.parametrize("y_rank,x_rank", [([0, 3], [0, 1]), ([0, 1], [-1, 1]),
+                                            ([0, 1], [0, 1, 1])])
+def test_rank_concordance_rejects_ranks_the_kernel_cannot_index(y_rank, x_rank):
+    with pytest.raises(DataError):
+        _rank_concordance(np.array(y_rank), 3, np.array(x_rank), 2)
 
 
 def test_second_build_reuses_the_cached_library(tmp_path, monkeypatch):
