@@ -6,13 +6,13 @@ quantile bins, frequency encoding, and OOF target encoding. An ordered rule
 list then decides whether the column stays numeric; if no rule fires the
 column is re-typed as a category.
 
-A many-valued (regression) target is ranked once per run, and each column
-scores from the ranks of its rows, which may have gaps. One np.unique per
-column gives the ranks of the raw values, the unique count, the frequency
-encoding and its ranks; the quantile bins and the value ranks serve as the
-OOF encoder's groups, so only the two OOF encodings are ranked afresh.
-Every score is an exact integer ratio and equals `norm_gini` on the same
-encoding, bit for bit.
+The target is ranked once per run (a two-valued or multiclass target by its
+classes), and each column scores from the ranks of its rows, which may have
+gaps. One np.unique per column gives the ranks of the raw values, the unique
+count, the frequency encoding and its ranks; the quantile bins and the value
+ranks serve as the OOF encoder's groups, so only the two OOF encodings are
+ranked afresh. Every score is an exact integer ratio and equals `norm_gini`
+on the same encoding, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .encoders import (EncoderSpec, dense_ranks, norm_gini, oof_encode_groups,
-                       quantile_edges, rank_gini, target_rows)
+from .encoders import (EncoderSpec, binary_gini, class_ginis, dense_ranks,
+                       oof_encode_groups, quantile_edges, rank_gini)
 from .validation import FoldAssignment
 
 TYPING_Q = 10  # quantile bins of the binned encoding scored during typing
@@ -80,44 +80,49 @@ def _apply_rules(ng_raw: float, ng_q: float, ng_fe: float, ng_oof: float,
 
 
 class _Target:
-    """The target on the rows being scored, with the dense ranks of a
-    many-valued target. Its scores equal `norm_gini` on the same encoding,
-    bit for bit: from ranks, or by `norm_gini` itself for a two-valued target
-    (binary, or one indicator row per class of a multiclass target). A plain
-    class: a dataclass would cost every import of autotab a millisecond."""
+    """The target on the rows being scored, ranked once per run: the dense
+    ranks of a many-valued target, or the class of each row of a two-valued
+    one (binary, or a multiclass target's classes, one indicator each). A
+    subset of rows keeps the run's ranks, gaps and all. Its scores equal
+    `norm_gini` on the same encoding, bit for bit: from rank pairs
+    (`rank_gini`), or from the positives' rank sums, taken from the column's
+    ranks where they are known (`class_ginis`). A plain class: a dataclass
+    would cost every import of autotab a millisecond."""
 
-    def __init__(self, y: np.ndarray, n_classes: int, rank: np.ndarray | None = None,
-                 levels: int = 0):
+    def __init__(self, y: np.ndarray, n_classes: int, rank: np.ndarray, levels: int):
         self.y, self.n_classes = y, n_classes
-        self.rank, self.levels = rank, levels  # ranked once per run; a subset keeps gaps
+        self.rank, self.levels = rank, levels  # ranks below levels, or class numbers
+        self.by_pairs = not n_classes and levels > 2
+        # (encoding column, class) of each indicator scored; a max over them
+        self.scored = ([(c, c) for c in range(levels)] if n_classes
+                       else [(0, 1)] if levels == 2 else [])
 
     @classmethod
     def of(cls, y: np.ndarray, n_classes: int) -> _Target:
-        if not n_classes:
-            rank, levels = dense_ranks(y)
-            if levels > 2:
-                return cls(y, 0, rank, levels)
-        return cls(y, n_classes)
+        if n_classes:
+            return cls(y, n_classes, y.astype(np.int64), n_classes)
+        return cls(y, 0, *dense_ranks(y))
 
     def rows(self, ok: np.ndarray) -> _Target:
-        return _Target(self.y[ok], self.n_classes,
-                       None if self.rank is None else self.rank[ok], self.levels)
+        return _Target(self.y[ok], self.n_classes, self.rank[ok], self.levels)
 
     def gini(self, x: np.ndarray, ranked: tuple[np.ndarray, int] | None = None) -> float:
         """`norm_gini` of column x; `ranked` is `dense_ranks(x)` if known."""
-        if self.rank is None:
-            return norm_gini(self.y, x, "multiclass" if self.n_classes else None)
-        return rank_gini(self.rank, self.levels, *(ranked or dense_ranks(x)))
+        x_rank, x_levels = ranked or dense_ranks(x)
+        if self.by_pairs:
+            return rank_gini(self.rank, self.levels, x_rank, x_levels)
+        ginis = class_ginis(self.rank, self.levels, x_rank, x_levels)
+        return max((ginis[c] for _, c in self.scored), default=0.0)
 
     def gini_oof(self, groups: np.ndarray, fold: np.ndarray) -> float:
         """Gini of the OOF target encoding of a column's group ids: the
         maximum over its target rows of the row's score against its own
         encoded column."""
         enc = oof_encode_groups(groups, self.y, fold, n_classes=self.n_classes)
-        if self.rank is not None:
+        if self.by_pairs:
             return self.gini(enc[:, 0])
-        return max(norm_gini(yc, enc[:, c])
-                   for c, yc in enumerate(target_rows(self.y, self.n_classes)))
+        return max((binary_gini(self.rank == c, enc[:, k]) for k, c in self.scored),
+                   default=0.0)
 
 
 def infer_feature_kind(dataset: Dataset, folds: FoldAssignment) -> TypingReport:

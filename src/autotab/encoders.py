@@ -13,8 +13,11 @@ same float however it is counted: a rank-sum identity for two-valued
 targets, and otherwise one pass of the compiled kernel over dense int64
 ranks of x and y, a counting sort by target rank and a Fenwick tree over the
 x ranks, in O(n log n) with no comparison sort (`gbm/native.py`, so scoring
-a many-valued target needs the C compiler `cc`). Auto-typing ranks the
-target once per run and scores each column from its ranks (`rank_gini`).
+needs the C compiler `cc`). The rank sum of a two-valued target is one
+kernel pass over x (`metrics.positive_rank_sum`), or, where the dense ranks
+of x are known, one np.bincount of the classes by x rank (`class_ginis`).
+Auto-typing ranks the target once per run and scores each column from its
+ranks (`rank_gini`, `class_ginis`).
 """
 
 from __future__ import annotations
@@ -43,16 +46,23 @@ class EncoderSpec:
 # Normalized Gini
 
 
-def _binary_concordance(y01: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """Exact (C - D, P) via average ranks for a 0/1 target."""
-    n1 = int(y01.sum())
-    n0 = y01.shape[0] - n1
+def _binary_concordance(r1: float, n1: int, n0: int) -> tuple[float, float]:
+    """Exact (C - D, P) of a 0/1 target with n1 ones and n0 zeros, from r1,
+    the sum of the average ranks of x over the ones."""
     p = float(n1) * float(n0)
     if p == 0:
         return 0.0, 0.0
-    r1 = positive_rank_sum(y01 == 1, x)
-    c_minus_d = 2.0 * (r1 - n1 * (n1 + 1) / 2.0) - p
-    return c_minus_d, p
+    return 2.0 * (r1 - n1 * (n1 + 1) / 2.0) - p, p
+
+
+def binary_gini(pos: np.ndarray, x: np.ndarray) -> float:
+    """Normalized Gini of x against the 0/1 target that the boolean `pos`
+    marks: 0 if it holds one value."""
+    n1 = int(pos.sum())
+    n0 = pos.shape[0] - n1
+    if n1 == 0 or n0 == 0:
+        return 0.0
+    return _ratio(*_binary_concordance(positive_rank_sum(pos, x), n1, n0))
 
 
 def dense_ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -100,6 +110,26 @@ def rank_gini(y_rank: np.ndarray, y_levels: int, x_rank: np.ndarray,
     return _ratio(*_rank_concordance(y_rank, y_levels, x_rank, x_levels))
 
 
+def class_ginis(y_class: np.ndarray, classes: int, x_rank: np.ndarray,
+                x_levels: int) -> list[float]:
+    """Normalized Gini of x against each class indicator, from the rows'
+    class numbers y_class (below `classes`) and the ranks of x (below
+    x_levels, gaps allowed): `binary_gini(y_class == c, x)` for each class
+    c, bit for bit. Rank r's rows take sorted positions ends[r] - counts[r]
+    .. ends[r] - 1, so their average rank is (2 * ends[r] - counts[r] + 1) /
+    2, and one np.bincount of (x rank, class) cells gives each class's rank
+    sum. The sums are of half-integers, exact in any order."""
+    counts = np.bincount(x_rank, minlength=x_levels)
+    ends = np.cumsum(counts)
+    mean_rank = (2 * ends - counts + 1) / 2.0
+    cells = np.bincount(x_rank * classes + y_class, minlength=x_levels * classes)
+    cells = cells.reshape(x_levels, classes)
+    rank_sums = (mean_rank @ cells).tolist()
+    n = x_rank.shape[0]
+    return [_ratio(*_binary_concordance(r1, n1, n - n1))
+            for r1, n1 in zip(rank_sums, cells.sum(axis=0).tolist())]
+
+
 def norm_gini(y: np.ndarray, x: np.ndarray, task_kind: str | None = None) -> float:
     """Normalized Gini of feature `x` against target `y`, in [0, 1].
 
@@ -125,7 +155,7 @@ def norm_gini(y: np.ndarray, x: np.ndarray, task_kind: str | None = None) -> flo
     if distinct.shape[0] < 2:
         return 0.0
     if distinct.shape[0] == 2:
-        return _ratio(*_binary_concordance((y == distinct[1]).astype(np.int8), x))
+        return binary_gini(y == distinct[1], x)
     return _ratio(*_general_concordance(y, x))
 
 

@@ -1,7 +1,10 @@
 /* The tree kernel of trees.py: each tree grows in one call, leaf_grow
  * (best-first leaf-wise) or obl_grow (oblivious, one split per level).
- * rank_concordance, at the end, counts the pairs of encoders.py's Normalized
- * Gini from ranks, in one pass with no comparison sort.
+ * After the growers come the rest of a boosting iteration that is exact
+ * arithmetic or index bookkeeping (lay_out, gradients, add_scores), the
+ * positive rank sum of metrics.py's ROC AUC, and rank_concordance, which
+ * counts the pairs of encoders.py's Normalized Gini from ranks, in one pass
+ * with no comparison sort.
  *
  * Every loop repeats the float order of the numpy kernel it replaced (kept in
  * tests/oracles.py), so trees are bit-identical to it:
@@ -342,20 +345,21 @@ static void scan_leaf(Node *nd, const double *hists, const uint64_t *bits, int64
 /* Grow one tree best-first: split the open leaf of largest gain until
  * max_leaves leaves or no leaf is open.
  *
- * order[0:m] holds the training rows and order[m:m+n_pass] the passengers;
- * both are regrouped leaf by leaf in place, and out[i] gets the leaf value
- * of order[i]. A split builds the smaller child's histograms and derives
- * the larger one's by subtraction in the parent's slot, so there is one
- * slot (and one bitmap) per leaf. Node i's fields go to feature, threshold,
- * left, right (-1 for a leaf) and value (0 for an internal node); each
- * split's gain is added to feature_gain[f] in split order. Returns the node
- * count, ZERO_DENOMINATOR or NO_MEMORY.
+ * layout[0:m] holds the training rows and layout[m:m+n_pass] the
+ * passengers; order gets a copy of it, which is regrouped leaf by leaf in
+ * place, and out[i] gets the leaf value of order[i]. A split builds the
+ * smaller child's histograms and derives the larger one's by subtraction
+ * in the parent's slot, so there is one slot (and one bitmap) per leaf.
+ * Node i's fields go to feature, threshold, left, right (-1 for a leaf) and
+ * value (0 for an internal node); each split's gain is added to
+ * feature_gain[f] in split order. Returns the node count, ZERO_DENOMINATOR
+ * or NO_MEMORY.
  */
 int64_t leaf_grow(const uint8_t *codes, int64_t n, const double *g, const double *h,
-                  int64_t *order, int64_t m, int64_t n_pass, const int64_t *feats,
-                  int64_t nf, int64_t max_leaves, int64_t min_data, double reg, double lr,
-                  int32_t *feature, int32_t *threshold, int32_t *left, int32_t *right,
-                  double *value, double *feature_gain, double *out)
+                  const int64_t *layout, int64_t *order, int64_t m, int64_t n_pass,
+                  const int64_t *feats, int64_t nf, int64_t max_leaves, int64_t min_data,
+                  double reg, double lr, int32_t *feature, int32_t *threshold, int32_t *left,
+                  int32_t *right, double *value, double *feature_gain, double *out)
 {
     int64_t slot_size = 3 * nf * N_HIST, slot_words = nf * N_WORDS;
     int64_t n_nodes = 1, n_leaves = 1, status;
@@ -368,6 +372,7 @@ int64_t leaf_grow(const uint8_t *codes, int64_t n, const double *g, const double
         status = NO_MEMORY;
         goto done;
     }
+    memcpy(order, layout, sizeof(int64_t) * (size_t)(m + n_pass));
     nodes[0] = (Node){0, m, m, m + n_pass, 0, 0, 0, 0.0, 0};
     leaf_hist(codes, n, g, h, order, 0, m, feats, nf, gbuf, hbuf, hists, bits);
     scan_leaf(&nodes[0], hists, bits, nf, min_data, reg);
@@ -609,6 +614,159 @@ done:
     free(h_leaf);
     free(count);
     return depth;
+}
+
+/* The layout of a sample drawn from 0..n-1: drawn[0:k] are the drawn
+ * indices. out[0:m] gets the m distinct ones in ascending order and
+ * out[m:n] the rest in ascending order, as the nonzero() of a boolean mask
+ * and of its negation would list them; returns m. drawn (n entries) is
+ * then reset to 0..n-1, the np.arange that Generator.permutation(n)
+ * shuffles, so shuffling it again draws as permutation(n) would. mark
+ * holds n bytes. */
+int64_t lay_out(int64_t *drawn, int64_t k, int64_t n, uint8_t *mark, int64_t *out)
+{
+    int64_t m = 0, rest;
+    memset(mark, 0, (size_t)n);
+    for (int64_t i = 0; i < k; i++)
+        mark[drawn[i]] = 1;
+    for (int64_t i = 0; i < n; i++)
+        m += mark[i];
+    rest = m;
+    m = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (mark[i])
+            out[m++] = i;
+        else
+            out[rest++] = i;
+        drawn[i] = i;
+    }
+    return m;
+}
+
+#define LOSS_BINARY 0     /* logloss on sigmoid scores */
+#define LOSS_MULTICLASS 1 /* softmax cross-entropy, y holding class numbers */
+#define LOSS_SQUARED 2    /* squared error, p the raw score */
+
+/* Gradients g and hessians h of output c for the n training rows, from the
+ * transformed scores p (row i's at p[i * stride + c]) and the targets y:
+ *   binary:     g = p - y, h = p * (1 - p);
+ *   multiclass: g = p - 1 where y is c, else p; h = p * (1 - p);
+ *   squared:    g = p - y, h = 1.
+ * Each is one IEEE operation per row, so the values are numpy's. */
+void gradients(int64_t loss, const double *p, int64_t stride, int64_t c, const double *y,
+               int64_t n, double *g, double *h)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double pi = p[i * stride + c];
+        if (loss == LOSS_MULTICLASS) {
+            g[i] = y[i] == (double)c ? pi - 1.0 : pi;
+            h[i] = pi * (1.0 - pi);
+        } else if (loss == LOSS_BINARY) {
+            g[i] = pi - y[i];
+            h[i] = pi * (1.0 - pi);
+        } else {
+            g[i] = pi - y[i];
+            h[i] = 1.0;
+        }
+    }
+}
+
+/* raw[order[i] * stride + c] += values[i] for i < n: a grown tree's leaf
+ * values added into the raw scores of output c (order's rows are
+ * distinct). */
+void add_scores(double *raw, int64_t stride, int64_t c, const int64_t *order,
+                const double *values, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        raw[order[i] * stride + c] += values[i];
+}
+
+#define FEW_KEYS 32 /* keys below which an insertion sort is faster */
+#define MAX_BUCKET_BITS 10
+
+/* Sort key[0:n] ascending, carrying flag[] along: an MSD radix sort that
+ * puts the keys into about n / 2 buckets by their offset from the smallest
+ * key, in the top bits of the key range, and sorts each bucket the same
+ * way; FEW_KEYS keys or fewer are insertion-sorted. Each level takes at
+ * least 5 bits off the range, so at most 13 levels recurse. The tmp
+ * buffers hold n entries. */
+static void sort_keys(uint64_t *key, uint8_t *flag, int64_t n, uint64_t *key_tmp,
+                      uint8_t *flag_tmp)
+{
+    uint32_t start[(1 << MAX_BUCKET_BITS) + 1];
+    if (n <= FEW_KEYS) {
+        for (int64_t i = 1; i < n; i++) {
+            uint64_t k = key[i];
+            uint8_t f = flag[i];
+            int64_t j = i;
+            for (; j > 0 && key[j - 1] > k; j--) {
+                key[j] = key[j - 1];
+                flag[j] = flag[j - 1];
+            }
+            key[j] = k;
+            flag[j] = f;
+        }
+        return;
+    }
+    uint64_t lo = key[0], hi = key[0];
+    for (int64_t i = 1; i < n; i++) {
+        lo = key[i] < lo ? key[i] : lo;
+        hi = key[i] > hi ? key[i] : hi;
+    }
+    if (lo == hi)
+        return;
+    int bits = 63 - __builtin_clzll((uint64_t)n); /* n > FEW_KEYS: 5 or more */
+    bits = bits < MAX_BUCKET_BITS ? bits : MAX_BUCKET_BITS;
+    int range_bits = 64 - __builtin_clzll(hi - lo);
+    int shift = range_bits > bits ? range_bits - bits : 0;
+    int64_t n_buckets = (int64_t)((hi - lo) >> shift) + 1;
+    memset(start, 0, sizeof(uint32_t) * (size_t)(n_buckets + 1));
+    for (int64_t i = 0; i < n; i++)
+        start[((key[i] - lo) >> shift) + 1]++;
+    for (int64_t b = 1; b <= n_buckets; b++)
+        start[b] += start[b - 1];
+    for (int64_t i = 0; i < n; i++) {
+        uint32_t j = start[(key[i] - lo) >> shift]++;
+        key_tmp[j] = key[i];
+        flag_tmp[j] = flag[i];
+    }
+    memcpy(key, key_tmp, sizeof(uint64_t) * (size_t)n);
+    memcpy(flag, flag_tmp, (size_t)n);
+    if (shift == 0)
+        return; /* each bucket holds one key value */
+    for (int64_t b = 0, begin = 0; b < n_buckets; begin = start[b++])
+        if (start[b] - begin > 1)
+            sort_keys(key + begin, flag + begin, start[b] - begin, key_tmp, flag_tmp);
+}
+
+/* Sum of the 1-based average ranks of scores[0:n] over the rows where
+ * pos[i] is nonzero, or NaN if a score is NaN. Scores tied at sorted
+ * positions left..right-1 (+0.0 ties -0.0) share the rank (left + 1 +
+ * right) / 2. Ranks are half-integers, so the sum is exact in any order
+ * below 2^52. The scores are sorted as keys whose unsigned order is their
+ * float order, the pos flags carried along. work holds 3n uint64. */
+double positive_rank_sum(const double *scores, const uint8_t *pos, int64_t n, uint64_t *work)
+{
+    uint64_t *key = work, *key_tmp = work + n;
+    uint8_t *flag = (uint8_t *)(work + 2 * n), *flag_tmp = flag + n;
+    double sum = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        double x = scores[i] + 0.0; /* -0.0 becomes +0.0 */
+        uint64_t u;
+        if (isnan(x))
+            return NAN;
+        memcpy(&u, &x, sizeof u);
+        key[i] = u >> 63 ? ~u : u | (uint64_t)1 << 63;
+        flag[i] = pos[i] != 0;
+    }
+    sort_keys(key, flag, n, key_tmp, flag_tmp);
+    for (int64_t left = 0, right; left < n; left = right) {
+        int64_t picked = 0;
+        for (right = left; right < n && key[right] == key[left]; right++)
+            picked += flag[right];
+        sum += (double)picked * ((double)(left + 1 + right) / 2.0);
+    }
+    return sum;
 }
 
 /* Kendall's C - D of (x, y) from ranks, with no comparison sort (Knight,

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..budget import TimeBudget, unlimited
 from ..errors import ConfigError, DataError
-from ..metrics import MetricSpec, evaluate
+from ..metrics import MetricSpec, RocAuc, evaluate
 from ..stopping import improves
 from .binning import BinMapper
 from .losses import make_loss
@@ -163,17 +163,28 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
 
     The validation codes are stacked under the training codes, and the raw
     scores of both live in one array. Everything a tree would repeat is done
-    once, here: one `TreeKernel` checks the codes and the validation rows
-    and holds the kernel's buffers. Each tree carries the rows left out of
-    its subsample and all validation rows as passengers, so every row's score
-    takes the new tree's leaf value straight from the grower. One loss
-    transform per iteration, over all rows, gives this iteration's
-    validation score and the next one's gradients. The best iteration is
-    followed as scores arrive (`stopping.improves`), and the validation raw
-    scores are kept as they stand at it: they are the `val_raw` of the
-    result, which callers take as their out-of-fold predictions in place of
-    routing X_val through the trees again. Raw thresholds are looked up for
-    the kept trees only.
+    once, here: one `TreeKernel` checks the codes and the validation rows,
+    binds the raw scores and targets and holds the kernel's buffers, and a
+    binary ROC AUC metric is prepared once (`metrics.RocAuc`). Each tree
+    carries the rows left out of its subsample and all validation rows as
+    passengers, so every row's score takes the new tree's leaf value
+    straight from the grower. One loss transform per iteration, over all
+    rows, gives this iteration's validation score and the next one's
+    gradients. The best iteration is followed as scores arrive
+    (`stopping.improves`), and the validation raw scores are kept as they
+    stand at it: they are the `val_raw` of the result, which callers take as
+    their out-of-fold predictions in place of routing X_val through the
+    trees again. Raw thresholds are looked up for the kept trees only.
+
+    An iteration holds the GIL only for the generator's draws, the loss
+    transform (numpy's exp: a C one would round some values differently),
+    a validation metric other than ROC AUC, the tree objects and the
+    stopping bookkeeping. The rest is exact arithmetic or index bookkeeping
+    in the kernel: the sample's row and feature layout, each output's
+    gradients and hessians, the score update and the AUC's rank sum take
+    microseconds each and keep the GIL, so a call hands it to no other
+    thread; the growers take the rest of the iteration and release it, so
+    boosters on other threads run meanwhile.
     """
     if X.shape[1] == 0:
         raise DataError("no usable features")
@@ -190,11 +201,15 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
     y_fit = y.astype(np.float64) if task_kind != "multiclass" else y
     base = loss.init_score(y_fit)
     raw_all = np.tile(base, (n_all, 1)) if task_kind == "multiclass" else np.full(n_all, base)
+    kern.bind_scores(raw_all, y_fit if task_kind != "multiclass"
+                     else y.astype(np.int64).astype(np.float64), loss.kernel_loss)
 
     rng = np.random.default_rng(seed)
-    n_sub = max(1, int(round(params.subsample * n)))
-    n_feats = max(1, int(np.ceil(params.colsample * f)))
+    n_rows = max(1, int(round(params.subsample * n))) if params.subsample < 1.0 else None
+    n_feats = max(1, int(np.ceil(params.colsample * f))) if params.colsample < 1.0 else None
+    outputs = n_classes if task_kind == "multiclass" else 1
     validating = X_val is not None and metric is not None
+    auc = RocAuc(y_val) if validating and metric.name == "roc_auc" else None
     trees: list = []  # in boosting order, each iteration's classes in order
     eval_history: list[float] = []
     best, best_score, best_raw = -1, -np.inf, None
@@ -205,42 +220,28 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
         if budget.expired():
             truncated = True
             break
-        g, h = loss.gradients(y_fit, p_all[:n])
-        in_bag = used = None
-        if params.subsample < 1.0:
-            in_bag = np.zeros(n, dtype=bool)
-            in_bag[rng.permutation(n)[:n_sub]] = True
-        if params.colsample < 1.0:
-            used = np.zeros(f, dtype=bool)
-            used[rng.choice(f, size=n_feats, replace=False)] = True
-        kern.sample(in_bag, used)
-
-        if task_kind == "multiclass":
-            for c in range(n_classes):
-                tree, values, order = _grow(kern, g[:, c], h[:, c], params)
-                raw_all[order, c] += values
-                trees.append(tree)
-        else:
-            tree, values, order = _grow(kern, g, h, params)
-            raw_all[order] += values
+        kern.draw(rng, n_rows, n_feats)
+        for c in range(outputs):
+            kern.gradients(p_all, c)
+            tree, _, _ = _grow(kern, kern.g, kern.h, params)
+            kern.add_tree(c)
             trees.append(tree)
 
         p_all = loss.transform(raw_all)
         if validating:
-            score = evaluate(metric, y_val, p_all[n:])
+            score = auc(p_all[n:]) if auc is not None else evaluate(metric, y_val, p_all[n:])
             eval_history.append(score)
             if it == 0 or improves(score, best_score):
                 best, best_score, best_raw = it, score, raw_all[n:].copy()
             if it - best >= patience:
                 break
 
-    per_iteration = n_classes if task_kind == "multiclass" else 1
     if eval_history:
-        trees = trees[: (best + 1) * per_iteration]
+        trees = trees[: (best + 1) * outputs]
         eval_history = eval_history[: best + 1]
         val_raw = best_raw
     else:
-        best = len(trees) // per_iteration - 1
+        best = len(trees) // outputs - 1
         val_raw = None if X_val is None else raw_all[n:]
     feature_gain = np.zeros(f)  # over the kept trees only
     for tree in trees:

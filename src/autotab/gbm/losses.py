@@ -1,8 +1,16 @@
-"""Loss functions for Newton boosting: gradients, hessians, base scores.
+"""Loss functions for Newton boosting: base scores, score transforms and
+the gradient formulas.
 
 Gradients and hessians are taken from the transformed scores `p =
 transform(raw)`, which a booster computes once per iteration for its
-training and validation rows together (see boosting.fit_booster).
+training and validation rows together (see boosting.fit_booster). The
+kernel computes them (`_kernel.c` `gradients`, one IEEE operation per row,
+so the values are numpy's), picked by each loss's `kernel_loss`:
+    binary:     g = p - y, h = p * (1 - p)
+    multiclass: g = p - 1 at the row's class, p elsewhere; h = p * (1 - p)
+    regression: g = p - y, h = 1
+The transform stays in numpy: the kernel's libm exp would round some
+values differently from numpy's.
 """
 
 from __future__ import annotations
@@ -28,19 +36,19 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 class BinaryLogloss:
     n_outputs = 1
+    kernel_loss = 0  # LOSS_BINARY
 
     def init_score(self, y: np.ndarray) -> float:
         p = float(np.clip(y.mean(), _CLIP, 1 - _CLIP))
         return float(np.log(p / (1.0 - p)))
-
-    def gradients(self, y: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return p - y, p * (1.0 - p)
 
     def transform(self, raw: np.ndarray) -> np.ndarray:
         return sigmoid(raw)
 
 
 class MulticlassSoftmax:
+    kernel_loss = 1  # LOSS_MULTICLASS
+
     def __init__(self, n_classes: int) -> None:
         self.n_outputs = n_classes
 
@@ -48,23 +56,16 @@ class MulticlassSoftmax:
         prior = np.bincount(y.astype(np.int64), minlength=self.n_outputs) / y.shape[0]
         return np.log(np.clip(prior, _CLIP, None))
 
-    def gradients(self, y: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g = p.copy()
-        g[np.arange(y.shape[0]), y.astype(np.int64)] -= 1.0
-        return g, p * (1.0 - p)
-
     def transform(self, raw: np.ndarray) -> np.ndarray:
         return softmax(raw)
 
 
 class SquaredError:
     n_outputs = 1
+    kernel_loss = 2  # LOSS_SQUARED
 
     def init_score(self, y: np.ndarray) -> float:
         return float(y.mean())
-
-    def gradients(self, y: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return p - y, np.ones_like(p)
 
     def transform(self, raw: np.ndarray) -> np.ndarray:
         return raw

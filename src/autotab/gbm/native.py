@@ -5,11 +5,15 @@ next to the source. Its name carries a hash of the source, the flags and
 the resolved path, size and modification time of the compiler executable,
 so an edit or a new compiler builds a new one, which deletes the libraries
 it supersedes, and finding a cached library starts no process. Only fitting
-needs it: GBM training grows its trees there, and Normalized Gini against a
-many-valued target (auto-typing and encoder selection for regression) counts
-its pairs there from ranks (`encoders.rank_gini`).
-Routing and prediction run in numpy. One module lock serializes the build
-and the load, so threads that need the kernel at once compile it once.
+needs it: GBM training grows its trees there and does the index bookkeeping
+and exact arithmetic of each boosting iteration; ROC AUC sums its positives'
+ranks there (`metrics.positive_rank_sum`), and so does Normalized Gini
+against a two-valued target where the ranks of x are not known; and
+Normalized Gini against a many-valued target (auto-typing and encoder
+selection for regression) counts its pairs there from ranks
+(`encoders.rank_gini`). Routing and prediction run in numpy. One module lock
+serializes the build and the load, so threads that need the kernel at once
+compile it once.
 """
 
 from __future__ import annotations
@@ -39,12 +43,16 @@ SIGNATURES = {  # name -> (restype, argtypes), as declared in _kernel.c
     "leaf_split": (_I, [_P, _I, _P, _P, _P, _I, _I, _I, _I, _P, _I, _P, _P, _P, _P, _P,
                         _P]),
     "leaf_scan": (None, [_P, _P, _I, _I, _D, _D, _P]),
-    "leaf_grow": (_I, [_P, _I, _P, _P, _P, _I, _I, _P, _I, _I, _I, _D, _D,
+    "leaf_grow": (_I, [_P, _I, _P, _P, _P, _P, _I, _I, _P, _I, _I, _I, _D, _D,
                        _P, _P, _P, _P, _P, _P, _P]),
     "obl_hist": (None, [_P, _I, _P, _I, _P, _P, _P, _P, _I, _I, _P, _P, _P]),
     "obl_scan": (None, [_P, _P, _P, _I, _I, _D, _D, _P]),
     "obl_grow": (_I, [_P, _I, _P, _P, _P, _I, _I, _P, _I, _I, _I, _D, _D,
                       _P, _P, _P, _P, _P]),
+    "lay_out": (_I, [_P, _I, _I, _P, _P]),
+    "gradients": (None, [_I, _P, _I, _I, _P, _I, _P, _P]),
+    "add_scores": (None, [_P, _I, _I, _P, _P, _I]),
+    "positive_rank_sum": (_D, [_P, _P, _I, _P]),
     "rank_concordance": (_I, [_P, _P, _I, _I, _I, _P, _P]),
 }
 _LOCK = threading.RLock()  # held by build() and kernel(), which calls build()
@@ -101,15 +109,19 @@ def _build(cache_dir: Path, compiler: tuple[str, ...]) -> Path:
     return lib
 
 
-def kernel() -> ctypes.CDLL:
-    """The loaded kernel, built on the first call in a process."""
+def kernel(hold_gil: bool = False) -> ctypes.CDLL:
+    """The loaded kernel, built on the first call in a process. Its calls
+    release the GIL, so other threads run while a tree grows. With
+    `hold_gil` they keep it (ctypes.PyDLL): for calls of microseconds,
+    where releasing the GIL would hand it to another thread and then wait to
+    get it back."""
     with _LOCK:
-        return _load()
+        return _load(ctypes.PyDLL if hold_gil else ctypes.CDLL)
 
 
 @functools.cache
-def _load() -> ctypes.CDLL:
-    lib = ctypes.CDLL(str(build()))
+def _load(loader: type) -> ctypes.CDLL:
+    lib = loader(str(build()))
     for name, (restype, argtypes) in SIGNATURES.items():
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes

@@ -16,8 +16,10 @@ rows that reach a leaf without adding to any histogram).
 The growers run through a `TreeKernel`, which a booster prepares once: it
 checks the code matrix and the fixed passengers, binds the kernel and
 holds every buffer the kernel touches, so growing a tree repeats none of
-that. A grown tree carries bin thresholds only; `set_raw_thresholds` looks
-up the raw ones, which a booster does for the trees it keeps.
+that; it also lays out each sample, computes the gradients and updates
+the scores in the kernel. A grown tree carries bin thresholds only;
+`set_raw_thresholds` looks up the raw ones, which a booster does for the
+trees it keeps.
 """
 
 from __future__ import annotations
@@ -86,15 +88,24 @@ class TreeKernel:
     what would otherwise repeat for each tree: it checks the code matrix,
     the training row count and the fixed passengers (the kernel reads
     through indices unchecked), loads the kernel, and allocates every buffer
-    the kernel reads or writes, taking their data pointers once. `sample`
-    picks the rows and features of the next trees from boolean masks, whose
-    indices are in range by construction, so a tree costs one kernel call
-    plus the copies of its gradients in and its nodes out.
+    the kernel reads or writes, taking their data pointers once
+    (`ndarray.ctypes.data` costs microseconds a lookup).
 
     Rows 0..n_train-1 of `codes` are the training rows, one per entry of
     the gradients. The passengers (held-out rows, as a rule the rows below
     the training rows) ride through every tree after the rows left out of
     its sample.
+
+    Everything of a boosting iteration that is exact arithmetic or index
+    bookkeeping runs in the kernel: `draw` lays out the sample from the
+    generator's draws, `gradients` computes one output's gradients and
+    hessians from the transformed scores, and `add_tree` adds the last
+    tree's leaf values into the raw scores that `bind_scores` bound. These
+    calls take microseconds and keep the GIL (`kernel(hold_gil=True)`):
+    releasing it would hand it to another booster's thread and then wait
+    for it. The growers release it. A tree so costs one grower call, the
+    copy of its nodes out and a few attribute lookups, and the generator's
+    draws and the loss transform are all a booster runs in numpy.
     """
 
     def __init__(self, codes: np.ndarray, n_train: int,
@@ -112,50 +123,113 @@ class TreeKernel:
                                                          or passengers.max() >= n_codes)):
             raise ValueError(f"passengers must be a 1-d index into {n_codes} entries")
         self.kernel = kernel()
+        self.short = kernel(hold_gil=True)  # for the calls of microseconds
         self.codes, self.n_train = codes, n_train
         # the index list each tree starts from: sampled rows, the rest, passengers
         self.layout = np.concatenate([np.arange(n_train), passengers], dtype=np.int64)
         self.m = n_train  # sampled rows, at the head of layout
-        self.idx = np.empty_like(self.layout)  # the kernel regroups it in place
-        self.values = np.empty(self.layout.shape[0])
+        self.idx = np.empty_like(self.layout)  # leaf_grow regroups a copy of layout here
+        self.values = np.zeros(self.layout.shape[0])  # leaf value of each row of the order
         self.feats = np.arange(n_features, dtype=np.int64)
         self.nf = n_features  # sampled features, at the head of feats
+        # the drawn rows and features; both hold np.arange between draws
+        self.perm = np.arange(n_train, dtype=np.int64)
+        self.chosen = np.arange(n_features, dtype=np.int64)
+        self.mark = np.empty(max(n_train, n_features), dtype=np.uint8)
         self.g, self.h = np.empty(n_train), np.empty(n_train)
         self.feature_gain = np.empty(n_features)
         self.ints, self.floats = np.empty(0, dtype=np.int32), np.empty(0)
         self._grow_outputs(1, 1)
         self.ptr = {name: getattr(self, name).ctypes.data for name in
-                    ("codes", "idx", "values", "feats", "g", "h", "feature_gain")}
+                    ("codes", "layout", "idx", "values", "feats", "perm", "chosen", "mark",
+                     "g", "h", "feature_gain")}
+        self.order = self.ptr["layout"]  # where the last tree's row order is
+
+    def bind_scores(self, raw: np.ndarray, y: np.ndarray, loss: int) -> None:
+        """Bind a booster's raw scores, one row per code row, (rows,) or
+        (rows, outputs) C-ordered float64, which `add_tree` updates; the
+        training rows' targets y as float64 (class numbers for multiclass);
+        and the kernel code of the loss (losses.py)."""
+        if not (isinstance(raw, np.ndarray) and raw.dtype == np.float64 and raw.ndim in (1, 2)
+                and raw.flags.c_contiguous and raw.shape[0] == self.codes.shape[0]):
+            raise ValueError("raw must be C-ordered float64 scores of every code row")
+        if not (isinstance(y, np.ndarray) and y.dtype == np.float64
+                and y.shape == (self.n_train,) and y.flags.c_contiguous):
+            raise ValueError(f"y must be {self.n_train} contiguous float64 targets")
+        self.raw, self.y, self.loss = raw, y, loss
+        self.outputs = 1 if raw.ndim == 1 else raw.shape[1]
+        self.ptr["raw"], self.ptr["y"] = raw.ctypes.data, y.ctypes.data
+
+    def draw(self, rng: np.random.Generator, n_rows: int | None,
+             n_feats: int | None) -> None:
+        """Sample the next trees as a booster draws them: the rows
+        `rng.permutation(n_train)[:n_rows]` and the features
+        `rng.choice(features, n_feats, replace=False)`, each in ascending
+        order; None keeps every row or feature and draws nothing. The
+        permutation comes from shuffling `perm`, which the kernel resets to
+        np.arange, as permutation() shuffles a fresh one. The rows left out
+        ride as passengers."""
+        if n_rows is not None:
+            if not 0 <= n_rows <= self.n_train:
+                raise ValueError(f"cannot draw {n_rows} of {self.n_train} rows")
+            rng.shuffle(self.perm)
+            self.m = self._lay_out("perm", n_rows, "layout")
+        if n_feats is not None:
+            self.chosen[:n_feats] = rng.choice(self.chosen.shape[0], size=n_feats, replace=False)
+            self.nf = self._lay_out("chosen", n_feats, "feats")
 
     def sample(self, in_bag: np.ndarray | None = None,
                features: np.ndarray | None = None) -> None:
         """Grow the next trees on the training rows that `in_bag` marks and
         the features that `features` marks: boolean masks over all of them,
         None for every one. The rows left out ride as passengers."""
-        n, f = self.n_train, self.codes.shape[1]
-        if in_bag is None:
-            self.layout[:n] = np.arange(n)
-            self.m = n
-        else:
-            _check_mask("in_bag", in_bag, n)
-            rows = in_bag.nonzero()[0]
-            self.m = rows.shape[0]
-            self.layout[:self.m] = rows
-            self.layout[self.m:n] = (~in_bag).nonzero()[0]
-        if features is None:
-            self.feats[:] = np.arange(f)
-            self.nf = f
-        else:
-            _check_mask("features", features, f)
-            chosen = features.nonzero()[0]
-            self.nf = chosen.shape[0]
-            self.feats[:self.nf] = chosen
+        if in_bag is not None:
+            _check_mask("in_bag", in_bag, self.n_train)
+        if features is not None:
+            _check_mask("features", features, self.chosen.shape[0])
+        counts = []
+        for mask, drawn in ((in_bag, self.perm), (features, self.chosen)):
+            k = drawn.shape[0]  # drawn holds np.arange: every index
+            if mask is not None:
+                picked = mask.nonzero()[0]
+                k = picked.shape[0]
+                drawn[:k] = picked
+            counts.append(k)
+        self.m = self._lay_out("perm", counts[0], "layout")
+        self.nf = self._lay_out("chosen", counts[1], "feats")
+
+    def _lay_out(self, drawn: str, k: int, out: str) -> int:
+        """Lay out buffer `out` with the first k indices of buffer `drawn`,
+        ascending, then the others (the kernel's lay_out, which resets
+        `drawn` to np.arange); returns how many were drawn."""
+        return self.short.lay_out(self.ptr[drawn], k, getattr(self, drawn).shape[0],
+                                  self.ptr["mark"], self.ptr[out])
+
+    def gradients(self, p: np.ndarray, c: int = 0) -> None:
+        """Write the gradients and hessians of output c of the training rows
+        into g and h, from p = loss.transform(raw): the bound loss's
+        formulas (losses.py), row by row in the kernel."""
+        if not (p.shape == self.raw.shape and p.dtype == np.float64 and p.flags.c_contiguous
+                and 0 <= c < self.outputs):
+            raise ValueError("p must be C-ordered float64 shaped as the raw scores")
+        self.short.gradients(self.loss, p.ctypes.data, self.outputs, c, self.ptr["y"],
+                              self.n_train, self.ptr["g"], self.ptr["h"])
+
+    def add_tree(self, c: int = 0) -> None:
+        """Add the last tree's leaf values into output c of every row's raw
+        score (`raw[order, c] += values`)."""
+        if not 0 <= c < self.outputs:
+            raise ValueError(f"no output {c} in {self.outputs}")
+        self.short.add_scores(self.ptr["raw"], self.outputs, c, self.order, self.ptr["values"],
+                               self.layout.shape[0])
 
     def _load(self, g: np.ndarray, h: np.ndarray) -> None:
-        """Copy one tree's gradients in and reset what its kernel call writes into."""
-        self.g[:] = g
-        self.h[:] = h
-        self.idx[:] = self.layout
+        """Make g and h the next tree's gradients, copied in unless they are
+        the buffers `gradients` wrote, and clear its feature gains."""
+        if g is not self.g:
+            self.g[:] = g
+        if h is not self.h:
+            self.h[:] = h
         self.feature_gain.fill(0.0)
 
     def _grow_outputs(self, n_ints: int, n_floats: int) -> None:
@@ -193,13 +267,14 @@ def grow_leafwise(kern: TreeKernel, g: np.ndarray, h: np.ndarray, max_leaves: in
     kern._grow_outputs(4 * max_nodes, max_nodes)
     ptr, ints = kern.ptr, kern.ints_ptr
     n_nodes = kern.kernel.leaf_grow(
-        ptr["codes"], kern.codes.shape[0], ptr["g"], ptr["h"], ptr["idx"], kern.m,
-        kern.idx.shape[0] - kern.m, ptr["feats"], kern.nf, max_leaves, min_data, reg, lr,
-        ints, ints + 4 * max_nodes, ints + 8 * max_nodes, ints + 12 * max_nodes,
+        ptr["codes"], kern.codes.shape[0], ptr["g"], ptr["h"], ptr["layout"], ptr["idx"],
+        kern.m, kern.idx.shape[0] - kern.m, ptr["feats"], kern.nf, max_leaves, min_data, reg,
+        lr, ints, ints + 4 * max_nodes, ints + 8 * max_nodes, ints + 12 * max_nodes,
         kern.floats_ptr, ptr["feature_gain"], ptr["values"])
     _check_status(n_nodes)
-    feature, bin_thr, left, right = (kern.ints[k * max_nodes:k * max_nodes + n_nodes].copy()
-                                     for k in range(4))
+    kern.order = ptr["idx"]
+    nodes = kern.ints[:4 * max_nodes].reshape(4, max_nodes)[:, :n_nodes].copy()
+    feature, bin_thr, left, right = nodes  # views of one copy
     tree = Tree(feature, bin_thr, None, left, right, kern.floats[:n_nodes].copy(),
                 kern.feature_gain.copy())
     return tree, kern.values, kern.idx
@@ -258,10 +333,11 @@ def grow_oblivious(kern: TreeKernel, g: np.ndarray, h: np.ndarray, max_depth: in
     kern._grow_outputs(2 * max_depth, 1 << max_depth)
     ptr, ints = kern.ptr, kern.ints_ptr
     depth = kern.kernel.obl_grow(
-        ptr["codes"], kern.codes.shape[0], ptr["g"], ptr["h"], ptr["idx"], kern.m,
-        kern.idx.shape[0] - kern.m, ptr["feats"], kern.nf, max_depth, min_data, reg, lr,
+        ptr["codes"], kern.codes.shape[0], ptr["g"], ptr["h"], ptr["layout"], kern.m,
+        kern.layout.shape[0] - kern.m, ptr["feats"], kern.nf, max_depth, min_data, reg, lr,
         ints, ints + 4 * max_depth, kern.floats_ptr, ptr["feature_gain"], ptr["values"])
     _check_status(depth)
+    kern.order = ptr["layout"]
     tree = ObliviousTree(kern.ints[:depth].copy(), kern.ints[max_depth:max_depth + depth].copy(),
                          None, kern.floats[:1 << depth].copy(), kern.feature_gain.copy())
-    return tree, kern.values, kern.idx
+    return tree, kern.values, kern.layout

@@ -27,9 +27,13 @@ booster summed while it trained (`fit_gbm`).
 `fit_gbm` trains a phase's folds on a pool of threads, one per CPU the
 process may use or LAMA_THREADS (see `threads.py`), at most one per fold.
 A tree grows in one call into the compiled kernel, which releases the GIL
-and keeps no global state, so the folds overlap; each fold has its own
-seed, kernel buffers and codes, so the models are bit-identical at any
-worker count, which tests/test_fold_workers.py checks. The kernel's buffers
+and keeps no global state, so the folds overlap. Around it a boosting
+iteration holds the GIL for the generator's draws, the numpy loss
+transform and a few attribute lookups; its sample layout, gradients, score
+update and ROC AUC are kernel calls of microseconds (see
+`gbm.boosting.fit_booster`). Each fold has its own seed, kernel buffers and
+codes, so the models are bit-identical at any worker count, which
+tests/test_fold_workers.py checks. The kernel's buffers
 live once per running booster, so their memory scales with the worker
 count: a leaf-wise tree holds one (3, features, 256) float64 histogram
 slot per leaf while it grows.

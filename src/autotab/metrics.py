@@ -44,40 +44,68 @@ def default_metric(task_kind: str) -> MetricSpec:
 def roc_auc(y: np.ndarray, scores: np.ndarray) -> float:
     """Rank-based AUC with 0.5 credit for tied scores.
 
-    Tied scores share their average rank (see `positive_rank_sum`).
-    Degenerate single-class targets score 0.5 (uninformative) instead of
-    raising, so that unlucky CV folds never abort a run; any NaN score gives
-    NaN.
+    Tied scores share their average rank, and the positives' rank sum is
+    one pass of the compiled kernel (`positive_rank_sum`), exact in any
+    order. Degenerate single-class targets score 0.5 (uninformative) instead
+    of raising, so that unlucky CV folds never abort a run; any NaN score
+    gives NaN. `RocAuc` scores many score vectors against one y.
     """
     y = np.asarray(y)
     scores = np.asarray(scores, dtype=np.float64)
     if y.shape != scores.shape:
         raise ValueError("y and scores must have identical shapes")
-    pos = y == 1
-    n1 = int(pos.sum())
-    n0 = y.shape[0] - n1
-    if n1 == 0 or n0 == 0:
-        return 0.5
-    if np.isnan(scores).any():
-        return float("nan")
-    r1 = positive_rank_sum(pos, scores)
-    return (r1 - n1 * (n1 + 1) / 2.0) / (n1 * n0)
+    return RocAuc(y.ravel())(scores.ravel())
+
+
+class RocAuc:
+    """`roc_auc` against one y, for many score vectors: the positives, their
+    count and the kernel's work buffer are prepared once, so a call is one
+    kernel pass. A booster scores its validation rows with one at every
+    iteration."""
+
+    def __init__(self, y: np.ndarray) -> None:
+        from .gbm.native import kernel  # fitting only: prediction never scores
+
+        self.pos = np.ascontiguousarray(np.asarray(y) == 1, dtype=bool)
+        if self.pos.ndim != 1:
+            raise ValueError("y must be 1-d")
+        self.n = self.pos.shape[0]
+        self.n1 = int(self.pos.sum())
+        self.n0 = self.n - self.n1
+        self.work = np.empty(3 * self.n, dtype=np.uint64)
+        self.rank_sum = kernel(hold_gil=True).positive_rank_sum
+        self.ptr = self.pos.ctypes.data, self.work.ctypes.data
+
+    def __call__(self, scores: np.ndarray) -> float:
+        if self.n1 == 0 or self.n0 == 0:
+            return 0.5
+        scores = np.ascontiguousarray(scores, dtype=np.float64)
+        if scores.shape != (self.n,):
+            raise ValueError("y and scores must have identical shapes")
+        pos, work = self.ptr
+        r1 = self.rank_sum(scores.ctypes.data, pos, self.n, work)
+        return (r1 - self.n1 * (self.n1 + 1) / 2.0) / (self.n1 * self.n0)
 
 
 def positive_rank_sum(pos: np.ndarray, scores: np.ndarray) -> float:
-    """Sum of the 1-based average ranks of `scores` (no NaN) over the rows in
-    `pos`.
+    """Sum of the 1-based average ranks of `scores` over the rows in `pos`,
+    NaN if a score is NaN.
 
     A score tied with others at sorted positions left..right-1 has the
-    average rank (left + 1 + right) / 2. Ranks are half-integers, so the sum
-    is exact in any order, and the picked scores are sorted first so that
-    the binary searches touch `ranked` in order (twice as fast at 10k rows).
+    average rank (left + 1 + right) / 2 (+0.0 ties -0.0). Ranks are
+    half-integers, so the sum is exact in any order. One pass of the
+    compiled kernel (`_kernel.c`) radix-sorts the scores with the flags of
+    `pos` and sums the tie groups.
     """
-    ranked = np.sort(scores)
-    picked = np.sort(scores[pos])
-    left = np.searchsorted(ranked, picked, side="left")
-    right = np.searchsorted(ranked, picked, side="right")
-    return float(((left + right + 1) / 2.0).sum())
+    from .gbm.native import kernel  # fitting only: prediction never scores
+
+    pos = np.ascontiguousarray(pos, dtype=bool)
+    scores = np.ascontiguousarray(scores, dtype=np.float64)
+    if pos.ndim != 1 or pos.shape != scores.shape:
+        raise ValueError("pos and scores must be 1-d of equal length")
+    work = np.empty(3 * pos.shape[0], dtype=np.uint64)
+    return kernel(hold_gil=True).positive_rank_sum(scores.ctypes.data, pos.ctypes.data,
+                                                   pos.shape[0], work.ctypes.data)
 
 
 def neg_logloss(y: np.ndarray, probs: np.ndarray) -> float:

@@ -13,7 +13,10 @@ import numpy as np
 from autotab.data import (DATETIME_FORMATS, DATETIME_PARSE_THRESHOLD, EPOCH_FORMAT,
                           EPOCH_RANGE, Column, _epoch_int_to_datetime)
 from autotab.gbm.binning import BinMapper
+from autotab.gbm.losses import make_loss
 from autotab.gbm.trees import ObliviousTree, Tree, route
+from autotab.metrics import evaluate
+from autotab.stopping import improves
 
 
 def concordance_pairwise(y, x) -> int:
@@ -569,3 +572,97 @@ def grow_oblivious(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
         feature_gain,
     )
     return tree, values[node_of_row], rows
+
+
+# The boosting iteration in numpy, as fit_booster ran it before the kernel took
+# over its sample layout, gradients and score updates: the reference that
+# fit_booster must equal bit for bit.
+
+
+def gradients(task_kind: str, y: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients and hessians of the training rows from p = transform(raw)."""
+    if task_kind == "binary":
+        return p - y, p * (1.0 - p)
+    if task_kind == "multiclass":
+        g = p.copy()
+        g[np.arange(y.shape[0]), y.astype(np.int64)] -= 1.0
+        return g, p * (1.0 - p)
+    return p - y, np.ones_like(p)
+
+
+def _roc_auc(y: np.ndarray, scores: np.ndarray) -> float:
+    pos = y == 1
+    n1 = int(pos.sum())
+    n0 = y.shape[0] - n1
+    if n1 == 0 or n0 == 0:
+        return 0.5
+    if np.isnan(scores).any():
+        return float("nan")
+    r1 = positive_rank_sum_argsort(pos, scores)
+    return (r1 - n1 * (n1 + 1) / 2.0) / (n1 * n0)
+
+
+def fit_booster(X, y, params, task_kind, n_classes=0, X_val=None, y_val=None, metric=None,
+                seed=0, patience=100):
+    """Boost with the numpy growers above: each iteration draws a boolean
+    mask of rows from rng.permutation and of features from rng.choice,
+    takes the numpy gradients, grows a tree on the masked rows, routes every
+    other row through it (`predict_codes`) and adds `raw[order] += values`,
+    then early-stops on the validation score (ROC AUC from
+    `positive_rank_sum_argsort`). Returns the kept trees with raw
+    thresholds, the eval history, the best iteration and the validation raw
+    scores at it."""
+    loss = make_loss(task_kind, n_classes)
+    n, f = X.shape
+    mapper = BinMapper().fit(X)
+    codes = mapper.transform(X if X_val is None else np.concatenate([X, X_val]))
+    n_all = codes.shape[0]
+    y_fit = y.astype(np.float64) if task_kind != "multiclass" else y
+    base = loss.init_score(y_fit)
+    raw = np.tile(base, (n_all, 1)) if task_kind == "multiclass" else np.full(n_all, base)
+    rng = np.random.default_rng(seed)
+    n_sub = max(1, int(round(params.subsample * n)))
+    n_feats = max(1, int(np.ceil(params.colsample * f)))
+    outputs = n_classes if task_kind == "multiclass" else 1
+    leaf_wise = params.flavor == "leaf_wise"
+    grow = grow_leafwise if leaf_wise else grow_oblivious
+    size = params.max_leaves if leaf_wise else params.max_depth
+    validating = X_val is not None and metric is not None
+    trees, history = [], []
+    best, best_score, best_raw = -1, -np.inf, None
+    p = loss.transform(raw)
+    for it in range(params.n_estimators_cap):
+        g, h = gradients(task_kind, y_fit, p[:n])
+        in_bag, used = np.ones(n, dtype=bool), np.ones(f, dtype=bool)
+        if params.subsample < 1.0:
+            in_bag = np.zeros(n, dtype=bool)
+            in_bag[rng.permutation(n)[:n_sub]] = True
+        if params.colsample < 1.0:
+            used = np.zeros(f, dtype=bool)
+            used[rng.choice(f, size=n_feats, replace=False)] = True
+        rows, feats = in_bag.nonzero()[0], used.nonzero()[0]
+        riders = np.setdiff1d(np.arange(n_all), rows)
+        for c in range(outputs):
+            gc, hc = (g[:, c], h[:, c]) if task_kind == "multiclass" else (g, h)
+            tree, values, order = grow(codes, np.ascontiguousarray(gc), np.ascontiguousarray(hc),
+                                       rows, feats, mapper, size, params.min_data_in_leaf,
+                                       params.l2_leaf_reg, params.learning_rate)
+            values = np.concatenate([values, predict_codes(tree, codes[riders])])
+            order = np.concatenate([order, riders])
+            if task_kind == "multiclass":
+                raw[order, c] += values
+            else:
+                raw[order] += values
+            trees.append(tree)
+        p = loss.transform(raw)
+        if validating:
+            score = (_roc_auc(y_val, p[n:]) if metric.name == "roc_auc"
+                     else evaluate(metric, y_val, p[n:]))
+            history.append(score)
+            if it == 0 or improves(score, best_score):
+                best, best_score, best_raw = it, score, raw[n:].copy()
+            if it - best >= patience:
+                break
+    if history:
+        return trees[:(best + 1) * outputs], history[:best + 1], best, best_raw
+    return trees, history, len(trees) // outputs - 1, None if X_val is None else raw[n:]

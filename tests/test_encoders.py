@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from autotab.encoders import (EncoderSpec, _general_concordance, fit_target_map,
-                              freq_encode, norm_gini, oof_target_encode,
+from autotab.encoders import (EncoderSpec, _general_concordance, class_ginis, dense_ranks,
+                              fit_target_map, freq_encode, norm_gini, oof_target_encode,
                               quantile_discretize)
 from autotab.errors import DataError
 
@@ -18,6 +18,25 @@ def _column(rng, n, levels):
     if levels == 0:
         return rng.normal(size=n)
     return rng.choice(rng.normal(size=levels) * 10.0, size=n)
+
+
+@given(n=st.integers(2, 80), x_levels=st.integers(0, 6), classes=st.integers(2, 5),
+       share=st.integers(1, 80), seed=st.integers(0, 2**16))
+def test_class_ginis_equal_norm_gini_of_each_indicator(n, x_levels, classes, share, seed):
+    """The per-class Gini from x's ranks and one bincount is norm_gini of
+    each class indicator bit for bit: ties in x, signed zeros, classes absent
+    from the rows, and x ranks with gaps (ranked over a larger table, then
+    a subset of rows taken)."""
+    rng = np.random.default_rng(seed)
+    table = _column(rng, n + 20, x_levels)
+    table[rng.random(n + 20) < 0.1] = -0.0
+    table[rng.random(n + 20) < 0.1] = 0.0
+    x_rank, x_levels_all = dense_ranks(table)
+    rows = np.sort(rng.choice(n + 20, size=n, replace=False))
+    y = rng.integers(0, max(1, classes * share // 80), size=n)  # some classes absent
+    got = class_ginis(y, classes, x_rank[rows], x_levels_all)
+    want = [norm_gini((y == c).astype(np.float64), table[rows]) for c in range(classes)]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 class TestGeneralConcordance:

@@ -72,14 +72,16 @@ class TestEarlyStop:
     """`best_iteration` picks the iteration early stopping keeps."""
 
     def test_patience_rule(self, monkeypatch):
-        # training halts once (current - best) >= patience and keeps the argmax
+        # training halts once (current - best) >= patience and keeps the argmax;
+        # the scores come from `evaluate`, which a booster calls for every
+        # metric but ROC AUC (that one it scores with a prepared RocAuc)
         history = [0.5, 0.7, 0.6, 0.6, 0.9, 0.9]
         assert best_iteration(history[:4]) == 1
         scores = iter(history)
         monkeypatch.setattr(boosting, "evaluate", lambda *args: next(scores))
         X, y = make_binary(200, 3, 2, seed=0)
         res = fit_booster(X[:150], y[:150], GBMParams(n_estimators_cap=50), "binary",
-                          X_val=X[150:], y_val=y[150:], metric=MetricSpec("roc_auc"),
+                          X_val=X[150:], y_val=y[150:], metric=MetricSpec("neg_logloss"),
                           patience=2)
         assert res.eval_history == [0.5, 0.7]
         assert res.best_iteration == 1

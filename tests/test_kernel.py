@@ -10,7 +10,9 @@ oblivious level totals or whole trees. The kernel reads a histogram bin only
 where its bitmap is set, so its histograms are compared with the oracle's on
 the set bins, and the oracle must hold +0.0 on every other bin. Passenger
 rows, which a grower routes without adding them to histograms, must land on
-the leaf that routing the finished tree gives them.
+the leaf that routing the finished tree gives them. A whole booster, whose
+per-iteration bookkeeping also runs in the kernel, must equal the numpy
+boosting loop of oracles.py.
 """
 
 import dataclasses
@@ -21,7 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autotab.gbm import GBMParams, boosting, fit_booster
+from autotab.gbm import GBMParams, fit_booster
+from autotab.gbm.boosting import PackedTrees
 from autotab.gbm import trees as kernel_trees
 from autotab.gbm.binning import BinMapper
 from autotab.gbm.native import kernel
@@ -422,31 +425,16 @@ def test_the_missing_bin_is_no_threshold():
                       oracles.grow_leafwise(*args)[0])
 
 
-def _oracle_entry(grow):
-    """The per-tree entry of trees.py backed by an oracle grower: it grows on
-    the TreeKernel's sample with the numpy kernel and routes the passengers
-    through the tree it grew. The stub mapper's thresholds are never kept:
-    fit_booster looks the raw ones up for the trees it keeps."""
-    class NoMapper:
-        def raw_threshold(self, f, t):
-            return np.nan
-
-    def entry(kern, g, h, size, min_data, reg, lr):
-        rows, passengers = kern.layout[:kern.m], kern.layout[kern.m:]
-        tree, values, order = grow(kern.codes, np.ascontiguousarray(g), np.ascontiguousarray(h),
-                                   rows, kern.feats[:kern.nf], NoMapper(), size, min_data, reg,
-                                   lr)
-        return (tree, np.concatenate([values, oracles.predict_codes(tree, kern.codes[passengers])]),
-                np.concatenate([order, passengers]))
-    return entry
-
-
 @settings(max_examples=30)
 @given(st.sampled_from(["binary", "regression", "multiclass"]),
        st.sampled_from(["leaf_wise", "symmetric_depth_wise"]),
        st.floats(0.3, 1.0), st.floats(0.3, 1.0), st.booleans(), st.integers(0, 2**16))
 def test_fit_booster_equals_oracle_growers(task_kind, flavor, subsample, colsample, validate,
                                            seed):
+    """fit_booster, whose sample layout, gradients, score updates and ROC
+    AUC run in the kernel, equals the numpy boosting loop with the numpy
+    growers (oracles.fit_booster): trees, feature gains, eval history, best
+    iteration and validation raw scores, bit for bit."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(20, 300))
     n_val = int(rng.integers(5, 100)) if validate else 0
@@ -471,18 +459,17 @@ def test_fit_booster_equals_oracle_growers(task_kind, flavor, subsample, colsamp
     val = (dict(X_val=X[n:], y_val=y[n:], metric=default_metric(task_kind), patience=2)
            if validate else {})
 
-    def fit():
-        return fit_booster(X[:n], y[:n], params, task_kind, n_classes, seed=seed, **val)
-
-    got = fit()
-    with mock.patch.object(boosting, "grow_leafwise", _oracle_entry(oracles.grow_leafwise)), \
-            mock.patch.object(boosting, "grow_oblivious", _oracle_entry(oracles.grow_oblivious)):
-        want = fit()
-    assert all(_same_bits(a, b) for a, b in zip(got.estimator.forest.fields,
-                                                want.estimator.forest.fields))
-    assert _same_bits(got.estimator.forest.offsets, want.estimator.forest.offsets)
-    assert _same_bits(got.estimator.feature_gain_, want.estimator.feature_gain_)
-    assert _same_bits(got.eval_history, want.eval_history)
-    assert got.best_iteration == want.best_iteration
+    got = fit_booster(X[:n], y[:n], params, task_kind, n_classes, seed=seed, **val)
+    trees, history, best, val_raw = oracles.fit_booster(X[:n], y[:n], params, task_kind,
+                                                        n_classes, seed=seed, **val)
+    want = PackedTrees.pack(type(trees[0]), trees)
+    assert all(_same_bits(a, b) for a, b in zip(got.estimator.forest.fields, want.fields))
+    assert _same_bits(got.estimator.forest.offsets, want.offsets)
+    gain = np.zeros(X.shape[1])
+    for tree in trees:
+        gain += tree.feature_gain
+    assert _same_bits(got.estimator.feature_gain_, gain)
+    assert _same_bits(got.eval_history, history)
+    assert got.best_iteration == best
     assert len(got.eval_history) == (got.best_iteration + 1 if validate else 0)
-    assert _same_bits(got.val_raw, want.val_raw) if validate else got.val_raw is None
+    assert _same_bits(got.val_raw, val_raw) if validate else got.val_raw is None

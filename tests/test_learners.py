@@ -172,8 +172,9 @@ class TestFitGBMModel:
         X, y = make_binary(4000, 10, 5, seed=4)
         ds = dataset_from_arrays(X, y, "binary")
         folds = make_folds(CVScheme("kfold", k=4, seed=0), ds)
+        # patience as large as the cap: only the budget can end the fit early
         model = fit_gbm(GBMFolds(ds, folds), GBMParams(n_estimators_cap=2000),
-                        budget=TimeBudget(0.5))
+                        budget=TimeBudget(0.5), patience=2000)
         assert model.truncated
         assert len(model.estimators) == 4
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from autotab.errors import ConfigError
-from autotab.metrics import (MetricSpec, default_metric, evaluate, neg_logloss,
+from autotab.metrics import (MetricSpec, RocAuc, default_metric, evaluate, neg_logloss,
                              neg_rmse, positive_rank_sum, r2, roc_auc)
 
 import oracles
@@ -89,8 +89,8 @@ def test_positive_rank_sum_equals_the_argsort_formula(rows):
 @given(st.lists(st.tuples(st.booleans(), st.integers(-3, 3)), max_size=300),
        st.sampled_from([0.5, 1.0, 1e300]))
 def test_positive_rank_sum_equals_the_unsorted_searchsorted_sum(rows, scale):
-    """Few distinct scores, so many ties: searching the sorted positive
-    scores gives the same sum as searching them in row order."""
+    """Few distinct scores, so many ties: the kernel's sum equals searching
+    each positive score in the sorted scores, in row order."""
     pos = np.array([p for p, _ in rows], dtype=bool)
     scores = np.array([s for _, s in rows], dtype=np.float64) * scale
     ranked = np.sort(scores)
@@ -99,6 +99,59 @@ def test_positive_rank_sum_equals_the_unsorted_searchsorted_sum(rows, scale):
     want = float(((left + right + 1) / 2.0).sum())
     got = positive_rank_sum(pos, scores)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+_TIED = np.array([-np.inf, -1.5, -0.0, 0.0, 0.5, 1.0, np.inf])
+
+
+@settings(max_examples=60, deadline=None)
+@example(n=1, pool="ties", share=1.0, nan=False, seed=0)
+@example(n=2, pool="ties", share=0.5, nan=False, seed=3)
+@example(n=10_000, pool="spread", share=0.4, nan=False, seed=1)
+@example(n=10_000, pool="probabilities", share=0.3, nan=True, seed=2)
+@example(n=200, pool="ulps", share=0.5, nan=False, seed=4)
+@given(n=st.integers(1, 10_000),
+       pool=st.sampled_from(["ties", "spread", "probabilities", "ulps"]),
+       share=st.floats(0.0, 1.0),
+       nan=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_kernel_rank_sum_equals_the_argsort_oracle(n, pool, share, nan, seed):
+    """The kernel's rank sum is the argsort formula's bit for bit, at 1 to
+    10k rows: many ties, +0.0 next to -0.0 and infinities, scores spread
+    over many binades, probabilities bunched near 0 and 1 (the booster's
+    validation scores), or scores a few units in the last place apart
+    (subnormals of both signs among them). A prepared RocAuc and roc_auc agree with
+    the formula; one class scores 0.5, and a NaN score gives NaN."""
+    rng = np.random.default_rng(seed)
+    if pool == "ties":
+        scores = rng.choice(_TIED, size=n)
+    elif pool == "spread":
+        scores = rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, size=n)
+    elif pool == "probabilities":
+        scores = 1.0 / (1.0 + np.exp(-4.0 * rng.normal(size=n)))
+    else:
+        scores = np.where(rng.random(n) < 0.5, 1.0 + np.spacing(1.0) * rng.integers(0, 100, n),
+                          5e-324 * rng.integers(-60, 60, n))
+    scores[rng.random(n) < 0.05] = 0.0
+    scores[rng.random(n) < 0.05] = -0.0
+    pos = rng.random(n) < share
+    if nan:
+        scores[rng.integers(0, n)] = np.nan
+    got = positive_rank_sum(pos, scores)
+    if nan:
+        assert np.isnan(got)
+    else:
+        want = oracles.positive_rank_sum_argsort(pos, scores)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    y = pos.astype(np.int64)
+    auc = roc_auc(y, scores)
+    assert np.float64(auc).tobytes() == np.float64(RocAuc(y)(scores)).tobytes()
+    n1 = int(pos.sum())
+    if n1 in (0, n):
+        assert auc == 0.5
+    elif nan:
+        assert np.isnan(auc)
+    else:
+        assert auc == (want - n1 * (n1 + 1) / 2.0) / (n1 * (n - n1))
 
 
 def test_auc_nan_score_gives_nan_and_single_class_half():
