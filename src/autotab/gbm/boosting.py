@@ -10,7 +10,7 @@ import numpy as np
 from ..budget import TimeBudget, unlimited
 from ..errors import ConfigError, DataError
 from ..metrics import MetricSpec, RocAuc, evaluate
-from ..stopping import improves
+from ..stopping import PATIENCE, improves
 from .binning import BinMapper
 from .losses import make_loss
 from .trees import ObliviousTree, Tree, TreeKernel, grow_leafwise, grow_oblivious
@@ -141,7 +141,7 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
                 n_classes: int = 0, X_val: np.ndarray | None = None,
                 y_val: np.ndarray | None = None, metric: MetricSpec | None = None,
                 budget: TimeBudget | None = None, seed: int = 0,
-                patience: int = 100, mapper: BinMapper | None = None) -> FitResult:
+                patience: int = PATIENCE, mapper: BinMapper | None = None) -> FitResult:
     """Train one booster with optional early stopping on a validation set.
 
     With `mapper`, `X` and `X_val` are pre-binned: uint8 codes that `mapper`

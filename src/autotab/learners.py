@@ -11,6 +11,10 @@ family and stores everything needed to repeat the mapping on new data:
   column and standardized; categories are one-hot up to cardinality 100,
   target-encoded above it.
 
+For regression, `fit_linear` factors the linear view's rows once per run:
+one QR per block of rows that the same folds train on, from which every
+fold's ridge path follows (`linear.fold_ridge_paths`).
+
 A target-encoded column `c` becomes K columns `c__te0 .. c__te{K-1}`, one
 per target row of the task (`encoders.target_rows`): K = 1 for binary and
 regression, the class count for multiclass.
@@ -54,8 +58,9 @@ from .encoders import (EncoderSpec, FrequencyMap, TargetMeanMap, fit_target_map,
                        freq_encode, oof_target_encode)
 from .errors import BudgetError, DataError
 from .gbm import BinMapper, GBMParams, fit_booster
-from .linear import LinearParams, fit_lambda_path, solve, unpack
+from .linear import LinearParams, fit_lambda_path, fold_ridge_paths, solve, unpack
 from .metrics import evaluate
+from .stopping import PATIENCE
 from .threads import worker_count
 from .validation import FoldAssignment, oof_assemble, kfold_vector
 
@@ -63,7 +68,6 @@ __all__ = ["TrainedModel", "GBMView", "GBMFolds", "LinearView", "fit_gbm", "fit_
            "LinearParams", "GBMParams"]
 
 ONE_HOT_MAX_CARDINALITY = 100
-GBM_PATIENCE = 100
 ENCODING_FOLDS = 5
 
 
@@ -337,7 +341,7 @@ class TrainedModel:
 
 def fit_gbm(data: GBMFolds, params: GBMParams, budget: TimeBudget | None = None,
             selected: list[str] | None = None, seed: int = 0,
-            patience: int = GBM_PATIENCE, tag: str | None = None) -> TrainedModel:
+            patience: int = PATIENCE, tag: str | None = None) -> TrainedModel:
     """Train one GBM per fold on the `selected` features of `data` with
     early stopping on the fold's validation rows.
 
@@ -398,6 +402,13 @@ def fit_linear(dataset: Dataset, folds: FoldAssignment,
                tag: str = "linear") -> TrainedModel:
     """Train the L2 linear model per fold along the regularization path.
 
+    Regression factors each block of rows once per run, a block being the
+    rows that the same folds train on (one per fold for k-fold schemes), and
+    hands each fold's path the combined factor of its blocks (see
+    `linear.fold_ridge_paths`); the path scores its whole strength grid
+    from one product. Binary and multiclass folds solve each strength by
+    warm-started Newton steps.
+
     The budget must admit the first fold's path; later folds degrade to a
     single solve at the best strength found so far.
     """
@@ -412,6 +423,8 @@ def fit_linear(dataset: Dataset, folds: FoldAssignment,
     y = dataset.target
     y_fit = y.astype(np.float64) if task.kind != "multiclass" else y
     metric = task.metric
+    ridges = ([None] * folds.k if task.kind != "regression" else
+              fold_ridge_paths(X, y_fit, folds))
 
     estimators = []
     fold_preds = []
@@ -431,7 +444,7 @@ def fit_linear(dataset: Dataset, folds: FoldAssignment,
         else:
             est, score, history = fit_lambda_path(
                 X[tr], y_fit[tr], X[va], y[va], task.kind, task.n_classes,
-                metric, params, budget=budget)
+                metric, params, budget=budget, ridge=ridges[f])
         best_lam = est.lam
         estimators.append(est)
         fold_preds.append(est.predict(X[va]))

@@ -4,9 +4,17 @@ Each fold walks the strength grid from the most to the least regularized
 point and stops the walk after two consecutive grid points fail to improve
 the validation metric (the path has a single optimum in practice).
 
-Regression minimises a squared loss, so one SVD of the centered training
-matrix gives the exact ridge solution at every strength (`RidgePath`). The
-binary and multiclass losses have no closed form: each grid point is a
+Regression minimises a squared loss, so one factorization of the centered
+training matrix gives the exact ridge solution at every strength
+(`RidgePath`). Rows that the same folds train on form a block, and each
+block gets one Householder QR of [1 | X | y] per run (`RidgeBlock`); a
+fold's factor is the QR of its blocks' stacked R factors (TSQR), followed
+by an SVD of the d x d centered part, so the folds share one pass over the
+rows (`fold_ridge_paths`). Singular values at or below
+max(n, d) * eps * |X|_F are dropped, which gives the minimum-norm solution
+of a rank-deficient matrix. The coefficients of every grid strength, and
+the validation predictions at all of them, are one matrix product each.
+The binary and multiclass losses have no closed form: each grid point is a
 truncated Newton solve warm-started from the previous one, as in LIBLINEAR
 (Lin, Weng & Keerthi, JMLR 2008). Each Newton step runs conjugate
 gradients on H d = -g, scaled by the diagonal of H, with Hessian-vector
@@ -27,6 +35,7 @@ from .errors import ConfigError
 from .gbm.losses import sigmoid, softmax
 from .metrics import MetricSpec, evaluate
 from .stopping import best_iteration
+from .validation import FoldAssignment
 
 PATH_PATIENCE = 2
 RELATIVE_DECREASE = 1e-15  # a Newton step that gains less ends the solve
@@ -262,33 +271,112 @@ def _newton(loss: _Loss, x: np.ndarray, max_iterations: int, tolerance: float,
     return x
 
 
-class RidgePath:
-    """Exact minimisers of 0.5*mean((X w + b - y)^2) + 0.5*lam*|w|^2.
+@dataclass(frozen=True)
+class RidgeBlock:
+    """What a ridge fit needs of one block of rows: the R factor of the
+    Householder QR of [1 | X | y], the row count, the column sums of X, the
+    sum of y and the squared Frobenius norm of X."""
 
-    Centering X and y leaves the intercept unpenalised: b = mean(y) -
-    mean(X) @ w. With the thin SVD Xc = U diag(s) V^T, every strength costs
-    O(d^2): w = V diag(s / (s^2 + n*lam)) U^T yc. Singular values at or below
-    a cutoff are dropped, so a rank-deficient matrix (collinear or
-    constant columns, fewer rows than columns) gives the finite minimum-norm
-    solution, also at lam = 0.
+    r: np.ndarray  # (min(n, d + 2), d + 2), upper triangular
+    n: int
+    x_sum: np.ndarray
+    y_sum: float
+    x_sq: float
+
+    @classmethod
+    def of(cls, X: np.ndarray, y: np.ndarray) -> "RidgeBlock":
+        n, d = X.shape
+        A = np.empty((n, d + 2))
+        A[:, 0] = 1.0
+        A[:, 1:-1] = X
+        A[:, -1] = y
+        return cls(np.linalg.qr(A, mode="r"), n, X.sum(axis=0), float(y.sum()),
+                   float(np.einsum("ij,ij->", X, X)))
+
+
+class RidgePath:
+    """Exact minimisers of 0.5*mean((X w + b - y)^2) + 0.5*lam*|w|^2 over the
+    rows of one or more `RidgeBlock`s.
+
+    The R factor of stacked row blocks is the R factor of the QR of their
+    stacked R factors (TSQR: Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
+    Comput. 2012), so a fold's factor comes from the QR of at most
+    blocks * (d + 2) rows, whatever the row count. Its leading ones column
+    absorbs the unpenalised intercept, b = mean(y) - mean(X) @ w: below its
+    first row, R's X columns [R_xx r_xy] are the R factor of the centered
+    [Xc yc], without forming Xc. With the SVD R_xx = Ur diag(s) V^T, Xc has
+    the singular values s and right vectors V, and U^T yc = Ur^T r_xy. Every
+    strength then costs O(d^2): w = V diag(s / (s^2 + n*lam)) U^T yc.
+
+    Singular values at or below max(n, d) * eps * |X|_F are dropped (lstsq's
+    relative cutoff, taken against the uncentered X, whose norm comes from
+    the blocks' norms: centering a constant column leaves rounding noise of
+    that size). So a rank-deficient matrix (collinear or constant columns,
+    fewer rows than columns) gives the finite minimum-norm solution, also at
+    lam = 0. `RidgePath(X, y)` is the path of one block.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray) -> None:
-        n, d = X.shape
+        self._factor([RidgeBlock.of(X, y)])
+
+    @classmethod
+    def of_blocks(cls, blocks: list[RidgeBlock]) -> "RidgePath":
+        path = cls.__new__(cls)
+        path._factor(blocks)
+        return path
+
+    def _factor(self, blocks: list[RidgeBlock]) -> None:
+        n = sum(block.n for block in blocks)
+        d = blocks[0].x_sum.shape[0]
         self.n = n
-        self.x_mean = X.mean(axis=0)
-        self.y_mean = float(y.mean())
-        U, s, Vt = np.linalg.svd(X - self.x_mean, full_matrices=False)
-        # lstsq's relative cutoff, taken against the uncentered X: centering
-        # a constant column leaves rounding noise of that size
-        keep = s > max(n, d) * np.finfo(np.float64).eps * np.linalg.norm(X)
+        self.x_mean = sum(block.x_sum for block in blocks) / n
+        self.y_mean = sum(block.y_sum for block in blocks) / n
+        r = np.linalg.qr(np.vstack([block.r for block in blocks]), mode="r")
+        Ur, s, Vt = np.linalg.svd(r[1:d + 1, 1:d + 1], full_matrices=False)
+        norm = np.sqrt(sum(block.x_sq for block in blocks))
+        keep = s > max(n, d) * np.finfo(np.float64).eps * norm
         self.s, self.Vt = s[keep], Vt[keep]
-        self.uty = U[:, keep].T @ (y - self.y_mean)
+        self.uty = Ur[:, keep].T @ r[1:d + 1, d + 1]
+
+    def coefficients(self, lams) -> tuple[np.ndarray, np.ndarray]:
+        """Weights (d, J) and intercepts (J,) at the J strengths `lams`, in
+        one product."""
+        lams = np.asarray(lams, dtype=np.float64)
+        s = self.s[:, None]
+        W = self.Vt.T @ (s / (s ** 2 + self.n * lams) * self.uty[:, None])
+        return W, self.y_mean - self.x_mean @ W
 
     def solve(self, lam: float) -> np.ndarray:
         """Packed solution (w, b) at strength `lam`."""
-        w = self.Vt.T @ (self.s / (self.s ** 2 + self.n * lam) * self.uty)
-        return np.append(w, self.y_mean - float(self.x_mean @ w))
+        W, b = self.coefficients([lam])
+        return np.append(W[:, 0], b[0])
+
+
+def fold_ridge_paths(X: np.ndarray, y: np.ndarray, folds: FoldAssignment) -> list[RidgePath]:
+    """The ridge path of each fold's training rows.
+
+    Rows that the same set of folds trains on form a block: one per fold
+    for k-fold schemes, plus one for the rows no fold validates for holdout,
+    time-series and custom schemes. Each block that some fold trains on is
+    factored once (`RidgeBlock.of`), and each fold's path combines the
+    factors of its blocks.
+    """
+    block_of_row = np.zeros(folds.n_rows, dtype=np.int64)
+    for f in range(folds.k):  # split every block by whether fold f trains on it
+        _, block_of_row = np.unique(2 * block_of_row + folds.train_mask(f),
+                                    return_inverse=True)
+    rows_of_block = np.split(np.argsort(block_of_row, kind="stable"),
+                             np.cumsum(np.bincount(block_of_row))[:-1])
+    first_rows = np.array([rows[0] for rows in rows_of_block])
+    factors: dict[int, RidgeBlock] = {}
+    paths = []
+    for f in range(folds.k):
+        blocks = np.flatnonzero(folds.train_mask(f)[first_rows]).tolist()
+        for b in blocks:
+            if b not in factors:
+                factors[b] = RidgeBlock.of(X[rows_of_block[b]], y[rows_of_block[b]])
+        paths.append(RidgePath.of_blocks([factors[b] for b in blocks]))
+    return paths
 
 
 def solve(X: np.ndarray, y: np.ndarray, lam: float, task_kind: str,
@@ -326,35 +414,42 @@ def unpack(x: np.ndarray, d: int, task_kind: str, n_classes: int,
 def fit_lambda_path(X: np.ndarray, y: np.ndarray, X_val: np.ndarray,
                     y_val: np.ndarray, task_kind: str, n_classes: int,
                     metric: MetricSpec, params: LinearParams,
-                    budget: TimeBudget | None = None
+                    budget: TimeBudget | None = None,
+                    ridge: RidgePath | None = None
                     ) -> tuple[LinearEstimator, float, list[float]]:
     """Walk the strength grid with early stopping.
 
-    Regression factors X once and solves every grid point exactly; the other
-    losses warm-start each Newton solve from the previous grid point.
-    Returns the best estimator, its validation score, and the score history.
-    Guarantees at least one grid point is solved even on an expired budget.
+    Regression takes `ridge`, the path of the training rows X, y (factored
+    here when None), and predicts the validation rows at every grid point
+    at once: the (d, J) coefficients and the (J, n_val) predictions are one
+    product each. The walk then scores them point by point, and the returned
+    estimator is `ridge.solve` at the best strength. The other losses
+    warm-start each Newton solve from the previous grid point. Returns the
+    best estimator, its validation score, and the score history. Guarantees
+    at least one grid point is scored even on an expired budget.
     """
     budget = budget or unlimited()
     d = X.shape[1]
-    ridge = RidgePath(X, y) if task_kind == "regression" else None
+    grid = [float(lam) for lam in params.lam_grid]
+    if task_kind == "regression":
+        ridge = RidgePath(X, y) if ridge is None else ridge
+        W, b = ridge.coefficients(grid)
+        grid_predictions = W.T @ X_val.T + b[:, None]  # row i: at grid[i]
     history: list[float] = []
     solutions: list[np.ndarray] = []
-    lams: list[float] = []
     worse_streak = 0
-    for i, lam in enumerate(params.lam_grid):
+    for i, lam in enumerate(grid):
         if i > 0 and budget.expired():
             break
-        if ridge is not None:
-            x = ridge.solve(float(lam))
+        if task_kind == "regression":
+            predictions = grid_predictions[i]
         else:
-            x = solve(X, y, float(lam), task_kind, n_classes,
-                      x0=solutions[-1] if solutions else None,
-                      max_iterations=params.max_iterations, tolerance=params.tolerance)
-        est = unpack(x, d, task_kind, n_classes, float(lam))
-        history.append(evaluate(metric, y_val, est.predict(X_val)))
-        solutions.append(x)
-        lams.append(float(lam))
+            solutions.append(solve(X, y, lam, task_kind, n_classes,
+                                   x0=solutions[-1] if solutions else None,
+                                   max_iterations=params.max_iterations,
+                                   tolerance=params.tolerance))
+            predictions = unpack(solutions[-1], d, task_kind, n_classes, lam).predict(X_val)
+        history.append(evaluate(metric, y_val, predictions))
         # a tie is not a worsening: scale-invariant metrics plateau across
         # the strongly regularized head of the grid
         if history[-1] < max(history):
@@ -364,5 +459,5 @@ def fit_lambda_path(X: np.ndarray, y: np.ndarray, X_val: np.ndarray,
         else:
             worse_streak = 0
     best = best_iteration(history)
-    return (unpack(solutions[best], d, task_kind, n_classes, lams[best]),
-            history[best], history)
+    x = ridge.solve(grid[best]) if task_kind == "regression" else solutions[best]
+    return unpack(x, d, task_kind, n_classes, grid[best]), history[best], history

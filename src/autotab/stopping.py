@@ -6,6 +6,10 @@ import numpy as np
 
 from .errors import ConfigError
 
+# Iterations a GBM grows past its best validation score before it stops:
+# the default of every booster, GBM phase and tuning trial.
+PATIENCE = 100
+
 
 def best_iteration(eval_history) -> int:
     """Index of the best score; ties resolve to the earliest."""

@@ -19,6 +19,7 @@ from .errors import ConfigError
 from .gbm import GBMParams, fit_booster
 from .learners import GBMFolds
 from .metrics import evaluate
+from .stopping import PATIENCE
 
 TPE_GAMMA = 0.15
 TPE_N_STARTUP = 10
@@ -181,7 +182,7 @@ def _dict_from_params(p: GBMParams, space: SearchSpace) -> dict:
 def tune_gbm(data: GBMFolds, flavor: str, tune_budget: TimeBudget | None = None,
              seed: int = 0, selected: list[str] | None = None,
              max_trials: int = MAX_TRIALS,
-             patience: int = 100) -> tuple[GBMParams, TrialHistory]:
+             patience: int = PATIENCE) -> tuple[GBMParams, TrialHistory]:
     """TPE loop over a single tuning split (first fold as validation) of the
     `selected` features of `data`.
 

@@ -16,7 +16,7 @@ from autotab.gbm.binning import BinMapper
 from autotab.gbm.losses import make_loss
 from autotab.gbm.trees import ObliviousTree, Tree, route
 from autotab.metrics import evaluate
-from autotab.stopping import improves
+from autotab.stopping import PATIENCE, improves
 
 
 def concordance_pairwise(y, x) -> int:
@@ -318,6 +318,35 @@ def lbfgs_solve(X, y, lam, task_kind, n_classes=0, x0=None) -> np.ndarray:
     return res.x
 
 
+def ridge_svd_solve(X, y, lam) -> np.ndarray:
+    """The packed ridge solution (w, b) from one thin SVD of the centered
+    training rows, as linear.RidgePath computed it before it was built from
+    QR factors of row blocks."""
+    n, d = X.shape
+    x_mean, y_mean = X.mean(axis=0), float(y.mean())
+    U, s, Vt = np.linalg.svd(X - x_mean, full_matrices=False)
+    keep = s > max(n, d) * np.finfo(np.float64).eps * np.linalg.norm(X)
+    s, Vt = s[keep], Vt[keep]
+    w = Vt.T @ (s / (s ** 2 + n * lam) * (U[:, keep].T @ (y - y_mean)))
+    return np.append(w, y_mean - float(x_mean @ w))
+
+
+def ridge_lambda_path(X, y, X_val, y_val, metric, grid, patience=2):
+    """linear.fit_lambda_path's regression walk over per-fold SVD solutions,
+    one grid point at a time: (best strength, score history, validation
+    predictions at the best strength)."""
+    history, predictions, worse = [], [], 0
+    for lam in grid:
+        x = ridge_svd_solve(X, y, float(lam))
+        predictions.append(X_val @ x[:-1] + x[-1])
+        history.append(evaluate(metric, y_val, predictions[-1]))
+        worse = 0 if history[-1] >= max(history) else worse + 1  # ties are no worse
+        if worse >= patience:
+            break
+    best = int(np.argmax(history))
+    return float(grid[best]), history, predictions[best]
+
+
 def level_walk(feature, threshold, left, right, value, X) -> np.ndarray:
     """Leaf value of every row of X, walking all rows one depth level at a
     time (the tree evaluation the node-by-node router replaced)."""
@@ -387,8 +416,11 @@ def _gain_matrix(G: np.ndarray, H: np.ndarray, C: np.ndarray, reg: float,
     gr = gt - gl
     hr = ht - hl
     cr = ct - cl
-    parent = gt ** 2 / (ht + reg)
-    gains = 0.5 * (gl ** 2 / (hl + reg) + gr ** 2 / (hr + reg) - parent)
+    # the kernel tests draw zero hessian sums at reg = 0 and NaN gradients:
+    # their cells divide by zero on purpose, as the kernel's do
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parent = gt ** 2 / (ht + reg)
+        gains = 0.5 * (gl ** 2 / (hl + reg) + gr ** 2 / (hr + reg) - parent)
     invalid = (cl < min_data) | (cr < min_data)
     gains[invalid] = -np.inf
     return gains, cl
@@ -562,7 +594,8 @@ def grow_oblivious(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
     n_leaves = 1 << depth
     g_leaf = np.bincount(node_of_row, weights=gr, minlength=n_leaves)
     h_leaf = np.bincount(node_of_row, weights=hr, minlength=n_leaves)
-    values = -lr * g_leaf / (h_leaf + reg)
+    with np.errstate(divide="ignore", invalid="ignore"):  # empty leaves, set to 0 below
+        values = -lr * g_leaf / (h_leaf + reg)
     values[np.bincount(node_of_row, minlength=n_leaves) == 0] = 0.0
     tree = ObliviousTree(
         np.array(level_feats, dtype=np.int32),
@@ -603,7 +636,7 @@ def _roc_auc(y: np.ndarray, scores: np.ndarray) -> float:
 
 
 def fit_booster(X, y, params, task_kind, n_classes=0, X_val=None, y_val=None, metric=None,
-                seed=0, patience=100):
+                seed=0, patience=PATIENCE):
     """Boost with the numpy growers above: each iteration draws a boolean
     mask of rows from rng.permutation and of features from rng.choice,
     takes the numpy gradients, grows a tree on the masked rows, routes every

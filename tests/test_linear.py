@@ -9,12 +9,13 @@ from autotab.data import dataset_from_arrays
 from autotab.errors import BudgetError, ConfigError
 from autotab.learners import fit_linear
 from autotab.linear import (LinearParams, RidgePath, _Logistic, _Softmax,
-                            default_lambda_grid, fit_lambda_path, solve, unpack)
+                            default_lambda_grid, fit_lambda_path, fold_ridge_paths,
+                            solve, unpack)
 from autotab.metrics import MetricSpec
 from autotab.validation import CVScheme, make_folds
 
 from conftest import make_binary, make_regression
-from oracles import lbfgs_solve, linear_objective
+from oracles import lbfgs_solve, linear_objective, ridge_lambda_path, ridge_svd_solve
 
 
 def separable(n=400, seed=0):
@@ -213,31 +214,57 @@ def _rank_deficient(n, d, seed, duplicate=True, constant=True):
     return X, rng.normal(size=n) + 2.0
 
 
+def _assert_stationary(X, y, x, lam):
+    """The gradient of the ridge objective vanishes at x, entry by entry."""
+    assert np.all(np.isfinite(x))
+    n = X.shape[0]
+    w, b = x[:-1], x[-1]
+    r = X @ w + b - y
+    grad_w = X.T @ r / n + lam * w
+    grad_b = r.mean()
+    # the size of the terms the gradient sums, entry by entry
+    size = np.abs(X @ w) + abs(b) + np.abs(y)
+    assert np.all(np.abs(grad_w) <= 1e-9 * (np.abs(X).T @ size / n + lam * np.abs(w)))
+    assert abs(grad_b) <= 1e-9 * size.mean()
+
+
+def _assert_min_norm_lstsq(X, y, x):
+    Xc, yc = X - X.mean(axis=0), y - y.mean()
+    w_ls = np.linalg.lstsq(Xc, yc, rcond=None)[0]
+    assert np.abs(x[:-1] - w_ls).max() <= 1e-9 * np.abs(w_ls).max()
+    assert x[-1] == pytest.approx(y.mean() - X.mean(axis=0) @ w_ls, rel=1e-9)
+
+
+def _folds(kind, n, k, seed):
+    """A fold assignment of n rows. The custom scheme draws folds -1..k-1
+    per row: at k = 1 no fold trains on the rows of fold 0."""
+    rng = np.random.default_rng(seed)
+    columns = np.column_stack([rng.permutation(n).astype(float), rng.normal(size=n)])
+    labels = np.arange(n) % 2
+    ds = dataset_from_arrays(columns, labels, "binary", feature_names=["t", "x"])
+    if kind == "custom":
+        fold = rng.integers(-1, k, size=n)
+        fold[rng.integers(n)] = k - 1
+        scheme = CVScheme("custom", fold_of_row=tuple(fold.tolist()))
+    elif kind == "holdout":
+        scheme = CVScheme("holdout", holdout_fraction=0.3, seed=seed)
+    else:
+        scheme = CVScheme(kind, k=k, time_column="t", seed=seed)
+    return make_folds(scheme, ds)
+
+
 class TestRidgePath:
     @given(n=st.integers(1, 40), d=st.integers(1, 12), seed=st.integers(0, 2**16),
            duplicate=st.booleans(), constant=st.booleans(),
            lam=st.sampled_from([0.0, 1e-5, 1e-2, 1.0, 1e3]))
     def test_gradient_vanishes_at_solution(self, n, d, seed, duplicate, constant, lam):
         X, y = _rank_deficient(n, d, seed, duplicate, constant)
-        x = RidgePath(X, y).solve(lam)
-        assert np.all(np.isfinite(x))
-        w, b = x[:-1], x[-1]
-        r = X @ w + b - y
-        grad_w = X.T @ r / n + lam * w
-        grad_b = r.mean()
-        # the size of the terms the gradient sums, entry by entry
-        size = np.abs(X @ w) + abs(b) + np.abs(y)
-        assert np.all(np.abs(grad_w) <= 1e-9 * (np.abs(X).T @ size / n + lam * np.abs(w)))
-        assert abs(grad_b) <= 1e-9 * size.mean()
+        _assert_stationary(X, y, RidgePath(X, y).solve(lam), lam)
 
     @pytest.mark.parametrize("n,d", [(50, 6), (5, 10)])
     def test_unregularized_rank_deficient_is_min_norm_lstsq(self, n, d):
         X, y = _rank_deficient(n, d, seed=n + d)
-        x = RidgePath(X, y).solve(0.0)
-        Xc, yc = X - X.mean(axis=0), y - y.mean()
-        w_ls = np.linalg.lstsq(Xc, yc, rcond=None)[0]
-        assert np.abs(x[:-1] - w_ls).max() <= 1e-9 * np.abs(w_ls).max()
-        assert x[-1] == pytest.approx(y.mean() - X.mean(axis=0) @ w_ls, rel=1e-9)
+        _assert_min_norm_lstsq(X, y, RidgePath(X, y).solve(0.0))
 
     def test_all_constant_columns_fit_the_mean(self):
         X = np.full((7, 3), 0.1)
@@ -245,6 +272,72 @@ class TestRidgePath:
         x = RidgePath(X, y).solve(0.0)
         assert np.array_equal(x[:-1], np.zeros(3))
         assert x[-1] == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("n,d", [(200, 6), (50, 6), (5, 10)])
+    def test_equals_the_svd_of_the_centered_rows(self, n, d):
+        X, y = _rank_deficient(n, d, seed=n + d)
+        path = RidgePath(X, y)
+        for lam in [0.0] + default_lambda_grid().tolist():
+            ref = ridge_svd_solve(X, y, lam)
+            assert np.abs(path.solve(lam) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_coefficients_are_the_solutions_of_each_strength(self):
+        X, y = _rank_deficient(30, 5, seed=3)
+        path = RidgePath(X, y)
+        grid = default_lambda_grid()
+        W, b = path.coefficients(grid)
+        assert W.shape == (X.shape[1], grid.shape[0]) and b.shape == grid.shape
+        for j, lam in enumerate(grid):
+            x = path.solve(float(lam))
+            assert np.allclose(W[:, j], x[:-1], rtol=1e-13, atol=1e-15)
+            assert b[j] == pytest.approx(x[-1], rel=1e-13, abs=1e-15)
+
+
+class TestFoldRidgePaths:
+    """Each fold's path, built from the factors of row blocks, is the path of
+    the fold's training rows."""
+
+    @settings(max_examples=100)
+    @given(kind=st.sampled_from(["kfold", "stratified_kfold", "holdout", "time_series",
+                                 "custom"]),
+           n=st.integers(4, 40), d=st.integers(1, 10), k=st.integers(1, 5),
+           seed=st.integers(0, 2**16), duplicate=st.booleans(), constant=st.booleans())
+    def test_block_paths_equal_the_paths_of_the_training_rows(self, kind, n, d, k, seed,
+                                                              duplicate, constant):
+        assume(kind == "custom" or 2 <= k <= n // 2)
+        folds = _folds(kind, n, k, seed)
+        masks = [folds.train_mask(f) for f in range(folds.k)]
+        assume(all(mask.any() for mask in masks))
+        X, y = _rank_deficient(n, d, seed, duplicate, constant)
+        for mask, path in zip(masks, fold_ridge_paths(X, y, folds)):
+            one = RidgePath(X[mask], y[mask])
+            assert path.n == mask.sum()
+            for lam in (0.0, 1e-5, 1e3):
+                x, ref = path.solve(lam), one.solve(lam)
+                assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+                _assert_stationary(X[mask], y[mask], x, lam)
+
+    def test_a_block_no_fold_trains_on_is_not_factored(self, monkeypatch):
+        folds = _folds("holdout", 40, 1, seed=2)
+        X, y = _rank_deficient(40, 3, seed=2)
+        factored = []
+        of = linear.RidgeBlock.of.__func__
+
+        def recorded(cls, Xb, yb):
+            factored.append(Xb.shape[0])
+            return of(cls, Xb, yb)
+
+        monkeypatch.setattr(linear.RidgeBlock, "of", classmethod(recorded))
+        (path,) = fold_ridge_paths(X, y, folds)
+        assert factored == [int((folds.fold_of_row == -1).sum())] == [path.n]
+
+    @pytest.mark.parametrize("n,d", [(50, 6), (15, 10)])
+    def test_unregularized_rank_deficient_is_min_norm_lstsq(self, n, d):
+        X, y = _rank_deficient(n, d, seed=n + d)
+        folds = _folds("kfold", n, 3, seed=n)
+        for f, path in enumerate(fold_ridge_paths(X, y, folds)):
+            tr = folds.train_mask(f)
+            _assert_min_norm_lstsq(X[tr], y[tr], path.solve(0.0))
 
 
 class TestLambdaPath:
@@ -335,6 +428,29 @@ class TestFitLinear:
             expected = linear.solve(*args, max_iterations=1, tolerance=1e-3)
             assert np.array_equal(x, expected)
             assert not np.array_equal(x, linear.solve(*args))
+
+    @pytest.mark.parametrize("kind,k", [("kfold", 5), ("holdout", 1)])
+    def test_regression_matches_the_per_fold_svd_path(self, kind, k):
+        """Each fold picks the strength, and walks as many grid points, as
+        the path of one SVD per fold does, with the same OOF predictions."""
+        X, y = make_regression(600, 8, 5, seed=15, noise=1.0)
+        X = np.hstack([X, X[:, :1], np.full((600, 1), 2.5)])  # duplicate, constant
+        ds = dataset_from_arrays(X, y, "regression")
+        folds = make_folds(CVScheme(kind, k=k, holdout_fraction=0.3, seed=1), ds)
+        params = LinearParams()
+        model = fit_linear(ds, folds, params=params)
+        Xv = model.view.train_matrix(ds, folds)
+        oof = np.full(600, np.nan)
+        for f, tr, va in folds.iter_splits():
+            lam, history, pred = ridge_lambda_path(Xv[tr], y[tr], Xv[va], y[va],
+                                                   ds.task.metric, params.lam_grid)
+            assert model.estimators[f].lam == lam
+            assert len(model.extra["lambda_histories"][f]) == len(history)
+            assert np.allclose(model.extra["lambda_histories"][f], history,
+                               rtol=1e-12, atol=1e-14)
+            oof[va] = pred
+        mask = folds.oof_mask()
+        assert np.abs(model.oof[mask] - oof[mask]).max() <= 1e-12 * np.abs(oof[mask]).max()
 
     def test_multiclass_predictions_are_simplex(self):
         rng = np.random.default_rng(11)
