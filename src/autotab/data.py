@@ -18,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 
 import numpy as np
 
@@ -229,6 +230,11 @@ class _Text:
         present = np.fromiter((c is not None for c in cells), dtype=bool, count=len(cells))
         return cls(present, [c.strip() for c in cells if c is not None])
 
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """The length of each non-missing cell."""
+        return np.fromiter(map(len, self.cells), dtype=np.int64, count=len(self.cells))
+
     def floats(self, convert) -> np.ndarray:
         """float64 of `convert(cell)` for each non-missing cell; raises what
         `convert` raises."""
@@ -298,9 +304,13 @@ def _layout(fmt: str) -> tuple[int, dict[str, slice], list[tuple[int, int]]]:
 
 
 _LAYOUTS = {fmt: _layout(fmt) for fmt in DATETIME_FORMATS}
+# strptime matches a format's punctuation literally: a cell with fewer of any
+# of these characters than its format has cannot parse under it
+_PUNCTUATION = {fmt: [(ch, fmt.count(ch)) for ch in "-/.:" if ch in fmt]
+                for fmt in DATETIME_FORMATS}
 
 
-def _bulk_epochs(cells: list[str], fmt: str) -> tuple[np.ndarray, np.ndarray]:
+def _bulk_epochs(text: _Text, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     """Epoch seconds of the cells written exactly in `fmt`'s zero-padded ASCII
     layout that name a valid time, NaN elsewhere; and the mask of those cells.
 
@@ -310,9 +320,10 @@ def _bulk_epochs(cells: list[str], fmt: str) -> tuple[np.ndarray, np.ndarray]:
     every other cell is left to `strptime`.
     """
     width, fields, literals = _LAYOUTS[fmt]
+    cells = text.cells
     epochs = np.full(len(cells), np.nan)
     done = np.zeros(len(cells), dtype=bool)
-    fits = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells)) == width
+    fits = text.lengths == width
     rows = np.flatnonzero(fits)
     if rows.size == 0:
         return epochs, done
@@ -344,6 +355,17 @@ def _bulk_epochs(cells: list[str], fmt: str) -> tuple[np.ndarray, np.ndarray]:
     return epochs, done
 
 
+def _strptime_utc(cell: str, fmt: str) -> datetime | None:
+    """`strptime` of the cell as UTC, or None where it fails. A cell short of
+    the format's punctuation fails without the call."""
+    if any(cell.count(ch) < k for ch, k in _PUNCTUATION[fmt]):
+        return None
+    try:
+        return datetime.strptime(cell, fmt).replace(tzinfo=timezone.utc)
+    except ValueError:
+        return None
+
+
 def _parse_datetime_format(text: _Text, fmt: str,
                            max_failures: int | None = None) -> tuple[np.ndarray, int] | None:
     """Parse under one format; failures become NaN. Returns (epochs, n_parsed),
@@ -351,14 +373,15 @@ def _parse_datetime_format(text: _Text, fmt: str,
 
     Cells in the format's fixed layout are parsed in bulk; the rest go through
     `strptime` one at a time, which accepts unpadded fields and runs of
-    whitespace and has the final word on every cell the bulk pass leaves.
+    whitespace and has the final word on every cell the bulk pass leaves
+    (`_strptime_utc` refuses a cell short of the format's punctuation
+    without calling it).
     """
-    epochs, done = _bulk_epochs(text.cells, fmt)
+    epochs, done = _bulk_epochs(text, fmt)
     failures = 0
     for i in np.flatnonzero(~done):
-        try:
-            dt = datetime.strptime(text.cells[i], fmt).replace(tzinfo=timezone.utc)
-        except ValueError:
+        dt = _strptime_utc(text.cells[i], fmt)
+        if dt is None:
             failures += 1
             if max_failures is not None and failures > max_failures:
                 return None

@@ -1,11 +1,15 @@
-"""Model combination: coordinate-descent weighted blending and stack features.
+"""Model combination: ensemble-selection blending and stack features.
 
-Blending starts at the vertex of the best single model and sweeps the
-coordinates in fixed order, line-searching each weight on a 33-point grid
-while the other weights rescale proportionally. Only strict metric
-improvements are accepted, which makes "blend never loses to the best single
-model" a hard guarantee. Near-zero weights are pruned afterwards unless
-pruning would cost metric.
+Blending is the ensemble selection of Caruana et al. ("Ensemble selection
+from libraries of models", ICML 2004): greedy forward selection with
+replacement. It starts from the best single model (count 1, lowest index on
+ties). Each step adds one copy of the model whose candidate blend scores
+best, each candidate scored at its count weights through the arithmetic of
+`apply_blend`. After ENSEMBLE_STEPS steps the best-scoring prefix is kept,
+and only a strictly better prefix replaces it, so the blend never scores
+below the best single model. A search of m models costs at most
+m * (ENSEMBLE_STEPS + 1) metric evaluations, and a budget that expires stops
+it between steps.
 """
 
 from __future__ import annotations
@@ -14,15 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .budget import TimeBudget
 from .errors import DataError
 from .learners import TrainedModel
 from .metrics import MetricSpec, evaluate
 
-GRID_POINTS = 33
-ZOOM_LEVELS = 3  # shrinking refinement windows after each coarse line scan
-MAX_SWEEPS = 10
-SWEEP_TOLERANCE = 1e-7
-PRUNE_THRESHOLD = 0.01
+ENSEMBLE_STEPS = 50
 
 
 @dataclass
@@ -30,12 +31,16 @@ class BlendWeights:
     weights: np.ndarray
     dropped: list[int] = field(default_factory=list)
     metric_value: float = float("nan")
-    sweep_trace: list[float] = field(default_factory=list)
+    sweep_trace: list[float] = field(default_factory=list)  # each improving prefix's score
+    evals: int = 0  # metric evaluations the search made
+    steps: int = 0  # ensemble-selection steps taken
+    stop: str = ""  # "steps", "budget" or "one model"
 
     def to_json(self) -> dict:
         return {"weights": [float(w) for w in self.weights],
                 "dropped": list(self.dropped),
-                "metric": float(self.metric_value)}
+                "metric": float(self.metric_value),
+                "evals": self.evals, "steps": self.steps, "stop": self.stop}
 
 
 def _blended(preds: list[np.ndarray], w: np.ndarray, multiclass: bool) -> np.ndarray:
@@ -47,21 +52,16 @@ def _blended(preds: list[np.ndarray], w: np.ndarray, multiclass: bool) -> np.nda
     return out
 
 
-def _candidate(w: np.ndarray, i: int, t: float) -> np.ndarray:
-    """Set w[i] = t; the other weights share 1 - t proportionally."""
-    out = np.empty_like(w)
-    rest = 1.0 - w[i]
-    if rest <= 0:
-        out[:] = (1.0 - t) / max(1, len(w) - 1)
-    else:
-        out[:] = w * ((1.0 - t) / rest)
-    out[i] = t
-    return out
-
-
 def blend_weights(oofs: list[np.ndarray], y: np.ndarray, metric: MetricSpec,
-                  mask: np.ndarray | None = None) -> BlendWeights:
-    """Fit convex combination weights on out-of-fold predictions."""
+                  mask: np.ndarray | None = None,
+                  budget: TimeBudget | None = None) -> BlendWeights:
+    """Ensemble-selection weights on out-of-fold predictions.
+
+    The m single models are always scored; the ENSEMBLE_STEPS steps stop
+    early once `budget` expires. The weights are the counts of the best
+    prefix over their total, and `metric_value` equals `evaluate` of
+    `apply_blend` at them, bit for bit.
+    """
     if not oofs:
         raise DataError("blend needs at least one model")
     multiclass = oofs[0].ndim == 2
@@ -73,70 +73,32 @@ def blend_weights(oofs: list[np.ndarray], y: np.ndarray, metric: MetricSpec,
     m = len(preds)
     if m == 1:
         score = evaluate(metric, y, preds[0])
-        return BlendWeights(np.array([1.0]), metric_value=score)
+        return BlendWeights(np.array([1.0]), metric_value=score, evals=1, stop="one model")
 
-    singles = np.array([evaluate(metric, y, p) for p in preds])
-    best_single = int(np.argmax(singles))
-    w = np.zeros(m)
-    w[best_single] = 1.0
-    current = float(singles[best_single])
-    trace = [current]
+    def score(counts: np.ndarray) -> float:
+        return evaluate(metric, y, _blended(preds, counts / counts.sum(), multiclass))
 
-    def line_search(w_now: np.ndarray, i: int, floor: float):
-        """Best weight for coordinate i: coarse grid, then shrinking windows.
-
-        The zoom recenters on the incumbent weight when no coarse point wins,
-        so an off-grid incumbent still gets refined toward its 1-D optimum.
-        """
-        best_t = None
-        best_score = floor
-        anchor = float(w_now[i])
-        lo, hi = 0.0, 1.0
-        for _level in range(ZOOM_LEVELS + 1):
-            for t in np.linspace(lo, hi, GRID_POINTS):
-                cand = _candidate(w_now, i, float(t))
-                score = evaluate(metric, y, _blended(preds, cand, multiclass))
-                if score > best_score:
-                    best_score = score
-                    best_t = float(t)
-            if best_t is not None:
-                anchor = best_t
-            step = (hi - lo) / (GRID_POINTS - 1)
-            lo = max(0.0, anchor - step)
-            hi = min(1.0, anchor + step)
-        return best_t, best_score
-
-    for _ in range(MAX_SWEEPS):
-        sweep_start = current
-        for i in range(m):
-            best_t, best_score = line_search(w, i, current)
-            if best_t is not None:
-                w = _candidate(w, i, best_t)
-                current = best_score
-                trace.append(current)
-        if current - sweep_start < SWEEP_TOLERANCE:
+    one_more = np.eye(m, dtype=np.int64)  # row i adds one copy of model i
+    singles = [score(row) for row in one_more]
+    first = int(np.argmax(singles))
+    counts, best_counts, best_score = one_more[first], one_more[first], singles[first]
+    trace = [best_score]
+    steps, stop = 0, "steps"
+    while steps < ENSEMBLE_STEPS:
+        if budget is not None and budget.expired():
+            stop = "budget"
             break
-
-    dropped: list[int] = []
-    for i in np.argsort(w):
-        i = int(i)
-        if w[i] <= 0 or w[i] >= PRUNE_THRESHOLD:
-            continue
-        cand = w.copy()
-        cand[i] = 0.0
-        s = cand.sum()
-        if s <= 0:
-            continue
-        cand /= s
-        score = evaluate(metric, y, _blended(preds, cand, multiclass))
-        if score >= current:
-            w = cand
-            current = score
-            dropped.append(i)
-    dropped.extend(int(i) for i in np.flatnonzero(w == 0.0) if i not in dropped)
-
-    w = w / w.sum()
-    return BlendWeights(w, sorted(set(dropped)), current, trace)
+        candidates = counts + one_more
+        scores = [score(c) for c in candidates]
+        pick = int(np.argmax(scores))
+        counts = candidates[pick]
+        steps += 1
+        if scores[pick] > best_score:
+            best_counts, best_score = counts, scores[pick]
+            trace.append(best_score)
+    return BlendWeights(best_counts / best_counts.sum(),
+                        [int(i) for i in np.flatnonzero(best_counts == 0)],
+                        best_score, trace, evals=m * (steps + 1), steps=steps, stop=stop)
 
 
 def apply_blend(predictions: list[np.ndarray], blend: BlendWeights) -> np.ndarray:

@@ -232,6 +232,7 @@ class LinearView:
     target_maps: dict[str, TargetMeanMap] = field(default_factory=dict)
     source_order: list[str] = field(default_factory=list)
     _std_cols: list[int] = field(default_factory=list)
+    _fitted = None  # (dataset, raw matrix) from fit, until train_matrix takes it
 
     def fit(self, dataset: Dataset, selected: list[str] | None = None) -> "LinearView":
         names = selected if selected is not None else dataset.feature_names()
@@ -263,42 +264,49 @@ class LinearView:
                 self.feature_names.extend(te_names)
                 self._std_cols.extend(range(col_idx, col_idx + len(te_names)))
                 col_idx += len(te_names)
-        # standardization statistics come from the inference-style encoding
+        # standardization statistics come from the inference-style encoding;
+        # the next train_matrix on this dataset reuses the matrix and encodes
+        # only its target-mapped columns again, out of fold
         X = self._raw_matrix(dataset, None)
         cols = np.asarray(self._std_cols, dtype=np.int64)
         self.means = X[:, cols].mean(axis=0) if cols.size else np.empty(0)
         stds = X[:, cols].std(axis=0) if cols.size else np.empty(0)
         self.stds = np.where(stds < 1e-12, 1.0, stds)
+        self._fitted = (dataset, X)
         return self
 
-    def _raw_matrix(self, dataset: Dataset, folds: FoldAssignment | None) -> np.ndarray:
-        n = dataset.n_rows
-        out = np.zeros((n, len(self.feature_names)))
+    def _raw_matrix(self, dataset: Dataset, folds: FoldAssignment | None,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """The unstandardized matrix. Target-mapped columns are encoded out of
+        fold under `folds` and with the full maps when it is None. Given
+        `out`, this view's matrix of the same dataset, only its target-mapped
+        columns are written."""
+        fill_all = out is None
+        if fill_all:
+            out = np.zeros((dataset.n_rows, len(self.feature_names)))
         col_idx = 0
         for name in self.source_order:
-            col = dataset.columns[name]
-            if name in self.medians:
-                vals = col.values
-                mask = np.isnan(vals)
-                out[:, col_idx] = np.where(mask, self.medians[name], vals)
-                col_idx += 1
-                if name in self.with_indicator:
-                    out[:, col_idx] = mask.astype(np.float64)
-                    col_idx += 1
-            elif name in self.onehot:
-                card = self.onehot[name]
-                codes = col.values
-                ok = (codes >= 0) & (codes < card)
-                rows = np.flatnonzero(ok)
-                out[rows, col_idx + codes[rows]] = 1.0
-                col_idx += card
-            else:
+            values = dataset.columns[name].values
+            if name in self.target_maps:
                 if folds is None:
-                    enc = self.target_maps[name].apply(col.values)
+                    enc = self.target_maps[name].apply(values)
                 else:
-                    enc = _oof_encoded(col.values, dataset, folds)
+                    enc = _oof_encoded(values, dataset, folds)
                 out[:, col_idx: col_idx + enc.shape[1]] = enc
                 col_idx += enc.shape[1]
+            elif name in self.onehot:
+                card = self.onehot[name]
+                if fill_all:
+                    rows = np.flatnonzero((values >= 0) & (values < card))
+                    out[rows, col_idx + values[rows]] = 1.0
+                col_idx += card
+            else:
+                if fill_all:
+                    mask = np.isnan(values)
+                    out[:, col_idx] = np.where(mask, self.medians[name], values)
+                    if name in self.with_indicator:
+                        out[:, col_idx + 1] = mask.astype(np.float64)
+                col_idx += 1 + (name in self.with_indicator)
         return out
 
     def _standardize(self, X: np.ndarray) -> np.ndarray:
@@ -308,6 +316,9 @@ class LinearView:
         return X
 
     def train_matrix(self, dataset: Dataset, folds: FoldAssignment) -> np.ndarray:
+        fitted, self._fitted = self._fitted, None
+        if fitted is not None and fitted[0] is dataset:
+            return self._standardize(self._raw_matrix(dataset, folds, out=fitted[1]))
         return self._standardize(self._raw_matrix(dataset, folds))
 
     def transform(self, dataset: Dataset) -> np.ndarray:
@@ -442,8 +453,10 @@ def fit_linear(dataset: Dataset, folds: FoldAssignment,
             history = [score]
             truncated = True
         else:
+            # a regression fold's path reads its training rows from its factor
+            X_tr, y_tr = (None, None) if ridges[f] is not None else (X[tr], y_fit[tr])
             est, score, history = fit_lambda_path(
-                X[tr], y_fit[tr], X[va], y[va], task.kind, task.n_classes,
+                X_tr, y_tr, X[va], y[va], task.kind, task.n_classes,
                 metric, params, budget=budget, ridge=ridges[f])
         best_lam = est.lam
         estimators.append(est)

@@ -411,7 +411,7 @@ def unpack(x: np.ndarray, d: int, task_kind: str, n_classes: int,
     return LinearEstimator(task_kind, n_classes, x[:-1], np.float64(x[-1]), lam)
 
 
-def fit_lambda_path(X: np.ndarray, y: np.ndarray, X_val: np.ndarray,
+def fit_lambda_path(X: np.ndarray | None, y: np.ndarray | None, X_val: np.ndarray,
                     y_val: np.ndarray, task_kind: str, n_classes: int,
                     metric: MetricSpec, params: LinearParams,
                     budget: TimeBudget | None = None,
@@ -420,16 +420,17 @@ def fit_lambda_path(X: np.ndarray, y: np.ndarray, X_val: np.ndarray,
     """Walk the strength grid with early stopping.
 
     Regression takes `ridge`, the path of the training rows X, y (factored
-    here when None), and predicts the validation rows at every grid point
-    at once: the (d, J) coefficients and the (J, n_val) predictions are one
-    product each. The walk then scores them point by point, and the returned
-    estimator is `ridge.solve` at the best strength. The other losses
-    warm-start each Newton solve from the previous grid point. Returns the
-    best estimator, its validation score, and the score history. Guarantees
-    at least one grid point is scored even on an expired budget.
+    here when None; given a path, X and y are not read and may be None),
+    and predicts the validation rows at every grid point at once: the (d, J)
+    coefficients and the (J, n_val) predictions are one product each. The
+    walk then scores them point by point, and the returned estimator is
+    `ridge.solve` at the best strength. The other losses warm-start each
+    Newton solve from the previous grid point. Returns the best estimator,
+    its validation score, and the score history. Guarantees at least one
+    grid point is scored even on an expired budget.
     """
     budget = budget or unlimited()
-    d = X.shape[1]
+    d = X_val.shape[1]
     grid = [float(lam) for lam in params.lam_grid]
     if task_kind == "regression":
         ridge = RidgePath(X, y) if ridge is None else ridge

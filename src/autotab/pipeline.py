@@ -5,7 +5,9 @@ tuned GBM (leaf-wise), expert GBM (oblivious), tuned GBM (oblivious). The
 linear phase always runs; every later phase receives a share of the
 remaining time and is skipped outright when the remainder cannot plausibly
 cover it. A two-level stack is built for multiclass tasks by default, and the
-final level's models are combined by coordinate-descent blending.
+final level's models are combined by ensemble selection (`ensemble.py`),
+which runs on whatever time the run has left and stops between steps when
+that runs out.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from .autotype import (TypingReport, apply_typing, infer_feature_kind,
 from .budget import TimeBudget
 from .data import Column, Dataset, DatasetMeta, RawTable, Task, dataset_from_raw_with_schema
 from .encoders import EncoderSpec
-from .ensemble import BlendWeights, apply_blend, blend_weights, build_stack_features
+from .ensemble import (ENSEMBLE_STEPS, BlendWeights, apply_blend, blend_weights,
+                       build_stack_features)
 from .errors import BudgetError, ConfigError, DataError
 from .gbm import fit_booster
 from .learners import GBMFolds, TrainedModel, fit_gbm, fit_linear
@@ -315,16 +318,16 @@ def fit_preset(dataset: Dataset, config: PresetConfig) -> AutoMLModel:
     mask = np.ones(dataset.n_rows, dtype=bool)
     for m in final:
         mask &= m.oof_mask
-    blend = blend_weights([m.oof for m in final], y, metric, mask=mask)
+    blend = blend_weights([m.oof for m in final], y, metric, mask=mask, budget=budget)
     report["blend"] = blend.to_json()
+    report["warnings"].extend(_blend_warnings(blend))
     report["models"] = {m.learner_tag: m.metric_oof for m in roster + level2}
     report["tuning"] = histories
 
     keep = [i for i in range(len(final)) if blend.weights[i] > 0]
     kept_models = [final[i] for i in keep]
     kept_weights = blend.weights[keep]
-    kept_blend = BlendWeights(kept_weights / kept_weights.sum(), blend.dropped,
-                              blend.metric_value, blend.sweep_trace)
+    kept_blend = replace(blend, weights=kept_weights / kept_weights.sum())
 
     oof = apply_blend([m.oof[mask] for m in kept_models], kept_blend)
     full_shape = (dataset.n_rows,) if oof.ndim == 1 else (dataset.n_rows, oof.shape[1])
@@ -345,6 +348,13 @@ def fit_preset(dataset: Dataset, config: PresetConfig) -> AutoMLModel:
         enc_specs=enc_specs, selected=selected, level1=level1_keep,
         level2=level2_keep, blend=kept_blend, oof=oof_full,
         oof_mask=mask, metric_oof=metric_oof, report=report)
+
+
+def _blend_warnings(blend: BlendWeights) -> list[str]:
+    if blend.stop != "budget":
+        return []
+    return [f"blend: the budget ran out after {blend.steps} of {ENSEMBLE_STEPS} "
+            "ensemble-selection steps"]
 
 
 def _stack_active(config: PresetConfig, task: Task, folds: FoldAssignment) -> bool:
@@ -434,7 +444,7 @@ class UtilizedModel:
     """Weighted blend of complete AutoML runs with varying configs/seeds.
 
     Runs sharing a config are plain-averaged; the per-config averages are
-    then combined with coordinate-descent weights.
+    then combined by ensemble selection (`ensemble.blend_weights`).
     """
 
     version: int
@@ -505,11 +515,13 @@ def utilized_fit(dataset: Dataset, configs: list[PresetConfig],
         mask &= run.oof_mask
     averaged = _average_by_config([run.oof for run in runs], group_of_run)
     metric = dataset.task.metric if configs[0].metric is None else MetricSpec(configs[0].metric)
-    blend = blend_weights([a[mask] for a in averaged], dataset.target[mask], metric)
+    blend = blend_weights([a[mask] for a in averaged], dataset.target[mask], metric,
+                          budget=budget)
     oof = apply_blend([a[mask] for a in averaged], blend)
     metric_oof = evaluate(metric, dataset.target[mask], oof)
     report = {"runs": [r.report for r in runs], "blend": blend.to_json(),
-              "groups": group_of_run, "metric_oof": metric_oof}
+              "groups": group_of_run, "metric_oof": metric_oof,
+              "warnings": _blend_warnings(blend)}
     return UtilizedModel(FORMAT_VERSION, dataset.task, runs, group_of_run,
                          blend, metric_oof, report)
 

@@ -1,10 +1,14 @@
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autotab import PresetConfig, fit_preset, predict_automl
-from autotab.data import (RawTable, build_dataset, dataset_from_arrays,
-                          dataset_from_raw_with_schema, expand_datetime,
-                          parse_column, read_csv)
+from autotab.data import (DATETIME_FORMATS, RawTable, _strptime_utc, build_dataset,
+                          dataset_from_arrays, dataset_from_raw_with_schema,
+                          expand_datetime, parse_column, read_csv)
 from autotab.errors import DataError
 
 from conftest import write_csv
@@ -82,6 +86,20 @@ class TestParseCascade:
         col, entry = parse_column("a", ("02.01.2021", "03.02.2021"))
         assert col.kind == "datetime"
         assert entry["format"] == "%d.%m.%Y"
+
+
+def _strptime_or_none(cell, fmt):
+    try:
+        return datetime.strptime(cell, fmt).replace(tzinfo=timezone.utc)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(fmt=st.sampled_from(DATETIME_FORMATS),
+       cell=st.text(alphabet="0123456789-/.: T", max_size=20))
+def test_punctuation_filter_refuses_only_what_strptime_refuses(fmt, cell):
+    assert _strptime_utc(cell, fmt) == _strptime_or_none(cell, fmt)
 
 
 class TestBuildDataset:

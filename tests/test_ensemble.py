@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from autotab import ensemble
+from autotab.budget import TimeBudget
 from autotab.data import dataset_from_arrays
-from autotab.ensemble import BlendWeights, apply_blend, blend_weights, build_stack_features
+from autotab.ensemble import (ENSEMBLE_STEPS, BlendWeights, apply_blend, blend_weights,
+                              build_stack_features)
 from autotab.errors import DataError
 from autotab.gbm import GBMParams
 from autotab.learners import GBMFolds, fit_gbm, fit_linear
@@ -94,6 +99,88 @@ class TestBlendWeights:
         bw = blend_weights(preds, y, LOGLOSS, mask=mask)
         manual = blend_weights([p[:60] for p in preds], y[:60], LOGLOSS)
         assert bw.weights == pytest.approx(manual.weights)
+
+
+def _random_oofs(kind, m, n, rng):
+    """y and m OOF predictions of random quality for one task kind."""
+    if kind == "binary":
+        y = rng.integers(0, 2, size=n)
+        y[:2] = [0, 1]
+        return y, [1 / (1 + np.exp(-(rng.uniform(0, 2) * (2 * y - 1)
+                                     + rng.normal(0, 1.5, size=n))))
+                   for _ in range(m)]
+    if kind == "multiclass":
+        y = rng.integers(0, 3, size=n)
+        y[:3] = [0, 1, 2]
+        preds = []
+        for _ in range(m):
+            z = rng.uniform(0, 2) * np.eye(3)[y] + rng.normal(0, 1.0, size=(n, 3))
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            preds.append(e / e.sum(axis=1, keepdims=True))
+        return y, preds
+    y = rng.normal(size=n)
+    return y, [rng.uniform(0, 1) * y + rng.normal(0, rng.uniform(0.2, 2), size=n)
+               for _ in range(m)]
+
+
+def _as_counts(weights):
+    """The integer counts whose share of their total is `weights`, or None."""
+    for total in range(1, ENSEMBLE_STEPS + 2):
+        counts = np.rint(weights * total)
+        if counts.sum() == total and np.array_equal(counts / total, weights):
+            return counts
+    return None
+
+
+class TestEnsembleSelection:
+    @settings(max_examples=60, deadline=None)
+    @given(task=st.sampled_from([("binary", "roc_auc"), ("multiclass", "neg_logloss"),
+                                 ("regression", "r2"), ("regression", "neg_rmse")]),
+           m=st.integers(2, 4), n=st.integers(20, 80), masked=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_blend_properties(self, task, m, n, masked, seed):
+        kind, name = task
+        metric = MetricSpec(name)
+        rng = np.random.default_rng(seed)
+        y, preds = _random_oofs(kind, m, n, rng)
+        mask = rng.random(n) < 0.7 if masked else None
+        if mask is not None:
+            mask[:3] = True
+        bw = blend_weights(preds, y, metric, mask=mask)
+        rows = np.ones(n, dtype=bool) if mask is None else mask
+        yy, pp = y[rows], [p[rows] for p in preds]
+        # each single model as apply_blend gives it
+        singles = [evaluate(metric, yy, apply_blend(pp, BlendWeights(np.eye(m)[i])))
+                   for i in range(m)]
+        assert bw.metric_value >= max(singles)
+        assert _as_counts(bw.weights) is not None
+        assert bw.metric_value == evaluate(metric, yy, apply_blend(pp, bw))
+        assert bw.dropped == [i for i in range(m) if bw.weights[i] == 0.0]
+        assert bw.evals <= m * (ENSEMBLE_STEPS + 1)
+
+    def test_evaluation_count(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return evaluate(*args)
+
+        monkeypatch.setattr(ensemble, "evaluate", counted)
+        y, preds = _noisy_models(4)
+        bw = blend_weights(preds, y, AUC)
+        assert len(calls) == bw.evals == 3 * (ENSEMBLE_STEPS + 1)
+        assert (bw.steps, bw.stop) == (ENSEMBLE_STEPS, "steps")
+
+    def test_expired_budget_returns_best_single(self):
+        y, preds = _noisy_models(6)
+        bw = blend_weights(preds, y, AUC, budget=TimeBudget(0.0))
+        singles = [evaluate(AUC, y, p) for p in preds]
+        best = int(np.argmax(singles))
+        assert bw.weights.tolist() == np.eye(3)[best].tolist()
+        assert bw.metric_value == singles[best]
+        assert bw.dropped == [i for i in range(3) if i != best]
+        report = bw.to_json()
+        assert (report["evals"], report["steps"], report["stop"]) == (3, 0, "budget")
 
 
 class TestApplyBlend:

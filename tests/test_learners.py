@@ -111,6 +111,29 @@ class TestLinearView:
         assert view.feature_names == ["c__te0"]
 
 
+    def test_train_matrix_reuses_the_fit_matrix_bit_identically(self):
+        rng = np.random.default_rng(4)
+        n = 700
+        X = np.column_stack([rng.integers(0, 8, size=n), rng.integers(0, 150, size=n),
+                             rng.normal(size=n)]).astype(float)
+        X[rng.random(n) < 0.1, 2] = np.nan
+        ds = dataset_from_arrays(X, rng.integers(0, 2, size=n), "binary",
+                                 feature_names=["lo", "hi", "x"],
+                                 category_columns=["lo", "hi"])
+        folds = make_folds(CVScheme("kfold", k=4, seed=0), ds)
+        view = LinearView().fit(ds)
+        assert list(view.onehot) == ["lo"] and list(view.target_maps) == ["hi"]
+        assert view.with_indicator == ["x"]
+        reused = view.train_matrix(ds, folds)
+        built = view.train_matrix(ds, folds)  # nothing left to reuse
+        assert np.array_equal(reused, built)
+        inference = view.transform(ds)
+        te = view.feature_names.index("hi__te0")
+        assert not np.array_equal(reused[:, te], inference[:, te])
+        others = [j for j in range(len(view.feature_names)) if j != te]
+        assert np.array_equal(reused[:, others], inference[:, others])
+
+
 class TestFitGBMModel:
     def test_oof_and_metric(self):
         ds = _cat_dataset()

@@ -9,7 +9,7 @@ import pytest
 from autotab.budget import TimeBudget
 from autotab.data import dataset_from_arrays
 from autotab import pipeline
-from autotab.ensemble import apply_blend
+from autotab.ensemble import apply_blend, blend_weights
 from autotab.errors import BudgetError, ConfigError
 from autotab.pipeline import (AutoMLModel, PhasePlan, PresetConfig, allocate_time,
                               fit_preset, stack_feature_transform, utilized_fit)
@@ -95,6 +95,22 @@ class TestFitPresetBinary:
                     "metric_oof_blend", "selection", "skipped"):
             assert key in report
         assert report["cv"]["kind"] == "stratified_kfold"
+
+    def test_blend_stop_on_spent_budget_is_reported(self, monkeypatch):
+        budgets = []
+
+        def blend_on_spent_budget(*args, budget, **kwargs):
+            budgets.append(budget)
+            return blend_weights(*args, budget=TimeBudget(0.0), **kwargs)
+
+        monkeypatch.setattr(pipeline, "blend_weights", blend_on_spent_budget)
+        model = fit_preset(_binary_ds(n=400, seed=8),
+                           _fast_config(use_gbm_sym=False, stack_policy="never"))
+        assert len(budgets) == 1 and budgets[0].total_seconds == 20.0
+        blend = model.report["blend"]
+        assert (blend["steps"], blend["stop"]) == (0, "budget")
+        assert blend["evals"] == len(blend["weights"])
+        assert any(w.startswith("blend: the budget ran out") for w in model.report["warnings"])
 
     def test_selection_cutoff_runs(self):
         X, y = make_binary(1200, 10, 3, seed=5, noise=0.5)
