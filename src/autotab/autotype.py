@@ -157,8 +157,8 @@ def infer_feature_kind(dataset: Dataset, folds: FoldAssignment) -> TypingReport:
         on_rows = target.rows(ok)
         fold = fold_all[ok]
         ng_raw = on_rows.gini(x, (x_rank, unique_count))
-        # quantile_discretize's bins: edges from the sorted column, where np.quantile
-        # is faster, and a search for each distinct value alone
+        # bins at the column's quantiles k/q: edges from the sorted column, where
+        # np.quantile is faster, and a search for each distinct value alone
         edges = quantile_edges(np.repeat(distinct, counts), TYPING_Q)
         ng_q = on_rows.gini_oof(np.searchsorted(edges, distinct)[x_rank], fold)
         count_values, count_rank = np.unique(counts, return_inverse=True)

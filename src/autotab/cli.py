@@ -10,20 +10,19 @@ cap to the numeric pools before numpy loads.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+
+from .pipeline import PresetConfig
 
 EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_CONFIG = 3
 
-_CONFIG_KEYS = {
-    "train_path", "target", "out_dir", "model_path",
-    "task", "metric", "budget_seconds", "seed",
-    "selection_strategy", "stack_policy", "tuning_enabled",
-    "use_linear", "use_gbm_leaf", "use_gbm_sym", "cv",
-}
+_CONFIG_KEYS = ({f.name for f in dataclasses.fields(PresetConfig)}
+                | {"train_path", "target", "out_dir", "model_path", "task"})
 _CV_KEYS = {"kind", "k", "seed", "holdout_fraction", "group_column",
             "time_column", "fold_of_row"}
 _TASK_KINDS = ("binary", "multiclass", "regression", "auto")
@@ -79,7 +78,6 @@ def _infer_task_kind(cells) -> str:
 
 def _build_preset_config(cfg: dict, budget: float | None, seed_flag: int | None):
     from .errors import ConfigError
-    from .pipeline import PresetConfig
     from .validation import CVScheme
 
     cv = None
@@ -128,9 +126,20 @@ def _sanitize(obj):
     return obj
 
 
+def _read_dataset(path: str, target: str, cfg: dict):
+    """The dataset of a training CSV, its task read from the config or,
+    for `task: auto` (the default), inferred from the target column."""
+    from .data import build_dataset, read_csv
+
+    raw = read_csv(path, target_name=target)
+    task_kind = cfg.get("task", "auto")
+    if task_kind == "auto":
+        task_kind = _infer_task_kind(raw.column(target))
+    return build_dataset(raw, target, task_kind)
+
+
 def cmd_fit(args) -> int:
     from .artifact import save_model
-    from .data import build_dataset, read_csv
     from .pipeline import fit_preset
 
     cfg = _load_config(args.config)
@@ -143,12 +152,7 @@ def cmd_fit(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     config = _build_preset_config(cfg, args.budget, args.seed)
 
-    raw = read_csv(train_path, target_name=target)
-    task_kind = cfg.get("task", "auto")
-    if task_kind == "auto":
-        task_kind = _infer_task_kind(raw.column(target))
-    dataset = build_dataset(raw, target, task_kind)
-    model = fit_preset(dataset, config)
+    model = fit_preset(_read_dataset(train_path, target, cfg), config)
 
     model_path = os.path.join(out_dir, "model.lama")
     save_model(model, model_path)
@@ -183,17 +187,12 @@ def cmd_predict(args) -> int:
 
 def cmd_infer_types(args) -> int:
     from .autotype import infer_feature_kind
-    from .data import build_dataset, read_csv
     from .pipeline import _typing_folds, default_cv_scheme
     from .validation import make_folds
 
     cfg = _load_config(args.config)
     config = _build_preset_config(cfg, None, None)
-    raw = read_csv(args.train, target_name=args.target)
-    task_kind = cfg.get("task", "auto")
-    if task_kind == "auto":
-        task_kind = _infer_task_kind(raw.column(args.target))
-    dataset = build_dataset(raw, args.target, task_kind)
+    dataset = _read_dataset(args.train, args.target, cfg)
     scheme = config.cv or default_cv_scheme(dataset.task, config.seed)
     folds = _typing_folds(make_folds(scheme, dataset), dataset.n_rows, config.seed)
     report = infer_feature_kind(dataset, folds)

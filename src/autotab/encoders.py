@@ -331,24 +331,6 @@ def fit_target_map(col: np.ndarray, y: np.ndarray, alpha: float = SMOOTHING_ALPH
 # Quantile discretization
 
 
-def quantile_discretize(col: np.ndarray, q: int) -> np.ndarray:
-    """Bin a numeric vector at empirical quantile edges k/q.
-
-    Duplicate edges are merged, so the effective bin count can be below q.
-    Missing values land in the reserved bin -1.
-    """
-    if q < 2:
-        raise DataError("q must be at least 2")
-    col = np.asarray(col, dtype=np.float64)
-    out = np.full(col.shape[0], -1, dtype=np.int32)
-    ok = ~np.isnan(col)
-    finite = col[ok]
-    if finite.size == 0:
-        return out
-    out[ok] = np.searchsorted(quantile_edges(finite, q), finite, side="left").astype(np.int32)
-    return out
-
-
 def quantile_edges(finite: np.ndarray, q: int) -> np.ndarray:
     """The distinct empirical quantiles k/q of a non-empty vector, the same
     in any row order; a value's bin is its left searchsorted position."""

@@ -129,11 +129,11 @@ class FitResult:
     val_raw: np.ndarray | None = None
 
 
-def _grow(kern: TreeKernel, g: np.ndarray, h: np.ndarray, params: GBMParams):
+def _grow(kern: TreeKernel, params: GBMParams):
     if params.flavor == "leaf_wise":
-        return grow_leafwise(kern, g, h, params.max_leaves, params.min_data_in_leaf,
+        return grow_leafwise(kern, params.max_leaves, params.min_data_in_leaf,
                              params.l2_leaf_reg, params.learning_rate)
-    return grow_oblivious(kern, g, h, params.max_depth, params.min_data_in_leaf,
+    return grow_oblivious(kern, params.max_depth, params.min_data_in_leaf,
                           params.l2_leaf_reg, params.learning_rate)
 
 
@@ -163,12 +163,13 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
 
     The validation codes are stacked under the training codes, and the raw
     scores of both live in one array. Everything a tree would repeat is done
-    once, here: one `TreeKernel` checks the codes and the validation rows,
-    binds the raw scores and targets and holds the kernel's buffers, and a
-    binary ROC AUC metric is prepared once (`metrics.RocAuc`). Each tree
-    carries the rows left out of its subsample and all validation rows as
-    passengers, so every row's score takes the new tree's leaf value
-    straight from the grower. One loss transform per iteration, over all
+    once, here: one `TreeKernel` checks the codes, allocates the raw scores
+    at the base score, binds the float64 targets and holds the kernel's
+    buffers, and a binary ROC AUC metric is prepared once
+    (`metrics.RocAuc`). Each tree carries the rows left out of its
+    subsample and all validation rows (the code rows below the training
+    rows) as passengers, so every row's score takes the new tree's leaf
+    value straight from the grower. One loss transform per iteration, over all
     rows, gives this iteration's validation score and the next one's
     gradients. The best iteration is followed as scores arrive
     (`stopping.improves`), and the validation raw scores are kept as they
@@ -194,20 +195,15 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
     if mapper is None:
         mapper = BinMapper().fit(X)
         X, X_val = mapper.transform(X), X_val if X_val is None else mapper.transform(X_val)
-    codes = np.asfortranarray(X if X_val is None else np.concatenate([X, X_val]))
-    n_all = codes.shape[0]
-    kern = TreeKernel(codes, n, np.arange(n, n_all))
-
-    y_fit = y.astype(np.float64) if task_kind != "multiclass" else y
+    kern = TreeKernel(np.asfortranarray(X if X_val is None else np.concatenate([X, X_val])), n)
+    y_fit = y.astype(np.float64)
     base = loss.init_score(y_fit)
-    raw_all = np.tile(base, (n_all, 1)) if task_kind == "multiclass" else np.full(n_all, base)
-    kern.bind_scores(raw_all, y_fit if task_kind != "multiclass"
-                     else y.astype(np.int64).astype(np.float64), loss.kernel_loss)
+    kern.bind_scores(base, y_fit, loss.kernel_loss)
 
     rng = np.random.default_rng(seed)
     n_rows = max(1, int(round(params.subsample * n))) if params.subsample < 1.0 else None
     n_feats = max(1, int(np.ceil(params.colsample * f))) if params.colsample < 1.0 else None
-    outputs = n_classes if task_kind == "multiclass" else 1
+    outputs = kern.outputs
     validating = X_val is not None and metric is not None
     auc = RocAuc(y_val) if validating and metric.name == "roc_auc" else None
     trees: list = []  # in boosting order, each iteration's classes in order
@@ -215,7 +211,7 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
     best, best_score, best_raw = -1, -np.inf, None
     truncated = False
 
-    p_all = loss.transform(raw_all)
+    p_all = loss.transform(kern.raw)
     for it in range(params.n_estimators_cap):
         if budget.expired():
             truncated = True
@@ -223,16 +219,16 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
         kern.draw(rng, n_rows, n_feats)
         for c in range(outputs):
             kern.gradients(p_all, c)
-            tree, _, _ = _grow(kern, kern.g, kern.h, params)
+            tree, _, _ = _grow(kern, params)
             kern.add_tree(c)
             trees.append(tree)
 
-        p_all = loss.transform(raw_all)
+        p_all = loss.transform(kern.raw)
         if validating:
             score = auc(p_all[n:]) if auc is not None else evaluate(metric, y_val, p_all[n:])
             eval_history.append(score)
             if it == 0 or improves(score, best_score):
-                best, best_score, best_raw = it, score, raw_all[n:].copy()
+                best, best_score, best_raw = it, score, kern.raw[n:].copy()
             if it - best >= patience:
                 break
 
@@ -242,7 +238,7 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
         val_raw = best_raw
     else:
         best = len(trees) // outputs - 1
-        val_raw = None if X_val is None else raw_all[n:]
+        val_raw = None if X_val is None else kern.raw[n:]
     feature_gain = np.zeros(f)  # over the kept trees only
     for tree in trees:
         tree.set_raw_thresholds(mapper)

@@ -116,11 +116,11 @@ def kernel(hold_gil: bool = False) -> ctypes.CDLL:
     where releasing the GIL would hand it to another thread and then wait to
     get it back."""
     with _LOCK:
-        return _load(ctypes.PyDLL if hold_gil else ctypes.CDLL)
+        return _open(ctypes.PyDLL if hold_gil else ctypes.CDLL)
 
 
 @functools.cache
-def _load(loader: type) -> ctypes.CDLL:
+def _open(loader: type) -> ctypes.CDLL:
     lib = loader(str(build()))
     for name, (restype, argtypes) in SIGNATURES.items():
         fn = getattr(lib, name)

@@ -14,10 +14,11 @@ tests/oracles.py, and how it routes passenger rows (left-out and validation
 rows that reach a leaf without adding to any histogram).
 
 The growers run through a `TreeKernel`, which a booster prepares once: it
-checks the code matrix and the fixed passengers, binds the kernel and
-holds every buffer the kernel touches, so growing a tree repeats none of
-that; it also lays out each sample, computes the gradients and updates
-the scores in the kernel. A grown tree carries bin thresholds only;
+checks the code matrix, binds the kernel and holds the buffers that
+outlive a tree, so growing a tree repeats none of that; it also draws and
+lays out each sample, computes the gradients the growers read and
+updates the scores in the kernel. The code rows below the training rows
+are the passengers. A grown tree carries bin thresholds only;
 `set_raw_thresholds` looks up the raw ones, which a booster does for the
 trees it keeps.
 """
@@ -85,31 +86,34 @@ class TreeKernel:
     """The compiled grower bound to one code matrix, for growing many trees.
 
     A booster makes one and grows every tree through it. Construction does
-    what would otherwise repeat for each tree: it checks the code matrix,
-    the training row count and the fixed passengers (the kernel reads
-    through indices unchecked), loads the kernel, and allocates every buffer
-    the kernel reads or writes, taking their data pointers once
-    (`ndarray.ctypes.data` costs microseconds a lookup).
+    what would otherwise repeat for each tree: it checks the code matrix
+    and the training row count (the kernel reads through indices
+    unchecked), loads the kernel, and allocates the buffers that outlive a
+    tree (the row and feature layouts, the gradients, each row's leaf value
+    and the node outputs), taking their data pointers once
+    (`ndarray.ctypes.data` costs microseconds a lookup). The growers still
+    allocate their histogram blocks, gradient and row copies and nodes in
+    the kernel on every call.
 
     Rows 0..n_train-1 of `codes` are the training rows, one per entry of
-    the gradients. The passengers (held-out rows, as a rule the rows below
-    the training rows) ride through every tree after the rows left out of
-    its sample.
+    the gradients. The rows below them are the passengers: the grower
+    routes them to a leaf without adding them to any histogram, after the
+    training rows left out of the tree's sample.
 
     Everything of a boosting iteration that is exact arithmetic or index
     bookkeeping runs in the kernel: `draw` lays out the sample from the
     generator's draws, `gradients` computes one output's gradients and
     hessians from the transformed scores, and `add_tree` adds the last
-    tree's leaf values into the raw scores that `bind_scores` bound. These
-    calls take microseconds and keep the GIL (`kernel(hold_gil=True)`):
-    releasing it would hand it to another booster's thread and then wait
-    for it. The growers release it. A tree so costs one grower call, the
-    copy of its nodes out and a few attribute lookups, and the generator's
-    draws and the loss transform are all a booster runs in numpy.
+    tree's leaf values into the raw scores that `bind_scores` allocated.
+    These calls take microseconds and keep the GIL
+    (`kernel(hold_gil=True)`): releasing it would hand it to another
+    booster's thread and then wait for it. The growers release it. A tree
+    so costs one grower call, the copy of its nodes out and a few attribute
+    lookups, and the generator's draws and the loss transform are all a
+    booster runs in numpy.
     """
 
-    def __init__(self, codes: np.ndarray, n_train: int,
-                 passengers: np.ndarray | None = None) -> None:
+    def __init__(self, codes: np.ndarray, n_train: int) -> None:
         from .native import kernel
 
         if not (isinstance(codes, np.ndarray) and codes.dtype == np.uint8 and codes.ndim == 2
@@ -118,18 +122,14 @@ class TreeKernel:
         n_codes, n_features = codes.shape
         if not 0 <= n_train <= n_codes:
             raise ValueError(f"the {n_train} training rows must be rows of the {n_codes} codes")
-        passengers = np.empty(0, dtype=np.int64) if passengers is None else np.asarray(passengers)
-        if passengers.ndim != 1 or (passengers.size and (passengers.min() < 0
-                                                         or passengers.max() >= n_codes)):
-            raise ValueError(f"passengers must be a 1-d index into {n_codes} entries")
         self.kernel = kernel()
         self.short = kernel(hold_gil=True)  # for the calls of microseconds
         self.codes, self.n_train = codes, n_train
         # the index list each tree starts from: sampled rows, the rest, passengers
-        self.layout = np.concatenate([np.arange(n_train), passengers], dtype=np.int64)
+        self.layout = np.arange(n_codes, dtype=np.int64)
         self.m = n_train  # sampled rows, at the head of layout
         self.idx = np.empty_like(self.layout)  # leaf_grow regroups a copy of layout here
-        self.values = np.zeros(self.layout.shape[0])  # leaf value of each row of the order
+        self.values = np.zeros(n_codes)  # leaf value of each row of the order
         self.feats = np.arange(n_features, dtype=np.int64)
         self.nf = n_features  # sampled features, at the head of feats
         # the drawn rows and features; both hold np.arange between draws
@@ -145,20 +145,20 @@ class TreeKernel:
                      "g", "h", "feature_gain")}
         self.order = self.ptr["layout"]  # where the last tree's row order is
 
-    def bind_scores(self, raw: np.ndarray, y: np.ndarray, loss: int) -> None:
-        """Bind a booster's raw scores, one row per code row, (rows,) or
-        (rows, outputs) C-ordered float64, which `add_tree` updates; the
-        training rows' targets y as float64 (class numbers for multiclass);
+    def bind_scores(self, base, y: np.ndarray, loss: int) -> None:
+        """Allocate `raw`, the raw scores of every code row at the base score
+        `base` (a float, or one per output), which `add_tree` updates:
+        (rows,) for one output, (rows, outputs) C-ordered for more. Bind the
+        training rows' targets y as float64 (class numbers for multiclass)
         and the kernel code of the loss (losses.py)."""
-        if not (isinstance(raw, np.ndarray) and raw.dtype == np.float64 and raw.ndim in (1, 2)
-                and raw.flags.c_contiguous and raw.shape[0] == self.codes.shape[0]):
-            raise ValueError("raw must be C-ordered float64 scores of every code row")
         if not (isinstance(y, np.ndarray) and y.dtype == np.float64
                 and y.shape == (self.n_train,) and y.flags.c_contiguous):
             raise ValueError(f"y must be {self.n_train} contiguous float64 targets")
-        self.raw, self.y, self.loss = raw, y, loss
-        self.outputs = 1 if raw.ndim == 1 else raw.shape[1]
-        self.ptr["raw"], self.ptr["y"] = raw.ctypes.data, y.ctypes.data
+        n_codes = self.codes.shape[0]
+        self.raw = np.tile(base, (n_codes, 1)) if np.ndim(base) else np.full(n_codes, base)
+        self.y, self.loss = y, loss
+        self.outputs = 1 if self.raw.ndim == 1 else self.raw.shape[1]
+        self.ptr["raw"], self.ptr["y"] = self.raw.ctypes.data, y.ctypes.data
 
     def draw(self, rng: np.random.Generator, n_rows: int | None,
              n_feats: int | None) -> None:
@@ -166,49 +166,27 @@ class TreeKernel:
         `rng.permutation(n_train)[:n_rows]` and the features
         `rng.choice(features, n_feats, replace=False)`, each in ascending
         order; None keeps every row or feature and draws nothing. The
-        permutation comes from shuffling `perm`, which the kernel resets to
-        np.arange, as permutation() shuffles a fresh one. The rows left out
-        ride as passengers."""
+        permutation comes from shuffling `perm`, as permutation() shuffles a
+        fresh np.arange. The kernel's lay_out puts the first k drawn indices
+        at the head of `layout` or `feats`, ascending, then the others, and
+        resets `perm` or `chosen` to np.arange. The rows left out ride as
+        passengers."""
+        lay_out, ptr = self.short.lay_out, self.ptr
         if n_rows is not None:
             if not 0 <= n_rows <= self.n_train:
                 raise ValueError(f"cannot draw {n_rows} of {self.n_train} rows")
             rng.shuffle(self.perm)
-            self.m = self._lay_out("perm", n_rows, "layout")
+            self.m = lay_out(ptr["perm"], n_rows, self.n_train, ptr["mark"], ptr["layout"])
         if n_feats is not None:
-            self.chosen[:n_feats] = rng.choice(self.chosen.shape[0], size=n_feats, replace=False)
-            self.nf = self._lay_out("chosen", n_feats, "feats")
-
-    def sample(self, in_bag: np.ndarray | None = None,
-               features: np.ndarray | None = None) -> None:
-        """Grow the next trees on the training rows that `in_bag` marks and
-        the features that `features` marks: boolean masks over all of them,
-        None for every one. The rows left out ride as passengers."""
-        if in_bag is not None:
-            _check_mask("in_bag", in_bag, self.n_train)
-        if features is not None:
-            _check_mask("features", features, self.chosen.shape[0])
-        counts = []
-        for mask, drawn in ((in_bag, self.perm), (features, self.chosen)):
-            k = drawn.shape[0]  # drawn holds np.arange: every index
-            if mask is not None:
-                picked = mask.nonzero()[0]
-                k = picked.shape[0]
-                drawn[:k] = picked
-            counts.append(k)
-        self.m = self._lay_out("perm", counts[0], "layout")
-        self.nf = self._lay_out("chosen", counts[1], "feats")
-
-    def _lay_out(self, drawn: str, k: int, out: str) -> int:
-        """Lay out buffer `out` with the first k indices of buffer `drawn`,
-        ascending, then the others (the kernel's lay_out, which resets
-        `drawn` to np.arange); returns how many were drawn."""
-        return self.short.lay_out(self.ptr[drawn], k, getattr(self, drawn).shape[0],
-                                  self.ptr["mark"], self.ptr[out])
+            n_features = self.chosen.shape[0]
+            self.chosen[:n_feats] = rng.choice(n_features, size=n_feats, replace=False)
+            self.nf = lay_out(ptr["chosen"], n_feats, n_features, ptr["mark"], ptr["feats"])
 
     def gradients(self, p: np.ndarray, c: int = 0) -> None:
         """Write the gradients and hessians of output c of the training rows
         into g and h, from p = loss.transform(raw): the bound loss's
-        formulas (losses.py), row by row in the kernel."""
+        formulas (losses.py), row by row in the kernel. The next tree grows
+        on them."""
         if not (p.shape == self.raw.shape and p.dtype == np.float64 and p.flags.c_contiguous
                 and 0 <= c < self.outputs):
             raise ValueError("p must be C-ordered float64 shaped as the raw scores")
@@ -223,18 +201,11 @@ class TreeKernel:
         self.short.add_scores(self.ptr["raw"], self.outputs, c, self.order, self.ptr["values"],
                                self.layout.shape[0])
 
-    def _load(self, g: np.ndarray, h: np.ndarray) -> None:
-        """Make g and h the next tree's gradients, copied in unless they are
-        the buffers `gradients` wrote, and clear its feature gains."""
-        if g is not self.g:
-            self.g[:] = g
-        if h is not self.h:
-            self.h[:] = h
-        self.feature_gain.fill(0.0)
-
     def _grow_outputs(self, n_ints: int, n_floats: int) -> None:
         """Make the node output buffers hold at least n_ints int32 and n_floats
-        float64 entries; they are reallocated only for a larger tree."""
+        float64 entries, and clear the feature gains of the next tree; the
+        buffers are reallocated only for a larger tree."""
+        self.feature_gain.fill(0.0)
         if self.ints.shape[0] < n_ints:
             self.ints = np.empty(n_ints, dtype=np.int32)
             self.ints_ptr = self.ints.ctypes.data
@@ -243,16 +214,11 @@ class TreeKernel:
             self.floats_ptr = self.floats.ctypes.data
 
 
-def _check_mask(name: str, mask: np.ndarray, size: int) -> None:
-    if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (size,)):
-        raise ValueError(f"{name} must be a boolean mask of {size} entries")
-
-
-def grow_leafwise(kern: TreeKernel, g: np.ndarray, h: np.ndarray, max_leaves: int,
-                  min_data: int, reg: float, lr: float) -> tuple[Tree, np.ndarray, np.ndarray]:
+def grow_leafwise(kern: TreeKernel, max_leaves: int, min_data: int, reg: float,
+                  lr: float) -> tuple[Tree, np.ndarray, np.ndarray]:
     """Grow by repeatedly splitting the leaf with the largest gain, on the
-    rows and features of `kern`'s sample with gradients g and hessians h
-    (one per training row).
+    rows and features of `kern`'s sample with the gradients and hessians in
+    `kern.g` and `kern.h` (one per training row).
 
     Returns the tree plus (values, order) so callers can update scores
     without re-walking the tree: `order` holds the sampled rows, then the
@@ -261,7 +227,6 @@ def grow_leafwise(kern: TreeKernel, g: np.ndarray, h: np.ndarray, max_leaves: in
     tree has bin thresholds only: `set_raw_thresholds` adds the raw ones.
     Raises ZeroDivisionError if a leaf's hessian sum plus reg is 0.
     """
-    kern._load(g, h)
     max_leaves = max(max_leaves, 1)
     max_nodes = 2 * max_leaves - 1
     kern._grow_outputs(4 * max_nodes, max_nodes)
@@ -317,18 +282,16 @@ class ObliviousTree:
             for f, t in zip(self.features.tolist(), self.bin_thresholds.tolist())])
 
 
-def grow_oblivious(kern: TreeKernel, g: np.ndarray, h: np.ndarray, max_depth: int,
-                   min_data: int, reg: float, lr: float
-                   ) -> tuple[ObliviousTree, np.ndarray, np.ndarray]:
+def grow_oblivious(kern: TreeKernel, max_depth: int, min_data: int, reg: float,
+                   lr: float) -> tuple[ObliviousTree, np.ndarray, np.ndarray]:
     """Grow an oblivious tree: each level picks the single (feature, bin)
     whose gain summed over the level's nodes is largest.
 
     Nodes where a candidate split would violate min_data contribute zero to
     its total. Growth stops when no candidate has positive total gain.
     Takes and returns what grow_leafwise does; here `order` is the sampled
-    rows, then the passengers, as `kern.sample` laid them out.
+    rows, then the passengers, as `kern.draw` laid them out.
     """
-    kern._load(g, h)
     max_depth = max(max_depth, 0)
     kern._grow_outputs(2 * max_depth, 1 << max_depth)
     ptr, ints = kern.ptr, kern.ints_ptr

@@ -421,7 +421,8 @@ def fit_linear(dataset: Dataset, folds: FoldAssignment,
     warm-started Newton steps.
 
     The budget must admit the first fold's path; later folds degrade to a
-    single solve at the best strength found so far.
+    single solve at the best strength found so far, which a regression fold
+    takes from its own factor.
     """
     budget = budget or unlimited()
     params = params or LinearParams()
@@ -446,8 +447,9 @@ def fit_linear(dataset: Dataset, folds: FoldAssignment,
         if f == 0 and budget.expired():
             raise BudgetError("time budget exhausted before the first linear fold")
         if f > 0 and budget.expired() and best_lam is not None:
-            x = solve(X[tr], y_fit[tr], best_lam, task.kind, task.n_classes,
-                      max_iterations=params.max_iterations, tolerance=params.tolerance)
+            x = (ridges[f].solve(best_lam) if ridges[f] is not None else
+                 solve(X[tr], y_fit[tr], best_lam, task.kind, task.n_classes,
+                       max_iterations=params.max_iterations, tolerance=params.tolerance))
             est = unpack(x, X.shape[1], task.kind, task.n_classes, best_lam)
             score = evaluate(metric, y[va], est.predict(X[va]))
             history = [score]

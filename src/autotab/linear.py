@@ -32,7 +32,7 @@ import numpy as np
 
 from .budget import TimeBudget, unlimited
 from .errors import ConfigError
-from .gbm.losses import sigmoid, softmax
+from .gbm.losses import make_loss, sigmoid, softmax
 from .metrics import MetricSpec, evaluate
 from .stopping import best_iteration
 from .validation import FoldAssignment
@@ -78,12 +78,7 @@ class LinearEstimator:
         return X @ self.weights + self.intercept
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        raw = self.predict_raw_scores(X)
-        if self.task_kind == "binary":
-            return sigmoid(raw)
-        if self.task_kind == "multiclass":
-            return softmax(raw)
-        return raw
+        return make_loss(self.task_kind, self.n_classes).transform(self.predict_raw_scores(X))
 
 
 class _Loss:
@@ -383,17 +378,15 @@ def solve(X: np.ndarray, y: np.ndarray, lam: float, task_kind: str,
           n_classes: int = 0, x0: np.ndarray | None = None,
           max_iterations: int = 500, tolerance: float = 1e-8,
           trace: list | None = None) -> np.ndarray:
-    """One solve at fixed regularization. Returns the packed solution.
+    """One binary or multiclass solve at fixed regularization (regression
+    is solved exactly by `RidgePath.solve`). Returns the packed solution.
 
-    Regression is solved exactly by `RidgePath`. The other losses take
-    Newton steps from `x0` (zeros by default) until the largest gradient
-    entry is at most `tolerance`, a step gains at most a relative 1e-15 of
-    the objective, no step along the Newton direction decreases it, or
-    `max_iterations` steps are done. Pass `trace` to record the objective
-    after every step: it never increases.
+    Newton steps run from `x0` (zeros by default) until the largest
+    gradient entry is at most `tolerance`, a step gains at most a relative
+    1e-15 of the objective, no step along the Newton direction decreases
+    it, or `max_iterations` steps are done. Pass `trace` to record the
+    objective after every step: it never increases.
     """
-    if task_kind == "regression":
-        return RidgePath(X, y).solve(lam)
     if task_kind == "multiclass":
         loss = _Softmax(X, y, lam, n_classes)
     else:

@@ -12,11 +12,33 @@ import numpy as np
 
 from autotab.data import (DATETIME_FORMATS, DATETIME_PARSE_THRESHOLD, EPOCH_FORMAT,
                           EPOCH_RANGE, Column, _epoch_int_to_datetime)
+from autotab.encoders import quantile_edges
+from autotab.errors import DataError
 from autotab.gbm.binning import BinMapper
 from autotab.gbm.losses import make_loss
 from autotab.gbm.trees import ObliviousTree, Tree, route
 from autotab.metrics import evaluate
 from autotab.stopping import PATIENCE, improves
+
+
+def quantile_discretize(col: np.ndarray, q: int) -> np.ndarray:
+    """Bin a numeric vector at empirical quantile edges k/q, as auto-typing
+    bins a column for its quantile Gini (autotype.py computes the same bins
+    inline from `quantile_edges`).
+
+    Duplicate edges are merged, so the effective bin count can be below q.
+    Missing values land in the reserved bin -1.
+    """
+    if q < 2:
+        raise DataError("q must be at least 2")
+    col = np.asarray(col, dtype=np.float64)
+    out = np.full(col.shape[0], -1, dtype=np.int32)
+    ok = ~np.isnan(col)
+    finite = col[ok]
+    if finite.size == 0:
+        return out
+    out[ok] = np.searchsorted(quantile_edges(finite, q), finite, side="left").astype(np.int32)
+    return out
 
 
 def concordance_pairwise(y, x) -> int:

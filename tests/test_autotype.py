@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from autotab.autotype import (TYPING_Q, apply_typing, infer_feature_kind,
                               select_category_encoding)
 from autotab.data import dataset_from_arrays
-from autotab.encoders import (freq_encode, norm_gini, oof_target_encode,
-                              quantile_discretize, target_rows)
+from autotab.encoders import freq_encode, norm_gini, oof_target_encode, target_rows
 from autotab.validation import CVScheme, make_folds
+
+from oracles import quantile_discretize
 
 
 def _folds_for(ds, k=5, seed=0):

@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from autotab.encoders import (EncoderSpec, _general_concordance, class_ginis, dense_ranks,
-                              fit_target_map, freq_encode, norm_gini, oof_target_encode,
-                              quantile_discretize)
+                              fit_target_map, freq_encode, norm_gini, oof_target_encode)
 from autotab.errors import DataError
 
 from oracles import (concordance_kendalltau, concordance_pairwise, gini_pairwise,
-                     oof_mean_by_hand)
+                     oof_mean_by_hand, quantile_discretize)
 
 
 def _column(rng, n, levels):

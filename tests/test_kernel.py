@@ -8,11 +8,15 @@ subtraction (so empty bins carry float residuals), and min_data from 0 to
 above the node size. Each property compares histograms, best splits,
 oblivious level totals or whole trees. The kernel reads a histogram bin only
 where its bitmap is set, so its histograms are compared with the oracle's on
-the set bins, and the oracle must hold +0.0 on every other bin. Passenger
-rows, which a grower routes without adding them to histograms, must land on
-the leaf that routing the finished tree gives them. A whole booster, whose
-per-iteration bookkeeping also runs in the kernel, must equal the numpy
-boosting loop of oracles.py.
+the set bins, and the oracle must hold +0.0 on every other bin. Each case's
+rows and features are the ones `TreeKernel.draw` takes from a seeded
+generator, replayed here from that generator's shuffle and choice, so the
+trees grown through a `TreeKernel` grow on the sample the production sampler
+lays out. Passenger rows (the rows left out of the sample, then the code rows
+below the training rows), which a grower routes without adding them to
+histograms, must land on the leaf that routing the finished tree gives them.
+A whole booster, whose per-iteration bookkeeping also runs in the kernel,
+must equal the numpy boosting loop of oracles.py.
 """
 
 import dataclasses
@@ -57,16 +61,40 @@ def _equal_on_set_bins(got, want, bits) -> bool:
             and _same_bits(np.where(mask, zero, want), zero))
 
 
+def _drawn(seed: int, n: int, k: int | None, f: int, kf: int | None
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of n and the features of f, each ascending, that
+    `TreeKernel.draw(np.random.default_rng(seed), k, kf)` takes: the first k
+    of a shuffled np.arange(n), then kf features chosen without replacement
+    from the same generator; None draws nothing and takes them all."""
+    rng = np.random.default_rng(seed)
+    rows, feats = np.arange(n, dtype=np.int64), np.arange(f, dtype=np.int64)
+    if k is not None:
+        perm = np.arange(n, dtype=np.int64)
+        rng.shuffle(perm)
+        rows = np.sort(perm[:k])
+    if kf is not None:
+        feats = np.sort(rng.choice(f, size=kf, replace=False))
+    return rows, feats
+
+
 @dataclasses.dataclass
 class Case:
     codes: np.ndarray  # Fortran-ordered uint8, as BinMapper.transform makes them
     mapper: BinMapper
     g: np.ndarray
     h: np.ndarray
-    rows: np.ndarray  # sorted, a subsample of all rows
-    feats: np.ndarray  # sorted, a subsample of all features
+    seed: int  # of the generator `draw` takes the sample from
+    k: int | None  # rows drawn, None for every row
+    kf: int | None  # features drawn, None for every feature
     reg: float
     min_data: int
+    rows: np.ndarray = dataclasses.field(init=False)  # sorted, the drawn rows
+    feats: np.ndarray = dataclasses.field(init=False)  # sorted, the drawn features
+
+    def __post_init__(self) -> None:
+        self.rows, self.feats = _drawn(self.seed, self.g.shape[0], self.k, self.codes.shape[1],
+                                       self.kf)
 
 
 @st.composite
@@ -101,13 +129,14 @@ def cases(draw) -> Case:
             h[rng.random(n_rows) < 0.7] = 0.0
         elif target == "nan_gradient":
             g[rng.random(n_rows) < 0.05] = np.nan
-    rows = np.sort(rng.choice(n_rows, size=int(rng.integers(1, n_rows + 1)), replace=False))
-    feats = np.sort(rng.choice(n_features, size=int(rng.integers(1, n_features + 1)),
-                               replace=False))
+    k = None if draw(st.integers(0, 3)) == 0 else int(rng.integers(1, n_rows + 1))
+    kf = None if draw(st.integers(0, 3)) == 0 else int(rng.integers(1, n_features + 1))
     reg = draw(st.sampled_from([1.0, 0.1, 0.0]))
-    min_data = (len(rows) + int(rng.integers(1, 6)) if draw(st.integers(0, 3)) == 3
+    node = n_rows if k is None else k
+    min_data = (node + int(rng.integers(1, 6)) if draw(st.integers(0, 3)) == 3
                 else int(rng.integers(0, 11)))  # one case in four above the node size
-    return Case(mapper.transform(X), mapper, g, h, rows, feats, reg, min_data)
+    return Case(mapper.transform(X), mapper, g, h, int(rng.integers(2**32)), k, kf, reg,
+                min_data)
 
 
 def _kernel_hist(case: Case, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,29 +273,34 @@ def _same_tree(a, b) -> bool:
                for f in dataclasses.fields(a))
 
 
-def _kernel_grow(grow, codes, g, h, rows, feats, mapper, size, min_data, reg, lr,
-                 passengers=None):
-    """One tree through a fresh TreeKernel, called as the oracle growers are:
-    trained on `rows` of g's rows and `feats`, with raw thresholds. The rest
-    of g's rows ride as passengers ahead of `passengers`."""
-    kern = kernel_trees.TreeKernel(codes, g.shape[0], passengers)
-    in_bag, used = np.zeros(g.shape[0], dtype=bool), np.zeros(codes.shape[1], dtype=bool)
-    in_bag[rows], used[feats] = True, True
-    kern.sample(in_bag, used)
-    tree, values, order = grow(kern, g, h, size, min_data, reg, lr)
-    tree.set_raw_thresholds(mapper)
+def _kernel_grow(grow, codes, case, size, lr=0.1):
+    """One tree through a fresh TreeKernel over `codes`, whose first rows are
+    the case's training rows: on the sample `draw` takes from the case's
+    seed, which must be the case's rows and features, with the case's
+    gradients, and with raw thresholds. The rest of the training rows, then
+    the code rows below them, ride as passengers."""
+    kern = kernel_trees.TreeKernel(codes, case.g.shape[0])
+    kern.draw(np.random.default_rng(case.seed), case.k, case.kf)
+    assert _same_bits(kern.layout[:kern.m], case.rows)
+    assert _same_bits(kern.feats[:kern.nf], case.feats)
+    kern.g[:], kern.h[:] = case.g, case.h
+    tree, values, order = grow(kern, size, case.min_data, case.reg, lr)
+    tree.set_raw_thresholds(case.mapper)
     return tree, values.copy(), order.copy()
+
+
+def _oracle_grow(grow, case, size, lr=0.1):
+    return grow(case.codes, case.g, case.h, case.rows, case.feats, case.mapper, size,
+                case.min_data, case.reg, lr)
 
 
 @settings(max_examples=60)
 @given(cases(), st.integers(1, 40), st.integers(1, 6))
 def test_grown_trees_equal_oracle(case, max_leaves, max_depth):
-    args = (case.codes, case.g, case.h, case.rows, case.feats, case.mapper)
-    tail = (case.min_data, case.reg, 0.1)
     m = len(case.rows)
     for grow, size in (("grow_leafwise", max_leaves), ("grow_oblivious", max_depth)):
-        got = _grow_or_none(_kernel_grow, getattr(kernel_trees, grow), *args, size, *tail)
-        want = _grow_or_none(getattr(oracles, grow), *args, size, *tail)
+        got = _grow_or_none(_kernel_grow, getattr(kernel_trees, grow), case.codes, case, size)
+        want = _grow_or_none(_oracle_grow, getattr(oracles, grow), case, size)
         assert (got is None) == (want is None)
         if got is None:
             continue
@@ -280,29 +314,27 @@ def test_grown_trees_equal_oracle(case, max_leaves, max_depth):
 
 
 @settings(max_examples=60)
-@given(cases(), st.integers(1, 40), st.integers(1, 6),
-       st.sampled_from(["none", "empty", "validation"]), st.booleans(), st.integers(0, 2**16))
-def test_passengers_land_where_routing_sends_them(case, max_leaves, max_depth, kind, subsample,
-                                                  seed):
-    """Passengers (the rows left out of the sample, then the fixed ones)
-    leave the tree and the training rows' values as the oracle, which
-    carries none, gives them, and get the leaf value that routing their
-    codes through the tree gives."""
+@given(cases(), st.integers(1, 40), st.integers(1, 6), st.booleans(), st.booleans(),
+       st.integers(0, 2**16))
+def test_passengers_land_where_routing_sends_them(case, max_leaves, max_depth, validation,
+                                                  subsample, seed):
+    """Passengers (the rows left out of the sample, then the code rows below
+    the training rows) leave the tree and the training rows' values as the
+    oracle, which carries none, gives them, and get the leaf value that
+    routing their codes through the tree gives."""
     rng = np.random.default_rng(seed)
     n = case.codes.shape[0]
-    rows = case.rows if subsample else np.arange(n)
-    out_of_bag = np.setdiff1d(np.arange(n), rows)
-    extra = case.codes[rng.integers(0, n, size=int(rng.integers(1, 60)))]
-    codes = np.asfortranarray(np.concatenate([case.codes, extra]))  # validation rows below
-    validation = rng.permutation(np.arange(n, codes.shape[0]))
-    fixed = {"none": None, "empty": np.empty(0, dtype=np.int64), "validation": validation}[kind]
-    riding = np.concatenate([out_of_bag, validation if kind == "validation" else []])
-    m = len(rows)
+    case = case if subsample else dataclasses.replace(case, k=None)
+    out_of_bag = np.setdiff1d(np.arange(n), case.rows)
+    codes = case.codes
+    if validation:  # validation rows stacked below the training rows
+        extra = case.codes[rng.integers(0, n, size=int(rng.integers(1, 60)))]
+        codes = np.asfortranarray(np.concatenate([case.codes, extra]))
+    riding = np.concatenate([out_of_bag, np.arange(n, codes.shape[0])])
+    m = len(case.rows)
     for grow, size in (("grow_leafwise", max_leaves), ("grow_oblivious", max_depth)):
-        args = (case.g, case.h, rows, case.feats, case.mapper, size, case.min_data, case.reg, 0.1)
-        want = _grow_or_none(getattr(oracles, grow), case.codes, *args)
-        got = _grow_or_none(_kernel_grow, getattr(kernel_trees, grow), codes, *args,
-                            passengers=fixed)
+        want = _grow_or_none(_oracle_grow, getattr(oracles, grow), case, size)
+        got = _grow_or_none(_kernel_grow, getattr(kernel_trees, grow), codes, case, size)
         assert (got is None) == (want is None)
         if got is None:
             continue
@@ -313,36 +345,47 @@ def test_passengers_land_where_routing_sends_them(case, max_leaves, max_depth, k
         assert _same_bits(np.sort(order[:m]), want[2])
         assert _same_bits(by_row[want[2]], want[1])
         riders = order[m:]
-        assert _same_bits(np.sort(riders), np.sort(riding).astype(np.int64))
+        assert _same_bits(np.sort(riders), riding.astype(np.int64))
         assert _same_bits(values[m:], oracles.predict_codes(tree, codes[riders]))
 
 
 def test_out_of_range_indices_raise_before_the_kernel_runs():
     """The kernel reads through indices unchecked: a TreeKernel rejects bad
-    codes and passengers when it is made, and samples and gradients that do
-    not fit its rows and features before a tree grows."""
+    codes and training row counts when it is made, and draws and scores
+    that do not fit its rows before the kernel reads them."""
     rng = np.random.default_rng(0)
     X = rng.normal(size=(50, 3))
     codes = BinMapper().fit(X).transform(X)
     TreeKernel = kernel_trees.TreeKernel
-    for passengers in ([50], [-1], [3, 2**40]):
-        with pytest.raises(ValueError, match="passengers"):
-            TreeKernel(codes, 50, np.array(passengers))
-    with pytest.raises(ValueError, match="training rows"):
-        TreeKernel(codes, 51)
+    for n_train in (51, -1):
+        with pytest.raises(ValueError, match="training rows"):
+            TreeKernel(codes, n_train)
     for bad in (np.ascontiguousarray(codes[:, :2]), codes.astype(np.int64)):
         with pytest.raises(ValueError, match="codes"):
             TreeKernel(bad, 50)
-    kern = TreeKernel(codes, 40, np.arange(40, 50))  # g and h cover rows 0..39 only
-    for in_bag in (np.ones(41, dtype=bool), np.ones(40, dtype=np.int64), list(range(40))):
-        with pytest.raises(ValueError, match="in_bag"):
-            kern.sample(in_bag)
-    with pytest.raises(ValueError, match="features"):
-        kern.sample(None, np.ones(4, dtype=bool))
-    g, h = rng.normal(size=50), np.ones(50)
-    for grow in (kernel_trees.grow_leafwise, kernel_trees.grow_oblivious):
-        with pytest.raises(ValueError):
-            grow(kern, g, h, 4, 1, 1.0, 0.1)
+    kern = TreeKernel(codes, 40)  # rows 40..49 ride as passengers
+    for k in (41, -1):
+        with pytest.raises(ValueError, match="draw"):
+            kern.draw(np.random.default_rng(0), k, None)
+    with pytest.raises(ValueError, match="y must be"):
+        kern.bind_scores(0.0, np.zeros(50), 0)
+    kern.bind_scores(0.0, np.zeros(40), 0)
+    with pytest.raises(ValueError, match="p must be"):
+        kern.gradients(np.zeros(40))
+    with pytest.raises(ValueError, match="no output"):
+        kern.add_tree(1)
+
+
+@pytest.mark.parametrize("base", [0.25, np.array([0.5, -1.0, 2.0])])
+def test_bind_scores_gives_every_code_row_its_base_score(base):
+    """`raw` has one row per code row, training and passenger rows alike:
+    (rows,) for one output, (rows, K) C-ordered for K, each row at `base`."""
+    codes = np.asfortranarray(np.zeros((7, 2), dtype=np.uint8))
+    kern = kernel_trees.TreeKernel(codes, 5)
+    kern.bind_scores(base, np.zeros(5), 0)
+    want = np.full(7, base) if np.ndim(base) == 0 else np.tile(base, (7, 1))
+    assert _same_bits(kern.raw, want) and kern.raw.flags.c_contiguous
+    assert kern.outputs == (1 if np.ndim(base) == 0 else 3)
 
 
 def test_pairwise_sum_equals_numpy():
@@ -392,8 +435,9 @@ def test_a_subtraction_residual_decides_a_split():
     p = rng.random(600)
     g, h = p - (rng.random(600) < 0.5), p * (1.0 - p)
     mapper = BinMapper().fit(X)
-    args = (mapper.transform(X), g, h, np.arange(600), np.arange(3), mapper, 32, 2, 1.0, 0.1)
-    got = _kernel_grow(kernel_trees.grow_leafwise, *args)[0]
+    case = Case(mapper.transform(X), mapper, g, h, 0, None, None, 1.0, 2)
+    args = (case.codes, g, h, case.rows, case.feats, mapper, 32, 2, 1.0, 0.1)
+    got = _kernel_grow(kernel_trees.grow_leafwise, case.codes, case, 32)[0]
     want = oracles.grow_leafwise(*args)[0]
     assert _same_tree(got, want)
 
@@ -413,16 +457,15 @@ def test_the_missing_bin_is_no_threshold():
     argmax. Thresholds stop at bin 254."""
     codes = np.asfortranarray(np.array([[0], [0], [255], [255]], dtype=np.uint8))
     g, h = np.array([-1.0, 0.5, 0.25, 1.0]), np.full(4, 0.25)
-    rows, feats = np.arange(4), np.arange(1)
     case = Case(codes, BinMapper().fit(np.array([[0.0], [0.0], [np.nan], [np.nan]])), g, h,
-                rows, feats, 0.0, 0)
+                0, None, None, 0.0, 0)
+    rows, feats = case.rows, case.feats
     hist, bits = _kernel_hist(case, rows)
     want = _oracle_best(case, oracles._histograms(codes, rows, g, h, feats))
     got = _kernel_best(case, hist, bits, 4)
     assert want[2] < 255 and _same_bits(got[0], want[0]) and got[1:] == want[1:]
-    args = (codes, g, h, rows, feats, case.mapper, 4, 0, 0.0, 0.1)
-    assert _same_tree(_kernel_grow(kernel_trees.grow_leafwise, *args)[0],
-                      oracles.grow_leafwise(*args)[0])
+    assert _same_tree(_kernel_grow(kernel_trees.grow_leafwise, codes, case, 4)[0],
+                      _oracle_grow(oracles.grow_leafwise, case, 4)[0])
 
 
 @settings(max_examples=30)

@@ -73,7 +73,7 @@ class TestSolver:
         reg = lam * n * np.eye(4)
         reg[3, 3] = 0.0
         w_star = np.linalg.solve(Xc.T @ Xc + reg, Xc.T @ y)
-        x = solve(X, y, lam, "regression")
+        x = RidgePath(X, y).solve(lam)
         assert np.abs(x - w_star).max() < 1e-9
 
     def test_multiclass_gradient_is_consistent(self):
@@ -428,6 +428,48 @@ class TestFitLinear:
             expected = linear.solve(*args, max_iterations=1, tolerance=1e-3)
             assert np.array_equal(x, expected)
             assert not np.array_equal(x, linear.solve(*args))
+
+    def test_later_regression_folds_that_degrade_solve_from_their_own_factor(self,
+                                                                             monkeypatch):
+        """A regression fold solved at the best strength alone, on an expired
+        budget, takes the solution from the factor of its own training rows
+        that `fold_ridge_paths` made: no Newton solve, no new factorization."""
+        X, y = make_regression(400, 5, 3, seed=13)
+        ds = dataset_from_arrays(X, y, "regression")
+        folds = make_folds(CVScheme("kfold", k=3, seed=0), ds)
+
+        class ExpiresAfterFirstPath:
+            expired_now = False
+
+            def expired(self):
+                return self.expired_now
+
+        budget = ExpiresAfterFirstPath()
+
+        def path_then_expire(*args, **kwargs):
+            out = linear.fit_lambda_path(*args, **kwargs)
+            budget.expired_now = True
+            return out
+
+        factored = []
+
+        def recorded_paths(X, y, folds):
+            factored.append((X, y))
+            return linear.fold_ridge_paths(X, y, folds)
+
+        solves = []
+        monkeypatch.setattr(learners, "fit_lambda_path", path_then_expire)
+        monkeypatch.setattr(learners, "fold_ridge_paths", recorded_paths)
+        monkeypatch.setattr(learners, "solve", lambda *args, **kwargs: solves.append(args))
+        model = fit_linear(ds, folds, budget=budget)
+        assert model.truncated and solves == [] and len(factored) == 1
+        best_lam = model.estimators[0].lam
+        ridges = fold_ridge_paths(*factored[0], folds)
+        for f in range(1, folds.k):
+            est = model.estimators[f]
+            assert est.lam == best_lam
+            got = np.append(est.weights, est.intercept)
+            assert got.tobytes() == ridges[f].solve(best_lam).tobytes()
 
     @pytest.mark.parametrize("kind,k", [("kfold", 5), ("holdout", 1)])
     def test_regression_matches_the_per_fold_svd_path(self, kind, k):
