@@ -22,6 +22,7 @@ import dataclasses
 import io
 import json
 import zipfile
+import zlib
 
 import numpy as np
 
@@ -114,18 +115,26 @@ def save_model(model: AutoMLModel | UtilizedModel, path: str) -> None:
 
 
 def load_model(path: str) -> AutoMLModel | UtilizedModel:
+    """The model saved at `path`. Raises ConfigError for another format
+    version, and DataError naming the path for a file that is not a model
+    artifact or is damaged: a manifest that is not JSON or lacks its root, a
+    missing or unreadable array, or a reference to an array not stored."""
     try:
         z = zipfile.ZipFile(path, "r")
     except (OSError, zipfile.BadZipFile) as exc:
         raise DataError(f"cannot open model artifact {path}: {exc}") from exc
-    with z:
-        manifest = json.loads(z.read("manifest.json"))
-        version = manifest.get("format_version")
-        if version != FORMAT_VERSION:
-            raise ConfigError(
-                f"artifact format version {version} is not supported "
-                f"(expected {FORMAT_VERSION})")
-        n_arrays = sum(1 for n in z.namelist() if n.startswith("arrays/"))
-        arrays = [np.load(io.BytesIO(z.read(f"arrays/{i}.npy")), allow_pickle=False)
-                  for i in range(n_arrays)]
-    return _decode(manifest["root"], arrays)
+    try:
+        with z:
+            manifest = json.loads(z.read("manifest.json"))
+            version = manifest.get("format_version")
+            if version != FORMAT_VERSION:
+                raise ConfigError(
+                    f"artifact format version {version} is not supported "
+                    f"(expected {FORMAT_VERSION})")
+            n_arrays = sum(1 for n in z.namelist() if n.startswith("arrays/"))
+            arrays = [np.load(io.BytesIO(z.read(f"arrays/{i}.npy")), allow_pickle=False)
+                      for i in range(n_arrays)]
+        return _decode(manifest["root"], arrays)
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError, EOFError,
+            zipfile.BadZipFile, zlib.error) as exc:  # JSONDecodeError is a ValueError
+        raise DataError(f"damaged model artifact {path}: {type(exc).__name__}: {exc}") from exc

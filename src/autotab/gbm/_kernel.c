@@ -2,9 +2,10 @@
  * (best-first leaf-wise) or obl_grow (oblivious, one split per level).
  * After the growers come the rest of a boosting iteration that is exact
  * arithmetic or index bookkeeping (lay_out, gradients, add_scores), the
- * positive rank sum of metrics.py's ROC AUC, and rank_concordance, which
- * counts the pairs of encoders.py's Normalized Gini from ranks, in one pass
- * with no comparison sort.
+ * prediction of a whole leaf-wise forest (leaf_route), the positive rank sum
+ * of metrics.py's ROC AUC, and rank_concordance, which counts the pairs of
+ * encoders.py's Normalized Gini from ranks, in one pass with no comparison
+ * sort.
  *
  * Every loop repeats the float order of the numpy kernel it replaced (kept in
  * tests/oracles.py), so trees are bit-identical to it:
@@ -679,6 +680,71 @@ void add_scores(double *raw, int64_t stride, int64_t c, const int64_t *order,
 {
     for (int64_t i = 0; i < n; i++)
         raw[order[i] * stride + c] += values[i];
+}
+
+/* Predict a packed leaf-wise forest: for each tree t in order, add the value
+ * of the leaf that row r of X reaches to raw[r * outputs + t % outputs], as
+ * trees.route does tree by tree. X is Fortran-ordered float64 with n rows;
+ * tree t is nodes starts[t]..starts[t + 1] - 1 of the node arrays, its
+ * children numbered from its own first node, feature < 0 marking a leaf.
+ *
+ * Each tree stably partitions the row indices 0..n-1 node by node, depth
+ * first, left child first: the rows with x <= threshold go left and the rest
+ * (NaN among them) right, and a node no row reaches sends none further. A
+ * node's rows stay ascending, so its column is read front to back. Every
+ * row's score is the same left fold over the trees as numpy's
+ * `raw += tree.predict_raw(X)`, so the sums are its bits.
+ *
+ * The node arrays are trusted, so trees.route_forest checks them first:
+ * every internal node's feature is below the column count and both its
+ * children are above its own id and below its tree's node count. A walk so
+ * ends, and at most max_nodes entries are ever on its stack. work holds
+ * 2 * n + 3 * max_nodes int64. */
+void leaf_route(const double *X, int64_t n, const int32_t *feature, const double *threshold,
+                const int32_t *left, const int32_t *right, const double *value,
+                const int64_t *starts, int64_t n_trees, int64_t outputs, double *raw,
+                int64_t *work)
+{
+    int64_t *idx = work, *tmp = work + n, *stack = work + 2 * n;
+    for (int64_t t = 0; t < n_trees; t++) {
+        int64_t base = starts[t], c = t % outputs;
+        for (int64_t i = 0; i < n; i++)
+            idx[i] = i;
+        stack[0] = 0; /* entries are (node, lo, hi): the node's rows are idx[lo:hi] */
+        stack[1] = 0;
+        stack[2] = n;
+        for (int64_t top = 3; top > 0;) {
+            top -= 3;
+            int64_t node = base + stack[top], lo = stack[top + 1], hi = stack[top + 2];
+            int64_t f = feature[node];
+            if (lo == hi)
+                continue;
+            if (f < 0) {
+                double v = value[node];
+                for (int64_t i = lo; i < hi; i++)
+                    raw[idx[i] * outputs + c] += v;
+                continue;
+            }
+            const double *col = X + f * n;
+            double thr = threshold[node];
+            int64_t n_left = lo, n_right = 0;
+            for (int64_t i = lo; i < hi; i++) { /* branch-free stable partition */
+                int64_t r = idx[i], go_left = col[r] <= thr;
+                idx[n_left] = r;
+                tmp[n_right] = r;
+                n_left += go_left;
+                n_right += 1 - go_left;
+            }
+            memcpy(idx + n_left, tmp, sizeof(int64_t) * (size_t)n_right);
+            stack[top] = right[node];
+            stack[top + 1] = n_left;
+            stack[top + 2] = hi;
+            stack[top + 3] = left[node];
+            stack[top + 4] = lo;
+            stack[top + 5] = n_left;
+            top += 6;
+        }
+    }
 }
 
 #define FEW_KEYS 32 /* keys below which an insertion sort is faster */

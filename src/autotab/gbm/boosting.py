@@ -13,7 +13,8 @@ from ..metrics import MetricSpec, RocAuc, evaluate
 from ..stopping import PATIENCE, improves
 from .binning import BinMapper
 from .losses import make_loss
-from .trees import ObliviousTree, Tree, TreeKernel, grow_leafwise, grow_oblivious
+from .trees import (ObliviousTree, Tree, TreeKernel, grow_leafwise, grow_oblivious,
+                    route_forest)
 
 FLAVORS = ("leaf_wise", "symmetric_depth_wise")
 _TREE_TYPES = {"Tree": Tree, "ObliviousTree": ObliviousTree}
@@ -94,16 +95,31 @@ class GBMEstimator:
     feature_gain_: np.ndarray = field(default=None)
 
     def predict_raw_scores(self, X: np.ndarray) -> np.ndarray:
+        """The base score plus every tree's leaf value, added tree by tree in
+        boosting order (tree i into class i % n_classes for multiclass).
+
+        A leaf-wise forest is routed in one call into the compiled kernel
+        (`trees.route_forest`), which checks the forest first, wherever
+        `native.optional_kernel()` can load it. Without a compiler, and for
+        oblivious forests always, each tree routes in numpy
+        (`Tree.predict_raw`, `ObliviousTree.predict_raw`). Both add the same
+        values in the same order, so the scores are the same bits.
+        """
+        from .native import optional_kernel
+
         n = X.shape[0]
-        X = np.asfortranarray(X)  # each tree reads one column at a time
-        if self.task_kind == "multiclass":
-            raw = np.tile(self.base_score, (n, 1))
+        X = np.asfortranarray(X, dtype=np.float64)  # each tree reads one column at a time
+        multiclass = self.task_kind == "multiclass"
+        raw = np.tile(self.base_score, (n, 1)) if multiclass else np.full(n, float(self.base_score))
+        lib = optional_kernel() if self.forest.kind == "Tree" else None
+        if lib is not None:
+            route_forest(lib, self.forest.fields, self.forest.offsets, X, raw)
+        elif multiclass:
             for i, tree in enumerate(self.forest):
                 raw[:, i % self.n_classes] += tree.predict_raw(X)
-            return raw
-        raw = np.full(n, float(self.base_score))
-        for tree in self.forest:
-            raw += tree.predict_raw(X)
+        else:
+            for tree in self.forest:
+                raw += tree.predict_raw(X)
         return raw
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -143,6 +159,10 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
                 budget: TimeBudget | None = None, seed: int = 0,
                 patience: int = PATIENCE, mapper: BinMapper | None = None) -> FitResult:
     """Train one booster with optional early stopping on a validation set.
+
+    Binary targets are 0 or 1 and multiclass targets class numbers below
+    `n_classes`: any other label raises DataError, as predicting maps tree i
+    to class i % n_classes.
 
     With `mapper`, `X` and `X_val` are pre-binned: uint8 codes that `mapper`
     gave, as `learners.GBMFolds` hands them out after binning each fold once
@@ -189,6 +209,11 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
     """
     if X.shape[1] == 0:
         raise DataError("no usable features")
+    y_fit = y.astype(np.float64)
+    if task_kind in ("binary", "multiclass"):
+        labels = 2 if task_kind == "binary" else n_classes
+        if not np.isin(y_fit, np.arange(labels)).all():
+            raise DataError(f"{task_kind} targets must be class numbers 0..{labels - 1}")
     budget = budget or unlimited()
     loss = make_loss(task_kind, n_classes)
     n, f = X.shape
@@ -196,7 +221,6 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
         mapper = BinMapper().fit(X)
         X, X_val = mapper.transform(X), X_val if X_val is None else mapper.transform(X_val)
     kern = TreeKernel(np.asfortranarray(X if X_val is None else np.concatenate([X, X_val])), n)
-    y_fit = y.astype(np.float64)
     base = loss.init_score(y_fit)
     kern.bind_scores(base, y_fit, loss.kernel_loss)
 

@@ -4,16 +4,19 @@ The library is built on first use, never at import, into `__pycache__/`
 next to the source. Its name carries a hash of the source, the flags and
 the resolved path, size and modification time of the compiler executable,
 so an edit or a new compiler builds a new one, which deletes the libraries
-it supersedes, and finding a cached library starts no process. Only fitting
-needs it: GBM training grows its trees there and does the index bookkeeping
-and exact arithmetic of each boosting iteration; ROC AUC sums its positives'
-ranks there (`metrics.positive_rank_sum`), and so does Normalized Gini
-against a two-valued target where the ranks of x are not known; and
-Normalized Gini against a many-valued target (auto-typing and encoder
-selection for regression) counts its pairs there from ranks
-(`encoders.rank_gini`). Routing and prediction run in numpy. One module lock
-serializes the build and the load, so threads that need the kernel at once
-compile it once.
+it supersedes, and finding a cached library starts no process (the process
+and temporary-file modules are imported only to compile). Fitting needs it:
+GBM training grows its trees there and does the index bookkeeping and exact
+arithmetic of each boosting iteration; ROC AUC sums its positives' ranks
+there (`metrics.positive_rank_sum`), and so does Normalized Gini against a
+two-valued target where the ranks of x are not known; and Normalized Gini
+against a many-valued target (auto-typing and encoder selection for
+regression) counts its pairs there from ranks (`encoders.rank_gini`).
+Prediction uses it where it can: a leaf-wise forest is routed in one call
+(`trees.route_forest`) when `optional_kernel()` loads the library, and in
+numpy, to the same bits, on a host where it cannot be built; oblivious
+forests are always routed in numpy. One module lock serializes the build
+and the load, so threads that need the kernel at once compile it once.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ import functools
 import hashlib
 import os
 import shutil
-import subprocess
-import tempfile
 import threading
 from pathlib import Path
 
@@ -52,6 +53,7 @@ SIGNATURES = {  # name -> (restype, argtypes), as declared in _kernel.c
     "lay_out": (_I, [_P, _I, _I, _P, _P]),
     "gradients": (None, [_I, _P, _I, _I, _P, _I, _P, _P]),
     "add_scores": (None, [_P, _I, _I, _P, _P, _I]),
+    "leaf_route": (None, [_P, _I, _P, _P, _P, _P, _P, _P, _I, _I, _P, _P]),
     "positive_rank_sum": (_D, [_P, _P, _I, _P]),
     "rank_concordance": (_I, [_P, _P, _I, _I, _I, _P, _P]),
 }
@@ -63,6 +65,8 @@ class KernelCompileError(AutotabError):
 
 
 def _run(cmd: list[str]) -> None:
+    import subprocess  # only a compile starts a process
+
     try:
         out = subprocess.run(cmd, capture_output=True, text=True)
     except OSError as exc:
@@ -91,6 +95,8 @@ def _build(cache_dir: Path, compiler: tuple[str, ...]) -> Path:
                                     *_executable_identity(compiler[0])]).encode())
     lib = cache_dir / f"_kernel-{key.hexdigest()[:16]}.so"
     if not lib.exists():
+        import tempfile
+
         try:
             lib.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
@@ -126,3 +132,15 @@ def _open(loader: type) -> ctypes.CDLL:
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes
     return lib
+
+
+@functools.cache
+def optional_kernel() -> ctypes.CDLL | None:
+    """`kernel()`, or None where it cannot be built (no `cc` on PATH, or a
+    compile that fails): for prediction, which then routes in numpy. The
+    answer is kept for the process, so a host without a compiler tries
+    once."""
+    try:
+        return kernel()
+    except KernelCompileError:
+        return None

@@ -7,11 +7,16 @@ sees, i.e. after subsampling). Missing values occupy the last histogram bin
 and always route right; a split at the top non-missing bin can isolate them.
 
 Each tree grows in one call into a compiled kernel, `_kernel.c`, which
-native.py builds with the system C compiler `cc` on first use; routing and
-prediction are numpy and need no compiler. The kernel's header states the
-float order that keeps its trees bit-identical to the numpy kernel in
-tests/oracles.py, and how it routes passenger rows (left-out and validation
-rows that reach a leaf without adding to any histogram).
+native.py builds with the system C compiler `cc` on first use. The kernel's
+header states the float order that keeps its trees bit-identical to the
+numpy kernel in tests/oracles.py, and how it routes passenger rows (left-out
+and validation rows that reach a leaf without adding to any histogram).
+
+Prediction routes a whole packed leaf-wise forest in one kernel call,
+`route_forest`, which checks the forest first; `route` is the same
+algorithm in numpy, tree by tree, for a host without a compiler and as the
+tests' reference, and oblivious trees always predict in numpy. Both give
+the same bits.
 
 The growers run through a `TreeKernel`, which a booster prepares once: it
 checks the code matrix, binds the kernel and holds the buffers that
@@ -29,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import DataError
 from .binning import BinMapper
 
 
@@ -80,6 +86,78 @@ def route(feature: np.ndarray, threshold: np.ndarray, left: np.ndarray, right: n
             stack.append((right[node], rows.compress(~go_left)))
             stack.append((left[node], rows.compress(go_left)))
     return out
+
+
+_NODE_FIELDS = (0, 2, 3, 4, 5)  # the Tree fields leaf_route reads: feature .. value
+_NODE_DTYPES = (np.int32, np.float64, np.int32, np.int32, np.float64)
+
+
+def route_forest(lib, fields: list, offsets: np.ndarray, X: np.ndarray,
+                 raw: np.ndarray) -> None:
+    """Add each tree's leaf values to the raw scores of the rows of X, tree t
+    into output t % outputs, in one call into the kernel `lib` that releases
+    the GIL (`leaf_route`, `route`'s algorithm): the same bits as
+    `raw[:, t % outputs] += tree.predict_raw(X)` tree after tree.
+
+    `fields` and `offsets` are a `boosting.PackedTrees` of `Tree`s. X is
+    Fortran-ordered float64 and raw C-ordered float64, (rows,) or (rows,
+    outputs). A forest may come from an artifact on disk and the kernel
+    reads through its node ids unchecked, so `_node_starts` checks it first.
+    """
+    if not (X.dtype == np.float64 and X.ndim == 2 and X.flags.f_contiguous
+            and raw.dtype == np.float64 and raw.flags.c_contiguous
+            and raw.ndim in (1, 2) and raw.shape[0] == X.shape[0]):
+        raise ValueError("X must be Fortran-ordered float64 and raw C-ordered float64 scores "
+                         "of its rows")
+    starts = _node_starts(fields, offsets, X.shape[1])
+    if starts.shape[0] == 1:  # no trees
+        return
+    feature, threshold, left, right, value = (fields[k] for k in _NODE_FIELDS)
+    n = X.shape[0]
+    work = np.empty(2 * n + 3 * int(np.diff(starts).max()), dtype=np.int64)
+    lib.leaf_route(X.ctypes.data, n, feature.ctypes.data, threshold.ctypes.data,
+                   left.ctypes.data, right.ctypes.data, value.ctypes.data, starts.ctypes.data,
+                   starts.shape[0] - 1, 1 if raw.ndim == 1 else raw.shape[1], raw.ctypes.data,
+                   work.ctypes.data)
+
+
+def _node_starts(fields: list, offsets: np.ndarray, n_features: int) -> np.ndarray:
+    """Each tree's first node in the node arrays, then their length.
+
+    Raises DataError unless the node fields have leaf_route's dtypes, the
+    node offsets rise from 0 by at least one node a tree to the length of
+    every node field, and every internal node (feature >= 0) splits a
+    feature below n_features into two children above its own id and below
+    its tree's node count, which ends every walk within the tree."""
+    if not (isinstance(offsets, np.ndarray) and offsets.dtype == np.int64
+            and offsets.ndim == 2 and offsets.shape[0] >= 1 and offsets.shape[1] == 7
+            and len(fields) == 7):
+        raise DataError("a packed leaf-wise forest has 7 fields and (trees + 1, 7) int64 offsets")
+    starts = np.ascontiguousarray(offsets[:, 0])
+    if starts.shape[0] == 1:
+        return starts
+    nodes = [fields[k] for k in _NODE_FIELDS]
+    if not all(isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == 1
+               and a.flags.c_contiguous for a, dtype in zip(nodes, _NODE_DTYPES)):
+        raise DataError("the node fields of a packed forest must be contiguous int32 features "
+                        "and children and float64 thresholds and values")
+    sizes = np.diff(starts)
+    if (starts[0] != 0 or (sizes < 1).any() or (offsets[:, _NODE_FIELDS] != starts[:, None]).any()
+            or any(a.shape[0] != starts[-1] for a in nodes)):
+        raise DataError("the node offsets of a packed forest must rise from 0, by at least one "
+                        "node a tree, to the length of every node field")
+    feature, _, left, right, _ = nodes
+    tree_of = np.repeat(np.arange(sizes.shape[0]), sizes)
+    own = np.arange(starts[-1]) - starts[tree_of]
+    size = sizes[tree_of]
+    bad = (feature >= 0) & ((feature >= n_features) | (left <= own) | (right <= own)
+                            | (left >= size) | (right >= size))
+    if bad.any():
+        node = int(np.argmax(bad))
+        raise DataError(f"node {own[node]} of tree {tree_of[node]} of a packed forest splits "
+                        f"feature {feature[node]} of {n_features} into children "
+                        f"{left[node]} and {right[node]} of {size[node]} nodes")
+    return starts
 
 
 class TreeKernel:

@@ -1,4 +1,5 @@
 import json
+import re
 import zipfile
 
 import numpy as np
@@ -187,3 +188,64 @@ class TestVersionGate:
         path.write_bytes(b"not a zip")
         with pytest.raises(DataError):
             load_model(str(path))
+
+    def test_manifest_that_is_not_json_rejected(self, saved_model, tmp_path):
+        _assert_damaged(_rewritten(saved_model, tmp_path, manifest=lambda m: b"{not json"))
+
+    def test_manifest_without_root_rejected(self, saved_model, tmp_path):
+        def drop_root(manifest):
+            del manifest["root"]
+            return json.dumps(manifest)
+        _assert_damaged(_rewritten(saved_model, tmp_path, manifest=drop_root))
+
+    def test_missing_array_entry_rejected(self, saved_model, tmp_path):
+        _assert_damaged(_rewritten(saved_model, tmp_path, drop="arrays/3.npy"))
+
+    def test_reference_past_the_stored_arrays_rejected(self, saved_model, tmp_path):
+        def past_the_end(manifest):
+            refs = []
+            _collect_array_refs(manifest["root"], refs)
+            refs[0]["__array__"] = len(refs)  # one past the last stored array
+            return json.dumps(manifest)
+        _assert_damaged(_rewritten(saved_model, tmp_path, manifest=past_the_end))
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    X, y = make_binary(300, 4, 2, seed=5)
+    path = tmp_path_factory.mktemp("saved") / "m.lama"
+    save_model(fit_preset(dataset_from_arrays(X, y, "binary"), _fast_config(use_gbm_leaf=False)),
+               str(path))
+    return path
+
+
+def _rewritten(src, tmp_path, manifest=lambda m: json.dumps(m), drop=None) -> str:
+    """A copy of the artifact at src with its manifest passed through
+    `manifest` and the entry `drop` left out."""
+    out = str(tmp_path / "damaged.lama")
+    with zipfile.ZipFile(src) as z, zipfile.ZipFile(out, "w") as dst:
+        for name in z.namelist():
+            payload = z.read(name)
+            if name == "manifest.json":
+                payload = manifest(json.loads(payload))
+            if name != drop:
+                dst.writestr(name, payload)
+    return out
+
+
+def _collect_array_refs(node, refs: list) -> None:
+    if isinstance(node, list):
+        for v in node:
+            _collect_array_refs(v, refs)
+    elif isinstance(node, dict):
+        if "__array__" in node:
+            refs.append(node)
+        for v in node.values():
+            _collect_array_refs(v, refs)
+
+
+def _assert_damaged(path: str) -> None:
+    """load_model raises DataError naming the path, as the CLI reports it."""
+    from autotab.errors import DataError
+    with pytest.raises(DataError, match=re.escape(path)):
+        load_model(path)

@@ -280,6 +280,19 @@ class TestBoosting:
         with pytest.raises(DataError):
             fit_booster(np.empty((10, 0)), np.zeros(10), GBMParams(), "regression")
 
+    @pytest.mark.parametrize("task_kind,n_classes,labels", [
+        ("multiclass", 3, [0, 1, 2, 3]), ("multiclass", 3, [-1, 0, 1, 2]),
+        ("multiclass", 3, [0, 1, 1.5, 2]), ("binary", 0, [0, 1, 2]), ("binary", 0, [-1, 1]),
+        ("binary", 0, [0, 1, np.nan])])
+    def test_labels_outside_the_classes_rejected(self, task_kind, n_classes, labels):
+        """A label the model has no output for raises before anything is
+        fitted: class 3 of 3 used to grow a fourth output that prediction
+        folded into class 0, and a negative label failed inside bincount."""
+        X = np.random.default_rng(0).normal(size=(60, 3))
+        y = np.resize(np.array(labels, dtype=np.float64), 60)
+        with pytest.raises(DataError, match="class numbers"):
+            fit_booster(X, y, GBMParams(n_estimators_cap=2), task_kind, n_classes)
+
     def test_param_validation(self):
         with pytest.raises(ConfigError):
             GBMParams(learning_rate=0.0)

@@ -1,5 +1,5 @@
 """The kernel loader: cached builds, compiler errors, the ctypes signatures,
-inference without the kernel, and the pair counts of Normalized Gini."""
+inference without a compiler, and the pair counts of Normalized Gini."""
 
 import ctypes
 import os
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from autotab import predict_automl, read_csv
 from autotab.artifact import save_model
 from autotab.data import dataset_from_arrays
 from autotab.encoders import _rank_concordance, dense_ranks
@@ -168,23 +169,40 @@ def test_missing_compiler_raises(tmp_path):
         native.build(tmp_path / "cache", (str(tmp_path / "no-such-cc"),))
 
 
-def test_inference_never_imports_the_kernel(tmp_path):
+def test_inference_needs_no_compiler(tmp_path):
+    """A host without `cc` loads a model and predicts: no process starts,
+    leaf-wise forests route in numpy, and the predictions are the in-process
+    kernel's bit for bit."""
     X, y = make_binary(300, 4, 3, seed=3)
     ds = dataset_from_arrays(X, y, "binary")
     model = fit_preset(ds, PresetConfig(budget_seconds=20.0, tuning_enabled=False,
                                         selection_strategy="none", seed=1))
+    assert any(getattr(est, "forest", None) is not None and est.forest.kind == "Tree"
+               for m in model.level1 for est in m.estimators)
     model_path = str(tmp_path / "model.lama")
     save_model(model, model_path)
-    names = ds.feature_names()
-    csv = write_csv(tmp_path / "rows.csv", names, X[:50].tolist())
+    csv = write_csv(tmp_path / "rows.csv", ds.feature_names(), X[:50].tolist())
+    assert native.optional_kernel() is not None
+    expected = predict_automl(model, read_csv(csv))
+    out_path = str(tmp_path / "pred.npy")
+    no_cc = tmp_path / "empty-bin"
+    no_cc.mkdir()
     code = (
-        "import sys\n"
+        "import subprocess\n"
+        "import numpy as np\n"
+        "def no_process(*args, **kwargs):\n"
+        "    raise AssertionError(f'inference started {args[0]}')\n"
+        "subprocess.Popen = no_process\n"
         "from autotab import predict_automl, read_csv\n"
         "from autotab.artifact import load_model\n"
+        "from autotab.gbm import native\n"
         f"pred = predict_automl(load_model({model_path!r}), read_csv({csv!r}))\n"
-        "assert pred.shape == (50,), pred.shape\n"
-        "assert 'autotab.gbm.native' not in sys.modules\n"
+        "assert native.optional_kernel() is None\n"
+        f"np.save({out_path!r}, pred)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=str(SRC), PATH=str(no_cc))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+    pred = np.load(out_path)
+    assert pred.dtype == expected.dtype and pred.shape == expected.shape == (50,)
+    assert pred.tobytes() == expected.tobytes()
