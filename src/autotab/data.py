@@ -1,21 +1,35 @@
 """CSV ingestion, column parsing, roles, and the typed dataset container.
 
+A CSV file is read as bytes and decoded once, and no Python code runs per
+cell where the bytes allow it. A file without quotes, with LF or CRLF line
+ends, no blank line and the header's comma count on every line is read by a
+single `str.split` on commas, and its columns are strided slices of the
+cells; every other file goes through `csv.reader` row by row, and both give
+the same table. On the split path a screen over the bytes (a cell's length
+and its first and last byte) picks the few cells that may be missing tokens,
+and only those get the exact test.
+
 Each text column is typed as a whole: integer, float, datetime (fixed format
-list), then category. Numbers are converted in one pass over the column. A
-datetime format is given up as soon as more cells fail than the 99% threshold
-allows, so a text column costs a few dozen trial parses per format, not one
-per cell. Cells written in a format's zero-padded ASCII layout are parsed
-together with numpy; every other cell falls back to `strptime`, so each cell
-gets the value a per-cell `strptime` would give. Category codes come from one
-sorted dictionary per column. Constant columns are dropped. Datetime columns
-are expanded into calendar parts and excluded from modeling themselves.
+list), then category. Cells are stripped at most once, and only where
+needed: numbers are converted from the cells as read, in one pass over the
+column, and the stripped cells are made only when that pass fails or a
+datetime format is tried. A datetime format is given up as soon as more
+cells fail than the 99% threshold allows, so a text column costs a few
+dozen trial parses per format, not one per cell. Cells written in a
+format's zero-padded ASCII layout are parsed together with numpy; every
+other cell falls back to `strptime`, so each cell gets the value a per-cell
+`strptime` would give. Category codes come from one sorted dictionary per
+column. Constant columns are dropped. Datetime columns are expanded into
+calendar parts and excluded from modeling themselves.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
@@ -180,38 +194,154 @@ def read_csv(path: str, target_name: str | None = None,
              hints: dict[str, str] | None = None) -> RawTable:
     """Read an RFC 4180 CSV with a header row into text columns.
 
-    Empty cells and the tokens NA/NaN/null/None (case-insensitive) become
-    missing (None). Ragged rows are a hard error reporting the 1-based data
-    row index. `target_name` and hint keys are validated against the header.
+    Empty cells and the tokens NA/NaN/null/None (case-insensitive, surrounding
+    whitespace ignored) become missing (None). Ragged rows are a hard error
+    reporting the 1-based data row index. `target_name` and hint keys are
+    validated against the header. A file that is not UTF-8, or a cell longer
+    than `csv.field_size_limit()`, is a `DataError` too.
+
+    The file is read and decoded once. What reads it depends on its bytes
+    alone: a file `_plain_layout` accepts (no quote, LF or CRLF line ends, no
+    blank line, the header's comma count on every line) is split in one
+    `str.split` and its columns are strided slices of the cells; any other
+    file goes through `csv.reader`, which also raises the ragged-row,
+    blank-line and empty-file errors. Both give the same table. On the split
+    path only the cells the byte screen passes get the exact missing-token
+    test.
     """
     try:
-        fh = open(path, "r", newline="", encoding="utf-8")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        if len(set(header)) != len(header):
-            raise DataError(f"{path}: duplicate column names in header")
+    # Each buffer is dropped once used, and the large arrays are gone before
+    # the cells are made from a single decoded copy of the file.
+    terminated = data.endswith(b"\n")
+    layout = _plain_layout(data if terminated else
+                           data + (b"\r\n" if b"\r" in data else b"\n"))
+    if layout is None:
+        header, columns, n_rows = _read_rows(path, _decode(path, data))
+    else:
+        n_cols, width, maybe_missing = layout
+        # line ends are ASCII, so the decode fails where decoding `data` would
+        data = data.translate(_LINE_ENDS_TO_COMMAS)
+        text = _decode(path, data)
+        del data
+        cells = text.split(",")
+        del text
+        if terminated:
+            cells.pop()  # the empty piece after the final line end
+        for i in maybe_missing.tolist():
+            if cells[i].strip().lower() in MISSING_TOKENS:
+                cells[i] = None
+        header = cells[:n_cols]
+        _check_header(path, header)
+        columns = tuple(tuple(cells[j::width]) for j in range(width, width + n_cols))
+        n_rows = len(columns[0])
+        del cells
+    if target_name is not None and target_name not in header:
+        raise DataError(f"target column {target_name!r} not found in header")
+    for key in (hints or {}):
+        if key not in header:
+            raise DataError(f"role hint names unknown column {key!r}")
+    return RawTable(tuple(header), columns, n_rows)
+
+
+# A cell equals a missing token after `strip().lower()` only if it is at most
+# `_TOKEN_BYTES` long or its first or last byte is in `_EDGE_BYTES`: the ASCII
+# whitespace `str.strip` removes, and every byte of a non-ASCII character
+# (each non-ASCII whitespace character starts and ends with one). No
+# non-ASCII character lowercases to ASCII letters of a token.
+_TOKEN_BYTES = max(map(len, MISSING_TOKENS))
+_EDGE_BYTES = np.array([chr(b).isspace() or b >= 0x80 for b in range(256)])
+# Line ends become commas; a CRLF becomes two
+_LINE_ENDS_TO_COMMAS = bytes.maketrans(b"\r\n", b",,")
+
+
+def _decode(path: str, data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: not UTF-8 text: byte offset {exc.start}: {exc.reason}") from None
+
+
+def _plain_layout(data: bytes) -> tuple[int, int, np.ndarray] | None:
+    """How one split on commas reads a file ending in a line end as
+    `csv.reader` does, or None when the file needs `csv.reader`.
+
+    A file qualifies when it has no `"`, its line ends are all LF or all
+    CRLF (so no other CR), every line has the header's comma count, no line
+    is blank (in a one-column file a blank line is a ragged row to
+    `csv.reader`, not an empty cell) and no cell is longer in bytes than the
+    csv field limit. Once its line ends become commas, each line splits into
+    `width` pieces: its cells, and an empty piece for the CR of a CRLF.
+
+    Returns the column count, `width`, and the piece indices of the data
+    cells that may be missing tokens. Positions are updated in place: at most
+    two arrays of cell positions are alive at a time.
+    """
+    if b'"' in data:
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    is_end = buf == ord(",")
+    is_end |= buf == ord("\n")
+    ends = np.flatnonzero(is_end)
+    del is_end
+    line_ends = buf[ends] == ord("\n")
+    n_cols = int(np.argmax(line_ends)) + 1
+    n_lines, rest = divmod(ends.size, n_cols)
+    if rest or np.count_nonzero(line_ends) != n_lines or not line_ends[n_cols - 1::n_cols].all():
+        return None
+    crlf = buf[ends[n_cols - 1::n_cols] - 1] == ord("\r")
+    n_cr = np.count_nonzero(buf == ord("\r"))
+    if n_cr != np.count_nonzero(crlf) or n_cr not in (0, n_lines):
+        return None
+    width = n_cols + int(n_cr > 0)
+    starts = np.empty_like(ends)
+    starts[0] = -1
+    starts[1:] = ends[:-1]
+    starts += 1
+    ends[n_cols - 1::n_cols] -= width - n_cols  # a CRLF line's last cell ends at its CR
+    maybe = _EDGE_BYTES.take(buf.take(starts[n_cols:]))
+    maybe |= _EDGE_BYTES.take(buf.take(ends[n_cols:] - 1))
+    lengths = np.subtract(ends, starts, out=starts)
+    if lengths.max() > csv.field_size_limit() or (n_cols == 1 and not lengths.all()):
+        return None
+    maybe |= lengths[n_cols:] <= _TOKEN_BYTES
+    cell = np.flatnonzero(maybe) + n_cols
+    return n_cols, width, cell + (cell // n_cols) * (width - n_cols)
+
+
+def _read_rows(path: str, text: str) -> tuple[list[str], tuple[tuple, ...], int]:
+    """Header, columns and row count of any CSV text, through `csv.reader`,
+    with the exact missing-token test on every cell."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    n_rows = -1  # rows read, -1 while the header is read
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file, expected a header row")
+        _check_header(path, header)
+        n_rows = 0
         n_cols = len(header)
         cols: list[list] = [[] for _ in range(n_cols)]
-        n_rows = 0
         for i, row in enumerate(reader, start=1):
             if len(row) != n_cols:
                 raise DataError(
                     f"{path}: ragged row {i}: expected {n_cols} cells, got {len(row)}")
             for j, cell in enumerate(row):
                 cols[j].append(None if cell.strip().lower() in MISSING_TOKENS else cell)
-            n_rows += 1
-    if target_name is not None and target_name not in header:
-        raise DataError(f"target column {target_name!r} not found in header")
-    for key in (hints or {}):
-        if key not in header:
-            raise DataError(f"role hint names unknown column {key!r}")
-    return RawTable(tuple(header), tuple(tuple(c) for c in cols), n_rows)
+            n_rows = i
+    except csv.Error as exc:
+        where = "header" if n_rows < 0 else f"data row {n_rows + 1}"
+        raise DataError(f"{path}: {where}: {exc}") from None
+    return header, tuple(tuple(c) for c in cols), n_rows
+
+
+def _check_header(path: str, header: list[str]) -> None:
+    if len(set(header)) != len(header):
+        raise DataError(f"{path}: duplicate column names in header")
 
 
 # ---------------------------------------------------------------------------
@@ -220,25 +350,52 @@ def read_csv(path: str, target_name: str | None = None,
 
 @dataclass(frozen=True)
 class _Text:
-    """The non-missing cells of one column, stripped, and where they sit."""
+    """The non-missing cells of one column, as read, and where they sit.
+
+    Cells are stripped only when needed: datetime parsing reads `cells`,
+    and `floats` converts the cells as read.
+    """
 
     present: np.ndarray  # bool per row
-    cells: list[str]
+    unstripped: list[str]
 
     @classmethod
     def of(cls, cells) -> "_Text":
-        present = np.fromiter((c is not None for c in cells), dtype=bool, count=len(cells))
-        return cls(present, [c.strip() for c in cells if c is not None])
+        present = np.fromiter(map(operator.is_not, cells, itertools.repeat(None)),
+                              dtype=bool, count=len(cells))
+        return cls(present, [c for c in cells if c is not None])
+
+    def __len__(self) -> int:
+        return len(self.unstripped)
+
+    @cached_property
+    def cells(self) -> list[str]:
+        """The non-missing cells, stripped."""
+        return [c.strip() for c in self.unstripped]
 
     @cached_property
     def lengths(self) -> np.ndarray:
-        """The length of each non-missing cell."""
-        return np.fromiter(map(len, self.cells), dtype=np.int64, count=len(self.cells))
+        """The length of each stripped non-missing cell."""
+        return np.fromiter(map(len, self.cells), dtype=np.int64, count=len(self))
 
     def floats(self, convert) -> np.ndarray:
-        """float64 of `convert(cell)` for each non-missing cell; raises what
-        `convert` raises."""
-        return np.fromiter(map(convert, self.cells), dtype=np.float64, count=len(self.cells))
+        """float64 of `convert(cell.strip())` for each non-missing cell; raises
+        what that raises.
+
+        `float` and `int` ignore all the surrounding whitespace `str.strip`
+        removes but U+001C to U+001F, so a cell that converts as read gives
+        its stripped value. Only when a cell as read raises `ValueError` do
+        the stripped cells decide, and they are converted only if that cell
+        strips to something else: otherwise they would raise at the same cell.
+        """
+        cells = iter(self.unstripped)
+        try:
+            return np.fromiter(map(convert, cells), dtype=np.float64, count=len(self))
+        except ValueError:
+            failed = self.unstripped[len(self) - operator.length_hint(cells) - 1]
+            if failed.strip() == failed:
+                raise
+            return np.fromiter(map(convert, self.cells), dtype=np.float64, count=len(self))
 
     def scatter(self, values: np.ndarray) -> np.ndarray:
         """Values of the non-missing cells spread over all rows, NaN elsewhere."""
@@ -250,7 +407,7 @@ class _Text:
 def _try_int(text: _Text) -> tuple[np.ndarray, bool] | None:
     try:
         values = text.floats(int)
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: an integer beyond float64
         return None
     return text.scatter(values), False
 
@@ -266,10 +423,14 @@ def _try_float(text: _Text) -> tuple[np.ndarray, bool] | None:
 
 
 def _float_or_nan(s: str) -> float:
+    """`float(s.strip())`, or NaN where that raises."""
     try:
         return float(s)
     except ValueError:
-        return math.nan
+        try:
+            return float(s.strip())
+        except ValueError:
+            return math.nan
 
 
 def _floats_or_nan(text: _Text) -> np.ndarray:
@@ -387,7 +548,7 @@ def _parse_datetime_format(text: _Text, fmt: str,
                 return None
             continue
         epochs[i] = dt.timestamp()
-    return text.scatter(epochs), len(text.cells) - failures
+    return text.scatter(epochs), len(text) - failures
 
 
 def _failure_budget(n_nonmissing: int) -> int:
@@ -405,9 +566,9 @@ def _failure_budget(n_nonmissing: int) -> int:
 def _try_datetime(text: _Text) -> tuple[np.ndarray, str] | None:
     """The first format under which enough cells parse. A format is given up
     once its failures exceed the threshold's budget."""
-    if not text.cells:
+    if not text:
         return None
-    budget = _failure_budget(len(text.cells))
+    budget = _failure_budget(len(text))
     for fmt in DATETIME_FORMATS:
         parsed = _parse_datetime_format(text, fmt, budget)
         if parsed is not None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import heapq
 import itertools
 import math
@@ -11,7 +12,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from autotab.data import (DATETIME_FORMATS, DATETIME_PARSE_THRESHOLD, EPOCH_FORMAT,
-                          EPOCH_RANGE, Column, _epoch_int_to_datetime)
+                          EPOCH_RANGE, MISSING_TOKENS, Column, RawTable,
+                          _epoch_int_to_datetime)
 from autotab.encoders import quantile_edges
 from autotab.errors import DataError
 from autotab.gbm.binning import BinMapper
@@ -174,6 +176,48 @@ def simplex_grid_best(preds, y, metric_fn, step=0.01):
 
 
 # ---------------------------------------------------------------------------
+# Row-by-row CSV reader: the reference for data.read_csv.
+
+
+def reference_read_csv(path: str, target_name: str | None = None,
+                       hints: dict[str, str] | None = None) -> RawTable:
+    """Read an RFC 4180 CSV with a header row into text columns.
+
+    Empty cells and the tokens NA/NaN/null/None (case-insensitive) become
+    missing (None). Ragged rows are a hard error reporting the 1-based data
+    row index. `target_name` and hint keys are validated against the header.
+    """
+    try:
+        fh = open(path, "r", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file, expected a header row") from None
+        if len(set(header)) != len(header):
+            raise DataError(f"{path}: duplicate column names in header")
+        n_cols = len(header)
+        cols: list[list] = [[] for _ in range(n_cols)]
+        n_rows = 0
+        for i, row in enumerate(reader, start=1):
+            if len(row) != n_cols:
+                raise DataError(
+                    f"{path}: ragged row {i}: expected {n_cols} cells, got {len(row)}")
+            for j, cell in enumerate(row):
+                cols[j].append(None if cell.strip().lower() in MISSING_TOKENS else cell)
+            n_rows += 1
+    if target_name is not None and target_name not in header:
+        raise DataError(f"target column {target_name!r} not found in header")
+    for key in (hints or {}):
+        if key not in header:
+            raise DataError(f"role hint names unknown column {key!r}")
+    return RawTable(tuple(header), tuple(tuple(c) for c in cols), n_rows)
+
+
+# ---------------------------------------------------------------------------
 # Per-cell parse cascade: the reference for the column-wise parse in data.py.
 
 
@@ -185,7 +229,7 @@ def cascade_try_int(cells):
         s = c.strip()
         try:
             out[i] = int(s)
-        except ValueError:
+        except (ValueError, OverflowError):  # OverflowError: an integer beyond float64
             return None
     return out, False
 

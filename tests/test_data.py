@@ -1,3 +1,6 @@
+import csv
+import re
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
@@ -6,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autotab import PresetConfig, fit_preset, predict_automl
-from autotab.data import (DATETIME_FORMATS, RawTable, _strptime_utc, build_dataset,
-                          dataset_from_arrays, dataset_from_raw_with_schema,
-                          expand_datetime, parse_column, read_csv)
+from autotab.data import (DATETIME_FORMATS, EPOCH_FORMAT, RawTable, _strptime_utc,
+                          build_dataset, dataset_from_arrays, dataset_from_raw_with_schema,
+                          expand_datetime, parse_column, parse_with_schema, read_csv)
 from autotab.errors import DataError
 
 from conftest import write_csv
@@ -54,6 +57,42 @@ class TestReadCsv:
         with pytest.raises(DataError):
             read_csv(path, hints={"ghost": "numeric"})
 
+    def test_file_that_is_not_utf8_names_the_byte(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b\n1,2\n\xe9t\xe9,3\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text: byte offset 8:")):
+            read_csv(str(path))
+
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_cell_over_the_field_limit_names_the_row(self, tmp_path, quote):
+        path = tmp_path / "t.csv"
+        big = quote + "x" * (csv.field_size_limit() + 1) + quote
+        path.write_text(f"a,b\n1,2\n3,{big}\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: data row 2: field larger")):
+            read_csv(str(path))
+
+    def test_traced_peak_stays_near_the_table(self, tmp_path):
+        """Reading holds little beside the table it returns: position arrays
+        and text copies are freed before the cells are made."""
+        rng = np.random.default_rng(7)
+        n = 20_000
+        cols = [[f"{v:.6g}" for v in rng.normal(size=n)] for _ in range(6)]
+        cols += [[f"grp{j}_{k:04d}" for k in rng.integers(0, 500, n)] for j in range(3)]
+        days = np.datetime64("2018-01-01") + rng.integers(0, 2000, n).astype("timedelta64[D]")
+        cols += [list(np.datetime_as_string(days)), [f"{v:.2f}" for v in rng.random(n) * 100]]
+        for col in cols:
+            for i in rng.choice(n, n // 20, replace=False):
+                col[i] = ""
+        path = write_csv(tmp_path / "t.csv", [f"c{j}" for j in range(len(cols))], zip(*cols))
+        tracemalloc.start()
+        try:
+            raw = read_csv(path)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (raw.n_rows, len(raw.columns)) == (n, 11)
+        assert peak <= 1.25 * size
+
 
 class TestParseCascade:
     def test_integer_column(self):
@@ -86,6 +125,13 @@ class TestParseCascade:
         col, entry = parse_column("a", ("02.01.2021", "03.02.2021"))
         assert col.kind == "datetime"
         assert entry["format"] == "%d.%m.%Y"
+
+    def test_integer_beyond_float64_is_not_an_integer_column(self):
+        col, entry = parse_column("a", ("1", "9" * 400, "3"))
+        assert (col.kind, entry) == ("category", {"kind": "category"})
+        epochs = parse_with_schema("a", ("1600000000", "9" * 400),
+                                   {"kind": "datetime", "format": EPOCH_FORMAT})
+        assert np.isnan(epochs.values).all()  # the float parse gives inf: no epoch column
 
 
 def _strptime_or_none(cell, fmt):
@@ -162,6 +208,13 @@ class TestBuildDataset:
                          [[1, 0], ["NA", 1], [3, 0], [4, 1]])
         ds = build_dataset(read_csv(path, "y"), "y", "binary")
         assert np.isnan(ds.columns["a"].values).mean() == pytest.approx(0.25)
+
+    def test_id_column_of_huge_integers(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", ["id", "a", "y"],
+                         [[str(10 ** 400 + i), i, i % 2] for i in range(6)])
+        ds = build_dataset(read_csv(path, "y"), "y", "binary")
+        assert ds.columns["id"].kind == "category"
+        assert ds.columns["a"].kind == "numeric"
 
     def test_deterministic_rebuild(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", ["a", "b", "y"],

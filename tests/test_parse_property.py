@@ -1,8 +1,10 @@
 """The column-wise parse in data.py equals the per-cell cascade it replaced.
 
 The reference cascade lives in oracles.py. Columns are drawn from missing
-tokens, integers near the epoch range, fractions, all datetime formats with
-and without zero padding, invalid dates, non-ASCII digits and free text.
+tokens, integers near the epoch range and beyond float64, fractions, all
+datetime formats with and without zero padding, invalid dates, non-ASCII
+digits and free text. Cells are padded with whitespace that `float` ignores
+and with U+001C to U+001F, which only `str.strip` removes.
 """
 
 from datetime import datetime
@@ -22,7 +24,8 @@ SCHEMA_ENTRIES = ([{"kind": "numeric"}, {"kind": "category_numeric"}, {"kind": "
                    {"kind": "datetime", "format": EPOCH_FORMAT}]
                   + [{"kind": "datetime", "format": f} for f in DATETIME_FORMATS])
 
-pad = st.sampled_from(["", "", "", " ", "  ", "\t"])
+# whitespace `str.strip` removes; `float` and `int` do not ignore U+001C to U+001F
+pad = st.sampled_from(["", "", "", " ", "  ", "\t", "\x1c", "\x1f", "\x0b", "\xa0", "\u3000"])
 
 # (year, month, day, hour, minute, second) that name no time; the last five
 # are invalid only in formats with a time of day.
@@ -98,6 +101,7 @@ int_cell = st.one_of(
     st.integers(10 ** 8 - 3, 10 ** 8 + 3),
     st.integers(10 ** 11 - 3, 10 ** 11 + 3),
     st.integers(1_500_000_000, 1_700_000_000),
+    st.just(10 ** 400),  # beyond float64
 ).map(str)
 float_cell = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
