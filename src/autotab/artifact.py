@@ -12,8 +12,10 @@ those arrays.
 The manifest carries a format version that is checked on load, before any
 object is decoded. Version 4 dropped the encoder spec's and the views'
 smoothing fields and the data model's unused metadata, and stores every
-target map as (groups, K) means with a (K,) default. Versions 1-3 are
-rejected.
+target map as (groups, K) means with a (K,) default. Version 5 dropped the
+dataset's `roles` and `target_name`, the model's `enc_specs`, both models'
+`version`, and the schema's `category_numeric` kind and `float_literals`
+and `part` keys. Versions 1-4 are rejected.
 """
 
 from __future__ import annotations
@@ -35,8 +37,10 @@ from .gbm import GBMEstimator, GBMParams, PackedTrees
 from .learners import GBMView, LinearView, TrainedModel
 from .linear import LinearEstimator, LinearParams
 from .metrics import MetricSpec
-from .pipeline import FORMAT_VERSION, AutoMLModel, UtilizedModel
+from .pipeline import AutoMLModel, UtilizedModel
 from .tuning import TrialHistory
+
+FORMAT_VERSION = 5
 
 _REGISTRY = {cls.__name__: cls for cls in (
     ColumnTyping, TypingReport, Column, Dataset, DatasetMeta, Task,

@@ -17,11 +17,11 @@ on the same encoding, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, numeric_to_category
 from .encoders import (EncoderSpec, binary_gini, class_ginis, dense_ranks,
                        oof_encode_groups, quantile_edges, rank_gini)
 from .validation import FoldAssignment
@@ -175,11 +175,11 @@ def infer_feature_kind(dataset: Dataset, folds: FoldAssignment) -> TypingReport:
 
 
 def apply_typing(dataset: Dataset, report: TypingReport) -> Dataset:
-    """Re-type the columns the report judged categorical."""
-    names = report.category_columns()
-    if not names:
-        return dataset
-    return dataset.with_columns_as_category(names)
+    """Re-type the columns the report judged categorical. Their recipes stay
+    numeric: the dictionary of numbers decides a parsed column's codes."""
+    retyped = {name: numeric_to_category(dataset.columns[name])
+               for name in report.category_columns()}
+    return replace(dataset, columns={**dataset.columns, **retyped})
 
 
 def select_category_encoding(col_values: np.ndarray, y: np.ndarray,

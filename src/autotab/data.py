@@ -1,4 +1,4 @@
-"""CSV ingestion, column parsing, roles, and the typed dataset container.
+"""CSV ingestion, column parsing, and the typed dataset container.
 
 A CSV file is read as bytes and decoded once, and no Python code runs per
 cell where the bytes allow it. A file without quotes, with LF or CRLF line
@@ -21,6 +21,10 @@ other cell falls back to `strptime`, so each cell gets the value a per-cell
 `strptime` would give. Category codes come from one sorted dictionary per
 column. Constant columns are dropped. Datetime columns are expanded into
 calendar parts and excluded from modeling themselves.
+
+A raw table predicts as the dataset built from it: `parse_features` parses
+its cells into the columns `build_dataset` gives, and `conform` codes any
+such dataset as the training reference does.
 """
 
 from __future__ import annotations
@@ -127,21 +131,18 @@ class DatasetMeta:
 
 @dataclass
 class Dataset:
-    """Immutable typed table: modeling columns, roles, target, task, metadata.
+    """Immutable typed table: modeling columns, target, task, metadata.
 
-    ``columns`` hold only modeling features (numeric and category). Dropped
-    and raw datetime columns are tracked through ``roles`` so reports and the
-    inference schema can still see them.
+    ``columns`` hold the modeling features (numeric and category) and say how
+    each is coded. ``schema`` holds each source column's parse recipe, and
+    ``{"source": name}`` for a datetime part. A dropped column appears in
+    neither; a raw datetime column has a schema entry and no column.
     """
 
     columns: dict[str, Column]
-    roles: dict[str, str]
     target: np.ndarray
-    target_name: str
     task: Task
     meta: DatasetMeta
-    # Raw-table parse recipe per source column, used to rebuild feature
-    # columns from a new CSV at inference time.
     schema: dict[str, dict] = field(default_factory=dict)
 
     @property
@@ -156,23 +157,6 @@ class Dataset:
 
     def category_feature_names(self) -> list[str]:
         return [n for n, c in self.columns.items() if c.kind == "category"]
-
-    def with_columns_as_category(self, names: list[str]) -> "Dataset":
-        """Return a copy where the given numeric columns become categories."""
-        new_cols = dict(self.columns)
-        new_roles = dict(self.roles)
-        new_schema = {k: dict(v) for k, v in self.schema.items()}
-        for name in names:
-            col = self.columns[name]
-            if col.kind != "numeric":
-                continue
-            new_cols[name] = numeric_to_category(col)
-            new_roles[name] = "category"
-            # a datetime part keeps its recipe: it is rebuilt from its source
-            if name in new_schema and "source" not in new_schema[name]:
-                new_schema[name]["kind"] = "category_numeric"
-        return Dataset(new_cols, new_roles, self.target, self.target_name,
-                       self.task, self.meta, new_schema)
 
 
 def numeric_to_category(col: Column) -> Column:
@@ -617,7 +601,7 @@ def parse_column(name: str, cells) -> tuple[Column, dict]:
     if parsed_float is not None:
         values, has_fraction = parsed_float
         col = Column(name, "numeric", values, from_float_literals=has_fraction)
-        return col, {"kind": "numeric", "float_literals": has_fraction}
+        return col, {"kind": "numeric"}
     parsed_dt = _try_datetime(text)
     if parsed_dt is not None:
         epochs, fmt = parsed_dt
@@ -628,7 +612,7 @@ def parse_column(name: str, cells) -> tuple[Column, dict]:
 def parse_with_schema(name: str, cells, entry: dict) -> Column:
     """Re-parse a raw column at inference using the stored training recipe."""
     kind = entry["kind"]
-    if kind in ("numeric", "category_numeric"):
+    if kind == "numeric":
         return Column(name, "numeric", _floats_or_nan(_Text.of(cells)))
     if kind == "datetime":
         fmt = entry["format"]
@@ -739,7 +723,6 @@ def build_dataset(raw: RawTable, target_name: str, task_kind: str,
                 metric=metric, labels=labels)
 
     columns: dict[str, Column] = {}
-    roles: dict[str, str] = {target_name: "target"}
     schema: dict[str, dict] = {}
     warnings: list[str] = []
 
@@ -749,7 +732,6 @@ def build_dataset(raw: RawTable, target_name: str, task_kind: str,
         cells = raw.column(name)
         hint = hints.get(name)
         if hint == "drop":
-            roles[name] = "drop"
             continue
         if hint == "category":
             col, entry = _category_column(name, cells), {"kind": "category"}
@@ -770,24 +752,16 @@ def build_dataset(raw: RawTable, target_name: str, task_kind: str,
             col, entry = parse_column(name, cells)
 
         if col.kind == "datetime":
-            roles[name] = "datetime"
             schema[name] = entry
             for part in expand_datetime(col):
-                if _constant(part):
-                    roles[part.name] = "drop"
-                    continue
-                columns[part.name] = part
-                roles[part.name] = "numeric"
-                schema[part.name] = {"kind": "datetime_part", "source": name,
-                                     "part": part.name.rsplit("__", 1)[1]}
+                if not _constant(part):
+                    columns[part.name] = part
+                    schema[part.name] = {"source": name}
             continue
 
-        if _constant(col):
-            roles[name] = "drop"
-            continue
-        columns[name] = col
-        roles[name] = col.kind
-        schema[name] = entry
+        if not _constant(col):
+            columns[name] = col
+            schema[name] = entry
 
     if task_kind == "multiclass":
         counts = np.bincount(target, minlength=task.n_classes)
@@ -796,18 +770,16 @@ def build_dataset(raw: RawTable, target_name: str, task_kind: str,
             warnings.append(
                 f"classes {small} have fewer than {DEFAULT_K} members; stratification degrades")
 
-    return Dataset(columns, roles, target, target_name, task,
-                   DatasetMeta(raw.n_rows, warnings), schema)
+    return Dataset(columns, target, task, DatasetMeta(raw.n_rows, warnings), schema)
 
 
 def dataset_from_arrays(X: np.ndarray, y: np.ndarray, task_kind: str,
                         feature_names: list[str] | None = None,
                         category_columns: list[str] | None = None,
                         metric: MetricSpec | None = None) -> Dataset:
-    """Build a dataset directly from numeric arrays (tests, stacking levels).
-
-    Columns listed in `category_columns` are converted to dense codes.
-    """
+    """Build a dataset directly from numeric arrays. Columns listed in
+    `category_columns` are coded over their distinct values; every recipe is
+    numeric, and `conform` codes the categories among parsed numbers."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DataError("X must be 2-dimensional")
@@ -827,8 +799,6 @@ def dataset_from_arrays(X: np.ndarray, y: np.ndarray, task_kind: str,
             raise DataError("binary target must have exactly 2 labels")
     task = Task(task_kind, n_classes=len(labels), metric=metric, labels=labels)
     columns: dict[str, Column] = {}
-    roles: dict[str, str] = {"__target__": "target"}
-    schema: dict[str, dict] = {}
     for j, name in enumerate(names):
         vals = X[:, j]
         finite = vals[~np.isnan(vals)]
@@ -837,54 +807,77 @@ def dataset_from_arrays(X: np.ndarray, y: np.ndarray, task_kind: str,
         if category_columns and name in category_columns:
             col = numeric_to_category(col)
         columns[name] = col
-        roles[name] = col.kind
-        schema[name] = {"kind": "numeric" if col.kind == "numeric" else "category_numeric"}
-    return Dataset(columns, roles, target, "__target__", task, DatasetMeta(n), schema)
+    schema = {name: {"kind": "numeric"} for name in names}
+    return Dataset(columns, target, task, DatasetMeta(n), schema)
 
 
-def dataset_from_raw_with_schema(raw: RawTable, reference: Dataset,
-                                 selected: list[str] | None = None) -> Dataset:
-    """Rebuild the feature columns of `reference` from a new raw table.
+# ---------------------------------------------------------------------------
+# Inference input
 
-    Applies the stored parse recipes and category dictionaries; the target is
-    not required. Unseen categories map to code -1. Raises on missing source
-    columns.
-    """
-    needed_sources: dict[str, dict] = {}
-    wanted = set(selected if selected is not None else reference.feature_names())
-    for name in wanted:
+
+def parse_features(raw: RawTable, reference: Dataset, names: list[str]) -> Dataset:
+    """Features `names` of `reference` parsed from `raw` by its stored
+    recipes, as `build_dataset` gives them: numbers and datetime parts
+    numeric, text categories with their own dictionaries, constant columns
+    kept. Each source column is parsed once; a missing one is a DataError."""
+    sources: dict[str, dict] = {}
+    for name in names:
         entry = reference.schema.get(name)
         if entry is None:
             raise DataError(f"no parse recipe stored for column {name!r}")
         source = entry.get("source", name)
-        needed_sources[source] = reference.schema[source]
-    missing = [s for s in needed_sources if s not in raw.column_names]
+        sources[source] = reference.schema[source]
+    missing = [s for s in sources if s not in raw.column_names]
     if missing:
         raise DataError(f"input table is missing columns {sorted(missing)}")
+    parsed: dict[str, Column] = {}
+    for source, entry in sources.items():
+        col = parse_with_schema(source, raw.column(source), entry)
+        for part in expand_datetime(col) if col.kind == "datetime" else (col,):
+            parsed[part.name] = part
+    return Dataset({name: parsed[name] for name in names}, np.zeros(raw.n_rows),
+                   reference.task, DatasetMeta(raw.n_rows), reference.schema)
 
-    parsed_sources = {
-        source: parse_with_schema(source, raw.column(source), entry)
-        for source, entry in needed_sources.items()
-    }
-    expanded: dict[str, Column] = {}
-    for source, col in parsed_sources.items():
-        if col.kind == "datetime":
-            for part in expand_datetime(col):
-                expanded[part.name] = part
 
+def conform(dataset: Dataset, reference: Dataset, selected: list[str] | None = None) -> Dataset:
+    """`dataset`'s columns of the reference's features (those in `selected`
+    when given) in the reference's order, a category coded in the reference's
+    dictionary (-1 where missing or unseen) whether it arrives as text, as
+    numbers or as a category of numbers. Raises DataError naming a feature
+    that is missing or whose kind does not fit the reference's."""
+    wanted = set(selected) if selected is not None else reference.columns.keys()
     columns: dict[str, Column] = {}
-    for name in reference.feature_names():
+    for name, ref_col in reference.columns.items():
         if name not in wanted:
             continue
-        ref_col = reference.columns[name]
-        col = expanded[name] if "source" in reference.schema[name] else parsed_sources[name]
-        if ref_col.kind == "category":
+        col = dataset.columns.get(name)
+        if col is None:
+            raise DataError(f"input dataset has no column for feature {name!r}")
+        if ref_col.kind == "category" and _is_text(col) == _is_text(ref_col):
             columns[name] = _recode_category(col, ref_col)
+        elif ref_col.kind == col.kind == "numeric":
+            columns[name] = col
         else:
-            columns[name] = Column(name, "numeric", col.values.astype(np.float64))
-    roles = {n: c.kind for n, c in columns.items()}
-    return Dataset(columns, roles, np.zeros(raw.n_rows), reference.target_name,
-                   reference.task, DatasetMeta(raw.n_rows), reference.schema)
+            raise DataError(f"column {name!r} holds {_holds(col)} but the model was "
+                            f"trained on {_holds(ref_col)}")
+    return Dataset(columns, dataset.target, reference.task, dataset.meta, reference.schema)
+
+
+def dataset_from_raw_with_schema(raw: RawTable, reference: Dataset,
+                                 selected: list[str] | None = None) -> Dataset:
+    """The feature columns of `reference` (those in `selected` when given)
+    rebuilt from a new raw table: `parse_features`, then `conform`."""
+    names = selected if selected is not None else reference.feature_names()
+    return conform(parse_features(raw, reference, names), reference, names)
+
+
+def _is_text(col: Column) -> bool:
+    return col.kind == "category" and col.dictionary.dtype.kind == "U"
+
+
+def _holds(col: Column) -> str:
+    return ("numbers" if col.kind != "category" else
+            "text categories" if _is_text(col) else "numeric categories")
 
 
 def _recode_category(col: Column, ref_col: Column) -> Column:

@@ -20,8 +20,8 @@ import numpy as np
 from .autotype import (TypingReport, apply_typing, infer_feature_kind,
                        select_category_encoding)
 from .budget import TimeBudget
-from .data import Column, Dataset, DatasetMeta, RawTable, Task, dataset_from_raw_with_schema
-from .encoders import EncoderSpec
+from .data import (Column, Dataset, DatasetMeta, RawTable, Task, conform,
+                   dataset_from_raw_with_schema, parse_features)
 from .ensemble import (ENSEMBLE_STEPS, BlendWeights, apply_blend, blend_weights,
                        build_stack_features)
 from .errors import BudgetError, ConfigError, DataError
@@ -31,8 +31,6 @@ from .metrics import MetricSpec, evaluate
 from .selection import cutoff_select, forward_select, permutation_importance
 from .tuning import expert_params, tune_gbm
 from .validation import CVScheme, FoldAssignment, make_folds, kfold_vector
-
-FORMAT_VERSION = 4
 
 SELECTION_STRATEGIES = ("none", "cutoff", "forward")
 STACK_POLICIES = ("auto", "always", "never")
@@ -137,12 +135,10 @@ def allocate_time(budget: TimeBudget, plan: PhasePlan,
 class AutoMLModel:
     """The final fitted artifact: everything needed to predict and audit."""
 
-    version: int
     task: Task
     config: dict
     reference: Dataset  # stripped of row data; keeps schema and dictionaries
     typing_report: TypingReport
-    enc_specs: dict[str, EncoderSpec]
     selected: list[str]
     level1: list[TrainedModel]
     level2: list[TrainedModel]  # empty unless the level-1 models are stacked
@@ -153,10 +149,17 @@ class AutoMLModel:
     report: dict
 
     def predict_raw_table(self, raw: RawTable) -> np.ndarray:
-        ds = dataset_from_raw_with_schema(raw, self.reference, self.selected)
-        return self.predict_dataset(ds)
+        """Predictions for raw cells: each selected feature parsed by its
+        recipe and coded as at fit time; the target is not needed."""
+        return self._predict(dataset_from_raw_with_schema(raw, self.reference, self.selected))
 
     def predict_dataset(self, ds: Dataset) -> np.ndarray:
+        """Predictions for a dataset with `build_dataset`'s columns, which
+        `data.conform` codes as at fit time: a dataset built from a raw table
+        predicts as that table does."""
+        return self._predict(conform(ds, self.reference, self.selected))
+
+    def _predict(self, ds: Dataset) -> np.ndarray:
         level1_preds = [m.predict(ds) for m in self.level1]
         if not self.level2:
             return apply_blend(level1_preds, self.blend)
@@ -182,18 +185,14 @@ def stack_feature_transform(X: np.ndarray, task: Task) -> np.ndarray:
 def _features_only_dataset(X: np.ndarray, names: list[str], task: Task) -> Dataset:
     columns = {n: Column(n, "numeric", X[:, j].astype(np.float64))
                for j, n in enumerate(names)}
-    meta = DatasetMeta(X.shape[0])
-    roles = {n: "numeric" for n in names}
-    schema = {n: {"kind": "numeric"} for n in names}
-    return Dataset(columns, roles, np.zeros(X.shape[0]), "__target__", task, meta, schema)
+    return Dataset(columns, np.zeros(X.shape[0]), task, DatasetMeta(X.shape[0]))
 
 
 def strip_dataset(dataset: Dataset) -> Dataset:
     """Drop row data but keep schema, dictionaries, task, and metadata."""
     slim_cols = {name: replace(col, values=np.empty(0, dtype=col.values.dtype))
                  for name, col in dataset.columns.items()}
-    return Dataset(slim_cols, dict(dataset.roles), np.empty(0), dataset.target_name,
-                   dataset.task, dataset.meta, dataset.schema)
+    return Dataset(slim_cols, np.empty(0), dataset.task, dataset.meta, dataset.schema)
 
 
 def default_cv_scheme(task: Task, seed: int) -> CVScheme:
@@ -237,10 +236,9 @@ def fit_preset(dataset: Dataset, config: PresetConfig) -> AutoMLModel:
     typing_folds = _typing_folds(folds, dataset.n_rows, config.seed)
     typing_report = infer_feature_kind(dataset, typing_folds)
     dataset = apply_typing(dataset, typing_report)
-    enc_specs: dict[str, EncoderSpec] = {}
-    for name in dataset.category_feature_names():
-        enc_specs[name] = select_category_encoding(
-            dataset.columns[name].values, y, typing_folds, task.encoding_classes)
+    enc_specs = {name: select_category_encoding(dataset.columns[name].values, y,
+                                                typing_folds, task.encoding_classes)
+                 for name in dataset.category_feature_names()}
     report["typing"] = typing_report.to_json()
     report["encoders"] = {k: v.kind for k, v in enc_specs.items()}
     report["phases"].append({"name": "typing", "elapsed": time.monotonic() - t0})
@@ -343,9 +341,9 @@ def fit_preset(dataset: Dataset, config: PresetConfig) -> AutoMLModel:
         level1_keep, level2_keep = kept_models, []
 
     return AutoMLModel(
-        version=FORMAT_VERSION, task=task, config=asdict(config),
+        task=task, config=asdict(config),
         reference=strip_dataset(dataset), typing_report=typing_report,
-        enc_specs=enc_specs, selected=selected, level1=level1_keep,
+        selected=selected, level1=level1_keep,
         level2=level2_keep, blend=kept_blend, oof=oof_full,
         oof_mask=mask, metric_oof=metric_oof, report=report)
 
@@ -447,7 +445,6 @@ class UtilizedModel:
     then combined by ensemble selection (`ensemble.blend_weights`).
     """
 
-    version: int
     task: Task
     runs: list[AutoMLModel]
     group_of_run: list[int]
@@ -456,10 +453,13 @@ class UtilizedModel:
     report: dict
 
     def predict_raw_table(self, raw: RawTable) -> np.ndarray:
-        preds = [run.predict_raw_table(raw) for run in self.runs]
-        return self._combine(preds)
+        """Each source column parsed once for all runs, which share one
+        schema: auto-typing changes columns only."""
+        names = list(dict.fromkeys(n for run in self.runs for n in run.selected))
+        return self.predict_dataset(parse_features(raw, self.runs[0].reference, names))
 
-    def _combine(self, preds: list[np.ndarray]) -> np.ndarray:
+    def predict_dataset(self, ds: Dataset) -> np.ndarray:
+        preds = [run.predict_dataset(ds) for run in self.runs]
         return apply_blend(_average_by_config(preds, self.group_of_run), self.blend)
 
 
@@ -522,8 +522,7 @@ def utilized_fit(dataset: Dataset, configs: list[PresetConfig],
     report = {"runs": [r.report for r in runs], "blend": blend.to_json(),
               "groups": group_of_run, "metric_oof": metric_oof,
               "warnings": _blend_warnings(blend)}
-    return UtilizedModel(FORMAT_VERSION, dataset.task, runs, group_of_run,
-                         blend, metric_oof, report)
+    return UtilizedModel(dataset.task, runs, group_of_run, blend, metric_oof, report)
 
 
 def predict_automl(artifact: AutoMLModel | UtilizedModel, raw: RawTable) -> np.ndarray:

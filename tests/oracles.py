@@ -301,7 +301,7 @@ def cascade_parse_column(name, cells):
     if parsed_float is not None:
         values, has_fraction = parsed_float
         col = Column(name, "numeric", values, from_float_literals=has_fraction)
-        return col, {"kind": "numeric", "float_literals": has_fraction}
+        return col, {"kind": "numeric"}
     parsed_dt = cascade_try_datetime(cells)
     if parsed_dt is not None:
         epochs, fmt = parsed_dt
@@ -324,7 +324,7 @@ def _cascade_floats_or_nan(cells):
 
 def cascade_parse_with_schema(name, cells, entry):
     kind = entry["kind"]
-    if kind in ("numeric", "category_numeric"):
+    if kind == "numeric":
         return Column(name, "numeric", _cascade_floats_or_nan(cells))
     if kind == "datetime":
         fmt = entry["format"]

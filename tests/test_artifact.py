@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import re
 import zipfile
@@ -156,22 +158,24 @@ class TestVersionGate:
         with pytest.raises(ConfigError, match="format version 2"):
             load_model(old)
 
-    def test_version_3_rejected_before_decoding(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("version", [3, 4])
+    def test_older_version_rejected_before_decoding(self, tmp_path, monkeypatch, version):
         # a version-3 model stored 1-d target maps and smoothing fields on its
-        # encoder specs and views; the version check must fire before any
-        # node is decoded
+        # encoder specs and views, a version-4 model the dataset's roles and
+        # the model's encoder specs and version; the version check must fire
+        # before any node is decoded
         X, y = make_binary(300, 4, 2, seed=5)
         ds = dataset_from_arrays(X, y, "binary", category_columns=["f0"])
         model = fit_preset(ds, _fast_config(use_gbm_leaf=False))
         path = str(tmp_path / "m.lama")
         save_model(model, path)
-        old = str(tmp_path / "v3.lama")
+        old = str(tmp_path / f"v{version}.lama")
         with zipfile.ZipFile(path) as src, zipfile.ZipFile(old, "w") as dst:
             for name in src.namelist():
                 payload = src.read(name)
                 if name == "manifest.json":
                     manifest = json.loads(payload)
-                    manifest["format_version"] = 3
+                    manifest["format_version"] = version
                     payload = json.dumps(manifest)
                 dst.writestr(name, payload)
 
@@ -179,8 +183,16 @@ class TestVersionGate:
             raise AssertionError("a node was decoded")
 
         monkeypatch.setattr(artifact, "_decode", no_decoding)
-        with pytest.raises(ConfigError, match="format version 3"):
+        with pytest.raises(ConfigError, match=f"format version {version}"):
             load_model(old)
+
+    def test_stored_fields_are_pinned_to_the_format_version(self):
+        # an artifact stores every field of these types: a change to one
+        # needs a new FORMAT_VERSION, and then a new fingerprint here
+        fields = sorted((name, tuple(f.name for f in dataclasses.fields(cls)))
+                        for name, cls in artifact._REGISTRY.items())
+        fingerprint = hashlib.sha256(repr(fields).encode()).hexdigest()[:16]
+        assert (artifact.FORMAT_VERSION, fingerprint) == (5, "7b1d368baee61291"), fields
 
     def test_garbage_file_rejected(self, tmp_path):
         from autotab.errors import DataError

@@ -160,15 +160,15 @@ class TestBuildDataset:
                          [["x", 0], ["x", 1], ["x", 0]])
         ds = build_dataset(read_csv(path, "y"), "y", "binary")
         assert "a" not in ds.columns
-        assert ds.roles["a"] == "drop"
+        assert "a" not in ds.schema
 
     def test_datetime_expanded(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", ["d", "y"],
                          [["2021-01-02", 0], ["2021-02-03", 1], ["2022-03-04", 0]])
         ds = build_dataset(read_csv(path, "y"), "y", "binary")
         assert "d" not in ds.columns
-        assert ds.roles["d"] == "datetime"
-        assert "d__year" in ds.columns or ds.roles.get("d__year") == "drop"
+        assert ds.schema["d"]["kind"] == "datetime"
+        assert ("d__year" in ds.columns) == ("d__year" in ds.schema)
         assert "d__day" in ds.columns
 
     def test_missing_target_is_hard_error(self, tmp_path):
@@ -201,7 +201,7 @@ class TestBuildDataset:
         ds = build_dataset(read_csv(path, "y"), "y", "binary",
                            hints={"a": "category", "b": "drop"})
         assert ds.columns["a"].kind == "category"
-        assert ds.roles["b"] == "drop"
+        assert "b" not in ds.columns and "b" not in ds.schema
 
     def test_missing_rate_matches_mask(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", ["a", "y"],

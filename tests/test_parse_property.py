@@ -20,7 +20,7 @@ from oracles import cascade_parse_column, cascade_parse_with_schema, cascade_try
 
 FOREIGN_DIGITS = ("٠١٢٣٤٥٦٧٨٩",
                   "０１２３４５６７８９")
-SCHEMA_ENTRIES = ([{"kind": "numeric"}, {"kind": "category_numeric"}, {"kind": "category"},
+SCHEMA_ENTRIES = ([{"kind": "numeric"}, {"kind": "category"},
                    {"kind": "datetime", "format": EPOCH_FORMAT}]
                   + [{"kind": "datetime", "format": f} for f in DATETIME_FORMATS])
 
