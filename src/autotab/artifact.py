@@ -15,7 +15,10 @@ smoothing fields and the data model's unused metadata, and stores every
 target map as (groups, K) means with a (K,) default. Version 5 dropped the
 dataset's `roles` and `target_name`, the model's `enc_specs`, both models'
 `version`, and the schema's `category_numeric` kind and `float_literals`
-and `part` keys. Versions 1-4 are rejected.
+and `part` keys. Version 6 stores symmetric trees as complete `Tree`s,
+so a forest no longer names its tree type (`PackedTrees.kind`), and dropped
+the per-feature split gains of every tree and booster. Versions 1-5 are
+rejected.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .metrics import MetricSpec
 from .pipeline import AutoMLModel, UtilizedModel
 from .tuning import TrialHistory
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 _REGISTRY = {cls.__name__: cls for cls in (
     ColumnTyping, TypingReport, Column, Dataset, DatasetMeta, Task,

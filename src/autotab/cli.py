@@ -25,6 +25,8 @@ _CONFIG_KEYS = ({f.name for f in dataclasses.fields(PresetConfig)}
                 | {"train_path", "target", "out_dir", "model_path", "task"})
 _CV_KEYS = {"kind", "k", "seed", "holdout_fraction", "group_column",
             "time_column", "fold_of_row"}
+_TYPES = {"tuning_enabled": bool, "use_linear": bool, "use_gbm_leaf": bool,
+          "use_gbm_sym": bool, "seed": int}  # JSON types the keys must have
 _TASK_KINDS = ("binary", "multiclass", "regression", "auto")
 
 
@@ -52,10 +54,23 @@ def _load_config(path: str | None) -> dict:
         bad = set(cv) - _CV_KEYS
         if bad:
             raise ConfigError(f"unknown cv keys: {sorted(bad)}")
+        _check_types(cv, {"k": int, "seed": int}, "cv.")
+    _check_types(cfg, _TYPES, "")
     task = cfg.get("task")
     if task is not None and task not in _TASK_KINDS:
         raise ConfigError(f"task must be one of {_TASK_KINDS}")
     return cfg
+
+
+def _check_types(cfg: dict, types: dict, prefix: str) -> None:
+    """Raise ConfigError where a key of `types` holds a value of another type
+    (a JSON boolean is no integer): coercing "false" or 2.9 would run
+    another configuration."""
+    from .errors import ConfigError
+
+    for key, kind in types.items():
+        if type(cfg.get(key, kind())) is not kind:
+            raise ConfigError(f"{prefix}{key} must be a JSON {kind.__name__}, not {cfg[key]!r}")
 
 
 def _infer_task_kind(cells) -> str:
@@ -84,11 +99,11 @@ def _build_preset_config(cfg: dict, budget: float | None, seed_flag: int | None)
     if cfg.get("cv"):
         c = cfg["cv"]
         fold = c.get("fold_of_row")
-        cv = CVScheme(kind=c.get("kind", "kfold"), k=int(c.get("k", 5)),
+        cv = CVScheme(kind=c.get("kind", "kfold"), k=c.get("k", 5),
                       holdout_fraction=float(c.get("holdout_fraction", 0.25)),
                       group_column=c.get("group_column"),
                       time_column=c.get("time_column"),
-                      seed=int(c.get("seed", 0)),
+                      seed=c.get("seed", 0),
                       fold_of_row=tuple(fold) if fold is not None else None)
     d = PresetConfig  # the defaults of keys the config leaves out
     try:
@@ -96,13 +111,13 @@ def _build_preset_config(cfg: dict, budget: float | None, seed_flag: int | None)
             cv=cv,
             selection_strategy=cfg.get("selection_strategy", d.selection_strategy),
             stack_policy=cfg.get("stack_policy", d.stack_policy),
-            tuning_enabled=bool(cfg.get("tuning_enabled", d.tuning_enabled)),
+            tuning_enabled=cfg.get("tuning_enabled", d.tuning_enabled),
             budget_seconds=float(budget if budget is not None
                                  else cfg.get("budget_seconds", d.budget_seconds)),
-            seed=int(seed_flag if seed_flag is not None else cfg.get("seed", d.seed)),
-            use_linear=bool(cfg.get("use_linear", d.use_linear)),
-            use_gbm_leaf=bool(cfg.get("use_gbm_leaf", d.use_gbm_leaf)),
-            use_gbm_sym=bool(cfg.get("use_gbm_sym", d.use_gbm_sym)),
+            seed=seed_flag if seed_flag is not None else cfg.get("seed", d.seed),
+            use_linear=cfg.get("use_linear", d.use_linear),
+            use_gbm_leaf=cfg.get("use_gbm_leaf", d.use_gbm_leaf),
+            use_gbm_sym=cfg.get("use_gbm_sym", d.use_gbm_sym),
             metric=cfg.get("metric", d.metric))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc

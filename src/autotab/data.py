@@ -406,24 +406,23 @@ def _try_float(text: _Text) -> tuple[np.ndarray, bool] | None:
     return text.scatter(values), bool(np.any(values != np.floor(values)))
 
 
-def _float_or_nan(s: str) -> float:
-    """`float(s.strip())`, or NaN where that raises."""
-    try:
-        return float(s)
-    except ValueError:
-        try:
-            return float(s.strip())
-        except ValueError:
-            return math.nan
-
-
-def _floats_or_nan(text: _Text) -> np.ndarray:
-    """Float values; cells that do not parse become NaN."""
+def _finite_floats(text: _Text) -> tuple[np.ndarray | None, int | None]:
+    """The value of every row, NaN where missing, and None; or None and the
+    first row whose cell is not a finite number. The cells accepted are
+    those `build_dataset` types as numbers (`_try_int`, `_try_float`)."""
     try:
         values = text.floats(float)
     except ValueError:
-        values = text.floats(_float_or_nan)
-    return text.scatter(values)
+        values = None
+    if values is not None and np.isfinite(values).all():
+        return text.scatter(values), None
+    for row, cell in zip(np.flatnonzero(text.present).tolist(), text.cells):
+        try:
+            if math.isfinite(float(cell)):
+                continue
+        except ValueError:
+            pass
+        return None, row
 
 
 _FIELD_WIDTHS = {"Y": 4, "m": 2, "d": 2, "H": 2, "M": 2, "S": 2}
@@ -610,23 +609,23 @@ def parse_column(name: str, cells) -> tuple[Column, dict]:
 
 
 def parse_with_schema(name: str, cells, entry: dict) -> Column:
-    """Re-parse a raw column at inference using the stored training recipe."""
-    kind = entry["kind"]
-    if kind == "numeric":
-        return Column(name, "numeric", _floats_or_nan(_Text.of(cells)))
-    if kind == "datetime":
-        fmt = entry["format"]
-        text = _Text.of(cells)
-        if fmt == EPOCH_FORMAT:
-            parsed = _try_int(text) or _try_float(text)
-            values = parsed[0] if parsed is not None else np.full(len(cells), np.nan)
-            lo, hi = EPOCH_RANGE
-            values[(values < lo) | (values > hi)] = np.nan
-            return Column(name, "datetime", values)
-        epochs, _ = _parse_datetime_format(text, fmt)
-        return Column(name, "datetime", epochs)
-    # plain text category: codes resolved against the stored dictionary later
-    return _category_column(name, cells)
+    """Re-parse a raw column at inference using the stored training recipe.
+
+    A numeric or epoch recipe takes the cells that `build_dataset` types as
+    numbers and raises DataError at the first other one."""
+    kind, fmt = entry["kind"], entry.get("format")
+    if kind not in ("numeric", "datetime"):  # text: coded in the stored dictionary later
+        return _category_column(name, cells)
+    if kind == "datetime" and fmt != EPOCH_FORMAT:
+        return Column(name, "datetime", _parse_datetime_format(_Text.of(cells), fmt)[0])
+    values, bad = _finite_floats(_Text.of(cells))
+    if bad is not None:
+        raise DataError(f"column {name!r} holds {cells[bad]!r} at row {bad + 1}, "
+                        "which is not a finite number")
+    if kind == "datetime":  # epoch seconds
+        lo, hi = EPOCH_RANGE
+        values[(values < lo) | (values > hi)] = np.nan
+    return Column(name, kind, values)
 
 
 # ---------------------------------------------------------------------------
@@ -669,10 +668,8 @@ def _encode_target(cells, task_kind: str) -> tuple[np.ndarray, tuple[str, ...]]:
     if None in cells:
         raise DataError(f"target has a missing value at row {cells.index(None) + 1}")
     if task_kind == "regression":
-        out = _floats_or_nan(_Text.of(cells))
-        bad = np.flatnonzero(~np.isfinite(out))
-        if bad.size:
-            i = int(bad[0])
+        out, i = _finite_floats(_Text.of(cells))
+        if i is not None:
             try:
                 float(cells[i].strip())
             except ValueError:

@@ -2,7 +2,7 @@
 
 from .binning import BinMapper
 from .boosting import FitResult, GBMEstimator, GBMParams, PackedTrees, fit_booster
-from .trees import ObliviousTree, Tree
+from .trees import Tree
 
 __all__ = ["BinMapper", "FitResult", "GBMEstimator", "GBMParams", "PackedTrees",
-           "fit_booster", "ObliviousTree", "Tree"]
+           "fit_booster", "Tree"]

@@ -2,10 +2,10 @@
  * (best-first leaf-wise) or obl_grow (oblivious, one split per level).
  * After the growers come the rest of a boosting iteration that is exact
  * arithmetic or index bookkeeping (lay_out, gradients, add_scores), the
- * prediction of a whole leaf-wise forest (leaf_route), the positive rank sum
- * of metrics.py's ROC AUC, and rank_concordance, which counts the pairs of
- * encoders.py's Normalized Gini from ranks, in one pass with no comparison
- * sort.
+ * prediction of a whole forest of either flavour (leaf_route), the positive
+ * rank sum of metrics.py's ROC AUC, and rank_concordance, which counts the
+ * pairs of encoders.py's Normalized Gini from ranks, in one pass with no
+ * comparison sort.
  *
  * Every loop repeats the float order of the numpy kernel it replaced (kept in
  * tests/oracles.py), so trees are bit-identical to it:
@@ -352,15 +352,14 @@ static void scan_leaf(Node *nd, const double *hists, const uint64_t *bits, int64
  * smaller child's histograms and derives the larger one's by subtraction
  * in the parent's slot, so there is one slot (and one bitmap) per leaf.
  * Node i's fields go to feature, threshold, left, right (-1 for a leaf) and
- * value (0 for an internal node); each split's gain is added to
- * feature_gain[f] in split order. Returns the node count, ZERO_DENOMINATOR
+ * value (0 for an internal node). Returns the node count, ZERO_DENOMINATOR
  * or NO_MEMORY.
  */
 int64_t leaf_grow(const uint8_t *codes, int64_t n, const double *g, const double *h,
                   const int64_t *layout, int64_t *order, int64_t m, int64_t n_pass,
                   const int64_t *feats, int64_t nf, int64_t max_leaves, int64_t min_data,
                   double reg, double lr, int32_t *feature, int32_t *threshold, int32_t *left,
-                  int32_t *right, double *value, double *feature_gain, double *out)
+                  int32_t *right, double *value, double *out)
 {
     int64_t slot_size = 3 * nf * N_HIST, slot_words = nf * N_WORDS;
     int64_t n_nodes = 1, n_leaves = 1, status;
@@ -402,7 +401,6 @@ int64_t leaf_grow(const uint8_t *codes, int64_t n, const double *g, const double
         left[pick] = (int32_t)n_nodes;
         right[pick] = (int32_t)(n_nodes + 1);
         value[pick] = 0.0;
-        feature_gain[f] += p->gain;
         p->open = 0;
         p->slot = -1;
         n_nodes += 2;
@@ -541,15 +539,15 @@ void obl_scan(const double *hist, const uint64_t *bits, const int64_t *counts, i
  *
  * idx[0:m] are the training rows and idx[m:m+n_pass] the passengers; out[i]
  * gets the leaf value of idx[i]. Level d's split goes to level_feat[d] and
- * level_bin[d] and its total gain is added to feature_gain; leaf_value gets
- * -lr * G / (H + reg) of each of the 2^depth leaves, 0 for a leaf no
- * training row reaches. Returns the depth or NO_MEMORY.
+ * level_bin[d]; leaf_value gets -lr * G / (H + reg) of each of the 2^depth
+ * leaves, 0 for a leaf no training row reaches, leaf k at the level bits k
+ * (trees.py lays the levels out as a complete tree). Returns the depth or
+ * NO_MEMORY.
  */
 int64_t obl_grow(const uint8_t *codes, int64_t n, const double *g, const double *h,
                  const int64_t *idx, int64_t m, int64_t n_pass, const int64_t *feats,
                  int64_t nf, int64_t max_depth, int64_t min_data, double reg, double lr,
-                 int32_t *level_feat, int32_t *level_bin, double *leaf_value,
-                 double *feature_gain, double *out)
+                 int32_t *level_feat, int32_t *level_bin, double *leaf_value, double *out)
 {
     int64_t max_nodes = (int64_t)1 << (max_depth > 1 ? max_depth - 1 : 0);
     int64_t n_leaves = (int64_t)1 << (max_depth > 0 ? max_depth : 0), depth = 0;
@@ -586,7 +584,6 @@ int64_t obl_grow(const uint8_t *codes, int64_t n, const double *g, const double 
         const uint8_t *col = codes + f * n;
         level_feat[depth] = (int32_t)f;
         level_bin[depth] = (int32_t)t;
-        feature_gain[f] += best[0];
         for (int64_t i = 0; i < m + n_pass; i++)
             node[i] = node[i] * 2 + (col[idx[i]] > t);
     }
@@ -682,8 +679,8 @@ void add_scores(double *raw, int64_t stride, int64_t c, const int64_t *order,
         raw[order[i] * stride + c] += values[i];
 }
 
-/* Predict a packed leaf-wise forest: for each tree t in order, add the value
- * of the leaf that row r of X reaches to raw[r * outputs + t % outputs], as
+/* Predict a packed forest: for each tree t in order, add the value of the
+ * leaf that row r of X reaches to raw[r * outputs + t % outputs], as
  * trees.route does tree by tree. X is Fortran-ordered float64 with n rows;
  * tree t is nodes starts[t]..starts[t + 1] - 1 of the node arrays, its
  * children numbered from its own first node, feature < 0 marking a leaf.

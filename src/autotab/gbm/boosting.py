@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,11 +13,9 @@ from ..metrics import MetricSpec, RocAuc, evaluate
 from ..stopping import PATIENCE, improves
 from .binning import BinMapper
 from .losses import make_loss
-from .trees import (ObliviousTree, Tree, TreeKernel, grow_leafwise, grow_oblivious,
-                    route_forest)
+from .trees import Tree, TreeKernel, grow_leafwise, grow_oblivious, route_forest
 
 FLAVORS = ("leaf_wise", "symmetric_depth_wise")
-_TREE_TYPES = {"Tree": Tree, "ObliviousTree": ObliviousTree}
 
 
 @dataclass(frozen=True)
@@ -49,34 +47,33 @@ class GBMParams:
 
 @dataclass
 class PackedTrees:
-    """Trees of one type packed into one array per tree field.
+    """`Tree`s of either flavour packed into one array per tree field.
 
     Field k of tree i is `fields[k][offsets[i, k]:offsets[i + 1, k]]`; indexing
     returns a tree whose arrays are views into `fields`. A booster so stores
     a few arrays however many trees it has.
     """
 
-    kind: str  # tree type name, a key of _TREE_TYPES
-    fields: list  # one array per dataclass field of the tree type, in field order
+    fields: list  # one array per dataclass field of Tree, in field order
     offsets: np.ndarray  # (n_trees + 1, n_fields) start of each tree's slice
 
     @classmethod
-    def pack(cls, tree_type: type, trees: list) -> "PackedTrees":
-        names = [f.name for f in dataclasses.fields(tree_type)]
+    def pack(cls, trees: list) -> "PackedTrees":
+        names = [f.name for f in dataclasses.fields(Tree)]
         sizes = np.array([[len(getattr(t, name)) for name in names] for t in trees],
                          dtype=np.int64).reshape(len(trees), len(names))
         offsets = np.zeros((len(trees) + 1, len(names)), dtype=np.int64)
         np.cumsum(sizes, axis=0, out=offsets[1:])
         fields = [np.concatenate([getattr(t, name) for t in trees]) if trees else np.empty(0)
                   for name in names]
-        return cls(tree_type.__name__, fields, offsets)
+        return cls(fields, offsets)
 
     def __len__(self) -> int:
         return self.offsets.shape[0] - 1
 
     def __getitem__(self, i: int):
         lo, hi = self.offsets[i].tolist(), self.offsets[i + 1].tolist()
-        return _TREE_TYPES[self.kind](*(a[s:e] for a, s, e in zip(self.fields, lo, hi)))
+        return Tree(*(a[s:e] for a, s, e in zip(self.fields, lo, hi)))
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -92,18 +89,16 @@ class GBMEstimator:
     base_score: np.ndarray  # shape () for single output, (C,) for multiclass
     forest: PackedTrees
     params: GBMParams
-    feature_gain_: np.ndarray = field(default=None)
 
     def predict_raw_scores(self, X: np.ndarray) -> np.ndarray:
         """The base score plus every tree's leaf value, added tree by tree in
         boosting order (tree i into class i % n_classes for multiclass).
 
-        A leaf-wise forest is routed in one call into the compiled kernel
-        (`trees.route_forest`), which checks the forest first, wherever
-        `native.optional_kernel()` can load it. Without a compiler, and for
-        oblivious forests always, each tree routes in numpy
-        (`Tree.predict_raw`, `ObliviousTree.predict_raw`). Both add the same
-        values in the same order, so the scores are the same bits.
+        The forest, of either flavour, is routed in one call into the
+        compiled kernel (`trees.route_forest`), which checks the forest
+        first, wherever `native.optional_kernel()` can load it. Without a
+        compiler each tree routes in numpy (`Tree.predict_raw`). Both add
+        the same values in the same order, so the scores are the same bits.
         """
         from .native import optional_kernel
 
@@ -111,15 +106,13 @@ class GBMEstimator:
         X = np.asfortranarray(X, dtype=np.float64)  # each tree reads one column at a time
         multiclass = self.task_kind == "multiclass"
         raw = np.tile(self.base_score, (n, 1)) if multiclass else np.full(n, float(self.base_score))
-        lib = optional_kernel() if self.forest.kind == "Tree" else None
+        lib = optional_kernel()
         if lib is not None:
             route_forest(lib, self.forest.fields, self.forest.offsets, X, raw)
-        elif multiclass:
-            for i, tree in enumerate(self.forest):
-                raw[:, i % self.n_classes] += tree.predict_raw(X)
         else:
-            for tree in self.forest:
-                raw += tree.predict_raw(X)
+            by_class = raw if multiclass else raw[:, None]  # a view of raw
+            for i, tree in enumerate(self.forest):
+                by_class[:, i % by_class.shape[1]] += tree.predict_raw(X)
         return raw
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -263,12 +256,7 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
     else:
         best = len(trees) // outputs - 1
         val_raw = None if X_val is None else kern.raw[n:]
-    feature_gain = np.zeros(f)  # over the kept trees only
     for tree in trees:
         tree.set_raw_thresholds(mapper)
-        feature_gain += tree.feature_gain
-
-    tree_type = Tree if params.flavor == "leaf_wise" else ObliviousTree
-    est = GBMEstimator(task_kind, n_classes, np.asarray(base),
-                       PackedTrees.pack(tree_type, trees), params, feature_gain_=feature_gain)
+    est = GBMEstimator(task_kind, n_classes, np.asarray(base), PackedTrees.pack(trees), params)
     return FitResult(est, eval_history, best, truncated, val_raw)

@@ -12,11 +12,13 @@ header states the float order that keeps its trees bit-identical to the
 numpy kernel in tests/oracles.py, and how it routes passenger rows (left-out
 and validation rows that reach a leaf without adding to any histogram).
 
-Prediction routes a whole packed leaf-wise forest in one kernel call,
-`route_forest`, which checks the forest first; `route` is the same
-algorithm in numpy, tree by tree, for a host without a compiler and as the
-tests' reference, and oblivious trees always predict in numpy. Both give
-the same bits.
+Both growers return a `Tree`. An oblivious tree of depth d is the complete
+binary tree whose nodes share their level's split: node i splits into 2i+1
+(`code <= bin`) and 2i+2, and leaf k of the level bits is node 2^d - 1 + k.
+Prediction so has one router for both flavours: a whole packed forest goes
+in one kernel call, `route_forest`, which checks the forest first; `route`
+is the same algorithm in numpy, tree by tree, for a host without a compiler
+and as the tests' reference. Both give the same bits.
 
 The growers run through a `TreeKernel`, which a booster prepares once: it
 checks the code matrix, binds the kernel and holds the buffers that
@@ -30,6 +32,7 @@ trees it keeps.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +51,6 @@ class Tree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-    feature_gain: np.ndarray  # total split gain per (full) feature index
 
     def predict_raw(self, X: np.ndarray) -> np.ndarray:
         return route(self.feature, self.raw_threshold, self.left, self.right, self.value, X)
@@ -88,7 +90,9 @@ def route(feature: np.ndarray, threshold: np.ndarray, left: np.ndarray, right: n
     return out
 
 
-_NODE_FIELDS = (0, 2, 3, 4, 5)  # the Tree fields leaf_route reads: feature .. value
+_FIELDS = [f.name for f in dataclasses.fields(Tree)]
+# the Tree fields leaf_route reads (all but the bin thresholds) and their dtypes
+_NODE_FIELDS = tuple(k for k, name in enumerate(_FIELDS) if name != "bin_threshold")
 _NODE_DTYPES = (np.int32, np.float64, np.int32, np.int32, np.float64)
 
 
@@ -99,7 +103,7 @@ def route_forest(lib, fields: list, offsets: np.ndarray, X: np.ndarray,
     the GIL (`leaf_route`, `route`'s algorithm): the same bits as
     `raw[:, t % outputs] += tree.predict_raw(X)` tree after tree.
 
-    `fields` and `offsets` are a `boosting.PackedTrees` of `Tree`s. X is
+    `fields` and `offsets` are a `boosting.PackedTrees`. X is
     Fortran-ordered float64 and raw C-ordered float64, (rows,) or (rows,
     outputs). A forest may come from an artifact on disk and the kernel
     reads through its node ids unchecked, so `_node_starts` checks it first.
@@ -129,10 +133,12 @@ def _node_starts(fields: list, offsets: np.ndarray, n_features: int) -> np.ndarr
     every node field, and every internal node (feature >= 0) splits a
     feature below n_features into two children above its own id and below
     its tree's node count, which ends every walk within the tree."""
+    n_fields = len(_FIELDS)
     if not (isinstance(offsets, np.ndarray) and offsets.dtype == np.int64
-            and offsets.ndim == 2 and offsets.shape[0] >= 1 and offsets.shape[1] == 7
-            and len(fields) == 7):
-        raise DataError("a packed leaf-wise forest has 7 fields and (trees + 1, 7) int64 offsets")
+            and offsets.ndim == 2 and offsets.shape[0] >= 1 and offsets.shape[1] == n_fields
+            and len(fields) == n_fields):
+        raise DataError(f"a packed forest has {n_fields} fields and (trees + 1, {n_fields}) "
+                        "int64 offsets")
     starts = np.ascontiguousarray(offsets[:, 0])
     if starts.shape[0] == 1:
         return starts
@@ -215,12 +221,11 @@ class TreeKernel:
         self.chosen = np.arange(n_features, dtype=np.int64)
         self.mark = np.empty(max(n_train, n_features), dtype=np.uint8)
         self.g, self.h = np.empty(n_train), np.empty(n_train)
-        self.feature_gain = np.empty(n_features)
         self.ints, self.floats = np.empty(0, dtype=np.int32), np.empty(0)
         self._grow_outputs(1, 1)
         self.ptr = {name: getattr(self, name).ctypes.data for name in
                     ("codes", "layout", "idx", "values", "feats", "perm", "chosen", "mark",
-                     "g", "h", "feature_gain")}
+                     "g", "h")}
         self.order = self.ptr["layout"]  # where the last tree's row order is
 
     def bind_scores(self, base, y: np.ndarray, loss: int) -> None:
@@ -281,9 +286,7 @@ class TreeKernel:
 
     def _grow_outputs(self, n_ints: int, n_floats: int) -> None:
         """Make the node output buffers hold at least n_ints int32 and n_floats
-        float64 entries, and clear the feature gains of the next tree; the
-        buffers are reallocated only for a larger tree."""
-        self.feature_gain.fill(0.0)
+        float64 entries; they are reallocated only for a larger tree."""
         if self.ints.shape[0] < n_ints:
             self.ints = np.empty(n_ints, dtype=np.int32)
             self.ints_ptr = self.ints.ctypes.data
@@ -313,13 +316,12 @@ def grow_leafwise(kern: TreeKernel, max_leaves: int, min_data: int, reg: float,
         ptr["codes"], kern.codes.shape[0], ptr["g"], ptr["h"], ptr["layout"], ptr["idx"],
         kern.m, kern.idx.shape[0] - kern.m, ptr["feats"], kern.nf, max_leaves, min_data, reg,
         lr, ints, ints + 4 * max_nodes, ints + 8 * max_nodes, ints + 12 * max_nodes,
-        kern.floats_ptr, ptr["feature_gain"], ptr["values"])
+        kern.floats_ptr, ptr["values"])
     _check_status(n_nodes)
     kern.order = ptr["idx"]
     nodes = kern.ints[:4 * max_nodes].reshape(4, max_nodes)[:, :n_nodes].copy()
     feature, bin_thr, left, right = nodes  # views of one copy
-    tree = Tree(feature, bin_thr, None, left, right, kern.floats[:n_nodes].copy(),
-                kern.feature_gain.copy())
+    tree = Tree(feature, bin_thr, None, left, right, kern.floats[:n_nodes].copy())
     return tree, kern.values, kern.idx
 
 
@@ -331,44 +333,17 @@ def _check_status(status: int) -> None:
         raise MemoryError("the tree kernel could not allocate its buffers")
 
 
-@dataclass
-class ObliviousTree:
-    """One shared split per level; leaves are indexed by the level bits."""
-
-    features: np.ndarray
-    bin_thresholds: np.ndarray
-    raw_thresholds: np.ndarray  # None until set_raw_thresholds
-    leaf_values: np.ndarray
-    feature_gain: np.ndarray
-
-    @property
-    def depth(self) -> int:
-        return len(self.features)
-
-    def predict_raw(self, X: np.ndarray) -> np.ndarray:
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        for lvl in range(self.depth):
-            x = X[:, self.features[lvl]]
-            bit = ~(x <= self.raw_thresholds[lvl])  # NaN -> right
-            idx = idx * 2 + bit
-        return self.leaf_values[idx]
-
-    def set_raw_thresholds(self, mapper: BinMapper) -> None:
-        """The raw value of each level's bin threshold."""
-        self.raw_thresholds = np.array([
-            mapper.raw_threshold(f, t)
-            for f, t in zip(self.features.tolist(), self.bin_thresholds.tolist())])
-
-
 def grow_oblivious(kern: TreeKernel, max_depth: int, min_data: int, reg: float,
-                   lr: float) -> tuple[ObliviousTree, np.ndarray, np.ndarray]:
+                   lr: float) -> tuple[Tree, np.ndarray, np.ndarray]:
     """Grow an oblivious tree: each level picks the single (feature, bin)
     whose gain summed over the level's nodes is largest.
 
     Nodes where a candidate split would violate min_data contribute zero to
     its total. Growth stops when no candidate has positive total gain.
-    Takes and returns what grow_leafwise does; here `order` is the sampled
-    rows, then the passengers, as `kern.draw` laid them out.
+    Takes and returns what grow_leafwise does; the tree is the complete
+    binary tree of its levels (the module docstring gives its layout), and
+    `order` is the sampled rows, then the passengers, as `kern.draw` laid
+    them out.
     """
     max_depth = max(max_depth, 0)
     kern._grow_outputs(2 * max_depth, 1 << max_depth)
@@ -376,9 +351,16 @@ def grow_oblivious(kern: TreeKernel, max_depth: int, min_data: int, reg: float,
     depth = kern.kernel.obl_grow(
         ptr["codes"], kern.codes.shape[0], ptr["g"], ptr["h"], ptr["layout"], kern.m,
         kern.layout.shape[0] - kern.m, ptr["feats"], kern.nf, max_depth, min_data, reg, lr,
-        ints, ints + 4 * max_depth, kern.floats_ptr, ptr["feature_gain"], ptr["values"])
+        ints, ints + 4 * max_depth, kern.floats_ptr, ptr["values"])
     _check_status(depth)
     kern.order = ptr["layout"]
-    tree = ObliviousTree(kern.ints[:depth].copy(), kern.ints[max_depth:max_depth + depth].copy(),
-                         None, kern.floats[:1 << depth].copy(), kern.feature_gain.copy())
+    inner = (1 << depth) - 1  # the internal nodes; leaves follow them
+    level = np.repeat(np.arange(depth), 1 << np.arange(depth))  # of each internal node
+    child = np.arange(1, 2 * inner, 2, dtype=np.int32)  # 2i + 1 of each internal node
+    leaf = np.full(inner + 1, -1, dtype=np.int32)
+    tree = Tree(np.concatenate([kern.ints[:depth][level], leaf]),
+                np.concatenate([kern.ints[max_depth:max_depth + depth][level],
+                                 np.zeros(inner + 1, dtype=np.int32)]),
+                None, np.concatenate([child, leaf]), np.concatenate([child + 1, leaf]),
+                np.concatenate([np.zeros(inner), kern.floats[:inner + 1]]))
     return tree, kern.values, kern.layout

@@ -18,7 +18,7 @@ from autotab.encoders import quantile_edges
 from autotab.errors import DataError
 from autotab.gbm.binning import BinMapper
 from autotab.gbm.losses import make_loss
-from autotab.gbm.trees import ObliviousTree, Tree, route
+from autotab.gbm.trees import Tree, route
 from autotab.metrics import evaluate
 from autotab.stopping import PATIENCE, improves
 
@@ -310,7 +310,9 @@ def cascade_parse_column(name, cells):
     return cascade_category_column(name, cells), {"kind": "category"}
 
 
-def _cascade_floats_or_nan(cells):
+def _cascade_finite_floats(name, cells):
+    """Each cell's float, NaN where missing; DataError at the first cell that
+    is not a finite number."""
     out = np.full(len(cells), np.nan)
     for i, c in enumerate(cells):
         if c is None:
@@ -318,21 +320,22 @@ def _cascade_floats_or_nan(cells):
         try:
             out[i] = float(c.strip())
         except ValueError:
-            pass
+            out[i] = np.nan
+        if not math.isfinite(out[i]):
+            raise DataError(f"column {name!r} holds {c!r} at row {i + 1}, "
+                            "which is not a finite number")
     return out
 
 
 def cascade_parse_with_schema(name, cells, entry):
     kind = entry["kind"]
     if kind == "numeric":
-        return Column(name, "numeric", _cascade_floats_or_nan(cells))
+        return Column(name, "numeric", _cascade_finite_floats(name, cells))
     if kind == "datetime":
         fmt = entry["format"]
         if fmt == EPOCH_FORMAT:
-            parsed = cascade_try_int(cells) or cascade_try_float(cells)
-            values = parsed[0] if parsed is not None else np.full(len(cells), np.nan)
+            values = _cascade_finite_floats(name, cells)
             lo, hi = EPOCH_RANGE
-            values = values.copy()
             values[(values < lo) | (values > hi)] = np.nan
             return Column(name, "datetime", values)
         epochs, _ = cascade_parse_datetime_format(cells, fmt)
@@ -432,13 +435,7 @@ def level_walk(feature, threshold, left, right, value, X) -> np.ndarray:
 def predict_codes(tree, codes: np.ndarray) -> np.ndarray:
     """Leaf value of every row of bin codes, the way boosting walked each new
     tree for its left-out and validation rows before the growers carried them
-    as passengers: `route` over a leaf-wise tree's bin thresholds, the level
-    bits of an oblivious tree."""
-    if isinstance(tree, ObliviousTree):
-        idx = np.zeros(codes.shape[0], dtype=np.int64)
-        for lvl in range(tree.depth):
-            idx = idx * 2 + (codes[:, tree.features[lvl]] > tree.bin_thresholds[lvl])
-        return tree.leaf_values[idx]
+    as passengers: `route` over the tree's bin thresholds."""
     return route(tree.feature, tree.bin_threshold, tree.left, tree.right, tree.value, codes)
 
 
@@ -518,7 +515,6 @@ def grow_leafwise(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
     scores without re-walking the tree. Sibling histograms are derived by
     subtraction from the parent.
     """
-    n_features_total = codes.shape[1]
     nodes: dict[int, _Node] = {}
     children: dict[int, tuple[int, int, int, int]] = {}  # id -> (feat, t, left, right)
     next_id = 0
@@ -550,7 +546,6 @@ def grow_leafwise(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
 
     push(root)
     n_leaves = 1
-    feature_gain = np.zeros(n_features_total)
 
     while heap and n_leaves < max_leaves:
         neg_gain, nid = heapq.heappop(heap)
@@ -575,7 +570,6 @@ def grow_leafwise(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
             left_id = make_node(left_rows, big_hists)
             right_id = make_node(right_rows, small_hists)
         children[nid] = (f, t, left_id, right_id)
-        feature_gain[f] += gain
         node.hists = None  # free
         node.rows = np.empty(0, dtype=node.rows.dtype)
         n_leaves += 1
@@ -606,27 +600,28 @@ def grow_leafwise(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
             value[nid] = _leaf_value(node.g_sum, node.h_sum, reg, lr)
             if node.rows.shape[0]:
                 row_values[pos_of_row[node.rows]] = value[nid]
-    tree = Tree(feature, bin_thr, raw_thr, left, right, value, feature_gain)
+    tree = Tree(feature, bin_thr, raw_thr, left, right, value)
     return tree, row_values, rows
 
 
 def grow_oblivious(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
                    rows: np.ndarray, feats: np.ndarray, mapper: BinMapper,
                    max_depth: int, min_data: int, reg: float,
-                   lr: float) -> tuple[ObliviousTree, np.ndarray, np.ndarray]:
+                   lr: float) -> tuple[Tree, np.ndarray, np.ndarray]:
     """Grow an oblivious tree: each level picks the single (feature, bin)
     whose gain summed over the level's nodes is largest.
 
     Nodes where a candidate split would violate min_data contribute zero to
-    its total. Growth stops when no candidate has positive total gain.
+    its total. Growth stops when no candidate has positive total gain. The
+    tree is the complete binary tree of the levels, built node by node:
+    node i splits into 2i+1 (code <= bin) and 2i+2 on its level's split,
+    and leaf k of the level bits is node 2^depth - 1 + k.
     """
-    n_features_total = codes.shape[1]
     node_of_row = np.zeros(rows.shape[0], dtype=np.int64)
     gr = g[rows]
     hr = h[rows]
     level_feats: list[int] = []
     level_bins: list[int] = []
-    feature_gain = np.zeros(n_features_total)
 
     for depth in range(max_depth):
         n_nodes = 1 << depth
@@ -652,7 +647,6 @@ def grow_oblivious(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
         f = int(feats[best_fpos])
         level_feats.append(f)
         level_bins.append(best_t)
-        feature_gain[f] += best_total
         bit = codes[rows, f] > best_t
         node_of_row = node_of_row * 2 + bit
 
@@ -663,13 +657,23 @@ def grow_oblivious(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):  # empty leaves, set to 0 below
         values = -lr * g_leaf / (h_leaf + reg)
     values[np.bincount(node_of_row, minlength=n_leaves) == 0] = 0.0
-    tree = ObliviousTree(
-        np.array(level_feats, dtype=np.int32),
-        np.array(level_bins, dtype=np.int32),
-        np.array([mapper.raw_threshold(f, t) for f, t in zip(level_feats, level_bins)]),
-        values,
-        feature_gain,
-    )
+    n_nodes = 2 * n_leaves - 1
+    feature = np.full(n_nodes, -1, dtype=np.int32)
+    bin_thr = np.zeros(n_nodes, dtype=np.int32)
+    raw_thr = np.zeros(n_nodes)
+    left = np.full(n_nodes, -1, dtype=np.int32)
+    right = np.full(n_nodes, -1, dtype=np.int32)
+    value = np.zeros(n_nodes)
+    for node in range(n_nodes):
+        level = (node + 1).bit_length() - 1
+        if level < depth:
+            f, t = level_feats[level], level_bins[level]
+            feature[node], bin_thr[node] = f, t
+            raw_thr[node] = mapper.raw_threshold(f, t)
+            left[node], right[node] = 2 * node + 1, 2 * node + 2
+        else:
+            value[node] = values[node - (n_leaves - 1)]
+    tree = Tree(feature, bin_thr, raw_thr, left, right, value)
     return tree, values[node_of_row], rows
 
 

@@ -96,6 +96,7 @@ class TestPackedForest:
             assert est.n_iterations == cap
             path = str(tmp_path / f"{cap}.lama")
             save_model(est, path)
+            assert load_model(path).predict(X).tobytes() == est.predict(X).tobytes()
             with zipfile.ZipFile(path) as z:
                 entries.append(sum(1 for n in z.namelist() if n.startswith("arrays/")))
         assert entries[0] == entries[1]
@@ -110,10 +111,10 @@ class TestPackedForest:
         path = str(tmp_path / "mc.lama")
         save_model(model, path)
         loaded = load_model(path)
-        assert np.array_equal(model.predict_matrix(X), loaded.predict_matrix(X))
+        assert model.predict_matrix(X).tobytes() == loaded.predict_matrix(X).tobytes()
         for est, back in zip(model.estimators, loaded.estimators):
             for tree, back_tree in zip(est.forest, back.forest, strict=True):  # class order
-                assert np.array_equal(tree.predict_raw(X), back_tree.predict_raw(X))
+                assert tree.predict_raw(X).tobytes() == back_tree.predict_raw(X).tobytes()
 
 
 class TestVersionGate:
@@ -158,11 +159,12 @@ class TestVersionGate:
         with pytest.raises(ConfigError, match="format version 2"):
             load_model(old)
 
-    @pytest.mark.parametrize("version", [3, 4])
+    @pytest.mark.parametrize("version", [3, 4, 5])
     def test_older_version_rejected_before_decoding(self, tmp_path, monkeypatch, version):
         # a version-3 model stored 1-d target maps and smoothing fields on its
         # encoder specs and views, a version-4 model the dataset's roles and
-        # the model's encoder specs and version; the version check must fire
+        # the model's encoder specs and version, a version-5 model its
+        # forests' tree type and split gains; the version check must fire
         # before any node is decoded
         X, y = make_binary(300, 4, 2, seed=5)
         ds = dataset_from_arrays(X, y, "binary", category_columns=["f0"])
@@ -192,7 +194,7 @@ class TestVersionGate:
         fields = sorted((name, tuple(f.name for f in dataclasses.fields(cls)))
                         for name, cls in artifact._REGISTRY.items())
         fingerprint = hashlib.sha256(repr(fields).encode()).hexdigest()[:16]
-        assert (artifact.FORMAT_VERSION, fingerprint) == (5, "7b1d368baee61291"), fields
+        assert (artifact.FORMAT_VERSION, fingerprint) == (6, "39cf83b94735067b"), fields
 
     def test_garbage_file_rejected(self, tmp_path):
         from autotab.errors import DataError

@@ -66,6 +66,22 @@ class TestFit:
                      "--config", str(bad)])
         assert code == 3
 
+    @pytest.mark.parametrize("cfg", [
+        {"tuning_enabled": "no"}, {"use_linear": "false"}, {"use_gbm_leaf": 0},
+        {"use_gbm_sym": None}, {"seed": 1.5}, {"seed": True}, {"cv": {"k": 2.9}},
+        {"cv": {"seed": "3"}},
+    ], ids=["tuning_enabled", "use_linear", "use_gbm_leaf", "use_gbm_sym", "seed",
+            "seed-bool", "cv.k", "cv.seed"])
+    def test_config_value_of_the_wrong_type_exits_3(self, binary_csv, tmp_path, capsys, cfg):
+        # bool() and int() would turn "false" on and run 2.9 folds as 2
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        code = main(["fit", "--train", binary_csv, "--target", "cls",
+                     "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 3
+        key = next(iter(cfg))
+        assert (key if key != "cv" else f"cv.{next(iter(cfg['cv']))}") in capsys.readouterr().err
+
     def test_flags_override_config(self, binary_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"budget_seconds": 9999.0, "seed": 1,

@@ -129,9 +129,23 @@ class TestParseCascade:
     def test_integer_beyond_float64_is_not_an_integer_column(self):
         col, entry = parse_column("a", ("1", "9" * 400, "3"))
         assert (col.kind, entry) == ("category", {"kind": "category"})
-        epochs = parse_with_schema("a", ("1600000000", "9" * 400),
-                                   {"kind": "datetime", "format": EPOCH_FORMAT})
-        assert np.isnan(epochs.values).all()  # the float parse gives inf: no epoch column
+        # the float parse gives inf, which build_dataset would not type as a number
+        with pytest.raises(DataError, match="'a' holds '9+' at row 2"):
+            parse_with_schema("a", ("1600000000", "9" * 400),
+                              {"kind": "datetime", "format": EPOCH_FORMAT})
+
+
+@pytest.mark.parametrize("entry", [{"kind": "numeric"},
+                                   {"kind": "datetime", "format": EPOCH_FORMAT}])
+def test_recipes_refuse_a_cell_that_is_not_a_number(entry):
+    """A numeric or epoch recipe takes the cells build_dataset types as
+    numbers, missing ones aside, and names the first other cell."""
+    cells = ["1600000000"] * 10
+    cells[3], cells[6] = None, "oops"
+    with pytest.raises(DataError, match="'t' holds 'oops' at row 7"):
+        parse_with_schema("t", tuple(cells), entry)
+    cells[6] = " 1600000001 "
+    assert parse_with_schema("t", tuple(cells), entry).values[6] == 1600000001
 
 
 def _strptime_or_none(cell, fmt):

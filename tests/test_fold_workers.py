@@ -67,7 +67,6 @@ def _assert_same_model(a, b):
         assert ea.forest.offsets.tobytes() == eb.forest.offsets.tobytes()
         for fa, fb in zip(ea.forest.fields, eb.forest.fields, strict=True):
             assert fa.dtype == fb.dtype and fa.tobytes() == fb.tobytes()
-        assert ea.feature_gain_.tobytes() == eb.feature_gain_.tobytes()
 
 
 @settings(max_examples=20, deadline=None)

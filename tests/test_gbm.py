@@ -140,19 +140,6 @@ class TestBoosting:
         assert len(losses) == 200
         assert np.all(np.diff(losses) <= 1e-12)
 
-    def test_noise_features_collect_little_gain(self):
-        rng = np.random.default_rng(3)
-        n = 2000
-        informative = rng.normal(size=(n, 2))
-        noise = rng.normal(size=(n, 3))
-        X = np.hstack([informative, noise])
-        logits = 3.0 * informative[:, 0] - 2.5 * informative[:, 1]
-        y = (rng.random(n) < 1 / (1 + np.exp(-logits))).astype(np.int64)
-        params = GBMParams(learning_rate=0.1, max_leaves=16, n_estimators_cap=60)
-        res = fit_booster(X, y, params, "binary")
-        gain = res.estimator.feature_gain_
-        assert gain[2:].sum() < 0.10 * gain.sum()
-
     def test_multiclass_probabilities_sum_to_one(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(300, 4))
@@ -172,24 +159,6 @@ class TestBoosting:
                           metric=MetricSpec("roc_auc"), patience=10)
         assert res.estimator.n_iterations < 500
         assert res.estimator.n_iterations == res.best_iteration + 1
-
-    @pytest.mark.parametrize("flavor", ["leaf_wise", "symmetric_depth_wise"])
-    @pytest.mark.parametrize("task_kind", ["binary", "multiclass"])
-    def test_feature_gain_counts_kept_trees_only(self, flavor, task_kind):
-        X, y = make_binary(600, 4, 2, seed=5)
-        n_classes, metric = 0, MetricSpec("roc_auc")
-        if task_kind == "multiclass":
-            y, n_classes, metric = y + (X[:, 3] > 0.5), 3, MetricSpec("neg_logloss")
-        params = GBMParams(learning_rate=0.3, max_leaves=32, n_estimators_cap=500,
-                           flavor=flavor)
-        res = fit_booster(X[:400], y[:400], params, task_kind, n_classes,
-                          X_val=X[400:], y_val=y[400:], metric=metric, patience=5)
-        # stopped by patience: the last 5 iterations were grown, then dropped
-        assert res.estimator.n_iterations < 500
-        kept = np.zeros(4)
-        for tree in res.estimator.forest:
-            kept += tree.feature_gain
-        assert np.array_equal(res.estimator.feature_gain_, kept)
 
     def test_budget_truncation_flags_model(self):
         X, y = make_binary(3000, 8, 4, seed=6)
@@ -228,8 +197,7 @@ class TestBoosting:
         res = fit_booster(X, y, GBMParams(n_estimators_cap=100, flavor=flavor), "binary")
         mapper = BinMapper().fit(X)
         codes = mapper.transform(X)
-        assert any(np.isinf(t.raw_threshold if flavor == "leaf_wise" else t.raw_thresholds).any()
-                   for t in res.estimator.forest)
+        assert any(np.isinf(t.raw_threshold).any() for t in res.estimator.forest)
         for tree in res.estimator.forest:
             assert np.array_equal(tree.predict_raw(X), predict_codes(tree, codes))
 
@@ -305,13 +273,26 @@ class TestBoosting:
                 GBMParams(l2_leaf_reg=reg)
 
     def test_oblivious_tree_shares_level_splits(self):
+        """A symmetric tree of depth d is the complete binary tree of
+        2^(d+1) - 1 nodes: node i splits into 2i+1 and 2i+2, and every
+        internal node of a level carries that level's feature and bin."""
         X, y = make_xor(300, seed=9)
         params = GBMParams(max_depth=3, n_estimators_cap=5,
                            flavor="symmetric_depth_wise", min_data_in_leaf=2)
         res = fit_booster(X, y, params, "binary")
-        tree = res.estimator.forest[0]
-        assert tree.depth <= 3
-        assert len(tree.leaf_values) == 2 ** tree.depth
+        assert any((tree.feature >= 0).any() for tree in res.estimator.forest)
+        for tree in res.estimator.forest:
+            n_nodes = tree.feature.shape[0]
+            depth = n_nodes.bit_length() - 1
+            assert n_nodes == 2 ** (depth + 1) - 1 and depth <= 3
+            inner = np.arange(2 ** depth - 1)
+            assert (tree.feature[inner] >= 0).all() and (tree.feature[inner.shape[0]:] == -1).all()
+            assert tree.left[inner].tolist() == (2 * inner + 1).tolist()
+            assert tree.right[inner].tolist() == (2 * inner + 2).tolist()
+            for d in range(depth):
+                level = np.arange(2 ** d - 1, 2 ** (d + 1) - 1)
+                assert len(set(zip(tree.feature[level].tolist(),
+                                   tree.bin_threshold[level].tolist()))) == 1
 
 
 class _ExpiresAfter:

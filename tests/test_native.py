@@ -1,6 +1,7 @@
 """The kernel loader: cached builds, compiler errors, the ctypes signatures,
 inference without a compiler, and the pair counts of Normalized Gini."""
 
+import ast
 import ctypes
 import os
 import re
@@ -20,7 +21,7 @@ from autotab.artifact import save_model
 from autotab.data import dataset_from_arrays
 from autotab.encoders import _rank_concordance, dense_ranks
 from autotab.errors import DataError
-from autotab.gbm import native
+from autotab.gbm import GBMEstimator, native
 from autotab.pipeline import PresetConfig, fit_preset
 
 from conftest import make_binary, write_csv
@@ -54,6 +55,45 @@ def test_signatures_match_the_c_prototypes():
     assert set(exported) == set(native.SIGNATURES)
     for name, (restype, argtypes) in native.SIGNATURES.items():
         assert exported[name] == (restype, argtypes), name
+
+
+def _kernel_calls() -> list[tuple[str, int, str]]:
+    """(name, argument count, place) of each call in src/autotab of a
+    SIGNATURES entry by its own name: `handle.name(...)`, or `name(...)`
+    of a local alias. A name that src also defines as a Python function or
+    method (TreeKernel.gradients, metrics.positive_rank_sum) is the kernel's
+    only where it is reached through an attribute or a call, as in
+    `self.short.gradients(...)` or `kernel().positive_rank_sum(...)`; on a
+    plain name (`kern.gradients(...)`) or bare it is the Python one."""
+    trees = [(path, ast.parse(path.read_text())) for path in (SRC / "autotab").rglob("*.py")]
+    python = {node.name for _, tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)}
+    calls = []
+    for path, tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name not in native.SIGNATURES:
+                continue
+            if name in python and not (isinstance(func, ast.Attribute)
+                                       and isinstance(func.value, (ast.Attribute, ast.Call))):
+                continue
+            assert not any(isinstance(a, ast.Starred) for a in node.args), name
+            calls.append((name, len(node.args) + len(node.keywords),
+                          f"{path.relative_to(SRC)}:{node.lineno}"))
+    return calls
+
+
+def test_every_kernel_call_passes_its_declared_arguments():
+    """ctypes passes extra arguments to a C function without a word, so a
+    call that kept an argument the kernel dropped would run on: each kernel
+    call in src passes exactly len(argtypes) arguments."""
+    calls = _kernel_calls()
+    assert {"leaf_grow", "obl_grow", "leaf_route"} <= {name for name, _, _ in calls}
+    for name, n_args, place in calls:
+        assert n_args == len(native.SIGNATURES[name][1]), (name, n_args, place)
 
 
 def test_kernel_compiles_without_warnings(tmp_path):
@@ -171,14 +211,15 @@ def test_missing_compiler_raises(tmp_path):
 
 def test_inference_needs_no_compiler(tmp_path):
     """A host without `cc` loads a model and predicts: no process starts,
-    leaf-wise forests route in numpy, and the predictions are the in-process
-    kernel's bit for bit."""
+    the forests of both GBM flavours route in numpy, and the predictions are
+    the in-process kernel's bit for bit."""
     X, y = make_binary(300, 4, 3, seed=3)
     ds = dataset_from_arrays(X, y, "binary")
     model = fit_preset(ds, PresetConfig(budget_seconds=20.0, tuning_enabled=False,
                                         selection_strategy="none", seed=1))
-    assert any(getattr(est, "forest", None) is not None and est.forest.kind == "Tree"
-               for m in model.level1 for est in m.estimators)
+    flavors = {est.params.flavor for m in model.level1 for est in m.estimators
+               if isinstance(est, GBMEstimator)}
+    assert flavors == {"leaf_wise", "symmetric_depth_wise"}
     model_path = str(tmp_path / "model.lama")
     save_model(model, model_path)
     csv = write_csv(tmp_path / "rows.csv", ds.feature_names(), X[:50].tolist())

@@ -10,11 +10,13 @@ and with U+001C to U+001F, which only `str.strip` removes.
 from datetime import datetime
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from autotab.data import (DATETIME_FORMATS, DATETIME_PARSE_THRESHOLD, EPOCH_FORMAT, _Text,
                           _failure_budget, _try_datetime, parse_column, parse_with_schema)
+from autotab.errors import DataError
 
 from oracles import cascade_parse_column, cascade_parse_with_schema, cascade_try_datetime
 
@@ -168,7 +170,15 @@ def test_try_datetime_matches_cascade(cells):
 
 @given(columns, st.sampled_from(SCHEMA_ENTRIES))
 def test_parse_with_schema_matches_cascade(cells, entry):
-    want = cascade_parse_with_schema("c", cells, entry)
+    """The recipe parses as the cascade does, and refuses with its message
+    the same cell the cascade refuses."""
+    try:
+        want = cascade_parse_with_schema("c", cells, entry)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            parse_with_schema("c", cells, entry)
+        assert str(got.value) == str(exc)
+        return
     assert_same_column(parse_with_schema("c", cells, entry), want)
 
 

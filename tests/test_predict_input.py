@@ -129,6 +129,7 @@ FAULTS = {
     # a batch in which x is constant: build_dataset drops it
     "missing": ("x", ("0.500",) * 6),
     "text for numbers": ("x", ("u", "v", "u", "w", "v", "u")),
+    "one text cell among numbers": ("x", ("0.5", "1.5", "oops", "-1.0", None, "2.0")),
     "numbers for text": ("color", ("1", "2", "3", "1", "2", "3")),
 }
 
@@ -141,6 +142,17 @@ def test_dataset_that_does_not_fit_names_the_column(fitted, fault):
     for model in fitted["binary"].models.values():
         with pytest.raises(DataError, match=f"'{name}'"):
             model.predict_dataset(ds)
+
+
+@pytest.mark.parametrize("fault", ["text for numbers", "one text cell among numbers"])
+def test_table_with_text_for_numbers_names_the_column(fitted, fault):
+    """The raw table is refused as its dataset is: a numeric recipe takes
+    only the cells build_dataset types as numbers."""
+    name, cells = FAULTS[fault]
+    raw = _with_column(table("binary", [FIXED_ROWS[0]] * 3), name, cells)
+    for model in fitted["binary"].models.values():
+        with pytest.raises(DataError, match=f"'{name}'"):
+            model.predict_raw_table(raw)
 
 
 def test_blend_of_runs_parses_each_source_column_once(fitted, monkeypatch):

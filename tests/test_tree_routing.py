@@ -50,7 +50,7 @@ def trees(draw, n_features: int, codes: bool, nan: bool = False) -> Tree:
     bin_threshold = np.array(thr, np.int32) if codes else np.zeros(n_nodes, np.int32)
     raw_threshold = np.zeros(n_nodes) if codes else np.array(thr, np.float64)
     return Tree(np.array(feature, np.int32), bin_threshold, raw_threshold,
-                np.array(left, np.int32), np.array(right, np.int32), value, np.zeros(n_features))
+                np.array(left, np.int32), np.array(right, np.int32), value)
 
 
 @st.composite
@@ -91,7 +91,7 @@ def test_router_equals_level_walk_on_raw_values(case):
 def test_nan_goes_right_and_inf_threshold_keeps_finite_left():
     tree = Tree(np.array([0, -1, -1], np.int32), np.zeros(3, np.int32),
                 np.array([np.inf, 0.0, 0.0]), np.array([1, -1, -1], np.int32),
-                np.array([2, -1, -1], np.int32), np.array([0.0, -1.0, 1.0]), np.zeros(1))
+                np.array([2, -1, -1], np.int32), np.array([0.0, -1.0, 1.0]))
     X = np.array([[np.nan], [1e300], [-np.inf], [np.inf]])
     assert tree.predict_raw(X).tolist() == [1.0, -1.0, -1.0, -1.0]
 
@@ -132,7 +132,7 @@ def test_kernel_routes_a_forest_as_route_does_tree_by_tree(case):
         else:
             expected += leaf
     raw = _base_scores(base, X.shape[0])
-    packed = PackedTrees.pack(Tree, forest)
+    packed = PackedTrees.pack(forest)
     route_forest(kernel(), packed.fields, packed.offsets, np.asfortranarray(X), raw)
     assert _same_bits(raw, expected)
 
@@ -147,11 +147,10 @@ class _NoKernel:
 def _stump_then_leaf() -> PackedTrees:
     stump = Tree(np.array([1, -1, -1], np.int32), np.zeros(3, np.int32),
                  np.array([0.5, 0.0, 0.0]), np.array([1, -1, -1], np.int32),
-                 np.array([2, -1, -1], np.int32), np.array([0.0, -1.0, 1.0]), np.zeros(2))
+                 np.array([2, -1, -1], np.int32), np.array([0.0, -1.0, 1.0]))
     leaf = Tree(np.array([-1], np.int32), np.zeros(1, np.int32), np.zeros(1),
-                np.array([-1], np.int32), np.array([-1], np.int32), np.array([0.25]),
-                np.zeros(2))
-    return PackedTrees.pack(Tree, [stump, leaf])
+                np.array([-1], np.int32), np.array([-1], np.int32), np.array([0.25]))
+    return PackedTrees.pack([stump, leaf])
 
 
 def _set(field: int, index: int, value):
