@@ -25,8 +25,10 @@ _CONFIG_KEYS = ({f.name for f in dataclasses.fields(PresetConfig)}
                 | {"train_path", "target", "out_dir", "model_path", "task"})
 _CV_KEYS = {"kind", "k", "seed", "holdout_fraction", "group_column",
             "time_column", "fold_of_row"}
-_TYPES = {"tuning_enabled": bool, "use_linear": bool, "use_gbm_leaf": bool,
-          "use_gbm_sym": bool, "seed": int}  # JSON types the keys must have
+_JSON_TYPES = {"boolean": (bool,), "integer": (int,), "number": (int, float)}
+_TYPES = {"tuning_enabled": "boolean", "use_linear": "boolean", "use_gbm_leaf": "boolean",
+          "use_gbm_sym": "boolean", "seed": "integer",
+          "budget_seconds": "number"}  # JSON types the keys must have
 _TASK_KINDS = ("binary", "multiclass", "regression", "auto")
 
 
@@ -54,7 +56,8 @@ def _load_config(path: str | None) -> dict:
         bad = set(cv) - _CV_KEYS
         if bad:
             raise ConfigError(f"unknown cv keys: {sorted(bad)}")
-        _check_types(cv, {"k": int, "seed": int}, "cv.")
+        _check_types(cv, {"k": "integer", "seed": "integer", "holdout_fraction": "number"},
+                     "cv.")
     _check_types(cfg, _TYPES, "")
     task = cfg.get("task")
     if task is not None and task not in _TASK_KINDS:
@@ -63,14 +66,14 @@ def _load_config(path: str | None) -> dict:
 
 
 def _check_types(cfg: dict, types: dict, prefix: str) -> None:
-    """Raise ConfigError where a key of `types` holds a value of another type
-    (a JSON boolean is no integer): coercing "false" or 2.9 would run
-    another configuration."""
+    """Raise ConfigError where a key of `types` holds a value that is not of
+    its JSON type (`_JSON_TYPES`; a JSON boolean is no number): coercing
+    "false", 2.9, true or "0.3" would run another configuration."""
     from .errors import ConfigError
 
     for key, kind in types.items():
-        if type(cfg.get(key, kind())) is not kind:
-            raise ConfigError(f"{prefix}{key} must be a JSON {kind.__name__}, not {cfg[key]!r}")
+        if key in cfg and type(cfg[key]) not in _JSON_TYPES[kind]:
+            raise ConfigError(f"{prefix}{key} must be a JSON {kind}, not {cfg[key]!r}")
 
 
 def _infer_task_kind(cells) -> str:

@@ -1,26 +1,31 @@
 """CSV ingestion, column parsing, and the typed dataset container.
 
-A CSV file is read as bytes and decoded once, and no Python code runs per
-cell where the bytes allow it. A file without quotes, with LF or CRLF line
-ends, no blank line and the header's comma count on every line is read by a
-single `str.split` on commas, and its columns are strided slices of the
-cells; every other file goes through `csv.reader` row by row, and both give
-the same table. On the split path a screen over the bytes (a cell's length
-and its first and last byte) picks the few cells that may be missing tokens,
-and only those get the exact test.
+A CSV file is read as bytes once, and no Python code runs per cell where
+the bytes allow it. A file without quotes, with LF or CRLF line ends, no
+blank line and the header's comma count on every line is split at its
+separators with numpy, and its table keeps the file's bytes and each
+cell's byte offsets; a screen over the bytes (a cell's length and its first
+and last byte) finds the missing tokens, and only cells with whitespace or
+non-ASCII bytes at an edge are decoded for the exact test. Every other file
+goes through `csv.reader` row by row, and both give the same table.
 
-Each text column is typed as a whole: integer, float, datetime (fixed format
-list), then category. Cells are stripped at most once, and only where
-needed: numbers are converted from the cells as read, in one pass over the
-column, and the stripped cells are made only when that pass fails or a
-datetime format is tried. A datetime format is given up as soon as more
-cells fail than the 99% threshold allows, so a text column costs a few
-dozen trial parses per format, not one per cell. Cells written in a
-format's zero-padded ASCII layout are parsed together with numpy; every
-other cell falls back to `strptime`, so each cell gets the value a per-cell
-`strptime` would give. Category codes come from one sorted dictionary per
-column. Constant columns are dropped. Datetime columns are expanded into
-calendar parts and excluded from modeling themselves.
+Each column is typed as a whole: integer, float, datetime (fixed format
+list), then category. Numbers are read from the cells' bytes by the
+compiled kernel's `parse_numbers` (Clinger's exact fast path, so the bits
+are Python's `float`), and the few cells outside its exact range by `float`
+or `int`; a column with a cell outside its grammar (padding, `1_000`,
+`inf`, other digits), or a host without a compiler, converts every cell in
+Python to the same bits. A column's `str` cells are made only when needed:
+for categories, for a column the kernel cannot read and for date cells
+that need `strptime`, and they are stripped at most once. A datetime
+format is given up as soon as more cells fail than the 99% threshold
+allows, so a text column costs a few dozen trial parses per format, not one
+per cell. Cells written in a format's zero-padded ASCII layout are parsed
+together from their bytes with numpy; every other cell falls back to
+`strptime`, so each cell gets the value a per-cell `strptime` would give.
+Category codes come from one sorted dictionary per column. Constant columns
+are dropped. Datetime columns are expanded into calendar parts and excluded
+from modeling themselves.
 
 A raw table predicts as the dataset built from it: `parse_features` parses
 its cells into the columns `build_dataset` gives, and `conform` codes any
@@ -41,6 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError
+from .gbm import native
 from .metrics import MetricSpec, default_metric
 
 ROLE_KINDS = ("numeric", "category", "datetime", "target", "drop")
@@ -69,16 +75,42 @@ DATETIME_PARTS = ("year", "month", "day", "weekday", "hour")
 DEFAULT_K = 5
 
 
-@dataclass(frozen=True)
 class RawTable:
-    """A parsed CSV: header plus all cells as text, missing cells as None."""
+    """A parsed CSV: header plus each column's cells as text, missing cells
+    as None.
 
-    column_names: tuple[str, ...]
-    columns: tuple[tuple, ...]
-    n_rows: int
+    A column is given either as its text cells or as a `_FileColumn`: the
+    bytes of a file `read_csv` split in one pass and where the column's
+    cells sit in them. The text cells of such a column are made the first
+    time `column` or `columns` asks for them; parsing reads its bytes
+    (`cells`), so a numeric column's cells never become `str` objects.
+    """
+
+    def __init__(self, column_names: tuple[str, ...], columns, n_rows: int) -> None:
+        self.column_names = tuple(column_names)
+        self._cells = tuple(columns)
+        self.n_rows = n_rows
+
+    @property
+    def columns(self) -> tuple[tuple, ...]:
+        return tuple(map(_strings, self._cells))
 
     def column(self, name: str) -> tuple:
-        return self.columns[self.column_names.index(name)]
+        return _strings(self.cells(name))
+
+    def cells(self, name: str):
+        """Column `name` as parsing takes it: its `_FileColumn` if it has one,
+        else its text cells."""
+        return self._cells[self.column_names.index(name)]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RawTable):
+            return NotImplemented
+        return ((self.column_names, self.n_rows, self.columns)
+                == (other.column_names, other.n_rows, other.columns))
+
+    def __repr__(self) -> str:
+        return f"RawTable({self.column_names!r}, {self.columns!r}, {self.n_rows!r})"
 
 
 @dataclass(frozen=True)
@@ -184,45 +216,37 @@ def read_csv(path: str, target_name: str | None = None,
     validated against the header. A file that is not UTF-8, or a cell longer
     than `csv.field_size_limit()`, is a `DataError` too.
 
-    The file is read and decoded once. What reads it depends on its bytes
-    alone: a file `_plain_layout` accepts (no quote, LF or CRLF line ends, no
-    blank line, the header's comma count on every line) is split in one
-    `str.split` and its columns are strided slices of the cells; any other
-    file goes through `csv.reader`, which also raises the ragged-row,
-    blank-line and empty-file errors. Both give the same table. On the split
-    path only the cells the byte screen passes get the exact missing-token
-    test.
+    The file is read once. What reads it depends on its bytes alone: a file
+    `_plain_layout` accepts (no quote, LF or CRLF line ends, no blank line,
+    the header's comma count on every line) is split at its separators,
+    and its table keeps the file's bytes and each cell's byte offsets
+    (`_FileColumn`): parsing reads numbers and dates from the bytes, and a
+    column's `str` cells are made only when a caller asks for them. Any other
+    file is decoded and goes through `csv.reader`, which also raises the
+    ragged-row, blank-line and empty-file errors. Both give the same table.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    # Each buffer is dropped once used, and the large arrays are gone before
-    # the cells are made from a single decoded copy of the file.
-    terminated = data.endswith(b"\n")
-    layout = _plain_layout(data if terminated else
-                           data + (b"\r\n" if b"\r" in data else b"\n"))
+    plain = data if data.endswith(b"\n") else data + (b"\r\n" if b"\r" in data else b"\n")
+    layout = _plain_layout(plain)
     if layout is None:
         header, columns, n_rows = _read_rows(path, _decode(path, data))
     else:
-        n_cols, width, maybe_missing = layout
-        # line ends are ASCII, so the decode fails where decoding `data` would
-        data = data.translate(_LINE_ENDS_TO_COMMAS)
-        text = _decode(path, data)
         del data
-        cells = text.split(",")
-        del text
-        if terminated:
-            cells.pop()  # the empty piece after the final line end
-        for i in maybe_missing.tolist():
-            if cells[i].strip().lower() in MISSING_TOKENS:
-                cells[i] = None
-        header = cells[:n_cols]
+        if not plain.isascii():
+            _decode(path, plain)  # raises where the file is not UTF-8
+        n_cols, cr, seps, missing = layout
+        header = plain[:seps[n_cols] - cr].decode().split(",")
         _check_header(path, header)
-        columns = tuple(tuple(cells[j::width]) for j in range(width, width + n_cols))
-        n_rows = len(columns[0])
-        del cells
+        n_cells = seps.shape[0] - 1
+        n_rows = n_cells // n_cols - 1
+        columns = tuple(
+            _FileColumn(plain, seps[n_cols + j:n_cells:n_cols], seps[n_cols + j + 1::n_cols],
+                        cr if j == n_cols - 1 else 0, missing[n_cols + j::n_cols])
+            for j in range(n_cols))
     if target_name is not None and target_name not in header:
         raise DataError(f"target column {target_name!r} not found in header")
     for key in (hints or {}):
@@ -231,15 +255,69 @@ def read_csv(path: str, target_name: str | None = None,
     return RawTable(tuple(header), columns, n_rows)
 
 
+@dataclass(frozen=True, eq=False)
+class _FileColumn:
+    """One column of a file `read_csv` split in one pass, as the file's
+    bytes: row r's cell is data[before[r] + 1:after[r] - cr], the bytes
+    between the separators around it less the CR of a CRLF line end, and
+    missing[r] marks a missing token. The arrays are strided views of the
+    table's own, so the columns of a file share its bytes and offsets."""
+
+    data: bytes
+    before: np.ndarray
+    after: np.ndarray
+    cr: int
+    missing: np.ndarray
+
+    @cached_property
+    def strings(self) -> tuple:
+        """The text cells, None where missing, made on the first call."""
+        cells = _decode_cells(np.frombuffer(self.data, dtype=np.uint8), self.before + 1,
+                              self.after - self.cr)
+        for r in np.flatnonzero(self.missing).tolist():
+            cells[r] = None
+        return tuple(cells)
+
+
+def _strings(cells) -> tuple:
+    """The text cells of a column given as text cells or as a `_FileColumn`."""
+    return cells.strings if isinstance(cells, _FileColumn) else cells
+
+
+def _decode_cells(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The text of the cells buf[starts[i]:ends[i]], none of which holds a
+    comma: one gather of their bytes, each followed by a comma, then one
+    decode and one split."""
+    if starts.shape[0] == 0:
+        return []
+    lengths = ends - starts + 1  # with the comma
+    stops = np.cumsum(lengths)
+    joined = buf.take(np.arange(stops[-1]) + np.repeat(starts - stops + lengths, lengths),
+                      mode="clip")
+    joined[stops - 1] = ord(",")
+    cells = joined.tobytes().decode().split(",")
+    cells.pop()
+    return cells
+
+
 # A cell equals a missing token after `strip().lower()` only if it is at most
 # `_TOKEN_BYTES` long or its first or last byte is in `_EDGE_BYTES`: the ASCII
 # whitespace `str.strip` removes, and every byte of a non-ASCII character
 # (each non-ASCII whitespace character starts and ends with one). No
-# non-ASCII character lowercases to ASCII letters of a token.
+# non-ASCII character lowercases to ASCII letters of a token. A short cell
+# without such an edge byte is a token exactly when its bytes, each OR 0x20,
+# are the token's: OR 0x20 maps a byte to a token letter only from that
+# letter or its capital, and to no byte below 0x20, so cells of different
+# lengths get different keys.
 _TOKEN_BYTES = max(map(len, MISSING_TOKENS))
 _EDGE_BYTES = np.array([chr(b).isspace() or b >= 0x80 for b in range(256)])
-# Line ends become commas; a CRLF becomes two
-_LINE_ENDS_TO_COMMAS = bytes.maketrans(b"\r\n", b",,")
+_TOKEN_KEYS = np.array([int.from_bytes(t.encode(), "little") for t in MISSING_TOKENS],
+                       dtype=np.uint32)  # 4 bytes: the longest token's
+_KEY_MASKS = np.array([(1 << 8 * k) - 1 for k in range(_TOKEN_BYTES + 1)], dtype=np.uint32)
+# The separator scan and the byte screen take the file a block at a time, so
+# no temporary array grows with it: reading holds little beside its table.
+_SCAN_BYTES = 1 << 16
+_SCAN_CELLS = 1 << 14
 
 
 def _decode(path: str, data: bytes) -> str:
@@ -250,51 +328,74 @@ def _decode(path: str, data: bytes) -> str:
             f"{path}: not UTF-8 text: byte offset {exc.start}: {exc.reason}") from None
 
 
-def _plain_layout(data: bytes) -> tuple[int, int, np.ndarray] | None:
-    """How one split on commas reads a file ending in a line end as
-    `csv.reader` does, or None when the file needs `csv.reader`.
+def _plain_layout(data: bytes) -> tuple[int, int, np.ndarray, np.ndarray] | None:
+    """How a split at every comma and line end reads a file ending in a line
+    end as `csv.reader` does, or None when the file needs `csv.reader`.
 
     A file qualifies when it has no `"`, its line ends are all LF or all
     CRLF (so no other CR), every line has the header's comma count, no line
     is blank (in a one-column file a blank line is a ragged row to
     `csv.reader`, not an empty cell) and no cell is longer in bytes than the
-    csv field limit. Once its line ends become commas, each line splits into
-    `width` pieces: its cells, and an empty piece for the CR of a CRLF.
+    csv field limit.
 
-    Returns the column count, `width`, and the piece indices of the data
-    cells that may be missing tokens. Positions are updated in place: at most
-    two arrays of cell positions are alive at a time.
+    Returns the column count, 1 for CRLF line ends (else 0), the separators
+    and the missing-token mask. seps[0] is -1 and seps[c + 1] the position of
+    the separator after cell c, header cells first, so cell c is
+    data[seps[c] + 1:seps[c + 1]], less the CR that ends a CRLF line's last
+    cell. The byte screen picks the data cells that may be missing tokens;
+    a short one without an edge byte is tested as a key of its bytes, and
+    only the few others are decoded for the exact test.
     """
-    if b'"' in data:
+    header_end = data.find(b"\n")
+    if b'"' in data or header_end < 0:
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
-    is_end = buf == ord(",")
-    is_end |= buf == ord("\n")
-    ends = np.flatnonzero(is_end)
-    del is_end
-    line_ends = buf[ends] == ord("\n")
-    n_cols = int(np.argmax(line_ends)) + 1
-    n_lines, rest = divmod(ends.size, n_cols)
-    if rest or np.count_nonzero(line_ends) != n_lines or not line_ends[n_cols - 1::n_cols].all():
+    n_lines = n_seps = 0
+    for lo in range(0, buf.shape[0], _SCAN_BYTES):
+        block = buf[lo:lo + _SCAN_BYTES]
+        is_sep = block == ord("\n")
+        n_lines += np.count_nonzero(is_sep)
+        is_sep |= block == ord(",")
+        n_seps += np.count_nonzero(is_sep)
+    n_cols = data.count(b",", 0, header_end) + 1
+    n_cells = n_lines * n_cols
+    if n_seps != n_cells:
         return None
-    crlf = buf[ends[n_cols - 1::n_cols] - 1] == ord("\r")
-    n_cr = np.count_nonzero(buf == ord("\r"))
-    if n_cr != np.count_nonzero(crlf) or n_cr not in (0, n_lines):
+    seps = np.empty(n_cells + 1, dtype=np.int64)
+    seps[0], k = -1, 1
+    for lo in range(0, buf.shape[0], _SCAN_BYTES):
+        block = buf[lo:lo + _SCAN_BYTES]
+        at = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
+        np.add(at, lo, out=seps[k:k + at.shape[0]])
+        k += at.shape[0]
+    line_ends = seps[n_cols::n_cols]
+    n_cr = data.count(b"\r") if b"\r" in data else 0
+    if ((buf[line_ends] != ord("\n")).any() or n_cr not in (0, n_lines)
+            or (n_cr and (buf[line_ends - 1] != ord("\r")).any())):
         return None
-    width = n_cols + int(n_cr > 0)
-    starts = np.empty_like(ends)
-    starts[0] = -1
-    starts[1:] = ends[:-1]
-    starts += 1
-    ends[n_cols - 1::n_cols] -= width - n_cols  # a CRLF line's last cell ends at its CR
-    maybe = _EDGE_BYTES.take(buf.take(starts[n_cols:]))
-    maybe |= _EDGE_BYTES.take(buf.take(ends[n_cols:] - 1))
-    lengths = np.subtract(ends, starts, out=starts)
-    if lengths.max() > csv.field_size_limit() or (n_cols == 1 and not lengths.all()):
-        return None
-    maybe |= lengths[n_cols:] <= _TOKEN_BYTES
-    cell = np.flatnonzero(maybe) + n_cols
-    return n_cols, width, cell + (cell // n_cols) * (width - n_cols)
+    cr, limit = int(n_cr > 0), csv.field_size_limit()
+    missing = np.zeros(n_cells, dtype=bool)
+    step = max(_SCAN_CELLS // n_cols, 1) * n_cols  # whole lines
+    for lo in range(0, n_cells, step):
+        starts = seps[lo:min(lo + step, n_cells)] + 1
+        ends = seps[lo + 1:lo + 1 + starts.shape[0]].copy()
+        ends[n_cols - 1::n_cols] -= cr
+        lengths = ends - starts
+        if lengths.max() > limit or (n_cols == 1 and not lengths.all()):
+            return None
+        edge = _EDGE_BYTES.take(buf.take(starts))
+        edge |= _EDGE_BYTES.take(buf.take(ends - 1))
+        edge &= lengths > 0
+        short = np.flatnonzero((lengths <= _TOKEN_BYTES) & ~edge)
+        at = starts[short, None] + np.arange(_TOKEN_BYTES)
+        keys = buf.take(at, mode="clip").view("<u4").ravel() | np.uint32(0x20202020)
+        keys &= _KEY_MASKS.take(lengths[short])
+        missing[lo + short] = np.isin(keys, _TOKEN_KEYS)
+        for c in np.flatnonzero(edge).tolist():
+            cell = data[starts[c]:ends[c]].decode(errors="replace")
+            missing[lo + c] = cell.strip().lower() in MISSING_TOKENS
+    missing[:n_cols] = False  # header cells
+    return n_cols, cr, seps, missing
 
 
 def _read_rows(path: str, text: str) -> tuple[list[str], tuple[tuple, ...], int]:
@@ -332,25 +433,39 @@ def _check_header(path: str, header: list[str]) -> None:
 # Column parsing
 
 
-@dataclass(frozen=True)
 class _Text:
-    """The non-missing cells of one column, as read, and where they sit.
+    """The non-missing cells of one column, and where they sit.
 
-    Cells are stripped only when needed: datetime parsing reads `cells`,
-    and `floats` converts the cells as read.
+    A column of a file `read_csv` split keeps the file's bytes and its
+    cells' byte offsets (`bytes`), and its `str` cells (`unstripped`, and
+    `cells` stripped) are made only when asked for: to convert a column the
+    kernel cannot read, to make a category, or for a date cell that needs
+    `strptime`. Text cells given as `str` are encoded once, the first time
+    `bytes` is asked for. Cells are stripped only when needed.
     """
 
-    present: np.ndarray  # bool per row
-    unstripped: list[str]
+    def __init__(self, present: np.ndarray, file: _FileColumn | None = None) -> None:
+        self.present = present  # bool per row
+        self.size = int(np.count_nonzero(present))
+        self._file = file
 
     @classmethod
     def of(cls, cells) -> "_Text":
-        present = np.fromiter(map(operator.is_not, cells, itertools.repeat(None)),
-                              dtype=bool, count=len(cells))
-        return cls(present, [c for c in cells if c is not None])
+        """The cells of a column given as text cells or as a `_FileColumn`."""
+        if isinstance(cells, _FileColumn):
+            return cls(~cells.missing, cells)
+        text = cls(np.fromiter(map(operator.is_not, cells, itertools.repeat(None)),
+                               dtype=bool, count=len(cells)))
+        text.unstripped = [c for c in cells if c is not None]
+        return text
 
     def __len__(self) -> int:
-        return len(self.unstripped)
+        return self.size
+
+    @cached_property
+    def unstripped(self) -> list[str]:
+        """The non-missing cells, as read."""
+        return _decode_cells(*self.bytes)
 
     @cached_property
     def cells(self) -> list[str]:
@@ -358,20 +473,61 @@ class _Text:
         return [c.strip() for c in self.unstripped]
 
     @cached_property
-    def lengths(self) -> np.ndarray:
-        """The length of each stripped non-missing cell."""
-        return np.fromiter(map(len, self.cells), dtype=np.int64, count=len(self))
+    def bytes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The UTF-8 bytes the non-missing cells sit in, and where each cell
+        starts and ends in them."""
+        if self._file is not None:
+            file = self._file
+            return (np.frombuffer(file.data, dtype=np.uint8), file.before[self.present] + 1,
+                    file.after[self.present] - file.cr)
+        joined = "".join(self.unstripped)
+        data = joined.encode("utf-8", "surrogatepass")
+        cells = (self.unstripped if len(data) == len(joined) else
+                 [c.encode("utf-8", "surrogatepass") for c in self.unstripped])
+        lengths = np.fromiter(map(len, cells), dtype=np.int64, count=len(self))
+        ends = np.cumsum(lengths)
+        return np.frombuffer(data, dtype=np.uint8), ends - lengths, ends
+
+    @cached_property
+    def numbers(self) -> tuple[np.ndarray, np.ndarray, bool] | None:
+        """The kernel's reading of the cells (`parse_numbers` in _kernel.c):
+        their values, the positions of the cells it leaves to Python and
+        whether every cell is an integer literal. None where the kernel is
+        not loaded or a cell is outside its grammar."""
+        lib = native.optional_kernel()
+        if lib is None:
+            return None
+        buf, starts, ends = self.bytes
+        values, flag = np.empty(len(self)), np.empty(len(self), dtype=np.uint8)
+        status = lib.parse_numbers(buf.ctypes.data, starts.ctypes.data, ends.ctypes.data,
+                                   len(self), values.ctypes.data, flag.ctypes.data)
+        return None if status < 0 else (values, np.flatnonzero(flag), status == 1)
 
     def floats(self, convert) -> np.ndarray:
-        """float64 of `convert(cell.strip())` for each non-missing cell; raises
-        what that raises.
+        """float64 of `convert(cell.strip())` for each non-missing cell, where
+        `convert` is `int` or `float`; raises what that raises.
 
-        `float` and `int` ignore all the surrounding whitespace `str.strip`
-        removes but U+001C to U+001F, so a cell that converts as read gives
-        its stripped value. Only when a cell as read raises `ValueError` do
-        the stripped cells decide, and they are converted only if that cell
-        strips to something else: otherwise they would raise at the same cell.
+        Where the kernel reads every cell (`numbers`), its values are
+        Python's `float` bit for bit, and `int` of an integer literal differs
+        from them only by giving +0.0 for -0.0; the cells it leaves to Python
+        are converted one by one. Otherwise every cell is converted in
+        Python. `float` and `int` ignore all the surrounding whitespace
+        `str.strip` removes but U+001C to U+001F, so a cell that converts as
+        read gives its stripped value. Only when a cell as read raises
+        `ValueError` do the stripped cells decide, and they are converted
+        only if that cell strips to something else: otherwise they would
+        raise at the same cell.
         """
+        if self.numbers is not None:
+            values, flagged, integral = self.numbers
+            if convert is int and not integral:
+                raise ValueError("a cell is not an integer literal")
+            out = values + 0.0 if convert is int else values.copy()
+            buf, starts, ends = self.bytes
+            out[flagged] = np.fromiter(
+                (convert(buf[starts[i]:ends[i]].tobytes().decode()) for i in flagged.tolist()),
+                dtype=np.float64, count=flagged.shape[0])
+            return out
         cells = iter(self.unstripped)
         try:
             return np.fromiter(map(convert, cells), dtype=np.float64, count=len(self))
@@ -458,22 +614,21 @@ def _bulk_epochs(text: _Text, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     """Epoch seconds of the cells written exactly in `fmt`'s zero-padded ASCII
     layout that name a valid time, NaN elsewhere; and the mask of those cells.
 
-    Only cells of the layout's width are copied, as code points, into a
-    (cells x width) array, so a long cell costs nothing. A valid time has a
-    year from 1, a real calendar day, hour < 24, minute < 60 and second < 60;
-    every other cell is left to `strptime`.
+    Only cells of the layout's width in bytes are gathered from the cells'
+    bytes into a (cells x width) array, so a long cell costs nothing and no
+    cell becomes a `str`. A valid time has a year from 1, a real calendar
+    day, hour < 24, minute < 60 and second < 60; every other cell, padded
+    ones included, is left to `strptime`.
     """
     width, fields, literals = _LAYOUTS[fmt]
-    cells = text.cells
-    epochs = np.full(len(cells), np.nan)
-    done = np.zeros(len(cells), dtype=bool)
-    fits = text.lengths == width
-    rows = np.flatnonzero(fits)
+    buf, starts, ends = text.bytes
+    epochs = np.full(len(text), np.nan)
+    done = np.zeros(len(text), dtype=bool)
+    rows = np.flatnonzero(ends - starts == width)
     if rows.size == 0:
         return epochs, done
-    joined = "".join(itertools.compress(cells, fits)).encode("utf-32-le", "surrogatepass")
-    chars = np.frombuffer(joined, dtype=np.uint32).reshape(rows.size, width)
-    digits = chars - np.uint32(ord("0"))  # characters below "0" wrap round to large values
+    chars = buf.take(starts[rows, None] + np.arange(width))
+    digits = chars - np.uint8(ord("0"))  # bytes below "0" wrap round to large values
     ok = np.ones(rows.size, dtype=bool)
     for pos, code in literals:
         ok &= chars[:, pos] == code
@@ -574,6 +729,7 @@ def _epoch_int_to_datetime(values: np.ndarray) -> np.ndarray | None:
 
 
 def _category_column(name: str, cells) -> Column:
+    cells = _strings(cells)
     seen = sorted(set(cells) - {None})
     lookup = {v: i for i, v in enumerate(seen)}
     lookup[None] = -1
@@ -582,7 +738,8 @@ def _category_column(name: str, cells) -> Column:
 
 
 def parse_column(name: str, cells) -> tuple[Column, dict]:
-    """Type one text column: integer, float, datetime, then category.
+    """Type one column, given as text cells or as a `_FileColumn`: integer,
+    float, datetime, then category.
 
     Returns the typed column plus a schema entry describing how to re-parse
     the same source column at inference time.
@@ -609,7 +766,8 @@ def parse_column(name: str, cells) -> tuple[Column, dict]:
 
 
 def parse_with_schema(name: str, cells, entry: dict) -> Column:
-    """Re-parse a raw column at inference using the stored training recipe.
+    """Re-parse a raw column (text cells or a `_FileColumn`) at inference
+    using the stored training recipe.
 
     A numeric or epoch recipe takes the cells that `build_dataset` types as
     numbers and raises DataError at the first other one."""
@@ -620,7 +778,7 @@ def parse_with_schema(name: str, cells, entry: dict) -> Column:
         return Column(name, "datetime", _parse_datetime_format(_Text.of(cells), fmt)[0])
     values, bad = _finite_floats(_Text.of(cells))
     if bad is not None:
-        raise DataError(f"column {name!r} holds {cells[bad]!r} at row {bad + 1}, "
+        raise DataError(f"column {name!r} holds {_strings(cells)[bad]!r} at row {bad + 1}, "
                         "which is not a finite number")
     if kind == "datetime":  # epoch seconds
         lo, hi = EPOCH_RANGE
@@ -665,18 +823,22 @@ def expand_datetime(col: Column) -> list[Column]:
 
 
 def _encode_target(cells, task_kind: str) -> tuple[np.ndarray, tuple[str, ...]]:
-    if None in cells:
-        raise DataError(f"target has a missing value at row {cells.index(None) + 1}")
+    text = _Text.of(cells)
+    if len(text) < text.present.shape[0]:
+        row = int(np.argmin(text.present))
+        raise DataError(f"target has a missing value at row {row + 1}")
     if task_kind == "regression":
-        out, i = _finite_floats(_Text.of(cells))
+        out, i = _finite_floats(text)
         if i is not None:
+            cell = text.unstripped[i]
             try:
-                float(cells[i].strip())
+                float(cell.strip())
             except ValueError:
                 raise DataError(
-                    f"target value {cells[i]!r} at row {i + 1} is not numeric") from None
+                    f"target value {cell!r} at row {i + 1} is not numeric") from None
             raise DataError(f"target value at row {i + 1} is not finite")
         return out, ()
+    cells = text.unstripped
     labels = sorted({c.strip() for c in cells})
     if task_kind == "binary" and len(labels) != 2:
         raise DataError(f"binary target must have exactly 2 labels, found {len(labels)}")
@@ -715,7 +877,7 @@ def build_dataset(raw: RawTable, target_name: str, task_kind: str,
         if role not in ROLE_KINDS:
             raise DataError(f"role hint for {key!r} has unknown role {role!r}")
 
-    target, labels = _encode_target(raw.column(target_name), task_kind)
+    target, labels = _encode_target(raw.cells(target_name), task_kind)
     task = Task(task_kind, n_classes=len(labels) if task_kind != "regression" else 0,
                 metric=metric, labels=labels)
 
@@ -726,7 +888,7 @@ def build_dataset(raw: RawTable, target_name: str, task_kind: str,
     for name in raw.column_names:
         if name == target_name:
             continue
-        cells = raw.column(name)
+        cells = raw.cells(name)
         hint = hints.get(name)
         if hint == "drop":
             continue
@@ -829,7 +991,7 @@ def parse_features(raw: RawTable, reference: Dataset, names: list[str]) -> Datas
         raise DataError(f"input table is missing columns {sorted(missing)}")
     parsed: dict[str, Column] = {}
     for source, entry in sources.items():
-        col = parse_with_schema(source, raw.column(source), entry)
+        col = parse_with_schema(source, raw.cells(source), entry)
         for part in expand_datetime(col) if col.kind == "datetime" else (col,):
             parsed[part.name] = part
     return Dataset({name: parsed[name] for name in names}, np.zeros(raw.n_rows),

@@ -3,9 +3,10 @@
  * After the growers come the rest of a boosting iteration that is exact
  * arithmetic or index bookkeeping (lay_out, gradients, add_scores), the
  * prediction of a whole forest of either flavour (leaf_route), the positive
- * rank sum of metrics.py's ROC AUC, and rank_concordance, which counts the
+ * rank sum of metrics.py's ROC AUC, rank_concordance, which counts the
  * pairs of encoders.py's Normalized Gini from ranks, in one pass with no
- * comparison sort.
+ * comparison sort, and parse_numbers, which reads a column of decimal
+ * numbers from a CSV file's bytes for data.py.
  *
  * Every loop repeats the float order of the numpy kernel it replaced (kept in
  * tests/oracles.py), so trees are bit-identical to it:
@@ -538,19 +539,23 @@ void obl_scan(const double *hist, const uint64_t *bits, const int64_t *counts, i
  * single (feature, bin) of largest positive total gain over its nodes.
  *
  * idx[0:m] are the training rows and idx[m:m+n_pass] the passengers; out[i]
- * gets the leaf value of idx[i]. Level d's split goes to level_feat[d] and
- * level_bin[d]; leaf_value gets -lr * G / (H + reg) of each of the 2^depth
- * leaves, 0 for a leaf no training row reaches, leaf k at the level bits k
- * (trees.py lays the levels out as a complete tree). Returns the depth or
+ * gets the leaf value of idx[i]. The tree is written as the complete binary
+ * tree of its levels, the layout leaf_grow's node arrays have (trees.py):
+ * node i of level d splits on level d's (feature, bin) into 2i + 1 and
+ * 2i + 2, and leaf k of the level bits is node 2^depth - 1 + k, with
+ * -lr * G / (H + reg), 0 for a leaf no training row reaches. The node
+ * arrays hold 2^(max_depth + 1) - 1 entries. Returns the node count or
  * NO_MEMORY.
  */
 int64_t obl_grow(const uint8_t *codes, int64_t n, const double *g, const double *h,
                  const int64_t *idx, int64_t m, int64_t n_pass, const int64_t *feats,
                  int64_t nf, int64_t max_depth, int64_t min_data, double reg, double lr,
-                 int32_t *level_feat, int32_t *level_bin, double *leaf_value, double *out)
+                 int32_t *feature, int32_t *threshold, int32_t *left, int32_t *right,
+                 double *value, double *out)
 {
     int64_t max_nodes = (int64_t)1 << (max_depth > 1 ? max_depth - 1 : 0);
     int64_t n_leaves = (int64_t)1 << (max_depth > 0 ? max_depth : 0), depth = 0;
+    int64_t status = NO_MEMORY;
     double *gr = alloc(m, sizeof(double)), *hr = alloc(m, sizeof(double));
     int64_t *node = calloc((size_t)(m + n_pass + 1), sizeof(int64_t));
     double *hists = alloc(nf * 3 * max_nodes * N_HIST, sizeof(double));
@@ -558,10 +563,8 @@ int64_t obl_grow(const uint8_t *codes, int64_t n, const double *g, const double 
     uint64_t *parent_bits = alloc(nf * max_nodes * N_WORDS, sizeof(uint64_t));
     double *h_leaf = alloc(n_leaves, sizeof(double));
     int64_t *count = alloc(n_leaves, sizeof(int64_t));
-    if (!gr || !hr || !node || !hists || !bits || !parent_bits || !h_leaf || !count) {
-        depth = NO_MEMORY;
+    if (!gr || !hr || !node || !hists || !bits || !parent_bits || !h_leaf || !count)
         goto done;
-    }
     for (int64_t i = 0; i < m; i++) {
         gr[i] = g[idx[i]];
         hr[i] = h[idx[i]];
@@ -582,14 +585,22 @@ int64_t obl_grow(const uint8_t *codes, int64_t n, const double *g, const double 
             break;
         int64_t f = feats[(int64_t)best[1]], t = (int64_t)best[2];
         const uint8_t *col = codes + f * n;
-        level_feat[depth] = (int32_t)f;
-        level_bin[depth] = (int32_t)t;
+        for (int64_t k = n_nodes - 1; k < 2 * n_nodes - 1; k++) {
+            feature[k] = (int32_t)f;
+            threshold[k] = (int32_t)t;
+            left[k] = (int32_t)(2 * k + 1);
+            right[k] = (int32_t)(2 * k + 2);
+            value[k] = 0.0;
+        }
         for (int64_t i = 0; i < m + n_pass; i++)
             node[i] = node[i] * 2 + (col[idx[i]] > t);
     }
 
     n_leaves = (int64_t)1 << depth;
+    double *leaf_value = value + n_leaves - 1; /* the leaves follow the n_leaves - 1 splits */
     for (int64_t k = 0; k < n_leaves; k++) {
+        feature[n_leaves - 1 + k] = left[n_leaves - 1 + k] = right[n_leaves - 1 + k] = -1;
+        threshold[n_leaves - 1 + k] = 0;
         leaf_value[k] = h_leaf[k] = 0.0;
         count[k] = 0;
     }
@@ -602,6 +613,7 @@ int64_t obl_grow(const uint8_t *codes, int64_t n, const double *g, const double 
         leaf_value[k] = count[k] ? -lr * leaf_value[k] / (h_leaf[k] + reg) : 0.0;
     for (int64_t i = 0; i < m + n_pass; i++)
         out[i] = leaf_value[node[i]];
+    status = 2 * n_leaves - 1;
 done:
     free(gr);
     free(hr);
@@ -611,7 +623,7 @@ done:
     free(parent_bits);
     free(h_leaf);
     free(count);
-    return depth;
+    return status;
 }
 
 /* The layout of a sample drawn from 0..n-1: drawn[0:k] are the drawn
@@ -884,4 +896,86 @@ int64_t rank_concordance(const int64_t *x_rank, const int64_t *y_rank, int64_t n
     }
     *pairs = untied;
     return total - untied;
+}
+
+#define EXACT_SIGNIFICAND ((uint64_t)1 << 53) /* every integer up to it is a double */
+#define EXACT_POW10 22 /* 10^22 = 2^22 * 5^22 is the largest power of ten that is a double */
+#define LONG_EXPONENT ((int64_t)1 << 30) /* a written exponent past it is only counted */
+
+static const double POW10[EXACT_POW10 + 1] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+/* The numbers of data.py's typing cascade and schema re-parse: cell i is
+ * data[starts[i]:ends[i]]. A cell in the grammar is the ASCII
+ *     [+-]? (digits [. [digits]] | . digits) [(e|E) [+-]? digits]
+ * and nothing else: no padding, no `_`, no inf or nan, no other digits.
+ * Returns -1 at the first cell outside the grammar (the caller then converts
+ * the whole column in Python), else 1 if every cell is an integer literal
+ * [+-]?digits and 0 if not.
+ *
+ * A cell's significand w is its digits read as one integer, the point
+ * dropped, and its exponent e the written exponent less the number of
+ * digits after the point, so its value is w * 10^e. Where w <= 2^53 and
+ * |e| <= 22, both w and 10^|e| are doubles exactly, so out[i] = w * 10^e
+ * (or w / 10^-e) is one IEEE multiply (or divide) of exact operands. IEEE
+ * rounds that one result to the nearest double, ties to even, which is the
+ * double nearest the cell's value: Python's float of the cell, bit for bit
+ * (Clinger, "How to Read Floating Point Numbers Accurately", PLDI 1990; the
+ * fast path of Lemire, SPE 2021). A w of 0 gives a zero of the cell's sign
+ * at any e. Every other cell gets flag[i] = 1 and out[i] unset, for the
+ * caller to convert in Python; flag[i] is 0 otherwise. w stops growing past
+ * 2^53 and the written exponent past LONG_EXPONENT, so no sum overflows. */
+int64_t parse_numbers(const uint8_t *data, const int64_t *starts, const int64_t *ends, int64_t n,
+                      double *out, uint8_t *flag)
+{
+    int64_t integral = 1;
+    for (int64_t i = 0; i < n; i++) {
+        const uint8_t *p = data + starts[i], *end = data + ends[i];
+        int negative = 0, point = 0, exponent = 0;
+        int64_t digits = 0, e = 0, x = 0;
+        uint64_t w = 0;
+        if (p < end && (*p == '+' || *p == '-'))
+            negative = *p++ == '-';
+        for (; p < end; p++) {
+            if (*p >= '0' && *p <= '9') {
+                digits++;
+                e -= point;
+                if (w <= EXACT_SIGNIFICAND)
+                    w = w * 10 + (uint64_t)(*p - '0');
+            } else if (*p == '.' && !point) {
+                point = 1;
+            } else {
+                break;
+            }
+        }
+        if (!digits)
+            return -1;
+        if (p < end && (*p == 'e' || *p == 'E')) {
+            int exp_negative = 0;
+            exponent = 1;
+            if (++p < end && (*p == '+' || *p == '-'))
+                exp_negative = *p++ == '-';
+            if (p == end)
+                return -1;
+            for (; p < end && *p >= '0' && *p <= '9'; p++)
+                if (x <= LONG_EXPONENT)
+                    x = x * 10 + (*p - '0');
+            e += exp_negative ? -x : x;
+        }
+        if (p != end)
+            return -1;
+        integral &= !point && !exponent;
+        flag[i] = 0;
+        if (w == 0) {
+            out[i] = negative ? -0.0 : 0.0;
+        } else if (w <= EXACT_SIGNIFICAND && x <= LONG_EXPONENT && e >= -EXACT_POW10
+                   && e <= EXACT_POW10) {
+            double v = e < 0 ? (double)w / POW10[-e] : (double)w * POW10[e];
+            out[i] = negative ? -v : v;
+        } else {
+            flag[i] = 1;
+        }
+    }
+    return integral;
 }

@@ -12,11 +12,14 @@ there (`metrics.positive_rank_sum`), and so does Normalized Gini against a
 two-valued target where the ranks of x are not known; and Normalized Gini
 against a many-valued target (auto-typing and encoder selection for
 regression) counts its pairs there from ranks (`encoders.rank_gini`).
-Prediction uses it where it can: a forest of either flavour is routed in
-one call (`trees.route_forest`) when `optional_kernel()` loads the library,
-and in numpy, to the same bits, on a host where it cannot be built. One
-module lock serializes the build and the load, so threads that need the
-kernel at once compile it once.
+Prediction and ingest use it where they can, when `optional_kernel()`
+loads the library: a forest of either flavour is routed in one call
+(`trees.route_forest`), and a column of decimal numbers is read from the
+CSV file's bytes in one call (`data._Text.floats`, for `build_dataset` and
+the re-parse at prediction); on a host where it cannot be built, numpy
+routes and Python's `float` and `int` convert, to the same bits. One module
+lock serializes the build and the load, so threads that need the kernel at
+once compile it once.
 """
 
 from __future__ import annotations
@@ -49,13 +52,14 @@ SIGNATURES = {  # name -> (restype, argtypes), as declared in _kernel.c
     "obl_hist": (None, [_P, _I, _P, _I, _P, _P, _P, _P, _I, _I, _P, _P, _P]),
     "obl_scan": (None, [_P, _P, _P, _I, _I, _D, _D, _P]),
     "obl_grow": (_I, [_P, _I, _P, _P, _P, _I, _I, _P, _I, _I, _I, _D, _D,
-                      _P, _P, _P, _P]),
+                      _P, _P, _P, _P, _P, _P]),
     "lay_out": (_I, [_P, _I, _I, _P, _P]),
     "gradients": (None, [_I, _P, _I, _I, _P, _I, _P, _P]),
     "add_scores": (None, [_P, _I, _I, _P, _P, _I]),
     "leaf_route": (None, [_P, _I, _P, _P, _P, _P, _P, _P, _I, _I, _P, _P]),
     "positive_rank_sum": (_D, [_P, _P, _I, _P]),
     "rank_concordance": (_I, [_P, _P, _I, _I, _I, _P, _P]),
+    "parse_numbers": (_I, [_P, _P, _P, _I, _P, _P]),
 }
 _LOCK = threading.RLock()  # held by build() and kernel(), which calls build()
 

@@ -317,20 +317,23 @@ def grow_leafwise(kern: TreeKernel, max_leaves: int, min_data: int, reg: float,
         kern.m, kern.idx.shape[0] - kern.m, ptr["feats"], kern.nf, max_leaves, min_data, reg,
         lr, ints, ints + 4 * max_nodes, ints + 8 * max_nodes, ints + 12 * max_nodes,
         kern.floats_ptr, ptr["values"])
-    _check_status(n_nodes)
+    tree = _copy_tree(kern, max_nodes, n_nodes)
     kern.order = ptr["idx"]
-    nodes = kern.ints[:4 * max_nodes].reshape(4, max_nodes)[:, :n_nodes].copy()
-    feature, bin_thr, left, right = nodes  # views of one copy
-    tree = Tree(feature, bin_thr, None, left, right, kern.floats[:n_nodes].copy())
     return tree, kern.values, kern.idx
 
 
-def _check_status(status: int) -> None:
-    """Raise for the negative statuses of _kernel.c's growers."""
+def _copy_tree(kern: TreeKernel, max_nodes: int, status: int) -> Tree:
+    """The tree a grower wrote to `kern`'s node buffers, which hold 4 int32
+    arrays of `max_nodes` entries (feature, bin threshold, left, right) and
+    the float64 values. `status` is the grower's return value: its node
+    count, or a negative status of _kernel.c, which raises."""
     if status == -1:  # ZERO_DENOMINATOR
         raise ZeroDivisionError("a leaf's hessian sum plus l2_leaf_reg is 0")
     if status == -2:  # NO_MEMORY
         raise MemoryError("the tree kernel could not allocate its buffers")
+    nodes = kern.ints[:4 * max_nodes].reshape(4, max_nodes)[:, :status].copy()
+    feature, bin_thr, left, right = nodes  # views of one copy
+    return Tree(feature, bin_thr, None, left, right, kern.floats[:status].copy())
 
 
 def grow_oblivious(kern: TreeKernel, max_depth: int, min_data: int, reg: float,
@@ -346,21 +349,14 @@ def grow_oblivious(kern: TreeKernel, max_depth: int, min_data: int, reg: float,
     them out.
     """
     max_depth = max(max_depth, 0)
-    kern._grow_outputs(2 * max_depth, 1 << max_depth)
+    max_nodes = (2 << max_depth) - 1
+    kern._grow_outputs(4 * max_nodes, max_nodes)
     ptr, ints = kern.ptr, kern.ints_ptr
-    depth = kern.kernel.obl_grow(
+    n_nodes = kern.kernel.obl_grow(
         ptr["codes"], kern.codes.shape[0], ptr["g"], ptr["h"], ptr["layout"], kern.m,
         kern.layout.shape[0] - kern.m, ptr["feats"], kern.nf, max_depth, min_data, reg, lr,
-        ints, ints + 4 * max_depth, kern.floats_ptr, ptr["values"])
-    _check_status(depth)
+        ints, ints + 4 * max_nodes, ints + 8 * max_nodes, ints + 12 * max_nodes,
+        kern.floats_ptr, ptr["values"])
+    tree = _copy_tree(kern, max_nodes, n_nodes)
     kern.order = ptr["layout"]
-    inner = (1 << depth) - 1  # the internal nodes; leaves follow them
-    level = np.repeat(np.arange(depth), 1 << np.arange(depth))  # of each internal node
-    child = np.arange(1, 2 * inner, 2, dtype=np.int32)  # 2i + 1 of each internal node
-    leaf = np.full(inner + 1, -1, dtype=np.int32)
-    tree = Tree(np.concatenate([kern.ints[:depth][level], leaf]),
-                np.concatenate([kern.ints[max_depth:max_depth + depth][level],
-                                 np.zeros(inner + 1, dtype=np.int32)]),
-                None, np.concatenate([child, leaf]), np.concatenate([child + 1, leaf]),
-                np.concatenate([np.zeros(inner), kern.floats[:inner + 1]]))
     return tree, kern.values, kern.layout

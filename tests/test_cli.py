@@ -69,11 +69,13 @@ class TestFit:
     @pytest.mark.parametrize("cfg", [
         {"tuning_enabled": "no"}, {"use_linear": "false"}, {"use_gbm_leaf": 0},
         {"use_gbm_sym": None}, {"seed": 1.5}, {"seed": True}, {"cv": {"k": 2.9}},
-        {"cv": {"seed": "3"}},
+        {"cv": {"seed": "3"}}, {"budget_seconds": True},
+        {"cv": {"holdout_fraction": "0.3", "kind": "holdout"}},
     ], ids=["tuning_enabled", "use_linear", "use_gbm_leaf", "use_gbm_sym", "seed",
-            "seed-bool", "cv.k", "cv.seed"])
+            "seed-bool", "cv.k", "cv.seed", "budget_seconds-bool", "cv.holdout_fraction"])
     def test_config_value_of_the_wrong_type_exits_3(self, binary_csv, tmp_path, capsys, cfg):
-        # bool() and int() would turn "false" on and run 2.9 folds as 2
+        # bool(), int() and float() would turn "false" on, run 2.9 folds as 2
+        # and a budget of true as 1 s
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
         code = main(["fit", "--train", binary_csv, "--target", "cls",

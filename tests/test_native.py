@@ -91,7 +91,8 @@ def test_every_kernel_call_passes_its_declared_arguments():
     call that kept an argument the kernel dropped would run on: each kernel
     call in src passes exactly len(argtypes) arguments."""
     calls = _kernel_calls()
-    assert {"leaf_grow", "obl_grow", "leaf_route"} <= {name for name, _, _ in calls}
+    assert ({"leaf_grow", "obl_grow", "leaf_route", "parse_numbers"}
+            <= {name for name, _, _ in calls})
     for name, n_args, place in calls:
         assert n_args == len(native.SIGNATURES[name][1]), (name, n_args, place)
 
@@ -211,8 +212,8 @@ def test_missing_compiler_raises(tmp_path):
 
 def test_inference_needs_no_compiler(tmp_path):
     """A host without `cc` loads a model and predicts: no process starts,
-    the forests of both GBM flavours route in numpy, and the predictions are
-    the in-process kernel's bit for bit."""
+    the forests of both GBM flavours route in numpy, the numbers are read in
+    Python, and the predictions are the in-process kernel's bit for bit."""
     X, y = make_binary(300, 4, 3, seed=3)
     ds = dataset_from_arrays(X, y, "binary")
     model = fit_preset(ds, PresetConfig(budget_seconds=20.0, tuning_enabled=False,
@@ -222,7 +223,11 @@ def test_inference_needs_no_compiler(tmp_path):
     assert flavors == {"leaf_wise", "symmetric_depth_wise"}
     model_path = str(tmp_path / "model.lama")
     save_model(model, model_path)
-    csv = write_csv(tmp_path / "rows.csv", ds.feature_names(), X[:50].tolist())
+    rows = X[:50].tolist()
+    # a missing token, a padded cell, a 17-digit significand and a cell only
+    # Python reads: the kernel's numbers and Python's must agree on all
+    rows[0][0], rows[1][1], rows[2][2], rows[3][3] = "NA", " 0.5 ", "0.12345678901234567", "1_0"
+    csv = write_csv(tmp_path / "rows.csv", ds.feature_names(), rows)
     assert native.optional_kernel() is not None
     expected = predict_automl(model, read_csv(csv))
     out_path = str(tmp_path / "pred.npy")
@@ -247,3 +252,43 @@ def test_inference_needs_no_compiler(tmp_path):
     pred = np.load(out_path)
     assert pred.dtype == expected.dtype and pred.shape == expected.shape == (50,)
     assert pred.tobytes() == expected.tobytes()
+
+
+# Cells that take parse_numbers to the ends of its accumulators
+UBSAN_CELLS = ("9" * 400, "1e" + "9" * 30, "1e-" + "9" * 30, "0." + "0" * 400 + "1", "-0",
+               ".5", "5.", "+7", str(2 ** 53 + 1), "1" * 19, "1e22", "1e23", "5e-324", "1e400",
+               "0e" + "9" * 30, "1_0", " 5", "\x1c5", "٣")
+
+
+def test_kernel_has_no_undefined_behaviour(tmp_path):
+    """The kernel built with UBSan, which aborts at a signed overflow, a bad
+    shift or another undefined operation, reads the edge cells and grows a
+    tree of each flavour."""
+    lib = tmp_path / "kernel-ubsan.so"
+    out = subprocess.run([*native.COMPILER, *native.FLAGS, "-fsanitize=undefined",
+                          "-fno-sanitize-recover=all", "-o", str(lib), str(native.SOURCE), "-lm"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    code = (
+        "import ctypes\n"
+        "from autotab.gbm import native\n"
+        f"lib = ctypes.CDLL({str(lib)!r})\n"
+        "for name, (restype, argtypes) in native.SIGNATURES.items():\n"
+        "    getattr(lib, name).restype, getattr(lib, name).argtypes = restype, argtypes\n"
+        "native.kernel = lambda hold_gil=False: lib\n"
+        "native.optional_kernel = lambda: lib\n"
+        "from autotab.data import _Text\n"
+        f"cells = {UBSAN_CELLS!r}\n"
+        "for column in [cells[:-4]] + [(c,) for c in cells]:\n"
+        "    text = _Text.of(column)\n"
+        "    assert (text.numbers is None) == any(c in column for c in cells[-4:])\n"
+        "import numpy as np\n"
+        "from autotab.gbm import GBMParams, fit_booster\n"
+        "X = np.random.default_rng(1).normal(size=(200, 4))\n"
+        "y = (X[:, 0] + X[:, 1] > 0).astype(float)\n"
+        "for flavor in ('leaf_wise', 'symmetric_depth_wise'):\n"
+        "    fit_booster(X, y, GBMParams(flavor=flavor, n_estimators_cap=2), 'binary')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

@@ -5,8 +5,16 @@ tokens, integers near the epoch range and beyond float64, fractions, all
 datetime formats with and without zero padding, invalid dates, non-ASCII
 digits and free text. Cells are padded with whitespace that `float` ignores
 and with U+001C to U+001F, which only `str.strip` removes.
+
+The number steps run twice, through the kernel's `parse_numbers` and in
+Python as on a host without a compiler, and both must give the cascade's
+bits; a column of decimal literals drawn around the edges of the kernel's
+exact range checks its values against `float` and `int` directly. Columns
+written to a CSV file parse from the file's bytes as from their text.
 """
 
+import math
+import re
 from datetime import datetime
 
 import numpy as np
@@ -14,11 +22,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from autotab.data import (DATETIME_FORMATS, DATETIME_PARSE_THRESHOLD, EPOCH_FORMAT, _Text,
-                          _failure_budget, _try_datetime, parse_column, parse_with_schema)
+from autotab.data import (DATETIME_FORMATS, DATETIME_PARSE_THRESHOLD, EPOCH_FORMAT, _FileColumn,
+                          _finite_floats, _Text, _failure_budget, _try_datetime, _try_float,
+                          _try_int, parse_column, parse_with_schema, read_csv)
 from autotab.errors import DataError
+from autotab.gbm import native
 
-from oracles import cascade_parse_column, cascade_parse_with_schema, cascade_try_datetime
+from oracles import (cascade_parse_column, cascade_parse_with_schema, cascade_try_datetime,
+                     cascade_try_float, cascade_try_int)
 
 FOREIGN_DIGITS = ("٠١٢٣٤٥٦٧٨٩",
                   "０１２３４５６７８９")
@@ -155,8 +166,20 @@ def assert_same_datetime(got, want):
     assert got[0].tobytes() == want[0].tobytes()
 
 
+@pytest.fixture(scope="module", params=["kernel", "python"])
+def number_parser(request):
+    """Numbers read by the kernel, or in Python as on a host without `cc`."""
+    if request.param == "kernel":
+        assert native.optional_kernel() is not None
+        yield request.param
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "optional_kernel", lambda: None)
+        yield request.param
+
+
 @given(columns)
-def test_parse_column_matches_cascade(cells):
+def test_parse_column_matches_cascade(number_parser, cells):
     want = cascade_parse_column("c", cells)
     got = parse_column("c", cells)
     assert_same_column(got[0], want[0])
@@ -169,7 +192,7 @@ def test_try_datetime_matches_cascade(cells):
 
 
 @given(columns, st.sampled_from(SCHEMA_ENTRIES))
-def test_parse_with_schema_matches_cascade(cells, entry):
+def test_parse_with_schema_matches_cascade(number_parser, cells, entry):
     """The recipe parses as the cascade does, and refuses with its message
     the same cell the cascade refuses."""
     try:
@@ -180,6 +203,39 @@ def test_parse_with_schema_matches_cascade(cells, entry):
         assert str(got.value) == str(exc)
         return
     assert_same_column(parse_with_schema("c", cells, entry), want)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "t.csv"
+
+
+@given(st.lists(columns, min_size=2, max_size=3))
+def test_file_columns_parse_as_their_text_cells(number_parser, csv_path, cols):
+    """A column of a file `read_csv` splits parses from the file's bytes
+    (`RawTable.cells`) as from its text cells (`RawTable.column`), by the
+    cascade and by every recipe, refusals included."""
+    n_rows = min(map(len, cols))
+    drop = {ord(ch): None for ch in ',"\r\n'}  # so that one split reads the file
+    lines = [",".join(f"c{j}" for j in range(len(cols)))]
+    lines += [",".join("" if c is None else c.translate(drop) for c in row)
+              for row in zip(*(col[:n_rows] for col in cols))]
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    raw = read_csv(str(csv_path))
+    for name in raw.column_names:
+        assert isinstance(raw.cells(name), _FileColumn)
+        got, want = parse_column(name, raw.cells(name)), parse_column(name, raw.column(name))
+        assert_same_column(got[0], want[0])
+        assert got[1] == want[1]
+        for entry in SCHEMA_ENTRIES:
+            try:
+                want = parse_with_schema(name, raw.column(name), entry)
+            except DataError as exc:
+                with pytest.raises(DataError) as got:
+                    parse_with_schema(name, raw.cells(name), entry)
+                assert str(got.value) == str(exc)
+                continue
+            assert_same_column(parse_with_schema(name, raw.cells(name), entry), want)
 
 
 @given(st.sampled_from(DATETIME_FORMATS), st.integers(100, 300), st.integers(-2, 2),
@@ -207,3 +263,89 @@ def test_failure_budget_is_the_threshold_in_counts():
     for n in range(1, 1001):
         want = max(k for k in range(n + 1) if (n - k) / n >= DATETIME_PARSE_THRESHOLD)
         assert _failure_budget(n) == want
+
+
+# Decimal literals in the kernel's grammar and around the edges of its exact
+# range (significands of 2^53 and of 19 digits or more, exponents of 22 and
+# 23, subnormals, overflow), and cells that only Python reads.
+GRAMMAR = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+digit_run = st.text(alphabet="0123456789", max_size=25)
+
+
+@st.composite
+def literal(draw) -> str:
+    whole, fraction, point = draw(digit_run), draw(digit_run), draw(st.booleans())
+    if not whole and not (point and fraction):
+        whole = "0"
+    cell = draw(st.sampled_from(["", "+", "-"])) + whole + ("." + fraction if point else "")
+    if draw(st.booleans()):
+        cell += (draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"]))
+                 + draw(st.text(alphabet="0123456789", min_size=1, max_size=4)))
+    return cell
+
+
+decimal_cell = st.one_of(
+    literal(),
+    st.sampled_from(["-0", "+0", "0", "-0.0", ".5", "5.", "+7", "007", "0.000", "-.5e-3",
+                     str(2 ** 53 - 1), str(2 ** 53), str(2 ** 53 + 1), "-" + str(2 ** 53 + 1),
+                     "9007199254740993.0", "1" * 19, "12345678901234567890", "0" * 30 + "1",
+                     "1e22", "1e23", "1E-22", "1e-23", "123e-20", "4.5e-1",
+                     "5e-324", "4.9e-324", "2.2250738585072014e-308", "1e-400", "1e400",
+                     "-1e400", "0e999", "1" + "0" * 400, "1.7976931348623157e308"]),
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+foreign_cell = st.sampled_from(["1_0", "1_000.5", " 5", "5 ", "\x1c5", "5\x1f", "\xa012",
+                                "١٢", "１.５", "inf", "-Infinity", "nan", "1e", ".", "+", "e5",
+                                "0x10", "1.2.3", ""])
+
+
+@st.composite
+def number_columns(draw) -> tuple:
+    """Decimal literals and missing cells, and now and then a cell only
+    Python reads."""
+    cells = draw(st.lists(decimal_cell | st.none(), max_size=30))
+    if cells and draw(st.integers(0, 3)) == 0:
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(foreign_cell)
+    return tuple(cells)
+
+
+def finite_floats_reference(cells):
+    out = np.full(len(cells), np.nan)
+    for i, c in enumerate(cells):
+        if c is None:
+            continue
+        try:
+            out[i] = float(c.strip())
+        except ValueError:
+            return None, i
+        if not math.isfinite(out[i]):
+            return None, i
+    return out, None
+
+
+def same(got, want):
+    return (got is None) == (want is None) and (got is None or (
+        got[0].tobytes() == want[0].tobytes() and got[1] == want[1]))
+
+
+@given(number_columns())
+def test_number_steps_match_float_and_int(number_parser, cells):
+    """`_try_int`, `_try_float` and `_finite_floats` give the cascade's bits,
+    through the kernel or in Python; where every cell is in the kernel's
+    grammar the kernel reads the column, and each cell it does not leave to
+    Python is `float` of the cell bit for bit."""
+    assert same(_try_int(_Text.of(cells)), cascade_try_int(cells))
+    assert same(_try_float(_Text.of(cells)), cascade_try_float(cells))
+    got, want = _finite_floats(_Text.of(cells)), finite_floats_reference(cells)
+    assert got[1] == want[1]
+    assert (got[0] is None) == (want[0] is None)
+    assert got[0] is None or got[0].tobytes() == want[0].tobytes()
+    text = _Text.of(cells)
+    if number_parser == "kernel" and all(GRAMMAR.fullmatch(c) for c in text.unstripped):
+        values, flagged, integral = text.numbers
+        assert integral == all(re.fullmatch(r"[+-]?[0-9]+", c) for c in text.unstripped)
+        read = np.ones(len(text), dtype=bool)
+        read[flagged] = False
+        want = np.array([float(c) for c in text.unstripped])
+        assert values[read].tobytes() == want[read].tobytes()
