@@ -15,6 +15,7 @@ written to a CSV file parse from the file's bytes as from their text.
 
 import math
 import re
+from contextlib import contextmanager
 from datetime import datetime
 
 import numpy as np
@@ -166,20 +167,24 @@ def assert_same_datetime(got, want):
     assert got[0].tobytes() == want[0].tobytes()
 
 
-@pytest.fixture(scope="module", params=["kernel", "python"])
-def number_parser(request):
+@contextmanager
+def numbers_read_by(parser: str):
     """Numbers read by the kernel, or in Python as on a host without `cc`."""
-    if request.param == "kernel":
+    if parser == "kernel":
         assert native.optional_kernel() is not None
-        yield request.param
+        yield
         return
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(native, "optional_kernel", lambda: None)
-        yield request.param
+        yield
 
 
-@given(columns)
-def test_parse_column_matches_cascade(number_parser, cells):
+@pytest.fixture(scope="module", params=["kernel", "python"])
+def number_parser(request):
+    return request.param
+
+
+def check_parse_column(cells):
     want = cascade_parse_column("c", cells)
     got = parse_column("c", cells)
     assert_same_column(got[0], want[0])
@@ -187,12 +192,23 @@ def test_parse_column_matches_cascade(number_parser, cells):
 
 
 @given(columns)
+def test_parse_column_matches_cascade(cells):
+    with numbers_read_by("kernel"):
+        check_parse_column(cells)
+
+
+@given(columns)
+def test_parse_column_matches_cascade_without_kernel(cells):
+    with numbers_read_by("python"):
+        check_parse_column(cells)
+
+
+@given(columns)
 def test_try_datetime_matches_cascade(cells):
     assert_same_datetime(_try_datetime(_Text.of(cells)), cascade_try_datetime(cells))
 
 
-@given(columns, st.sampled_from(SCHEMA_ENTRIES))
-def test_parse_with_schema_matches_cascade(number_parser, cells, entry):
+def check_parse_with_schema(cells, entry):
     """The recipe parses as the cascade does, and refuses with its message
     the same cell the cascade refuses."""
     try:
@@ -205,6 +221,18 @@ def test_parse_with_schema_matches_cascade(number_parser, cells, entry):
     assert_same_column(parse_with_schema("c", cells, entry), want)
 
 
+@given(columns, st.sampled_from(SCHEMA_ENTRIES))
+def test_parse_with_schema_matches_cascade(cells, entry):
+    with numbers_read_by("kernel"):
+        check_parse_with_schema(cells, entry)
+
+
+@given(columns, st.sampled_from(SCHEMA_ENTRIES))
+def test_parse_with_schema_matches_cascade_without_kernel(cells, entry):
+    with numbers_read_by("python"):
+        check_parse_with_schema(cells, entry)
+
+
 @pytest.fixture(scope="module")
 def csv_path(tmp_path_factory):
     return tmp_path_factory.mktemp("csv") / "t.csv"
@@ -215,27 +243,28 @@ def test_file_columns_parse_as_their_text_cells(number_parser, csv_path, cols):
     """A column of a file `read_csv` splits parses from the file's bytes
     (`RawTable.cells`) as from its text cells (`RawTable.column`), by the
     cascade and by every recipe, refusals included."""
-    n_rows = min(map(len, cols))
-    drop = {ord(ch): None for ch in ',"\r\n'}  # so that one split reads the file
-    lines = [",".join(f"c{j}" for j in range(len(cols)))]
-    lines += [",".join("" if c is None else c.translate(drop) for c in row)
-              for row in zip(*(col[:n_rows] for col in cols))]
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    raw = read_csv(str(csv_path))
-    for name in raw.column_names:
-        assert isinstance(raw.cells(name), _FileColumn)
-        got, want = parse_column(name, raw.cells(name)), parse_column(name, raw.column(name))
-        assert_same_column(got[0], want[0])
-        assert got[1] == want[1]
-        for entry in SCHEMA_ENTRIES:
-            try:
-                want = parse_with_schema(name, raw.column(name), entry)
-            except DataError as exc:
-                with pytest.raises(DataError) as got:
-                    parse_with_schema(name, raw.cells(name), entry)
-                assert str(got.value) == str(exc)
-                continue
-            assert_same_column(parse_with_schema(name, raw.cells(name), entry), want)
+    with numbers_read_by(number_parser):
+        n_rows = min(map(len, cols))
+        drop = {ord(ch): None for ch in ',"\r\n'}  # so that one split reads the file
+        lines = [",".join(f"c{j}" for j in range(len(cols)))]
+        lines += [",".join("" if c is None else c.translate(drop) for c in row)
+                  for row in zip(*(col[:n_rows] for col in cols))]
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        raw = read_csv(str(csv_path))
+        for name in raw.column_names:
+            assert isinstance(raw.cells(name), _FileColumn)
+            got, want = parse_column(name, raw.cells(name)), parse_column(name, raw.column(name))
+            assert_same_column(got[0], want[0])
+            assert got[1] == want[1]
+            for entry in SCHEMA_ENTRIES:
+                try:
+                    want = parse_with_schema(name, raw.column(name), entry)
+                except DataError as exc:
+                    with pytest.raises(DataError) as got:
+                        parse_with_schema(name, raw.cells(name), entry)
+                    assert str(got.value) == str(exc)
+                    continue
+                assert_same_column(parse_with_schema(name, raw.cells(name), entry), want)
 
 
 @given(st.sampled_from(DATETIME_FORMATS), st.integers(100, 300), st.integers(-2, 2),
@@ -335,17 +364,18 @@ def test_number_steps_match_float_and_int(number_parser, cells):
     through the kernel or in Python; where every cell is in the kernel's
     grammar the kernel reads the column, and each cell it does not leave to
     Python is `float` of the cell bit for bit."""
-    assert same(_try_int(_Text.of(cells)), cascade_try_int(cells))
-    assert same(_try_float(_Text.of(cells)), cascade_try_float(cells))
-    got, want = _finite_floats(_Text.of(cells)), finite_floats_reference(cells)
-    assert got[1] == want[1]
-    assert (got[0] is None) == (want[0] is None)
-    assert got[0] is None or got[0].tobytes() == want[0].tobytes()
-    text = _Text.of(cells)
-    if number_parser == "kernel" and all(GRAMMAR.fullmatch(c) for c in text.unstripped):
-        values, flagged, integral = text.numbers
-        assert integral == all(re.fullmatch(r"[+-]?[0-9]+", c) for c in text.unstripped)
-        read = np.ones(len(text), dtype=bool)
-        read[flagged] = False
-        want = np.array([float(c) for c in text.unstripped])
-        assert values[read].tobytes() == want[read].tobytes()
+    with numbers_read_by(number_parser):
+        assert same(_try_int(_Text.of(cells)), cascade_try_int(cells))
+        assert same(_try_float(_Text.of(cells)), cascade_try_float(cells))
+        got, want = _finite_floats(_Text.of(cells)), finite_floats_reference(cells)
+        assert got[1] == want[1]
+        assert (got[0] is None) == (want[0] is None)
+        assert got[0] is None or got[0].tobytes() == want[0].tobytes()
+        text = _Text.of(cells)
+        if number_parser == "kernel" and all(GRAMMAR.fullmatch(c) for c in text.unstripped):
+            values, flagged, integral = text.numbers
+            assert integral == all(re.fullmatch(r"[+-]?[0-9]+", c) for c in text.unstripped)
+            read = np.ones(len(text), dtype=bool)
+            read[flagged] = False
+            want = np.array([float(c) for c in text.unstripped])
+            assert values[read].tobytes() == want[read].tobytes()
