@@ -4,10 +4,10 @@ The object graph is encoded by dataclass reflection against an explicit type
 registry; numpy arrays are stored as separate zip entries byte-for-byte, so a
 save/load round trip predicts bit-identically.
 
-A booster's forest is one `PackedTrees`: one array per tree field for all of
-its trees plus a table of per-tree offsets, so the number of entries grows
-with the number of estimators, not of trees. Loaded trees are views into
-those arrays.
+A booster's forest is one `PackedTrees`: one node table of six node arrays
+for all of its trees plus a vector of tree starts, so the number of entries
+grows with the number of estimators, not of trees. A loaded forest is
+checked when it routes (`trees.route_forest`), on every host.
 
 The manifest carries a format version that is checked on load, before any
 object is decoded. Version 4 dropped the encoder spec's and the views'
@@ -17,7 +17,10 @@ dataset's `roles` and `target_name`, the model's `enc_specs`, both models'
 `version`, and the schema's `category_numeric` kind and `float_literals`
 and `part` keys. Version 6 stores symmetric trees as complete `Tree`s,
 so a forest no longer names its tree type (`PackedTrees.kind`), and dropped
-the per-feature split gains of every tree and booster. Versions 1-5 are
+the per-feature split gains of every tree and booster. Version 7 stores a
+forest as named node arrays (`feature`, `bin_threshold`, `threshold`,
+`left`, `right`, `value`) and one int64 `starts` vector, in place of a
+positional field list and a (trees + 1, 6) offset table. Versions 1-6 are
 rejected.
 """
 
@@ -43,7 +46,7 @@ from .metrics import MetricSpec
 from .pipeline import AutoMLModel, UtilizedModel
 from .tuning import TrialHistory
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 _REGISTRY = {cls.__name__: cls for cls in (
     ColumnTyping, TypingReport, Column, Dataset, DatasetMeta, Task,

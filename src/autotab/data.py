@@ -70,8 +70,8 @@ DATETIME_PARSE_THRESHOLD = 0.99
 
 DATETIME_PARTS = ("year", "month", "day", "weekday", "hour")
 
-# Conventional default fold count; used for the small-class warning at build
-# time (make_folds performs the actual fallback).
+# Conventional default fold count: the preset's CV schemes, its typing folds
+# and the small-class warning at build time (make_folds does the fallback).
 DEFAULT_K = 5
 
 

@@ -58,9 +58,13 @@ class BinMapper:
             codes[:, j] = binned.astype(np.uint8)
         return codes
 
-    def raw_threshold(self, j: int, bin_t: int) -> float:
-        """Raw value whose `x <= value` test sends the same rows left as
-        `code <= bin_t`. A threshold at or past the last value bin sends every
-        finite value left and only missing values right, hence +inf."""
-        edges = self.edges[j]
-        return float(edges[bin_t]) if bin_t < len(edges) else math.inf
+    def raw_thresholds(self, features: np.ndarray, bins: np.ndarray) -> np.ndarray:
+        """The raw value of each (feature, bin) split whose `x <= value` test
+        sends the same rows left as `code <= bin`: edges[feature][bin], or
+        +inf at or past the last edge (every finite value goes left, only
+        missing values right); 0 where feature < 0, at a leaf."""
+        sizes = np.array([e.shape[0] for e in self.edges], dtype=np.int64)
+        flat = np.concatenate([*self.edges, [math.inf, 0.0]])  # every edge, +inf, a leaf's 0
+        f = np.maximum(features, 0)
+        split = np.where(bins < sizes[f], np.cumsum(sizes)[f] - sizes[f] + bins, flat.size - 2)
+        return flat[np.where(features < 0, flat.size - 1, split)]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +12,7 @@ from ..metrics import MetricSpec, RocAuc, evaluate
 from ..stopping import PATIENCE, improves
 from .binning import BinMapper
 from .losses import make_loss
-from .trees import Tree, TreeKernel, grow_leafwise, grow_oblivious, route_forest
+from .trees import PackedTrees, TreeKernel, grow_leafwise, grow_oblivious, route_forest
 
 FLAVORS = ("leaf_wise", "symmetric_depth_wise")
 
@@ -46,40 +45,6 @@ class GBMParams:
 
 
 @dataclass
-class PackedTrees:
-    """`Tree`s of either flavour packed into one array per tree field.
-
-    Field k of tree i is `fields[k][offsets[i, k]:offsets[i + 1, k]]`; indexing
-    returns a tree whose arrays are views into `fields`. A booster so stores
-    a few arrays however many trees it has.
-    """
-
-    fields: list  # one array per dataclass field of Tree, in field order
-    offsets: np.ndarray  # (n_trees + 1, n_fields) start of each tree's slice
-
-    @classmethod
-    def pack(cls, trees: list) -> "PackedTrees":
-        names = [f.name for f in dataclasses.fields(Tree)]
-        sizes = np.array([[len(getattr(t, name)) for name in names] for t in trees],
-                         dtype=np.int64).reshape(len(trees), len(names))
-        offsets = np.zeros((len(trees) + 1, len(names)), dtype=np.int64)
-        np.cumsum(sizes, axis=0, out=offsets[1:])
-        fields = [np.concatenate([getattr(t, name) for t in trees]) if trees else np.empty(0)
-                  for name in names]
-        return cls(fields, offsets)
-
-    def __len__(self) -> int:
-        return self.offsets.shape[0] - 1
-
-    def __getitem__(self, i: int):
-        lo, hi = self.offsets[i].tolist(), self.offsets[i + 1].tolist()
-        return Tree(*(a[s:e] for a, s, e in zip(self.fields, lo, hi)))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-
-@dataclass
 class GBMEstimator:
     """Fitted booster: base score plus its trees, packed in boosting order
     (for multiclass, each iteration's trees in class order)."""
@@ -94,25 +59,18 @@ class GBMEstimator:
         """The base score plus every tree's leaf value, added tree by tree in
         boosting order (tree i into class i % n_classes for multiclass).
 
-        The forest, of either flavour, is routed in one call into the
-        compiled kernel (`trees.route_forest`), which checks the forest
-        first, wherever `native.optional_kernel()` can load it. Without a
-        compiler each tree routes in numpy (`Tree.predict_raw`). Both add
-        the same values in the same order, so the scores are the same bits.
+        `trees.route_forest` checks the forest and routes it, in the
+        compiled kernel wherever `native.optional_kernel()` can load it and
+        in numpy where it cannot: the same scores, bit for bit, and the same
+        DataError for a damaged forest on every host.
         """
         from .native import optional_kernel
 
         n = X.shape[0]
         X = np.asfortranarray(X, dtype=np.float64)  # each tree reads one column at a time
-        multiclass = self.task_kind == "multiclass"
-        raw = np.tile(self.base_score, (n, 1)) if multiclass else np.full(n, float(self.base_score))
-        lib = optional_kernel()
-        if lib is not None:
-            route_forest(lib, self.forest.fields, self.forest.offsets, X, raw)
-        else:
-            by_class = raw if multiclass else raw[:, None]  # a view of raw
-            for i, tree in enumerate(self.forest):
-                by_class[:, i % by_class.shape[1]] += tree.predict_raw(X)
+        raw = (np.tile(self.base_score, (n, 1)) if self.task_kind == "multiclass"
+               else np.full(n, float(self.base_score)))
+        route_forest(optional_kernel(), self.forest, X, raw)
         return raw
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -188,7 +146,8 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
     (`stopping.improves`), and the validation raw scores are kept as they
     stand at it: they are the `val_raw` of the result, which callers take as
     their out-of-fold predictions in place of routing X_val through the
-    trees again. Raw thresholds are looked up for the kept trees only.
+    trees again. The raw thresholds are looked up once per forest, for the
+    kept trees only, as `PackedTrees.pack` packs them.
 
     An iteration holds the GIL only for the generator's draws, the loss
     transform (numpy's exp: a C one would round some values differently),
@@ -256,7 +215,6 @@ def fit_booster(X: np.ndarray, y: np.ndarray, params: GBMParams, task_kind: str,
     else:
         best = len(trees) // outputs - 1
         val_raw = None if X_val is None else kern.raw[n:]
-    for tree in trees:
-        tree.set_raw_thresholds(mapper)
-    est = GBMEstimator(task_kind, n_classes, np.asarray(base), PackedTrees.pack(trees), params)
-    return FitResult(est, eval_history, best, truncated, val_raw)
+    forest = PackedTrees.pack(trees, mapper)
+    return FitResult(GBMEstimator(task_kind, n_classes, np.asarray(base), forest, params),
+                     eval_history, best, truncated, val_raw)

@@ -15,24 +15,23 @@ and validation rows that reach a leaf without adding to any histogram).
 Both growers return a `Tree`. An oblivious tree of depth d is the complete
 binary tree whose nodes share their level's split: node i splits into 2i+1
 (`code <= bin`) and 2i+2, and leaf k of the level bits is node 2^d - 1 + k.
-Prediction so has one router for both flavours: a whole packed forest goes
-in one kernel call, `route_forest`, which checks the forest first; `route`
-is the same algorithm in numpy, tree by tree, for a host without a compiler
-and as the tests' reference. Both give the same bits.
+A booster packs the trees it keeps into one node table, `PackedTrees`,
+which looks up every raw threshold at once. One router serves both flavours
+on every host: `route_forest` checks the table, then routes the whole
+forest in one kernel call, or without a compiler tree by tree with `route`,
+the same algorithm in numpy and the tests' reference. Both give the same
+bits, and a damaged forest raises DataError on either.
 
 The growers run through a `TreeKernel`, which a booster prepares once: it
 checks the code matrix, binds the kernel and holds the buffers that
 outlive a tree, so growing a tree repeats none of that; it also draws and
 lays out each sample, computes the gradients the growers read and
 updates the scores in the kernel. The code rows below the training rows
-are the passengers. A grown tree carries bin thresholds only;
-`set_raw_thresholds` looks up the raw ones, which a booster does for the
-trees it keeps.
+are the passengers.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,25 +42,45 @@ from .binning import BinMapper
 
 @dataclass
 class Tree:
-    """Flat-array binary tree. feature == -1 marks a leaf."""
+    """A grown tree, one entry per node (feature == -1 marks a leaf), with
+    bin thresholds only: `PackedTrees.pack` looks up the raw ones."""
 
     feature: np.ndarray
     bin_threshold: np.ndarray
-    raw_threshold: np.ndarray  # None until set_raw_thresholds
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
 
-    def predict_raw(self, X: np.ndarray) -> np.ndarray:
-        return route(self.feature, self.raw_threshold, self.left, self.right, self.value, X)
 
-    def set_raw_thresholds(self, mapper: BinMapper) -> None:
-        """The raw value of each split's bin threshold (0 at a leaf)."""
-        self.raw_threshold = np.zeros(self.feature.shape[0])
-        internal = np.flatnonzero(self.feature >= 0)
-        self.raw_threshold[internal] = [
-            mapper.raw_threshold(f, t)
-            for f, t in zip(self.feature[internal].tolist(), self.bin_threshold[internal].tolist())]
+@dataclass
+class PackedTrees:
+    """A booster's trees, of either flavour, as one node table: tree t is
+    entries starts[t]:starts[t + 1] of every node field, its child ids count
+    from its own first node, and `threshold` holds its raw thresholds (0 at
+    a leaf). A booster so stores seven arrays however many trees it has."""
+
+    feature: np.ndarray  # int32, -1 at a leaf
+    bin_threshold: np.ndarray  # int32
+    threshold: np.ndarray  # float64
+    left: np.ndarray  # int32
+    right: np.ndarray  # int32
+    value: np.ndarray  # float64
+    starts: np.ndarray  # int64, (trees + 1,): each tree's first node, then the node count
+
+    @classmethod
+    def pack(cls, trees: list, mapper: BinMapper) -> "PackedTrees":
+        """The node table of `trees`, grown on `mapper`'s codes; every raw
+        threshold is looked up in one pass (`BinMapper.raw_thresholds`)."""
+        def nodes(name: str, dtype=np.int32) -> np.ndarray:
+            return np.concatenate([np.empty(0, dtype)] + [getattr(t, name) for t in trees])
+
+        feature, bins = nodes("feature"), nodes("bin_threshold")
+        starts = np.cumsum([0] + [t.feature.shape[0] for t in trees], dtype=np.int64)
+        return cls(feature, bins, mapper.raw_thresholds(feature, bins), nodes("left"),
+                   nodes("right"), nodes("value", np.float64), starts)
+
+    def __len__(self) -> int:
+        return self.starts.shape[0] - 1
 
 
 def route(feature: np.ndarray, threshold: np.ndarray, left: np.ndarray, right: np.ndarray,
@@ -90,67 +109,66 @@ def route(feature: np.ndarray, threshold: np.ndarray, left: np.ndarray, right: n
     return out
 
 
-_FIELDS = [f.name for f in dataclasses.fields(Tree)]
-# the Tree fields leaf_route reads (all but the bin thresholds) and their dtypes
-_NODE_FIELDS = tuple(k for k, name in enumerate(_FIELDS) if name != "bin_threshold")
-_NODE_DTYPES = (np.int32, np.float64, np.int32, np.int32, np.float64)
+# the PackedTrees fields the routers read, with leaf_route's dtypes
+_ROUTED = {"feature": np.int32, "threshold": np.float64, "left": np.int32, "right": np.int32,
+           "value": np.float64}
 
 
-def route_forest(lib, fields: list, offsets: np.ndarray, X: np.ndarray,
-                 raw: np.ndarray) -> None:
+def route_forest(lib, forest: PackedTrees, X: np.ndarray, raw: np.ndarray) -> None:
     """Add each tree's leaf values to the raw scores of the rows of X, tree t
-    into output t % outputs, in one call into the kernel `lib` that releases
-    the GIL (`leaf_route`, `route`'s algorithm): the same bits as
-    `raw[:, t % outputs] += tree.predict_raw(X)` tree after tree.
+    into output t % outputs: the one router of a forest, on every host.
 
-    `fields` and `offsets` are a `boosting.PackedTrees`. X is
-    Fortran-ordered float64 and raw C-ordered float64, (rows,) or (rows,
-    outputs). A forest may come from an artifact on disk and the kernel
-    reads through its node ids unchecked, so `_node_starts` checks it first.
+    X is Fortran-ordered float64 and raw C-ordered float64, (rows,) or
+    (rows, outputs). A forest may come from an artifact on disk, so
+    `_node_starts` checks it first. Then the kernel `lib` routes it in one
+    call that releases the GIL (`leaf_route`, `route`'s algorithm), or,
+    with `lib` None, `route` walks it tree by tree in numpy: the same
+    values added in the same order, so the same bits.
     """
     if not (X.dtype == np.float64 and X.ndim == 2 and X.flags.f_contiguous
             and raw.dtype == np.float64 and raw.flags.c_contiguous
             and raw.ndim in (1, 2) and raw.shape[0] == X.shape[0]):
         raise ValueError("X must be Fortran-ordered float64 and raw C-ordered float64 scores "
                          "of its rows")
-    starts = _node_starts(fields, offsets, X.shape[1])
+    starts = _node_starts(forest, X.shape[1])
     if starts.shape[0] == 1:  # no trees
         return
-    feature, threshold, left, right, value = (fields[k] for k in _NODE_FIELDS)
+    feature, threshold, left, right, value = (getattr(forest, name) for name in _ROUTED)
+    outputs = 1 if raw.ndim == 1 else raw.shape[1]
+    if lib is None:
+        by_output = raw.reshape(-1, outputs)  # a view of raw
+        for t, (lo, hi) in enumerate(zip(starts[:-1].tolist(), starts[1:].tolist())):
+            by_output[:, t % outputs] += route(feature[lo:hi], threshold[lo:hi], left[lo:hi],
+                                               right[lo:hi], value[lo:hi], X)
+        return
     n = X.shape[0]
     work = np.empty(2 * n + 3 * int(np.diff(starts).max()), dtype=np.int64)
     lib.leaf_route(X.ctypes.data, n, feature.ctypes.data, threshold.ctypes.data,
                    left.ctypes.data, right.ctypes.data, value.ctypes.data, starts.ctypes.data,
-                   starts.shape[0] - 1, 1 if raw.ndim == 1 else raw.shape[1], raw.ctypes.data,
-                   work.ctypes.data)
+                   starts.shape[0] - 1, outputs, raw.ctypes.data, work.ctypes.data)
 
 
-def _node_starts(fields: list, offsets: np.ndarray, n_features: int) -> np.ndarray:
-    """Each tree's first node in the node arrays, then their length.
+def _node_starts(forest: PackedTrees, n_features: int) -> np.ndarray:
+    """The forest's `starts`, once its node table is checked: the kernel
+    reads through the node ids unchecked, and `route` would loop on a cycle.
 
-    Raises DataError unless the node fields have leaf_route's dtypes, the
-    node offsets rise from 0 by at least one node a tree to the length of
-    every node field, and every internal node (feature >= 0) splits a
-    feature below n_features into two children above its own id and below
-    its tree's node count, which ends every walk within the tree."""
-    n_fields = len(_FIELDS)
-    if not (isinstance(offsets, np.ndarray) and offsets.dtype == np.int64
-            and offsets.ndim == 2 and offsets.shape[0] >= 1 and offsets.shape[1] == n_fields
-            and len(fields) == n_fields):
-        raise DataError(f"a packed forest has {n_fields} fields and (trees + 1, {n_fields}) "
-                        "int64 offsets")
-    starts = np.ascontiguousarray(offsets[:, 0])
-    if starts.shape[0] == 1:
-        return starts
-    nodes = [fields[k] for k in _NODE_FIELDS]
-    if not all(isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == 1
-               and a.flags.c_contiguous for a, dtype in zip(nodes, _NODE_DTYPES)):
-        raise DataError("the node fields of a packed forest must be contiguous int32 features "
+    Raises DataError unless `starts` is an int64 vector rising from 0 by at
+    least one node a tree to the length of every routed node field, those
+    fields are contiguous vectors of leaf_route's dtypes, and every internal
+    node (feature >= 0) splits a feature below n_features into two children
+    above its own id and below its tree's node count, which ends every walk
+    within the tree."""
+    starts = getattr(forest, "starts", None)
+    nodes = [getattr(forest, name, None) for name in _ROUTED]
+    if not (isinstance(starts, np.ndarray) and starts.dtype == np.int64 and starts.ndim == 1
+            and starts.shape[0] >= 1 and starts.flags.c_contiguous
+            and all(isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == 1
+                    and a.flags.c_contiguous for a, dtype in zip(nodes, _ROUTED.values()))):
+        raise DataError("a packed forest has int64 tree starts and contiguous int32 features "
                         "and children and float64 thresholds and values")
     sizes = np.diff(starts)
-    if (starts[0] != 0 or (sizes < 1).any() or (offsets[:, _NODE_FIELDS] != starts[:, None]).any()
-            or any(a.shape[0] != starts[-1] for a in nodes)):
-        raise DataError("the node offsets of a packed forest must rise from 0, by at least one "
+    if starts[0] != 0 or (sizes < 1).any() or any(a.shape[0] != starts[-1] for a in nodes):
+        raise DataError("the tree starts of a packed forest must rise from 0, by at least one "
                         "node a tree, to the length of every node field")
     feature, _, left, right, _ = nodes
     tree_of = np.repeat(np.arange(sizes.shape[0]), sizes)
@@ -305,7 +323,7 @@ def grow_leafwise(kern: TreeKernel, max_leaves: int, min_data: int, reg: float,
     without re-walking the tree: `order` holds the sampled rows, then the
     passengers, each regrouped leaf by leaf, and values[i] is the leaf value
     of order[i]; both are `kern`'s buffers, valid until its next tree. The
-    tree has bin thresholds only: `set_raw_thresholds` adds the raw ones.
+    tree has bin thresholds only (`Tree`).
     Raises ZeroDivisionError if a leaf's hessian sum plus reg is 0.
     """
     max_leaves = max(max_leaves, 1)
@@ -333,7 +351,7 @@ def _copy_tree(kern: TreeKernel, max_nodes: int, status: int) -> Tree:
         raise MemoryError("the tree kernel could not allocate its buffers")
     nodes = kern.ints[:4 * max_nodes].reshape(4, max_nodes)[:, :status].copy()
     feature, bin_thr, left, right = nodes  # views of one copy
-    return Tree(feature, bin_thr, None, left, right, kern.floats[:status].copy())
+    return Tree(feature, bin_thr, left, right, kern.floats[:status].copy())
 
 
 def grow_oblivious(kern: TreeKernel, max_depth: int, min_data: int, reg: float,

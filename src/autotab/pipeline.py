@@ -20,7 +20,7 @@ import numpy as np
 from .autotype import (TypingReport, apply_typing, infer_feature_kind,
                        select_category_encoding)
 from .budget import TimeBudget
-from .data import (Column, Dataset, DatasetMeta, RawTable, Task, conform,
+from .data import (DEFAULT_K, Column, Dataset, DatasetMeta, RawTable, Task, conform,
                    dataset_from_raw_with_schema, parse_features)
 from .ensemble import (ENSEMBLE_STEPS, BlendWeights, apply_blend, blend_weights,
                        build_stack_features)
@@ -197,15 +197,15 @@ def strip_dataset(dataset: Dataset) -> Dataset:
 
 def default_cv_scheme(task: Task, seed: int) -> CVScheme:
     if task.kind in ("binary", "multiclass"):
-        return CVScheme("stratified_kfold", k=5, seed=seed)
-    return CVScheme("kfold", k=5, seed=seed)
+        return CVScheme("stratified_kfold", k=DEFAULT_K, seed=seed)
+    return CVScheme("kfold", k=DEFAULT_K, seed=seed)
 
 
 def _typing_folds(folds: FoldAssignment, n: int, seed: int) -> FoldAssignment:
     if folds.partitions_rows() and folds.k >= 2:
         return folds
-    scheme = CVScheme("kfold", k=5, seed=seed)
-    return FoldAssignment(kfold_vector(n, 5, seed), 5, scheme)
+    scheme = CVScheme("kfold", k=DEFAULT_K, seed=seed)
+    return FoldAssignment(kfold_vector(n, DEFAULT_K, seed), DEFAULT_K, scheme)
 
 
 def _flavor_of(phase: str) -> str:
@@ -395,7 +395,7 @@ def _run_selection(data: GBMFolds, config: PresetConfig, budget: TimeBudget,
         return names, info
     reserve = BLEND_RESERVE * budget.total_seconds
     alloc = min(budget.remaining() * SELECTION_SHARE, budget.remaining() - reserve)
-    if alloc <= 0.5:
+    if alloc < MIN_PHASE_SECONDS:
         info["skipped"] = "insufficient budget"
         return names, info
 

@@ -439,6 +439,37 @@ def predict_codes(tree, codes: np.ndarray) -> np.ndarray:
     return route(tree.feature, tree.bin_threshold, tree.left, tree.right, tree.value, codes)
 
 
+def unpack(forest) -> list[tuple[Tree, np.ndarray]]:
+    """Each tree of a `PackedTrees` as a `Tree` and its raw thresholds, all
+    views of the forest's node table, in boosting order."""
+    bounds = forest.starts.tolist()
+    return [(Tree(forest.feature[lo:hi], forest.bin_threshold[lo:hi], forest.left[lo:hi],
+                  forest.right[lo:hi], forest.value[lo:hi]), forest.threshold[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def predict_raw(tree, threshold: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Leaf value of every row of raw values X: `route` over `threshold`."""
+    return route(tree.feature, threshold, tree.left, tree.right, tree.value, X)
+
+
+def raw_threshold(mapper: BinMapper, j: int, bin_t: int) -> float:
+    """The raw value whose `x <= value` test sends the same rows left as
+    `code <= bin_t` on feature j, one split at a time: the feature's edge at
+    bin_t, or +inf at or past its last edge."""
+    edges = mapper.edges[j]
+    return float(edges[bin_t]) if bin_t < len(edges) else math.inf
+
+
+def raw_thresholds(tree, mapper: BinMapper) -> np.ndarray:
+    """The raw threshold of each node of `tree` (0 at a leaf), node by node."""
+    out = np.zeros(tree.feature.shape[0])
+    for node, (f, t) in enumerate(zip(tree.feature.tolist(), tree.bin_threshold.tolist())):
+        if f >= 0:
+            out[node] = raw_threshold(mapper, f, t)
+    return out
+
+
 # The numpy tree kernel, as the growers in autotab.gbm.trees ran before the
 # compiled kernel replaced it: the reference that kernel must equal bit for bit.
 
@@ -506,8 +537,7 @@ class _Node:
 
 
 def grow_leafwise(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
-                  rows: np.ndarray, feats: np.ndarray, mapper: BinMapper,
-                  max_leaves: int, min_data: int, reg: float,
+                  rows: np.ndarray, feats: np.ndarray, max_leaves: int, min_data: int, reg: float,
                   lr: float) -> tuple[Tree, np.ndarray, np.ndarray]:
     """Grow by repeatedly splitting the leaf with the largest gain.
 
@@ -580,7 +610,6 @@ def grow_leafwise(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
     n_nodes = next_id
     feature = np.full(n_nodes, -1, dtype=np.int32)
     bin_thr = np.zeros(n_nodes, dtype=np.int32)
-    raw_thr = np.zeros(n_nodes)
     left = np.full(n_nodes, -1, dtype=np.int32)
     right = np.full(n_nodes, -1, dtype=np.int32)
     value = np.zeros(n_nodes)
@@ -592,7 +621,6 @@ def grow_leafwise(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
             f, t, lid, rid = children[nid]
             feature[nid] = f
             bin_thr[nid] = t
-            raw_thr[nid] = mapper.raw_threshold(f, t)
             left[nid] = lid
             right[nid] = rid
         else:
@@ -600,13 +628,12 @@ def grow_leafwise(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
             value[nid] = _leaf_value(node.g_sum, node.h_sum, reg, lr)
             if node.rows.shape[0]:
                 row_values[pos_of_row[node.rows]] = value[nid]
-    tree = Tree(feature, bin_thr, raw_thr, left, right, value)
+    tree = Tree(feature, bin_thr, left, right, value)
     return tree, row_values, rows
 
 
 def grow_oblivious(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
-                   rows: np.ndarray, feats: np.ndarray, mapper: BinMapper,
-                   max_depth: int, min_data: int, reg: float,
+                   rows: np.ndarray, feats: np.ndarray, max_depth: int, min_data: int, reg: float,
                    lr: float) -> tuple[Tree, np.ndarray, np.ndarray]:
     """Grow an oblivious tree: each level picks the single (feature, bin)
     whose gain summed over the level's nodes is largest.
@@ -660,7 +687,6 @@ def grow_oblivious(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
     n_nodes = 2 * n_leaves - 1
     feature = np.full(n_nodes, -1, dtype=np.int32)
     bin_thr = np.zeros(n_nodes, dtype=np.int32)
-    raw_thr = np.zeros(n_nodes)
     left = np.full(n_nodes, -1, dtype=np.int32)
     right = np.full(n_nodes, -1, dtype=np.int32)
     value = np.zeros(n_nodes)
@@ -669,11 +695,10 @@ def grow_oblivious(codes: np.ndarray, g: np.ndarray, h: np.ndarray,
         if level < depth:
             f, t = level_feats[level], level_bins[level]
             feature[node], bin_thr[node] = f, t
-            raw_thr[node] = mapper.raw_threshold(f, t)
             left[node], right[node] = 2 * node + 1, 2 * node + 2
         else:
             value[node] = values[node - (n_leaves - 1)]
-    tree = Tree(feature, bin_thr, raw_thr, left, right, value)
+    tree = Tree(feature, bin_thr, left, right, value)
     return tree, values[node_of_row], rows
 
 
@@ -712,9 +737,9 @@ def fit_booster(X, y, params, task_kind, n_classes=0, X_val=None, y_val=None, me
     takes the numpy gradients, grows a tree on the masked rows, routes every
     other row through it (`predict_codes`) and adds `raw[order] += values`,
     then early-stops on the validation score (ROC AUC from
-    `positive_rank_sum_argsort`). Returns the kept trees with raw
-    thresholds, the eval history, the best iteration and the validation raw
-    scores at it."""
+    `positive_rank_sum_argsort`). Returns the kept trees, their raw
+    thresholds (`raw_thresholds`, node by node), the eval history, the best
+    iteration and the validation raw scores at it."""
     loss = make_loss(task_kind, n_classes)
     n, f = X.shape
     mapper = BinMapper().fit(X)
@@ -748,7 +773,7 @@ def fit_booster(X, y, params, task_kind, n_classes=0, X_val=None, y_val=None, me
         for c in range(outputs):
             gc, hc = (g[:, c], h[:, c]) if task_kind == "multiclass" else (g, h)
             tree, values, order = grow(codes, np.ascontiguousarray(gc), np.ascontiguousarray(hc),
-                                       rows, feats, mapper, size, params.min_data_in_leaf,
+                                       rows, feats, size, params.min_data_in_leaf,
                                        params.l2_leaf_reg, params.learning_rate)
             values = np.concatenate([values, predict_codes(tree, codes[riders])])
             order = np.concatenate([order, riders])
@@ -767,5 +792,7 @@ def fit_booster(X, y, params, task_kind, n_classes=0, X_val=None, y_val=None, me
             if it - best >= patience:
                 break
     if history:
-        return trees[:(best + 1) * outputs], history[:best + 1], best, best_raw
-    return trees, history, len(trees) // outputs - 1, None if X_val is None else raw[n:]
+        trees, history, val_raw = trees[:(best + 1) * outputs], history[:best + 1], best_raw
+    else:
+        best, val_raw = len(trees) // outputs - 1, None if X_val is None else raw[n:]
+    return trees, [raw_thresholds(t, mapper) for t in trees], history, best, val_raw

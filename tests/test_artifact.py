@@ -18,6 +18,7 @@ from autotab.budget import TimeBudget
 from autotab.validation import CVScheme, make_folds
 
 from conftest import make_binary, make_multiclass
+from oracles import predict_raw, unpack
 
 
 def _fast_config(**kw):
@@ -113,8 +114,9 @@ class TestPackedForest:
         loaded = load_model(path)
         assert model.predict_matrix(X).tobytes() == loaded.predict_matrix(X).tobytes()
         for est, back in zip(model.estimators, loaded.estimators):
-            for tree, back_tree in zip(est.forest, back.forest, strict=True):  # class order
-                assert tree.predict_raw(X).tobytes() == back_tree.predict_raw(X).tobytes()
+            for tree, back_tree in zip(unpack(est.forest), unpack(back.forest), strict=True):
+                # in class order
+                assert predict_raw(*tree, X).tobytes() == predict_raw(*back_tree, X).tobytes()
 
 
 class TestVersionGate:
@@ -159,12 +161,13 @@ class TestVersionGate:
         with pytest.raises(ConfigError, match="format version 2"):
             load_model(old)
 
-    @pytest.mark.parametrize("version", [3, 4, 5])
+    @pytest.mark.parametrize("version", [3, 4, 5, 6])
     def test_older_version_rejected_before_decoding(self, tmp_path, monkeypatch, version):
         # a version-3 model stored 1-d target maps and smoothing fields on its
         # encoder specs and views, a version-4 model the dataset's roles and
         # the model's encoder specs and version, a version-5 model its
-        # forests' tree type and split gains; the version check must fire
+        # forests' tree type and split gains, a version-6 model its forests'
+        # positional fields and offset table; the version check must fire
         # before any node is decoded
         X, y = make_binary(300, 4, 2, seed=5)
         ds = dataset_from_arrays(X, y, "binary", category_columns=["f0"])
@@ -194,7 +197,7 @@ class TestVersionGate:
         fields = sorted((name, tuple(f.name for f in dataclasses.fields(cls)))
                         for name, cls in artifact._REGISTRY.items())
         fingerprint = hashlib.sha256(repr(fields).encode()).hexdigest()[:16]
-        assert (artifact.FORMAT_VERSION, fingerprint) == (6, "39cf83b94735067b"), fields
+        assert (artifact.FORMAT_VERSION, fingerprint) == (7, "2d42c8f002ead010"), fields
 
     def test_garbage_file_rejected(self, tmp_path):
         from autotab.errors import DataError

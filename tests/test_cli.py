@@ -43,7 +43,7 @@ class TestFit:
         assert code == 0
         assert os.path.exists(os.path.join(out, "model.lama"))
         assert os.path.exists(os.path.join(out, "report.json"))
-        report = json.loads(open(os.path.join(out, "report.json")).read())
+        report = json.loads(Path(out, "report.json").read_text())
         assert report["task"] == "binary"
 
     def test_missing_target_column_exits_2(self, binary_csv, tmp_path, capsys):
@@ -94,7 +94,7 @@ class TestFit:
         code = main(["fit", "--train", binary_csv, "--target", "cls",
                      "--config", str(cfg), "--budget", "15", "--out", out])
         assert code == 0
-        report = json.loads(open(os.path.join(out, "report.json")).read())
+        report = json.loads(Path(out, "report.json").read_text())
         assert report["budget_seconds"] == 15.0
 
 
@@ -107,7 +107,7 @@ class TestPredict:
         code = main(["predict", "--model", os.path.join(out, "model.lama"),
                      "--data", binary_csv, "--out", pred_path])
         assert code == 0
-        lines = open(pred_path).read().strip().splitlines()
+        lines = Path(pred_path).read_text().strip().splitlines()
         assert lines[0] == "index,prediction"
         assert len(lines) == 301
         values = [float(l.split(",")[1]) for l in lines[1:]]
@@ -127,7 +127,7 @@ class TestPredict:
         pred_path = str(tmp_path / "p.csv")
         assert main(["predict", "--model", os.path.join(out, "model.lama"),
                      "--data", train, "--out", pred_path]) == 0
-        lines = open(pred_path).read().strip().splitlines()
+        lines = Path(pred_path).read_text().strip().splitlines()
         assert lines[0] == "index,p_a,p_b,p_c,p_d"
         assert len(lines[1].split(",")) == 5
 
@@ -241,7 +241,7 @@ class TestReportDeterminism:
             out = str(tmp_path / name)
             assert main(["fit", "--train", binary_csv, "--target", "cls",
                          "--config", fast_config, "--out", out]) == 0
-            reports.append(json.loads(open(os.path.join(out, "report.json")).read()))
+            reports.append(json.loads(Path(out, "report.json").read_text()))
         a, b = (self._strip_timing(r) for r in reports)
         assert a == b
 

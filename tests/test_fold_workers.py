@@ -2,6 +2,7 @@
 LAMA_THREADS, with models bit-identical at any worker count, fold-order
 results and errors, a budget split by waves, and no thread left behind."""
 
+import dataclasses
 import json
 import math
 import os
@@ -64,8 +65,8 @@ def _assert_same_model(a, b):
     assert len(a.estimators) == len(b.estimators)
     for ea, eb in zip(a.estimators, b.estimators):
         assert ea.base_score.tobytes() == eb.base_score.tobytes()
-        assert ea.forest.offsets.tobytes() == eb.forest.offsets.tobytes()
-        for fa, fb in zip(ea.forest.fields, eb.forest.fields, strict=True):
+        for field in dataclasses.fields(ea.forest):
+            fa, fb = getattr(ea.forest, field.name), getattr(eb.forest, field.name)
             assert fa.dtype == fb.dtype and fa.tobytes() == fb.tobytes()
 
 

@@ -12,7 +12,7 @@ from autotab.metrics import MetricSpec, default_metric
 from autotab.stopping import best_iteration, improves
 
 from conftest import make_binary
-from oracles import predict_codes, sigmoid_masked
+from oracles import predict_codes, predict_raw, raw_threshold, sigmoid_masked, unpack
 
 
 def make_xor(n=400, seed=0):
@@ -61,11 +61,27 @@ class TestBinning:
         X = rng.normal(size=(300, 1))
         mapper = BinMapper().fit(X)
         codes = mapper.transform(X)
-        for t in (3, 17, 40):
-            if t >= len(mapper.edges[0]):
-                continue
-            edge = mapper.raw_threshold(0, t)
+        bins = np.array([3, 17, 40, 254], np.int32)  # 254: past the last edge, +inf
+        for t, edge in zip(bins, mapper.raw_thresholds(np.zeros(4, np.int32), bins)):
             assert np.array_equal(codes[:, 0] <= t, X[:, 0] <= edge)
+
+
+@given(st.lists(st.lists(st.floats(-1e6, 1e6), max_size=6, unique=True).map(sorted),
+                min_size=1, max_size=5), st.data())
+def test_raw_thresholds_equal_the_per_node_lookup(edges, data):
+    """One gather over a forest's nodes gives each node's scalar lookup
+    bit for bit: a feature's edge, +inf at or past its last edge (and for
+    every bin of a feature with no edges), 0 at a leaf."""
+    mapper = BinMapper()
+    mapper.edges = [np.array(e, dtype=np.float64) for e in edges]
+    nodes = data.draw(st.lists(st.tuples(st.integers(-1, len(edges) - 1),
+                                         st.one_of(st.integers(0, 7), st.integers(0, 254))),
+                               max_size=30))
+    features = np.array([f for f, _ in nodes], np.int32)
+    bins = np.array([t for _, t in nodes], np.int32)
+    want = np.array([raw_threshold(mapper, f, t) if f >= 0 else 0.0 for f, t in nodes])
+    got = mapper.raw_thresholds(features, bins)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 class TestEarlyStop:
@@ -134,8 +150,8 @@ class TestBoosting:
         # mean log-loss after each iteration, rebuilt from the fitted trees
         raw = np.full(len(y), float(est.base_score))
         losses = []
-        for tree in est.forest:
-            raw += tree.predict_raw(X)
+        for tree, threshold in unpack(est.forest):
+            raw += predict_raw(tree, threshold, X)
             losses.append(np.mean(np.logaddexp(0.0, raw) - y * raw))
         assert len(losses) == 200
         assert np.all(np.diff(losses) <= 1e-12)
@@ -197,9 +213,9 @@ class TestBoosting:
         res = fit_booster(X, y, GBMParams(n_estimators_cap=100, flavor=flavor), "binary")
         mapper = BinMapper().fit(X)
         codes = mapper.transform(X)
-        assert any(np.isinf(t.raw_threshold).any() for t in res.estimator.forest)
-        for tree in res.estimator.forest:
-            assert np.array_equal(tree.predict_raw(X), predict_codes(tree, codes))
+        assert np.isinf(res.estimator.forest.threshold).any()
+        for tree, threshold in unpack(res.estimator.forest):
+            assert np.array_equal(predict_raw(tree, threshold, X), predict_codes(tree, codes))
 
     @pytest.mark.parametrize("flavor", ["leaf_wise", "symmetric_depth_wise"])
     @pytest.mark.parametrize("task_kind", ["binary", "multiclass"])
@@ -233,7 +249,7 @@ class TestBoosting:
         codes = BinMapper().fit(X).transform(X)
         raw = (np.tile(est.base_score, (400, 1)) if n_classes
                else np.full(400, float(est.base_score)))
-        for i, tree in enumerate(est.forest):  # each iteration's trees in class order
+        for i, (tree, _) in enumerate(unpack(est.forest)):  # each iteration's trees in class order
             it, c = divmod(i, max(n_classes, 1))
             if c == 0:
                 assert np.array_equal(seen[it], raw)
@@ -280,8 +296,8 @@ class TestBoosting:
         params = GBMParams(max_depth=3, n_estimators_cap=5,
                            flavor="symmetric_depth_wise", min_data_in_leaf=2)
         res = fit_booster(X, y, params, "binary")
-        assert any((tree.feature >= 0).any() for tree in res.estimator.forest)
-        for tree in res.estimator.forest:
+        assert (res.estimator.forest.feature >= 0).any()
+        for tree, _ in unpack(res.estimator.forest):
             n_nodes = tree.feature.shape[0]
             depth = n_nodes.bit_length() - 1
             assert n_nodes == 2 ** (depth + 1) - 1 and depth <= 3

@@ -1,6 +1,8 @@
 """GBMFolds: one encoding and one binning per fold, shared by every booster
 of a run, with results equal to binning each booster's columns from scratch."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,8 +39,8 @@ def _dataset(task_kind: str, seed: int):
 def _assert_same_booster(a, b, X_va):
     assert a.eval_history == b.eval_history and a.best_iteration == b.best_iteration
     ea, eb = a.estimator, b.estimator
-    assert np.array_equal(ea.forest.offsets, eb.forest.offsets)
-    for fa, fb in zip(ea.forest.fields, eb.forest.fields, strict=True):
+    for field in dataclasses.fields(ea.forest):
+        fa, fb = getattr(ea.forest, field.name), getattr(eb.forest, field.name)
         assert fa.dtype == fb.dtype and fa.tobytes() == fb.tobytes()
     assert ea.predict(X_va).tobytes() == eb.predict(X_va).tobytes()
 
@@ -148,14 +150,22 @@ def test_fit_gbm_view_matches_its_columns(selected):
 @pytest.mark.parametrize("flavor", ["leaf_wise", "symmetric_depth_wise"])
 def test_fit_gbm_routes_no_rows_and_looks_up_kept_thresholds_only(monkeypatch, flavor):
     """The OOF predictions are the boosters' own validation scores: fit_gbm
-    predicts nothing, and raw thresholds are looked up for the splits of
-    the trees that early stopping kept, not for every grown tree. The OOF
-    predictions equal predicting the validation rows bit for bit."""
+    predicts nothing, and raw thresholds are looked up once per booster, for
+    the nodes of the trees that early stopping kept, not for every grown
+    tree. The OOF predictions equal predicting the validation rows bit for
+    bit."""
     ds = _dataset("multiclass", 1)
     data = GBMFolds(ds, make_folds(CVScheme("kfold", k=3, seed=0), ds))
     selected = ["f3", "f0", "f4"]
     predicts = _count_calls(monkeypatch, GBMEstimator, "predict")
-    lookups = _count_calls(monkeypatch, BinMapper, "raw_threshold")
+    lookups = []
+    raw_thresholds = BinMapper.raw_thresholds
+
+    def recorded(mapper, features, bins):
+        lookups.append(features.shape[0])
+        return raw_thresholds(mapper, features, bins)
+
+    monkeypatch.setattr(BinMapper, "raw_thresholds", recorded)
     grown = _count_calls(monkeypatch, boosting,
                          "grow_leafwise" if flavor == "leaf_wise" else "grow_oblivious")
     params = GBMParams(learning_rate=0.5, n_estimators_cap=60, max_leaves=8, max_depth=3,
@@ -163,8 +173,7 @@ def test_fit_gbm_routes_no_rows_and_looks_up_kept_thresholds_only(monkeypatch, f
     model = learners.fit_gbm(data, params, selected=selected, patience=3)
     assert predicts == []
     forests = [est.forest for est in model.estimators]
-    splits = sum(int((t.feature >= 0).sum()) for forest in forests for t in forest)
-    assert len(lookups) == splits
+    assert sorted(lookups) == sorted(len(forest.feature) for forest in forests)
     assert len(grown) > sum(len(forest) for forest in forests)  # early stopping dropped some
     X = data.X[:, data.columns(selected)]
     for est, (_, va) in zip(model.estimators, data.splits):

@@ -28,7 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autotab.gbm import GBMParams, fit_booster
-from autotab.gbm.boosting import PackedTrees
 from autotab.gbm import trees as kernel_trees
 from autotab.gbm.binning import BinMapper
 from autotab.gbm.native import kernel
@@ -81,7 +80,6 @@ def _drawn(seed: int, n: int, k: int | None, f: int, kf: int | None
 @dataclasses.dataclass
 class Case:
     codes: np.ndarray  # Fortran-ordered uint8, as BinMapper.transform makes them
-    mapper: BinMapper
     g: np.ndarray
     h: np.ndarray
     seed: int  # of the generator `draw` takes the sample from
@@ -135,8 +133,7 @@ def cases(draw) -> Case:
     node = n_rows if k is None else k
     min_data = (node + int(rng.integers(1, 6)) if draw(st.integers(0, 3)) == 3
                 else int(rng.integers(0, 11)))  # one case in four above the node size
-    return Case(mapper.transform(X), mapper, g, h, int(rng.integers(2**32)), k, kf, reg,
-                min_data)
+    return Case(mapper.transform(X), g, h, int(rng.integers(2**32)), k, kf, reg, min_data)
 
 
 def _kernel_hist(case: Case, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -276,21 +273,20 @@ def _same_tree(a, b) -> bool:
 def _kernel_grow(grow, codes, case, size, lr=0.1):
     """One tree through a fresh TreeKernel over `codes`, whose first rows are
     the case's training rows: on the sample `draw` takes from the case's
-    seed, which must be the case's rows and features, with the case's
-    gradients, and with raw thresholds. The rest of the training rows, then
-    the code rows below them, ride as passengers."""
+    seed, which must be the case's rows and features, and with the case's
+    gradients. The rest of the training rows, then the code rows below
+    them, ride as passengers."""
     kern = kernel_trees.TreeKernel(codes, case.g.shape[0])
     kern.draw(np.random.default_rng(case.seed), case.k, case.kf)
     assert _same_bits(kern.layout[:kern.m], case.rows)
     assert _same_bits(kern.feats[:kern.nf], case.feats)
     kern.g[:], kern.h[:] = case.g, case.h
     tree, values, order = grow(kern, size, case.min_data, case.reg, lr)
-    tree.set_raw_thresholds(case.mapper)
     return tree, values.copy(), order.copy()
 
 
 def _oracle_grow(grow, case, size, lr=0.1):
-    return grow(case.codes, case.g, case.h, case.rows, case.feats, case.mapper, size,
+    return grow(case.codes, case.g, case.h, case.rows, case.feats, size,
                 case.min_data, case.reg, lr)
 
 
@@ -434,9 +430,8 @@ def test_a_subtraction_residual_decides_a_split():
     X = rng.normal(size=(600, 3))
     p = rng.random(600)
     g, h = p - (rng.random(600) < 0.5), p * (1.0 - p)
-    mapper = BinMapper().fit(X)
-    case = Case(mapper.transform(X), mapper, g, h, 0, None, None, 1.0, 2)
-    args = (case.codes, g, h, case.rows, case.feats, mapper, 32, 2, 1.0, 0.1)
+    case = Case(BinMapper().fit(X).transform(X), g, h, 0, None, None, 1.0, 2)
+    args = (case.codes, g, h, case.rows, case.feats, 32, 2, 1.0, 0.1)
     got = _kernel_grow(kernel_trees.grow_leafwise, case.codes, case, 32)[0]
     want = oracles.grow_leafwise(*args)[0]
     assert _same_tree(got, want)
@@ -457,8 +452,7 @@ def test_the_missing_bin_is_no_threshold():
     argmax. Thresholds stop at bin 254."""
     codes = np.asfortranarray(np.array([[0], [0], [255], [255]], dtype=np.uint8))
     g, h = np.array([-1.0, 0.5, 0.25, 1.0]), np.full(4, 0.25)
-    case = Case(codes, BinMapper().fit(np.array([[0.0], [0.0], [np.nan], [np.nan]])), g, h,
-                0, None, None, 0.0, 0)
+    case = Case(codes, g, h, 0, None, None, 0.0, 0)
     rows, feats = case.rows, case.feats
     hist, bits = _kernel_hist(case, rows)
     want = _oracle_best(case, oracles._histograms(codes, rows, g, h, feats))
@@ -503,11 +497,14 @@ def test_fit_booster_equals_oracle_growers(task_kind, flavor, subsample, colsamp
            if validate else {})
 
     got = fit_booster(X[:n], y[:n], params, task_kind, n_classes, seed=seed, **val)
-    trees, history, best, val_raw = oracles.fit_booster(X[:n], y[:n], params, task_kind,
-                                                        n_classes, seed=seed, **val)
-    want = PackedTrees.pack(trees)
-    assert all(_same_bits(a, b) for a, b in zip(got.estimator.forest.fields, want.fields))
-    assert _same_bits(got.estimator.forest.offsets, want.offsets)
+    trees, thresholds, history, best, val_raw = oracles.fit_booster(
+        X[:n], y[:n], params, task_kind, n_classes, seed=seed, **val)
+    forest = got.estimator.forest
+    for field in dataclasses.fields(kernel_trees.Tree):
+        assert _same_bits(getattr(forest, field.name),
+                          np.concatenate([getattr(t, field.name) for t in trees]))
+    assert _same_bits(forest.threshold, np.concatenate(thresholds))
+    assert _same_bits(forest.starts, np.cumsum([0] + [len(t.feature) for t in trees]))
     assert _same_bits(got.eval_history, history)
     assert got.best_iteration == best
     assert len(got.eval_history) == (got.best_iteration + 1 if validate else 0)

@@ -6,8 +6,11 @@ leaves of a one-leaf tree, so single-leaf trees occur; thresholds include the
 +inf "all finite values left" edge, and rows include NaN, infinities and
 values equal to a threshold. Zero-row inputs are drawn too. The forest
 router also meets NaN thresholds, empty forests and the class interleaving
-of multiclass boosters, and refuses a damaged forest before the kernel runs.
+of multiclass boosters, and refuses a damaged forest before either router,
+the kernel's or numpy's, runs.
 """
+
+import signal
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from autotab.errors import DataError
-from autotab.gbm.boosting import PackedTrees
+from autotab.gbm import BinMapper, GBMEstimator, GBMParams, PackedTrees, native
 from autotab.gbm.native import kernel
 from autotab.gbm.trees import Tree, route, route_forest
 
@@ -27,7 +30,9 @@ LEAF_VALUES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
 
 
 @st.composite
-def trees(draw, n_features: int, codes: bool, nan: bool = False) -> Tree:
+def trees(draw, n_features: int, codes: bool, nan: bool = False) -> tuple[Tree, np.ndarray]:
+    """A tree and its raw thresholds: the drawn thresholds are its bin
+    thresholds with `codes`, else its raw ones."""
     n_splits = draw(st.integers(0, 12))
     threshold_of = (st.integers(0, 255) if codes
                     else st.one_of(st.just(np.inf),
@@ -49,8 +54,8 @@ def trees(draw, n_features: int, codes: bool, nan: bool = False) -> Tree:
     value = np.array(draw(st.lists(LEAF_VALUES, min_size=n_nodes, max_size=n_nodes)))
     bin_threshold = np.array(thr, np.int32) if codes else np.zeros(n_nodes, np.int32)
     raw_threshold = np.zeros(n_nodes) if codes else np.array(thr, np.float64)
-    return Tree(np.array(feature, np.int32), bin_threshold, raw_threshold,
-                np.array(left, np.int32), np.array(right, np.int32), value)
+    return Tree(np.array(feature, np.int32), bin_threshold, np.array(left, np.int32),
+                np.array(right, np.int32), value), raw_threshold
 
 
 @st.composite
@@ -63,7 +68,7 @@ def matrices(draw, n_features: int, codes: bool) -> np.ndarray:
 
 
 @st.composite
-def cases(draw, codes: bool) -> tuple[Tree, np.ndarray]:
+def cases(draw, codes: bool) -> tuple[tuple[Tree, np.ndarray], np.ndarray]:
     n_features = draw(st.integers(1, 4))
     return draw(trees(n_features, codes)), draw(matrices(n_features, codes))
 
@@ -74,7 +79,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 @given(cases(codes=True))
 def test_router_equals_level_walk_on_codes(case):
-    tree, codes = case
+    (tree, _), codes = case
     expected = level_walk(tree.feature, tree.bin_threshold, tree.left, tree.right,
                           tree.value, codes)
     assert _same_bits(predict_codes(tree, codes), expected)
@@ -82,18 +87,17 @@ def test_router_equals_level_walk_on_codes(case):
 
 @given(cases(codes=False))
 def test_router_equals_level_walk_on_raw_values(case):
-    tree, X = case
-    expected = level_walk(tree.feature, tree.raw_threshold, tree.left, tree.right,
-                          tree.value, X)
-    assert _same_bits(tree.predict_raw(X), expected)
+    (tree, threshold), X = case
+    args = (tree.feature, threshold, tree.left, tree.right, tree.value, X)
+    assert _same_bits(route(*args), level_walk(*args))
 
 
 def test_nan_goes_right_and_inf_threshold_keeps_finite_left():
-    tree = Tree(np.array([0, -1, -1], np.int32), np.zeros(3, np.int32),
-                np.array([np.inf, 0.0, 0.0]), np.array([1, -1, -1], np.int32),
-                np.array([2, -1, -1], np.int32), np.array([0.0, -1.0, 1.0]))
     X = np.array([[np.nan], [1e300], [-np.inf], [np.inf]])
-    assert tree.predict_raw(X).tolist() == [1.0, -1.0, -1.0, -1.0]
+    leaf = route(np.array([0, -1, -1], np.int32), np.array([np.inf, 0.0, 0.0]),
+                 np.array([1, -1, -1], np.int32), np.array([2, -1, -1], np.int32),
+                 np.array([0.0, -1.0, 1.0]), X)
+    assert leaf.tolist() == [1.0, -1.0, -1.0, -1.0]
 
 
 def test_single_leaf_and_zero_rows():
@@ -107,9 +111,9 @@ def test_single_leaf_and_zero_rows():
 
 @st.composite
 def forests(draw) -> tuple[list, np.ndarray, np.ndarray]:
-    """0 to 6 leaf-wise trees, the matrix they predict and the base scores:
-    one output, or three, which tree t adds to output t % 3 as a multiclass
-    booster interleaves its classes."""
+    """0 to 6 leaf-wise trees with their raw thresholds, the matrix they
+    predict and the base scores: one output, or three, which tree t adds to
+    output t % 3 as a multiclass booster interleaves its classes."""
     n_features = draw(st.integers(1, 4))
     outputs = draw(st.sampled_from([1, 3]))
     forest = draw(st.lists(trees(n_features, codes=False, nan=True), max_size=6))
@@ -121,20 +125,31 @@ def _base_scores(base: np.ndarray, n_rows: int) -> np.ndarray:
     return np.tile(base, (n_rows, 1)) if base.shape[0] > 1 else np.full(n_rows, base[0])
 
 
+def _pack(forest: list, n_features: int) -> PackedTrees:
+    """The node table of (tree, raw thresholds) pairs: `PackedTrees.pack`'s
+    over a mapper without edges, with the drawn raw thresholds."""
+    mapper = BinMapper()
+    mapper.edges = [np.empty(0)] * n_features
+    packed = PackedTrees.pack([tree for tree, _ in forest], mapper)
+    packed.threshold = np.concatenate([np.empty(0)] + [thr for _, thr in forest])
+    return packed
+
+
 @given(forests())
 def test_kernel_routes_a_forest_as_route_does_tree_by_tree(case):
     forest, X, base = case
     expected = _base_scores(base, X.shape[0])
-    for t, tree in enumerate(forest):
-        leaf = route(tree.feature, tree.raw_threshold, tree.left, tree.right, tree.value, X)
+    for t, (tree, threshold) in enumerate(forest):
+        leaf = route(tree.feature, threshold, tree.left, tree.right, tree.value, X)
         if expected.ndim == 2:
             expected[:, t % base.shape[0]] += leaf
         else:
             expected += leaf
-    raw = _base_scores(base, X.shape[0])
-    packed = PackedTrees.pack(forest)
-    route_forest(kernel(), packed.fields, packed.offsets, np.asfortranarray(X), raw)
-    assert _same_bits(raw, expected)
+    packed = _pack(forest, X.shape[1])
+    for lib in (kernel(), None):  # the kernel, and numpy on a host without one
+        raw = _base_scores(base, X.shape[0])
+        route_forest(lib, packed, np.asfortranarray(X), raw)
+        assert _same_bits(raw, expected)
 
 
 class _NoKernel:
@@ -145,46 +160,70 @@ class _NoKernel:
 
 
 def _stump_then_leaf() -> PackedTrees:
+    """A stump on feature 1 at 0.5 (bin 0 of its one edge), then a leaf."""
     stump = Tree(np.array([1, -1, -1], np.int32), np.zeros(3, np.int32),
-                 np.array([0.5, 0.0, 0.0]), np.array([1, -1, -1], np.int32),
-                 np.array([2, -1, -1], np.int32), np.array([0.0, -1.0, 1.0]))
-    leaf = Tree(np.array([-1], np.int32), np.zeros(1, np.int32), np.zeros(1),
-                np.array([-1], np.int32), np.array([-1], np.int32), np.array([0.25]))
-    return PackedTrees.pack([stump, leaf])
+                 np.array([1, -1, -1], np.int32), np.array([2, -1, -1], np.int32),
+                 np.array([0.0, -1.0, 1.0]))
+    leaf = Tree(np.array([-1], np.int32), np.zeros(1, np.int32), np.array([-1], np.int32),
+                np.array([-1], np.int32), np.array([0.25]))
+    mapper = BinMapper()
+    mapper.edges = [np.empty(0), np.array([0.5])]
+    return PackedTrees.pack([stump, leaf], mapper)
 
 
-def _set(field: int, index: int, value):
+def _set(field: str, index: int, value):
     def damage(packed: PackedTrees) -> None:
-        packed.fields[field][index] = value
+        getattr(packed, field)[index] = value
     return damage
 
 
 def _empty_first_tree(packed: PackedTrees) -> None:
-    packed.offsets[1, :6] = 0
+    packed.starts[1] = 0
 
 
 def _int64_features(packed: PackedTrees) -> None:
-    packed.fields[0] = packed.fields[0].astype(np.int64)
+    packed.feature = packed.feature.astype(np.int64)
 
 
 def _short_values(packed: PackedTrees) -> None:
-    packed.fields[5] = packed.fields[5][:-1]
+    packed.value = packed.value[:-1]
+
+
+@pytest.fixture
+def alarm():
+    """Fail, rather than hang, a test whose router loops for 5 s."""
+    def expire(signum, frame):
+        raise TimeoutError("a router ran for 5 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("damage", [
-    _set(0, 0, 2),  # feature 2 of 2 columns
-    _set(3, 0, 0),  # left child is the node itself
-    _set(4, 0, -1),  # right child below its parent
-    _set(4, 0, 3),  # right child past its tree: the next tree's first node
+    _set("feature", 0, 2),  # feature 2 of 2 columns
+    _set("left", 0, 0),  # left child is the node itself
+    _set("right", 0, -1),  # right child below its parent
+    _set("right", 0, 3),  # right child past its tree: the next tree's first node
     _empty_first_tree, _int64_features, _short_values,
 ], ids=["feature", "left-self", "right-below", "right-past-tree", "empty-tree", "dtype",
         "short-field"])
-def test_a_damaged_forest_raises_before_the_kernel_runs(damage):
+def test_a_damaged_forest_raises_before_the_kernel_runs(damage, monkeypatch, alarm):
+    """On every host: through the kernel, through numpy's `route` (lib
+    None), and through predicting with and without a loadable kernel."""
     X = np.asfortranarray([[0.0, 0.0], [0.0, 1.0], [0.0, np.nan]])
     packed = _stump_then_leaf()
-    raw = np.zeros(3)
-    route_forest(kernel(), packed.fields, packed.offsets, X, raw)
-    assert raw.tolist() == [-0.75, 1.25, 1.25]  # the undamaged forest routes
+    est = GBMEstimator("regression", 0, np.asarray(0.0), packed, GBMParams())
+    for lib in (kernel(), None):
+        raw = np.zeros(3)
+        route_forest(lib, packed, X, raw)
+        assert raw.tolist() == [-0.75, 1.25, 1.25]  # the undamaged forest routes
     damage(packed)
-    with pytest.raises(DataError):
-        route_forest(_NoKernel(), packed.fields, packed.offsets, X, raw)
+    for lib in (_NoKernel(), None):
+        with pytest.raises(DataError):
+            route_forest(lib, packed, X, np.zeros(3))
+    for host in (native.optional_kernel, lambda: None):
+        monkeypatch.setattr(native, "optional_kernel", host)
+        with pytest.raises(DataError):
+            est.predict_raw_scores(X)
