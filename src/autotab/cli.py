@@ -29,6 +29,7 @@ _JSON_TYPES = {"boolean": (bool,), "integer": (int,), "number": (int, float)}
 _TYPES = {"tuning_enabled": "boolean", "use_linear": "boolean", "use_gbm_leaf": "boolean",
           "use_gbm_sym": "boolean", "seed": "integer",
           "budget_seconds": "number"}  # JSON types the keys must have
+_CV_TYPES = {"k": "integer", "seed": "integer", "holdout_fraction": "number"}
 _TASK_KINDS = ("binary", "multiclass", "regression", "auto")
 
 
@@ -56,9 +57,6 @@ def _load_config(path: str | None) -> dict:
         bad = set(cv) - _CV_KEYS
         if bad:
             raise ConfigError(f"unknown cv keys: {sorted(bad)}")
-        _check_types(cv, {"k": "integer", "seed": "integer", "holdout_fraction": "number"},
-                     "cv.")
-    _check_types(cfg, _TYPES, "")
     task = cfg.get("task")
     if task is not None and task not in _TASK_KINDS:
         raise ConfigError(f"task must be one of {_TASK_KINDS}")
@@ -95,12 +93,16 @@ def _infer_task_kind(cells) -> str:
 
 
 def _build_preset_config(cfg: dict, budget: float | None, seed_flag: int | None):
+    """The preset of a config `_load_config` read. A value of the wrong JSON
+    type is a ConfigError here, where the values are used."""
     from .errors import ConfigError
     from .validation import CVScheme
 
+    _check_types(cfg, _TYPES, "")
     cv = None
     if cfg.get("cv"):
         c = cfg["cv"]
+        _check_types(c, _CV_TYPES, "cv.")
         fold = c.get("fold_of_row")
         cv = CVScheme(kind=c.get("kind", "kfold"), k=c.get("k", 5),
                       holdout_fraction=float(c.get("holdout_fraction", 0.25)),
@@ -161,6 +163,7 @@ def cmd_fit(args) -> int:
     from .pipeline import fit_preset
 
     cfg = _load_config(args.config)
+    config = _build_preset_config(cfg, args.budget, args.seed)
     target = args.target or cfg.get("target")
     train_path = args.train or cfg.get("train_path")
     if not target or not train_path:
@@ -168,7 +171,6 @@ def cmd_fit(args) -> int:
         return EXIT_CONFIG
     out_dir = args.out or cfg.get("out_dir") or "."
     os.makedirs(out_dir, exist_ok=True)
-    config = _build_preset_config(cfg, args.budget, args.seed)
 
     model = fit_preset(_read_dataset(train_path, target, cfg), config)
 

@@ -16,16 +16,18 @@ are Python's `float`), and the few cells outside its exact range by `float`
 or `int`; a column with a cell outside its grammar (padding, `1_000`,
 `inf`, other digits), or a host without a compiler, converts every cell in
 Python to the same bits. A column's `str` cells are made only when needed:
-for categories, for a column the kernel cannot read and for date cells
-that need `strptime`, and they are stripped at most once. A datetime
-format is given up as soon as more cells fail than the 99% threshold
-allows, so a text column costs a few dozen trial parses per format, not one
-per cell. Cells written in a format's zero-padded ASCII layout are parsed
+for a category's distinct values, for a column the kernel cannot read and
+for date cells that need `strptime`, and they are stripped at most once. A
+datetime format is given up as soon as more cells fail than the 99%
+threshold allows, so a text column costs a few dozen trial parses per
+format, not one per cell. Cells written in a format's zero-padded ASCII layout are parsed
 together from their bytes with numpy; every other cell falls back to
 `strptime`, so each cell gets the value a per-cell `strptime` would give.
-Category codes come from one sorted dictionary per column. Constant columns
-are dropped. Datetime columns are expanded into calendar parts and excluded
-from modeling themselves.
+Category codes come from one sorted dictionary per column: the kernel's
+`code_cells` gives each cell the id of its bytes, and only the distinct
+values become `str` to be sorted. Constant columns are dropped. Datetime
+columns are expanded into calendar parts by integer calendar arithmetic and
+excluded from modeling themselves.
 
 A raw table predicts as the dataset built from it: `parse_features` parses
 its cells into the columns `build_dataset` gives, and `conform` codes any
@@ -439,9 +441,10 @@ class _Text:
     A column of a file `read_csv` split keeps the file's bytes and its
     cells' byte offsets (`bytes`), and its `str` cells (`unstripped`, and
     `cells` stripped) are made only when asked for: to convert a column the
-    kernel cannot read, to make a category, or for a date cell that needs
-    `strptime`. Text cells given as `str` are encoded once, the first time
-    `bytes` is asked for. Cells are stripped only when needed.
+    kernel cannot read, for a category's distinct values (`pick`), or for a
+    date cell that needs `strptime`. Text cells given as `str` are encoded
+    once, the first time `bytes` is asked for. Cells are stripped only when
+    needed.
     """
 
     def __init__(self, present: np.ndarray, file: _FileColumn | None = None) -> None:
@@ -502,6 +505,14 @@ class _Text:
         status = lib.parse_numbers(buf.ctypes.data, starts.ctypes.data, ends.ctypes.data,
                                    len(self), values.ctypes.data, flag.ctypes.data)
         return None if status < 0 else (values, np.flatnonzero(flag), status == 1)
+
+    def pick(self, positions: np.ndarray) -> list[str]:
+        """The non-missing cells at `positions`, as read: a file column's
+        are made from its bytes alone."""
+        if self._file is None:
+            return [self.unstripped[i] for i in positions.tolist()]
+        buf, starts, ends = self.bytes
+        return _decode_cells(buf, starts[positions], ends[positions])
 
     def floats(self, convert) -> np.ndarray:
         """float64 of `convert(cell.strip())` for each non-missing cell, where
@@ -728,12 +739,43 @@ def _epoch_int_to_datetime(values: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _category_column(name: str, cells) -> Column:
-    cells = _strings(cells)
-    seen = sorted(set(cells) - {None})
-    lookup = {v: i for i, v in enumerate(seen)}
-    lookup[None] = -1
-    codes = np.fromiter(map(lookup.__getitem__, cells), dtype=np.int32, count=len(cells))
+def _category_column(name: str, text: _Text) -> Column:
+    """The cells as codes into their sorted distinct values, -1 where missing.
+
+    The kernel's `code_cells` gives each cell the id of its bytes in order of
+    first appearance, so `str` cells are made only for the distinct values,
+    and sorting those ranks the ids. Two cells are equal exactly when their
+    UTF-8 bytes are, so this is the dictionary and the codes of
+    `sorted(set(cells))`, which a host without the kernel computes. A cell
+    ending in U+0000 is a DataError: the dictionary's numpy strings would
+    drop the NUL and hold two equal values."""
+    lib = native.optional_kernel()
+    if lib is None:
+        seen = sorted(set(text.unstripped))
+        lookup = {v: i for i, v in enumerate(seen)}
+        present = np.fromiter(map(lookup.__getitem__, text.unstripped), dtype=np.int32,
+                              count=len(text))
+    else:
+        buf, starts, ends = text.bytes
+        ids = np.empty(len(text), dtype=np.int32)
+        first = np.empty(len(text), dtype=np.int64)
+        k = lib.code_cells(buf.ctypes.data, starts.ctypes.data, ends.ctypes.data, len(text),
+                           ids.ctypes.data, first.ctypes.data)
+        if k < 0:
+            raise MemoryError("code_cells could not allocate its table")
+        values = text.pick(first[:k])
+        order = sorted(range(k), key=values.__getitem__)
+        seen = [values[i] for i in order]
+        rank = np.empty(k, dtype=np.int32)
+        rank[order] = np.arange(k, dtype=np.int32)
+        present = rank[ids]
+    codes = np.full(text.present.shape[0], -1, dtype=np.int32)
+    codes[text.present] = present
+    nul = [i for i, v in enumerate(seen) if v.endswith("\x00")]
+    if nul:
+        row = int(np.flatnonzero(np.isin(codes, nul))[0])
+        raise DataError(f"column {name!r} holds {seen[codes[row]]!r} at row {row + 1}, "
+                        "and a category cannot end in U+0000")
     return Column(name, "category", codes, dictionary=np.array(seen, dtype=str))
 
 
@@ -762,7 +804,7 @@ def parse_column(name: str, cells) -> tuple[Column, dict]:
     if parsed_dt is not None:
         epochs, fmt = parsed_dt
         return Column(name, "datetime", epochs), {"kind": "datetime", "format": fmt}
-    return _category_column(name, cells), {"kind": "category"}
+    return _category_column(name, text), {"kind": "category"}
 
 
 def parse_with_schema(name: str, cells, entry: dict) -> Column:
@@ -773,7 +815,7 @@ def parse_with_schema(name: str, cells, entry: dict) -> Column:
     numbers and raises DataError at the first other one."""
     kind, fmt = entry["kind"], entry.get("format")
     if kind not in ("numeric", "datetime"):  # text: coded in the stored dictionary later
-        return _category_column(name, cells)
+        return _category_column(name, _Text.of(cells))
     if kind == "datetime" and fmt != EPOCH_FORMAT:
         return Column(name, "datetime", _parse_datetime_format(_Text.of(cells), fmt)[0])
     values, bad = _finite_floats(_Text.of(cells))
@@ -795,20 +837,27 @@ def expand_datetime(col: Column) -> list[Column]:
 
     Missing timestamps propagate as NaN in every part. Weekday is 0 for
     Monday. Constant parts are handled by the caller's constant-column rule.
+    The seconds are truncated to integers and split into days and the second
+    of the day by floor division; the civil date of the day comes from
+    Hinnant's days-to-civil algorithm ("chrono-Compatible Low-Level Date
+    Algorithms"), which counts in 400-year eras of the proleptic Gregorian
+    calendar from 0000-03-01, so it holds for negative days too.
     """
     values = col.values
     mask = np.isnan(values)
-    safe = np.where(mask, 0.0, values).astype(np.int64)
-    dt64 = safe.astype("datetime64[s]")
-    years = dt64.astype("datetime64[Y]")
-    months = dt64.astype("datetime64[M]")
-    days = dt64.astype("datetime64[D]")
+    days, second = np.divmod(np.where(mask, 0.0, values).astype(np.int64), 86400)
+    era, day_of_era = np.divmod(days + 719468, 146097)  # 719468: 0000-03-01 to 1970-01-01
+    year_of_era = (day_of_era - day_of_era // 1460 + day_of_era // 36524
+                   - day_of_era // 146096) // 365
+    day_of_year = day_of_era - (365 * year_of_era + year_of_era // 4 - year_of_era // 100)
+    shifted = (5 * day_of_year + 2) // 153  # months from March
+    month = np.where(shifted < 10, shifted + 3, shifted - 9)
     part_values = {
-        "year": years.astype(np.int64) + 1970,
-        "month": months.astype(np.int64) % 12 + 1,
-        "day": (days - months).astype(np.int64) + 1,
-        "weekday": (days.astype(np.int64) + 3) % 7,
-        "hour": (dt64 - days).astype("timedelta64[h]").astype(np.int64),
+        "year": year_of_era + era * 400 + (month <= 2),
+        "month": month,
+        "day": day_of_year - (153 * shifted + 2) // 5 + 1,
+        "weekday": (days + 3) % 7,
+        "hour": second // 3600,
     }
     out = []
     for part in DATETIME_PARTS:
@@ -893,7 +942,7 @@ def build_dataset(raw: RawTable, target_name: str, task_kind: str,
         if hint == "drop":
             continue
         if hint == "category":
-            col, entry = _category_column(name, cells), {"kind": "category"}
+            col, entry = _category_column(name, _Text.of(cells)), {"kind": "category"}
         elif hint == "numeric":
             text = _Text.of(cells)
             parsed = _try_int(text) or _try_float(text)

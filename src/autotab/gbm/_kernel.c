@@ -5,8 +5,10 @@
  * prediction of a whole forest of either flavour (leaf_route), the positive
  * rank sum of metrics.py's ROC AUC, rank_concordance, which counts the
  * pairs of encoders.py's Normalized Gini from ranks, in one pass with no
- * comparison sort, and parse_numbers, which reads a column of decimal
- * numbers from a CSV file's bytes for data.py.
+ * comparison sort, and two readers of a CSV file's bytes for data.py:
+ * parse_numbers, which reads a column of decimal numbers, and code_cells,
+ * which gives each cell of a text category column the id of its distinct
+ * bytes.
  *
  * Every loop repeats the float order of the numpy kernel it replaced (kept in
  * tests/oracles.py), so trees are bit-identical to it:
@@ -701,8 +703,9 @@ void add_scores(double *raw, int64_t stride, int64_t c, const int64_t *order,
  * first, left child first: the rows with x <= threshold go left and the rest
  * (NaN among them) right, and a node no row reaches sends none further. A
  * node's rows stay ascending, so its column is read front to back. Every
- * row's score is the same left fold over the trees as numpy's
- * `raw += tree.predict_raw(X)`, so the sums are its bits.
+ * row's score is the same left fold over the trees as route_forest's numpy
+ * loop, which adds `route`'s leaf values tree by tree, so the sums are its
+ * bits.
  *
  * The node arrays are trusted, so trees.route_forest checks them first:
  * every internal node's feature is below the column count and both its
@@ -978,4 +981,81 @@ int64_t parse_numbers(const uint8_t *data, const int64_t *starts, const int64_t 
         }
     }
     return integral;
+}
+
+#define FIRST_SLOTS 64 /* slots of code_cells' first table; a power of two */
+
+typedef struct {
+    uint64_t hash;
+    int64_t id; /* -1 marks an empty slot */
+} Slot;
+
+static Slot *empty_slots(int64_t size)
+{
+    Slot *table = alloc(size, sizeof(Slot));
+    for (int64_t s = 0; table && s < size; s++)
+        table[s].id = -1;
+    return table;
+}
+
+/* The distinct cells of data.py's category coder: cell i is
+ * data[starts[i]:ends[i]]. codes[i] is the id of cell i's bytes, ids
+ * counting from 0 in order of first appearance, and first[id] is the
+ * position of the first cell with that id. Returns the number of ids, or
+ * NO_MEMORY.
+ *
+ * An open-addressing table of (hash, id) slots, probed linearly from the
+ * FNV-1a hash of a cell's bytes, finds each cell's id: a slot matches when
+ * its hash, the length and the bytes (memcmp against the id's first cell)
+ * are equal, so a colliding hash costs a probe and never a wrong id. The
+ * table starts at FIRST_SLOTS slots and doubles whenever half of them are
+ * taken, so its size follows the number of ids, not of cells. */
+int64_t code_cells(const uint8_t *data, const int64_t *starts, const int64_t *ends, int64_t n,
+                   int32_t *codes, int64_t *first)
+{
+    int64_t size = FIRST_SLOTS, k = 0;
+    Slot *table = empty_slots(size);
+    if (!table)
+        return NO_MEMORY;
+    for (int64_t i = 0; i < n; i++) {
+        const uint8_t *p = data + starts[i];
+        int64_t len = ends[i] - starts[i], s;
+        uint64_t h = 14695981039346656037ULL;
+        for (int64_t b = 0; b < len; b++)
+            h = (h ^ p[b]) * 1099511628211ULL;
+        for (s = (int64_t)(h & (uint64_t)(size - 1)); table[s].id >= 0; s = (s + 1) & (size - 1)) {
+            int64_t j = first[table[s].id];
+            if (table[s].hash == h && ends[j] - starts[j] == len
+                && memcmp(data + starts[j], p, (size_t)len) == 0)
+                break;
+        }
+        if (table[s].id >= 0) {
+            codes[i] = (int32_t)table[s].id;
+            continue;
+        }
+        codes[i] = (int32_t)k;
+        first[k] = i;
+        table[s].hash = h;
+        table[s].id = k++;
+        if (2 * k < size)
+            continue;
+        Slot *grown = empty_slots(2 * size); /* every id again, in a table twice the size */
+        if (!grown) {
+            free(table);
+            return NO_MEMORY;
+        }
+        for (int64_t t = 0; t < size; t++) {
+            if (table[t].id < 0)
+                continue;
+            int64_t u = (int64_t)(table[t].hash & (uint64_t)(2 * size - 1));
+            while (grown[u].id >= 0)
+                u = (u + 1) & (2 * size - 1);
+            grown[u] = table[t];
+        }
+        free(table);
+        table = grown;
+        size *= 2;
+    }
+    free(table);
+    return k;
 }

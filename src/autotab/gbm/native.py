@@ -14,10 +14,12 @@ against a many-valued target (auto-typing and encoder selection for
 regression) counts its pairs there from ranks (`encoders.rank_gini`).
 Prediction and ingest use it where they can, when `optional_kernel()`
 loads the library: a forest of either flavour is routed in one call
-(`trees.route_forest`), and a column of decimal numbers is read from the
-CSV file's bytes in one call (`data._Text.floats`, for `build_dataset` and
-the re-parse at prediction); on a host where it cannot be built, numpy
-routes and Python's `float` and `int` convert, to the same bits. One module
+(`trees.route_forest`), a column of decimal numbers is read from the
+CSV file's bytes in one call (`data._Text.floats`) and a text category
+column is coded from the same bytes in one call (`code_cells`, for
+`data._category_column`), both for `build_dataset` and the re-parse at
+prediction; on a host where it cannot be built, numpy routes, Python's
+`float` and `int` convert and a dict codes, to the same bits. One module
 lock serializes the build and the load, so threads that need the kernel at
 once compile it once.
 """
@@ -60,6 +62,7 @@ SIGNATURES = {  # name -> (restype, argtypes), as declared in _kernel.c
     "positive_rank_sum": (_D, [_P, _P, _I, _P]),
     "rank_concordance": (_I, [_P, _P, _I, _I, _I, _P, _P]),
     "parse_numbers": (_I, [_P, _P, _P, _I, _P, _P]),
+    "code_cells": (_I, [_P, _P, _P, _I, _P, _P]),
 }
 _LOCK = threading.RLock()  # held by build() and kernel(), which calls build()
 

@@ -232,7 +232,7 @@ class LinearView:
     target_maps: dict[str, TargetMeanMap] = field(default_factory=dict)
     source_order: list[str] = field(default_factory=list)
     _std_cols: list[int] = field(default_factory=list)
-    _fitted = None  # (dataset, raw matrix) from fit, until train_matrix takes it
+    _fitted = None  # (dataset, its matrix) from fit, until train_matrix takes it
 
     def fit(self, dataset: Dataset, selected: list[str] | None = None) -> "LinearView":
         names = selected if selected is not None else dataset.feature_names()
@@ -265,26 +265,28 @@ class LinearView:
                 self._std_cols.extend(range(col_idx, col_idx + len(te_names)))
                 col_idx += len(te_names)
         # standardization statistics come from the inference-style encoding;
-        # the next train_matrix on this dataset reuses the matrix and encodes
-        # only its target-mapped columns again, out of fold
-        X = self._raw_matrix(dataset, None)
-        cols = np.asarray(self._std_cols, dtype=np.int64)
-        self.means = X[:, cols].mean(axis=0) if cols.size else np.empty(0)
-        stds = X[:, cols].std(axis=0) if cols.size else np.empty(0)
+        # the next train_matrix on this dataset reuses the matrix, standardized,
+        # and encodes only its target-mapped columns again, out of fold
+        X = self._matrix(dataset, None)
+        raw = X[:, self._std_cols]
+        self.means = raw.mean(axis=0)
+        stds = raw.std(axis=0)
         self.stds = np.where(stds < 1e-12, 1.0, stds)
+        X[:, self._std_cols] = (raw - self.means) / self.stds
         self._fitted = (dataset, X)
         return self
 
-    def _raw_matrix(self, dataset: Dataset, folds: FoldAssignment | None,
-                    out: np.ndarray | None = None) -> np.ndarray:
-        """The unstandardized matrix. Target-mapped columns are encoded out of
-        fold under `folds` and with the full maps when it is None. Given
-        `out`, this view's matrix of the same dataset, only its target-mapped
-        columns are written."""
+    def _matrix(self, dataset: Dataset, folds: FoldAssignment | None,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """The C-ordered model matrix, each standardized column written as
+        (x - mean) / std once `fit` has set the statistics (before, as x).
+        Target-mapped columns are encoded out of fold under `folds` and with
+        the full maps when it is None. Given `out`, this view's matrix of the
+        same dataset, only its target-mapped columns are written."""
         fill_all = out is None
         if fill_all:
             out = np.zeros((dataset.n_rows, len(self.feature_names)))
-        col_idx = 0
+        col_idx = std = 0  # std: standardized columns written so far
         for name in self.source_order:
             values = dataset.columns[name].values
             if name in self.target_maps:
@@ -292,8 +294,9 @@ class LinearView:
                     enc = self.target_maps[name].apply(values)
                 else:
                     enc = _oof_encoded(values, dataset, folds)
-                out[:, col_idx: col_idx + enc.shape[1]] = enc
+                out[:, col_idx: col_idx + enc.shape[1]] = self._standardized(enc, std)
                 col_idx += enc.shape[1]
+                std += enc.shape[1]
             elif name in self.onehot:
                 card = self.onehot[name]
                 if fill_all:
@@ -303,26 +306,30 @@ class LinearView:
             else:
                 if fill_all:
                     mask = np.isnan(values)
-                    out[:, col_idx] = np.where(mask, self.medians[name], values)
+                    out[:, col_idx] = self._standardized(
+                        np.where(mask, self.medians[name], values), std)
                     if name in self.with_indicator:
                         out[:, col_idx + 1] = mask.astype(np.float64)
                 col_idx += 1 + (name in self.with_indicator)
+                std += 1
         return out
 
-    def _standardize(self, X: np.ndarray) -> np.ndarray:
-        cols = np.asarray(self._std_cols, dtype=np.int64)
-        if cols.size:
-            X[:, cols] = (X[:, cols] - self.means) / self.stds
-        return X
+    def _standardized(self, x: np.ndarray, first: int) -> np.ndarray:
+        """x, one column or a block, as standardized columns first, first + 1,
+        ...; x itself until `fit` has set the statistics."""
+        if self.means is None:
+            return x
+        last = first + (1 if x.ndim == 1 else x.shape[1])
+        return (x - self.means[first:last]) / self.stds[first:last]
 
     def train_matrix(self, dataset: Dataset, folds: FoldAssignment) -> np.ndarray:
         fitted, self._fitted = self._fitted, None
         if fitted is not None and fitted[0] is dataset:
-            return self._standardize(self._raw_matrix(dataset, folds, out=fitted[1]))
-        return self._standardize(self._raw_matrix(dataset, folds))
+            return self._matrix(dataset, folds, out=fitted[1])
+        return self._matrix(dataset, folds)
 
     def transform(self, dataset: Dataset) -> np.ndarray:
-        return self._standardize(self._raw_matrix(dataset, None))
+        return self._matrix(dataset, None)
 
 
 @dataclass

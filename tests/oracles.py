@@ -11,8 +11,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from autotab.data import (DATETIME_FORMATS, DATETIME_PARSE_THRESHOLD, EPOCH_FORMAT,
-                          EPOCH_RANGE, MISSING_TOKENS, Column, RawTable,
+from autotab.data import (DATETIME_FORMATS, DATETIME_PARSE_THRESHOLD, DATETIME_PARTS,
+                          EPOCH_FORMAT, EPOCH_RANGE, MISSING_TOKENS, Column, RawTable,
                           _epoch_int_to_datetime)
 from autotab.encoders import quantile_edges
 from autotab.errors import DataError
@@ -280,6 +280,12 @@ def cascade_try_datetime(cells):
 
 
 def cascade_category_column(name, cells):
+    """A dict over the `str` cells; refuses the first cell ending in U+0000,
+    which numpy's strings would drop from the dictionary."""
+    for i, c in enumerate(cells):
+        if c is not None and c.endswith("\x00"):
+            raise DataError(f"column {name!r} holds {c!r} at row {i + 1}, "
+                            "and a category cannot end in U+0000")
     seen = sorted({c for c in cells if c is not None})
     dictionary = np.array(seen, dtype=str)
     lookup = {v: i for i, v in enumerate(seen)}
@@ -341,6 +347,31 @@ def cascade_parse_with_schema(name, cells, entry):
         epochs, _ = cascade_parse_datetime_format(cells, fmt)
         return Column(name, "datetime", epochs)
     return cascade_category_column(name, cells)
+
+
+def expand_datetime_datetime64(col: Column) -> list[Column]:
+    """The calendar parts of `data.expand_datetime` by numpy's datetime64
+    unit casts, which floor to the unit: years, months and days since 1970,
+    and the hours between the second and its day."""
+    values = col.values
+    mask = np.isnan(values)
+    dt64 = np.where(mask, 0.0, values).astype(np.int64).astype("datetime64[s]")
+    years = dt64.astype("datetime64[Y]")
+    months = dt64.astype("datetime64[M]")
+    days = dt64.astype("datetime64[D]")
+    part_values = {
+        "year": years.astype(np.int64) + 1970,
+        "month": months.astype(np.int64) % 12 + 1,
+        "day": (days - months).astype(np.int64) + 1,
+        "weekday": (days.astype(np.int64) + 3) % 7,
+        "hour": (dt64 - days).astype("timedelta64[h]").astype(np.int64),
+    }
+    out = []
+    for part in DATETIME_PARTS:
+        arr = part_values[part].astype(np.float64)
+        arr[mask] = np.nan
+        out.append(Column(f"{col.name}__{part}", "numeric", arr))
+    return out
 
 
 def sigmoid_masked(z: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from autotab.cli import main
+from autotab.cli import _build_preset_config, main
+from autotab.errors import ConfigError
 
 from conftest import write_csv
 
@@ -83,6 +85,25 @@ class TestFit:
         assert code == 3
         key = next(iter(cfg))
         assert (key if key != "cv" else f"cv.{next(iter(cfg['cv']))}") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg", [
+        {"budget_seconds": True}, {"budget_seconds": "60"},
+        {"cv": {"kind": "holdout", "holdout_fraction": "0.3"}},
+        {"cv": {"kind": "holdout", "holdout_fraction": False}},
+    ], ids=["budget_seconds-bool", "budget_seconds-str", "cv.holdout_fraction-str",
+            "cv.holdout_fraction-bool"])
+    def test_preset_config_refuses_a_number_that_is_not_one(self, cfg):
+        # float() would build a 1.0 s budget of true and a 0.3 fraction of "0.3"
+        key = next(iter(cfg))
+        key = key if key != "cv" else "cv.holdout_fraction"
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            _build_preset_config(cfg, None, None)
+
+    def test_preset_config_takes_json_numbers(self):
+        config = _build_preset_config(
+            {"budget_seconds": 60, "cv": {"kind": "holdout", "holdout_fraction": 0.3}},
+            None, None)
+        assert config.budget_seconds == 60.0 and config.cv.holdout_fraction == 0.3
 
     def test_flags_override_config(self, binary_csv, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -284,6 +284,33 @@ class TestCategoryRecode:
         assert not ds2.columns["f0"].from_float_literals
 
 
+class TestCategoryEndingInNul:
+    """numpy's strings drop a trailing U+0000, so `a` and `a\\x00` would be
+    two equal dictionary entries: fitting and predicting both refuse such a
+    cell, from a split file (plain) and from `csv.reader` (quoted)."""
+
+    @staticmethod
+    def write(path, cells, quote):
+        q = '"' if quote else ""
+        path.write_text("c,y\n" + "".join(f"{q}{c}{q},{i % 2}\n" for i, c in enumerate(cells)),
+                        encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("quote", [False, True], ids=["plain", "quoted"])
+    def test_fit_refuses_it(self, tmp_path, quote):
+        path = self.write(tmp_path / "train.csv", ["a", "a", "a\x00", "b", "a\x00", "b"], quote)
+        with pytest.raises(DataError, match=r"column 'c' holds 'a\\x00' at row 3"):
+            build_dataset(read_csv(path, "y"), "y", "binary")
+
+    @pytest.mark.parametrize("quote", [False, True], ids=["plain", "quoted"])
+    def test_predict_refuses_it(self, tmp_path, quote):
+        train = self.write(tmp_path / "train.csv", ["a", "b", "a", "b"], quote)
+        ds = build_dataset(read_csv(train, "y"), "y", "binary")
+        test = self.write(tmp_path / "test.csv", ["b", "a\x00"], quote)
+        with pytest.raises(DataError, match=r"column 'c' holds 'a\\x00' at row 2"):
+            dataset_from_raw_with_schema(read_csv(test), ds)
+
+
 class TestDatetimePartAsCategory:
     def test_predict_from_csv_rebuilds_category_typed_part(self):
         # Auto-typing turns `when__month` into a category; predicting from raw

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from autotab import predict_automl, read_csv
 from autotab.artifact import save_model
-from autotab.data import dataset_from_arrays
+from autotab.data import dataset_from_arrays, parse_column
 from autotab.encoders import _rank_concordance, dense_ranks
 from autotab.errors import DataError
 from autotab.gbm import GBMEstimator, native
@@ -91,7 +91,7 @@ def test_every_kernel_call_passes_its_declared_arguments():
     call that kept an argument the kernel dropped would run on: each kernel
     call in src passes exactly len(argtypes) arguments."""
     calls = _kernel_calls()
-    assert ({"leaf_grow", "obl_grow", "leaf_route", "parse_numbers"}
+    assert ({"leaf_grow", "obl_grow", "leaf_route", "parse_numbers", "code_cells"}
             <= {name for name, _, _ in calls})
     for name, n_args, place in calls:
         assert n_args == len(native.SIGNATURES[name][1]), (name, n_args, place)
@@ -213,7 +213,8 @@ def test_missing_compiler_raises(tmp_path):
 def test_inference_needs_no_compiler(tmp_path):
     """A host without `cc` loads a model and predicts: no process starts,
     the forests of both GBM flavours route in numpy, the numbers are read in
-    Python, and the predictions are the in-process kernel's bit for bit."""
+    Python, and the predictions are the in-process kernel's bit for bit. A
+    text category is coded by a dict there, to the kernel's codes."""
     X, y = make_binary(300, 4, 3, seed=3)
     ds = dataset_from_arrays(X, y, "binary")
     model = fit_preset(ds, PresetConfig(budget_seconds=20.0, tuning_enabled=False,
@@ -228,8 +229,10 @@ def test_inference_needs_no_compiler(tmp_path):
     # Python reads: the kernel's numbers and Python's must agree on all
     rows[0][0], rows[1][1], rows[2][2], rows[3][3] = "NA", " 0.5 ", "0.12345678901234567", "1_0"
     csv = write_csv(tmp_path / "rows.csv", ds.feature_names(), rows)
+    levels = write_csv(tmp_path / "levels.csv", ["c"], [["ab"], ["é"], ["a"], ["ab"], ["NA"]])
     assert native.optional_kernel() is not None
     expected = predict_automl(model, read_csv(csv))
+    coded = parse_column("c", read_csv(levels).cells("c"))[0]
     out_path = str(tmp_path / "pred.npy")
     no_cc = tmp_path / "empty-bin"
     no_cc.mkdir()
@@ -242,9 +245,13 @@ def test_inference_needs_no_compiler(tmp_path):
         "from autotab import predict_automl, read_csv\n"
         "from autotab.artifact import load_model\n"
         "from autotab.gbm import native\n"
+        "from autotab.data import parse_column\n"
         f"pred = predict_automl(load_model({model_path!r}), read_csv({csv!r}))\n"
+        f"coded = parse_column('c', read_csv({levels!r}).cells('c'))[0]\n"
         "assert native.optional_kernel() is None\n"
         f"np.save({out_path!r}, pred)\n"
+        f"np.save({out_path + '.codes.npy'!r}, coded.values)\n"
+        f"np.save({out_path + '.dictionary.npy'!r}, coded.dictionary)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC), PATH=str(no_cc))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
@@ -252,6 +259,8 @@ def test_inference_needs_no_compiler(tmp_path):
     pred = np.load(out_path)
     assert pred.dtype == expected.dtype and pred.shape == expected.shape == (50,)
     assert pred.tobytes() == expected.tobytes()
+    assert np.load(out_path + ".codes.npy").tolist() == coded.values.tolist() == [1, 2, 0, 1, -1]
+    assert np.load(out_path + ".dictionary.npy").tolist() == coded.dictionary.tolist()
 
 
 # Cells that take parse_numbers to the ends of its accumulators
@@ -262,8 +271,9 @@ UBSAN_CELLS = ("9" * 400, "1e" + "9" * 30, "1e-" + "9" * 30, "0." + "0" * 400 + 
 
 def test_kernel_has_no_undefined_behaviour(tmp_path):
     """The kernel built with UBSan, which aborts at a signed overflow, a bad
-    shift or another undefined operation, reads the edge cells and grows a
-    tree of each flavour."""
+    shift or another undefined operation, reads the edge cells, codes them
+    with enough other levels that its table grows, and grows a tree of each
+    flavour."""
     lib = tmp_path / "kernel-ubsan.so"
     out = subprocess.run([*native.COMPILER, *native.FLAGS, "-fsanitize=undefined",
                           "-fno-sanitize-recover=all", "-o", str(lib), str(native.SOURCE), "-lm"],
@@ -277,11 +287,13 @@ def test_kernel_has_no_undefined_behaviour(tmp_path):
         "    getattr(lib, name).restype, getattr(lib, name).argtypes = restype, argtypes\n"
         "native.kernel = lambda hold_gil=False: lib\n"
         "native.optional_kernel = lambda: lib\n"
-        "from autotab.data import _Text\n"
+        "from autotab.data import _category_column, _Text\n"
         f"cells = {UBSAN_CELLS!r}\n"
         "for column in [cells[:-4]] + [(c,) for c in cells]:\n"
         "    text = _Text.of(column)\n"
         "    assert (text.numbers is None) == any(c in column for c in cells[-4:])\n"
+        "levels = cells + tuple(f'k{i}' for i in range(300)) + cells\n"
+        "assert len(_category_column('c', _Text.of(levels)).dictionary) == len(cells) + 300\n"
         "import numpy as np\n"
         "from autotab.gbm import GBMParams, fit_booster\n"
         "X = np.random.default_rng(1).normal(size=(200, 4))\n"

@@ -11,8 +11,14 @@ Python as on a host without a compiler, and both must give the cascade's
 bits; a column of decimal literals drawn around the edges of the kernel's
 exact range checks its values against `float` and `int` directly. Columns
 written to a CSV file parse from the file's bytes as from their text.
+
+Text categories are coded as the oracle's dict codes them, through the
+kernel's `code_cells` and without it, from text cells and from a file's
+bytes or its `csv.reader` cells. The datetime parts of integer calendar
+arithmetic are those of numpy's datetime64 casts, bit for bit.
 """
 
+import csv
 import math
 import re
 from contextlib import contextmanager
@@ -23,14 +29,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from autotab.data import (DATETIME_FORMATS, DATETIME_PARSE_THRESHOLD, EPOCH_FORMAT, _FileColumn,
-                          _finite_floats, _Text, _failure_budget, _try_datetime, _try_float,
-                          _try_int, parse_column, parse_with_schema, read_csv)
+from autotab.data import (DATETIME_FORMATS, DATETIME_PARSE_THRESHOLD, EPOCH_FORMAT, Column,
+                          _FileColumn, _category_column, _finite_floats, _Text, _failure_budget,
+                          _try_datetime, _try_float, _try_int, expand_datetime, parse_column,
+                          parse_with_schema, read_csv)
 from autotab.errors import DataError
 from autotab.gbm import native
 
-from oracles import (cascade_parse_column, cascade_parse_with_schema, cascade_try_datetime,
-                     cascade_try_float, cascade_try_int)
+from oracles import (cascade_category_column, cascade_parse_column, cascade_parse_with_schema,
+                     cascade_try_datetime, cascade_try_float, cascade_try_int,
+                     expand_datetime_datetime64)
 
 FOREIGN_DIGITS = ("٠١٢٣٤٥٦٧٨٩",
                   "０１２３４５６７８９")
@@ -184,11 +192,27 @@ def number_parser(request):
     return request.param
 
 
-def check_parse_column(cells):
-    want = cascade_parse_column("c", cells)
-    got = parse_column("c", cells)
+def assert_same_outcome(got, want, compare=assert_same_column):
+    """`got()` gives what `want()` gives, by `compare`, or refuses with the
+    DataError and the message that `want()` refuses with."""
+    try:
+        expected = want()
+    except DataError as exc:
+        with pytest.raises(DataError) as refused:
+            got()
+        assert str(refused.value) == str(exc)
+        return
+    compare(got(), expected)
+
+
+def assert_same_typed(got, want):
     assert_same_column(got[0], want[0])
     assert got[1] == want[1]
+
+
+def check_parse_column(cells):
+    assert_same_outcome(lambda: parse_column("c", cells), lambda: cascade_parse_column("c", cells),
+                        assert_same_typed)
 
 
 @given(columns)
@@ -211,14 +235,8 @@ def test_try_datetime_matches_cascade(cells):
 def check_parse_with_schema(cells, entry):
     """The recipe parses as the cascade does, and refuses with its message
     the same cell the cascade refuses."""
-    try:
-        want = cascade_parse_with_schema("c", cells, entry)
-    except DataError as exc:
-        with pytest.raises(DataError) as got:
-            parse_with_schema("c", cells, entry)
-        assert str(got.value) == str(exc)
-        return
-    assert_same_column(parse_with_schema("c", cells, entry), want)
+    assert_same_outcome(lambda: parse_with_schema("c", cells, entry),
+                        lambda: cascade_parse_with_schema("c", cells, entry))
 
 
 @given(columns, st.sampled_from(SCHEMA_ENTRIES))
@@ -253,18 +271,11 @@ def test_file_columns_parse_as_their_text_cells(number_parser, csv_path, cols):
         raw = read_csv(str(csv_path))
         for name in raw.column_names:
             assert isinstance(raw.cells(name), _FileColumn)
-            got, want = parse_column(name, raw.cells(name)), parse_column(name, raw.column(name))
-            assert_same_column(got[0], want[0])
-            assert got[1] == want[1]
+            assert_same_outcome(lambda: parse_column(name, raw.cells(name)),
+                                lambda: parse_column(name, raw.column(name)), assert_same_typed)
             for entry in SCHEMA_ENTRIES:
-                try:
-                    want = parse_with_schema(name, raw.column(name), entry)
-                except DataError as exc:
-                    with pytest.raises(DataError) as got:
-                        parse_with_schema(name, raw.cells(name), entry)
-                    assert str(got.value) == str(exc)
-                    continue
-                assert_same_column(parse_with_schema(name, raw.cells(name), entry), want)
+                assert_same_outcome(lambda: parse_with_schema(name, raw.cells(name), entry),
+                                    lambda: parse_with_schema(name, raw.column(name), entry))
 
 
 @given(st.sampled_from(DATETIME_FORMATS), st.integers(100, 300), st.integers(-2, 2),
@@ -379,3 +390,87 @@ def test_number_steps_match_float_and_int(number_parser, cells):
             read[flagged] = False
             want = np.array([float(c) for c in text.unstripped])
             assert values[read].tobytes() == want[read].tobytes()
+
+
+# Category cells: prefixes of one another, non-ASCII ones, "é" composed and
+# decomposed, empty and blank text, commas and quotes, and more distinct
+# values than code_cells' first table has slots, so that it grows.
+category_text = st.one_of(
+    st.sampled_from(["a", "ab", "abc", "b", "é", "é", "ß", "日本", "🙂", "", " ", " a",
+                     "a,b", 'say "hi"', "NA"]),
+    st.integers(0, 400).map(lambda i: f"k{i}"),
+    st.text(max_size=6))
+category_columns = st.lists(category_text | st.none(), max_size=200).map(tuple)
+CATEGORY_CASES = {
+    "grows": tuple(f"level{i % 700:03d}" for i in range(2000)),
+    "prefixes": ("abc", "a", "ab", "abc", None, "ab", "a"),
+    "non-ascii": ("é", "é", "é", "日本", "日", "ß", "ss", "é"),
+    "one-cell": ("only",),
+    "all-missing": (None, None, None),
+    "empty": (),
+    "nul-inside": ("a\x00b", "a", "b"),
+    "nul-at-the-end": ("a", "b", "a\x00", "a"),
+}
+
+
+def check_category_column(cells):
+    assert_same_outcome(lambda: _category_column("c", _Text.of(cells)),
+                        lambda: cascade_category_column("c", cells))
+
+
+@pytest.mark.parametrize("cells", CATEGORY_CASES.values(), ids=CATEGORY_CASES.keys())
+def test_category_cases_match_the_oracle(number_parser, cells):
+    with numbers_read_by(number_parser):
+        check_category_column(cells)
+
+
+@given(category_columns)
+def test_category_column_matches_the_oracle(cells):
+    with numbers_read_by("kernel"):
+        check_category_column(cells)
+
+
+@given(category_columns)
+def test_category_column_matches_the_oracle_without_kernel(cells):
+    with numbers_read_by("python"):
+        check_category_column(cells)
+
+
+@pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL], ids=["minimal", "all"])
+@given(st.lists(category_text, min_size=1, max_size=120))
+def test_category_column_of_a_file_matches_the_oracle(number_parser, csv_path, quoting, cells):
+    """A category read by `read_csv`, split from the file's bytes or as
+    `str` cells from `csv.reader` (every cell quoted), codes as the oracle
+    codes its text cells."""
+    cells = [c.translate({ord(ch): None for ch in "\r\n"}) for c in cells]
+    with numbers_read_by(number_parser):
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, quoting=quoting, lineterminator="\n")
+            writer.writerow(["c", "n"])
+            writer.writerows([c, i] for i, c in enumerate(cells))
+        raw = read_csv(str(csv_path))
+        if quoting == csv.QUOTE_ALL:
+            assert not isinstance(raw.cells("c"), _FileColumn)
+        assert_same_outcome(lambda: _category_column("c", _Text.of(raw.cells("c"))),
+                            lambda: cascade_category_column("c", raw.column("c")))
+
+
+DAY_RANGE = (-719162, 2932896)  # 0001-01-01 and 9999-12-31, in days from 1970-01-01
+epoch_seconds = st.one_of(
+    st.integers(DAY_RANGE[0] * 86400, DAY_RANGE[1] * 86400 + 86399),
+    st.tuples(st.integers(*DAY_RANGE), st.integers(0, 24), st.integers(-2, 2)).map(
+        lambda t: t[0] * 86400 + t[1] * 3600 + t[2]),  # at and around whole hours
+    st.sampled_from([0, -1, 1, 3599, 3600, 86399, 86400, -86400, -86401, 951782400,
+                     -2203891200]),  # 2000-03-01 and 1900-03-01
+).map(float) | st.floats(DAY_RANGE[0] * 86400.0, DAY_RANGE[1] * 86400.0)
+
+
+@given(st.lists(epoch_seconds | st.none(), max_size=60))
+def test_expand_datetime_matches_datetime64(epochs):
+    """Every calendar part by integer arithmetic is the part numpy's
+    datetime64 casts give, bit for bit, NaN rows included."""
+    col = Column("d", "datetime", np.array([np.nan if v is None else v for v in epochs]))
+    got, want = expand_datetime(col), expand_datetime_datetime64(col)
+    assert [c.name for c in got] == [c.name for c in want]
+    for g, w in zip(got, want):
+        assert g.values.tobytes() == w.values.tobytes(), g.name
