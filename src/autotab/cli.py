@@ -16,15 +16,15 @@ import os
 import sys
 
 from .pipeline import PresetConfig
+from .validation import CVScheme
 
 EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_CONFIG = 3
 
-_CONFIG_KEYS = ({f.name for f in dataclasses.fields(PresetConfig)}
-                | {"train_path", "target", "out_dir", "model_path", "task"})
-_CV_KEYS = {"kind", "k", "seed", "holdout_fraction", "group_column",
-            "time_column", "fold_of_row"}
+_PRESET_KEYS = {f.name for f in dataclasses.fields(PresetConfig)}
+_CONFIG_KEYS = _PRESET_KEYS | {"train_path", "target", "out_dir", "model_path", "task"}
+_CV_KEYS = {f.name for f in dataclasses.fields(CVScheme)}
 _JSON_TYPES = {"boolean": (bool,), "integer": (int,), "number": (int, float)}
 _TYPES = {"tuning_enabled": "boolean", "use_linear": "boolean", "use_gbm_leaf": "boolean",
           "use_gbm_sym": "boolean", "seed": "integer",
@@ -93,37 +93,30 @@ def _infer_task_kind(cells) -> str:
 
 
 def _build_preset_config(cfg: dict, budget: float | None, seed_flag: int | None):
-    """The preset of a config `_load_config` read. A value of the wrong JSON
+    """The preset of a config `_load_config` read, from the keys it holds:
+    the dataclasses' defaults fill in the others. A value of the wrong JSON
     type is a ConfigError here, where the values are used."""
     from .errors import ConfigError
-    from .validation import CVScheme
 
     _check_types(cfg, _TYPES, "")
-    cv = None
+    preset = {key: cfg[key] for key in _PRESET_KEYS & cfg.keys()}
+    preset["cv"] = None
     if cfg.get("cv"):
-        c = cfg["cv"]
-        _check_types(c, _CV_TYPES, "cv.")
-        fold = c.get("fold_of_row")
-        cv = CVScheme(kind=c.get("kind", "kfold"), k=c.get("k", 5),
-                      holdout_fraction=float(c.get("holdout_fraction", 0.25)),
-                      group_column=c.get("group_column"),
-                      time_column=c.get("time_column"),
-                      seed=c.get("seed", 0),
-                      fold_of_row=tuple(fold) if fold is not None else None)
-    d = PresetConfig  # the defaults of keys the config leaves out
+        cv = dict(cfg["cv"])
+        _check_types(cv, _CV_TYPES, "cv.")
+        if "holdout_fraction" in cv:
+            cv["holdout_fraction"] = float(cv["holdout_fraction"])
+        if cv.get("fold_of_row") is not None:
+            cv["fold_of_row"] = tuple(cv["fold_of_row"])
+        preset["cv"] = CVScheme(**cv)
+    if budget is not None:
+        preset["budget_seconds"] = budget
+    if seed_flag is not None:
+        preset["seed"] = seed_flag
     try:
-        return PresetConfig(
-            cv=cv,
-            selection_strategy=cfg.get("selection_strategy", d.selection_strategy),
-            stack_policy=cfg.get("stack_policy", d.stack_policy),
-            tuning_enabled=cfg.get("tuning_enabled", d.tuning_enabled),
-            budget_seconds=float(budget if budget is not None
-                                 else cfg.get("budget_seconds", d.budget_seconds)),
-            seed=seed_flag if seed_flag is not None else cfg.get("seed", d.seed),
-            use_linear=cfg.get("use_linear", d.use_linear),
-            use_gbm_leaf=cfg.get("use_gbm_leaf", d.use_gbm_leaf),
-            use_gbm_sym=cfg.get("use_gbm_sym", d.use_gbm_sym),
-            metric=cfg.get("metric", d.metric))
+        if "budget_seconds" in preset:
+            preset["budget_seconds"] = float(preset["budget_seconds"])
+        return PresetConfig(**preset)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
 

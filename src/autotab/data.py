@@ -9,20 +9,24 @@ and last byte) finds the missing tokens, and only cells with whitespace or
 non-ASCII bytes at an edge are decoded for the exact test. Every other file
 goes through `csv.reader` row by row, and both give the same table.
 
-Each column is typed as a whole: integer, float, datetime (fixed format
-list), then category. Numbers are read from the cells' bytes by the
-compiled kernel's `parse_numbers` (Clinger's exact fast path, so the bits
-are Python's `float`), and the few cells outside its exact range by `float`
-or `int`; a column with a cell outside its grammar (padding, `1_000`,
-`inf`, other digits), or a host without a compiler, converts every cell in
-Python to the same bits. A column's `str` cells are made only when needed:
-for a category's distinct values, for a column the kernel cannot read and
-for date cells that need `strptime`, and they are stripped at most once. A
-datetime format is given up as soon as more cells fail than the 99%
-threshold allows, so a text column costs a few dozen trial parses per
-format, not one per cell. Cells written in a format's zero-padded ASCII layout are parsed
-together from their bytes with numpy; every other cell falls back to
-`strptime`, so each cell gets the value a per-cell `strptime` would give.
+Each column is typed as a whole by `parse_column`: integer, float,
+datetime (fixed format list), then category, or only the kind a role hint
+names. Whether a column's cells are finite numbers, their values and
+whether `int` reads them all are decided once, by `_Text.numbers`, for
+typing, for the numeric and epoch recipes and for a regression target. It
+reads the cells' bytes with the compiled kernel's `parse_numbers` in one
+pass (Clinger's exact fast path, so the bits are Python's `float`), and
+the few cells outside its exact range with `float` and `int`; a column with
+a cell outside its grammar (padding, `1_000`, `inf`, other digits), or a
+host without a compiler, is converted in Python to the same bits. A
+column's `str` cells are made only when needed: for a category's distinct
+values, for a column the kernel cannot read and for date cells that need
+`strptime`, and they are stripped at most once. A datetime format is given
+up as soon as more cells fail than the 99% threshold allows, so a text
+column costs a few dozen trial parses per format, not one per cell. Cells
+written in a format's zero-padded ASCII layout are parsed together from
+their bytes with numpy; every other cell falls back to `strptime`, so each
+cell gets the value a per-cell `strptime` would give.
 Category codes come from one sorted dictionary per column: the kernel's
 `code_cells` gives each cell the id of its bytes, and only the distinct
 values become `str` to be sorted. Constant columns are dropped. Datetime
@@ -47,6 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .encoders import lookup_sorted
 from .errors import DataError
 from .gbm import native
 from .metrics import MetricSpec, default_metric
@@ -72,8 +77,9 @@ DATETIME_PARSE_THRESHOLD = 0.99
 
 DATETIME_PARTS = ("year", "month", "day", "weekday", "hour")
 
-# Conventional default fold count: the preset's CV schemes, its typing folds
-# and the small-class warning at build time (make_folds does the fallback).
+# Conventional default fold count: the preset's CV schemes, its typing folds,
+# the learners' target-encoding folds where the CV scheme has none and the
+# small-class warning at build time (make_folds does the fallback).
 DEFAULT_K = 5
 
 
@@ -440,11 +446,12 @@ class _Text:
 
     A column of a file `read_csv` split keeps the file's bytes and its
     cells' byte offsets (`bytes`), and its `str` cells (`unstripped`, and
-    `cells` stripped) are made only when asked for: to convert a column the
-    kernel cannot read, for a category's distinct values (`pick`), or for a
-    date cell that needs `strptime`. Text cells given as `str` are encoded
-    once, the first time `bytes` is asked for. Cells are stripped only when
-    needed.
+    `cells` stripped) are made only when asked for: to read the numbers of
+    a column the kernel cannot read, for a category's distinct values
+    (`pick`), or for a date cell that needs `strptime`. Text cells given as
+    `str` are encoded once, the first time `bytes` is asked for. Cells are
+    stripped only when needed. Whether the cells are numbers is decided
+    once, by `numbers`, for typing and for every recipe that reads numbers.
     """
 
     def __init__(self, present: np.ndarray, file: _FileColumn | None = None) -> None:
@@ -492,19 +499,69 @@ class _Text:
         return np.frombuffer(data, dtype=np.uint8), ends - lengths, ends
 
     @cached_property
-    def numbers(self) -> tuple[np.ndarray, np.ndarray, bool] | None:
-        """The kernel's reading of the cells (`parse_numbers` in _kernel.c):
-        their values, the positions of the cells it leaves to Python and
-        whether every cell is an integer literal. None where the kernel is
-        not loaded or a cell is outside its grammar."""
+    def numbers(self) -> tuple[np.ndarray, bool] | None:
+        """`float(cell.strip())` of every non-missing cell, and whether
+        `int(cell.strip())` reads every one; None when a cell is not a
+        finite number.
+
+        The kernel's `parse_numbers` (in _kernel.c) reads the column from
+        its bytes in one pass when every cell is in its grammar, Python's
+        `float` bit for bit, and leaves the few cells outside its exact
+        range to `float` and `int`. A column with a cell outside its
+        grammar, or any column on a host without the kernel, is read in
+        Python: `int` first, then `float` where `int` fails, so a text
+        column is refused at its first cell. `float` of a cell `int` reads
+        is its `int`, but -0.0 for a negative zero.
+        """
         lib = native.optional_kernel()
-        if lib is None:
-            return None
-        buf, starts, ends = self.bytes
-        values, flag = np.empty(len(self)), np.empty(len(self), dtype=np.uint8)
-        status = lib.parse_numbers(buf.ctypes.data, starts.ctypes.data, ends.ctypes.data,
-                                   len(self), values.ctypes.data, flag.ctypes.data)
-        return None if status < 0 else (values, np.flatnonzero(flag), status == 1)
+        if lib is not None:
+            buf, starts, ends = self.bytes
+            values, flag = np.empty(len(self)), np.empty(len(self), dtype=np.uint8)
+            status = lib.parse_numbers(buf.ctypes.data, starts.ctypes.data, ends.ctypes.data,
+                                       len(self), values.ctypes.data, flag.ctypes.data)
+            if status >= 0:
+                flagged = np.flatnonzero(flag)
+                rest = self.pick(flagged)
+                values[flagged] = _convert(float, rest, len(rest))
+                integral = status == 1 and _convert(int, rest, len(rest)) is not None
+                return (values, integral) if np.isfinite(values).all() else None
+        values = self._read(int)
+        if values is not None:
+            for i in np.flatnonzero(values == 0).tolist():
+                if self.unstripped[i].lstrip().startswith("-"):
+                    values[i] = -0.0
+            return values, True
+        values = self._read(float)
+        return (values, False) if values is not None and np.isfinite(values).all() else None
+
+    def _read(self, convert) -> np.ndarray | None:
+        """float64 of `convert(cell.strip())` for each non-missing cell, where
+        `convert` is `int` or `float`, or None where a cell does not convert.
+
+        `float` and `int` ignore all the surrounding whitespace `str.strip`
+        removes but U+001C to U+001F, so a cell that converts as read gives
+        its stripped value. Only when a cell as read fails do the stripped
+        cells decide, and they are converted only if that cell strips to
+        something else: otherwise they would fail at the same cell.
+        """
+        cells = iter(self.unstripped)
+        values = _convert(convert, cells, len(self))
+        if values is None:
+            failed = self.unstripped[len(self) - operator.length_hint(cells) - 1]
+            if failed.strip() != failed:
+                values = _convert(convert, self.cells, len(self))
+        return values
+
+    def first_non_number(self) -> tuple[int, str]:
+        """The row and the cell, as read, of the first cell that is not a
+        finite number, where `numbers` is None: looked up to name it."""
+        for row, cell in zip(np.flatnonzero(self.present).tolist(), self.unstripped):
+            try:
+                if math.isfinite(float(cell.strip())):
+                    continue
+            except ValueError:
+                pass
+            return row, cell
 
     def pick(self, positions: np.ndarray) -> list[str]:
         """The non-missing cells at `positions`, as read: a file column's
@@ -514,40 +571,6 @@ class _Text:
         buf, starts, ends = self.bytes
         return _decode_cells(buf, starts[positions], ends[positions])
 
-    def floats(self, convert) -> np.ndarray:
-        """float64 of `convert(cell.strip())` for each non-missing cell, where
-        `convert` is `int` or `float`; raises what that raises.
-
-        Where the kernel reads every cell (`numbers`), its values are
-        Python's `float` bit for bit, and `int` of an integer literal differs
-        from them only by giving +0.0 for -0.0; the cells it leaves to Python
-        are converted one by one. Otherwise every cell is converted in
-        Python. `float` and `int` ignore all the surrounding whitespace
-        `str.strip` removes but U+001C to U+001F, so a cell that converts as
-        read gives its stripped value. Only when a cell as read raises
-        `ValueError` do the stripped cells decide, and they are converted
-        only if that cell strips to something else: otherwise they would
-        raise at the same cell.
-        """
-        if self.numbers is not None:
-            values, flagged, integral = self.numbers
-            if convert is int and not integral:
-                raise ValueError("a cell is not an integer literal")
-            out = values + 0.0 if convert is int else values.copy()
-            buf, starts, ends = self.bytes
-            out[flagged] = np.fromiter(
-                (convert(buf[starts[i]:ends[i]].tobytes().decode()) for i in flagged.tolist()),
-                dtype=np.float64, count=flagged.shape[0])
-            return out
-        cells = iter(self.unstripped)
-        try:
-            return np.fromiter(map(convert, cells), dtype=np.float64, count=len(self))
-        except ValueError:
-            failed = self.unstripped[len(self) - operator.length_hint(cells) - 1]
-            if failed.strip() == failed:
-                raise
-            return np.fromiter(map(convert, self.cells), dtype=np.float64, count=len(self))
-
     def scatter(self, values: np.ndarray) -> np.ndarray:
         """Values of the non-missing cells spread over all rows, NaN elsewhere."""
         out = np.full(self.present.shape[0], np.nan)
@@ -555,41 +578,13 @@ class _Text:
         return out
 
 
-def _try_int(text: _Text) -> tuple[np.ndarray, bool] | None:
+def _convert(convert, cells, count: int) -> np.ndarray | None:
+    """float64 of `convert(cell)` for each of `count` cells, or None where one
+    raises ValueError, or OverflowError (an integer beyond float64)."""
     try:
-        values = text.floats(int)
-    except (ValueError, OverflowError):  # OverflowError: an integer beyond float64
+        return np.fromiter(map(convert, cells), dtype=np.float64, count=count)
+    except (ValueError, OverflowError):
         return None
-    return text.scatter(values), False
-
-
-def _try_float(text: _Text) -> tuple[np.ndarray, bool] | None:
-    try:
-        values = text.floats(float)
-    except ValueError:
-        return None
-    if not np.isfinite(values).all():
-        return None
-    return text.scatter(values), bool(np.any(values != np.floor(values)))
-
-
-def _finite_floats(text: _Text) -> tuple[np.ndarray | None, int | None]:
-    """The value of every row, NaN where missing, and None; or None and the
-    first row whose cell is not a finite number. The cells accepted are
-    those `build_dataset` types as numbers (`_try_int`, `_try_float`)."""
-    try:
-        values = text.floats(float)
-    except ValueError:
-        values = None
-    if values is not None and np.isfinite(values).all():
-        return text.scatter(values), None
-    for row, cell in zip(np.flatnonzero(text.present).tolist(), text.cells):
-        try:
-            if math.isfinite(float(cell)):
-                continue
-        except ValueError:
-            pass
-        return None, row
 
 
 _FIELD_WIDTHS = {"Y": 4, "m": 2, "d": 2, "H": 2, "M": 2, "S": 2}
@@ -725,17 +720,18 @@ def _try_datetime(text: _Text) -> tuple[np.ndarray, str] | None:
     return None
 
 
+def _epoch_seconds(values: np.ndarray) -> np.ndarray:
+    """The values in EPOCH_RANGE, NaN elsewhere."""
+    lo, hi = EPOCH_RANGE
+    return np.where((values >= lo) & (values <= hi), values, np.nan)
+
+
 def _epoch_int_to_datetime(values: np.ndarray) -> np.ndarray | None:
     """Integers that all look like epoch seconds become a datetime column."""
-    finite = values[~np.isnan(values)]
-    if finite.size == 0:
-        return None
-    lo, hi = EPOCH_RANGE
-    in_range = (finite >= lo) & (finite <= hi)
-    if in_range.mean() >= DATETIME_PARSE_THRESHOLD:
-        out = values.copy()
-        out[(out < lo) | (out > hi)] = np.nan
-        return out
+    epochs = _epoch_seconds(values)
+    n = np.count_nonzero(~np.isnan(values))
+    if n and np.count_nonzero(~np.isnan(epochs)) / n >= DATETIME_PARSE_THRESHOLD:
+        return epochs
     return None
 
 
@@ -779,31 +775,31 @@ def _category_column(name: str, text: _Text) -> Column:
     return Column(name, "category", codes, dictionary=np.array(seen, dtype=str))
 
 
-def parse_column(name: str, cells) -> tuple[Column, dict]:
+def parse_column(name: str, cells, hint: str | None = None) -> tuple[Column, dict]:
     """Type one column, given as text cells or as a `_FileColumn`: integer,
-    float, datetime, then category.
+    float, datetime, then category. A role hint ('numeric', 'datetime' or
+    'category') tries its own kind only and raises DataError where the
+    column does not parse as it; a 'target' hint types as no hint.
 
-    Returns the typed column plus a schema entry describing how to re-parse
-    the same source column at inference time.
+    Only a column `int` reads without a hint is tried as epoch seconds, and
+    a column `int` reads takes its values as `int` gives them (+0.0 for
+    -0). Returns the typed column plus a schema entry describing how to
+    re-parse the same source column at inference time.
     """
     text = _Text.of(cells)
-    parsed_int = _try_int(text)
-    if parsed_int is not None:
-        values, _ = parsed_int
-        as_epoch = _epoch_int_to_datetime(values)
-        if as_epoch is not None:
-            col = Column(name, "datetime", as_epoch)
-            return col, {"kind": "datetime", "format": EPOCH_FORMAT}
-        return Column(name, "numeric", values), {"kind": "numeric"}
-    parsed_float = _try_float(text)
-    if parsed_float is not None:
-        values, has_fraction = parsed_float
-        col = Column(name, "numeric", values, from_float_literals=has_fraction)
-        return col, {"kind": "numeric"}
-    parsed_dt = _try_datetime(text)
-    if parsed_dt is not None:
-        epochs, fmt = parsed_dt
-        return Column(name, "datetime", epochs), {"kind": "datetime", "format": fmt}
+    hint = None if hint == "target" else hint
+    if hint in (None, "numeric") and text.numbers is not None:
+        values, integral = text.numbers
+        fraction = bool(np.any(values != np.floor(values)))
+        values = text.scatter(values + 0.0 if integral else values)
+        epochs = _epoch_int_to_datetime(values) if integral and hint is None else None
+        if epochs is not None:
+            return Column(name, "datetime", epochs), {"kind": "datetime", "format": EPOCH_FORMAT}
+        return Column(name, "numeric", values, from_float_literals=fraction), {"kind": "numeric"}
+    if hint in (None, "datetime") and (parsed := _try_datetime(text)) is not None:
+        return Column(name, "datetime", parsed[0]), {"kind": "datetime", "format": parsed[1]}
+    if hint not in (None, "category"):
+        raise DataError(f"column {name!r} hinted {hint} but does not parse")
     return _category_column(name, text), {"kind": "category"}
 
 
@@ -812,20 +808,20 @@ def parse_with_schema(name: str, cells, entry: dict) -> Column:
     using the stored training recipe.
 
     A numeric or epoch recipe takes the cells that `build_dataset` types as
-    numbers and raises DataError at the first other one."""
+    numbers, with `float`'s values, and raises DataError at the first other
+    one."""
     kind, fmt = entry["kind"], entry.get("format")
+    text = _Text.of(cells)
     if kind not in ("numeric", "datetime"):  # text: coded in the stored dictionary later
-        return _category_column(name, _Text.of(cells))
+        return _category_column(name, text)
     if kind == "datetime" and fmt != EPOCH_FORMAT:
-        return Column(name, "datetime", _parse_datetime_format(_Text.of(cells), fmt)[0])
-    values, bad = _finite_floats(_Text.of(cells))
-    if bad is not None:
-        raise DataError(f"column {name!r} holds {_strings(cells)[bad]!r} at row {bad + 1}, "
+        return Column(name, "datetime", _parse_datetime_format(text, fmt)[0])
+    if text.numbers is None:
+        row, cell = text.first_non_number()
+        raise DataError(f"column {name!r} holds {cell!r} at row {row + 1}, "
                         "which is not a finite number")
-    if kind == "datetime":  # epoch seconds
-        lo, hi = EPOCH_RANGE
-        values[(values < lo) | (values > hi)] = np.nan
-    return Column(name, kind, values)
+    values = text.scatter(text.numbers[0])
+    return Column(name, kind, _epoch_seconds(values) if kind == "datetime" else values)
 
 
 # ---------------------------------------------------------------------------
@@ -877,16 +873,15 @@ def _encode_target(cells, task_kind: str) -> tuple[np.ndarray, tuple[str, ...]]:
         row = int(np.argmin(text.present))
         raise DataError(f"target has a missing value at row {row + 1}")
     if task_kind == "regression":
-        out, i = _finite_floats(text)
-        if i is not None:
-            cell = text.unstripped[i]
+        if text.numbers is None:
+            i, cell = text.first_non_number()
             try:
                 float(cell.strip())
             except ValueError:
                 raise DataError(
                     f"target value {cell!r} at row {i + 1} is not numeric") from None
             raise DataError(f"target value at row {i + 1} is not finite")
-        return out, ()
+        return text.numbers[0], ()
     cells = text.unstripped
     labels = sorted({c.strip() for c in cells})
     if task_kind == "binary" and len(labels) != 2:
@@ -899,11 +894,8 @@ def _encode_target(cells, task_kind: str) -> tuple[np.ndarray, tuple[str, ...]]:
 
 
 def _constant(col: Column) -> bool:
-    if col.kind == "category":
-        vals = col.values[col.values >= 0]
-        return vals.size == 0 or np.unique(vals).size <= 1
-    vals = col.values[~np.isnan(col.values)]
-    return vals.size == 0 or np.unique(vals).size <= 1
+    present = col.values >= 0 if col.kind == "category" else ~np.isnan(col.values)
+    return np.unique(col.values[present]).size <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -915,9 +907,10 @@ def build_dataset(raw: RawTable, target_name: str, task_kind: str,
                   metric: MetricSpec | None = None) -> Dataset:
     """Parse a raw table into a typed dataset for the given task.
 
-    Hints override the cascade per column ('numeric', 'category', 'datetime',
-    'drop'). Constant columns are dropped, datetime columns expanded, and
-    classification targets label-encoded with the mapping stored on the task.
+    Hints override the cascade per column ('numeric', 'category' and
+    'datetime' through `parse_column`, and 'drop'). Constant columns are
+    dropped, datetime columns expanded, and classification targets
+    label-encoded with the mapping stored on the task.
     """
     if target_name not in raw.column_names:
         raise DataError(f"target column {target_name!r} not found")
@@ -935,29 +928,10 @@ def build_dataset(raw: RawTable, target_name: str, task_kind: str,
     warnings: list[str] = []
 
     for name in raw.column_names:
-        if name == target_name:
-            continue
-        cells = raw.cells(name)
         hint = hints.get(name)
-        if hint == "drop":
+        if name == target_name or hint == "drop":
             continue
-        if hint == "category":
-            col, entry = _category_column(name, _Text.of(cells)), {"kind": "category"}
-        elif hint == "numeric":
-            text = _Text.of(cells)
-            parsed = _try_int(text) or _try_float(text)
-            if parsed is None:
-                raise DataError(f"column {name!r} hinted numeric but does not parse")
-            col, entry = Column(name, "numeric", parsed[0],
-                                from_float_literals=parsed[1]), {"kind": "numeric"}
-        elif hint == "datetime":
-            parsed_dt = _try_datetime(_Text.of(cells))
-            if parsed_dt is None:
-                raise DataError(f"column {name!r} hinted datetime but does not parse")
-            col = Column(name, "datetime", parsed_dt[0])
-            entry = {"kind": "datetime", "format": parsed_dt[1]}
-        else:
-            col, entry = parse_column(name, cells)
+        col, entry = parse_column(name, raw.cells(name), hint)
 
         if col.kind == "datetime":
             schema[name] = entry
@@ -1097,13 +1071,8 @@ def _recode_category(col: Column, ref_col: Column) -> Column:
     codes = np.full(col.values.shape[0], -1, dtype=np.int32)
     if col.kind == "category":
         ok = col.values >= 0
-        codes[ok] = _lookup(ref_col.dictionary, col.dictionary)[col.values[ok]]
+        codes[ok] = lookup_sorted(ref_col.dictionary, col.dictionary)[col.values[ok]]
     else:
         ok = ~np.isnan(col.values)
-        codes[ok] = _lookup(ref_col.dictionary, col.values[ok])
+        codes[ok] = lookup_sorted(ref_col.dictionary, col.values[ok])
     return Column(col.name, "category", codes, dictionary=ref_col.dictionary)
-
-
-def _lookup(dictionary: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    idx = np.clip(np.searchsorted(dictionary, keys), 0, len(dictionary) - 1)
-    return np.where(dictionary[idx] == keys, idx, -1).astype(np.int32)

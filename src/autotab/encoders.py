@@ -159,6 +159,16 @@ def norm_gini(y: np.ndarray, x: np.ndarray, task_kind: str | None = None) -> flo
     return _ratio(*_general_concordance(y, x))
 
 
+def lookup_sorted(dictionary: np.ndarray, keys) -> np.ndarray:
+    """The position of each key in the sorted `dictionary`, -1 where it is
+    absent (NaN always is); an empty dictionary holds no key."""
+    keys = np.asarray(keys)
+    if len(dictionary) == 0:
+        return np.full(keys.shape, -1, dtype=np.intp)
+    idx = np.minimum(np.searchsorted(dictionary, keys), len(dictionary) - 1)
+    return np.where(dictionary[idx] == keys, idx, -1)
+
+
 # ---------------------------------------------------------------------------
 # Frequency encoding
 
@@ -171,15 +181,10 @@ class FrequencyMap:
     counts: np.ndarray
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        idx = np.searchsorted(self.values, x)
-        idx = np.clip(idx, 0, len(self.values) - 1)
-        out = self.counts[idx].astype(np.float64)
-        if len(self.values):
-            hit = self.values[idx] == x
-            out[~hit] = 0.0
-        else:
-            out[:] = 0.0
+        pos = lookup_sorted(self.values, x)
+        out = np.zeros(pos.shape)
+        hit = pos >= 0
+        out[hit] = self.counts[pos[hit]]
         return out
 
 
@@ -300,13 +305,10 @@ class TargetMeanMap:
     default: np.ndarray
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        idx = np.searchsorted(self.values, x)
-        idx = np.clip(idx, 0, max(len(self.values) - 1, 0))
-        out = np.tile(self.default, (x.shape[0], 1))
-        if len(self.values):
-            hit = self.values[idx] == x
-            out[hit] = self.means[idx[hit]]
+        pos = lookup_sorted(self.values, x)
+        out = np.tile(self.default, (pos.shape[0], 1))
+        hit = pos >= 0
+        out[hit] = self.means[pos[hit]]
         return out
 
 

@@ -15,7 +15,7 @@ regression) counts its pairs there from ranks (`encoders.rank_gini`).
 Prediction and ingest use it where they can, when `optional_kernel()`
 loads the library: a forest of either flavour is routed in one call
 (`trees.route_forest`), a column of decimal numbers is read from the
-CSV file's bytes in one call (`data._Text.floats`) and a text category
+CSV file's bytes in one call (`data._Text.numbers`) and a text category
 column is coded from the same bytes in one call (`code_cells`, for
 `data._category_column`), both for `build_dataset` and the re-parse at
 prediction; on a host where it cannot be built, numpy routes, Python's

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import TimeBudget, unlimited
-from .data import Dataset, Task
+from .data import DEFAULT_K, Dataset, Task
 from .encoders import (EncoderSpec, FrequencyMap, TargetMeanMap, fit_target_map,
                        freq_encode, oof_target_encode)
 from .errors import BudgetError, DataError
@@ -68,7 +68,6 @@ __all__ = ["TrainedModel", "GBMView", "GBMFolds", "LinearView", "fit_gbm", "fit_
            "LinearParams", "GBMParams"]
 
 ONE_HOT_MAX_CARDINALITY = 100
-ENCODING_FOLDS = 5
 
 
 def _encoding_fold_vector(folds: FoldAssignment) -> tuple[np.ndarray, np.ndarray]:
@@ -87,9 +86,9 @@ def _encoding_fold_vector(folds: FoldAssignment) -> tuple[np.ndarray, np.ndarray
     if folds.scheme.kind == "holdout":
         train = fold == -1
         inner = np.full(n, -1, dtype=np.int64)
-        inner[train] = kfold_vector(int(train.sum()), ENCODING_FOLDS, seed)
+        inner[train] = kfold_vector(int(train.sum()), DEFAULT_K, seed)
         return inner, ~train
-    return kfold_vector(n, ENCODING_FOLDS, seed).astype(np.int64), np.zeros(n, dtype=bool)
+    return kfold_vector(n, DEFAULT_K, seed).astype(np.int64), np.zeros(n, dtype=bool)
 
 
 def _oof_encoded(values: np.ndarray, dataset: Dataset,

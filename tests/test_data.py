@@ -12,6 +12,7 @@ from autotab import PresetConfig, fit_preset, predict_automl
 from autotab.data import (DATETIME_FORMATS, EPOCH_FORMAT, RawTable, _strptime_utc,
                           build_dataset, dataset_from_arrays, dataset_from_raw_with_schema,
                           expand_datetime, parse_column, parse_with_schema, read_csv)
+from autotab.encoders import lookup_sorted
 from autotab.errors import DataError
 
 from conftest import write_csv
@@ -217,6 +218,42 @@ class TestBuildDataset:
         assert ds.columns["a"].kind == "category"
         assert "b" not in ds.columns and "b" not in ds.schema
 
+    EPOCH_ROWS = [[1_600_000_000 + 86_400 * i, 10 + i, "u" if i % 2 else "v", i % 2]
+                  for i in range(6)]
+
+    def build_hinted(self, tmp_path, hints):
+        path = write_csv(tmp_path / "t.csv", ["t", "a", "c", "y"], self.EPOCH_ROWS)
+        return build_dataset(read_csv(path, "y"), "y", "binary", hints=hints)
+
+    def test_numeric_hint_keeps_epoch_integers_numeric(self, tmp_path):
+        unhinted = self.build_hinted(tmp_path, {})
+        assert unhinted.schema["t"] == {"kind": "datetime", "format": EPOCH_FORMAT}
+        ds = self.build_hinted(tmp_path, {"t": "numeric"})
+        assert ds.schema["t"] == {"kind": "numeric"}
+        assert ds.columns["t"].kind == "numeric"
+        assert ds.columns["t"].values.tolist() == [row[0] for row in self.EPOCH_ROWS]
+        assert not any(name.startswith("t__") for name in ds.columns)
+
+    def test_datetime_hint_on_epoch_integers_does_not_parse(self, tmp_path):
+        with pytest.raises(DataError) as refused:
+            self.build_hinted(tmp_path, {"t": "datetime"})
+        assert str(refused.value) == "column 't' hinted datetime but does not parse"
+
+    def test_numeric_hint_on_text_does_not_parse(self, tmp_path):
+        with pytest.raises(DataError) as refused:
+            self.build_hinted(tmp_path, {"c": "numeric"})
+        assert str(refused.value) == "column 'c' hinted numeric but does not parse"
+
+    def test_target_hint_on_a_feature_parses_as_no_hint(self, tmp_path):
+        unhinted = self.build_hinted(tmp_path, {})
+        ds = self.build_hinted(tmp_path, {"t": "target", "a": "target", "c": "target"})
+        assert ds.schema == unhinted.schema
+        assert ds.columns.keys() == unhinted.columns.keys()
+        for name, col in ds.columns.items():
+            want = unhinted.columns[name]
+            assert (col.kind, col.from_float_literals) == (want.kind, want.from_float_literals)
+            assert col.values.tobytes() == want.values.tobytes()
+
     def test_missing_rate_matches_mask(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", ["a", "y"],
                          [[1, 0], ["NA", 1], [3, 0], [4, 1]])
@@ -282,6 +319,15 @@ class TestCategoryRecode:
         assert ds.columns["f0"].from_float_literals
         ds2 = dataset_from_arrays(np.array([[1.0], [2.0]]), np.array([0, 1]), "binary")
         assert not ds2.columns["f0"].from_float_literals
+
+    @pytest.mark.parametrize("dictionary, keys, want", [
+        (np.array([1.0, 2.5, 7.0]), [2.5, 0.0, 7.0, 9.0, np.nan, 1.0], [1, -1, 2, -1, -1, 0]),
+        (np.array(["a", "ab", "b"]), np.array(["ab", "aa", "c", "a"]), [1, -1, -1, 0]),
+        (np.array([]), [1.0, np.nan], [-1, -1]),
+        (np.array([3.0]), np.array([]), []),
+    ], ids=["numbers", "text", "empty-dictionary", "no-keys"])
+    def test_lookup_sorted(self, dictionary, keys, want):
+        assert lookup_sorted(dictionary, keys).tolist() == want
 
 
 class TestCategoryEndingInNul:

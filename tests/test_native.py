@@ -289,12 +289,15 @@ def test_kernel_has_no_undefined_behaviour(tmp_path):
         "native.optional_kernel = lambda: lib\n"
         "from autotab.data import _category_column, _Text\n"
         f"cells = {UBSAN_CELLS!r}\n"
+        "import numpy as np\n"
         "for column in [cells[:-4]] + [(c,) for c in cells]:\n"
-        "    text = _Text.of(column)\n"
-        "    assert (text.numbers is None) == any(c in column for c in cells[-4:])\n"
+        "    buf, starts, ends = _Text.of(column).bytes\n"
+        "    values, flag = np.empty(len(column)), np.empty(len(column), dtype=np.uint8)\n"
+        "    status = lib.parse_numbers(buf.ctypes.data, starts.ctypes.data, ends.ctypes.data,\n"
+        "                               len(column), values.ctypes.data, flag.ctypes.data)\n"
+        "    assert (status < 0) == any(c in column for c in cells[-4:])\n"
         "levels = cells + tuple(f'k{i}' for i in range(300)) + cells\n"
         "assert len(_category_column('c', _Text.of(levels)).dictionary) == len(cells) + 300\n"
-        "import numpy as np\n"
         "from autotab.gbm import GBMParams, fit_booster\n"
         "X = np.random.default_rng(1).normal(size=(200, 4))\n"
         "y = (X[:, 0] + X[:, 1] > 0).astype(float)\n"

@@ -30,9 +30,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from autotab.data import (DATETIME_FORMATS, DATETIME_PARSE_THRESHOLD, EPOCH_FORMAT, Column,
-                          _FileColumn, _category_column, _finite_floats, _Text, _failure_budget,
-                          _try_datetime, _try_float, _try_int, expand_datetime, parse_column,
-                          parse_with_schema, read_csv)
+                          _FileColumn, _category_column, _Text, _failure_budget, _try_datetime,
+                          expand_datetime, parse_column, parse_with_schema, read_csv)
 from autotab.errors import DataError
 from autotab.gbm import native
 
@@ -364,32 +363,45 @@ def finite_floats_reference(cells):
     return out, None
 
 
-def same(got, want):
-    return (got is None) == (want is None) and (got is None or (
-        got[0].tobytes() == want[0].tobytes() and got[1] == want[1]))
+def kernel_read(text):
+    """`parse_numbers` of the cells: its status, values and flags."""
+    buf, starts, ends = text.bytes
+    values, flag = np.empty(len(text)), np.empty(len(text), dtype=np.uint8)
+    status = native.optional_kernel().parse_numbers(
+        buf.ctypes.data, starts.ctypes.data, ends.ctypes.data, len(text), values.ctypes.data,
+        flag.ctypes.data)
+    return status, values, flag.astype(bool)
 
 
 @given(number_columns())
 def test_number_steps_match_float_and_int(number_parser, cells):
-    """`_try_int`, `_try_float` and `_finite_floats` give the cascade's bits,
-    through the kernel or in Python; where every cell is in the kernel's
-    grammar the kernel reads the column, and each cell it does not leave to
-    Python is `float` of the cell bit for bit."""
+    """`_Text.numbers` gives the cascade's bits, through the kernel or in
+    Python: `float`'s values, and `int`'s but for the sign of a zero, where
+    `int` reads every cell; None where a cell is not a finite number, and
+    then `first_non_number` names the cell the reference stops at. Where
+    every cell is in the kernel's grammar the kernel reads the column, and
+    each cell it does not leave to Python is `float` of the cell bit for
+    bit."""
     with numbers_read_by(number_parser):
-        assert same(_try_int(_Text.of(cells)), cascade_try_int(cells))
-        assert same(_try_float(_Text.of(cells)), cascade_try_float(cells))
-        got, want = _finite_floats(_Text.of(cells)), finite_floats_reference(cells)
-        assert got[1] == want[1]
-        assert (got[0] is None) == (want[0] is None)
-        assert got[0] is None or got[0].tobytes() == want[0].tobytes()
+        as_int, as_float = cascade_try_int(cells), cascade_try_float(cells)
+        want, bad = finite_floats_reference(cells)
         text = _Text.of(cells)
+        got = text.numbers
+        assert (got is None) == (want is None) == (as_float is None)
+        if got is None:
+            assert as_int is None
+            assert text.first_non_number() == (bad, cells[bad])
+        else:
+            values, integral = got
+            assert text.scatter(values).tobytes() == want.tobytes() == as_float[0].tobytes()
+            assert bool(np.any(values != np.floor(values))) == as_float[1]
+            assert integral == (as_int is not None)
+            assert not integral or text.scatter(values + 0.0).tobytes() == as_int[0].tobytes()
         if number_parser == "kernel" and all(GRAMMAR.fullmatch(c) for c in text.unstripped):
-            values, flagged, integral = text.numbers
-            assert integral == all(re.fullmatch(r"[+-]?[0-9]+", c) for c in text.unstripped)
-            read = np.ones(len(text), dtype=bool)
-            read[flagged] = False
+            status, values, flagged = kernel_read(text)
+            assert status == all(re.fullmatch(r"[+-]?[0-9]+", c) for c in text.unstripped)
             want = np.array([float(c) for c in text.unstripped])
-            assert values[read].tobytes() == want[read].tobytes()
+            assert values[~flagged].tobytes() == want[~flagged].tobytes()
 
 
 # Category cells: prefixes of one another, non-ASCII ones, "é" composed and
